@@ -150,7 +150,7 @@ let ablation_adversarial () =
   run_case "midrr counter-4" (Midrr.packed (Midrr.create ~counter_max:4 ()));
   run_case "midrr counter-16" (Midrr.packed (Midrr.create ~counter_max:16 ()));
   run_case "naive per-iface DRR" (Drr.packed (Drr.create ()));
-  run_case "wfq per-iface" (Wfq.packed (Wfq.create ()));
+  run_case "wfq per-iface" (Prog_wfq.packed (Prog_wfq.create ()));
   run_case "oracle (full info)"
     (Oracle.packed (Oracle.create ~capacity:(fun j -> caps.(j)) ()))
 
@@ -185,26 +185,26 @@ let steady_scheduler ?counter_max ~mode ~n_ifaces ~n_flows () =
     | None -> ()
 
 let steady_wfq ~n_ifaces ~n_flows =
-  let t = Wfq.create () in
+  let t = Prog_wfq.create () in
   for j = 0 to n_ifaces - 1 do
-    Wfq.add_iface t j
+    Prog_wfq.add_iface t j
   done;
   for f = 0 to n_flows - 1 do
-    Wfq.add_flow t ~flow:f ~weight:1.0 ~allowed:(List.init n_ifaces Fun.id)
+    Prog_wfq.add_flow t ~flow:f ~weight:1.0 ~allowed:(List.init n_ifaces Fun.id)
   done;
   for f = 0 to n_flows - 1 do
     for _ = 1 to 1000 / n_flows do
-      ignore (Wfq.enqueue t (Packet.create ~flow:f ~size:1000 ~arrival:0.0))
+      ignore (Prog_wfq.enqueue t (Packet.create ~flow:f ~size:1000 ~arrival:0.0))
     done
   done;
   let iface = ref 0 in
   fun () ->
     let j = !iface in
     iface := (j + 1) mod n_ifaces;
-    match Wfq.next_packet t j with
+    match Prog_wfq.next_packet t j with
     | Some pkt ->
         ignore
-          (Wfq.enqueue t (Packet.create ~flow:pkt.flow ~size:1000 ~arrival:0.0))
+          (Prog_wfq.enqueue t (Packet.create ~flow:pkt.flow ~size:1000 ~arrival:0.0))
     | None -> ()
 
 let maxmin_instance n_flows n_ifaces seed =
@@ -858,146 +858,7 @@ let bench_shard () =
   gate 2 1.6;
   gate 4 2.5
 
-(* --- Part 2f: PIFO substrate overhead ----------------------------------- *)
-
-(* The acceptance gate for the programmable substrate: WFQ expressed as a
-   rank program over per-interface PIFOs ([Prog_wfq]) must stay within
-   1.5x of the bespoke [Wfq] per decision.  The bespoke scheduler scans
-   all backlogged flows per decision (O(n)) while the substrate pops an
-   index-tracked heap (O(log n)), so the ratio is measured across flow
-   counts — the gate applies from 64 flows up, where the asymptotics and
-   not the constants dominate; the 16-flow point is reported for context.
-   The raw heap op cost is recorded alongside.  Results go to
-   BENCH_pifo.json. *)
-
-let steady_prog_wfq ~n_ifaces ~n_flows =
-  let t = Prog_wfq.create () in
-  for j = 0 to n_ifaces - 1 do
-    Prog_wfq.add_iface t j
-  done;
-  for f = 0 to n_flows - 1 do
-    Prog_wfq.add_flow t ~flow:f ~weight:1.0 ~allowed:(List.init n_ifaces Fun.id)
-  done;
-  for f = 0 to n_flows - 1 do
-    for _ = 1 to Stdlib.max 1 (1000 / n_flows) do
-      ignore (Prog_wfq.enqueue t (Packet.create ~flow:f ~size:1000 ~arrival:0.0))
-    done
-  done;
-  let iface = ref 0 in
-  fun () ->
-    let j = !iface in
-    iface := (j + 1) mod n_ifaces;
-    match Prog_wfq.next_packet t j with
-    | Some pkt ->
-        ignore
-          (Prog_wfq.enqueue t
-             (Packet.create ~flow:pkt.flow ~size:1000 ~arrival:0.0))
-    | None -> ()
-
-let steady_wfq_sized ~n_ifaces ~n_flows =
-  let t = Wfq.create () in
-  for j = 0 to n_ifaces - 1 do
-    Wfq.add_iface t j
-  done;
-  for f = 0 to n_flows - 1 do
-    Wfq.add_flow t ~flow:f ~weight:1.0 ~allowed:(List.init n_ifaces Fun.id)
-  done;
-  for f = 0 to n_flows - 1 do
-    for _ = 1 to Stdlib.max 1 (1000 / n_flows) do
-      ignore (Wfq.enqueue t (Packet.create ~flow:f ~size:1000 ~arrival:0.0))
-    done
-  done;
-  let iface = ref 0 in
-  fun () ->
-    let j = !iface in
-    iface := (j + 1) mod n_ifaces;
-    match Wfq.next_packet t j with
-    | Some pkt ->
-        ignore
-          (Wfq.enqueue t (Packet.create ~flow:pkt.flow ~size:1000 ~arrival:0.0))
-    | None -> ()
-
-let timed_ns stepper ~decisions =
-  for _ = 1 to decisions / 10 do
-    stepper ()
-  done;
-  let t0 = Monotonic_clock.now () in
-  for _ = 1 to decisions do
-    stepper ()
-  done;
-  let t1 = Monotonic_clock.now () in
-  Int64.to_float (Int64.sub t1 t0) /. float_of_int decisions
-
-(* Raw heap cost: a pop/re-push cycle at steady occupancy [n]. *)
-let pifo_cycle_ns ~n ~ops =
-  let h = Pifo.create () in
-  for k = 0 to n - 1 do
-    Pifo.push h ~key:k ~rank:(Float.of_int k)
-  done;
-  let next = ref (Float.of_int n) in
-  let step () =
-    match Pifo.pop h with
-    | Some e ->
-        next := !next +. 1.0;
-        Pifo.push h ~key:e.Pifo.key ~rank:!next
-    | None -> ()
-  in
-  timed_ns step ~decisions:ops
-
-let bench_pifo () =
-  section "PIFO substrate: program-WFQ vs bespoke WFQ per decision";
-  let n_ifaces = 4 in
-  let decisions = if quick then 20_000 else 200_000 in
-  let sizes = [ 16; 64; 256 ] in
-  Format.printf "  %-8s %12s %12s %8s %14s@." "flows" "bespoke ns" "pifo ns"
-    "ratio" "raw heap ns";
-  let rows =
-    List.map
-      (fun n_flows ->
-        let bespoke =
-          timed_ns (steady_wfq_sized ~n_ifaces ~n_flows) ~decisions
-        in
-        let substrate =
-          timed_ns (steady_prog_wfq ~n_ifaces ~n_flows) ~decisions
-        in
-        let heap = pifo_cycle_ns ~n:n_flows ~ops:decisions in
-        let ratio = substrate /. bespoke in
-        Format.printf "  %-8d %12.1f %12.1f %8.2f %14.1f@." n_flows bespoke
-          substrate ratio heap;
-        (n_flows, bespoke, substrate, ratio, heap))
-      sizes
-  in
-  let gate = 1.5 in
-  let worst =
-    List.fold_left
-      (fun acc (n, _, _, ratio, _) -> if n >= 64 then Float.max acc ratio else acc)
-      0.0 rows
-  in
-  Format.printf "  worst substrate/bespoke ratio at >= 64 flows: %.2f (gate: \
-                 <= %.1f)@."
-    worst gate;
-  let oc = open_out "BENCH_pifo.json" in
-  Printf.fprintf oc
-    "{\"decisions\":%d,\"n_ifaces\":%d,\"gate_ratio\":%.1f,\"worst_ratio_ge_64_flows\":%.2f,\"results\":["
-    decisions n_ifaces gate worst;
-  List.iteri
-    (fun i (n, bespoke, substrate, ratio, heap) ->
-      Printf.fprintf oc
-        "%s{\"n_flows\":%d,\"bespoke_wfq_ns\":%.1f,\"pifo_wfq_ns\":%.1f,\"ratio\":%.2f,\"pifo_cycle_ns\":%.1f}"
-        (if i = 0 then "" else ",")
-        n bespoke substrate ratio heap)
-    rows;
-  Printf.fprintf oc "]}\n";
-  close_out oc;
-  Format.printf "  written to BENCH_pifo.json@.";
-  if worst > gate then begin
-    Format.printf
-      "  FAIL: substrate WFQ is %.2fx the bespoke scheduler (gate %.1fx)@."
-      worst gate;
-    exit 1
-  end
-
-(* --- Part 2g: telemetry plane overhead ---------------------------------- *)
+(* --- Part 2f: telemetry plane overhead ---------------------------------- *)
 
 module Metrics = Midrr_obs.Metrics
 module Busmetrics = Midrr_obs.Busmetrics
@@ -1184,14 +1045,12 @@ let fastpath_only =
   Array.exists (fun a -> a = "--fastpath-only") Sys.argv
 
 let par_only = Array.exists (fun a -> a = "--par-only") Sys.argv
-let pifo_only = Array.exists (fun a -> a = "--pifo-only") Sys.argv
 let metrics_only = Array.exists (fun a -> a = "--metrics-only") Sys.argv
 let shard_only = Array.exists (fun a -> a = "--shard-only") Sys.argv
 
 let () =
   if fastpath_only then bench_fastpath ()
   else if par_only then bench_par ()
-  else if pifo_only then bench_pifo ()
   else if metrics_only then bench_metrics ()
   else if shard_only then bench_shard ()
   else begin
@@ -1202,7 +1061,6 @@ let () =
     run_benchmarks ();
     bench_obs_overhead ();
     bench_fastpath ();
-    bench_pifo ();
     bench_metrics ();
     bench_par ();
     bench_shard ()

@@ -423,8 +423,7 @@ let sched_override =
     & info [ "sched" ] ~docv:"NAME"
         ~doc:
           "Override the scenario's $(b,scheduler) directive with discipline \
-           $(docv) (one of midrr, drr, wfq, rr, sprio, srpt, edf, lstf, \
-           pifo-wfq, pifo-rr).")
+           $(docv) (one of midrr, drr, wfq, rr, sprio, srpt, edf, lstf).")
 
 let run_cmd =
   Cmd.v

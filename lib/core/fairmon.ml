@@ -1,3 +1,29 @@
+let fm ~s_i ~phi_i ~s_j ~phi_j = (s_i /. phi_i) -. (s_j /. phi_j)
+
+type window = (Types.flow_id, int) Hashtbl.t
+
+let start sched =
+  let snapshot = Hashtbl.create 32 in
+  List.iter
+    (fun f ->
+      Hashtbl.replace snapshot f (Sched_intf.Packed.served_bytes sched f))
+    (Sched_intf.Packed.flows sched);
+  snapshot
+
+let service_since window sched f =
+  let base = Option.value (Hashtbl.find_opt window f) ~default:0 in
+  Sched_intf.Packed.served_bytes sched f - base
+
+let normalized_service window sched ~phi f =
+  Float.of_int (service_since window sched f) /. phi f
+
+let fm_between window sched ~phi ~i ~j =
+  fm
+    ~s_i:(Float.of_int (service_since window sched i))
+    ~phi_i:(phi i)
+    ~s_j:(Float.of_int (service_since window sched j))
+    ~phi_j:(phi j)
+
 type report = {
   window_index : int;
   worst_pair : (Types.flow_id * Types.flow_id) option;

@@ -3,7 +3,7 @@
     Production observability for a running scheduler: sample the cumulative
     service counters periodically and check Theorem 2's max-min conditions
     over each window, pair by pair, using the directional fairness metric
-    [FM = S_i/phi_i - S_j/phi_j] ({!Metrics}):
+    [FM = S_i/phi_i - S_j/phi_j] ({!fm}):
 
     - flows that both drew service through a common interface are in one
       cluster, so their normalized service must agree (|FM| small);
@@ -17,6 +17,42 @@
     scheduler's event stream ({!Sched_intf.Packed.subscribe}) and keeps
     the service and backlog tallies itself, so {!sample} never polls the
     scheduler's counters — only its preference configuration. *)
+
+(** {1 Fairness accounting (paper Definition 3)}
+
+    The directional fairness metric between flows [i] and [j] over a window
+    is [FM_{i->j} = S_i/phi_i - S_j/phi_j] where [S] is bytes served in the
+    window.  Theorem 3's proof bounds it by constants (Lemmas 5 and 6); the
+    test suite checks those bounds on live runs through these functions. *)
+
+val fm : s_i:float -> phi_i:float -> s_j:float -> phi_j:float -> float
+(** The directional fairness metric from [i] to [j]. *)
+
+type window
+(** A measurement window anchored at the service counters observed when it
+    was opened. *)
+
+val start : Sched_intf.packed -> window
+(** Snapshot the cumulative per-flow service of the scheduler. *)
+
+val service_since : window -> Sched_intf.packed -> Types.flow_id -> int
+(** Bytes served to the flow since the window opened ([S_i(t1, t2)]).
+    Flows unknown at snapshot time count from zero. *)
+
+val fm_between :
+  window ->
+  Sched_intf.packed ->
+  phi:(Types.flow_id -> float) ->
+  i:Types.flow_id ->
+  j:Types.flow_id ->
+  float
+(** [FM_{i->j}] over the window, in bytes. *)
+
+val normalized_service :
+  window -> Sched_intf.packed -> phi:(Types.flow_id -> float) -> Types.flow_id -> float
+(** [S_i /. phi_i] over the window. *)
+
+(** {1 Online monitor} *)
 
 type report = {
   window_index : int;

@@ -111,7 +111,11 @@ let push ?tie t ~key ~rank =
   set_slot t i { key; rank; tie };
   sift_up t i
 
-let peek t = if is_empty t then None else Some t.heap.(0)
+(* R7 assumes a float result is boxed per call; here [rank] is a field of
+   a mixed record, so it is already boxed and returned as is (0 minor
+   words per call, measured). *)
+let min_rank t = if is_empty t then infinity else t.heap.(0).rank
+[@@midrr.lint.allow "R7"]
 
 (* Remove the entry at slot [i]: move the last entry in, then repair in
    whichever direction the replacement violates. *)
@@ -129,11 +133,7 @@ let remove_slot t i =
   else t.heap.(last) <- dummy;
   victim
 
-(* The option API boxes the popped element; accepted as the substrate's
-   documented per-decision cost (DESIGN.md section 13). *)
-let pop t =
-  if is_empty t then None
-  else (Some (remove_slot t 0) [@midrr.lint.allow "R7"])
+let pop_key t = if is_empty t then -1 else (remove_slot t 0).key
 
 let remove t key =
   if mem t key then begin

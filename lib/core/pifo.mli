@@ -37,11 +37,13 @@ val push : ?tie:int -> t -> key:int -> rank:float -> unit
     negative or already queued.  Without [~tie], equal ranks pop in
     insertion order. *)
 
-val peek : t -> elt option
-(** The minimum entry without removing it. *)
+val min_rank : t -> float
+(** The minimum entry's rank, [infinity] when empty.  Allocation-free,
+    like {!pop_key}: together they read and take the minimum on the
+    per-decision path without boxing an [elt]. *)
 
-val pop : t -> elt option
-(** Remove and return the minimum entry. *)
+val pop_key : t -> int
+(** Remove the minimum entry and return its key; [-1] when empty. *)
 
 val remove : t -> int -> bool
 (** Remove the key wherever it sits; [false] when it was not queued. *)

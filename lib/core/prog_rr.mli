@@ -1,10 +1,12 @@
-(** Round robin expressed as a {!Sched_prog} program.
+(** Per-interface packet round robin: the [rr] discipline, expressed as
+    a {!Sched_prog} program.
 
     Rank = a per-interface monotone position counter ("back of the
     rotation"); ineligible flows encountered during a lap are re-ranked
-    to the back, eligible ones are served and re-ranked to the back.
-    Behaviorally identical to the reference {!Rrobin} (verified by
-    lockstep differential test). *)
+    to the back, eligible ones are served and re-ranked to the back.  One
+    packet per turn regardless of size — the large-packet bias DRR fixes.
+    Golden transcripts recorded from the bespoke list-rotation engine
+    this program replaced pin its behavior byte for byte. *)
 
 include Sched_intf.S
 

@@ -1,8 +1,8 @@
 (* Per-interface weighted fair queueing as a Sched_prog program: the
    rank is the flow's finish tag F_ij, the floor is the interface's
-   virtual time v_j, and service advances both exactly as the bespoke
-   [Wfq] does — the lockstep differential test holds the two equal on
-   full state and event streams. *)
+   virtual time v_j, and service advances both.  [rank] and
+   [floor_rank] run on every decision, so they look up with
+   [Hashtbl.find] rather than boxing through [find_opt]. *)
 
 module P = struct
   type t = {
@@ -12,19 +12,19 @@ module P = struct
     finish : (Types.flow_id, (Types.iface_id, float) Hashtbl.t) Hashtbl.t;
   }
 
-  let name = "pifo-wfq"
+  let name = "wfq"
   let create () = { vtimes = Hashtbl.create 16; finish = Hashtbl.create 64 }
   let membership = `Backlogged
 
   let rank t ~flow ~iface ~weight:_ ~head:_ ~backlog:_ =
-    match Hashtbl.find_opt t.finish flow with
-    | None -> 0.0
-    | Some tags -> Option.value (Hashtbl.find_opt tags iface) ~default:0.0
+    match Hashtbl.find (Hashtbl.find t.finish flow) iface with
+    | tag -> tag
+    | exception Not_found -> 0.0
 
   let floor_rank t ~iface =
-    match Hashtbl.find_opt t.vtimes iface with
-    | Some v -> !v
-    | None -> neg_infinity
+    match Hashtbl.find t.vtimes iface with
+    | v -> !v
+    | exception Not_found -> neg_infinity
 
   let skip_rank _ ~flow:_ ~iface:_ = 0.0
   let admit _ _ ~backlog:_ = true

@@ -8,7 +8,7 @@
      is at or below the program's floor, ordered by flow id.
    - [`All_flows]: [fresh] holds every registered flow except ones
      registered before the interface came up, which [next_packet] sweeps
-     in ascending id order (the reference round robin's lazy refresh).
+     in at the back of the rotation in ascending id order.
      [stale] stays empty (the floor is neg_infinity by contract). *)
 
 module Iset = Set.Make (Int)
@@ -261,16 +261,14 @@ module Make (P : PROG) = struct
      its services, so decisions stay O(log n) amortized. *)
   let migrate t ifc =
     let fl = P.floor_rank t.prog ~iface:ifc.i_id in
-    if Float.compare fl neg_infinity > 0 then begin
-      let more = ref true in
-      while !more do
-        match Pifo.peek ifc.fresh with
-        | Some e when Float.compare e.rank fl <= 0 ->
-            ignore (Pifo.remove ifc.fresh e.key : bool);
-            Pifo.push ifc.stale ~tie:e.key ~key:e.key ~rank:neg_infinity
-        | _ -> more := false
+    if Float.compare fl neg_infinity > 0 then
+      while
+        (not (Pifo.is_empty ifc.fresh))
+        && Float.compare (Pifo.min_rank ifc.fresh) fl <= 0
+      do
+        let f = Pifo.pop_key ifc.fresh in
+        Pifo.push ifc.stale ~tie:f ~key:f ~rank:neg_infinity
       done
-    end
 
   let serve t ifc fs ~rank =
     let j = ifc.i_id in
@@ -282,45 +280,44 @@ module Make (P : PROG) = struct
       ~size:pkt.size ~rank;
     pkt
 
-  let next_backlogged t ifc =
-    migrate t ifc;
-    let popped =
-      match Pifo.pop ifc.stale with
-      | Some e -> Some (e.key, P.floor_rank t.prog ~iface:ifc.i_id)
-      | None -> (
-          match Pifo.pop ifc.fresh with
-          | Some e -> Some (e.key, e.rank)
-          | None -> None)
-    in
-    match popped with
-    | None -> None
-    | Some (f, rank) ->
-        let fs = flow_state t f in
-        let pkt = serve t ifc fs ~rank in
-        (if Pktqueue.is_empty fs.queue then
+  let serve_backlogged t ifc f ~rank =
+    let fs = flow_state t f in
+    let pkt = serve t ifc fs ~rank in
+    (if Pktqueue.is_empty fs.queue then
+       Hashtbl.iter
+         (fun _ other ->
+           if not (Int.equal other.i_id ifc.i_id) then heap_remove other f)
+         t.ifaces_tbl
+     else begin
+       heap_insert t ifc fs;
+       match P.rerank_after_service with
+       | `Served_iface -> ()
+       | `All_ifaces ->
            Hashtbl.iter
              (fun _ other ->
-               if not (Int.equal other.i_id ifc.i_id) then heap_remove other f)
+               if not (Int.equal other.i_id ifc.i_id) then
+                 heap_update t other fs)
              t.ifaces_tbl
-         else begin
-           heap_insert t ifc fs;
-           match P.rerank_after_service with
-           | `Served_iface -> ()
-           | `All_ifaces ->
-               Hashtbl.iter
-                 (fun _ other ->
-                   if not (Int.equal other.i_id ifc.i_id) then
-                     heap_update t other fs)
-                 t.ifaces_tbl
-         end);
-        emit t
-          (Midrr_obs.Event.Serve
-             { flow = f; iface = ifc.i_id; bytes = pkt.size; deficit = 0.0 });
-        Some pkt
+     end);
+    emit t
+      (Midrr_obs.Event.Serve
+         { flow = f; iface = ifc.i_id; bytes = pkt.size; deficit = 0.0 });
+    Some pkt
+
+  (* A stale entry is served at the floor; a fresh one at its own rank,
+     read before the pop. *)
+  let next_backlogged t ifc =
+    migrate t ifc;
+    if not (Pifo.is_empty ifc.stale) then
+      serve_backlogged t ifc (Pifo.pop_key ifc.stale)
+        ~rank:(P.floor_rank t.prog ~iface:ifc.i_id)
+    else if not (Pifo.is_empty ifc.fresh) then
+      let rank = Pifo.min_rank ifc.fresh in
+      serve_backlogged t ifc (Pifo.pop_key ifc.fresh) ~rank
+    else None
 
   (* Sweep in flows registered before this interface existed, ascending
-     id — exactly where the reference round robin's lazy refresh appends
-     them.  O(1) when nothing is missing. *)
+     id, at the back of the rotation.  O(1) when nothing is missing. *)
   let refresh t ifc =
     if Pifo.length ifc.fresh < Hashtbl.length t.flows_tbl then
       List.iter
@@ -334,23 +331,22 @@ module Make (P : PROG) = struct
     let rec lap k =
       if Int.equal k 0 then None
       else
-        match Pifo.pop ifc.fresh with
-        | None -> None
-        | Some e ->
-            let fs = flow_state t e.key in
-            if eligible fs j then begin
-              let pkt = serve t ifc fs ~rank:e.rank in
-              heap_insert t ifc fs (* back of the rotation, served or not *);
-              emit t
-                (Midrr_obs.Event.Serve
-                   { flow = e.key; iface = j; bytes = pkt.size; deficit = 0.0 });
-              Some pkt
-            end
-            else begin
-              Pifo.push ifc.fresh ~tie:e.key ~key:e.key
-                ~rank:(P.skip_rank t.prog ~flow:e.key ~iface:j);
-              lap (k - 1)
-            end
+        let rank = Pifo.min_rank ifc.fresh in
+        let f = Pifo.pop_key ifc.fresh in
+        let fs = flow_state t f in
+        if eligible fs j then begin
+          let pkt = serve t ifc fs ~rank in
+          heap_insert t ifc fs (* back of the rotation, served or not *);
+          emit t
+            (Midrr_obs.Event.Serve
+               { flow = f; iface = j; bytes = pkt.size; deficit = 0.0 });
+          Some pkt
+        end
+        else begin
+          Pifo.push ifc.fresh ~tie:f ~key:f
+            ~rank:(P.skip_rank t.prog ~flow:f ~iface:j);
+          lap (k - 1)
+        end
     in
     lap (Pifo.length ifc.fresh)
 

@@ -14,7 +14,9 @@ type t = {
    deliberately — it is the executable spec and keeps its polymorphic
    sorts, but only through committed baseline entries, so any *new* use
    still fails the gate.  [Pifo] and [Sched_prog] are the programmable
-   substrate's per-decision path and join with no baseline entries, as
+   substrate's per-decision path — the only implementation of WFQ and
+   round robin as well as the other rank programs — and join with no
+   baseline entries, as
    do the netcalc curve algebra ([curve]/[arrival]/[service]/[bound],
    evaluated per flow inside sweeps) and the [delay] sink (fed per
    event).
@@ -65,7 +67,8 @@ let default =
         "Drr_engine.decide";
         "Drr_engine.next_packet_noalloc";
         "Pifo.push";
-        "Pifo.pop";
+        "Pifo.min_rank";
+        "Pifo.pop_key";
         "Active_ring.is_empty";
         "Active_ring.length";
         "Active_ring.head";

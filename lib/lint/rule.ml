@@ -117,8 +117,8 @@ let description = function
   | R7 ->
       "The typed zero-allocation proof.  Over the .cmt Typedtree, the \
        call graph is built from the configured decision entry points \
-       (Drr_engine.decide, next_packet_noalloc, Pifo push/pop, the \
-       Active_ring ops, the obs sink emit paths, and the telemetry hot \
+       (Drr_engine.decide, next_packet_noalloc, Pifo push/min_rank/pop_key, \
+       the Active_ring ops, the obs sink emit paths, and the telemetry hot \
        ops — Metrics incr/add/set_gauge/observe, Log_histogram \
        observe/observe_ns, Busmetrics.on_event, Span enter/exit) and \
        every reachable function is checked for allocating constructs: \

@@ -1,8 +1,9 @@
 (** The typed scheduler-event stream.
 
     Every observable state change in a scheduler or platform substrate is
-    one constructor of {!t}.  Producers ({!Midrr_core.Drr_engine}, [Wfq],
-    [Rrobin], [Oracle], the simulator, the bridge, the HTTP proxy) emit
+    one constructor of {!t}.  Producers ({!Midrr_core.Drr_engine}, the
+    PIFO programs of [Sched_prog] — WFQ and round robin among them —
+    [Oracle], the simulator, the bridge, the HTTP proxy) emit
     into an optional sink; consumers (ring-buffer recorder, per-cell
     counters, the fairness monitor, the JSONL exporter) subscribe to the
     one stream instead of polling three incompatible substrates.

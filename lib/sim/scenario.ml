@@ -17,8 +17,6 @@ type sched_spec =
   | Sched_srpt
   | Sched_edf
   | Sched_lstf
-  | Sched_pifo_wfq
-  | Sched_pifo_rr
 
 (* The discipline registry: every name accepted by `scheduler NAME` in a
    scenario file and by `--sched NAME` on the CLI.  "midrr" carries its
@@ -33,8 +31,6 @@ let sched_names =
     "srpt";
     "edf";
     "lstf";
-    "pifo-wfq";
-    "pifo-rr";
   ]
 
 let sched_of_name = function
@@ -46,8 +42,6 @@ let sched_of_name = function
   | "srpt" -> Some Sched_srpt
   | "edf" -> Some Sched_edf
   | "lstf" -> Some Sched_lstf
-  | "pifo-wfq" -> Some Sched_pifo_wfq
-  | "pifo-rr" -> Some Sched_pifo_rr
   | _ -> None
 
 let sched_name = function
@@ -59,8 +53,6 @@ let sched_name = function
   | Sched_srpt -> "srpt"
   | Sched_edf -> "edf"
   | Sched_lstf -> "lstf"
-  | Sched_pifo_wfq -> "pifo-wfq"
-  | Sched_pifo_rr -> "pifo-rr"
 
 type event =
   | E_weight of string * float
@@ -366,14 +358,12 @@ let make_sched ?(engine = Engine_fast) spec =
   | Sched_drr, Engine_sharded n ->
       Sched_intf.Packed
         ((module Shard_engine), Shard_engine.create ~shards:n Drr_engine.Plain)
-  | Sched_wfq, _ -> Wfq.packed (Wfq.create ())
-  | Sched_rr, _ -> Rrobin.packed (Rrobin.create ())
+  | Sched_wfq, _ -> Prog_wfq.packed (Prog_wfq.create ())
+  | Sched_rr, _ -> Prog_rr.packed (Prog_rr.create ())
   | Sched_sprio, _ -> Prog_sprio.packed (Prog_sprio.create ())
   | Sched_srpt, _ -> Prog_srpt.packed (Prog_srpt.create ())
   | Sched_edf, _ -> Prog_edf.packed (Prog_edf.create ())
   | Sched_lstf, _ -> Prog_lstf.packed (Prog_lstf.create ())
-  | Sched_pifo_wfq, _ -> Prog_wfq.packed (Prog_wfq.create ())
-  | Sched_pifo_rr, _ -> Prog_rr.packed (Prog_rr.create ())
 
 let run ?sink ?metrics ?spans ?ticks ?seed ?engine ?sched t =
   let sched =

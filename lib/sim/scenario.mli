@@ -62,15 +62,12 @@ type flow_spec = {
 type sched_spec =
   | Sched_midrr of int option
   | Sched_drr
-  | Sched_wfq
-  | Sched_rr
+  | Sched_wfq  (** per-interface WFQ ({!Midrr_core.Prog_wfq}) *)
+  | Sched_rr  (** per-interface round robin ({!Midrr_core.Prog_rr}) *)
   | Sched_sprio  (** strict priority ({!Midrr_core.Prog_sprio}) *)
   | Sched_srpt  (** shortest remaining backlog ({!Midrr_core.Prog_srpt}) *)
   | Sched_edf  (** earliest deadline first ({!Midrr_core.Prog_edf}) *)
   | Sched_lstf  (** least slack time first ({!Midrr_core.Prog_lstf}) *)
-  | Sched_pifo_wfq  (** WFQ over the PIFO substrate ({!Midrr_core.Prog_wfq}) *)
-  | Sched_pifo_rr
-      (** round robin over the PIFO substrate ({!Midrr_core.Prog_rr}) *)
 
 val sched_names : string list
 (** Every discipline name accepted by [scheduler NAME] and [--sched]. *)

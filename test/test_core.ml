@@ -160,11 +160,11 @@ let test_prefs_to_instance () =
   Alcotest.(check bool) "pi(10,6)=0" false inst.allowed.(0).(1);
   Alcotest.(check bool) "pi(20,6)=1" true inst.allowed.(1).(1)
 
-(* --- Metrics ----------------------------------------------------------------- *)
+(* --- Fairness accounting --------------------------------------------------------- *)
 
 let test_fm_definition () =
-  close "fm" 2.5 (Metrics.fm ~s_i:10.0 ~phi_i:2.0 ~s_j:5.0 ~phi_j:2.0);
-  close "weighted fm" 0.0 (Metrics.fm ~s_i:10.0 ~phi_i:2.0 ~s_j:5.0 ~phi_j:1.0)
+  close "fm" 2.5 (Fairmon.fm ~s_i:10.0 ~phi_i:2.0 ~s_j:5.0 ~phi_j:2.0);
+  close "weighted fm" 0.0 (Fairmon.fm ~s_i:10.0 ~phi_i:2.0 ~s_j:5.0 ~phi_j:1.0)
 
 let test_metrics_window () =
   let m = Midrr.create () in
@@ -179,8 +179,8 @@ let test_metrics_window () =
   for _ = 1 to 5 do
     ignore (Drr_engine.next_packet m 0)
   done;
-  let window = Metrics.start sched in
-  Alcotest.(check int) "zero at open" 0 (Metrics.service_since window sched 1);
+  let window = Fairmon.start sched in
+  Alcotest.(check int) "zero at open" 0 (Fairmon.service_since window sched 1);
   for _ = 1 to 10 do
     ignore (Drr_engine.enqueue m (pkt ~flow:2 500))
   done;
@@ -190,94 +190,94 @@ let test_metrics_window () =
     | Some p -> popped := !popped + p.size
     | None -> ()
   done;
-  let s1 = Metrics.service_since window sched 1
-  and s2 = Metrics.service_since window sched 2 in
+  let s1 = Fairmon.service_since window sched 1
+  and s2 = Fairmon.service_since window sched 2 in
   (* The window sees exactly the in-window service, not the 5 packets
      served before it opened. *)
   Alcotest.(check int) "window totals" !popped (s1 + s2);
   close "fm over window"
     ((Float.of_int s1 /. 1.0) -. (Float.of_int s2 /. 1.0))
-    (Metrics.fm_between window sched ~phi:(fun _ -> 1.0) ~i:1 ~j:2)
+    (Fairmon.fm_between window sched ~phi:(fun _ -> 1.0) ~i:1 ~j:2)
 
 (* --- WFQ ---------------------------------------------------------------------- *)
 
 let test_wfq_single_iface_weighted () =
-  let w = Wfq.create () in
-  Wfq.add_iface w 0;
-  Wfq.add_flow w ~flow:1 ~weight:1.0 ~allowed:[ 0 ];
-  Wfq.add_flow w ~flow:2 ~weight:3.0 ~allowed:[ 0 ];
+  let w = Prog_wfq.create () in
+  Prog_wfq.add_iface w 0;
+  Prog_wfq.add_flow w ~flow:1 ~weight:1.0 ~allowed:[ 0 ];
+  Prog_wfq.add_flow w ~flow:2 ~weight:3.0 ~allowed:[ 0 ];
   for _ = 1 to 400 do
-    ignore (Wfq.enqueue w (pkt ~flow:1 1000));
-    ignore (Wfq.enqueue w (pkt ~flow:2 1000))
+    ignore (Prog_wfq.enqueue w (pkt ~flow:1 1000));
+    ignore (Prog_wfq.enqueue w (pkt ~flow:2 1000))
   done;
   for _ = 1 to 400 do
-    ignore (Wfq.next_packet w 0)
+    ignore (Prog_wfq.next_packet w 0)
   done;
-  let s1 = Wfq.served_bytes w 1 and s2 = Wfq.served_bytes w 2 in
+  let s1 = Prog_wfq.served_bytes w 1 and s2 = Prog_wfq.served_bytes w 2 in
   close ~tol:0.05 "3:1 split" 3.0 (Float.of_int s2 /. Float.of_int s1)
 
 let test_wfq_respects_preferences () =
-  let w = Wfq.create () in
-  Wfq.add_iface w 0;
-  Wfq.add_iface w 1;
-  Wfq.add_flow w ~flow:1 ~weight:1.0 ~allowed:[ 0 ];
-  ignore (Wfq.enqueue w (pkt ~flow:1 100));
-  Alcotest.(check bool) "banned iface" true (Wfq.next_packet w 1 = None);
-  Alcotest.(check bool) "allowed iface" true (Wfq.next_packet w 0 <> None)
+  let w = Prog_wfq.create () in
+  Prog_wfq.add_iface w 0;
+  Prog_wfq.add_iface w 1;
+  Prog_wfq.add_flow w ~flow:1 ~weight:1.0 ~allowed:[ 0 ];
+  ignore (Prog_wfq.enqueue w (pkt ~flow:1 100));
+  Alcotest.(check bool) "banned iface" true (Prog_wfq.next_packet w 1 = None);
+  Alcotest.(check bool) "allowed iface" true (Prog_wfq.next_packet w 0 <> None)
 
 let test_wfq_idle_flow_no_credit () =
   (* A flow idle for a while must not burst ahead when it returns: its
      start tag snaps to the interface's virtual time. *)
-  let w = Wfq.create () in
-  Wfq.add_iface w 0;
-  Wfq.add_flow w ~flow:1 ~weight:1.0 ~allowed:[ 0 ];
-  Wfq.add_flow w ~flow:2 ~weight:1.0 ~allowed:[ 0 ];
+  let w = Prog_wfq.create () in
+  Prog_wfq.add_iface w 0;
+  Prog_wfq.add_flow w ~flow:1 ~weight:1.0 ~allowed:[ 0 ];
+  Prog_wfq.add_flow w ~flow:2 ~weight:1.0 ~allowed:[ 0 ];
   for _ = 1 to 100 do
-    ignore (Wfq.enqueue w (pkt ~flow:1 1000))
+    ignore (Prog_wfq.enqueue w (pkt ~flow:1 1000))
   done;
   for _ = 1 to 50 do
-    ignore (Wfq.next_packet w 0)
+    ignore (Prog_wfq.next_packet w 0)
   done;
   (* Flow 2 arrives late; both flows should now roughly alternate. *)
   for _ = 1 to 100 do
-    ignore (Wfq.enqueue w (pkt ~flow:2 1000))
+    ignore (Prog_wfq.enqueue w (pkt ~flow:2 1000))
   done;
-  let before = Wfq.served_bytes w 1 in
+  let before = Prog_wfq.served_bytes w 1 in
   for _ = 1 to 40 do
-    ignore (Wfq.next_packet w 0)
+    ignore (Prog_wfq.next_packet w 0)
   done;
-  let f1 = Wfq.served_bytes w 1 - before
-  and f2 = Wfq.served_bytes w 2 in
+  let f1 = Prog_wfq.served_bytes w 1 - before
+  and f2 = Prog_wfq.served_bytes w 2 in
   close ~tol:2000.0 "alternation" (Float.of_int f1) (Float.of_int f2)
 
 (* --- Round robin ----------------------------------------------------------------- *)
 
 let test_rrobin_packet_fairness () =
-  let r = Rrobin.create () in
-  Rrobin.add_iface r 0;
-  Rrobin.add_flow r ~flow:1 ~weight:1.0 ~allowed:[ 0 ];
-  Rrobin.add_flow r ~flow:2 ~weight:1.0 ~allowed:[ 0 ];
+  let r = Prog_rr.create () in
+  Prog_rr.add_iface r 0;
+  Prog_rr.add_flow r ~flow:1 ~weight:1.0 ~allowed:[ 0 ];
+  Prog_rr.add_flow r ~flow:2 ~weight:1.0 ~allowed:[ 0 ];
   for _ = 1 to 100 do
-    ignore (Rrobin.enqueue r (pkt ~flow:1 1500));
-    ignore (Rrobin.enqueue r (pkt ~flow:2 100))
+    ignore (Prog_rr.enqueue r (pkt ~flow:1 1500));
+    ignore (Prog_rr.enqueue r (pkt ~flow:2 100))
   done;
   for _ = 1 to 100 do
-    ignore (Rrobin.next_packet r 0)
+    ignore (Prog_rr.next_packet r 0)
   done;
   (* One packet per turn: equal packet counts, so 15:1 in bytes — the
      large-packet bias DRR fixes. *)
-  Alcotest.(check int) "flow 1 packets" 50 (Rrobin.served_bytes r 1 / 1500);
-  Alcotest.(check int) "flow 2 packets" 50 (Rrobin.served_bytes r 2 / 100)
+  Alcotest.(check int) "flow 1 packets" 50 (Prog_rr.served_bytes r 1 / 1500);
+  Alcotest.(check int) "flow 2 packets" 50 (Prog_rr.served_bytes r 2 / 100)
 
 let test_rrobin_skips_empty_and_banned () =
-  let r = Rrobin.create () in
-  Rrobin.add_iface r 0;
-  Rrobin.add_flow r ~flow:1 ~weight:1.0 ~allowed:[ 0 ];
-  Rrobin.add_flow r ~flow:2 ~weight:1.0 ~allowed:[] (* nowhere *);
-  ignore (Rrobin.enqueue r (pkt ~flow:2 100));
-  Alcotest.(check bool) "nothing eligible" true (Rrobin.next_packet r 0 = None);
-  ignore (Rrobin.enqueue r (pkt ~flow:1 100));
-  Alcotest.(check bool) "flow 1 served" true (Rrobin.next_packet r 0 <> None)
+  let r = Prog_rr.create () in
+  Prog_rr.add_iface r 0;
+  Prog_rr.add_flow r ~flow:1 ~weight:1.0 ~allowed:[ 0 ];
+  Prog_rr.add_flow r ~flow:2 ~weight:1.0 ~allowed:[] (* nowhere *);
+  ignore (Prog_rr.enqueue r (pkt ~flow:2 100));
+  Alcotest.(check bool) "nothing eligible" true (Prog_rr.next_packet r 0 = None);
+  ignore (Prog_rr.enqueue r (pkt ~flow:1 100));
+  Alcotest.(check bool) "flow 1 served" true (Prog_rr.next_packet r 0 <> None)
 
 (* --- PGPS fluid --------------------------------------------------------------------- *)
 

@@ -792,11 +792,9 @@ let all_disciplines : (string * (unit -> Sched_intf.packed)) list =
   [
     ("midrr", fun () -> Midrr.packed (Midrr.create ()));
     ("drr", fun () -> Drr.packed (Drr.create ()));
-    ("wfq", fun () -> Wfq.packed (Wfq.create ()));
-    ("rr", fun () -> Rrobin.packed (Rrobin.create ()));
+    ("wfq", fun () -> Prog_wfq.packed (Prog_wfq.create ()));
+    ("rr", fun () -> Prog_rr.packed (Prog_rr.create ()));
     ("oracle", fun () -> Oracle.packed (Oracle.create ~capacity:(fun _ -> 1e6) ()));
-    ("pifo-wfq", fun () -> Prog_wfq.packed (Prog_wfq.create ()));
-    ("pifo-rr", fun () -> Prog_rr.packed (Prog_rr.create ()));
     ("sprio", fun () -> Prog_sprio.packed (Prog_sprio.create ()));
     ("srpt", fun () -> Prog_srpt.packed (Prog_srpt.create ()));
     ("edf", fun () -> Prog_edf.packed (Prog_edf.create ()));

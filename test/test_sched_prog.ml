@@ -2,14 +2,13 @@
 
    1. [Pifo] against a sorted-list model under random op sequences —
       ordering, stable FIFO ties, O(log n) remove/update included.
-   2. Lockstep differential runs: the substrate re-expressions of WFQ
-      and round robin ([Prog_wfq], [Prog_rr]) against the bespoke
-      [Wfq]/[Rrobin] implementations, driven through long randomized
-      churn (enqueues, serves, flow/iface add/remove, weight and
-      preference changes) with full event-stream and observable-state
-      equality after every step — the PR 2 differential template applied
-      across implementations rather than engines.
-   3. Semantic spot checks of the disciplines with no bespoke twin:
+   2. Golden churn transcripts: WFQ and round robin ([Prog_wfq],
+      [Prog_rr]) driven through long randomized churn (enqueues, serves,
+      flow/iface add/remove, weight and preference changes), with the
+      full event stream and observable state after every step digested
+      and checked against digests recorded from the bespoke engines the
+      programs replaced.
+   3. Semantic spot checks of the other programs:
       strict priority, SRPT, EDF, LSTF. *)
 
 open Midrr_core
@@ -33,7 +32,7 @@ let model_min model =
     None model
 
 let prop_pifo_model =
-  (* ops: 0-2 push, 3-4 pop, 5 remove, 6 update, 7 peek/mem audit *)
+  (* ops: 0-2 push, 3-4 pop, 5 remove, 6 update, 7 min/mem audit *)
   let gen =
     QCheck.Gen.(
       list_size (int_range 1 300) (triple (int_range 0 7) (int_range 0 15) (int_range 0 4)))
@@ -56,13 +55,11 @@ let prop_pifo_model =
                 incr seq
               end
           | 3 | 4 -> (
-              match (Pifo.pop h, model_min !model) with
-              | None, None -> ()
-              | Some e, Some (k, (mr, mt)) ->
-                  check
-                    (e.Pifo.key = k
-                    && Float.equal e.Pifo.rank mr
-                    && e.Pifo.tie = mt);
+              let rank = Pifo.min_rank h in
+              match (Pifo.pop_key h, model_min !model) with
+              | -1, None -> ()
+              | key, Some (k, (mr, _)) ->
+                  check (key = k && Float.equal rank mr);
                   model := List.filter (fun (k', _) -> k' <> k) !model
               | _ -> check false)
           | 5 ->
@@ -83,21 +80,20 @@ let prop_pifo_model =
               for k = 0 to 15 do
                 check (Pifo.mem h k = List.mem_assoc k !model)
               done;
-              (match (Pifo.peek h, model_min !model) with
-              | None, None -> ()
-              | Some e, Some (k, (mr, mt)) ->
-                  check
-                    (e.Pifo.key = k
-                    && Float.equal e.Pifo.rank mr
-                    && e.Pifo.tie = mt)
-              | _ -> check false))
+              (match model_min !model with
+              | None -> check (Float.equal (Pifo.min_rank h) infinity)
+              | Some (k, (mr, mt)) -> (
+                  check (Float.equal (Pifo.min_rank h) mr);
+                  match Pifo.find h k with
+                  | Some e -> check (Float.equal e.Pifo.rank mr && e.Pifo.tie = mt)
+                  | None -> check false)))
         ops;
       (* Drain both; full order must agree. *)
       let rec drain () =
-        match (Pifo.pop h, model_min !model) with
-        | None, None -> ()
-        | Some e, Some (k, _) ->
-            check (e.Pifo.key = k);
+        match (Pifo.pop_key h, model_min !model) with
+        | -1, None -> ()
+        | key, Some (k, _) ->
+            check (key = k);
             model := List.filter (fun (k', _) -> k' <> k) !model;
             drain ()
         | _ -> check false
@@ -110,11 +106,11 @@ let pifo_fifo_ties () =
   List.iter (fun k -> Pifo.push h ~key:k ~rank:1.0) [ 7; 3; 9; 1 ];
   let order = ref [] in
   let rec go () =
-    match Pifo.pop h with
-    | Some e ->
-        order := e.Pifo.key :: !order;
+    match Pifo.pop_key h with
+    | -1 -> ()
+    | key ->
+        order := key :: !order;
         go ()
-    | None -> ()
   in
   go ();
   Alcotest.(check (list int))
@@ -139,91 +135,48 @@ let pifo_update_rerank () =
   Pifo.push h ~key:1 ~rank:6.0;
   Pifo.push h ~key:2 ~rank:7.0;
   Pifo.update h ~key:2 ~rank:0.0;
-  (match Pifo.peek h with
-  | Some e -> Alcotest.(check int) "re-ranked to front" 2 e.Pifo.key
-  | None -> Alcotest.fail "empty");
+  Alcotest.(check (float 0.0)) "re-ranked to front" 0.0 (Pifo.min_rank h);
   (* explicit tie overrides FIFO: same rank, lower tie wins *)
   Pifo.update ~tie:(-1) h ~key:1 ~rank:0.0;
-  match Pifo.pop h with
-  | Some e -> Alcotest.(check int) "explicit tie wins" 1 e.Pifo.key
-  | None -> Alcotest.fail "empty"
+  Alcotest.(check int) "explicit tie wins" 1 (Pifo.pop_key h);
+  Alcotest.(check int) "then the re-ranked key" 2 (Pifo.pop_key h);
+  Alcotest.(check int) "empty pops -1" (-1) (Pifo.pop_key (Pifo.create ()))
 
-(* --- 2. lockstep differential: substrate vs bespoke ---------------------- *)
+(* --- 2. golden churn transcripts ------------------------------------------ *)
 
-type pair = {
-  a : Sched_intf.packed; (* substrate *)
-  b : Sched_intf.packed; (* bespoke reference *)
-  a_ev : Event.t list ref; (* newest first *)
-  b_ev : Event.t list ref;
-}
-
-let make_pair make_a make_b =
-  let a = make_a () and b = make_b () in
-  let a_ev = ref [] and b_ev = ref [] in
-  Packed.set_sink a (Some (fun e -> a_ev := e :: !a_ev));
-  Packed.set_sink b (Some (fun e -> b_ev := e :: !b_ev));
-  { a; b; a_ev; b_ev }
-
-let ev_str e = Format.asprintf "%a" Event.pp e
-
-let check_events label seed step p =
-  let a = List.rev !(p.a_ev) and b = List.rev !(p.b_ev) in
-  p.a_ev := [];
-  p.b_ev := [];
-  if a <> b then begin
-    let rec first_diff i = function
-      | [], [] -> (i, "<none>", "<none>")
-      | e :: _, [] -> (i, ev_str e, "<missing>")
-      | [], e :: _ -> (i, "<missing>", ev_str e)
-      | x :: tx, y :: ty ->
-          if x = y then first_diff (i + 1) (tx, ty) else (i, ev_str x, ev_str y)
-    in
-    let i, x, y = first_diff 0 (a, b) in
-    Alcotest.failf "%s (seed %#x) step %d: event %d diverges: %s vs %s" label
-      seed step i x y
-  end
-
-let check_state label seed step ~flows ~ifaces p =
-  let fail fmt =
-    Printf.ksprintf
-      (fun m -> Alcotest.failf "%s (seed %#x) step %d: %s" label seed step m)
-      fmt
-  in
-  if Packed.flows p.a <> Packed.flows p.b then fail "flow sets differ";
-  if Packed.ifaces p.a <> Packed.ifaces p.b then fail "iface sets differ";
-  List.iter
-    (fun f ->
-      if Packed.backlog_bytes p.a f <> Packed.backlog_bytes p.b f then
-        fail "flow %d backlog: %d vs %d" f
-          (Packed.backlog_bytes p.a f)
-          (Packed.backlog_bytes p.b f);
-      if Packed.backlog_packets p.a f <> Packed.backlog_packets p.b f then
-        fail "flow %d backlog pkts" f;
-      if Packed.is_backlogged p.a f <> Packed.is_backlogged p.b f then
-        fail "flow %d backlogged bit" f;
-      if Packed.served_bytes p.a f <> Packed.served_bytes p.b f then
-        fail "flow %d served: %d vs %d" f
-          (Packed.served_bytes p.a f)
-          (Packed.served_bytes p.b f);
-      if Packed.allowed_ifaces p.a f <> Packed.allowed_ifaces p.b f then
-        fail "flow %d allowed set" f;
-      List.iter
-        (fun j ->
-          if
-            Packed.served_bytes_on p.a ~flow:f ~iface:j
-            <> Packed.served_bytes_on p.b ~flow:f ~iface:j
-          then fail "pair (%d,%d) served" f j)
-        ifaces)
-    flows
+(* WFQ and round robin were once implemented twice, as bespoke engines
+   and as the programs [Prog_wfq]/[Prog_rr], held lockstep-equal on this
+   churn.  [golden/churn_digests.txt] was recorded from the bespoke
+   engines before they were deleted; the programs must reproduce each
+   seed's transcript exactly.  The transcript carries every event, every
+   enqueue verdict and serve decision, and the full observable state
+   after every step, so its digest pins the whole run. *)
 
 let max_flows = 32
 let iface_pool = [ 0; 1; 2; 3; 4 ]
 
-let lockstep ~label ~seed ~steps make_a make_b =
+let churn_transcript ~seed ~steps s =
   let st = Random.State.make [| seed |] in
   let rand n = Random.State.int st n in
   let pick l = List.nth l (rand (List.length l)) in
-  let p = make_pair make_a make_b in
+  let b = Buffer.create (1 lsl 20) in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  Packed.set_sink s (Some (fun e -> line "%s" (Format.asprintf "%a" Event.pp e)));
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let state () =
+    line "flows %s ifaces %s" (ints (Packed.flows s)) (ints (Packed.ifaces s));
+    List.iter
+      (fun f ->
+        line "flow %d backlog %d/%d %b served %d allowed %s on %s" f
+          (Packed.backlog_bytes s f) (Packed.backlog_packets s f)
+          (Packed.is_backlogged s f) (Packed.served_bytes s f)
+          (ints (Packed.allowed_ifaces s f))
+          (ints
+             (List.map
+                (fun j -> Packed.served_bytes_on s ~flow:f ~iface:j)
+                iface_pool)))
+      (Packed.flows s)
+  in
   let flows = ref []
   and ifaces = ref []
   and next_flow = ref 0
@@ -247,9 +200,7 @@ let lockstep ~label ~seed ~steps make_a make_b =
     if List.length !flows < max_flows then begin
       let id = fresh_flow_id () in
       let weight = 0.5 +. (float_of_int (rand 8) /. 2.0) in
-      let allowed = random_allowed () in
-      Packed.add_flow p.a ~flow:id ~weight ~allowed;
-      Packed.add_flow p.b ~flow:id ~weight ~allowed;
+      Packed.add_flow s ~flow:id ~weight ~allowed:(random_allowed ());
       flows := id :: !flows
     end
   in
@@ -258,51 +209,37 @@ let lockstep ~label ~seed ~steps make_a make_b =
     | [] -> ()
     | offline ->
         let j = pick offline in
-        Packed.add_iface p.a j;
-        Packed.add_iface p.b j;
+        Packed.add_iface s j;
         ifaces := j :: !ifaces
   in
+  let enqueue flow size =
+    let pkt = Packet.create ~flow ~size ~arrival:!clock in
+    line "enqueue %d %dB -> %b" flow size (Packed.enqueue s pkt)
+  in
   let serve j =
-    let pa = Packed.next_packet p.a j and pb = Packed.next_packet p.b j in
-    match (pa, pb) with
-    | None, None -> ()
-    | Some x, Some y
-      when x.Packet.seq = y.Packet.seq && x.Packet.size = y.Packet.size ->
-        ()
-    | _ ->
-        let show = function
-          | None -> "idle"
-          | Some (q : Packet.t) ->
-              Printf.sprintf "flow %d seq %d (%dB)" q.flow q.seq q.size
-        in
-        Alcotest.failf "%s (seed %#x): serve on %d: %s vs %s" label seed j
-          (show pa) (show pb)
+    match Packed.next_packet s j with
+    | None ->
+        line "serve %d idle" j;
+        false
+    | Some (q : Packet.t) ->
+        line "serve %d flow %d %dB @%h" j q.flow q.size q.arrival;
+        true
   in
   add_iface ();
   add_iface ();
   add_flow ();
   add_flow ();
-  check_events label seed (-1) p;
   for step = 0 to steps - 1 do
+    line "step %d" step;
     clock := !clock +. 0.001;
     (match rand 100 with
-    | n when n < 34 ->
-        if !flows <> [] then begin
-          let f = pick !flows in
-          let size = 64 + rand 1437 in
-          let pkt = Packet.create ~flow:f ~size ~arrival:!clock in
-          let aa = Packed.enqueue p.a pkt and ab = Packed.enqueue p.b pkt in
-          if aa <> ab then
-            Alcotest.failf "%s step %d: enqueue accept: %b vs %b" label step aa
-              ab
-        end
-    | n when n < 74 -> if !ifaces <> [] then serve (pick !ifaces)
+    | n when n < 34 -> if !flows <> [] then enqueue (pick !flows) (64 + rand 1437)
+    | n when n < 74 -> if !ifaces <> [] then ignore (serve (pick !ifaces) : bool)
     | n when n < 80 -> add_flow ()
     | n when n < 84 ->
         if !flows <> [] then begin
           let f = pick !flows in
-          Packed.remove_flow p.a f;
-          Packed.remove_flow p.b f;
+          Packed.remove_flow s f;
           flows := List.filter (fun g -> g <> f) !flows;
           retired := f :: !retired
         end
@@ -310,66 +247,50 @@ let lockstep ~label ~seed ~steps make_a make_b =
     | n when n < 91 ->
         if !ifaces <> [] then begin
           let j = pick !ifaces in
-          Packed.remove_iface p.a j;
-          Packed.remove_iface p.b j;
+          Packed.remove_iface s j;
           ifaces := List.filter (fun k -> k <> j) !ifaces
         end
     | n when n < 95 ->
-        if !flows <> [] then begin
-          let f = pick !flows in
-          let w = 0.5 +. (float_of_int (rand 10) /. 2.0) in
-          Packed.set_weight p.a f w;
-          Packed.set_weight p.b f w
-        end
+        if !flows <> [] then
+          Packed.set_weight s (pick !flows) (0.5 +. (float_of_int (rand 10) /. 2.0))
     | n when n < 98 ->
-        if !flows <> [] then begin
-          let f = pick !flows in
-          let allowed = random_allowed () in
-          Packed.set_allowed p.a f allowed;
-          Packed.set_allowed p.b f allowed
-        end
-    | _ ->
-        (* unknown-flow enqueue: both reject with a Drop event *)
-        let pkt = Packet.create ~flow:9999 ~size:700 ~arrival:!clock in
-        let aa = Packed.enqueue p.a pkt and ab = Packed.enqueue p.b pkt in
-        if aa || ab then
-          Alcotest.failf "%s step %d: unknown-flow enqueue accepted" label step);
-    check_events label seed step p;
-    check_state label seed step ~flows:!flows ~ifaces:!ifaces p
+        if !flows <> [] then
+          Packed.set_allowed s (pick !flows) (random_allowed ())
+    | _ -> (* unknown flow: rejected with a Drop event *) enqueue 9999 700);
+    state ()
   done;
-  (* Drain every interface to idle, still in lockstep. *)
+  (* Drain every interface to idle. *)
   List.iter
     (fun j ->
       let budget = ref 200_000 in
-      let continue = ref true in
-      while !continue && !budget > 0 do
-        decr budget;
-        match (Packed.next_packet p.a j, Packed.next_packet p.b j) with
-        | None, None -> continue := false
-        | Some x, Some y when x.Packet.seq = y.Packet.seq -> ()
-        | _ -> Alcotest.failf "%s drain: divergence on iface %d" label j
-      done;
-      check_events label seed steps p)
+      while !budget > 0 && serve j do
+        decr budget
+      done)
     !ifaces;
-  check_state label seed steps ~flows:!flows ~ifaces:!ifaces p
+  state ();
+  Buffer.contents b
 
 let seeds =
   [ 0xA1; 0xB2; 0xC3; 0xD4; 0xE5; 0xF6; 0x1A7; 0x2B8; 0x3C9; 0x4DA; 0x5EB; 0x6FC ]
 
-let wfq_lockstep () =
-  List.iter
-    (fun seed ->
-      lockstep ~label:"pifo-wfq vs wfq" ~seed ~steps:5_000
-        (fun () -> Prog_wfq.packed (Prog_wfq.create ()))
-        (fun () -> Wfq.packed (Wfq.create ())))
-    seeds
+let churn_steps = 5_000
 
-let rr_lockstep () =
+let golden_digests =
+  lazy
+    (In_channel.with_open_text "golden/churn_digests.txt" In_channel.input_lines
+    |> List.map (fun l -> Scanf.sscanf l "%s %i %s" (fun name seed d -> ((name, seed), d))))
+
+let churn_golden name make () =
   List.iter
     (fun seed ->
-      lockstep ~label:"pifo-rr vs rrobin" ~seed ~steps:5_000
-        (fun () -> Prog_rr.packed (Prog_rr.create ()))
-        (fun () -> Rrobin.packed (Rrobin.create ())))
+      let got =
+        Digest.to_hex
+          (Digest.string (churn_transcript ~seed ~steps:churn_steps (make ())))
+      in
+      match List.assoc_opt (name, seed) (Lazy.force golden_digests) with
+      | None -> Alcotest.failf "%s seed %#x: no golden digest" name seed
+      | Some want ->
+          Alcotest.(check string) (Printf.sprintf "%s seed %#x" name seed) want got)
     seeds
 
 (* --- 3. semantic spot checks --------------------------------------------- *)
@@ -453,16 +374,16 @@ let () =
           Alcotest.test_case "error cases" `Quick pifo_errors;
           Alcotest.test_case "update re-ranks" `Quick pifo_update_rerank;
         ] );
-      ( "lockstep",
+      ( "golden",
         [
           Alcotest.test_case
-            (Printf.sprintf "pifo-wfq vs wfq (%d seeds x 5k steps)"
-               (List.length seeds))
-            `Slow wfq_lockstep;
+            (Printf.sprintf "wfq churn (%d seeds x 5k steps)" (List.length seeds))
+            `Slow
+            (churn_golden "wfq" (fun () -> Prog_wfq.packed (Prog_wfq.create ())));
           Alcotest.test_case
-            (Printf.sprintf "pifo-rr vs rrobin (%d seeds x 5k steps)"
-               (List.length seeds))
-            `Slow rr_lockstep;
+            (Printf.sprintf "rr churn (%d seeds x 5k steps)" (List.length seeds))
+            `Slow
+            (churn_golden "rr" (fun () -> Prog_rr.packed (Prog_rr.create ())));
         ] );
       ( "programs",
         [

@@ -438,6 +438,27 @@ let test_scenario_parse_errors () =
   check_err "bogus directive\nrun 5";
   check_err "iface 1 steps 1Mb 5:bad\nrun 5"
 
+(* The "pifo-" prefixed names once selected the PIFO programs beside
+   bespoke WFQ and round robin; now [wfq]/[rr] are those programs and
+   the old names are unknown like any other. *)
+let test_scenario_unknown_scheduler () =
+  let valid = "midrr, drr, wfq, rr, sprio, srpt, edf, lstf" in
+  Alcotest.(check string) "registry" valid (String.concat ", " Scenario.sched_names);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " not registered") true
+        (Option.is_none (Scenario.sched_of_name name));
+      let text =
+        Printf.sprintf "# removed name\nscheduler %s\niface 1 constant 1Mb\nrun 5" name
+      in
+      match Scenario.parse text with
+      | Ok _ -> Alcotest.failf "scheduler %s parsed" name
+      | Error e ->
+          Alcotest.(check string) (name ^ " error")
+            (Printf.sprintf "line 2: unknown scheduler %S (valid: %s)" name valid)
+            e)
+    (List.map (fun d -> "pifo-" ^ d) [ "wfq"; "rr" ] @ [ "wfq2" ])
+
 let test_scenario_units () =
   let text =
     {|
@@ -562,6 +583,8 @@ let () =
             test_scenario_events_and_finite;
           Alcotest.test_case "allow event" `Quick test_scenario_allow_event;
           Alcotest.test_case "parse errors" `Quick test_scenario_parse_errors;
+          Alcotest.test_case "unknown scheduler" `Quick
+            test_scenario_unknown_scheduler;
           Alcotest.test_case "rate units" `Quick test_scenario_units;
         ] );
       ( "tracer",
