@@ -322,10 +322,9 @@ let tests () =
                ()
            done;
            Staged.stage (fun () ->
-               match Midrr_sim.Event_queue.pop q with
-               | Some (t, ()) ->
-                   Midrr_sim.Event_queue.push q ~time:(t +. 1.0) ()
-               | None -> ()));
+               let t = Midrr_sim.Event_queue.min_time q in
+               Midrr_sim.Event_queue.pop_min q;
+               Midrr_sim.Event_queue.push q ~time:(t +. 1.0) ()));
         Test.make ~name:"header-rewrite"
           (Staged.stage (fun () ->
                ignore

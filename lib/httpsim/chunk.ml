@@ -11,11 +11,15 @@ let plan ~total_bytes ~chunk_size =
   in
   go 0 []
 
-let next ~total_bytes ~chunk_size ~sent =
+let next_length ~total_bytes ~chunk_size ~sent =
   if chunk_size <= 0 then invalid_arg "Chunk.next: chunk_size <= 0";
   if sent < 0 then invalid_arg "Chunk.next: negative sent";
-  if sent >= total_bytes then None
-  else Some { offset = sent; length = Stdlib.min chunk_size (total_bytes - sent) }
+  if sent >= total_bytes then 0 else Stdlib.min chunk_size (total_bytes - sent)
+
+let next ~total_bytes ~chunk_size ~sent =
+  match next_length ~total_bytes ~chunk_size ~sent with
+  | 0 -> None
+  | length -> Some { offset = sent; length }
 
 let is_contiguous ranges =
   let rec go expected = function

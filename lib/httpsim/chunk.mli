@@ -16,6 +16,11 @@ val next : total_bytes:int -> chunk_size:int -> sent:int -> range option
     transfer is fully covered.  Streaming variant of {!plan} for endless or
     very large transfers. *)
 
+val next_length : total_bytes:int -> chunk_size:int -> sent:int -> int
+(** The length of {!next}'s range, [0] when the transfer is fully
+    covered: the allocation-free form, for a caller that needs only the
+    length.  Raises as {!next} does. *)
+
 val is_contiguous : range list -> bool
 (** Whether ranges tile [0, total) without gaps or overlaps — the splice
     invariant the proxy relies on to reassemble responses. *)

@@ -6,6 +6,7 @@ module Rng = Midrr_stats.Rng
 module Counters = Midrr_obs.Counters
 module Metrics = Midrr_obs.Metrics
 module Busmetrics = Midrr_obs.Busmetrics
+module Int_tbl = Midrr_sim.Int_tbl
 
 type transfer = {
   x_flow : Types.flow_id;
@@ -20,16 +21,24 @@ type transfer = {
   ts : Timeseries.t;
 }
 
-type request = { r_flow : Types.flow_id; r_bytes : int; r_issued : float }
-
+(* The requests issued on an interface whose response has not fully
+   arrived, oldest first, in a ring of [pipeline_depth] entries starting
+   at [head].  Responses stream back one at a time in issue order, so
+   while [receiving] the head is the response streaming now, and the
+   interface's [stream] and [complete] events, built once, find it
+   there. *)
 type iface = {
   i_id : Types.iface_id;
   profile : Link.t;
-  pending : request Queue.t; (* issued requests whose data has not begun *)
-  mutable outstanding : int; (* issued, response not fully received *)
+  req_flow : int array;
+  req_bytes : int array;
+  req_issued : float array;
+  mutable head : int;
+  mutable outstanding : int; (* ring entries: issued, not fully received *)
   mutable receiving : bool;
-  mutable wake_pending : bool;
   i_outstanding_gauge : Metrics.gauge; (* -1 when no metrics attached *)
+  stream : unit -> unit; (* the head response's data begins to flow *)
+  complete : unit -> unit; (* the head response has fully arrived *)
 }
 
 type t = {
@@ -41,8 +50,8 @@ type t = {
   pipeline_depth : int;
   rtt : float;
   rtt_jitter : float;
-  transfers : (Types.flow_id, transfer) Hashtbl.t;
-  ifaces : (Types.iface_id, iface) Hashtbl.t;
+  transfers : transfer Int_tbl.t;
+  ifaces : iface Int_tbl.t;
   cells : Counters.t;
   sink : Midrr_obs.Sink.t option; (* effective: user sink + metrics fold *)
   metrics : Busmetrics.t option;
@@ -72,8 +81,8 @@ let create ?(seed = 1) ?(bin = 1.0) ?(chunk_size = 262144)
       pipeline_depth;
       rtt;
       rtt_jitter;
-      transfers = Hashtbl.create 16;
-      ifaces = Hashtbl.create 8;
+      transfers = Int_tbl.create 16;
+      ifaces = Int_tbl.create 8;
       cells = Counters.create ~kind:Completes ();
       sink = effective_sink;
       metrics;
@@ -90,9 +99,9 @@ let engine t = t.engine
 let now t = Engine.now t.engine
 
 let transfer t f =
-  match Hashtbl.find_opt t.transfers f with
-  | Some x -> x
-  | None -> invalid_arg "Proxy: unknown transfer"
+  match Int_tbl.find t.transfers f with
+  | x -> x
+  | exception Not_found -> invalid_arg "Proxy: unknown transfer"
 
 (* Platform-truth gauge: byte-range requests issued on the interface
    whose response has not fully arrived (the proxy's pipeline fill). *)
@@ -104,28 +113,29 @@ let set_outstanding t ifc =
         Metrics.set_gauge (Busmetrics.registry m) ifc.i_outstanding_gauge
           (Float.of_int ifc.outstanding)
 
+(* Bytes of the transfer's next chunk request; 0 once it is fully
+   requested. *)
+let next_chunk t x =
+  match x.total with
+  | None -> t.chunk_size
+  | Some total ->
+      Chunk.next_length ~total_bytes:total ~chunk_size:t.chunk_size
+        ~sent:x.requested
+
 (* Keep a small window of chunk tokens queued in the scheduler so the flow
    looks continuously backlogged while bytes remain. *)
 let rec refill_tokens t x =
   if (not x.stopped) && x.queued_tokens < t.pipeline_depth then begin
-    let next_len =
-      match x.total with
-      | None -> Some t.chunk_size
-      | Some total ->
-          Chunk.next ~total_bytes:total ~chunk_size:t.chunk_size
-            ~sent:x.requested
-          |> Option.map (fun (r : Chunk.range) -> r.length)
-    in
-    match next_len with
-    | None -> ()
-    | Some len ->
-        let pkt = Packet.create ~flow:x.x_flow ~size:len ~arrival:(now t) in
-        if Sched_intf.Packed.enqueue t.sched pkt then begin
-          x.requested <- x.requested + len;
-          x.queued_tokens <- x.queued_tokens + 1;
-          kick t x;
-          refill_tokens t x
-        end
+    let len = next_chunk t x in
+    if len > 0 then begin
+      let pkt = Packet.create ~flow:x.x_flow ~size:len ~arrival:(now t) in
+      if Sched_intf.Packed.enqueue t.sched pkt then begin
+        x.requested <- x.requested + len;
+        x.queued_tokens <- x.queued_tokens + 1;
+        kick t x.allowed;
+        refill_tokens t x
+      end
+    end
   end
 
 (* Issue byte-range requests on an interface while it has free pipeline
@@ -135,24 +145,25 @@ and issue_requests t ifc =
     match Sched_intf.Packed.next_packet t.sched ifc.i_id with
     | None -> ()
     | Some pkt ->
+        let slot = (ifc.head + ifc.outstanding) mod t.pipeline_depth in
+        ifc.req_flow.(slot) <- pkt.flow;
+        ifc.req_bytes.(slot) <- pkt.size;
+        ifc.req_issued.(slot) <- now t;
         ifc.outstanding <- ifc.outstanding + 1;
         set_outstanding t ifc;
-        Queue.push
-          { r_flow = pkt.flow; r_bytes = pkt.size; r_issued = now t }
-          ifc.pending;
-        (match Hashtbl.find_opt t.transfers pkt.flow with
-        | Some x ->
+        (match Int_tbl.find t.transfers pkt.flow with
+        | x ->
             x.queued_tokens <- x.queued_tokens - 1;
             refill_tokens t x
-        | None -> ());
+        | exception Not_found -> ());
         start_receiving t ifc;
         issue_requests t ifc
   end
 
-(* Responses stream back one at a time per interface, in issue order. *)
+(* Begin the oldest response not yet streaming, one at a time per
+   interface. *)
 and start_receiving t ifc =
-  if (not ifc.receiving) && not (Queue.is_empty ifc.pending) then begin
-    let req = Queue.pop ifc.pending in
+  if (not ifc.receiving) && ifc.outstanding > 0 then begin
     ifc.receiving <- true;
     (* Lognormal multiplicative jitter: realistic heavy-ish RTT tail while
        staying positive and deterministic per seed. *)
@@ -161,59 +172,60 @@ and start_receiving t ifc =
         t.rtt *. Rng.lognormal t.rng ~mu:0.0 ~sigma:t.rtt_jitter
       else t.rtt
     in
-    let begin_data = Float.max (now t) (req.r_issued +. rtt) in
-    Engine.schedule t.engine ~at:begin_data (fun () -> stream t ifc req)
+    let begin_data = Float.max (now t) (ifc.req_issued.(ifc.head) +. rtt) in
+    Engine.schedule t.engine ~at:begin_data ifc.stream
   end
 
-and stream t ifc req =
+(* The body of [ifc.stream]. *)
+and stream t ifc =
   let time = now t in
   let rate = Link.rate_at ifc.profile time in
   if rate <= 0.0 then begin
     (* Link is down: resume when the profile recovers. *)
     match Link.next_change ifc.profile time with
-    | Some at -> Engine.schedule t.engine ~at (fun () -> stream t ifc req)
+    | Some at -> Engine.schedule t.engine ~at ifc.stream
     | None -> () (* dead link, response never arrives *)
   end
   else begin
-    let dt = Types.tx_time ~bytes:req.r_bytes ~rate in
-    Engine.schedule_in t.engine ~after:dt (fun () ->
-        complete t ifc req)
+    let dt = Types.tx_time ~bytes:ifc.req_bytes.(ifc.head) ~rate in
+    Engine.schedule_in t.engine ~after:dt ifc.complete
   end
 
-and complete t ifc req =
+(* The body of [ifc.complete]. *)
+and complete t ifc =
   let time = now t in
+  let flow = ifc.req_flow.(ifc.head) and bytes = ifc.req_bytes.(ifc.head) in
+  ifc.head <- (ifc.head + 1) mod t.pipeline_depth;
   ifc.receiving <- false;
   ifc.outstanding <- ifc.outstanding - 1;
   set_outstanding t ifc;
-  Counters.add t.cells ~flow:req.r_flow ~iface:ifc.i_id ~bytes:req.r_bytes;
+  Counters.add t.cells ~flow ~iface:ifc.i_id ~bytes;
   (match t.sink with
   | None -> ()
   | Some s ->
-      s ~time
-        (Midrr_obs.Event.Complete
-           { flow = req.r_flow; iface = ifc.i_id; bytes = req.r_bytes }));
-  (match Hashtbl.find_opt t.transfers req.r_flow with
-  | Some x ->
-      x.received <- x.received + req.r_bytes;
-      Timeseries.record x.ts ~time ~bytes:req.r_bytes;
-      (match x.total with
-      | Some total when x.received >= total && x.done_at = None ->
+      s ~time (Midrr_obs.Event.Complete { flow; iface = ifc.i_id; bytes }));
+  (match Int_tbl.find t.transfers flow with
+  | x -> (
+      x.received <- x.received + bytes;
+      Timeseries.record x.ts ~time ~bytes;
+      match x.total with
+      | Some total when x.received >= total && Option.is_none x.done_at ->
           x.done_at <- Some time
       | _ -> ())
-  | None -> ());
+  | exception Not_found -> ());
   start_receiving t ifc;
   issue_requests t ifc
 
-and kick t x =
-  List.iter
-    (fun j ->
-      match Hashtbl.find_opt t.ifaces j with
-      | Some ifc -> issue_requests t ifc
-      | None -> ())
-    x.allowed
+and kick t = function
+  | [] -> ()
+  | j :: rest ->
+      (match Int_tbl.find t.ifaces j with
+      | ifc -> issue_requests t ifc
+      | exception Not_found -> ());
+      kick t rest
 
 let add_iface t j profile =
-  if Hashtbl.mem t.ifaces j then invalid_arg "Proxy.add_iface: duplicate";
+  if Int_tbl.mem t.ifaces j then invalid_arg "Proxy.add_iface: duplicate";
   let i_outstanding_gauge =
     match t.metrics with
     | None -> -1
@@ -221,24 +233,28 @@ let add_iface t j profile =
         Metrics.gauge (Busmetrics.registry m)
           (Printf.sprintf "iface%d_outstanding" j)
   in
-  let ifc =
+  let depth = t.pipeline_depth in
+  let rec ifc =
     {
       i_id = j;
       profile;
-      pending = Queue.create ();
+      req_flow = Array.make depth 0;
+      req_bytes = Array.make depth 0;
+      req_issued = Array.make depth 0.0;
+      head = 0;
       outstanding = 0;
       receiving = false;
-      wake_pending = false;
       i_outstanding_gauge;
+      stream = (fun () -> stream t ifc);
+      complete = (fun () -> complete t ifc);
     }
   in
-  ignore ifc.wake_pending;
-  Hashtbl.replace t.ifaces j ifc;
+  Int_tbl.replace t.ifaces j ifc;
   Sched_intf.Packed.add_iface t.sched j;
   issue_requests t ifc
 
 let add_transfer t ?(at = 0.0) ?total_bytes f ~weight ~allowed () =
-  if Hashtbl.mem t.transfers f then invalid_arg "Proxy.add_transfer: duplicate";
+  if Int_tbl.mem t.transfers f then invalid_arg "Proxy.add_transfer: duplicate";
   let x =
     {
       x_flow = f;
@@ -253,11 +269,11 @@ let add_transfer t ?(at = 0.0) ?total_bytes f ~weight ~allowed () =
       ts = Timeseries.create ~bin:t.bin;
     }
   in
-  Hashtbl.replace t.transfers f x;
+  Int_tbl.replace t.transfers f x;
   let register () =
     Sched_intf.Packed.add_flow t.sched ~flow:f ~weight ~allowed;
     refill_tokens t x;
-    kick t x
+    kick t allowed
   in
   if at <= now t then register () else Engine.schedule t.engine ~at register
 
@@ -311,9 +327,10 @@ let instance_of t ~flows ~ifaces =
     Array.of_list
       (List.map
          (fun j ->
-           match Hashtbl.find_opt t.ifaces j with
-           | Some ifc -> Link.rate_at ifc.profile (now t)
-           | None -> invalid_arg "Proxy.instance_of: unknown interface")
+           match Int_tbl.find t.ifaces j with
+           | ifc -> Link.rate_at ifc.profile (now t)
+           | exception Not_found ->
+               invalid_arg "Proxy.instance_of: unknown interface")
          ifaces)
   in
   let allowed =
@@ -321,7 +338,8 @@ let instance_of t ~flows ~ifaces =
       (List.map
          (fun f ->
            let x = transfer t f in
-           Array.of_list (List.map (fun j -> List.mem j x.allowed) ifaces))
+           Array.of_list
+             (List.map (fun j -> List.exists (Int.equal j) x.allowed) ifaces))
          flows)
   in
   Midrr_flownet.Instance.make ~weights ~capacities ~allowed

@@ -19,7 +19,9 @@ type t = {
    baseline entries, as
    do the netcalc curve algebra ([curve]/[arrival]/[service]/[bound],
    evaluated per flow inside sweeps) and the [delay] sink (fed per
-   event).
+   event).  The simulators' per-packet path — event queue, engine,
+   netsim, link model and HTTP proxy — runs once or more per packet and
+   is held to the same rule.
 
    Entries are repo-relative module paths without extension, so a future
    [lib/trace/event.ml] is not silently hot just because [lib/obs/event.ml]
@@ -37,6 +39,10 @@ let default =
         "lib/core/spsc";
         "lib/core/shard_engine";
         "lib/sim/event_queue";
+        "lib/sim/engine";
+        "lib/sim/netsim";
+        "lib/sim/link";
+        "lib/httpsim/proxy";
         "lib/obs/sink";
         "lib/obs/recorder";
         "lib/obs/counters";

@@ -1,3 +1,6 @@
+(* The clock is a boxed float field, written once per event from the
+   popped timestamp and shared by every [now] reader; an unboxed clock
+   would be re-boxed at each reader instead. *)
 type t = {
   queue : (unit -> unit) Event_queue.t;
   mutable clock : float;
@@ -18,27 +21,26 @@ let schedule_in t ~after f =
   schedule t ~at:(t.clock +. after) f
 
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some (time, f) ->
-      t.clock <- time;
-      t.executed <- t.executed + 1;
-      f ();
-      true
+  if Event_queue.is_empty t.queue then false
+  else begin
+    t.clock <- Event_queue.min_time t.queue;
+    let f = Event_queue.pop_min t.queue in
+    t.executed <- t.executed + 1;
+    f ();
+    true
+  end
 
 let run ?until t =
-  let continue () =
-    match (until, Event_queue.peek_time t.queue) with
-    | _, None -> false
-    | None, Some _ -> true
-    | Some limit, Some next -> next <= limit
-  in
-  while continue () do
-    ignore (step t)
-  done;
   match until with
-  | Some limit when limit > t.clock -> t.clock <- limit
-  | _ -> ()
+  | None ->
+      while step t do
+        ()
+      done
+  | Some limit ->
+      while Event_queue.due t.queue ~until:limit do
+        ignore (step t)
+      done;
+      if limit > t.clock then t.clock <- limit
 
 let pending t = Event_queue.length t.queue
 

@@ -1,27 +1,36 @@
-(* Structure-of-arrays binary heap: the (time, seq) ordering keys live in
-   a [float array] (unboxed) and an [int array], with the payloads in a
-   parallel ['a array].  The old entry-record heap boxed a record per push
-   and forced a pointer chase per comparison; here a comparison touches
-   only flat arrays and a push allocates nothing once capacity is there.
-   The item array is grown lazily with the first pushed item as filler —
-   ['a array] has no universal filler value. *)
+(* Binary heap over flat key arrays with a slot table for the payloads.
+   Heap position [i] holds the key [(times.(i), seqs.(i))] and the slot
+   [slots.(i)] at which its item is parked in [items].  Sifting swaps
+   keys and slot indices only, so it never stores a pointer (no
+   [caml_modify]) and each item is written once, at push.
+
+   Positions [size, capacity) of [slots] hold the free slots: a pop
+   leaves its slot at the vacated last position, which the next push
+   takes.  A popped item stays in its slot until that slot is reused,
+   bounding what the table keeps alive by its capacity.  The item array
+   is grown lazily with the pushed item as filler — ['a array] has no
+   universal filler value. *)
 
 type 'a t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable items : 'a array; (* [||] until the first push; slots >= size stale *)
+  mutable slots : int array;
+  mutable items : 'a array; (* by slot; [||] until the first push *)
   mutable size : int;
   mutable next_seq : int;
 }
 
 let create ?capacity () =
-  (match capacity with
-  | Some c when c < 0 -> invalid_arg "Event_queue.create: negative capacity"
-  | _ -> ());
-  let cap = match capacity with None -> 0 | Some c -> c in
+  let cap =
+    match capacity with
+    | None -> 0
+    | Some c when c < 0 -> invalid_arg "Event_queue.create: negative capacity"
+    | Some c -> c
+  in
   {
     times = Array.make cap 0.0;
     seqs = Array.make cap 0;
+    slots = Array.init cap Fun.id;
     items = [||];
     size = 0;
     next_seq = 0;
@@ -31,36 +40,27 @@ let is_empty t = Int.equal t.size 0
 
 let length t = t.size
 
-(* Grow key/payload storage to hold at least [wanted] entries, doubling so
-   repeated pushes stay amortized O(1).  [add_batch] calls this once. *)
-let reserve t wanted =
+(* Double the key arrays when full, so repeated pushes stay amortized
+   O(1); the fresh positions hold the fresh slots. *)
+let grow t =
   let cap = Array.length t.times in
-  if wanted > cap then begin
-    let ncap = ref (Stdlib.max 16 cap) in
-    while wanted > !ncap do
-      ncap := 2 * !ncap
-    done;
-    let times = Array.make !ncap 0.0 in
-    Array.blit t.times 0 times 0 t.size;
-    t.times <- times;
-    let seqs = Array.make !ncap 0 in
-    Array.blit t.seqs 0 seqs 0 t.size;
-    t.seqs <- seqs;
-    if Array.length t.items > 0 then begin
-      let items = Array.make !ncap t.items.(0) in
-      Array.blit t.items 0 items 0 t.size;
-      t.items <- items
-    end
-  end
+  let ncap = Int.max 16 (2 * cap) in
+  let times = Array.make ncap 0.0 in
+  Array.blit t.times 0 times 0 t.size;
+  t.times <- times;
+  let seqs = Array.make ncap 0 in
+  Array.blit t.seqs 0 seqs 0 t.size;
+  t.seqs <- seqs;
+  let slots = Array.init ncap Fun.id in
+  Array.blit t.slots 0 slots 0 cap;
+  t.slots <- slots
 
-(* Bring the lazily created item array up to the key arrays' capacity,
-   using [filler] (the item being pushed) for the fresh slots. *)
+(* Bring the item table up to the key arrays' capacity, using [filler]
+   (the item being pushed) for the fresh slots. *)
 let align_items t filler =
-  if Array.length t.items < Array.length t.times then begin
-    let items = Array.make (Array.length t.times) filler in
-    Array.blit t.items 0 items 0 t.size;
-    t.items <- items
-  end
+  let items = Array.make (Array.length t.times) filler in
+  Array.blit t.items 0 items 0 (Array.length t.items);
+  t.items <- items
 
 let earlier t i j =
   t.times.(i) < t.times.(j)
@@ -73,9 +73,9 @@ let swap t i j =
   let seq = t.seqs.(i) in
   t.seqs.(i) <- t.seqs.(j);
   t.seqs.(j) <- seq;
-  let item = t.items.(i) in
-  t.items.(i) <- t.items.(j);
-  t.items.(j) <- item
+  let slot = t.slots.(i) in
+  t.slots.(i) <- t.slots.(j);
+  t.slots.(j) <- slot
 
 let rec sift_up t i =
   if i > 0 then begin
@@ -88,57 +88,42 @@ let rec sift_up t i =
 
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && earlier t l !smallest then smallest := l;
-  if r < t.size && earlier t r !smallest then smallest := r;
-  if not (Int.equal !smallest i) then begin
-    swap t i !smallest;
-    sift_down t !smallest
+  let smallest = if l < t.size && earlier t l i then l else i in
+  let smallest = if r < t.size && earlier t r smallest then r else smallest in
+  if not (Int.equal smallest i) then begin
+    swap t i smallest;
+    sift_down t smallest
   end
-
-let append t ~time item =
-  t.times.(t.size) <- time;
-  t.seqs.(t.size) <- t.next_seq;
-  t.items.(t.size) <- item;
-  t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
 
 let push t ~time item =
   if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
-  reserve t (t.size + 1);
-  align_items t item;
-  append t ~time item
+  if Int.equal t.size (Array.length t.times) then grow t;
+  if Array.length t.items < Array.length t.times then align_items t item;
+  let i = t.size in
+  t.times.(i) <- time;
+  t.seqs.(i) <- t.next_seq;
+  t.items.(t.slots.(i)) <- item;
+  t.next_seq <- t.next_seq + 1;
+  t.size <- i + 1;
+  sift_up t i
 
-let add_batch t events =
-  let n = Array.length events in
-  if n > 0 then begin
-    (* Validate every timestamp before touching the heap so a rejected
-       batch leaves the queue unchanged. *)
-    Array.iter
-      (fun (time, _) ->
-        if Float.is_nan time then invalid_arg "Event_queue.add_batch: NaN time")
-      events;
-    reserve t (t.size + n);
-    align_items t (snd events.(0));
-    Array.iter (fun (time, item) -> append t ~time item) events
-  end
+let min_time t =
+  if Int.equal t.size 0 then invalid_arg "Event_queue.min_time: empty";
+  t.times.(0)
 
-let peek_time t = if Int.equal t.size 0 then None else Some t.times.(0)
+let due t ~until = t.size > 0 && t.times.(0) <= until
 
-let pop t =
-  if Int.equal t.size 0 then None
-  else begin
-    let time = t.times.(0) and item = t.items.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.times.(0) <- t.times.(t.size);
-      t.seqs.(0) <- t.seqs.(t.size);
-      t.items.(0) <- t.items.(t.size);
-      sift_down t 0
-    end;
-    Some (time, item)
-  end
+let pop_min t =
+  if Int.equal t.size 0 then invalid_arg "Event_queue.pop_min: empty";
+  let top = t.slots.(0) in
+  let last = t.size - 1 in
+  t.times.(0) <- t.times.(last);
+  t.seqs.(0) <- t.seqs.(last);
+  t.slots.(0) <- t.slots.(last);
+  t.slots.(last) <- top;
+  t.size <- last;
+  sift_down t 0;
+  t.items.(top)
 
 let clear t =
   t.size <- 0;

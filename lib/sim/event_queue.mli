@@ -1,10 +1,12 @@
 (** Priority queue of timestamped items (binary heap).
 
     Items with equal timestamps dequeue in insertion order, which keeps
-    simulations deterministic when several events coincide.  Storage is
-    structure-of-arrays — unboxed [float] times and [int] tie-break
-    sequence numbers in flat arrays — so pushes allocate nothing once
-    capacity is reserved. *)
+    simulations deterministic when several events coincide.  The heap
+    orders flat arrays of keys — unboxed [float] times, [int] tie-break
+    sequence numbers and [int] slot indices — while each item is parked
+    once in a slot table, so pushes allocate nothing once capacity is
+    reserved and {!min_time}, {!due} and {!pop_min} build no option or
+    tuple. *)
 
 type 'a t
 
@@ -21,17 +23,14 @@ val length : 'a t -> int
 val push : 'a t -> time:float -> 'a -> unit
 (** Raises [Invalid_argument] on a NaN timestamp. *)
 
-val add_batch : 'a t -> (float * 'a) array -> unit
-(** Push every [(time, item)] pair, growing the heap array at most once
-    for the whole batch (versus repeated doubling under per-event [push]).
-    Pairs are inserted in array order, so ties dequeue in that order.
-    Raises [Invalid_argument] if any timestamp is NaN; a rejected batch
-    leaves the queue unchanged. *)
+val min_time : 'a t -> float
+(** Earliest timestamp.  Raises [Invalid_argument] when empty. *)
 
-val peek_time : 'a t -> float option
-(** Earliest timestamp without removing it. *)
+val due : 'a t -> until:float -> bool
+(** Whether the queue holds an item timestamped at or before [until]. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Remove and return the earliest item. *)
+val pop_min : 'a t -> 'a
+(** Remove and return the earliest item.  Raises [Invalid_argument] when
+    empty. *)
 
 val clear : 'a t -> unit

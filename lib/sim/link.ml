@@ -36,19 +36,24 @@ let periodic ~period segments =
   check 0.0 segments;
   Periodic (period, Array.of_list segments)
 
+(* Index of the first point after [time] in [points], whose times are
+   non-decreasing: the points at or before [time] form a prefix. *)
+let rec first_after points time i =
+  if i < Array.length points && fst points.(i) <= time then
+    first_after points time (i + 1)
+  else i
+
 let rate_at t time =
   if time < 0.0 then invalid_arg "Link.rate_at: negative time";
   match t with
   | Constant r -> r
   | Steps (initial, changes) ->
-      let rate = ref initial in
-      Array.iter (fun (at, r) -> if at <= time then rate := r) changes;
-      !rate
+      let i = first_after changes time 0 in
+      if Int.equal i 0 then initial else snd changes.(i - 1)
   | Periodic (period, segments) ->
-      let phase = Float.rem time period in
-      let rate = ref (snd segments.(0)) in
-      Array.iter (fun (off, r) -> if off <= phase then rate := r) segments;
-      !rate
+      (* The first offset is 0, so only a NaN phase leaves [i] at 0. *)
+      let i = first_after segments (Float.rem time period) 0 in
+      snd segments.(Int.max 0 (i - 1))
 
 let next_change t time =
   match t with

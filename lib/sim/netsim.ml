@@ -33,13 +33,17 @@ type flow_info = {
   ts : Timeseries.t;
 }
 
+(* An interface transmits one packet at a time, so its completion event
+   is built once, at [add_iface], and finds the packet in [sending]. *)
 type iface_info = {
   i_id : Types.iface_id;
   profile : Link.t;
-  mutable busy : bool;
+  mutable sending : Packet.t; (* [Packet.none] while idle *)
   mutable wake_pending : bool;
   i_ts : Timeseries.t; (* bytes carried, for utilization measurement *)
   i_busy_gauge : Metrics.gauge; (* -1 when no metrics attached *)
+  transmitted : unit -> unit; (* the completion event *)
+  wake : unit -> unit; (* the line-up event after an outage *)
 }
 
 type t = {
@@ -48,8 +52,8 @@ type t = {
   master_rng : Rng.t;
   bin : float;
   window_depth : int;
-  flows : (Types.flow_id, flow_info) Hashtbl.t;
-  ifaces : (Types.iface_id, iface_info) Hashtbl.t;
+  flows : flow_info Int_tbl.t;
+  ifaces : iface_info Int_tbl.t;
   cells : Counters.t;
   sink : Midrr_obs.Sink.t option; (* effective: user sink + metrics fold *)
   metrics : Busmetrics.t option;
@@ -86,8 +90,8 @@ let create ?(seed = 1) ?(bin = 1.0) ?(window_depth = 32) ?sink ?metrics ?spans
       master_rng = Rng.create ~seed;
       bin;
       window_depth;
-      flows = Hashtbl.create 32;
-      ifaces = Hashtbl.create 8;
+      flows = Int_tbl.create 32;
+      ifaces = Int_tbl.create 8;
       cells = Counters.create ~kind:Completes ();
       sink = effective_sink;
       metrics;
@@ -113,20 +117,11 @@ let engine t = t.engine
 let now t = Engine.now t.engine
 
 let flow_info t f =
-  match Hashtbl.find_opt t.flows f with
-  | Some fi -> fi
-  | None -> invalid_arg "Netsim: unknown flow"
+  match Int_tbl.find t.flows f with
+  | fi -> fi
+  | exception Not_found -> invalid_arg "Netsim: unknown flow"
 
 (* --- queue replenishment ---------------------------------------------- *)
-
-let pkt_size_of = function
-  | Backlogged { pkt_size }
-  | Finite { pkt_size; _ }
-  | Cbr { pkt_size; _ }
-  | Poisson { pkt_size; _ }
-  | On_off { pkt_size; _ }
-  | Tb { pkt_size; _ } ->
-      pkt_size
 
 (* Platform-truth gauge: 1.0 while the interface is transmitting.  The
    stored values are float literals (static), so flipping the gauge on
@@ -149,6 +144,13 @@ let enqueue_pkt t p =
       Span.exit sp t.sp_enqueue;
       accepted
 
+let rec run_hooks hooks ~time ~iface pkt =
+  match hooks with
+  | [] -> ()
+  | hook :: rest ->
+      hook ~time ~iface pkt;
+      run_hooks rest ~time ~iface pkt
+
 (* Keep a window of packets queued for pull-style sources so the flow stays
    continuously backlogged without materializing the whole transfer. *)
 let rec replenish t fi =
@@ -161,7 +163,7 @@ let rec replenish t fi =
             Packet.create ~flow:fi.f_id ~size:pkt_size ~arrival:(now t)
           in
           if enqueue_pkt t p then begin
-            kick_allowed t fi;
+            kick_allowed t fi.allowed;
             replenish t fi
           end
         end
@@ -174,7 +176,7 @@ let rec replenish t fi =
           let p = Packet.create ~flow:fi.f_id ~size ~arrival:(now t) in
           if enqueue_pkt t p then begin
             fi.remaining <- fi.remaining - size;
-            kick_allowed t fi;
+            kick_allowed t fi.allowed;
             replenish t fi
           end
         end
@@ -183,7 +185,7 @@ let rec replenish t fi =
 (* --- transmission loop -------------------------------------------------- *)
 
 and try_start t ifc =
-  if not ifc.busy then begin
+  if Packet.is_none ifc.sending then begin
     let time = now t in
     let rate = Link.rate_at ifc.profile time in
     if rate <= 0.0 then begin
@@ -193,9 +195,7 @@ and try_start t ifc =
         | None -> ()
         | Some at ->
             ifc.wake_pending <- true;
-            Engine.schedule t.engine ~at (fun () ->
-                ifc.wake_pending <- false;
-                try_start t ifc)
+            Engine.schedule t.engine ~at ifc.wake
     end
     else begin
       (match t.spans with
@@ -208,21 +208,25 @@ and try_start t ifc =
       match next with
       | None -> ()
       | Some pkt ->
-          ifc.busy <- true;
+          ifc.sending <- pkt;
           set_busy t ifc 1.0;
-          (match Hashtbl.find_opt t.flows pkt.flow with
-          | Some fi ->
+          (match Int_tbl.find t.flows pkt.flow with
+          | fi ->
               fi.inflight <- fi.inflight + 1;
               replenish t fi
-          | None -> ());
+          | exception Not_found -> ());
           let dt = Types.tx_time ~bytes:pkt.size ~rate in
-          Engine.schedule_in t.engine ~after:dt (fun () ->
-              ifc.busy <- false;
-              set_busy t ifc 0.0;
-              complete t ifc pkt;
-              try_start t ifc)
+          Engine.schedule_in t.engine ~after:dt ifc.transmitted
     end
   end
+
+(* The body of [ifc.transmitted]. *)
+and transmitted t ifc =
+  let pkt = ifc.sending in
+  ifc.sending <- Packet.none;
+  set_busy t ifc 0.0;
+  complete t ifc pkt;
+  try_start t ifc
 
 and complete t ifc (pkt : Packet.t) =
   let time = now t in
@@ -237,145 +241,164 @@ and complete t ifc (pkt : Packet.t) =
         (Midrr_obs.Event.Complete
            { flow = pkt.flow; iface = ifc.i_id; bytes = pkt.size }));
   Timeseries.record ifc.i_ts ~time ~bytes:pkt.size;
-  List.iter (fun hook -> hook ~time ~iface:ifc.i_id pkt) t.hooks;
-  (match Hashtbl.find_opt t.flows pkt.flow with
-  | None -> ()
-  | Some fi ->
+  run_hooks t.hooks ~time ~iface:ifc.i_id pkt;
+  (match Int_tbl.find t.flows pkt.flow with
+  | fi -> (
       Timeseries.record fi.ts ~time ~bytes:pkt.size;
       fi.inflight <- fi.inflight - 1;
       replenish t fi;
-      (match fi.source with
+      match fi.source with
       | Finite _
-        when fi.remaining = 0 && fi.inflight = 0
+        when Int.equal fi.remaining 0 && Int.equal fi.inflight 0
              && not (Sched_intf.Packed.is_backlogged t.sched fi.f_id) ->
-          if fi.done_at = None then fi.done_at <- Some time
-      | _ -> ()));
+          if Option.is_none fi.done_at then fi.done_at <- Some time
+      | _ -> ())
+  | exception Not_found -> ());
   match t.spans with Some sp -> Span.exit sp t.sp_complete | None -> ()
 
-and kick_allowed t fi =
-  List.iter
-    (fun j ->
-      match Hashtbl.find_opt t.ifaces j with
-      | Some ifc -> try_start t ifc
-      | None -> ())
-    fi.allowed
+and kick_allowed t = function
+  | [] -> ()
+  | j :: rest ->
+      (match Int_tbl.find t.ifaces j with
+      | ifc -> try_start t ifc
+      | exception Not_found -> ());
+      kick_allowed t rest
 
 (* --- pushed sources ------------------------------------------------------ *)
+
+(* Each pushed source builds its tick closure once, at start, and re-arms
+   that same closure after every arrival. *)
 
 let inject t fi size =
   if not fi.stopped then begin
     let p = Packet.create ~flow:fi.f_id ~size ~arrival:(now t) in
     ignore (enqueue_pkt t p);
-    kick_allowed t fi
+    kick_allowed t fi.allowed
   end
 
-let rec cbr_tick t fi ~rate ~pkt_size ~stop =
+let running t fi stop =
   let beyond = match stop with Some s -> now t >= s | None -> false in
-  if (not fi.stopped) && not beyond then begin
-    inject t fi pkt_size;
-    let gap = Types.tx_time ~bytes:pkt_size ~rate in
-    Engine.schedule_in t.engine ~after:gap (fun () ->
-        cbr_tick t fi ~rate ~pkt_size ~stop)
-  end
+  (not fi.stopped) && not beyond
 
-let rec poisson_tick t fi ~rate ~pkt_size ~stop =
-  let beyond = match stop with Some s -> now t >= s | None -> false in
-  if (not fi.stopped) && not beyond then begin
-    inject t fi pkt_size;
-    let mean_gap = Types.tx_time ~bytes:pkt_size ~rate in
-    let gap = Rng.exponential fi.rng ~mean:mean_gap in
-    Engine.schedule_in t.engine ~after:gap (fun () ->
-        poisson_tick t fi ~rate ~pkt_size ~stop)
-  end
+let start_cbr t fi ~rate ~pkt_size ~stop =
+  let rec tick () =
+    if running t fi stop then begin
+      inject t fi pkt_size;
+      let gap = Types.tx_time ~bytes:pkt_size ~rate in
+      Engine.schedule_in t.engine ~after:gap tick
+    end
+  in
+  tick ()
+
+let start_poisson t fi ~rate ~pkt_size ~stop =
+  let rec tick () =
+    if running t fi stop then begin
+      inject t fi pkt_size;
+      let mean_gap = Types.tx_time ~bytes:pkt_size ~rate in
+      let gap = Rng.exponential fi.rng ~mean:mean_gap in
+      Engine.schedule_in t.engine ~after:gap tick
+    end
+  in
+  tick ()
 
 (* Greedy token-bucket emitter: drain every packet the bucket can pay for,
    then sleep exactly until the next packet's worth of tokens accrues.  The
    resulting cumulative arrivals are tightly bounded by sigma + rho.t with
    sigma = burst bytes and rho = rate/8 bytes/s — the arrival curve the
    delay-bound harness assumes. *)
-let rec tb_tick t fi ~bucket ~pkt_size ~stop =
-  let beyond = match stop with Some s -> now t >= s | None -> false in
-  if (not fi.stopped) && not beyond then begin
-    let time = now t in
-    let continue_ = ref true in
-    while !continue_ do
-      if
-        (not fi.stopped)
-        && Tokenbucket.try_consume bucket ~now:time ~bytes:pkt_size
-      then inject t fi pkt_size
-      else continue_ := false
-    done;
-    let wait = Tokenbucket.time_until bucket ~now:time ~bytes:pkt_size in
-    (* [wait] is infinite only when pkt_size exceeds the burst; the scenario
-       parser rejects that, but guard anyway rather than loop forever. *)
-    if Float.is_finite wait then
-      Engine.schedule_in t.engine ~after:(Float.max wait 1e-9) (fun () ->
-          tb_tick t fi ~bucket ~pkt_size ~stop)
-  end
+let start_tb t fi ~bucket ~pkt_size ~stop =
+  let rec tick () =
+    if running t fi stop then begin
+      let time = now t in
+      let continue_ = ref true in
+      while !continue_ do
+        if
+          (not fi.stopped)
+          && Tokenbucket.try_consume bucket ~now:time ~bytes:pkt_size
+        then inject t fi pkt_size
+        else continue_ := false
+      done;
+      let wait = Tokenbucket.time_until bucket ~now:time ~bytes:pkt_size in
+      (* [wait] is infinite only when pkt_size exceeds the burst; the
+         scenario parser rejects that, but guard anyway rather than loop
+         forever. *)
+      if Float.is_finite wait then
+        Engine.schedule_in t.engine ~after:(Float.max wait 1e-9) tick
+    end
+  in
+  tick ()
 
-let rec on_off_on t fi ~rate ~pkt_size ~on_mean ~off_mean ~stop =
-  let beyond = match stop with Some s -> now t >= s | None -> false in
-  if (not fi.stopped) && not beyond then begin
-    let burst = Rng.exponential fi.rng ~mean:on_mean in
-    let until = now t +. burst in
-    let rec send () =
-      if (not fi.stopped) && now t < until then begin
-        inject t fi pkt_size;
-        Engine.schedule_in t.engine
-          ~after:(Types.tx_time ~bytes:pkt_size ~rate)
-          send
-      end
-      else begin
-        let quiet = Rng.exponential fi.rng ~mean:off_mean in
-        Engine.schedule_in t.engine ~after:quiet (fun () ->
-            on_off_on t fi ~rate ~pkt_size ~on_mean ~off_mean ~stop)
-      end
-    in
-    send ()
-  end
+(* Alternating exponential on- and off-periods, sending at [rate] while
+   on; [until] is the end of the current on-period. *)
+let start_on_off t fi ~rate ~pkt_size ~on_mean ~off_mean ~stop =
+  let until = ref 0.0 in
+  let rec on () =
+    if running t fi stop then begin
+      until := now t +. Rng.exponential fi.rng ~mean:on_mean;
+      send ()
+    end
+  and send () =
+    if (not fi.stopped) && now t < !until then begin
+      inject t fi pkt_size;
+      Engine.schedule_in t.engine
+        ~after:(Types.tx_time ~bytes:pkt_size ~rate)
+        send
+    end
+    else begin
+      let quiet = Rng.exponential fi.rng ~mean:off_mean in
+      Engine.schedule_in t.engine ~after:quiet on
+    end
+  in
+  on ()
 
 (* --- topology management ------------------------------------------------ *)
 
 let add_iface t j profile =
-  if Hashtbl.mem t.ifaces j then invalid_arg "Netsim.add_iface: duplicate";
+  if Int_tbl.mem t.ifaces j then invalid_arg "Netsim.add_iface: duplicate";
   let i_busy_gauge =
     match t.metrics with
     | None -> -1
     | Some m ->
         Metrics.gauge (Busmetrics.registry m) (Printf.sprintf "iface%d_busy" j)
   in
-  let ifc =
+  let i_ts = Timeseries.create ~bin:t.bin in
+  let rec ifc =
     {
       i_id = j;
       profile;
-      busy = false;
+      sending = Packet.none;
       wake_pending = false;
-      i_ts = Timeseries.create ~bin:t.bin;
+      i_ts;
       i_busy_gauge;
+      transmitted = (fun () -> transmitted t ifc);
+      wake =
+        (fun () ->
+          ifc.wake_pending <- false;
+          try_start t ifc);
     }
   in
-  Hashtbl.replace t.ifaces j ifc;
+  Int_tbl.replace t.ifaces j ifc;
   Sched_intf.Packed.add_iface t.sched j;
   (* If the run has started, wake the new interface immediately. *)
   try_start t ifc
 
 let start_source t fi =
   replenish t fi;
-  kick_allowed t fi;
+  kick_allowed t fi.allowed;
   match fi.source with
   | Backlogged _ | Finite _ -> ()
-  | Cbr { rate; pkt_size; stop } -> cbr_tick t fi ~rate ~pkt_size ~stop
-  | Poisson { rate; pkt_size; stop } -> poisson_tick t fi ~rate ~pkt_size ~stop
+  | Cbr { rate; pkt_size; stop } -> start_cbr t fi ~rate ~pkt_size ~stop
+  | Poisson { rate; pkt_size; stop } -> start_poisson t fi ~rate ~pkt_size ~stop
   | On_off { rate; pkt_size; on_mean; off_mean; stop } ->
-      on_off_on t fi ~rate ~pkt_size ~on_mean ~off_mean ~stop
+      start_on_off t fi ~rate ~pkt_size ~on_mean ~off_mean ~stop
   | Tb { rate; burst; pkt_size; stop } ->
       (* [rate] is bits/s like every other source spec; the bucket works in
          bytes.  Starting full gives the worst-case sigma-burst head start. *)
       let bucket = Tokenbucket.create ~rate:(rate /. 8.0) ~burst in
-      tb_tick t fi ~bucket ~pkt_size ~stop
+      start_tb t fi ~bucket ~pkt_size ~stop
 
 let add_flow t ?(at = 0.0) f ~weight ~allowed source =
-  if Hashtbl.mem t.flows f then invalid_arg "Netsim.add_flow: duplicate";
+  if Int_tbl.mem t.flows f then invalid_arg "Netsim.add_flow: duplicate";
   let fi =
     {
       f_id = f;
@@ -391,8 +414,7 @@ let add_flow t ?(at = 0.0) f ~weight ~allowed source =
       ts = Timeseries.create ~bin:t.bin;
     }
   in
-  Hashtbl.replace t.flows f fi;
-  ignore (pkt_size_of source);
+  Int_tbl.replace t.flows f fi;
   let register () =
     Sched_intf.Packed.add_flow t.sched ~flow:f ~weight ~allowed;
     start_source t fi
@@ -422,7 +444,7 @@ let set_allowed t f allowed =
   Sched_intf.Packed.set_allowed t.sched f allowed;
   fi.allowed <- allowed;
   (* Newly allowed idle interfaces must be woken to notice the flow. *)
-  kick_allowed t fi
+  kick_allowed t allowed
 
 let on_complete t hook = t.hooks <- hook :: t.hooks
 
@@ -438,9 +460,9 @@ let avg_rate t f ~t0 ~t1 =
 let completion_time t f = (flow_info t f).done_at
 
 let iface_info t j =
-  match Hashtbl.find_opt t.ifaces j with
-  | Some i -> i
-  | None -> invalid_arg "Netsim: unknown interface"
+  match Int_tbl.find t.ifaces j with
+  | i -> i
+  | exception Not_found -> invalid_arg "Netsim: unknown interface"
 
 let iface_rate_series t j =
   Timeseries.rate_series ~unit_scale:1e6 (iface_info t j).i_ts
@@ -480,9 +502,10 @@ let instance_of t ~flows ~ifaces =
     Array.of_list
       (List.map
          (fun j ->
-           match Hashtbl.find_opt t.ifaces j with
-           | Some ifc -> Link.rate_at ifc.profile (now t)
-           | None -> invalid_arg "Netsim.instance_of: unknown interface")
+           match Int_tbl.find t.ifaces j with
+           | ifc -> Link.rate_at ifc.profile (now t)
+           | exception Not_found ->
+               invalid_arg "Netsim.instance_of: unknown interface")
          ifaces)
   in
   let allowed =
@@ -490,13 +513,14 @@ let instance_of t ~flows ~ifaces =
       (List.map
          (fun f ->
            let fi = flow_info t f in
-           Array.of_list (List.map (fun j -> List.mem j fi.allowed) ifaces))
+           Array.of_list
+             (List.map (fun j -> List.exists (Int.equal j) fi.allowed) ifaces))
          flows)
   in
   Midrr_flownet.Instance.make ~weights ~capacities ~allowed
 
 let backlogged_flows t =
-  Hashtbl.fold
+  Int_tbl.fold
     (fun f _ acc ->
       if
         Sched_intf.Packed.has_flow t.sched f
@@ -504,4 +528,4 @@ let backlogged_flows t =
       then f :: acc
       else acc)
     t.flows []
-  |> List.sort compare
+  |> List.sort Int.compare

@@ -73,7 +73,7 @@ let test_r3_scope () =
   check_rules "int comparison is fine" []
     (lint ~file:floaty_file "let f x = x = 0");
   check_rules "only in flownet/stats" []
-    (lint ~file:"lib/sim/link.ml" "let f x = x = 0.0");
+    (lint ~file:"lib/sim/scenario.ml" "let f x = x = 0.0");
   check_rules "Float.equal is the fix" []
     (lint ~file:floaty_file "let f x = Float.equal x 0.0")
 
@@ -308,7 +308,7 @@ let test_hot_path_scoping () =
   in
   check "path-scoped entry matches" "path" "lib/core/drr_engine.ml";
   check "interfaces too" "path" "lib/core/drr_engine.mli";
-  check "other directories stay cold" "not" "lib/sim/link.ml";
+  check "other directories stay cold" "not" "lib/sim/scenario.ml";
   (* only bare (slash-free) legacy entries fall back to basename
      matching — hot for safety, with a driver warning so the entry gets
      path-scoped; a path entry must never widen to unrelated twins

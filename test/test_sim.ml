@@ -18,7 +18,7 @@ let test_eq_ordering () =
   Event_queue.push q ~time:3.0 "c";
   Event_queue.push q ~time:1.0 "a";
   Event_queue.push q ~time:2.0 "b";
-  let pop () = snd (Option.get (Event_queue.pop q)) in
+  let pop () = Event_queue.pop_min q in
   let first = pop () in
   let second = pop () in
   let third = pop () in
@@ -30,7 +30,7 @@ let test_eq_fifo_ties () =
   for i = 0 to 9 do
     Event_queue.push q ~time:1.0 i
   done;
-  let order = List.init 10 (fun _ -> snd (Option.get (Event_queue.pop q))) in
+  let order = List.init 10 (fun _ -> Event_queue.pop_min q) in
   Alcotest.(check (list int)) "insertion order on ties"
     (List.init 10 Fun.id) order
 
@@ -44,12 +44,12 @@ let test_eq_interleaved () =
       Event_queue.push q
         ~time:(Float.max !last (Midrr_stats.Rng.float rng *. 100.0))
         ()
-    else
-      match Event_queue.pop q with
-      | Some (t, ()) ->
-          if t < !last then Alcotest.failf "time went backwards: %f < %f" t !last;
-          last := t
-      | None -> ()
+    else begin
+      let t = Event_queue.min_time q in
+      Event_queue.pop_min q;
+      if t < !last then Alcotest.failf "time went backwards: %f < %f" t !last;
+      last := t
+    end
   done
 
 let test_eq_nan_rejected () =
@@ -59,10 +59,14 @@ let test_eq_nan_rejected () =
 
 let test_eq_peek () =
   let q = Event_queue.create () in
-  Alcotest.(check (option (float 0.0))) "empty" None (Event_queue.peek_time q);
+  Alcotest.(check bool) "empty" false (Event_queue.due q ~until:Float.infinity);
+  Alcotest.check_raises "empty min_time"
+    (Invalid_argument "Event_queue.min_time: empty") (fun () ->
+      ignore (Event_queue.min_time q));
   Event_queue.push q ~time:5.0 ();
-  Alcotest.(check (option (float 0.0)))
-    "peek" (Some 5.0) (Event_queue.peek_time q);
+  close "peek" 5.0 (Event_queue.min_time q);
+  Alcotest.(check bool) "due at 5" true (Event_queue.due q ~until:5.0);
+  Alcotest.(check bool) "not due before 5" false (Event_queue.due q ~until:4.9);
   Alcotest.(check int) "length" 1 (Event_queue.length q)
 
 (* --- Engine ----------------------------------------------------------------- *)
@@ -105,6 +109,156 @@ let test_engine_rejects_past () =
   Engine.run e;
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule: time in the past")
     (fun () -> Engine.schedule e ~at:1.0 (fun () -> ()))
+
+(* --- Engine against a model ------------------------------------------------- *)
+
+(* A random run of engine operations replayed on a model: the pending
+   events in a list kept stable-sorted by time, whose head runs next.
+   Delays are whole quarters, so exact time ties are common.  The event
+   scheduled by op [i] has id [i + 1]; it may carry a child delay, and
+   when it runs it schedules its child, id [-(i + 1)], that far ahead. *)
+type eq_op =
+  | Schedule of int * int option (* delay, child delay (quarters) *)
+  | Step
+  | Run_to_event of int (* [run ~until] an exact pending event's time *)
+  | Run_by of int (* [run ~until] now plus eighths: on or between times *)
+  | Reject_nan
+  | Reject_past
+
+let pp_eq_op = function
+  | Schedule (d, None) -> Printf.sprintf "schedule %d" d
+  | Schedule (d, Some c) -> Printf.sprintf "schedule %d/child %d" d c
+  | Step -> "step"
+  | Run_to_event k -> Printf.sprintf "run-to-event %d" k
+  | Run_by k -> Printf.sprintf "run-by %d/8" k
+  | Reject_nan -> "nan"
+  | Reject_past -> "past"
+
+let eq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          map2
+            (fun d c -> Schedule (d, c))
+            (int_range 0 6)
+            (opt ~ratio:0.3 (int_range 0 3)) );
+        (3, return Step);
+        (1, map (fun k -> Run_to_event k) (int_range 0 1000));
+        (1, map (fun k -> Run_by k) (int_range 0 9));
+        (1, return Reject_nan);
+        (1, return Reject_past);
+      ])
+
+let eq_case_arb =
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap
+        (String.concat "; " (List.map pp_eq_op ops)))
+    QCheck.Gen.(pair (int_range 0 3) (list_size (int_range 0 300) eq_op_gen))
+
+type eq_model = {
+  mutable now : float;
+  mutable pending : (float * (int * int option)) list; (* time, (id, child) *)
+  mutable ran : int list; (* latest first *)
+}
+
+let quarters d = Float.of_int d /. 4.0
+
+(* Insert behind every event at or before [time]. *)
+let rec model_insert time ev = function
+  | ((t, _) as x) :: rest when t <= time -> x :: model_insert time ev rest
+  | rest -> (time, ev) :: rest
+
+let model_schedule m time ev = m.pending <- model_insert time ev m.pending
+
+let model_step m =
+  match m.pending with
+  | [] -> false
+  | (time, (id, child)) :: rest ->
+      m.pending <- rest;
+      m.now <- time;
+      m.ran <- id :: m.ran;
+      Option.iter (fun c -> model_schedule m (time +. quarters c) (-id, None)) child;
+      true
+
+let model_run m ~until =
+  while match m.pending with (t, _) :: _ -> t <= until | [] -> false do
+    ignore (model_step m)
+  done;
+  if until > m.now then m.now <- until
+
+let prop_engine_matches_model (capacity, ops) =
+  let e = Engine.create ~capacity () in
+  let m = { now = 0.0; pending = []; ran = [] } in
+  let ran = ref [] in
+  let rec event id child () =
+    ran := id :: !ran;
+    Option.iter
+      (fun c -> Engine.schedule_in e ~after:(quarters c) (event (-id) None))
+      child
+  in
+  let expect_reject what msg f =
+    let now = Engine.now e and pending = Engine.pending e in
+    (match f () with
+    | () -> QCheck.Test.fail_reportf "%s accepted" what
+    | exception Invalid_argument got when String.equal got msg -> ());
+    if
+      not
+        (Float.equal now (Engine.now e) && Int.equal pending (Engine.pending e))
+    then QCheck.Test.fail_reportf "%s changed the engine" what
+  in
+  let check_state what =
+    if
+      not
+        (Float.equal (Engine.now e) m.now
+        && Int.equal (Engine.pending e) (List.length m.pending)
+        && List.equal Int.equal !ran m.ran)
+    then
+      QCheck.Test.fail_reportf
+        "after %s: now %g vs model %g, pending %d vs %d, ran [%s] vs [%s]" what
+        (Engine.now e) m.now (Engine.pending e) (List.length m.pending)
+        (String.concat " " (List.rev_map string_of_int !ran))
+        (String.concat " " (List.rev_map string_of_int m.ran))
+  in
+  List.iteri
+    (fun i op ->
+      (match op with
+      | Schedule (d, child) ->
+          Engine.schedule e ~at:(Engine.now e +. quarters d) (event (i + 1) child);
+          model_schedule m (m.now +. quarters d) (i + 1, child)
+      | Step ->
+          if not (Bool.equal (Engine.step e) (model_step m)) then
+            QCheck.Test.fail_report "step disagrees on emptiness"
+      | Run_to_event k -> (
+          match m.pending with
+          | [] -> ()
+          | pending ->
+              let until = fst (List.nth pending (k mod List.length pending)) in
+              Engine.run ~until e;
+              model_run m ~until)
+      | Run_by k ->
+          let until = m.now +. (Float.of_int k /. 8.0) in
+          Engine.run ~until e;
+          model_run m ~until
+      | Reject_nan ->
+          expect_reject "NaN time" "Event_queue.push: NaN time" (fun () ->
+              Engine.schedule e ~at:Float.nan ignore)
+      | Reject_past ->
+          expect_reject "past time" "Engine.schedule: time in the past"
+            (fun () -> Engine.schedule e ~at:(Engine.now e -. 0.25) ignore));
+      check_state (Printf.sprintf "op %d (%s)" i (pp_eq_op op)))
+    ops;
+  Engine.run e;
+  while model_step m do
+    ()
+  done;
+  check_state "draining";
+  Int.equal (Engine.executed e) (List.length m.ran)
+
+let test_engine_model =
+  QCheck.Test.make ~count:300 ~name:"engine matches a stable-sorted model"
+    eq_case_arb prop_engine_matches_model
 
 (* --- Link profiles ------------------------------------------------------------ *)
 
@@ -162,7 +316,12 @@ let test_link_periodic () =
   Alcotest.(check (option (float 1e-9)))
     "next change within cycle" (Some 5.0) (Link.next_change l 2.0);
   Alcotest.(check (option (float 1e-9)))
-    "next change wraps" (Some 10.0) (Link.next_change l 7.0)
+    "next change wraps" (Some 10.0) (Link.next_change l 7.0);
+  (* Of segments at one offset, the last listed holds. *)
+  let tied = Link.periodic ~period:10.0 [ (0.0, 1e6); (5.0, 2e6); (5.0, 3e6) ] in
+  close "tied offsets at the offset" 3e6 (Link.rate_at tied 5.0);
+  close "tied offsets after it" 3e6 (Link.rate_at tied 9.0);
+  close "before the tie" 1e6 (Link.rate_at tied 4.0)
 
 (* --- Mobility -------------------------------------------------------------------- *)
 
@@ -536,7 +695,71 @@ let test_tracer_window_filter () =
   Alcotest.(check int) "windowed" 2
     (List.length (Tracer.between tracer ~t0:1.0 ~t1:3.0))
 
+(* --- Allocation --------------------------------------------------------------- *)
+
+(* Exact minor-heap word counts, so these gate regressions without any
+   timing noise.  A served packet allocates its [Packet.t], the [Some]
+   of [next_packet] and its event's timestamps; an event with a prebuilt
+   closure allocates its timestamp and the clock it sets. *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let fig6_path =
+  (* `dune runtest` runs from the test directory, `dune exec` from the
+     project root; accept either. *)
+  if Sys.file_exists "../scenarios/fig6.scn" then "../scenarios/fig6.scn"
+  else "scenarios/fig6.scn"
+
+let test_alloc_fig6_per_packet () =
+  let scn =
+    match
+      Scenario.parse (In_channel.with_open_text fig6_path In_channel.input_all)
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "scenario error: %s" e
+  in
+  (* The bus emits one [Serve] per packet handed out, so a run with the
+     fold attached counts the packets of the sinkless run measured. *)
+  let bm = Midrr_obs.Busmetrics.create () in
+  ignore (Scenario.run ~metrics:bm scn);
+  let reg = Midrr_obs.Busmetrics.registry bm in
+  let pkts =
+    Midrr_obs.Metrics.counter_value reg (Midrr_obs.Metrics.counter reg "serves")
+  in
+  let words = minor_words (fun () -> ignore (Scenario.run scn)) in
+  let per_pkt = words /. Float.of_int pkts in
+  if per_pkt > 14.0 then
+    Alcotest.failf "fig6: %.2f minor words per served packet (bound 14.0)"
+      per_pkt
+
+let test_alloc_engine_per_event () =
+  (* Pre-sized: a doubling of the heap is amortized, not per event. *)
+  let e = Engine.create ~capacity:128 () in
+  let event () = () in
+  for _ = 1 to 64 do
+    Engine.schedule_in e ~after:1.0 event
+  done;
+  let n = 100_000 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to n do
+          Engine.schedule_in e ~after:1.0 event;
+          ignore (Engine.step e)
+        done)
+  in
+  let per_event = words /. Float.of_int n in
+  if per_event > 4.0 then
+    Alcotest.failf "engine: %.2f minor words per event (bound 4.0)" per_event
+
 let () =
+  let rand =
+    match Sys.getenv_opt "QCHECK_SEED" with
+    | Some s -> Random.State.make [| int_of_string s |]
+    | None -> Random.State.make [| 20130109 |]
+  in
+  let to_alcotest t = QCheck_alcotest.to_alcotest ~rand t in
   Alcotest.run "sim"
     [
       ( "event-queue",
@@ -555,6 +778,7 @@ let () =
           Alcotest.test_case "events schedule events" `Quick
             test_engine_events_schedule_events;
           Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
+          to_alcotest test_engine_model;
         ] );
       ( "link",
         [
@@ -612,5 +836,12 @@ let () =
             test_netsim_share_and_instance;
           Alcotest.test_case "completion hook" `Quick
             test_netsim_completion_hook;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "fig6 words per packet" `Quick
+            test_alloc_fig6_per_packet;
+          Alcotest.test_case "engine words per event" `Quick
+            test_alloc_engine_per_event;
         ] );
     ]
