@@ -383,7 +383,8 @@ let run_benchmarks () =
 (* Acceptance gate for the event bus: with no sink installed, the
    per-decision cost must be indistinguishable from the pre-bus engine
    (the emission site is one mutable-field match); with a sink attached,
-   the cost of allocating and delivering the events is what's measured.
+   the cost of refilling the engine's event record and delivering it is
+   what's measured.
    Results go to BENCH_obs.json for machine consumption. *)
 let bench_obs_overhead () =
   section "Observability: per-decision cost, sink disabled vs attached";
@@ -883,19 +884,27 @@ let metrics_op_measure ~ops op =
 
 (* The [fastpath_alloc_gate] decision loop (prefilled queues, every
    decision a pure pop) with an event-sink variant installed: nothing,
-   a stamped null sink, or the stamped [Busmetrics] fold.  The Serve
-   event record and the stamp clock's boxed timestamp are allocated
-   identically under the last two, so the difference between them
-   isolates what the metrics fold itself allocates per decision. *)
+   a stamped null sink, or the stamped [Busmetrics] fold.  The engine
+   refills one event record per emission, so what the last two add over
+   the first is the bus and the fold themselves. *)
 let metrics_decision_measure ~decisions sink =
   let n_flows = 64 and n_ifaces = 4 in
   let t = Drr_engine.create Drr_engine.Service_flags in
-  let tick = [| 0.0 |] in
-  let clock () =
-    (* synthetic microsecond clock so enqueue-to-serve delays are real *)
-    tick.(0) <- tick.(0) +. 1e-6;
-    tick.(0)
+  let warmup = decisions / 10 in
+  (* The simulator's clock is a float boxed once per event and read by
+     every stamp ([Engine.now]).  Here the clock advances 1 us per
+     decision through times boxed before the measured window (a [ref]
+     holds its float boxed), so the stamp reads a heap float as it does
+     in a run, and the fold's enqueue-to-serve delays are real.  A clock
+     computing a fresh float per call would box it on every event
+     instead.  Advancing is an int increment: swapping a pointer would
+     put a write barrier on every decision. *)
+  let times =
+    Array.init (warmup + decisions + 1) (fun d -> ref (Float.of_int d *. 1e-6))
   in
+  let tick = ref 0 in
+  let clock () = !(times.(!tick)) in
+  let advance () = incr tick in
   (match sink with
   | None -> ()
   | Some s -> Drr_engine.set_sink t (Some (Midrr_obs.Sink.stamp ~clock s)));
@@ -906,7 +915,6 @@ let metrics_decision_measure ~decisions sink =
   for f = 0 to n_flows - 1 do
     Drr_engine.add_flow t ~flow:f ~weight:1.0 ~allowed:all_ifaces
   done;
-  let warmup = decisions / 10 in
   let per_flow = ((decisions + warmup) / n_flows) + 64 in
   for f = 0 to n_flows - 1 do
     for _ = 1 to per_flow do
@@ -915,22 +923,26 @@ let metrics_decision_measure ~decisions sink =
     done
   done;
   for d = 0 to warmup - 1 do
+    advance ();
     ignore (Drr_engine.next_packet_noalloc t (d mod n_ifaces))
   done;
   let w0 = Gc.minor_words () in
   let t0 = Monotonic_clock.now () in
   for d = 0 to decisions - 1 do
+    advance ();
     ignore (Drr_engine.next_packet_noalloc t (d mod n_ifaces))
   done;
   let t1 = Monotonic_clock.now () in
   let w1 = Gc.minor_words () in
+  let words = (w1 -. w0) /. float_of_int decisions in
   ( Int64.to_float (Int64.sub t1 t0) /. float_of_int decisions,
-    (w1 -. w0) /. float_of_int decisions )
+    if words < 0.01 then 0.0 else words )
 
 (* The acceptance gate behind BENCH_metrics: every registry hot op is
-   allocation-free, and attaching the metrics fold to the decision loop
-   adds no allocation over an equally-stamped null sink.  The dynamic
-   counterpart of the R7 static proof over the same modules. *)
+   allocation-free, and the decision loop stays under half a minor word
+   per decision with a stamped null sink and with the metrics fold
+   attached.  The dynamic counterpart of the R7 static proof over the
+   same modules. *)
 let bench_metrics () =
   section "Telemetry: registry op cost and metrics-sink decision overhead";
   let ops = if quick then 200_000 else 2_000_000 in
@@ -962,7 +974,6 @@ let bench_metrics () =
   in
   let m = Busmetrics.create () in
   let ns_none, w_none = metrics_decision_measure ~decisions None in
-  let w_none = if w_none < 0.01 then 0.0 else w_none in
   let ns_null, w_null =
     metrics_decision_measure ~decisions (Some Midrr_obs.Sink.null)
   in
@@ -974,15 +985,11 @@ let bench_metrics () =
   Format.printf "  %-14s %14.1f %16.2f@." "none" ns_none w_none;
   Format.printf "  %-14s %14.1f %16.2f@." "null" ns_null w_null;
   Format.printf "  %-14s %14.1f %16.2f@." "busmetrics" ns_m w_m;
-  let extra =
-    let x = w_m -. w_null in
-    if x < 0.01 then 0.0 else x
-  in
-  let ratio = ns_m /. ns_null in
+  let ratio = ns_m /. ns_none in
   Format.printf
-    "  metrics fold: %.2f extra words/decision vs null sink (gate < 0.5), \
-     %.2fx ns@."
-    extra ratio;
+    "  gate: null and busmetrics < 0.5 words/decision; busmetrics %.2fx the \
+     ns of a sinkless decision@."
+    ratio;
   (* the fold really consumed the stream: serves == warmup + decisions,
      and the delay sketch holds one sample per serve *)
   let mreg = Busmetrics.registry m in
@@ -995,8 +1002,10 @@ let bench_metrics () =
     (Midrr_stats.Log_histogram.quantile d ~q:0.5)
     (Midrr_stats.Log_histogram.quantile d ~q:0.999);
   let oc = open_out "BENCH_metrics.json" in
-  Printf.fprintf oc "{\"ops\":%d,\"decisions\":%d,\"registry_ops\":[" ops
-    decisions;
+  Printf.fprintf oc
+    "{\"nproc\":%d,\"ocaml_version\":%S,\"flambda\":%b,\"ops\":%d,\"decisions\":%d,\"registry_ops\":["
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version Build_info.flambda ops decisions;
   List.iteri
     (fun i (label, ns, words) ->
       Printf.fprintf oc
@@ -1005,8 +1014,8 @@ let bench_metrics () =
         label ns words)
     micro_rows;
   Printf.fprintf oc
-    "],\"decision_loop\":[{\"sink\":\"none\",\"ns_per_decision\":%.1f,\"minor_words_per_decision\":%.2f},{\"sink\":\"null\",\"ns_per_decision\":%.1f,\"minor_words_per_decision\":%.2f},{\"sink\":\"busmetrics\",\"ns_per_decision\":%.1f,\"minor_words_per_decision\":%.2f}],\"metrics_extra_words_per_decision\":%.2f,\"metrics_ns_ratio_vs_null\":%.2f}\n"
-    ns_none w_none ns_null w_null ns_m w_m extra ratio;
+    "],\"decision_loop\":[{\"sink\":\"none\",\"ns_per_decision\":%.1f,\"minor_words_per_decision\":%.2f},{\"sink\":\"null\",\"ns_per_decision\":%.1f,\"minor_words_per_decision\":%.2f},{\"sink\":\"busmetrics\",\"ns_per_decision\":%.1f,\"minor_words_per_decision\":%.2f}],\"busmetrics_ns_ratio_vs_none\":%.2f}\n"
+    ns_none w_none ns_null w_null ns_m w_m ratio;
   close_out oc;
   Format.printf "  written to BENCH_metrics.json@.";
   let micro_bad = List.filter (fun (_, _, words) -> words > 0.0) micro_rows in
@@ -1015,12 +1024,19 @@ let bench_metrics () =
       Format.printf "  FAIL: %s allocates %.2f minor words/op (gate: 0)@." label
         words)
     micro_bad;
-  if extra >= 0.5 then
-    Format.printf
-      "  FAIL: metrics fold allocates %.2f minor words/decision over the null \
-       sink (gate < 0.5)@."
-      extra;
-  if micro_bad <> [] || extra >= 0.5 then exit 1
+  let loop_bad =
+    List.filter
+      (fun (_, words) -> words >= 0.5)
+      [ ("null", w_null); ("busmetrics", w_m) ]
+  in
+  List.iter
+    (fun (label, words) ->
+      Format.printf
+        "  FAIL: decision loop with the %s sink allocates %.2f minor \
+         words/decision (gate < 0.5)@."
+        label words)
+    loop_bad;
+  if micro_bad <> [] || loop_bad <> [] then exit 1
 
 let extended_studies () =
   render_sections

@@ -24,7 +24,7 @@ val run :
   ?pkt_size:int ->
   ?seed:int ->
   ?target:target ->
-  ?sink:(Midrr_obs.Event.t -> unit) ->
+  ?sink:Midrr_obs.Sink.raw ->
   n_ifaces:int ->
   unit ->
   result

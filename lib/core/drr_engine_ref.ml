@@ -54,13 +54,15 @@ type t = {
   t_flows : (Types.flow_id, flow_state) Hashtbl.t;
   t_ifaces : (Types.iface_id, iface_state) Hashtbl.t;
   mutable t_considered : int;
-  mutable t_sink : (Event.t -> unit) option;
+  mutable t_sink : Midrr_obs.Sink.raw option;
+  t_ev : Event.record; (* refilled per emission, see [Event] *)
 }
 
-(* Control-path emission.  Hot-path sites (enqueue / begin_turn /
-   check_next / next_packet) match on [t_sink] inline instead, so the
-   event is never even allocated when observability is off. *)
-let emit t ev = match t.t_sink with None -> () | Some s -> s ev
+(* Control-path emission of the record the caller just filled.  Hot-path
+   sites (enqueue / begin_turn / check_next / next_packet) match on
+   [t_sink] first instead, so a sinkless decision never touches the
+   record. *)
+let emit t = match t.t_sink with None -> () | Some s -> s t.t_ev
 
 let set_sink t s = t.t_sink <- s
 let sink t = t.t_sink
@@ -79,6 +81,7 @@ let create ?(base_quantum = 1500) ?queue_capacity ?(flag_policy = Per_turn)
     t_ifaces = Hashtbl.create 16;
     t_considered = 0;
     t_sink = None;
+    t_ev = Event.create ();
   }
 
 let mode t = t.t_mode
@@ -167,7 +170,8 @@ let add_iface t j =
         if not (Pktqueue.is_empty flow.f_queue) then insert_link ifc link
       end)
     (flow_states_sorted t);
-  emit t (Event.Iface_up { iface = j })
+  Event.set_iface_up t.t_ev ~iface:j;
+  emit t
 
 let remove_iface t j =
   let ifc = iface_state t j in
@@ -184,7 +188,8 @@ let remove_iface t j =
           flow.f_links <- keep)
     t.t_flows;
   Hashtbl.remove t.t_ifaces j;
-  emit t (Event.Iface_down { iface = j })
+  Event.set_iface_down t.t_ev ~iface:j;
+  emit t
 
 let ifaces t =
   Hashtbl.fold (fun j _ acc -> j :: acc) t.t_ifaces [] |> List.sort compare
@@ -219,13 +224,16 @@ let add_flow t ~flow ~weight ~allowed =
             :: fs.f_links)
     fs.f_allowed;
   Hashtbl.replace t.t_flows flow fs;
-  emit t (Event.Flow_add { flow; weight })
+  Event.set_flow_add t.t_ev ~flow;
+  t.t_ev.num.value <- weight;
+  emit t
 
 let remove_flow t f =
   let fs = flow_state t f in
   deactivate fs;
   Hashtbl.remove t.t_flows f;
-  emit t (Event.Flow_remove { flow = f })
+  Event.set_flow_remove t.t_ev ~flow:f;
+  emit t
 
 let flows t =
   Hashtbl.fold (fun f _ acc -> f :: acc) t.t_flows [] |> List.sort compare
@@ -235,7 +243,9 @@ let set_weight t f w =
   let fs = flow_state t f in
   fs.f_weight <- w;
   fs.f_quantum <- w *. Float.of_int t.t_base_quantum;
-  emit t (Event.Weight_change { flow = f; weight = w })
+  Event.set_weight_change t.t_ev ~flow:f;
+  t.t_ev.num.value <- w;
+  emit t
 
 let allowed_ifaces t f =
   Iset.elements (flow_state t f).f_allowed
@@ -273,7 +283,9 @@ let enqueue t (p : Packet.t) =
   | None ->
       (match t.t_sink with
       | None -> ()
-      | Some s -> s (Event.Drop { flow = p.flow; bytes = p.size }));
+      | Some s ->
+          Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
+          s t.t_ev);
       false
   | Some fs ->
       let was_empty = Pktqueue.is_empty fs.f_queue in
@@ -282,9 +294,9 @@ let enqueue t (p : Packet.t) =
       (match t.t_sink with
       | None -> ()
       | Some s ->
-          s
-            (if accepted then Event.Enqueue { flow = p.flow; bytes = p.size }
-             else Event.Drop { flow = p.flow; bytes = p.size }));
+          if accepted then Event.set_enqueue t.t_ev ~flow:p.flow ~bytes:p.size
+          else Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
+          s t.t_ev);
       accepted
 
 (* Give a flow its service turn: top up the deficit and, in miDRR mode,
@@ -297,7 +309,9 @@ let begin_turn t ifc link =
   link.l_turns <- link.l_turns + 1;
   (match t.t_sink with
   | None -> ()
-  | Some s -> s (Event.Turn { flow = flow.f_id; iface = ifc.i_id }));
+  | Some s ->
+      Event.set_turn t.t_ev ~flow:flow.f_id ~iface:ifc.i_id;
+      s t.t_ev);
   match t.t_mode with
   | Plain -> ()
   | Service_flags ->
@@ -332,7 +346,8 @@ let check_next t ifc ~skip_current =
         (match t.t_sink with
         | None -> ()
         | Some s ->
-            s (Event.Flag_reset { flow = link.l_flow.f_id; iface = ifc.i_id }));
+            Event.set_flag_reset t.t_ev ~flow:link.l_flow.f_id ~iface:ifc.i_id;
+            s t.t_ev);
         n := Ring.next ifc.i_ring !n
       done);
   ifc.i_cursor <- Some !n;
@@ -366,14 +381,9 @@ let next_packet t j =
         (match t.t_sink with
         | None -> ()
         | Some s ->
-            s
-              (Event.Serve
-                 {
-                   flow = flow.f_id;
-                   iface = j;
-                   bytes = size;
-                   deficit = link.l_deficit;
-                 }));
+            Event.set_serve t.t_ev ~flow:flow.f_id ~iface:j ~bytes:size;
+            t.t_ev.num.value <- link.l_deficit;
+            s t.t_ev);
         (* Under [Per_send], "when interface k serves flow i" (paper §3.1
            prose) is read as every transmission, refreshing the flags during
            the whole turn; the default [Per_turn] follows Algorithm 3.2 and

@@ -56,14 +56,14 @@ let bump table key delta =
   Hashtbl.replace table key
     (delta + Option.value (Hashtbl.find_opt table key) ~default:0)
 
-let on_event t (ev : Midrr_obs.Event.t) =
-  match ev with
-  | Serve { flow; iface; bytes; _ } ->
-      bump t.served flow bytes;
-      bump t.served_on (flow, iface) bytes;
-      bump t.backlog flow (-bytes)
-  | Enqueue { flow; bytes } -> bump t.backlog flow bytes
-  | Flow_remove { flow } -> Hashtbl.remove t.backlog flow
+let on_event t (ev : Midrr_obs.Event.record) =
+  match ev.kind with
+  | Serve ->
+      bump t.served ev.flow ev.bytes;
+      bump t.served_on (ev.flow, ev.iface) ev.bytes;
+      bump t.backlog ev.flow (-ev.bytes)
+  | Enqueue -> bump t.backlog ev.flow ev.bytes
+  | Flow_remove -> Hashtbl.remove t.backlog ev.flow
   | _ -> ()
 
 let create ?(alarm_threshold = 15_000.0) ?(phi = fun _ -> 1.0) sched =

@@ -1,6 +1,7 @@
 module Iset = Set.Make (Int)
 module Instance = Midrr_flownet.Instance
 module Maxmin = Midrr_flownet.Maxmin
+module Event = Midrr_obs.Event
 
 type flow = {
   f_id : Types.flow_id;
@@ -23,7 +24,8 @@ type t = {
   mutable iface_list : Types.iface_id list;
   mutable stale : bool;
   mutable recomputations : int;
-  mutable t_sink : (Midrr_obs.Event.t -> unit) option;
+  mutable t_sink : Midrr_obs.Sink.raw option;
+  t_ev : Event.record; (* refilled per emission, see [Event] *)
 }
 
 let create ?queue_capacity ~capacity () =
@@ -35,11 +37,13 @@ let create ?queue_capacity ~capacity () =
     stale = true;
     recomputations = 0;
     t_sink = None;
+    t_ev = Event.create ();
   }
 
 let name _ = "oracle"
 
-let emit t ev = match t.t_sink with None -> () | Some s -> s ev
+(* Emission of the record the caller just filled. *)
+let emit t = match t.t_sink with None -> () | Some s -> s t.t_ev
 let set_sink t s = t.t_sink <- s
 let sink t = t.t_sink
 
@@ -54,12 +58,14 @@ let add_iface t j =
   if has_iface t j then invalid_arg "Oracle.add_iface: duplicate";
   t.iface_list <- List.sort Int.compare (j :: t.iface_list);
   t.stale <- true;
-  emit t (Midrr_obs.Event.Iface_up { iface = j })
+  Event.set_iface_up t.t_ev ~iface:j;
+  emit t
 
 let remove_iface t j =
   t.iface_list <- List.filter (fun k -> k <> j) t.iface_list;
   t.stale <- true;
-  emit t (Midrr_obs.Event.Iface_down { iface = j })
+  Event.set_iface_down t.t_ev ~iface:j;
+  emit t
 
 let ifaces t = t.iface_list
 
@@ -80,12 +86,15 @@ let add_flow t ~flow ~weight ~allowed =
       target = Hashtbl.create 8;
     };
   t.stale <- true;
-  emit t (Midrr_obs.Event.Flow_add { flow; weight })
+  Event.set_flow_add t.t_ev ~flow;
+  t.t_ev.num.value <- weight;
+  emit t
 
 let remove_flow t f =
   Hashtbl.remove t.flows_tbl f;
   t.stale <- true;
-  emit t (Midrr_obs.Event.Flow_remove { flow = f })
+  Event.set_flow_remove t.t_ev ~flow:f;
+  emit t
 
 let flows t =
   Hashtbl.fold (fun f _ acc -> f :: acc) t.flows_tbl []
@@ -95,7 +104,9 @@ let set_weight t f w =
   if not (w > 0.0) then invalid_arg "Oracle.set_weight: weight <= 0";
   (flow_state t f).weight <- w;
   t.stale <- true;
-  emit t (Midrr_obs.Event.Weight_change { flow = f; weight = w })
+  Event.set_weight_change t.t_ev ~flow:f;
+  t.t_ev.num.value <- w;
+  emit t
 
 let set_allowed t f allowed =
   (flow_state t f).allowed <- Iset.of_list allowed;
@@ -145,21 +156,16 @@ let recompute t =
 let enqueue t (p : Packet.t) =
   match Hashtbl.find_opt t.flows_tbl p.flow with
   | None ->
-      (match t.t_sink with
-      | None -> ()
-      | Some s -> s (Midrr_obs.Event.Drop { flow = p.flow; bytes = p.size }));
+      Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
+      emit t;
       false
   | Some fs ->
       let was_empty = Pktqueue.is_empty fs.queue in
       let accepted = Pktqueue.push fs.queue p in
       if accepted && was_empty then t.stale <- true;
-      (match t.t_sink with
-      | None -> ()
-      | Some s ->
-          s
-            (if accepted then
-               Midrr_obs.Event.Enqueue { flow = p.flow; bytes = p.size }
-             else Midrr_obs.Event.Drop { flow = p.flow; bytes = p.size }));
+      if accepted then Event.set_enqueue t.t_ev ~flow:p.flow ~bytes:p.size
+      else Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
+      emit t;
       accepted
 
 let next_packet t j =
@@ -212,12 +218,9 @@ let next_packet t j =
       bump fs.served_on;
       bump fs.epoch_served;
       if Pktqueue.is_empty fs.queue then t.stale <- true;
-      (match t.t_sink with
-      | None -> ()
-      | Some s ->
-          s
-            (Midrr_obs.Event.Serve
-               { flow = fs.f_id; iface = j; bytes = pkt.size; deficit = 0.0 }));
+      Event.set_serve t.t_ev ~flow:fs.f_id ~iface:j ~bytes:pkt.size;
+      t.t_ev.num.value <- 0.0;
+      emit t;
       Some pkt
 
 let backlog_bytes t f = Pktqueue.backlog_bytes (flow_state t f).queue
@@ -273,10 +276,11 @@ module Replay = struct
 
   let recorder () =
     let acc = ref [] in
-    let emit ev =
-      match ev with
-      | Midrr_obs.Event.Serve { flow; iface; bytes; _ } ->
-          acc := { r_flow = flow; r_iface = iface; r_bytes = bytes } :: !acc
+    let emit (ev : Event.record) =
+      match ev.kind with
+      | Serve ->
+          acc :=
+            { r_flow = ev.flow; r_iface = ev.iface; r_bytes = ev.bytes } :: !acc
       | _ -> ()
     in
     (emit, fun () -> Array.of_list (List.rev !acc))

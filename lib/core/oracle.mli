@@ -42,7 +42,7 @@ module Replay : sig
   }
   (** One recorded service: [r_flow] sent [r_bytes] on [r_iface]. *)
 
-  val recorder : unit -> (Midrr_obs.Event.t -> unit) * (unit -> step array)
+  val recorder : unit -> Midrr_obs.Sink.raw * (unit -> step array)
   (** A sink collecting [Serve] events, and the finished schedule in
       service order. *)
 

@@ -66,13 +66,15 @@ module type S = sig
   val served_bytes_on : t -> flow:Types.flow_id -> iface:Types.iface_id -> int
   (** Cumulative bytes handed to interface [j] for this flow. *)
 
-  val set_sink : t -> (Midrr_obs.Event.t -> unit) option -> unit
+  val set_sink : t -> Midrr_obs.Sink.raw option -> unit
   (** Install (or clear) the scheduler's event sink.  Schedulers have no
       clock, so the sink is untimed — platforms stamp events with their
       own clock (see {!Midrr_obs.Sink.stamp}).  With no sink installed,
-      emission must cost nothing beyond one field check per decision. *)
+      emission must cost nothing beyond one field check per decision;
+      with one installed, the scheduler refills its own
+      {!Midrr_obs.Event.record} per event and allocates nothing. *)
 
-  val sink : t -> (Midrr_obs.Event.t -> unit) option
+  val sink : t -> Midrr_obs.Sink.raw option
   (** The currently installed sink, if any. *)
 end
 

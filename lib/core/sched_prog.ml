@@ -12,6 +12,7 @@
      [stale] stays empty (the floor is neg_infinity by contract). *)
 
 module Iset = Set.Make (Int)
+module Event = Midrr_obs.Event
 
 module type PROG = sig
   type t
@@ -72,7 +73,8 @@ module Make (P : PROG) = struct
     prog : P.t;
     flows_tbl : (Types.flow_id, flow) Hashtbl.t;
     ifaces_tbl : (Types.iface_id, iface) Hashtbl.t;
-    mutable t_sink : (Midrr_obs.Event.t -> unit) option;
+    mutable t_sink : Midrr_obs.Sink.raw option;
+    t_ev : Event.record; (* refilled per emission, see [Event] *)
   }
 
   let create ?queue_capacity () =
@@ -82,11 +84,26 @@ module Make (P : PROG) = struct
       flows_tbl = Hashtbl.create 64;
       ifaces_tbl = Hashtbl.create 16;
       t_sink = None;
+      t_ev = Event.create ();
     }
 
   let prog t = t.prog
   let name _ = P.name
-  let emit t ev = match t.t_sink with None -> () | Some s -> s ev
+
+  (* Emission of the record the caller just filled.  The enqueue and serve
+     paths match on [t_sink] first, so without a sink they never touch the
+     record. *)
+  let emit t = match t.t_sink with None -> () | Some s -> s t.t_ev
+
+  (* Programs keep no deficit: their Serve carries 0. *)
+  let emit_serve t ~flow ~iface ~bytes =
+    match t.t_sink with
+    | None -> ()
+    | Some s ->
+        Event.set_serve t.t_ev ~flow ~iface ~bytes;
+        t.t_ev.num.value <- 0.0;
+        s t.t_ev
+
   let set_sink t s = t.t_sink <- s
   let sink t = t.t_sink
 
@@ -155,7 +172,8 @@ module Make (P : PROG) = struct
             if eligible fs j then heap_insert t ifc fs)
           (flows t)
     | `All_flows -> ());
-    emit t (Midrr_obs.Event.Iface_up { iface = j })
+    Event.set_iface_up t.t_ev ~iface:j;
+    emit t
 
   let remove_iface t j =
     (match Hashtbl.find_opt t.ifaces_tbl j with
@@ -163,7 +181,8 @@ module Make (P : PROG) = struct
         Hashtbl.remove t.ifaces_tbl j;
         P.on_iface_remove t.prog ~iface:j
     | None -> ());
-    emit t (Midrr_obs.Event.Iface_down { iface = j })
+    Event.set_iface_down t.t_ev ~iface:j;
+    emit t
 
   let add_flow t ~flow ~weight ~allowed =
     if has_flow t flow then invalid_arg "Sched_prog.add_flow: duplicate";
@@ -183,7 +202,9 @@ module Make (P : PROG) = struct
     (match P.membership with
     | `Backlogged -> () (* empty queue: nothing to link yet *)
     | `All_flows -> Hashtbl.iter (fun _ ifc -> heap_insert t ifc fs) t.ifaces_tbl);
-    emit t (Midrr_obs.Event.Flow_add { flow; weight })
+    Event.set_flow_add t.t_ev ~flow;
+    t.t_ev.num.value <- weight;
+    emit t
 
   let remove_flow t f =
     (match Hashtbl.find_opt t.flows_tbl f with
@@ -192,7 +213,8 @@ module Make (P : PROG) = struct
         Hashtbl.iter (fun _ ifc -> heap_remove ifc f) t.ifaces_tbl;
         P.on_flow_remove t.prog ~flow:f
     | None -> ());
-    emit t (Midrr_obs.Event.Flow_remove { flow = f })
+    Event.set_flow_remove t.t_ev ~flow:f;
+    emit t
 
   let set_weight t f w =
     if not (w > 0.0) then invalid_arg "Sched_prog.set_weight: weight <= 0";
@@ -200,7 +222,9 @@ module Make (P : PROG) = struct
     fs.weight <- w;
     if P.rerank_on_weight then
       Hashtbl.iter (fun _ ifc -> heap_update t ifc fs) t.ifaces_tbl;
-    emit t (Midrr_obs.Event.Weight_change { flow = f; weight = w })
+    Event.set_weight_change t.t_ev ~flow:f;
+    t.t_ev.num.value <- w;
+    emit t
 
   let set_allowed t f allowed =
     let fs = flow_state t f in
@@ -220,12 +244,14 @@ module Make (P : PROG) = struct
   let enqueue t (p : Packet.t) =
     match Hashtbl.find_opt t.flows_tbl p.flow with
     | None ->
-        emit t (Midrr_obs.Event.Drop { flow = p.flow; bytes = p.size });
+        Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
+        emit t;
         false
     | Some fs ->
         if not (P.admit t.prog p ~backlog:(Pktqueue.backlog_bytes fs.queue))
         then begin
-          emit t (Midrr_obs.Event.Drop { flow = p.flow; bytes = p.size });
+          Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
+          emit t;
           false
         end
         else begin
@@ -249,10 +275,13 @@ module Make (P : PROG) = struct
                        | Some ifc -> heap_update t ifc fs
                        | None -> ())
                      fs.allowed);
-          emit t
-            (if accepted then
-               Midrr_obs.Event.Enqueue { flow = p.flow; bytes = p.size }
-             else Midrr_obs.Event.Drop { flow = p.flow; bytes = p.size });
+          (match t.t_sink with
+          | None -> ()
+          | Some s ->
+              if accepted then
+                Event.set_enqueue t.t_ev ~flow:p.flow ~bytes:p.size
+              else Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
+              s t.t_ev);
           accepted
         end
 
@@ -299,9 +328,7 @@ module Make (P : PROG) = struct
                  heap_update t other fs)
              t.ifaces_tbl
      end);
-    emit t
-      (Midrr_obs.Event.Serve
-         { flow = f; iface = ifc.i_id; bytes = pkt.size; deficit = 0.0 });
+    emit_serve t ~flow:f ~iface:ifc.i_id ~bytes:pkt.size;
     Some pkt
 
   (* A stale entry is served at the floor; a fresh one at its own rank,
@@ -337,9 +364,7 @@ module Make (P : PROG) = struct
         if eligible fs j then begin
           let pkt = serve t ifc fs ~rank in
           heap_insert t ifc fs (* back of the rotation, served or not *);
-          emit t
-            (Midrr_obs.Event.Serve
-               { flow = f; iface = j; bytes = pkt.size; deficit = 0.0 });
+          emit_serve t ~flow:f ~iface:j ~bytes:pkt.size;
           Some pkt
         end
         else begin

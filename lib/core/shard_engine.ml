@@ -21,23 +21,28 @@ module Par = Midrr_par.Par
 
 let imax a b = if a >= b then a else b
 
-(* Growable buffer of (op seq, event) pairs; one per shard during a
-   recording run, written only by that shard's domain. *)
+(* Growable flat event buffer; one per participant during a recording
+   run, written only by that participant's domain.  Event [i] was emitted
+   by op [eb_seq.(i)]; its fields are copied into [eb_cols], so a push
+   allocates nothing and keeps no reference to the emitter's record. *)
 type evbuf = {
-  mutable eb_arr : (int * Event.t) array;
+  mutable eb_seq : int array;
+  eb_cols : Event.Columns.t;
   mutable eb_len : int;
 }
 
-let ev_filler = (-1, Event.Iface_up { iface = -1 })
-let evbuf_create () = { eb_arr = Array.make 64 ev_filler; eb_len = 0 }
+let evbuf_create () =
+  { eb_seq = Array.make 64 0; eb_cols = Event.Columns.create 64; eb_len = 0 }
 
 let evbuf_push b seq ev =
-  if b.eb_len >= Array.length b.eb_arr then begin
-    let n = Array.make (2 * Array.length b.eb_arr) ev_filler in
-    Array.blit b.eb_arr 0 n 0 b.eb_len;
-    b.eb_arr <- n
+  if b.eb_len >= Array.length b.eb_seq then begin
+    let n = Array.make (2 * Array.length b.eb_seq) 0 in
+    Array.blit b.eb_seq 0 n 0 b.eb_len;
+    b.eb_seq <- n;
+    Event.Columns.grow b.eb_cols
   end;
-  b.eb_arr.(b.eb_len) <- (seq, ev);
+  b.eb_seq.(b.eb_len) <- seq;
+  Event.Columns.store b.eb_cols b.eb_len ev;
   b.eb_len <- b.eb_len + 1
 
 type t = {
@@ -54,7 +59,8 @@ type t = {
   mutable t_nflows : int;
   t_counts : int array;  (* flows homed per shard *)
   mutable t_conflicts : int;
-  mutable t_sink : (Event.t -> unit) option;
+  mutable t_sink : Midrr_obs.Sink.raw option;
+  t_ev : Event.record; (* the routing layer's own emissions, inline *)
 }
 
 let create ?base_quantum ?queue_capacity ?flag_policy ?counter_max
@@ -77,6 +83,7 @@ let create ?base_quantum ?queue_capacity ?flag_policy ?counter_max
     t_counts = Array.make shards 0;
     t_conflicts = 0;
     t_sink = None;
+    t_ev = Event.create ();
   }
 
 let shards t = t.t_n
@@ -268,12 +275,13 @@ type wop =
     }
 
 (* Route one operation: update the partition, emit routing-layer events
-   (pending-interface up/down, unknown-flow drops are left to the
-   destination sub-engine), and name the destination shard.  [-1] means
-   the operation is fully handled here.  [null_serve] is called instead
-   when a serve lands on a pending interface: the single engine would
-   make exactly one empty decision there. *)
-let route t ~emit_here ~null_serve op =
+   (pending-interface up/down, filled into [ev] and handed to
+   [emit_here]; unknown-flow drops are left to the destination
+   sub-engine), and name the destination shard.  [-1] means the
+   operation is fully handled here.  [null_serve] is called instead when
+   a serve lands on a pending interface: the single engine would make
+   exactly one empty decision there. *)
+let route t ~ev ~emit_here ~null_serve op =
   match op with
   | Op_add_iface j ->
       if j < 0 then invalid_arg "Shard_engine.add_iface: negative interface id";
@@ -287,7 +295,8 @@ let route t ~emit_here ~null_serve op =
         (b, W_basic op)
       end
       else begin
-        emit_here (Event.Iface_up { iface = j });
+        Event.set_iface_up ev ~iface:j;
+        emit_here ev;
         (-1, W_basic op)
       end
   | Op_remove_iface j ->
@@ -300,7 +309,8 @@ let route t ~emit_here ~null_serve op =
         (binding t j, W_basic op)
       end
       else begin
-        emit_here (Event.Iface_down { iface = j });
+        Event.set_iface_down ev ~iface:j;
+        emit_here ev;
         (-1, W_basic op)
       end
   | Op_add_flow { flow; weight; allowed } ->
@@ -437,7 +447,9 @@ let ignore_null_serve () = ()
 (* Inline scratch accounting: one per dispatch, but control ops are the
    cold path and inline serve only happens through [apply]. *)
 let dispatch t op =
-  match route t ~emit_here:(emit t) ~null_serve:ignore_null_serve op with
+  match
+    route t ~ev:t.t_ev ~emit_here:(emit t) ~null_serve:ignore_null_serve op
+  with
   | -1, _ -> ()
   | s, w -> apply_w t.t_engines.(s) (wstate_create ()) w
 
@@ -471,7 +483,8 @@ let enqueue t (p : Packet.t) =
   if has_flow t p.flow then
     Drr_engine.enqueue t.t_engines.(t.t_flow_shard.(p.flow)) p
   else begin
-    emit t (Event.Drop { flow = p.flow; bytes = p.size });
+    Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
+    emit t t.t_ev;
     false
   end
 
@@ -553,9 +566,9 @@ let make_run_sink ~record ?(fold_iface_events = true) st bm =
         Some (fun ev -> Busmetrics.on_event b ~time:0.0 ev)
     | Some b ->
         Some
-          (fun ev ->
-            match (ev : Event.t) with
-            | Iface_up _ | Iface_down _ -> ()
+          (fun (ev : Event.record) ->
+            match ev.kind with
+            | Iface_up | Iface_down -> ()
             | _ -> Busmetrics.on_event b ~time:0.0 ev)
   in
   match (record, fold) with
@@ -569,30 +582,26 @@ let make_run_sink ~record ?(fold_iface_events = true) st bm =
           f ev)
 
 (* K-way merge of the per-participant event buffers by op sequence
-   number.  Each sequence number lives in exactly one buffer and every
-   buffer is already ascending, so the merge is total and
-   deterministic. *)
+   number, walking their int seq columns.  Each sequence number lives in
+   exactly one buffer and every buffer is already ascending, so the merge
+   is total and deterministic.  Only the output, the decoded stream, is
+   allocated. *)
 let merge_events bufs =
   let total = Array.fold_left (fun acc b -> acc + b.eb_len) 0 bufs in
-  let out = Array.make total ev_filler in
-  let idx = Array.map (fun _ -> 0) bufs in
-  for k = 0 to total - 1 do
-    let best = ref (-1) in
-    let best_seq = ref max_int in
-    Array.iteri
-      (fun b buf ->
-        if idx.(b) < buf.eb_len then begin
-          let s, _ = buf.eb_arr.(idx.(b)) in
-          if s < !best_seq then begin
-            best_seq := s;
-            best := b
-          end
-        end)
-      bufs;
-    out.(k) <- bufs.(!best).eb_arr.(idx.(!best));
-    idx.(!best) <- idx.(!best) + 1
-  done;
-  out
+  let idx = Array.make (Array.length bufs) 0 in
+  Array.init total (fun _ ->
+      let best = ref (-1) and best_seq = ref max_int in
+      for b = 0 to Array.length bufs - 1 do
+        let i = idx.(b) in
+        if i < bufs.(b).eb_len && bufs.(b).eb_seq.(i) < !best_seq then begin
+          best_seq := bufs.(b).eb_seq.(i);
+          best := b
+        end
+      done;
+      let b = !best in
+      let i = idx.(b) in
+      idx.(b) <- i + 1;
+      (!best_seq, Event.Columns.decode bufs.(b).eb_cols i))
 
 let stats_of ~record states =
   let acc = wstate_create () in
@@ -633,6 +642,9 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
       Drr_engine.set_sink e
         (make_run_sink ~record ~fold_iface_events:false states.(i) folds.(i)))
     t.t_engines;
+  (* the router's own record: the inline [t_ev] belongs to the caller's
+     domain *)
+  let router_ev = Event.create () in
   let emit_here ev = if record then evbuf_push router_st.w_events router_st.w_seq ev in
   (* see [make_run_sink]: every interface transition folds here, in
      global op order, whichever side emits the event *)
@@ -667,12 +679,16 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
        Array.iteri
          (fun seq op ->
            router_st.w_seq <- seq;
-           let dest = route t ~emit_here ~null_serve op in
+           let dest = route t ~ev:router_ev ~emit_here ~null_serve op in
            (* fold after [route] validated — an op that raises emits
               nothing on the single engine either *)
            (match op with
-           | Op_add_iface j -> fold_here (Event.Iface_up { iface = j })
-           | Op_remove_iface j -> fold_here (Event.Iface_down { iface = j })
+           | Op_add_iface j ->
+               Event.set_iface_up router_ev ~iface:j;
+               fold_here router_ev
+           | Op_remove_iface j ->
+               Event.set_iface_down router_ev ~iface:j;
+               fold_here router_ev
            | _ -> ());
            match dest with
            | -1, _ -> ()

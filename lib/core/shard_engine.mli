@@ -135,8 +135,8 @@ type run_stats = {
   rs_dropped : int;  (** packets refused (unknown flow or full queue) *)
   rs_events : (int * Midrr_obs.Event.t) array;
       (** canonical event stream as [(op sequence number, event)],
-          merged across shards into single-engine order; [[||]] unless
-          recording was requested *)
+          merged across shards into single-engine order and decoded once
+          at the end of the run; [[||]] unless recording was requested *)
 }
 
 val apply : t -> op -> unit

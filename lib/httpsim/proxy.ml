@@ -54,6 +54,7 @@ type t = {
   ifaces : iface Int_tbl.t;
   cells : Counters.t;
   sink : Midrr_obs.Sink.t option; (* effective: user sink + metrics fold *)
+  ev : Midrr_obs.Event.record; (* refilled per [Complete] *)
   metrics : Busmetrics.t option;
 }
 
@@ -85,6 +86,7 @@ let create ?(seed = 1) ?(bin = 1.0) ?(chunk_size = 262144)
       ifaces = Int_tbl.create 8;
       cells = Counters.create ~kind:Completes ();
       sink = effective_sink;
+      ev = Midrr_obs.Event.create ();
       metrics;
     }
   in
@@ -203,7 +205,8 @@ and complete t ifc =
   (match t.sink with
   | None -> ()
   | Some s ->
-      s ~time (Midrr_obs.Event.Complete { flow; iface = ifc.i_id; bytes }));
+      Midrr_obs.Event.set_complete t.ev ~flow ~iface:ifc.i_id ~bytes;
+      s ~time t.ev);
   (match Int_tbl.find t.transfers flow with
   | x -> (
       x.received <- x.received + bytes;

@@ -5,7 +5,6 @@ type t = {
   domain_spawn_dirs : string list;
   typed_entry_points : string list;
   par_task_entries : string list;
-  alloc_exempt_type_suffixes : string list;
 }
 
 (* The hot-path set is every module on the per-decision path of the fast
@@ -106,10 +105,6 @@ let default =
     (* R8 roots: display-name suffixes recognized as the parallel
        executor's task-accepting entry points. *)
     par_task_entries = [ "Par.run"; "Par.map" ];
-    (* Allocations whose static type matches one of these suffixes are
-       the observed path (events handed to an attached sink), not the
-       sinkless decision path the R7 proof is about. *)
-    alloc_exempt_type_suffixes = [ "Event.t" ];
   }
 
 let module_name_of_file file =

@@ -22,9 +22,6 @@ type t = {
   par_task_entries : string list;
       (** R8 roots: display-name suffixes of the executor's
           task-accepting entry points (["Par.run"], ["Par.map"]). *)
-  alloc_exempt_type_suffixes : string list;
-      (** type-path suffixes (["Event.t"]) whose constructions R7
-          exempts: the observed path, not the sinkless proof. *)
 }
 
 val default : t

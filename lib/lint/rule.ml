@@ -125,9 +125,8 @@ let description = function
        closure creation, \
        tuple/record/variant/constructor blocks, array literals, partial \
        application, boxed-float returns, and calls to allocating stdlib \
-       externals.  Event constructions handed to an attached sink are \
-       exempt (the sinkless gate is the claim being proven), as are \
-       raise-only error paths.  This turns the bench's runtime \
+       externals.  Raise-only error paths are exempt, with no carve-out \
+       for the event path: producers refill one event record.  This turns the bench's runtime \
        Gc.minor_words gate into a static proof with blame locations.  \
        Scope: `midrr-lint --typed` / `dune build @lint-typed`."
   | R8 ->

@@ -27,9 +27,8 @@ open Midrr_lint
 
    Exemptions: subtrees that only run on the raise path
    ([raise]/[failwith]/[invalid_arg]/[assert]) are cold by definition;
-   constructions whose type matches [alloc_exempt_type_suffixes] are
-   the observed path (events), not the sinkless proof; non-function
-   value bindings are evaluated once at module init and skipped. *)
+   non-function value bindings are evaluated once at module init and
+   skipped. *)
 
 let rule = Rule.R7
 
@@ -152,23 +151,6 @@ let is_float ty =
   | Types.Tconstr (p, _, _) -> Path.same p Predef.path_float
   | _ -> false
 
-(* Does the expression's static type name end with one of the configured
-   exempt suffixes ("Event.t")? *)
-let type_matches_suffix suffixes ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, _, _) ->
-      let name = Path.name p in
-      List.exists
-        (fun suffix ->
-          String.equal name suffix
-          ||
-          let ns = String.length name and ss = String.length suffix in
-          ns > ss + 1
-          && String.equal (String.sub name (ns - ss) ss) suffix
-          && Char.equal name.[ns - ss - 1] '.')
-        suffixes
-  | _ -> false
-
 (* ---- the walker ------------------------------------------------------ *)
 
 type ctx = {
@@ -223,34 +205,23 @@ and walk_expr_inner ctx (e : Typedtree.expression) =
       | Types.Cstr_unboxed, args -> List.iter (walk_expr ctx) args
       | (Types.Cstr_block _ | Types.Cstr_extension _ | Types.Cstr_constant _),
         args ->
-          if type_matches_suffix ctx.cfg.Config.alloc_exempt_type_suffixes
-               e.exp_type
-          then ()  (* observed-path construction: skip the whole subtree *)
-          else begin
-            flag ctx ~loc
-              (Printf.sprintf "allocating constructor application [%s]"
-                 cd.cstr_name);
-            List.iter (walk_expr ctx) args
-          end)
+          flag ctx ~loc
+            (Printf.sprintf "allocating constructor application [%s]"
+               cd.cstr_name);
+          List.iter (walk_expr ctx) args)
   | Texp_variant (_, Some arg) ->
       flag ctx ~loc "polymorphic-variant allocation";
       walk_expr ctx arg
   | Texp_variant (_, None) -> ()
   | Texp_record { fields; extended_expression; _ } ->
-      if
-        type_matches_suffix ctx.cfg.Config.alloc_exempt_type_suffixes
-          e.exp_type
-      then ()
-      else begin
-        flag ctx ~loc "record allocation";
-        Option.iter (walk_expr ctx) extended_expression;
-        Array.iter
-          (fun (_, def) ->
-            match def with
-            | Typedtree.Overridden (_, e) -> walk_expr ctx e
-            | Typedtree.Kept _ -> ())
-          fields
-      end
+      flag ctx ~loc "record allocation";
+      Option.iter (walk_expr ctx) extended_expression;
+      Array.iter
+        (fun (_, def) ->
+          match def with
+          | Typedtree.Overridden (_, e) -> walk_expr ctx e
+          | Typedtree.Kept _ -> ())
+        fields
   | Texp_array [] -> ()
   | Texp_array es ->
       flag ctx ~loc "array-literal allocation";

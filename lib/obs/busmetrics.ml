@@ -257,9 +257,10 @@ let set_active t f on =
 
 (* --- the fold ------------------------------------------------------------ *)
 
-let on_event t ~time ev =
-  match (ev : Event.t) with
-  | Enqueue { flow; bytes } ->
+let on_event t ~time (ev : Event.record) =
+  match ev.kind with
+  | Enqueue ->
+      let flow = ev.flow and bytes = ev.bytes in
       ensure_flow t flow;
       Metrics.incr t.reg t.c_enqueues;
       Metrics.add t.reg t.c_bytes_enqueued bytes;
@@ -269,7 +270,8 @@ let on_event t ~time ev =
       t.qpkts <- t.qpkts + 1;
       t.qbytes <- t.qbytes + bytes;
       bump_assoc t flow 1
-  | Serve { flow; iface; bytes; _ } ->
+  | Serve ->
+      let flow = ev.flow and iface = ev.iface and bytes = ev.bytes in
       ensure_flow t flow;
       ensure_iface t iface;
       Metrics.incr t.reg t.c_serves;
@@ -295,36 +297,40 @@ let on_event t ~time ev =
         Log_histogram.observe_ns t.delay ns;
         Log_histogram.observe_ns t.ifc_delay.(iface) ns
       end
-  | Drop { flow; bytes } ->
-      ensure_flow t flow;
+  | Drop ->
+      ensure_flow t ev.flow;
       Metrics.incr t.reg t.c_drops;
-      Metrics.add t.reg t.c_bytes_dropped bytes
-  | Turn { flow; iface } ->
+      Metrics.add t.reg t.c_bytes_dropped ev.bytes
+  | Turn ->
+      let flow = ev.flow and iface = ev.iface in
       ensure_flow t flow;
       ensure_iface t iface;
       Metrics.incr t.reg t.c_turns;
       associate t flow iface
-  | Flag_reset _ -> Metrics.incr t.reg t.c_flag_resets
-  | Complete { bytes; iface; _ } ->
-      ensure_iface t iface;
+  | Flag_reset -> Metrics.incr t.reg t.c_flag_resets
+  | Complete ->
+      ensure_iface t ev.iface;
       Metrics.incr t.reg t.c_completes;
-      Metrics.add t.reg t.c_bytes_completed bytes
-  | Iface_up { iface } ->
+      Metrics.add t.reg t.c_bytes_completed ev.bytes
+  | Iface_up ->
+      let iface = ev.iface in
       ensure_iface t iface;
       if not t.ifc_up.(iface) then begin
         t.ifc_up.(iface) <- true;
         t.up <- t.up + 1
       end
-  | Iface_down { iface } ->
+  | Iface_down ->
+      let iface = ev.iface in
       ensure_iface t iface;
       if t.ifc_up.(iface) then begin
         t.ifc_up.(iface) <- false;
         t.up <- t.up - 1
       end
-  | Flow_add { flow; _ } ->
-      ensure_flow t flow;
-      set_active t flow true
-  | Flow_remove { flow } ->
+  | Flow_add ->
+      ensure_flow t ev.flow;
+      set_active t ev.flow true
+  | Flow_remove ->
+      let flow = ev.flow in
       ensure_flow t flow;
       set_active t flow false;
       (* queued packets that will never be served leave the queue *)
@@ -336,9 +342,11 @@ let on_event t ~time ev =
         t.fl_backlog.(flow) <- 0;
         t.fl_bytes.(flow) <- 0
       end;
+      (* a re-registered id starts with no interface association *)
+      t.fl_mask.(flow) <- 0;
       t.fl_plen.(flow) <- 0;
       t.fl_phead.(flow) <- 0
-  | Weight_change _ -> ()
+  | Weight_change -> ()
 
 let sink t : Sink.t = fun ~time ev -> on_event t ~time ev
 

@@ -1,7 +1,7 @@
 (** Always-on telemetry fold over the event bus.
 
     Attach [sink] to a platform (or tee it next to a recorder/JSONL
-    sink) and the fold maintains, purely from the [Event.t] stream:
+    sink) and the fold maintains, purely from the event stream:
 
     - counters: enqueue/serve/drop/turn/flag-reset/complete totals and
       their byte volumes, plus per-interface serve counts;
@@ -27,7 +27,7 @@ val create : ?registry:Metrics.t -> unit -> t
 
 val registry : t -> Metrics.t
 
-val on_event : t -> time:float -> Event.t -> unit
+val on_event : t -> time:float -> Event.record -> unit
 val sink : t -> Sink.t
 
 val publish : t -> unit

@@ -24,10 +24,9 @@ let add t ~flow ~iface ~bytes =
 
 let sink t : Sink.t =
  fun ~time:_ ev ->
-  match (t.kind, ev) with
-  | Serves, Event.Serve { flow; iface; bytes; _ }
-  | Completes, Event.Complete { flow; iface; bytes } ->
-      add t ~flow ~iface ~bytes
+  match (t.kind, ev.kind) with
+  | Serves, Serve | Completes, Complete ->
+      add t ~flow:ev.flow ~iface:ev.iface ~bytes:ev.bytes
   | _ -> ()
 
 let cell t ~flow ~iface =

@@ -57,24 +57,24 @@ let pop c =
     v
   end
 
-let on_event t ~time ev =
-  match (ev : Event.t) with
-  | Enqueue { flow; _ } -> push (cell t flow) time
-  | Serve { flow; _ } -> (
-      match Hashtbl.find_opt t.cells flow with
+let on_event t ~time (ev : Event.record) =
+  match ev.kind with
+  | Enqueue -> push (cell t ev.flow) time
+  | Serve -> (
+      match Hashtbl.find_opt t.cells ev.flow with
       | None -> () (* sink attached after the enqueue: no sample *)
       | Some c ->
           (* an empty ring pops NaN, which the sketch counts in its
              explicit NaN cell rather than as a sample *)
           Log_histogram.observe c.hist (time -. pop c))
-  | Flow_remove { flow } -> (
-      match Hashtbl.find_opt t.cells flow with
+  | Flow_remove -> (
+      match Hashtbl.find_opt t.cells ev.flow with
       | None -> ()
       | Some c ->
           c.head <- 0;
           c.len <- 0)
-  | Drop _ | Turn _ | Flag_reset _ | Iface_up _ | Iface_down _ | Flow_add _
-  | Weight_change _ | Complete _ ->
+  | Drop | Turn | Flag_reset | Iface_up | Iface_down | Flow_add
+  | Weight_change | Complete ->
       ()
 
 let sink t : Sink.t = fun ~time ev -> on_event t ~time ev

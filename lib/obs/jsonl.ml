@@ -33,4 +33,4 @@ let write oc ~time ev =
   output_string oc (to_string ~time ev);
   output_char oc '\n'
 
-let sink oc : Sink.t = fun ~time ev -> write oc ~time ev
+let sink oc : Sink.t = fun ~time ev -> write oc ~time (Event.decode ev)

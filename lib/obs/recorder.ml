@@ -1,16 +1,14 @@
-(* Flat parallel storage — unboxed times plus an [Event.t array] — so
-   [record] writes two slots and allocates nothing.  The old
-   [entry option array] boxed a [Some] and an entry record per event,
-   which showed up as per-decision garbage whenever a recorder was the
-   only sink.  [Event.t] is a variant with no universal filler, so the
-   event array is created lazily with the first recorded event. *)
+(* Flat parallel storage — unboxed times plus one column per event field
+   ([Event.Columns]) — so [record] copies the producer's record in six
+   stores and allocates nothing.  Entries are decoded only when a fold
+   reads them. *)
 
 type entry = { time : float; event : Event.t }
 
 type t = {
   capacity : int;
   times : float array;
-  mutable events : Event.t array; (* [||] until the first record *)
+  cols : Event.Columns.t;
   mutable next : int; (* write position *)
   mutable total : int; (* entries ever recorded *)
 }
@@ -20,17 +18,14 @@ let create ?(capacity = 65536) () =
   {
     capacity;
     times = Array.make capacity 0.0;
-    events = [||];
+    cols = Event.Columns.create capacity;
     next = 0;
     total = 0;
   }
 
-let record t ~time event =
-  if Int.equal (Array.length t.events) 0 then
-    (* one-time lazy init of the ring storage, not a per-event cost *)
-    (t.events <- Array.make t.capacity event) [@midrr.lint.allow "R7"];
+let record t ~time ev =
   t.times.(t.next) <- time;
-  t.events.(t.next) <- event;
+  Event.Columns.store t.cols t.next ev;
   t.next <- (t.next + 1) mod t.capacity;
   t.total <- t.total + 1
 
@@ -41,8 +36,6 @@ let total t = t.total
 let dropped t = Stdlib.max 0 (t.total - t.capacity)
 
 let clear t =
-  (* Drop event references so the GC can reclaim them. *)
-  t.events <- [||];
   t.next <- 0;
   t.total <- 0
 
@@ -52,7 +45,8 @@ let fold t ~init ~f =
   let acc = ref init in
   for i = 0 to n - 1 do
     let idx = (start + i) mod t.capacity in
-    acc := f !acc { time = t.times.(idx); event = t.events.(idx) }
+    acc :=
+      f !acc { time = t.times.(idx); event = Event.Columns.decode t.cols idx }
   done;
   !acc
 

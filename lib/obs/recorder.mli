@@ -3,7 +3,11 @@
     Retains the most recent [capacity] timestamped events and exposes
     them through direct folds over the ring — no intermediate list is
     materialized, so windowed queries ({!fold_between}) and tallies stay
-    O(capacity) time and O(1) extra space even at full buffers. *)
+    O(capacity) time and O(1) extra space even at full buffers.
+
+    The ring copies each event's fields into flat columns, so {!record}
+    allocates nothing and keeps no reference to the producer's record;
+    folds hand out the decoded view. *)
 
 type entry = { time : float; event : Event.t }
 
@@ -15,7 +19,7 @@ val create : ?capacity:int -> unit -> t
 val sink : t -> Sink.t
 (** The recorder as a subscriber: attach it anywhere a {!Sink.t} goes. *)
 
-val record : t -> time:float -> Event.t -> unit
+val record : t -> time:float -> Event.record -> unit
 
 val length : t -> int
 (** Entries currently retained. *)

@@ -1,5 +1,5 @@
-type raw = Event.t -> unit
-type t = time:float -> Event.t -> unit
+type raw = Event.record -> unit
+type t = time:float -> Event.record -> unit
 
 let null : t = fun ~time:_ _ -> ()
 

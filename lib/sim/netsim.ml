@@ -56,6 +56,7 @@ type t = {
   ifaces : iface_info Int_tbl.t;
   cells : Counters.t;
   sink : Midrr_obs.Sink.t option; (* effective: user sink + metrics fold *)
+  ev : Midrr_obs.Event.record; (* refilled per [Complete] *)
   metrics : Busmetrics.t option;
   spans : Span.t option;
   sp_decide : int;
@@ -94,6 +95,7 @@ let create ?(seed = 1) ?(bin = 1.0) ?(window_depth = 32) ?sink ?metrics ?spans
       ifaces = Int_tbl.create 8;
       cells = Counters.create ~kind:Completes ();
       sink = effective_sink;
+      ev = Midrr_obs.Event.create ();
       metrics;
       spans;
       sp_decide;
@@ -237,9 +239,9 @@ and complete t ifc (pkt : Packet.t) =
   (match t.sink with
   | None -> ()
   | Some s ->
-      s ~time
-        (Midrr_obs.Event.Complete
-           { flow = pkt.flow; iface = ifc.i_id; bytes = pkt.size }));
+      Midrr_obs.Event.set_complete t.ev ~flow:pkt.flow ~iface:ifc.i_id
+        ~bytes:pkt.size;
+      s ~time t.ev);
   Timeseries.record ifc.i_ts ~time ~bytes:pkt.size;
   run_hooks t.hooks ~time ~iface:ifc.i_id pkt;
   (match Int_tbl.find t.flows pkt.flow with

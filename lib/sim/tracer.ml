@@ -7,20 +7,21 @@ type event = {
   bytes : int;
 }
 
-type t = Recorder.t
+type t = { ring : Recorder.t; ev : Midrr_obs.Event.record }
 
-let create ?(capacity = 65536) () = Recorder.create ~capacity ()
+let create ?(capacity = 65536) () =
+  { ring = Recorder.create ~capacity (); ev = Midrr_obs.Event.create () }
 
 let record t (e : event) =
-  Recorder.record t ~time:e.time
-    (Midrr_obs.Event.Complete { flow = e.flow; iface = e.iface; bytes = e.bytes })
+  Midrr_obs.Event.set_complete t.ev ~flow:e.flow ~iface:e.iface ~bytes:e.bytes;
+  Recorder.record t.ring ~time:e.time t.ev
 
 let attach t sim =
   Netsim.on_complete sim (fun ~time ~iface pkt ->
       record t { time; iface; flow = pkt.Midrr_core.Packet.flow; bytes = pkt.size })
 
-let length = Recorder.length
-let dropped = Recorder.dropped
+let length t = Recorder.length t.ring
+let dropped t = Recorder.dropped t.ring
 
 (* Everything below folds directly over the ring buffer: no intermediate
    event list is built, whatever the buffer size. *)
@@ -32,7 +33,7 @@ let of_entry (e : Recorder.entry) =
   | _ -> None
 
 let fold t ~init ~f =
-  Recorder.fold t ~init ~f:(fun acc e ->
+  Recorder.fold t.ring ~init ~f:(fun acc e ->
       match of_entry e with Some ev -> f acc ev | None -> acc)
 
 let events t = List.rev (fold t ~init:[] ~f:(fun acc e -> e :: acc))

@@ -105,8 +105,8 @@ let make_pair cfg =
       (if cfg.flags then R.Service_flags else R.Plain)
   in
   let fast_ev = ref [] and ref_ev = ref [] in
-  F.set_sink fast (Some (fun e -> fast_ev := e :: !fast_ev));
-  R.set_sink refe (Some (fun e -> ref_ev := e :: !ref_ev));
+  F.set_sink fast (Some (fun e -> fast_ev := Event.decode e :: !fast_ev));
+  R.set_sink refe (Some (fun e -> ref_ev := Event.decode e :: !ref_ev));
   { fast; refe; fast_ev; ref_ev }
 
 let ev_str e = Format.asprintf "%a" Event.pp e

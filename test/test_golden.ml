@@ -37,7 +37,7 @@ let trace_prefix ~engine ~limit =
   let lines = ref [] and count = ref 0 in
   let sink ~time ev =
     if !count < limit then begin
-      lines := Midrr_obs.Jsonl.to_string ~time ev :: !lines;
+      lines := Midrr_obs.Jsonl.to_string ~time (Midrr_obs.Event.decode ev) :: !lines;
       incr count
     end
   in
@@ -120,7 +120,8 @@ let check_golden file got =
 let report_section scenario ppf (label, sched) =
   let trace = Buffer.create (1 lsl 20) and events = ref 0 in
   let sink ~time ev =
-    Buffer.add_string trace (Midrr_obs.Jsonl.to_string ~time ev);
+    Buffer.add_string trace
+      (Midrr_obs.Jsonl.to_string ~time (Midrr_obs.Event.decode ev));
     Buffer.add_char trace '\n';
     incr events
   in

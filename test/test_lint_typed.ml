@@ -100,11 +100,20 @@ let test_r7_allow () =
     (typed_lint ~config:cfg
        "let entry x = (Some x [@midrr.lint.allow \"R8\"])")
 
-let test_r7_exempt_type () =
-  check_rules "configured event type exempt" []
+(* No carve-out for the event path: an event built under a root is an
+   allocation like any other, while refilling a producer-owned record is
+   a store. *)
+let test_r7_event_constructor () =
+  check_rules "event constructor flagged" [ "R7" ]
     (typed_lint ~config:cfg
        "module Event = struct type t = Serve of int end\n\
-        let entry s x = s (Event.Serve x)")
+        let entry s x = s (Event.Serve x)");
+  check_rules "refilled event record clean" []
+    (typed_lint ~config:cfg
+       "type record = { mutable flow : int }\n\
+        let entry s r x =\n\
+       \  r.flow <- x;\n\
+       \  s r")
 
 let test_r7_raise_path_cold () =
   check_rules "invalid_arg message is a cold path" []
@@ -257,7 +266,8 @@ let () =
           Alcotest.test_case "hidden-one-call-deep" `Quick
             test_r7_hidden_one_call_deep;
           Alcotest.test_case "allow" `Quick test_r7_allow;
-          Alcotest.test_case "exempt-type" `Quick test_r7_exempt_type;
+          Alcotest.test_case "event-constructor" `Quick
+            test_r7_event_constructor;
           Alcotest.test_case "raise-path-cold" `Quick test_r7_raise_path_cold;
           Alcotest.test_case "unreachable-quiet" `Quick
             test_r7_unreachable_not_scanned;

@@ -103,9 +103,17 @@ let test_registry_merge () =
 
 (* --- busmetrics fold ----------------------------------------------------- *)
 
+(* Feed decoded events to the fold through one reused record, as a
+   producer does. *)
+let feed m =
+  let r = Event.create () in
+  fun time e ->
+    Event.encode r e;
+    Busmetrics.on_event m ~time r
+
 let test_busmetrics_fold () =
   let m = Busmetrics.create () in
-  let ev t e = Busmetrics.on_event m ~time:t e in
+  let ev = feed m in
   ev 0.0 (Iface_up { iface = 0 });
   ev 0.0 (Flow_add { flow = 0; weight = 1.0 });
   ev 0.0 (Flow_add { flow = 1; weight = 1.0 });
@@ -153,7 +161,7 @@ let test_busmetrics_iface_occupancy () =
   (* per-interface occupancy is the summed backlog of the flows the
      stream has associated with that interface *)
   let m = Busmetrics.create () in
-  let ev t e = Busmetrics.on_event m ~time:t e in
+  let ev = feed m in
   ev 0.0 (Iface_up { iface = 0 });
   ev 0.0 (Iface_up { iface = 1 });
   ev 0.0 (Flow_add { flow = 0; weight = 1.0 });
@@ -188,12 +196,37 @@ let test_busmetrics_iface_occupancy () =
     (Busmetrics.iface_queue_packets m ~iface:0);
   Alcotest.(check int) "active drops" 1 (Busmetrics.flows_active m)
 
+(* A removed flow id registered again starts with no interface
+   association: the old mask must not count its new backlog on interfaces
+   it has not used since. *)
+let test_busmetrics_reused_flow_id () =
+  let m = Busmetrics.create () in
+  let ev = feed m in
+  ev 0.0 (Iface_up { iface = 0 });
+  ev 0.0 (Iface_up { iface = 1 });
+  ev 0.0 (Flow_add { flow = 1; weight = 1.0 });
+  ev 1.0 (Enqueue { flow = 1; bytes = 100 });
+  ev 1.0 (Turn { flow = 1; iface = 0 });
+  ev 1.0 (Serve { flow = 1; iface = 0; bytes = 100; deficit = 1400.0 });
+  ev 2.0 (Flow_remove { flow = 1 });
+  ev 2.0 (Flow_add { flow = 1; weight = 1.0 });
+  ev 3.0 (Enqueue { flow = 1; bytes = 100 });
+  Alcotest.(check int)
+    "old interface does not see the new backlog" 0
+    (Busmetrics.iface_queue_packets m ~iface:0);
+  ev 3.0 (Turn { flow = 1; iface = 1 });
+  Alcotest.(check int)
+    "new interface does" 1
+    (Busmetrics.iface_queue_packets m ~iface:1);
+  Alcotest.(check int)
+    "old interface still clear" 0
+    (Busmetrics.iface_queue_packets m ~iface:0)
+
 let test_busmetrics_orphan_serve () =
   (* a Serve with no matching Enqueue (sink attached mid-run) must not
      produce a bogus delay sample — it lands in the NaN cell *)
   let m = Busmetrics.create () in
-  Busmetrics.on_event m ~time:5.0
-    (Serve { flow = 0; iface = 0; bytes = 100; deficit = 0.0 });
+  feed m 5.0 (Serve { flow = 0; iface = 0; bytes = 100; deficit = 0.0 });
   let d = Busmetrics.delay m in
   Alcotest.(check int) "no numeric sample" 0 (Log_histogram.count d);
   Alcotest.(check int) "counted in nan cell" 1 (Log_histogram.nan_count d)
@@ -266,7 +299,7 @@ let test_span_sampling_and_capacity () =
 
 let test_prometheus_export () =
   let m = Busmetrics.create () in
-  let ev t e = Busmetrics.on_event m ~time:t e in
+  let ev = feed m in
   ev 0.0 (Iface_up { iface = 0 });
   ev 0.0 (Flow_add { flow = 0; weight = 1.0 });
   ev 1.0 (Enqueue { flow = 0; bytes = 100 });
@@ -316,7 +349,7 @@ let trace_prefix ?metrics ?spans ~engine ~limit () =
   let lines = ref [] and count = ref 0 in
   let sink ~time ev =
     if !count < limit then begin
-      lines := Midrr_obs.Jsonl.to_string ~time ev :: !lines;
+      lines := Midrr_obs.Jsonl.to_string ~time (Event.decode ev) :: !lines;
       incr count
     end
   in
@@ -367,6 +400,8 @@ let () =
           Alcotest.test_case "per-iface occupancy" `Quick
             test_busmetrics_iface_occupancy;
           Alcotest.test_case "orphan serve" `Quick test_busmetrics_orphan_serve;
+          Alcotest.test_case "reused flow id" `Quick
+            test_busmetrics_reused_flow_id;
         ] );
       ( "span",
         [

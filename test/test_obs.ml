@@ -1,7 +1,9 @@
 (* Unit tests for the observability bus (lib/obs) and its wiring into the
-   schedulers: event accessors, sink combinators, the ring-buffer
-   recorder, the per-cell counters, the JSONL export format, and the
-   subscribe/tee semantics on a live scheduler. *)
+   schedulers: event accessors and the record's setters, sink
+   combinators, the ring-buffer recorder, the per-cell counters, the
+   JSONL export format, and the subscribe/tee semantics on a live
+   scheduler.  Producers refill one record per emission, so several tests
+   check that no consumer keeps that record past its call. *)
 
 open Midrr_core
 module Event = Midrr_obs.Event
@@ -11,6 +13,69 @@ module Counters = Midrr_obs.Counters
 module Jsonl = Midrr_obs.Jsonl
 
 let check = Alcotest.check
+
+(* Deliver decoded events to a timed sink through one reused record, as
+   a producer does. *)
+let feed (s : Sink.t) =
+  let r = Event.create () in
+  fun ~time e ->
+    Event.encode r e;
+    s ~time r
+
+let event = Alcotest.testable Event.pp ( = )
+
+(* One event of every kind, filled through its producer-side setter:
+   deficits zero, fractional and negative, weights that [%g] prints
+   short and long. *)
+let every_kind : (string * (Event.record -> unit) * Event.t) list =
+  let with_value set v r =
+    set r;
+    r.Event.num.value <- v
+  in
+  [
+    ( "enqueue",
+      (fun r -> Event.set_enqueue r ~flow:3 ~bytes:1500),
+      Event.Enqueue { flow = 3; bytes = 1500 } );
+    ( "drop",
+      (fun r -> Event.set_drop r ~flow:4 ~bytes:60),
+      Event.Drop { flow = 4; bytes = 60 } );
+    ( "serve, zero deficit",
+      with_value (Event.set_serve ~flow:1 ~iface:0 ~bytes:1000) 0.0,
+      Event.Serve { flow = 1; iface = 0; bytes = 1000; deficit = 0.0 } );
+    ( "serve, fractional deficit",
+      with_value (Event.set_serve ~flow:2 ~iface:1 ~bytes:1500) 2.5,
+      Event.Serve { flow = 2; iface = 1; bytes = 1500; deficit = 2.5 } );
+    ( "serve, negative deficit",
+      with_value (Event.set_serve ~flow:2 ~iface:3 ~bytes:700) (-123.4567),
+      Event.Serve { flow = 2; iface = 3; bytes = 700; deficit = -123.4567 } );
+    ( "turn",
+      (fun r -> Event.set_turn r ~flow:5 ~iface:2),
+      Event.Turn { flow = 5; iface = 2 } );
+    ( "flag_reset",
+      (fun r -> Event.set_flag_reset r ~flow:6 ~iface:1),
+      Event.Flag_reset { flow = 6; iface = 1 } );
+    ( "iface_up",
+      (fun r -> Event.set_iface_up r ~iface:7),
+      Event.Iface_up { iface = 7 } );
+    ( "iface_down",
+      (fun r -> Event.set_iface_down r ~iface:8),
+      Event.Iface_down { iface = 8 } );
+    ( "flow_add",
+      with_value (Event.set_flow_add ~flow:9) 2.5,
+      Event.Flow_add { flow = 9; weight = 2.5 } );
+    ( "flow_remove",
+      (fun r -> Event.set_flow_remove r ~flow:10),
+      Event.Flow_remove { flow = 10 } );
+    ( "weight_change",
+      with_value (Event.set_weight_change ~flow:11) 0.1234567,
+      Event.Weight_change { flow = 11; weight = 0.1234567 } );
+    ( "weight_change, large",
+      with_value (Event.set_weight_change ~flow:12) 1e7,
+      Event.Weight_change { flow = 12; weight = 1e7 } );
+    ( "complete",
+      (fun r -> Event.set_complete r ~flow:13 ~iface:0 ~bytes:999),
+      Event.Complete { flow = 13; iface = 0; bytes = 999 } );
+  ]
 
 (* --- events ------------------------------------------------------------- *)
 
@@ -47,13 +112,29 @@ let test_event_labels () =
       check Alcotest.string ("label " ^ want) want (Event.label ev))
     cases
 
+(* Every kind survives setter -> decode, and decode -> encode -> decode,
+   through one reused record: a setter leaves nothing of the previous
+   event behind. *)
+let test_event_setters_round_trip () =
+  let r = Event.create () in
+  List.iter
+    (fun (what, set, want) ->
+      set r;
+      check event ("setter " ^ what) want (Event.decode r))
+    every_kind;
+  List.iter
+    (fun (what, _, want) ->
+      Event.encode r want;
+      check event ("encode " ^ what) want (Event.decode r))
+    (List.rev every_kind)
+
 (* --- sinks -------------------------------------------------------------- *)
 
 let test_sink_tee_and_stamp () =
   let seen_a = ref [] and seen_b = ref [] in
-  let a ~time ev = seen_a := (time, ev) :: !seen_a in
-  let b ~time ev = seen_b := (time, ev) :: !seen_b in
-  let teed = Sink.tee a b in
+  let a ~time ev = seen_a := (time, Event.decode ev) :: !seen_a in
+  let b ~time ev = seen_b := (time, Event.decode ev) :: !seen_b in
+  let teed = feed (Sink.tee a b) in
   teed ~time:1.0 (Event.Iface_up { iface = 0 });
   teed ~time:2.0 (Event.Iface_down { iface = 0 });
   check Alcotest.int "tee delivers to a" 2 (List.length !seen_a);
@@ -61,22 +142,47 @@ let test_sink_tee_and_stamp () =
   (* stamp turns a timed sink into a raw one using the given clock *)
   let now = ref 5.0 in
   let raw = Sink.stamp ~clock:(fun () -> !now) a in
-  raw (Event.Iface_up { iface = 1 });
+  let r = Event.create () in
+  Event.set_iface_up r ~iface:1;
+  raw r;
   now := 6.5;
-  raw (Event.Iface_up { iface = 2 });
+  Event.set_iface_up r ~iface:2;
+  raw r;
   match !seen_a with
   | (t2, _) :: (t1, _) :: _ ->
       check (Alcotest.float 1e-9) "second stamp" 6.5 t2;
       check (Alcotest.float 1e-9) "first stamp" 5.0 t1
   | _ -> Alcotest.fail "expected stamped events"
 
+(* Both sides of a tee read the same record, in order, and each sees the
+   event the producer filled — not a later one. *)
+let test_sink_tee_same_event () =
+  let seen_a = ref [] and seen_b = ref [] in
+  let a ~time ev = seen_a := (time, Event.decode ev) :: !seen_a in
+  let b ~time ev = seen_b := (time, Event.decode ev) :: !seen_b in
+  let teed = Sink.tee a b in
+  let r = Event.create () in
+  let sent =
+    List.mapi
+      (fun i (_, set, want) ->
+        let time = Float.of_int i in
+        set r;
+        teed ~time r;
+        (time, want))
+      every_kind
+  in
+  let timed = Alcotest.(list (pair (float 0.0) event)) in
+  check timed "a saw every event, in order" sent (List.rev !seen_a);
+  check timed "b saw the same" sent (List.rev !seen_b)
+
 (* --- recorder ----------------------------------------------------------- *)
 
 let test_recorder_fold_and_wrap () =
   let r = Recorder.create ~capacity:4 () in
+  let ev = Event.create () in
   for i = 1 to 10 do
-    Recorder.record r ~time:(float_of_int i)
-      (Event.Enqueue { flow = i; bytes = i * 100 })
+    Event.set_enqueue ev ~flow:i ~bytes:(i * 100);
+    Recorder.record r ~time:(float_of_int i) ev
   done;
   check Alcotest.int "length capped" 4 (Recorder.length r);
   check Alcotest.int "total counts everything" 10 (Recorder.total r);
@@ -172,7 +278,7 @@ let test_jsonl_burst_to_file () =
 
 let test_recorder_as_sink () =
   let r = Recorder.create () in
-  let s = Recorder.sink r in
+  let s = feed (Recorder.sink r) in
   s ~time:0.25 (Event.Complete { flow = 1; iface = 0; bytes = 999 });
   check Alcotest.int "sink records" 1 (Recorder.length r);
   match Recorder.entries r with
@@ -180,6 +286,42 @@ let test_recorder_as_sink () =
       check (Alcotest.float 1e-9) "time kept" 0.25 e.time;
       check Alcotest.(option int) "bytes kept" (Some 999) (Event.bytes e.event)
   | _ -> Alcotest.fail "expected one entry"
+
+(* The ring copies fields, not the producer's record: a recorder teed
+   next to a sink that decodes at once holds the same events, though the
+   scheduler refilled one record for all of them. *)
+let test_recorder_matches_immediate_decode () =
+  let r = Recorder.create ~capacity:4096 () in
+  let decoded = ref [] in
+  let immediate ~time ev = decoded := (time, Event.decode ev) :: !decoded in
+  let sched = Midrr.create () in
+  let clock = ref 0.0 in
+  Midrr.set_sink sched
+    (Some
+       (Sink.stamp ~clock:(fun () -> !clock) (Sink.tee (Recorder.sink r) immediate)));
+  Drr_engine.add_iface sched 0;
+  Drr_engine.add_iface sched 1;
+  Drr_engine.add_flow sched ~flow:0 ~weight:1.0 ~allowed:[ 0; 1 ];
+  Drr_engine.add_flow sched ~flow:1 ~weight:2.5 ~allowed:[ 1 ];
+  for i = 1 to 200 do
+    clock := Float.of_int i;
+    ignore
+      (Drr_engine.enqueue sched
+         (Packet.create ~flow:(i mod 2) ~size:(100 + i) ~arrival:!clock));
+    ignore (Drr_engine.next_packet sched (i mod 2))
+  done;
+  Drr_engine.set_weight sched 1 0.5;
+  ignore (Drr_engine.enqueue sched (Packet.create ~flow:7 ~size:1 ~arrival:0.0));
+  Drr_engine.remove_flow sched 0;
+  Drr_engine.remove_iface sched 1;
+  let recorded =
+    List.map (fun (e : Recorder.entry) -> (e.time, e.event)) (Recorder.entries r)
+  in
+  check Alcotest.int "nothing dropped" 0 (Recorder.dropped r);
+  check Alcotest.bool "many distinct events" true (List.length recorded > 400);
+  check
+    Alcotest.(list (pair (float 0.0) event))
+    "recorder = immediate decode" (List.rev !decoded) recorded
 
 (* --- counters ----------------------------------------------------------- *)
 
@@ -208,7 +350,7 @@ let test_counters () =
 let test_counters_sink_kinds () =
   let serves = Counters.create ~kind:Counters.Serves () in
   let completes = Counters.create ~kind:Counters.Completes () in
-  let deliver c ev = Counters.sink c ~time:0.0 ev in
+  let deliver c = feed (Counters.sink c) ~time:0.0 in
   let both ev =
     deliver serves ev;
     deliver completes ev
@@ -240,6 +382,49 @@ let test_jsonl_format () =
   check Alcotest.string "iface_down line"
     "{\"t\":0.125000000,\"ev\":\"iface_down\",\"iface\":3}" line
 
+(* The streaming sink writes, for every kind, the line [to_string] gave
+   for the same event before the bus carried records. *)
+let test_jsonl_every_kind () =
+  let expected =
+    [
+      {|{"t":0.000000000,"ev":"enqueue","flow":3,"bytes":1500}|};
+      {|{"t":1.000000000,"ev":"drop","flow":4,"bytes":60}|};
+      {|{"t":2.000000000,"ev":"serve","flow":1,"iface":0,"bytes":1000,"deficit":0.000}|};
+      {|{"t":3.000000000,"ev":"serve","flow":2,"iface":1,"bytes":1500,"deficit":2.500}|};
+      {|{"t":4.000000000,"ev":"serve","flow":2,"iface":3,"bytes":700,"deficit":-123.457}|};
+      {|{"t":5.000000000,"ev":"turn","flow":5,"iface":2}|};
+      {|{"t":6.000000000,"ev":"flag_reset","flow":6,"iface":1}|};
+      {|{"t":7.000000000,"ev":"iface_up","iface":7}|};
+      {|{"t":8.000000000,"ev":"iface_down","iface":8}|};
+      {|{"t":9.000000000,"ev":"flow_add","flow":9,"weight":2.5}|};
+      {|{"t":10.000000000,"ev":"flow_remove","flow":10}|};
+      {|{"t":11.000000000,"ev":"weight_change","flow":11,"weight":0.123457}|};
+      {|{"t":12.000000000,"ev":"weight_change","flow":12,"weight":1e+07}|};
+      {|{"t":13.000000000,"ev":"complete","flow":13,"iface":0,"bytes":999}|};
+    ]
+  in
+  List.iteri
+    (fun i (what, _, ev) ->
+      check Alcotest.string ("to_string " ^ what) (List.nth expected i)
+        (Jsonl.to_string ~time:(Float.of_int i) ev))
+    every_kind;
+  let path = Filename.temp_file "midrr_jsonl_kinds" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out path in
+      let s = Jsonl.sink oc and r = Event.create () in
+      List.iteri
+        (fun i (_, set, _) ->
+          set r;
+          s ~time:(Float.of_int i) r)
+        every_kind;
+      close_out oc;
+      check
+        Alcotest.(list string)
+        "sink lines" expected
+        (In_channel.with_open_text path In_channel.input_lines))
+
 (* --- scheduler wiring ---------------------------------------------------- *)
 
 (* A scheduler with no sink stays silent and costs nothing; installing
@@ -249,7 +434,7 @@ let test_scheduler_emission_and_subscribe () =
   check Alcotest.bool "no sink by default" true (Midrr.sink sched = None);
   let p = Midrr.packed sched in
   let first = ref [] and second = ref 0 in
-  Sched_intf.Packed.subscribe p (fun ev -> first := ev :: !first);
+  Sched_intf.Packed.subscribe p (fun ev -> first := Event.decode ev :: !first);
   Drr_engine.add_iface sched 0;
   Drr_engine.add_flow sched ~flow:5 ~weight:1.0 ~allowed:[ 0 ];
   (* second subscriber arrives later and must tee, not replace *)
@@ -292,9 +477,10 @@ let test_drop_event () =
   let dropped = ref None in
   Midrr.set_sink sched
     (Some
-       (function
-       | Event.Drop { flow; bytes } -> dropped := Some (flow, bytes)
-       | _ -> ()));
+       (fun ev ->
+         match ev.kind with
+         | Drop -> dropped := Some (ev.flow, ev.bytes)
+         | _ -> ()));
   Drr_engine.add_iface sched 0;
   ignore
     (Drr_engine.enqueue sched (Packet.create ~flow:99 ~size:123 ~arrival:0.0));
@@ -311,15 +497,23 @@ let () =
         [
           Alcotest.test_case "accessors" `Quick test_event_accessors;
           Alcotest.test_case "labels" `Quick test_event_labels;
+          Alcotest.test_case "setters round-trip" `Quick
+            test_event_setters_round_trip;
         ] );
       ( "sink",
-        [ Alcotest.test_case "tee and stamp" `Quick test_sink_tee_and_stamp ] );
+        [
+          Alcotest.test_case "tee and stamp" `Quick test_sink_tee_and_stamp;
+          Alcotest.test_case "tee same event in order" `Quick
+            test_sink_tee_same_event;
+        ] );
       ( "recorder",
         [
           Alcotest.test_case "fold and wrap" `Quick test_recorder_fold_and_wrap;
           Alcotest.test_case "as sink" `Quick test_recorder_as_sink;
           Alcotest.test_case "burst wraparound" `Quick
             test_recorder_burst_wraparound;
+          Alcotest.test_case "matches immediate decode" `Quick
+            test_recorder_matches_immediate_decode;
         ] );
       ( "counters",
         [
@@ -329,6 +523,7 @@ let () =
       ( "jsonl",
         [
           Alcotest.test_case "format" `Quick test_jsonl_format;
+          Alcotest.test_case "every kind" `Quick test_jsonl_every_kind;
           Alcotest.test_case "burst to file" `Quick test_jsonl_burst_to_file;
         ] );
       ( "wiring",

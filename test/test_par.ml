@@ -101,7 +101,8 @@ let test_trace_parallel_identical () =
     let count = ref 0 in
     let sink ~time ev =
       if !count < 5_000 then begin
-        Buffer.add_string buf (Midrr_obs.Jsonl.to_string ~time ev);
+        Buffer.add_string buf
+          (Midrr_obs.Jsonl.to_string ~time (Midrr_obs.Event.decode ev));
         Buffer.add_char buf '\n';
         incr count
       end

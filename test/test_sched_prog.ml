@@ -161,7 +161,8 @@ let churn_transcript ~seed ~steps s =
   let pick l = List.nth l (rand (List.length l)) in
   let b = Buffer.create (1 lsl 20) in
   let line fmt = Printf.bprintf b (fmt ^^ "\n") in
-  Packed.set_sink s (Some (fun e -> line "%s" (Format.asprintf "%a" Event.pp e)));
+  Packed.set_sink s
+    (Some (fun e -> line "%s" (Format.asprintf "%a" Event.pp (Event.decode e))));
   let ints l = String.concat "," (List.map string_of_int l) in
   let state () =
     line "flows %s ifaces %s" (ints (Packed.flows s)) (ints (Packed.ifaces s));

@@ -460,8 +460,9 @@ let inline_lockstep () =
   let e = Drr_engine.create Drr_engine.Service_flags in
   let t = Shard_engine.create ~shards:4 ~strict:true Drr_engine.Service_flags in
   let evs_e = ref [] and evs_t = ref [] in
-  Drr_engine.set_sink e (Some (fun ev -> evs_e := ev :: !evs_e));
-  Shard_engine.set_sink t (Some (fun ev -> evs_t := ev :: !evs_t));
+  Drr_engine.set_sink e (Some (fun ev -> evs_e := Event.decode ev :: !evs_e));
+  Shard_engine.set_sink t
+    (Some (fun ev -> evs_t := Event.decode ev :: !evs_t));
   let st_e = ref 0 and st_t = ref 0 in
   Array.iteri
     (fun k op ->

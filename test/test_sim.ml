@@ -700,39 +700,106 @@ let test_tracer_window_filter () =
 (* Exact minor-heap word counts, so these gate regressions without any
    timing noise.  A served packet allocates its [Packet.t], the [Some]
    of [next_packet] and its event's timestamps; an event with a prebuilt
-   closure allocates its timestamp and the clock it sets. *)
+   closure allocates its timestamp and the clock it sets.  The event bus
+   adds nothing: each producer refills one event record. *)
 let minor_words f =
   let before = Gc.minor_words () in
   f ();
   Gc.minor_words () -. before
 
-let fig6_path =
+module Busmetrics = Midrr_obs.Busmetrics
+
+let corpus_scenario file =
   (* `dune runtest` runs from the test directory, `dune exec` from the
      project root; accept either. *)
-  if Sys.file_exists "../scenarios/fig6.scn" then "../scenarios/fig6.scn"
-  else "scenarios/fig6.scn"
+  let path =
+    if Sys.file_exists ("../scenarios/" ^ file) then "../scenarios/" ^ file
+    else "scenarios/" ^ file
+  in
+  match Scenario.parse (In_channel.with_open_text path In_channel.input_all) with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "scenario error: %s" e
+
+let serves bm =
+  let reg = Busmetrics.registry bm in
+  Midrr_obs.Metrics.counter_value reg (Midrr_obs.Metrics.counter reg "serves")
+
+(* The bus emits one [Serve] per packet handed out, so a run with the
+   fold attached counts the packets of the runs measured. *)
+let served_packets scn =
+  let bm = Busmetrics.create () in
+  ignore (Scenario.run ~metrics:bm scn);
+  Float.of_int (serves bm)
 
 let test_alloc_fig6_per_packet () =
-  let scn =
-    match
-      Scenario.parse (In_channel.with_open_text fig6_path In_channel.input_all)
-    with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "scenario error: %s" e
-  in
-  (* The bus emits one [Serve] per packet handed out, so a run with the
-     fold attached counts the packets of the sinkless run measured. *)
-  let bm = Midrr_obs.Busmetrics.create () in
-  ignore (Scenario.run ~metrics:bm scn);
-  let reg = Midrr_obs.Busmetrics.registry bm in
-  let pkts =
-    Midrr_obs.Metrics.counter_value reg (Midrr_obs.Metrics.counter reg "serves")
-  in
-  let words = minor_words (fun () -> ignore (Scenario.run scn)) in
-  let per_pkt = words /. Float.of_int pkts in
+  let scn = corpus_scenario "fig6.scn" in
+  let pkts = served_packets scn in
+  let per_pkt = minor_words (fun () -> ignore (Scenario.run scn)) /. pkts in
   if per_pkt > 14.0 then
     Alcotest.failf "fig6: %.2f minor words per served packet (bound 14.0)"
       per_pkt
+
+(* `midrr run --metrics` on the handover scenario: the fold rides the bus
+   for free, so the run allocates what the sinkless run does. *)
+let test_alloc_handover_telemetry () =
+  let scn = corpus_scenario "handover.scn" in
+  let pkts = served_packets scn in
+  let sinkless = minor_words (fun () -> ignore (Scenario.run scn)) /. pkts in
+  let folded =
+    minor_words (fun () ->
+        ignore (Scenario.run ~metrics:(Busmetrics.create ()) scn))
+    /. pkts
+  in
+  if folded > 14.5 then
+    Alcotest.failf
+      "handover --metrics: %.2f minor words per served packet (bound 14.5)"
+      folded;
+  if folded -. sinkless > 0.1 then
+    Alcotest.failf
+      "handover --metrics: %.2f minor words per served packet, %.2f over the \
+       sinkless run (bound 0.1)"
+      folded (folded -. sinkless)
+
+(* A miDRR decision loop with the fold attached through a stamped sink:
+   prefilled queues, so every decision is a pure pop.  The clock returns
+   a pre-boxed time, as [Engine.now] does, so neither the stamp nor the
+   event allocates. *)
+let test_alloc_decision_with_fold () =
+  let n_flows = 64 and n_ifaces = 4 and decisions = 20_000 in
+  let t = Drr_engine.create Drr_engine.Service_flags in
+  let bm = Busmetrics.create () in
+  let now = ref 1.0 in
+  Drr_engine.set_sink t
+    (Some (Midrr_obs.Sink.stamp ~clock:(fun () -> !now) (Busmetrics.sink bm)));
+  for j = 0 to n_ifaces - 1 do
+    Drr_engine.add_iface t j
+  done;
+  let all_ifaces = List.init n_ifaces Fun.id in
+  for f = 0 to n_flows - 1 do
+    Drr_engine.add_flow t ~flow:f ~weight:1.0 ~allowed:all_ifaces
+  done;
+  let warmup = decisions / 10 in
+  for f = 0 to n_flows - 1 do
+    for _ = 1 to ((decisions + warmup) / n_flows) + 64 do
+      ignore
+        (Drr_engine.enqueue t (Packet.create ~flow:f ~size:1000 ~arrival:0.0))
+    done
+  done;
+  for d = 0 to warmup - 1 do
+    ignore (Drr_engine.next_packet_noalloc t (d mod n_ifaces))
+  done;
+  now := 2.0;
+  let words =
+    minor_words (fun () ->
+        for d = 0 to decisions - 1 do
+          ignore (Drr_engine.next_packet_noalloc t (d mod n_ifaces))
+        done)
+  in
+  Alcotest.(check int) "fold saw every decision" (warmup + decisions) (serves bm);
+  let per_decision = words /. Float.of_int decisions in
+  if per_decision >= 0.01 then
+    Alcotest.failf "decision with fold: %.4f minor words/decision (bound 0.01)"
+      per_decision
 
 let test_alloc_engine_per_event () =
   (* Pre-sized: a doubling of the heap is amortized, not per event. *)
@@ -843,5 +910,9 @@ let () =
             test_alloc_fig6_per_packet;
           Alcotest.test_case "engine words per event" `Quick
             test_alloc_engine_per_event;
+          Alcotest.test_case "handover telemetry words per packet" `Quick
+            test_alloc_handover_telemetry;
+          Alcotest.test_case "decision with fold" `Quick
+            test_alloc_decision_with_fold;
         ] );
     ]
