@@ -68,6 +68,10 @@ let run_aggregation () =
   Format.fprintf ppf "%a@." Midrr_experiments.Aggregation.print
     (Midrr_experiments.Aggregation.run ())
 
+let run_ablation () =
+  Format.fprintf ppf "%a@." Midrr_experiments.Ablation.print
+    (Midrr_experiments.Ablation.run ())
+
 let run_scenario ?trace ?metrics_out ~metrics_interval ?chrome_trace ~top
     ~engine ~sched path =
   let text = In_channel.with_open_text path In_channel.input_all in
@@ -83,10 +87,6 @@ let run_scenario ?trace ?metrics_out ~metrics_interval ?chrome_trace ~top
             Format.eprintf "trace error: %s@." e;
             exit 1)
   in
-  if metrics_interval <= 0.0 then begin
-    Format.eprintf "metrics error: --metrics-interval must be > 0@.";
-    exit 1
-  end;
   (* The telemetry plane: a bus-fold registry when any consumer wants
      it, span tracing when a Chrome trace was requested. *)
   let metrics =
@@ -217,9 +217,30 @@ let run_all ~quick ?csv () =
   run_convergence ();
   run_churn ~seed:17 ();
   run_inbound ();
-  run_aggregation ()
+  run_aggregation ();
+  run_ablation ()
 
 (* --- terms ---------------------------------------------------------- *)
+
+(* [base] narrowed to the values satisfying [ok]: cmdliner rejects any
+   other value against its flag (exit 124) before a command runs, so no
+   output file is opened for a run that cannot start. *)
+let checked base ~expected ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let pos_int = checked Arg.int ~expected:"a positive integer" (fun n -> n >= 1)
+
+let pos_float =
+  checked Arg.float ~expected:"a positive finite number" (fun x ->
+      Float.is_finite x && x > 0.0)
 
 let quick =
   Arg.(value & flag & info [ "quick" ] ~doc:"Reduce sample counts for speed.")
@@ -235,7 +256,7 @@ let seed =
 
 let days =
   Arg.(
-    value & opt float 7.0
+    value & opt pos_float 7.0
     & info [ "days" ] ~docv:"DAYS" ~doc:"Trace length in days.")
 
 let csv =
@@ -308,6 +329,11 @@ let aggregation_cmd =
   cmd "aggregation" "Study: bandwidth aggregation over 1-16 interfaces"
     Term.(const (fun () -> run_aggregation ()) $ const ())
 
+let ablation_cmd =
+  cmd "ablation"
+    "Ablation: service-flag policy and fully multi-homed flows vs max-min"
+    Term.(const (fun () -> run_ablation ()) $ const ())
+
 let all_cmd =
   cmd "all" "Run the complete evaluation"
     Term.(
@@ -344,7 +370,7 @@ let metrics_out =
 let metrics_interval =
   Arg.(
     value
-    & opt float 1.0
+    & opt pos_float 1.0
     & info [ "metrics-interval" ] ~docv:"SECONDS"
         ~doc:
           "Simulation-time period between metrics exports and $(b,--top) \
@@ -378,13 +404,11 @@ let engine_tag_conv =
 let resolve_engine ~shards = function
   | `Fast -> Midrr_sim.Scenario.Engine_fast
   | `Ref -> Midrr_sim.Scenario.Engine_ref
-  | `Sharded ->
-      if shards < 1 then failwith "--shards must be >= 1";
-      Midrr_sim.Scenario.Engine_sharded shards
+  | `Sharded -> Midrr_sim.Scenario.Engine_sharded shards
 
 let shards_arg =
   Arg.(
-    value & opt int 4
+    value & opt pos_int 4
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Shard count for $(b,--engine sharded): the fast engine is \
@@ -488,14 +512,17 @@ let jobs =
 let sweep_seeds =
   Arg.(
     value
-    & opt (list int) [ 1 ]
+    & opt
+        (checked Arg.(list int) ~expected:"a non-empty seed list" (fun l ->
+             not (List.is_empty l)))
+        [ 1 ]
     & info [ "seeds" ] ~docv:"S1,S2,..."
         ~doc:"Explicit per-point random seeds (default 1).")
 
 let sweep_nseeds =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some pos_int) None
     & info [ "nseeds" ] ~docv:"N"
         ~doc:
           "Derive $(docv) seeds from the master $(b,--seed) via RNG \
@@ -549,6 +576,7 @@ let main =
       churn_cmd;
       inbound_cmd;
       aggregation_cmd;
+      ablation_cmd;
       run_cmd;
       bounds_cmd;
       sweep_cmd;

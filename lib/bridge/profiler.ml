@@ -1,22 +1,14 @@
 open Midrr_core
 module Rng = Midrr_stats.Rng
 
-type target = Decision | Transmit
-
-type result = {
-  n_ifaces : int;
-  n_flows : int;
-  target : target;
-  samples_ns : float array;
-}
+type result = { n_ifaces : int; n_flows : int; samples_ns : float array }
 
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 let run ?(n_flows = 32) ?(queued_packets = 1000) ?(decisions = 20000)
-    ?(pkt_size = 1000) ?(seed = 7) ?(target = Decision) ?sink ~n_ifaces () =
+    ?(pkt_size = 1000) ?(seed = 7) ~n_ifaces () =
   if n_ifaces <= 0 then invalid_arg "Profiler.run: n_ifaces <= 0";
   let sched = Midrr.create () in
-  Midrr.set_sink sched sink;
   let packed = Midrr.packed sched in
   let bridge = Bridge.create ~sched:packed () in
   let rng = Rng.create ~seed in
@@ -54,11 +46,7 @@ let run ?(n_flows = 32) ?(queued_packets = 1000) ?(decisions = 20000)
     let j = !iface in
     iface := (!iface + 1) mod n_ifaces;
     let t0 = now_ns () in
-    let sent =
-      match target with
-      | Decision -> Option.is_some (Drr_engine.next_packet sched j)
-      | Transmit -> Option.is_some (Bridge.transmit bridge j)
-    in
+    let sent = Option.is_some (Drr_engine.next_packet sched j) in
     let t1 = now_ns () in
     if sent then begin
       samples.(!recorded) <- t1 -. t0;
@@ -68,7 +56,7 @@ let run ?(n_flows = 32) ?(queued_packets = 1000) ?(decisions = 20000)
     end
     else top_up ()
   done;
-  { n_ifaces; n_flows; target; samples_ns = samples }
+  { n_ifaces; n_flows; samples_ns = samples }
 
 let cdf result = Midrr_stats.Cdf.of_samples result.samples_ns
 

@@ -6,14 +6,9 @@
     monotonic nanosecond clock.  The paper reports the CDF per interface
     count (4–16) and observes decisions stay under a few microseconds. *)
 
-type target =
-  | Decision  (** time [next_packet] alone: the scheduling decision *)
-  | Transmit  (** time the full bridge datapath, including header rewrite *)
-
 type result = {
   n_ifaces : int;
   n_flows : int;
-  target : target;
   samples_ns : float array;  (** one per timed decision *)
 }
 
@@ -23,8 +18,6 @@ val run :
   ?decisions:int ->
   ?pkt_size:int ->
   ?seed:int ->
-  ?target:target ->
-  ?sink:Midrr_obs.Sink.raw ->
   n_ifaces:int ->
   unit ->
   result
@@ -32,11 +25,7 @@ val run :
     (default 32) flows willing to use every interface, keep
     [queued_packets] (default 1000) packets queued across them, and time
     [decisions] (default 20000) scheduling decisions round-robining over
-    the interfaces.  Queues are topped up between timed sections.
-
-    [sink], when given, is installed on the scheduler before the timed
-    loop, so the measured per-decision cost {e includes} event emission —
-    the knob behind the bench harness's observability-overhead numbers. *)
+    the interfaces.  Queues are topped up between timed sections. *)
 
 val cdf : result -> Midrr_stats.Cdf.t
 (** Empirical CDF of the per-decision time in nanoseconds. *)

@@ -50,7 +50,8 @@ val next_packet_noalloc : t -> Types.iface_id -> Packet.t
 (** Allocation-free {!next_packet}: returns {!Packet.none} (compare with
     {!Packet.is_none}) instead of [None] when the interface has nothing to
     send.  With no sink subscribed, a decision through this entry point
-    allocates zero minor words — the property the bench harness gates on. *)
+    allocates zero minor words — the property [dune build @crosscheck]
+    gates on. *)
 
 val create :
   ?base_quantum:int -> ?queue_capacity:int -> ?flag_policy:flag_policy ->
@@ -69,7 +70,7 @@ val create :
     algorithm's behavior.  Larger counters let the interface keep skipping
     flows that are served elsewhere {e more often}, tracking the max-min
     allocation more closely on asymmetric topologies (see the flag-policy
-    ablation in the bench harness). *)
+    ablation, [midrr ablation]). *)
 
 val mode : t -> mode
 

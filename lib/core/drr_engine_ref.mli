@@ -59,7 +59,7 @@ val create :
     algorithm's behavior.  Larger counters let the interface keep skipping
     flows that are served elsewhere {e more often}, tracking the max-min
     allocation more closely on asymmetric topologies (see the flag-policy
-    ablation in the bench harness). *)
+    ablation, [midrr ablation]). *)
 
 val mode : t -> mode
 

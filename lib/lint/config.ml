@@ -62,11 +62,12 @@ let default =
     (* The parallel executor is the single owner of raw domains; every
        other module must go through its deterministic merge. *)
     domain_spawn_dirs = [ "lib/par" ];
-    (* R7 roots: the decision path proven allocation-free by the sinkless
-       bench gate (PR 4), the PIFO substrate's per-decision ops, the
-       intrusive ring ops the engine drives per decision, and the two obs
-       sinks with a zero-allocation claim.  Specs match against display
-       names ("Unit.sub.value"); a trailing ".*" matches a whole prefix. *)
+    (* R7 roots: the decision path (its runtime allocation gate runs
+       beside this proof in @crosscheck), the PIFO substrate's
+       per-decision ops, the intrusive ring ops the engine drives per
+       decision, and the two obs sinks with a zero-allocation claim.
+       Specs match against display names ("Unit.sub.value"); a trailing
+       ".*" matches a whole prefix. *)
     typed_entry_points =
       [
         "Drr_engine.decide";
@@ -84,8 +85,8 @@ let default =
         "Recorder.record";
         "Counters.add";
         (* telemetry plane: every hot registry op, the bus fold and the
-           span probes carry the same zero-allocation claim, crosschecked
-           by the --metrics-only bench gate *)
+           span probes carry the same zero-allocation claim; @crosscheck
+           measures the five registry ops at runtime *)
         "Metrics.incr";
         "Metrics.add";
         "Metrics.set_gauge";

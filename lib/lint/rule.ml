@@ -126,9 +126,11 @@ let description = function
        tuple/record/variant/constructor blocks, array literals, partial \
        application, boxed-float returns, and calls to allocating stdlib \
        externals.  Raise-only error paths are exempt, with no carve-out \
-       for the event path: producers refill one event record.  This turns the bench's runtime \
-       Gc.minor_words gate into a static proof with blame locations.  \
-       Scope: `midrr-lint --typed` / `dune build @lint-typed`."
+       for the event path: producers refill one event record.  This turns \
+       the runtime Gc.minor_words gate into a static proof with blame \
+       locations; `dune build @crosscheck` runs both on the decision path \
+       and must find them agreeing.  Scope: `midrr-lint --typed` / \
+       `dune build @lint-typed`."
   | R8 ->
       "The typed, interprocedural upgrade of R6: starting from every \
        function or closure handed to Par.run/Par.map as a task, the \

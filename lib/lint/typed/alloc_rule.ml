@@ -20,8 +20,8 @@ open Midrr_lint
      merely omitted at a total call);
    - calls to a curated list of allocating stdlib externals (the list is
      deny-based: an unknown external stays quiet, which is the
-     documented imprecision — the ratchet catches regressions at the
-     bench gate);
+     documented imprecision — the runtime gate in @crosscheck catches
+     what it misses on the decision path);
    - boxed-float results: a reachable function whose return type is
      [float] boxes on every call.
 

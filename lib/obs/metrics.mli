@@ -6,7 +6,8 @@
     int handle.  The hot operations ([incr], [add], [set_gauge],
     [incr_gauge], [observe]) are single stores into preallocated flat
     arrays and allocate nothing; they are part of the R1/R7 lint hot
-    set and the [--metrics-only] bench gate.
+    set, and [dune build @crosscheck] measures [incr], [add],
+    [set_gauge], [observe] and [observe_ns] at runtime.
 
     Registries merge by metric name ([merge_into]): counters add,
     gauges sum, histograms fold bucket-wise — the collector step for

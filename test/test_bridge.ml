@@ -194,10 +194,6 @@ let test_profiler_cdf_monotone () =
   in
   check_pairs (Array.to_list points)
 
-let test_profiler_transmit_target () =
-  let r = Profiler.run ~decisions:200 ~n_ifaces:4 ~target:Profiler.Transmit () in
-  Alcotest.(check int) "sample count" 200 (Array.length r.samples_ns)
-
 let test_profiler_supported_rate_positive () =
   let r = Profiler.run ~decisions:500 ~n_ifaces:4 () in
   let gbps = Profiler.supported_rate_gbps r ~pkt_size:1000 in
@@ -240,8 +236,6 @@ let () =
           Alcotest.test_case "produces samples" `Quick
             test_profiler_produces_samples;
           Alcotest.test_case "cdf monotone" `Quick test_profiler_cdf_monotone;
-          Alcotest.test_case "transmit target" `Quick
-            test_profiler_transmit_target;
           Alcotest.test_case "supported rate" `Quick
             test_profiler_supported_rate_positive;
         ] );

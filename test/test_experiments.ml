@@ -232,6 +232,25 @@ let test_aggregation_efficiency () =
           (100.0 *. err))
     rows
 
+(* The flag-policy ablation: both flows' reference is 5 Mb/s.  Counter
+   flags recover it; the paper's 1-bit flag, per turn or per send,
+   over-serves the multi-homed flow D.  (test_midrr checks the
+   multi-homed instance.) *)
+let test_ablation_flag_policy () =
+  let rows = (E.Ablation.run ()).flag_policy in
+  let rates label =
+    (List.find (fun (r : E.Ablation.row) -> String.equal r.label label) rows)
+      .rates
+  in
+  List.iter
+    (fun label -> Array.iter (close ~tol:0.03 label 5.0) (rates label))
+    [ "midrr counter-4"; "midrr counter-16" ];
+  List.iter
+    (fun label ->
+      let d = (rates label).(0) in
+      if d < 5.5 then Alcotest.failf "%s: D = %.3f, expected over 5.5" label d)
+    [ "midrr 1-bit (paper)"; "midrr 1-bit per-send"; "naive per-iface DRR" ]
+
 (* Regression for the quantum-sensitivity finding: with quantum below the
    packet size, the published 1-bit flag collapses flow a's share on the
    paper's own Fig. 6 topology, while counter flags stay exact. *)
@@ -303,5 +322,7 @@ let () =
             test_inbound_both_track;
           Alcotest.test_case "aggregation efficiency" `Slow
             test_aggregation_efficiency;
+          Alcotest.test_case "ablation flag policy" `Slow
+            test_ablation_flag_policy;
         ] );
     ]

@@ -634,66 +634,62 @@ run 20
       | [ w ] -> close ~tol:0.05 "kb suffix" 0.5 (List.assoc "a" w.rates)
       | _ -> Alcotest.fail "expected one window")
 
-(* --- Tracer ---------------------------------------------------------------- *)
+(* --- Tracing a run ---------------------------------------------------------- *)
 
-module Tracer = Midrr_sim.Tracer
+(* A [Recorder] on the simulator's event bus: the delivery log of a run. *)
+module Recorder = Midrr_obs.Recorder
+
+let completions recorder =
+  List.filter_map
+    (fun (e : Recorder.entry) ->
+      match e.event with
+      | Midrr_obs.Event.Complete { flow; iface; bytes } ->
+          Some (e.time, iface, flow, bytes)
+      | _ -> None)
+    (Recorder.entries recorder)
 
 let test_tracer_captures_events () =
+  let recorder = Recorder.create () in
   let sched = Midrr.packed (Midrr.create ()) in
-  let sim = Netsim.create ~sched () in
-  let tracer = Tracer.create () in
-  Tracer.attach tracer sim;
+  let sim = Netsim.create ~sink:(Recorder.sink recorder) ~sched () in
   Netsim.add_iface sim 0 (Link.constant (Types.mbps 8.0));
   Netsim.add_flow sim 0 ~weight:1.0 ~allowed:[ 0 ]
     (Netsim.Finite { total_bytes = 10_000; pkt_size = 1000 });
   Netsim.run sim ~until:2.0;
-  Alcotest.(check int) "ten events" 10 (Tracer.length tracer);
-  Alcotest.(check int) "no drops" 0 (Tracer.dropped tracer);
-  Alcotest.(check (list (pair int int)))
-    "per-flow bytes" [ (0, 10_000) ]
-    (Tracer.bytes_per_flow tracer);
+  Alcotest.(check int) "no drops" 0 (Recorder.dropped recorder);
+  let delivered = completions recorder in
+  Alcotest.(check int) "ten completions" 10 (List.length delivered);
+  Alcotest.(check bool) "flow 0 on iface 0" true
+    (List.for_all (fun (_, iface, flow, _) -> iface = 0 && flow = 0) delivered);
+  Alcotest.(check int) "flow bytes" 10_000
+    (List.fold_left (fun acc (_, _, _, bytes) -> acc + bytes) 0 delivered);
   (* Events are time-ordered. *)
-  let times = List.map (fun (e : Tracer.event) -> e.time) (Tracer.events tracer) in
-  Alcotest.(check bool) "sorted" true (List.sort compare times = times)
-
-let test_tracer_ring_wraps () =
-  let tracer = Tracer.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Tracer.record tracer
-      { Tracer.time = Float.of_int i; iface = 0; flow = i; bytes = 1 }
-  done;
-  Alcotest.(check int) "capacity bound" 4 (Tracer.length tracer);
-  Alcotest.(check int) "drops counted" 6 (Tracer.dropped tracer);
-  Alcotest.(check (list int)) "keeps newest" [ 7; 8; 9; 10 ]
-    (List.map (fun (e : Tracer.event) -> e.flow) (Tracer.events tracer))
+  let times =
+    List.map (fun (e : Recorder.entry) -> e.time) (Recorder.entries recorder)
+  in
+  Alcotest.(check bool) "sorted" true (List.sort Float.compare times = times)
 
 let test_tracer_interleaving () =
+  let recorder = Recorder.create () in
   let sched = Midrr.packed (Midrr.create ()) in
-  let sim = Netsim.create ~sched () in
-  let tracer = Tracer.create () in
-  Tracer.attach tracer sim;
+  let sim = Netsim.create ~sink:(Recorder.sink recorder) ~sched () in
   Netsim.add_iface sim 0 (Link.constant (Types.mbps 8.0));
   Netsim.add_flow sim 0 ~weight:1.0 ~allowed:[ 0 ]
     (Netsim.Backlogged { pkt_size = 1500 });
   Netsim.add_flow sim 1 ~weight:1.0 ~allowed:[ 0 ]
     (Netsim.Backlogged { pkt_size = 1500 });
   Netsim.run sim ~until:5.0;
-  (* With equal 1500 B quanta and packets, DRR alternates strictly. *)
-  let pattern = Tracer.interleaving tracer ~iface:0 in
+  (* With equal 1500 B quanta and packets, DRR alternates strictly once
+     both flows are backlogged; flow 0 is added, and served, first. *)
+  let pattern =
+    List.tl (List.map (fun (_, _, flow, _) -> flow) (completions recorder))
+  in
   let rec alternates = function
     | a :: (b :: _ as rest) -> a <> b && alternates rest
     | _ -> true
   in
   Alcotest.(check bool) "strict alternation" true (alternates pattern);
   if List.length pattern < 100 then Alcotest.fail "too few turns traced"
-
-let test_tracer_window_filter () =
-  let tracer = Tracer.create () in
-  List.iter
-    (fun time -> Tracer.record tracer { Tracer.time; iface = 0; flow = 0; bytes = 1 })
-    [ 0.5; 1.5; 2.5; 3.5 ];
-  Alcotest.(check int) "windowed" 2
-    (List.length (Tracer.between tracer ~t0:1.0 ~t1:3.0))
 
 (* --- Allocation --------------------------------------------------------------- *)
 
@@ -882,9 +878,7 @@ let () =
         [
           Alcotest.test_case "captures events" `Quick
             test_tracer_captures_events;
-          Alcotest.test_case "ring wraps" `Quick test_tracer_ring_wraps;
           Alcotest.test_case "interleaving" `Quick test_tracer_interleaving;
-          Alcotest.test_case "window filter" `Quick test_tracer_window_filter;
         ] );
       ( "netsim",
         [
