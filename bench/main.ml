@@ -196,7 +196,14 @@ let bench_shard () =
         let e = Drr_engine.create Drr_engine.Service_flags in
         Shard_engine.run_ops_single e ops)
   in
+  (* Peak major heap so far: the op array plus the single engine at its
+     largest, before any sharded run can raise it. *)
+  let top_heap_mb =
+    Float.of_int ((Gc.quick_stat ()).top_heap_words * (Sys.word_size / 8))
+    /. 1048576.0
+  in
   let base_rate = float_of_int base_st.Shard_engine.rs_decisions /. base_s in
+  Format.printf "  top heap after the single-engine pass: %.1f MB@." top_heap_mb;
   Format.printf "  %-8s %10s %14s %9s %7s@." "engine" "wall s" "decisions/s"
     "speedup" "match";
   Format.printf "  %-8s %10.3f %14.0f %9s %7s@." "single" base_s base_rate
@@ -229,10 +236,10 @@ let bench_shard () =
   in
   let oc = open_out "BENCH_shard.json" in
   Printf.fprintf oc
-    "{\"nproc\":%d,\"ocaml_version\":%S,\"flambda\":%b,\"registered_flows\":%d,\"ops\":%d,\"recommended_domains\":%d,\"quick\":%b,\"single\":{\"wall_s\":%.3f,\"decisions\":%d,\"decisions_per_sec\":%.0f},\"sharded\":["
+    "{\"nproc\":%d,\"ocaml_version\":%S,\"flambda\":%b,\"registered_flows\":%d,\"ops\":%d,\"recommended_domains\":%d,\"quick\":%b,\"top_heap_mb\":%.1f,\"single\":{\"wall_s\":%.3f,\"decisions\":%d,\"decisions_per_sec\":%.0f},\"sharded\":["
     (Domain.recommended_domain_count ())
     Sys.ocaml_version Build_info.flambda registered n_ops recommended quick
-    base_s base_st.Shard_engine.rs_decisions base_rate;
+    top_heap_mb base_s base_st.Shard_engine.rs_decisions base_rate;
   List.iteri
     (fun i (shards, wall_s, rate, matches) ->
       Printf.fprintf oc

@@ -15,19 +15,21 @@
    - Flow and interface states live in dense slot arrays indexed directly
      by their (non-negative) ids, so [enqueue] and [next_packet] do one
      bounds-checked array load where the spec does a [Hashtbl.find_opt].
-   - Each flow keeps its per-(flow, interface) links both in a packed
-     vector (for the flag-raising sweep of a service turn) and in a
-     link-by-iface array indexed by interface id, so [link_for] is one
-     array load where the spec scans a list with [List.find_opt].
+   - Each flow's state is sized by its own preference list, not by the
+     interface-id space: an exact-size array of its per-(flow, interface)
+     links (swept by a service turn to raise flags) and Π_i as a
+     canonical ascending list, shared with the caller when it already is
+     one.  [link_for] scans that array; only the control path and
+     introspection call it, never [enqueue] or a decision.
    - Each interface's round is an {e intrusive} ring (see {!Active_ring}):
      the prev/next pointers live inside the link record, so
      linking/unlinking a newly backlogged / drained flow allocates nothing.
      Only backlogged flows are linked, so a decision never touches idle
      flows no matter how many are registered.
-   - Link removal (flow/iface teardown, preference changes) swap-removes
-     from the packed vector in O(1) where the spec rebuilds a list. *)
+   - "No flow" and "no cursor" are the sentinels [nil_flow] and [nil]
+     rather than [None], so slots and cursors hold their states
+     directly. *)
 
-module Iset = Set.Make (Int)
 module Event = Midrr_obs.Event
 
 type mode = Plain | Service_flags
@@ -43,9 +45,6 @@ type fcell = { mutable fc : float }
 type link = {
   l_flow : flow_state;
   l_iface : iface_state;
-  l_self : link option;
-      (* [Some] of this very link, tied at construction; cursor updates
-         reuse it so moving C_j never allocates a fresh option *)
   mutable flag : int;
       (* SF_ij generalized to a saturating counter of services elsewhere
          since this interface last considered the flow; the paper's one-bit
@@ -53,7 +52,6 @@ type link = {
   l_deficit : fcell; (* DC_ij, bytes: each interface runs its own DRR *)
   mutable l_served : int;
   mutable l_turns : int;
-  mutable l_flow_idx : int; (* position in the owning flow's link vector *)
   (* intrusive Active_ring node state; linked iff the flow is backlogged *)
   mutable ar_prev : link;
   mutable ar_next : link;
@@ -62,12 +60,14 @@ type link = {
 
 and flow_state = {
   f_id : Types.flow_id;
-  mutable f_weight : float;
-  mutable f_quantum : float; (* Q_i, bytes *)
+  mutable f_weight : float; (* Q_i = f_weight * base_quantum *)
   f_queue : Pktqueue.t;
-  f_links : linkvec;
-  mutable f_link_by_iface : link option array; (* indexed by iface id *)
-  mutable f_allowed : Iset.t; (* includes interfaces currently offline *)
+  mutable f_links : link array;
+      (* exactly one link per allowed online interface, in no meaningful
+         order: every sweep over it (flag raising, deficit reset,
+         activation into per-interface rings) is order-insensitive *)
+  mutable f_allowed : Types.iface_id list;
+      (* Π_i, ascending without duplicates; includes offline interfaces *)
   mutable f_served : int;
   mutable f_turns : int;
 }
@@ -75,13 +75,8 @@ and flow_state = {
 and iface_state = {
   i_id : Types.iface_id;
   i_ring : link Active_ring.t;
-  mutable i_cursor : link option; (* C_j *)
+  mutable i_cursor : link; (* C_j, or [nil] *)
 }
-
-(* A packed growable vector of links.  Slots at index >= [lv_len] are
-   stale (they keep whatever link last occupied them — links are their own
-   array filler, so no option boxing); never read past [lv_len]. *)
-and linkvec = { mutable lv_arr : link array; mutable lv_len : int }
 
 module Aring = Active_ring.Make (struct
   type t = link
@@ -94,28 +89,41 @@ module Aring = Active_ring.Make (struct
   let set_linked l b = l.ar_linked <- b
 end)
 
-let lv_create () = { lv_arr = [||]; lv_len = 0 }
+(* The sentinels.  [nil] is the cursor of an interface with no current
+   flow and the ring-pointer filler of an unlinked link; [nil_flow] fills
+   empty flow slots.  No path writes either: [nil] is never linked (so
+   every cursor use sees [ar_linked = false] and falls back to the ring
+   head), [nil_flow] owns no links, and every path that writes a flow
+   reaches it through a lookup that rejects [nil_flow].  Sharing them
+   across engines and domains is therefore safe. *)
+let nil_queue = Pktqueue.create ()
+let nil_ring = Active_ring.create ()
 
-let lv_push lv link =
-  let cap = Array.length lv.lv_arr in
-  if Int.equal lv.lv_len cap then begin
-    let a = Array.make (Stdlib.max 4 (2 * cap)) link in
-    Array.blit lv.lv_arr 0 a 0 cap;
-    lv.lv_arr <- a
-  end;
-  lv.lv_arr.(lv.lv_len) <- link;
-  link.l_flow_idx <- lv.lv_len;
-  lv.lv_len <- lv.lv_len + 1
+let rec nil =
+  {
+    l_flow = nil_flow;
+    l_iface = nil_iface;
+    flag = 0;
+    l_deficit = { fc = 0.0 };
+    l_served = 0;
+    l_turns = 0;
+    ar_prev = nil;
+    ar_next = nil;
+    ar_linked = false;
+  }
 
-(* O(1) swap-remove; link order within a flow's vector is not meaningful
-   (every sweep over it is order-insensitive: flag raising, deficit reset,
-   activation into per-interface rings). *)
-let lv_swap_remove lv link =
-  let last = lv.lv_len - 1 in
-  let moved = lv.lv_arr.(last) in
-  lv.lv_arr.(link.l_flow_idx) <- moved;
-  moved.l_flow_idx <- link.l_flow_idx;
-  lv.lv_len <- last
+and nil_flow =
+  {
+    f_id = -1;
+    f_weight = 1.0;
+    f_queue = nil_queue;
+    f_links = [||];
+    f_allowed = [];
+    f_served = 0;
+    f_turns = 0;
+  }
+
+and nil_iface = { i_id = -1; i_ring = nil_ring; i_cursor = nil }
 
 type t = {
   t_mode : mode;
@@ -123,10 +131,8 @@ type t = {
   t_counter_max : int;
   t_base_quantum : int;
   t_queue_capacity : int option;
-  mutable t_flow_slots : flow_state option array; (* indexed by flow id *)
+  mutable t_flow_slots : flow_state array; (* indexed by flow id *)
   mutable t_iface_slots : iface_state option array; (* indexed by iface id *)
-  mutable t_nflows : int;
-  mutable t_nifaces : int;
   mutable t_considered : int;
   mutable t_sink : Midrr_obs.Sink.raw option;
   t_ev : Event.record; (* refilled per emission, see [Event] *)
@@ -151,10 +157,8 @@ let create ?(base_quantum = 1500) ?queue_capacity ?(flag_policy = Per_turn)
     t_counter_max = counter_max;
     t_base_quantum = base_quantum;
     t_queue_capacity = queue_capacity;
-    t_flow_slots = Array.make 64 None;
+    t_flow_slots = Array.make 64 nil_flow;
     t_iface_slots = Array.make 16 None;
-    t_nflows = 0;
-    t_nifaces = 0;
     t_considered = 0;
     t_sink = None;
     t_ev = Event.create ();
@@ -180,114 +184,126 @@ let next_pow2_above cap wanted =
 let grow_flow_slots t f =
   let cap = Array.length t.t_flow_slots in
   if f >= cap then begin
-    let a = Array.make (next_pow2_above cap f) None in
+    let a = Array.make (next_pow2_above cap f) nil_flow in
     Array.blit t.t_flow_slots 0 a 0 cap;
     t.t_flow_slots <- a
   end
 
-(* Growing the interface id space must also widen every flow's
-   link-by-iface array: the invariant is that each spans exactly
-   [Array.length t.t_iface_slots] slots, so hot-path lookups need no
-   bounds logic beyond the id being in range.  Rare and amortized. *)
 let grow_iface_slots t j =
   let cap = Array.length t.t_iface_slots in
   if j >= cap then begin
-    let ncap = next_pow2_above cap j in
-    let a = Array.make ncap None in
+    let a = Array.make (next_pow2_above cap j) None in
     Array.blit t.t_iface_slots 0 a 0 cap;
-    t.t_iface_slots <- a;
-    Array.iter
-      (function
-        | None -> ()
-        | Some fs ->
-            let b = Array.make ncap None in
-            Array.blit fs.f_link_by_iface 0 b 0 cap;
-            fs.f_link_by_iface <- b)
-      t.t_flow_slots
+    t.t_iface_slots <- a
   end
 
+(* [nil_flow] when the id has no flow. *)
 let flow_slot t f =
   if f >= 0 && f < Array.length t.t_flow_slots then t.t_flow_slots.(f)
-  else None
+  else nil_flow
 
 let iface_slot t j =
   if j >= 0 && j < Array.length t.t_iface_slots then t.t_iface_slots.(j)
   else None
 
 let flow_state t f =
-  match flow_slot t f with
-  | Some fs -> fs
-  | None -> invalid_arg "Drr_engine: unknown flow"
+  let fs = flow_slot t f in
+  if fs == nil_flow then invalid_arg "Drr_engine: unknown flow" else fs
 
 let iface_state t j =
   match iface_slot t j with
   | Some ifc -> ifc
   | None -> invalid_arg "Drr_engine: unknown interface"
 
+(* Position of the flow's link to interface [j] in [links], or -1. *)
+let rec link_index links j i =
+  if i >= Array.length links then -1
+  else if Int.equal links.(i).l_iface.i_id j then i
+  else link_index links j (i + 1)
+
 let link_for flow j =
-  if j >= 0 && j < Array.length flow.f_link_by_iface then
-    flow.f_link_by_iface.(j)
-  else None
+  let i = link_index flow.f_links j 0 in
+  if i < 0 then nil else flow.f_links.(i)
+
+(* --- preference lists -------------------------------------------------- *)
+
+let rec strictly_ascending = function
+  | a :: (b :: _ as rest) -> Int.compare a b < 0 && strictly_ascending rest
+  | [] | [ _ ] -> true
+
+(* Π_i in canonical form.  The caller's list is kept when it already is
+   canonical (the common case), so registration copies nothing. *)
+let canonical allowed =
+  if strictly_ascending allowed then allowed
+  else List.sort_uniq Int.compare allowed
+
+let rec mem_sorted j = function
+  | [] -> false
+  | x :: rest -> if x < j then mem_sorted j rest else Int.equal x j
 
 (* --- ring membership ------------------------------------------------- *)
 
 let insert_link ifc link =
   (* A newly backlogged flow joins at the end of the current round: just
      before the cursor when one is set, at the ring tail otherwise. *)
-  match ifc.i_cursor with
-  | Some anchor when anchor.ar_linked ->
-      Aring.insert_before ifc.i_ring ~anchor link
-  | _ -> Aring.push_back ifc.i_ring link
+  let anchor = ifc.i_cursor in
+  if anchor.ar_linked then Aring.insert_before ifc.i_ring ~anchor link
+  else Aring.push_back ifc.i_ring link
 
 let remove_link ifc link =
   if link.ar_linked then begin
-    (match ifc.i_cursor with
-    | Some cur when cur == link ->
-        ifc.i_cursor <-
-          (if Active_ring.length ifc.i_ring <= 1 then None
-           else (Aring.next ifc.i_ring link).l_self)
-    | _ -> ());
+    if ifc.i_cursor == link then
+      ifc.i_cursor <-
+        (if Active_ring.length ifc.i_ring <= 1 then nil
+         else Aring.next ifc.i_ring link);
     Aring.remove ifc.i_ring link
   end
 
 let activate flow =
-  for i = 0 to flow.f_links.lv_len - 1 do
-    let link = flow.f_links.lv_arr.(i) in
+  let links = flow.f_links in
+  for i = 0 to Array.length links - 1 do
+    let link = links.(i) in
     if not link.ar_linked then insert_link link.l_iface link
   done
 
 let deactivate flow =
-  for i = 0 to flow.f_links.lv_len - 1 do
-    let link = flow.f_links.lv_arr.(i) in
+  let links = flow.f_links in
+  for i = 0 to Array.length links - 1 do
+    let link = links.(i) in
     remove_link link.l_iface link
   done
 
 (* --- link lifecycle ---------------------------------------------------- *)
 
 let make_link fs ifc =
-  let rec link =
-    {
-      l_flow = fs;
-      l_iface = ifc;
-      l_self = Some link;
-      flag = 0;
-      l_deficit = { fc = 0.0 };
-      l_served = 0;
-      l_turns = 0;
-      l_flow_idx = -1;
-      ar_prev = link;
-      ar_next = link;
-      ar_linked = false;
-    }
-  in
-  lv_push fs.f_links link;
-  fs.f_link_by_iface.(ifc.i_id) <- Some link;
+  {
+    l_flow = fs;
+    l_iface = ifc;
+    flag = 0;
+    l_deficit = { fc = 0.0 };
+    l_served = 0;
+    l_turns = 0;
+    ar_prev = nil;
+    ar_next = nil;
+    ar_linked = false;
+  }
+
+(* Adding or dropping a link reallocates the flow's link array at its new
+   exact size: both happen only on preference and interface changes. *)
+let add_link fs ifc =
+  let link = make_link fs ifc in
+  fs.f_links <- Array.append fs.f_links [| link |];
   link
 
-let drop_link fs link =
+(* Swap-remove the link at [i]: the last link takes its place. *)
+let drop_link fs i =
+  let links = fs.f_links in
+  let link = links.(i) in
   remove_link link.l_iface link;
-  lv_swap_remove fs.f_links link;
-  fs.f_link_by_iface.(link.l_iface.i_id) <- None
+  let last = Array.length links - 1 in
+  let a = Array.sub links 0 last in
+  if i < last then a.(i) <- links.(last);
+  fs.f_links <- a
 
 (* --- interface management -------------------------------------------- *)
 
@@ -297,20 +313,19 @@ let add_iface t j =
   if j < 0 then invalid_arg "Drr_engine.add_iface: negative interface id";
   if has_iface t j then invalid_arg "Drr_engine.add_iface: duplicate";
   grow_iface_slots t j;
-  let ifc = { i_id = j; i_ring = Active_ring.create (); i_cursor = None } in
+  let ifc = { i_id = j; i_ring = Active_ring.create (); i_cursor = nil } in
   t.t_iface_slots.(j) <- Some ifc;
-  t.t_nifaces <- t.t_nifaces + 1;
   (* Link every flow that already listed this interface in its preference;
      backlogged ones join the round immediately (paper property 4: new
      capacity is used).  The slot scan runs in ascending id order, matching
      the reference engine's sorted iteration, so the new ring's order is
      identical under both engines. *)
   Array.iter
-    (function
-      | Some flow when Iset.mem j flow.f_allowed ->
-          let link = make_link flow ifc in
-          if not (Pktqueue.is_empty flow.f_queue) then insert_link ifc link
-      | _ -> ())
+    (fun flow ->
+      if flow != nil_flow && mem_sorted j flow.f_allowed then begin
+        let link = add_link flow ifc in
+        if not (Pktqueue.is_empty flow.f_queue) then insert_link ifc link
+      end)
     t.t_flow_slots;
   Event.set_iface_up t.t_ev ~iface:j;
   emit t
@@ -318,15 +333,11 @@ let add_iface t j =
 let remove_iface t j =
   let (_ : iface_state) = iface_state t j in
   Array.iter
-    (function
-      | Some flow -> (
-          match flow.f_link_by_iface.(j) with
-          | None -> ()
-          | Some link -> drop_link flow link)
-      | None -> ())
+    (fun flow ->
+      let i = link_index flow.f_links j 0 in
+      if i >= 0 then drop_link flow i)
     t.t_flow_slots;
   t.t_iface_slots.(j) <- None;
-  t.t_nifaces <- t.t_nifaces - 1;
   Event.set_iface_down t.t_ev ~iface:j;
   emit t
 
@@ -339,34 +350,47 @@ let ifaces t =
 
 (* --- flow management -------------------------------------------------- *)
 
-let has_flow t f = Option.is_some (flow_slot t f)
+let has_flow t f = flow_slot t f != nil_flow
+
+let rec count_online t n = function
+  | [] -> n
+  | j :: rest -> count_online t (if has_iface t j then n + 1 else n) rest
+
+(* Fill [links] from [k] on with one link per online interface of
+   [allowed], in ascending interface order. *)
+let rec fill_links t fs links k = function
+  | [] -> ()
+  | j :: rest -> (
+      match iface_slot t j with
+      | None -> fill_links t fs links k rest
+      | Some ifc ->
+          links.(k) <- make_link fs ifc;
+          fill_links t fs links (k + 1) rest)
 
 let add_flow t ~flow ~weight ~allowed =
   if flow < 0 then invalid_arg "Drr_engine.add_flow: negative flow id";
   if has_flow t flow then invalid_arg "Drr_engine.add_flow: duplicate";
   if not (weight > 0.0) then invalid_arg "Drr_engine.add_flow: weight <= 0";
   grow_flow_slots t flow;
+  let allowed = canonical allowed in
   let fs =
     {
       f_id = flow;
       f_weight = weight;
-      f_quantum = weight *. Float.of_int t.t_base_quantum;
       f_queue = Pktqueue.create ?capacity_bytes:t.t_queue_capacity ();
-      f_links = lv_create ();
-      f_link_by_iface = Array.make (Array.length t.t_iface_slots) None;
-      f_allowed = Iset.of_list allowed;
+      f_links = [||];
+      f_allowed = allowed;
       f_served = 0;
       f_turns = 0;
     }
   in
-  Iset.iter
-    (fun j ->
-      match iface_slot t j with
-      | None -> ()
-      | Some ifc -> ignore (make_link fs ifc))
-    fs.f_allowed;
-  t.t_flow_slots.(flow) <- Some fs;
-  t.t_nflows <- t.t_nflows + 1;
+  let n = count_online t 0 allowed in
+  if n > 0 then begin
+    let links = Array.make n nil in
+    fill_links t fs links 0 allowed;
+    fs.f_links <- links
+  end;
+  t.t_flow_slots.(flow) <- fs;
   Event.set_flow_add t.t_ev ~flow;
   t.t_ev.num.value <- weight;
   emit t
@@ -374,15 +398,14 @@ let add_flow t ~flow ~weight ~allowed =
 let remove_flow t f =
   let fs = flow_state t f in
   deactivate fs;
-  t.t_flow_slots.(f) <- None;
-  t.t_nflows <- t.t_nflows - 1;
+  t.t_flow_slots.(f) <- nil_flow;
   Event.set_flow_remove t.t_ev ~flow:f;
   emit t
 
 let flows t =
   let acc = ref [] in
   for f = Array.length t.t_flow_slots - 1 downto 0 do
-    if Option.is_some t.t_flow_slots.(f) then acc := f :: !acc
+    if t.t_flow_slots.(f) != nil_flow then acc := f :: !acc
   done;
   !acc
 
@@ -390,31 +413,29 @@ let set_weight t f w =
   if not (w > 0.0) then invalid_arg "Drr_engine.set_weight: weight <= 0";
   let fs = flow_state t f in
   fs.f_weight <- w;
-  fs.f_quantum <- w *. Float.of_int t.t_base_quantum;
   Event.set_weight_change t.t_ev ~flow:f;
   t.t_ev.num.value <- w;
   emit t
 
-let allowed_ifaces t f = Iset.elements (flow_state t f).f_allowed
+let allowed_ifaces t f = (flow_state t f).f_allowed
 
 let set_allowed t f allowed =
   let fs = flow_state t f in
-  let wanted = Iset.of_list allowed in
+  let wanted = canonical allowed in
   let backlogged = not (Pktqueue.is_empty fs.f_queue) in
   (* Drop links to interfaces no longer allowed.  Walk backwards: a
      swap-remove only disturbs indices at or above the current one. *)
-  for i = fs.f_links.lv_len - 1 downto 0 do
-    let link = fs.f_links.lv_arr.(i) in
-    if not (Iset.mem link.l_iface.i_id wanted) then drop_link fs link
+  for i = Array.length fs.f_links - 1 downto 0 do
+    if not (mem_sorted fs.f_links.(i).l_iface.i_id wanted) then drop_link fs i
   done;
   (* Add links for newly allowed online interfaces. *)
-  Iset.iter
+  List.iter
     (fun j ->
-      if Option.is_none (link_for fs j) then
+      if link_for fs j == nil then
         match iface_slot t j with
         | None -> ()
         | Some ifc ->
-            let link = make_link fs ifc in
+            let link = add_link fs ifc in
             if backlogged then insert_link ifc link)
     wanted;
   fs.f_allowed <- wanted
@@ -422,32 +443,48 @@ let set_allowed t f allowed =
 (* --- data path --------------------------------------------------------- *)
 
 let enqueue t (p : Packet.t) =
-  match flow_slot t p.flow with
-  | None ->
-      (match t.t_sink with
-      | None -> ()
-      | Some s ->
-          Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
-          s t.t_ev);
-      false
-  | Some fs ->
-      let was_empty = Pktqueue.is_empty fs.f_queue in
-      let accepted = Pktqueue.push fs.f_queue p in
-      if accepted && was_empty then activate fs;
-      (match t.t_sink with
-      | None -> ()
-      | Some s ->
-          if accepted then Event.set_enqueue t.t_ev ~flow:p.flow ~bytes:p.size
-          else Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
-          s t.t_ev);
-      accepted
+  let fs = flow_slot t p.flow in
+  if fs == nil_flow then begin
+    (match t.t_sink with
+    | None -> ()
+    | Some s ->
+        Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
+        s t.t_ev);
+    false
+  end
+  else begin
+    let was_empty = Pktqueue.is_empty fs.f_queue in
+    let accepted = Pktqueue.push fs.f_queue p in
+    if accepted && was_empty then activate fs;
+    (match t.t_sink with
+    | None -> ()
+    | Some s ->
+        if accepted then Event.set_enqueue t.t_ev ~flow:p.flow ~bytes:p.size
+        else Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
+        s t.t_ev);
+    accepted
+  end
+
+(* Raise SF_ik at every interface k of the flow other than the one whose
+   link is [link]. *)
+let raise_flags t flow link =
+  let links = flow.f_links in
+  for i = 0 to Array.length links - 1 do
+    let other = links.(i) in
+    if other != link then
+      other.flag <- Stdlib.min t.t_counter_max (other.flag + 1)
+  done
 
 (* Give a flow its service turn: top up the deficit and, in miDRR mode,
    raise its service flag at every other interface (Algorithm 3.2's
    "SF_ik = 1, forall k <> j"). *)
 let begin_turn t ifc link =
   let flow = link.l_flow in
-  link.l_deficit.fc <- link.l_deficit.fc +. flow.f_quantum;
+  (* Q_i is recomputed here rather than stored, which saves the flow a
+     boxed float; the product is the one a stored quantum would hold.  A
+     call returning it would box, hence inline. *)
+  link.l_deficit.fc <-
+    link.l_deficit.fc +. (flow.f_weight *. Float.of_int t.t_base_quantum);
   flow.f_turns <- flow.f_turns + 1;
   link.l_turns <- link.l_turns + 1;
   (match t.t_sink with
@@ -455,15 +492,7 @@ let begin_turn t ifc link =
   | Some s ->
       Event.set_turn t.t_ev ~flow:flow.f_id ~iface:ifc.i_id;
       s t.t_ev);
-  match t.t_mode with
-  | Plain -> ()
-  | Service_flags ->
-      let links = flow.f_links in
-      for i = 0 to links.lv_len - 1 do
-        let other = links.lv_arr.(i) in
-        if other != link then
-          other.flag <- Stdlib.min t.t_counter_max (other.flag + 1)
-      done
+  match t.t_mode with Plain -> () | Service_flags -> raise_flags t flow link
 
 (* Advance C_j to the next flow to serve.  [skip_current] distinguishes the
    two call sites of the paper's pseudocode: after an ordinary
@@ -489,15 +518,14 @@ let rec skip_flagged t ifc n =
 
 let check_next t ifc ~skip_current =
   let cur =
-    match ifc.i_cursor with
-    | Some n when n.ar_linked -> n
-    | _ -> Option.get (Active_ring.head ifc.i_ring)
+    let c = ifc.i_cursor in
+    if c.ar_linked then c else Option.get (Active_ring.head ifc.i_ring)
   in
   let start = if skip_current then Aring.next ifc.i_ring cur else cur in
   let n =
     match t.t_mode with Plain -> start | Service_flags -> skip_flagged t ifc start
   in
-  ifc.i_cursor <- n.l_self;
+  ifc.i_cursor <- n;
   begin_turn t ifc n
 
 (* The decision loop behind both [next_packet] variants.  A top-level
@@ -508,15 +536,16 @@ let rec decide t ifc j =
   if Active_ring.is_empty ifc.i_ring then Packet.none
   else begin
     let link =
-      match ifc.i_cursor with
-      | Some n when n.ar_linked -> n
-      | _ ->
-          (* First decision on this ring (or cursor lost with the ring):
-             start a turn for the head flow. *)
-          let head = Option.get (Active_ring.head ifc.i_ring) in
-          ifc.i_cursor <- head.l_self;
-          begin_turn t ifc head;
-          head
+      let c = ifc.i_cursor in
+      if c.ar_linked then c
+      else begin
+        (* First decision on this ring (or cursor lost with the ring):
+           start a turn for the head flow. *)
+        let head = Option.get (Active_ring.head ifc.i_ring) in
+        ifc.i_cursor <- head;
+        begin_turn t ifc head;
+        head
+      end
     in
     let flow = link.l_flow in
     let size = Pktqueue.head_size flow.f_queue in
@@ -537,19 +566,13 @@ let rec decide t ifc j =
          the whole turn; the default [Per_turn] follows Algorithm 3.2 and
          raises them only at selection (in [begin_turn]). *)
       (match (t.t_mode, t.t_flag_policy) with
-      | Service_flags, Per_send ->
-          let links = flow.f_links in
-          for i = 0 to links.lv_len - 1 do
-            let other = links.lv_arr.(i) in
-            if other != link then
-              other.flag <- Stdlib.min t.t_counter_max (other.flag + 1)
-          done
+      | Service_flags, Per_send -> raise_flags t flow link
       | _ -> ());
       if Pktqueue.is_empty flow.f_queue then begin
         (* BL_i = 0: reset the deficits and leave every round. *)
         let links = flow.f_links in
-        for i = 0 to links.lv_len - 1 do
-          links.lv_arr.(i).l_deficit.fc <- 0.0
+        for i = 0 to Array.length links - 1 do
+          links.(i).l_deficit.fc <- 0.0
         done;
         deactivate flow;
         if not (Active_ring.is_empty ifc.i_ring) then
@@ -578,42 +601,26 @@ let backlog_packets t f = Pktqueue.length (flow_state t f).f_queue
 let is_backlogged t f = not (Pktqueue.is_empty (flow_state t f).f_queue)
 let served_bytes t f = (flow_state t f).f_served
 
-let served_bytes_on t ~flow ~iface =
-  match link_for (flow_state t flow) iface with
-  | None -> 0
-  | Some l -> l.l_served
+(* Introspection of the (flow, iface) pair; [nil]'s zeroed fields read as
+   the unlinked pair's values. *)
+let pair t ~flow ~iface = link_for (flow_state t flow) iface
+
+let served_bytes_on t ~flow ~iface = (pair t ~flow ~iface).l_served
 
 let deficit t f =
-  let fs = flow_state t f in
+  let links = (flow_state t f).f_links in
   let acc = ref 0.0 in
-  for i = 0 to fs.f_links.lv_len - 1 do
-    acc := Float.max !acc fs.f_links.lv_arr.(i).l_deficit.fc
+  for i = 0 to Array.length links - 1 do
+    acc := Float.max !acc links.(i).l_deficit.fc
   done;
   !acc
 
-let deficit_on t ~flow ~iface =
-  match link_for (flow_state t flow) iface with
-  | None -> 0.0
-  | Some l -> l.l_deficit.fc
-
-let quantum t f = (flow_state t f).f_quantum
-
-let service_flag t ~flow ~iface =
-  match link_for (flow_state t flow) iface with
-  | None -> false
-  | Some l -> l.flag > 0
-
-let service_counter t ~flow ~iface =
-  match link_for (flow_state t flow) iface with
-  | None -> 0
-  | Some l -> l.flag
-
+let deficit_on t ~flow ~iface = (pair t ~flow ~iface).l_deficit.fc
+let quantum t f = (flow_state t f).f_weight *. Float.of_int t.t_base_quantum
+let service_flag t ~flow ~iface = (pair t ~flow ~iface).flag > 0
+let service_counter t ~flow ~iface = (pair t ~flow ~iface).flag
 let turns t f = (flow_state t f).f_turns
-
-let turns_on t ~flow ~iface =
-  match link_for (flow_state t flow) iface with
-  | None -> 0
-  | Some l -> l.l_turns
+let turns_on t ~flow ~iface = (pair t ~flow ~iface).l_turns
 
 let ring_flows t j =
   Aring.to_list (iface_state t j).i_ring |> List.map (fun l -> l.l_flow.f_id)
@@ -623,16 +630,16 @@ let considered t = t.t_considered
 let reset_counters t =
   t.t_considered <- 0;
   Array.iter
-    (function
-      | None -> ()
-      | Some fs ->
-          fs.f_served <- 0;
-          fs.f_turns <- 0;
-          for i = 0 to fs.f_links.lv_len - 1 do
-            let l = fs.f_links.lv_arr.(i) in
+    (fun fs ->
+      if fs != nil_flow then begin
+        fs.f_served <- 0;
+        fs.f_turns <- 0;
+        Array.iter
+          (fun l ->
             l.l_served <- 0;
-            l.l_turns <- 0
-          done)
+            l.l_turns <- 0)
+          fs.f_links
+      end)
     t.t_flow_slots
 
 let drops t f = Pktqueue.drops (flow_state t f).f_queue

@@ -1,13 +1,14 @@
 (** The fast-path deficit-round-robin engine behind both DRR and miDRR.
 
     This is the default engine: flow and interface state live in dense
-    slot arrays indexed by id, each interface's round is an intrusive
+    slot arrays indexed by id, and each interface's round is an intrusive
     {!Active_ring} threaded through the per-(flow, interface) link
-    records, and [link_for] is a single array load — so a scheduling
-    decision costs O(active flows), independent of how many idle flows
-    are registered.  Flow and interface ids must be non-negative (they
-    index the slot arrays directly; ids are expected to be small and
-    dense).  Semantics are specified by {!Drr_engine_ref}, the original
+    records — so a scheduling decision costs O(active flows), independent
+    of how many idle flows are registered.  A flow's own state is sized by
+    its preference list (one link per allowed online interface), not by
+    the interface-id space.  Flow and interface ids must be non-negative
+    (they index the slot arrays directly; ids are expected to be small
+    and dense).  Semantics are specified by {!Drr_engine_ref}, the original
     list-and-hashtable implementation kept as the executable spec; the
     differential and golden-trace suites hold the two engines to
     identical serve sequences, deficits, flags and event streams.

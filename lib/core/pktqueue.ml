@@ -3,7 +3,8 @@
    nothing (the old representation allocated a list cell per push and a
    [Some] per [take_opt]).  Slots outside the live window keep whatever
    packet last occupied them, with [Packet.none] as the initial filler —
-   never read past [len]. *)
+   never read past [len].  The first buffer holds four packets, which is
+   all that most flows of a large fleet ever queue at once. *)
 
 type t = {
   mutable buf : Packet.t array;
@@ -30,7 +31,7 @@ let create ?capacity_bytes () =
 (* Double the buffer, unrolling the circular window to start at 0. *)
 let grow t =
   let cap = Array.length t.buf in
-  let ncap = Stdlib.max 8 (2 * cap) in
+  let ncap = Stdlib.max 4 (2 * cap) in
   let nbuf = Array.make ncap Packet.none in
   for i = 0 to t.len - 1 do
     nbuf.(i) <- t.buf.((t.head + i) mod cap)

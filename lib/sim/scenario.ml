@@ -137,14 +137,21 @@ type directive =
 
 let err lineno fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" lineno m)) fmt
 
+(* Interface ids index the engines' slot arrays: non-negative integers. *)
+let iface_id s =
+  match int_of_string_opt s with Some j as id when j >= 0 -> id | _ -> None
+
+let bad_iface_id lineno s = err lineno "bad interface id %S (want an integer >= 0)" s
+
 let parse_iface lineno tokens =
   match tokens with
+  | id :: _ when Option.is_none (iface_id id) -> bad_iface_id lineno id
   | [ id; "constant"; rate ] -> (
-      match (int_of_string_opt id, parse_rate rate) with
+      match (iface_id id, parse_rate rate) with
       | Some id, Some r -> Ok (D_iface (id, Link.constant r))
       | _ -> err lineno "bad iface constant")
   | id :: "steps" :: initial :: changes -> (
-      match (int_of_string_opt id, parse_rate initial) with
+      match (iface_id id, parse_rate initial) with
       | Some id, Some r0 -> (
           let parsed =
             List.map
@@ -163,6 +170,14 @@ let parse_iface lineno tokens =
             with Invalid_argument m -> err lineno "%s" m)
       | _ -> err lineno "bad iface steps")
   | _ -> err lineno "bad iface directive"
+
+(* The ids of an [ifaces=] list, or an error naming the first bad one. *)
+let rec iface_list lineno acc = function
+  | [] -> Ok (List.rev acc)
+  | s :: rest -> (
+      match iface_id s with
+      | Some j -> iface_list lineno (j :: acc) rest
+      | None -> bad_iface_id lineno s)
 
 let parse_source lineno tokens =
   let pkt () =
@@ -206,18 +221,15 @@ let parse_flow lineno tokens =
         | None -> Some 1.0
         | Some w -> float_of_string_opt w
       in
-      let ifaces =
-        Option.map
-          (fun s ->
-            List.filter_map int_of_string_opt (String.split_on_char ',' s))
-          (field "ifaces" rest)
-      in
-      match (weight, ifaces) with
-      | Some w, Some ifaces when w > 0.0 && ifaces <> [] ->
-          Result.map
-            (fun source ->
-              D_flow { fs_name = name; fs_weight = w; fs_ifaces = ifaces; fs_source = source })
-            (parse_source lineno rest)
+      match (weight, field "ifaces" rest) with
+      | Some w, Some ids when w > 0.0 -> (
+          match iface_list lineno [] (String.split_on_char ',' ids) with
+          | Error _ as e -> e
+          | Ok ifaces ->
+              Result.map
+                (fun source ->
+                  D_flow { fs_name = name; fs_weight = w; fs_ifaces = ifaces; fs_source = source })
+                (parse_source lineno rest))
       | _ -> err lineno "flow needs weight>0 and ifaces=I[,J...]")
   | [] -> err lineno "flow needs a name"
 
@@ -230,13 +242,13 @@ let parse_at lineno tokens =
           | Some w when w > 0.0 -> Ok (D_at (at, E_weight (name, w)))
           | _ -> err lineno "bad weight value")
       | Some at, [ "allow"; name; iface ] -> (
-          match int_of_string_opt iface with
+          match iface_id iface with
           | Some j -> Ok (D_at (at, E_allow (name, j)))
-          | None -> err lineno "bad interface id")
+          | None -> bad_iface_id lineno iface)
       | Some at, [ "deny"; name; iface ] -> (
-          match int_of_string_opt iface with
+          match iface_id iface with
           | Some j -> Ok (D_at (at, E_deny (name, j)))
-          | None -> err lineno "bad interface id")
+          | None -> bad_iface_id lineno iface)
       | Some at, [ "stop"; name ] -> Ok (D_at (at, E_stop name))
       | _ -> err lineno "bad at directive")
   | [] -> err lineno "at needs a time"
@@ -252,11 +264,15 @@ let parse_line lineno line =
       match tokens with
       | "scheduler" :: rest -> (
           match rest with
-          | "midrr" :: opts ->
-              let counter =
-                Option.bind (field "counter" opts) int_of_string_opt
-              in
-              Ok (D_sched (Sched_midrr counter))
+          | "midrr" :: opts -> (
+              match opts with
+              | [] -> Ok (D_sched (Sched_midrr None))
+              | [ opt ] -> (
+                  match Option.map int_of_string_opt (field "counter" [ opt ]) with
+                  | Some (Some k) when k >= 1 -> Ok (D_sched (Sched_midrr (Some k)))
+                  | Some _ -> err lineno "bad %s (want counter=K, K >= 1)" opt
+                  | None -> err lineno "unknown midrr option %S (want counter=K)" opt)
+              | _ -> err lineno "midrr takes one option at most (counter=K)")
           | [ name ] -> (
               match sched_of_name name with
               | Some s -> Ok (D_sched s)
@@ -282,36 +298,73 @@ let parse_line lineno line =
     in
     Result.map (fun d -> Some d) result
 
+let event_flow = function
+  | E_weight (name, _) | E_allow (name, _) | E_deny (name, _) | E_stop name ->
+      name
+
+(* One pass over the lines.  Interface ids and flow names are checked for
+   duplicates as they are declared; the flows named by [at] lines are
+   checked once every flow is known, since an [at] line may come first. *)
 let parse text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
+  let sched = ref (Sched_midrr None) in
+  let ifaces = ref [] and flow_specs = ref [] in
+  let events = ref [] and measure_windows = ref [] in
+  let horizon = ref None in
+  let iface_ids = Hashtbl.create 16 and flow_names = Hashtbl.create 16 in
+  let at_flows = ref [] in
+  let add lineno = function
+    | D_sched s ->
+        sched := s;
+        Ok ()
+    | D_iface (id, profile) ->
+        if Hashtbl.mem iface_ids id then err lineno "duplicate interface %d" id
+        else begin
+          Hashtbl.replace iface_ids id ();
+          ifaces := (id, profile) :: !ifaces;
+          Ok ()
+        end
+    | D_flow f ->
+        if Hashtbl.mem flow_names f.fs_name then
+          err lineno "duplicate flow %S" f.fs_name
+        else begin
+          Hashtbl.replace flow_names f.fs_name ();
+          flow_specs := f :: !flow_specs;
+          Ok ()
+        end
+    | D_at (at, e) ->
+        events := (at, e) :: !events;
+        at_flows := (lineno, event_flow e) :: !at_flows;
+        Ok ()
+    | D_measure (a, b) ->
+        measure_windows := (a, b) :: !measure_windows;
+        Ok ()
+    | D_run h ->
+        horizon := Some h;
+        Ok ()
+  in
+  let rec go lineno = function
+    | [] -> Ok ()
     | line :: rest -> (
         match parse_line lineno line with
-        | Ok None -> go (lineno + 1) acc rest
-        | Ok (Some d) -> go (lineno + 1) (d :: acc) rest
-        | Error e -> Error e)
+        | Ok None -> go (lineno + 1) rest
+        | Ok (Some d) -> (
+            match add lineno d with
+            | Ok () -> go (lineno + 1) rest
+            | Error _ as e -> e)
+        | Error _ as e -> e)
   in
-  match go 1 [] lines with
+  let unknown_flow () =
+    List.find_opt
+      (fun (_, name) -> not (Hashtbl.mem flow_names name))
+      (List.rev !at_flows)
+  in
+  match go 1 (String.split_on_char '\n' text) with
   | Error e -> Error e
-  | Ok directives ->
-      let sched = ref (Sched_midrr None) in
-      let ifaces = ref [] and flow_specs = ref [] in
-      let events = ref [] and measure_windows = ref [] in
-      let horizon = ref None in
-      List.iter
-        (fun d ->
-          match d with
-          | D_sched s -> sched := s
-          | D_iface (id, profile) -> ifaces := (id, profile) :: !ifaces
-          | D_flow f -> flow_specs := f :: !flow_specs
-          | D_at (at, e) -> events := (at, e) :: !events
-          | D_measure (a, b) -> measure_windows := (a, b) :: !measure_windows
-          | D_run h -> horizon := Some h)
-        directives;
-      match !horizon with
-      | None -> Error "missing 'run T' directive"
-      | Some horizon ->
+  | Ok () -> (
+      match (unknown_flow (), !horizon) with
+      | Some (lineno, name), _ -> err lineno "unknown flow %S" name
+      | None, None -> Error "missing 'run T' directive"
+      | None, Some horizon ->
           if !ifaces = [] then Error "no interfaces declared"
           else if !flow_specs = [] then Error "no flows declared"
           else
@@ -323,7 +376,7 @@ let parse text =
                 events = List.rev !events;
                 measure_windows = List.rev !measure_windows;
                 horizon;
-              }
+              })
 
 (* --- introspection -------------------------------------------------------- *)
 

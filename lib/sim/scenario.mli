@@ -105,7 +105,11 @@ type engine =
           [midrr run --engine sharded --shards N] *)
 
 val parse : string -> (t, string) result
-(** Parse scenario text; the error names the offending line. *)
+(** Parse scenario text; the error names the offending line.  Besides
+    syntax, it rejects interface ids that are not non-negative integers,
+    a repeated [iface] id or [flow] name, [counter=K] unless [K] is an
+    integer [>= 1], and an [at] line naming a flow the file does not
+    declare, so that a parsed scenario always runs. *)
 
 (** {1 Introspection}
 

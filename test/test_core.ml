@@ -550,6 +550,31 @@ let test_engine_reset_counters () =
   Alcotest.(check int) "reset" 0 (Drr_engine.served_bytes m 1);
   Alcotest.(check int) "considered reset" 0 (Drr_engine.considered m)
 
+(* Live major-heap words per registered flow on interfaces [ifaces].
+   miDRR keeps one deficit and one flag per (flow, interface) edge of Π,
+   so a flow's state must grow with its own preference list only. *)
+let live_words_per_flow ifaces =
+  let n = 20_000 in
+  let m = Midrr.create () in
+  List.iter (Drr_engine.add_iface m) ifaces;
+  Gc.full_major ();
+  let before = (Gc.stat ()).live_words in
+  for flow = 0 to n - 1 do
+    Drr_engine.add_flow m ~flow ~weight:1.0 ~allowed:ifaces
+  done;
+  Gc.full_major ();
+  let after = (Gc.stat ()).live_words in
+  Alcotest.(check int) "all registered" n (List.length (Drr_engine.flows m));
+  Float.of_int (after - before) /. Float.of_int n
+
+let test_engine_flow_footprint () =
+  let low = live_words_per_flow [ 0; 1 ] in
+  let high = live_words_per_flow [ 4096; 4097 ] in
+  Printf.printf "live words per flow: %.1f (ifaces 0,1), %.1f (4096,4097)\n"
+    low high;
+  Alcotest.(check (float 0.0)) "independent of interface ids" low high;
+  if low > 56.0 then Alcotest.failf "%.1f live words per flow > 56" low
+
 let () =
   Alcotest.run "core"
     [
@@ -640,5 +665,7 @@ let () =
           Alcotest.test_case "considered grows" `Quick
             test_engine_considered_grows;
           Alcotest.test_case "reset counters" `Quick test_engine_reset_counters;
+          Alcotest.test_case "per-flow footprint" `Quick
+            test_engine_flow_footprint;
         ] );
     ]

@@ -132,8 +132,14 @@ let check_events cfg step p =
       cfg.label cfg.seed step i a b
   end
 
+(* Sparse, with one large id: interface ids index the fast engine's slot
+   arrays, while each flow's own state must stay sized by its preference
+   list. *)
+let iface_pool = [ 0; 1; 3; 7; 1000 ]
+
 (* Full observable-state comparison across every flow, interface and
-   (flow, interface) pair. *)
+   (flow, interface) pair; pairs also on the pool's offline interfaces,
+   which both engines must report as unlinked. *)
 let check_state cfg step ~flows ~ifaces p =
   let fail fmt =
     Printf.ksprintf
@@ -150,6 +156,7 @@ let check_state cfg step ~flows ~ifaces p =
       if rf <> rr then
         fail "iface %d ring: fast [%s], ref [%s]" j (ids rf) (ids rr))
     ifaces;
+  let pair_ifaces = List.sort_uniq Int.compare (ifaces @ iface_pool) in
   List.iter
     (fun f ->
       if F.backlog_bytes p.fast f <> R.backlog_bytes p.refe f then
@@ -196,13 +203,12 @@ let check_state cfg step ~flows ~ifaces p =
             F.served_bytes_on p.fast ~flow:f ~iface:j
             <> R.served_bytes_on p.refe ~flow:f ~iface:j
           then fail "pair (%d,%d) served" f j)
-        ifaces)
+        pair_ifaces)
     flows
 
 (* --- the churn driver --------------------------------------------------- *)
 
 let max_flows = 32
-let iface_pool = [ 0; 1; 2; 3; 4 ]
 
 let run_config cfg =
   let st = Random.State.make [| cfg.seed |] in
@@ -227,10 +233,11 @@ let run_config cfg =
         id
   in
   let random_allowed () =
-    (* A random subset of the interface pool — including currently offline
-       interfaces, which must be linked lazily when they come up. *)
-    let all = List.filter (fun _ -> rand 3 > 0) iface_pool in
-    if all = [] then [ pick iface_pool ] else all
+    (* One to five draws from the interface pool, with replacement and in
+       draw order: unsorted lists with duplicates, sometimes already
+       ascending.  Offline interfaces are included; they must be linked
+       lazily when they come up. *)
+    List.init (1 + rand 5) (fun _ -> pick iface_pool)
   in
   let add_flow () =
     if List.length !flows < max_flows then begin
