@@ -1,12 +1,14 @@
 (** The packet-steering bridge of paper §5 / Figure 3.
 
-    Applications send through one virtual interface; the bridge classifies
-    each packet to a flow, hands it to the packet scheduler, and — when a
-    physical port is free — pulls the scheduler's decision, rewrites the
-    headers from the virtual to the chosen physical interface and emits the
-    frame.  This mirrors the 1,010-line Linux kernel module functionally:
-    virtual address transparency, per-port rewriting, and a scheduling
-    decision on every transmit opportunity. *)
+    Applications send through one virtual interface, each packet already
+    tagged with its flow ([Packet.t]'s [flow]); the bridge hands it to the
+    packet scheduler and — when a physical port is free — pulls the
+    scheduler's decision, rewrites the headers from the virtual to the
+    chosen physical interface and emits the frame.  This mirrors the
+    1,010-line Linux kernel module functionally: virtual address
+    transparency, per-port rewriting, and a scheduling decision on every
+    transmit opportunity.  The kernel module's five-tuple classifier has
+    no counterpart here: {!send} takes the flow id as given. *)
 
 open Midrr_core
 
@@ -35,7 +37,8 @@ val register_flow :
 
 val send : t -> Packet.t -> bool
 (** Application-side entry: accept a packet addressed to the virtual
-    interface.  [false] when the flow is unknown or its queue is full. *)
+    interface, queued under its [flow] field.  [false] when the flow is
+    unknown or its queue is full. *)
 
 val transmit : t -> Types.iface_id -> Vif.frame option
 (** Pull one frame for the physical port: asks the scheduler which packet

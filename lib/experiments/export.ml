@@ -134,11 +134,3 @@ let fig10 ~dir (r : Fig10.result) =
     ~path:(in_dir dir "fig10_phases.csv")
     ~header:[ "phase"; "flow"; "goodput_mbps"; "fast_flow"; "b_tracks_faster" ]
     ~rows
-
-let trace_jsonl ~path recorder =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Midrr_obs.Recorder.iter recorder ~f:(fun (e : Midrr_obs.Recorder.entry) ->
-          Midrr_obs.Jsonl.write oc ~time:e.time e.event))

@@ -30,8 +30,3 @@ val fig9 : dir:string -> Fig9.result -> unit
 
 val fig10 : dir:string -> Fig10.result -> unit
 (** [fig10_series.csv] and [fig10_phases.csv]. *)
-
-val trace_jsonl : path:string -> Midrr_obs.Recorder.t -> unit
-(** Dump a recorder's retained events as JSON lines (schema:
-    {!Midrr_obs.Jsonl}), oldest first.  For streaming unbounded runs,
-    pass [Midrr_obs.Jsonl.sink] to the platform directly instead. *)

@@ -84,7 +84,7 @@ let create ?(seed = 1) ?(bin = 1.0) ?(chunk_size = 262144)
       rtt_jitter;
       transfers = Int_tbl.create 16;
       ifaces = Int_tbl.create 8;
-      cells = Counters.create ~kind:Completes ();
+      cells = Counters.create ();
       sink = effective_sink;
       ev = Midrr_obs.Event.create ();
       metrics;

@@ -65,7 +65,7 @@ let default =
     (* R7 roots: the decision path (its runtime allocation gate runs
        beside this proof in @crosscheck), the PIFO substrate's
        per-decision ops, the intrusive ring ops the engine drives per
-       decision, and the two obs sinks with a zero-allocation claim.
+       decision, the recorder sink and the platforms' byte tally.
        Specs match against display names ("Unit.sub.value"); a trailing
        ".*" matches a whole prefix. *)
     typed_entry_points =

@@ -9,6 +9,12 @@
    branches are one-time-per-flow / per-interface growth and
    registration sites, each annotated [@midrr.lint.allow "R7"].
 
+   Delays: each flow keeps a ring of pending enqueue times (FIFO flow
+   queues match its n-th Serve to its n-th Enqueue); the popped
+   difference, in integer nanoseconds, feeds the aggregate,
+   per-interface and per-flow sketches alike.  Per-flow sketches stay
+   out of the registry.
+
    Per-interface queue occupancy is derived purely from the stream: a
    flow's backlog comes from Enqueue/Serve (Drops are rejected before
    entering the queue, Flow_remove clears), and the flow's association
@@ -61,6 +67,7 @@ type t = {
   mutable fl_pend : float array array; (* pending enqueue-time rings *)
   mutable fl_phead : int array;
   mutable fl_plen : int array;
+  mutable fl_delay : Log_histogram.t array; (* [delay] until first Serve *)
   mutable n_flows : int; (* 1 + highest flow id seen *)
   (* exact int mirrors of the gauges, updated on every event *)
   mutable qpkts : int;
@@ -108,6 +115,7 @@ let create ?registry () =
     fl_pend = [||];
     fl_phead = [||];
     fl_plen = [||];
+    fl_delay = [||];
     n_flows = 0;
     qpkts = 0;
     qbytes = 0;
@@ -128,6 +136,7 @@ let grow_flows t f =
    let pend = Array.make cap [||] in
    let phead = Array.make cap 0 in
    let plen = Array.make cap 0 in
+   let delay = Array.make cap t.delay in
    Array.blit t.fl_backlog 0 backlog 0 t.n_flows;
    Array.blit t.fl_bytes 0 bytes 0 t.n_flows;
    Array.blit t.fl_mask 0 mask 0 t.n_flows;
@@ -135,13 +144,15 @@ let grow_flows t f =
    Array.blit t.fl_pend 0 pend 0 t.n_flows;
    Array.blit t.fl_phead 0 phead 0 t.n_flows;
    Array.blit t.fl_plen 0 plen 0 t.n_flows;
+   Array.blit t.fl_delay 0 delay 0 t.n_flows;
    t.fl_backlog <- backlog;
    t.fl_bytes <- bytes;
    t.fl_mask <- mask;
    t.fl_active <- active;
    t.fl_pend <- pend;
    t.fl_phead <- phead;
-   t.fl_plen <- plen)
+   t.fl_plen <- plen;
+   t.fl_delay <- delay)
   [@midrr.lint.allow "R7"]
 
 let ensure_flow t f =
@@ -187,6 +198,14 @@ let register_iface t j =
 let ensure_iface t j =
   if j >= Array.length t.ifc_known || not t.ifc_known.(j) then
     register_iface t j
+
+(* A flow's delay sketch, created at its first Serve. *)
+let flow_sketch t f =
+  if t.fl_delay.(f) == t.delay then
+    (t.fl_delay.(f) <-
+       Log_histogram.create ~lo:delay_lo ~gamma:delay_gamma ~bins:delay_bins)
+    [@midrr.lint.allow "R7"];
+  t.fl_delay.(f)
 
 let grow_pending t f =
   (let old = t.fl_pend.(f) in
@@ -286,16 +305,19 @@ let on_event t ~time (ev : Event.record) =
         t.qbytes <- t.qbytes - bytes;
         bump_assoc t flow (-1)
       end;
+      let fl_delay = flow_sketch t flow in
       let ns = pop_pending_ns t flow ~time in
       if Int.equal ns min_int then begin
         (* no matching enqueue seen: count in the NaN cell ([Float.nan]
            is a static constant, so this branch still allocates nothing) *)
         Log_histogram.observe t.delay Float.nan;
-        Log_histogram.observe t.ifc_delay.(iface) Float.nan
+        Log_histogram.observe t.ifc_delay.(iface) Float.nan;
+        Log_histogram.observe fl_delay Float.nan
       end
       else begin
         Log_histogram.observe_ns t.delay ns;
-        Log_histogram.observe_ns t.ifc_delay.(iface) ns
+        Log_histogram.observe_ns t.ifc_delay.(iface) ns;
+        Log_histogram.observe_ns fl_delay ns
       end
   | Drop ->
       ensure_flow t ev.flow;
@@ -387,4 +409,9 @@ let iface_delay t ~iface =
     && iface < Array.length t.ifc_known
     && t.ifc_known.(iface)
   then Some t.ifc_delay.(iface)
+  else None
+
+let flow_delay t ~flow =
+  if flow < t.n_flows && t.fl_delay.(flow) != t.delay then
+    Some t.fl_delay.(flow)
   else None

@@ -9,8 +9,13 @@
       interfaces up, and per-interface queue occupancy (the summed
       backlog of the flows associated with each interface, the
       association learned from [Turn]/[Serve] events);
-    - histograms: enqueue-to-service delay, aggregate and
-      per-interface, as streaming log-bucket sketches.
+    - histograms: enqueue-to-service delay, aggregate, per-interface
+      and per-flow, as streaming log-bucket sketches (1 us floor, 5%
+      buckets).  Delays are taken at 1 ns resolution: the [n]-th
+      [Serve] of a flow is matched with its [n]-th [Enqueue] (flow
+      queues are FIFO), [Drop]s never enter the match and [Flow_remove]
+      forgets the flow's unserved enqueues.  A [Serve] with no pending
+      enqueue (fold attached mid-run) counts in the sketches' NaN cell.
 
     The steady-state [on_event] path allocates nothing (R7-checked):
     state lives in preallocated int/float arrays, and gauge values are
@@ -48,3 +53,9 @@ val delay : t -> Log_histogram.t
 (** Aggregate enqueue-to-service delay sketch (seconds). *)
 
 val iface_delay : t -> iface:int -> Log_histogram.t option
+
+val flow_delay : t -> flow:int -> Log_histogram.t option
+(** The flow's delay sketch (seconds; shared, not a copy), created at
+    its first [Serve] and kept across [Flow_remove]; [None] for a flow
+    never served.  Per-flow sketches are not registered in
+    {!registry}, so exports and registry merges do not carry them. *)

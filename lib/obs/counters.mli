@@ -1,34 +1,18 @@
-(** Per-(flow, interface) byte tallies fed by the event stream.
+(** Per-(flow, interface) byte tallies.
 
-    Replaces the ad-hoc cell tables that {!Netsim} and the HTTP proxy
-    each kept privately: one aggregator, fed either through its
-    {!sink} (counting [Serve] or [Complete] events, per [kind]) or
-    directly through {!add} by a platform's datapath. *)
-
-type kind = Serves | Completes
+    The one cell table {!Netsim} and the HTTP proxy share: each
+    platform's datapath calls {!add} on every completed transmission,
+    and the measurement windows read cells back through {!copy} and
+    {!since}. *)
 
 type t
 
-val create : ?kind:kind -> unit -> t
-(** Which events the {!sink} tallies (default [Completes]).  [add] is
-    unaffected by [kind]. *)
-
-val sink : t -> Sink.t
-(** Subscriber that accumulates the bytes of matching events. *)
+val create : unit -> t
 
 val add : t -> flow:int -> iface:int -> bytes:int -> unit
 
 val cell : t -> flow:int -> iface:int -> int
 (** Cumulative bytes of [flow] on [iface] (0 if never served). *)
-
-val flow_total : t -> int -> int
-
-val iface_total : t -> int -> int
-
-val grand_total : t -> int
-
-val cells : t -> ((int * int) * int) list
-(** All non-zero cells as [((flow, iface), bytes)], sorted. *)
 
 val copy : t -> t
 (** Independent snapshot of the current tallies. *)
@@ -36,5 +20,3 @@ val copy : t -> t
 val since : t -> t -> flow:int -> iface:int -> int
 (** [since cur base ~flow ~iface] is the bytes accumulated in the cell
     after [base] was captured: [cell cur - cell base]. *)
-
-val pp : Format.formatter -> t -> unit

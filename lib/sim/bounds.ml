@@ -2,8 +2,8 @@ module Curve = Midrr_netcalc.Curve
 module Arrival = Midrr_netcalc.Arrival
 module Service = Midrr_netcalc.Service
 module Bound = Midrr_netcalc.Bound
-module Delay = Midrr_obs.Delay
-module Summary = Midrr_stats.Summary
+module Busmetrics = Midrr_obs.Busmetrics
+module Log_histogram = Midrr_stats.Log_histogram
 
 type discipline = Drr | Midrr
 
@@ -111,9 +111,9 @@ let sched_thunk ~base_quantum = function
 
 let report ?(base_quantum = 1500) ?seed ~label ~discipline scn =
   let bounds = analyze ~base_quantum ~discipline scn in
-  let d = Delay.create () in
+  let bm = Busmetrics.create () in
   let (_ : Scenario.report) =
-    Scenario.run ~sink:(Delay.sink d) ?seed
+    Scenario.run ~metrics:bm ?seed
       ~sched:(sched_thunk ~base_quantum discipline)
       scn
   in
@@ -125,29 +125,29 @@ let report ?(base_quantum = 1500) ?seed ~label ~discipline scn =
           | Some b -> b
           | None -> Float.infinity
         in
-        let n = Delay.count d ~flow:i in
-        if n = 0 then
-          {
-            flow = fs.fs_name;
-            bound;
-            samples = 0;
-            sim_max = Float.nan;
-            sim_p99 = Float.nan;
-            sim_p999 = Float.nan;
-          }
-        else
-          (* max is exact; p99/p999 come from the streaming sketch
-             (conservative: never below the true quantile, never above
-             the exact max), so the bound check stays sound at O(1)
-             memory per flow. *)
-          {
-            flow = fs.fs_name;
-            bound;
-            samples = n;
-            sim_max = Delay.worst d ~flow:i;
-            sim_p99 = Delay.quantile d ~flow:i ~q:0.99;
-            sim_p999 = Delay.quantile d ~flow:i ~q:0.999;
-          })
+        match Busmetrics.flow_delay bm ~flow:i with
+        | Some h when Log_histogram.count h > 0 ->
+            (* max is exact; p99/p999 come from the streaming sketch
+               (conservative: never below the true quantile, never above
+               the exact max), so the bound check stays sound at O(1)
+               memory per flow. *)
+            {
+              flow = fs.fs_name;
+              bound;
+              samples = Log_histogram.count h;
+              sim_max = Log_histogram.max_value h;
+              sim_p99 = Log_histogram.quantile h ~q:0.99;
+              sim_p999 = Log_histogram.quantile h ~q:0.999;
+            }
+        | Some _ | None ->
+            {
+              flow = fs.fs_name;
+              bound;
+              samples = 0;
+              sim_max = Float.nan;
+              sim_p99 = Float.nan;
+              sim_p999 = Float.nan;
+            })
       (Scenario.flow_specs scn)
   in
   { label; discipline; rows }

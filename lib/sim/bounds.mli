@@ -3,8 +3,10 @@
     Bridges {!Midrr_netcalc} and {!Scenario}: derives each flow's arrival
     curve from its declared source and its residual service curve from
     the scenario's quanta and line rates, computes the worst-case delay
-    bound, then (optionally) runs the simulation with a {!Midrr_obs.Delay}
-    sink and reports measured enqueue-to-service delays next to the bound.
+    bound, then (optionally) runs the simulation with the
+    {!Midrr_obs.Busmetrics} fold attached and reports each flow's
+    measured enqueue-to-service delays ({!Midrr_obs.Busmetrics.flow_delay},
+    recorded at 1 ns resolution) next to the bound.
     test/test_bounds.ml asserts [sim <= bound] across the scenario
     corpus; [midrr bounds] prints the same table.
 
@@ -57,9 +59,9 @@ val report :
   Scenario.t ->
   report
 (** {!analyze}, then run the scenario under the given discipline
-    (overriding its [scheduler] directive) with a delay sink attached and
-    fill in the measured columns.  [label] names the scenario in output
-    (typically the file name). *)
+    (overriding its [scheduler] directive) with the telemetry fold
+    attached and fill in the measured columns.  [label] names the
+    scenario in output (typically the file name). *)
 
 val pp_report : Format.formatter -> report -> unit
 (** The human-readable table [midrr bounds] prints: one line per flow

@@ -93,7 +93,7 @@ let create ?(seed = 1) ?(bin = 1.0) ?(window_depth = 32) ?sink ?metrics ?spans
       window_depth;
       flows = Int_tbl.create 32;
       ifaces = Int_tbl.create 8;
-      cells = Counters.create ~kind:Completes ();
+      cells = Counters.create ();
       sink = effective_sink;
       ev = Midrr_obs.Event.create ();
       metrics;

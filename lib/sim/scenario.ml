@@ -137,11 +137,19 @@ type directive =
 
 let err lineno fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" lineno m)) fmt
 
-(* Interface ids index the engines' slot arrays: non-negative integers. *)
-let iface_id s =
-  match int_of_string_opt s with Some j as id when j >= 0 -> id | _ -> None
+(* Interface ids size the engines' and the telemetry fold's slot arrays
+   and pack into 31 bits of a [Counters] key.  The cap sits far above
+   any id a scenario needs and far below an array the heap cannot
+   hold. *)
+let max_iface_id = 65535
 
-let bad_iface_id lineno s = err lineno "bad interface id %S (want an integer >= 0)" s
+let iface_id s =
+  match int_of_string_opt s with
+  | Some j as id when j >= 0 && j <= max_iface_id -> id
+  | _ -> None
+
+let bad_iface_id lineno s =
+  err lineno "bad interface id %S (want an integer in 0..%d)" s max_iface_id
 
 let parse_iface lineno tokens =
   match tokens with

@@ -22,7 +22,8 @@
 
     Directives:
     - [scheduler midrr|drr|wfq|rr] with optional [counter=K] (midrr only);
-    - [iface ID constant RATE] or [iface ID steps RATE T:RATE ...];
+    - [iface ID constant RATE] or [iface ID steps RATE T:RATE ...], with
+      [ID] an integer in [0..65535] (as in [ifaces=], [allow], [deny]);
     - [flow NAME weight=W ifaces=I,J SOURCE], where SOURCE is
       [backlogged pkt=N] | [finite bytes=B pkt=N] | [cbr rate=R pkt=N] |
       [poisson rate=R pkt=N] | [tb rate=R burst=B pkt=N] (token-bucket
@@ -106,10 +107,10 @@ type engine =
 
 val parse : string -> (t, string) result
 (** Parse scenario text; the error names the offending line.  Besides
-    syntax, it rejects interface ids that are not non-negative integers,
-    a repeated [iface] id or [flow] name, [counter=K] unless [K] is an
-    integer [>= 1], and an [at] line naming a flow the file does not
-    declare, so that a parsed scenario always runs. *)
+    syntax, it rejects interface ids that are not integers in
+    [0..65535], a repeated [iface] id or [flow] name, [counter=K] unless
+    [K] is an integer [>= 1], and an [at] line naming a flow the file
+    does not declare, so that a parsed scenario always runs. *)
 
 (** {1 Introspection}
 

@@ -97,78 +97,6 @@ let test_bridge_remove_port () =
   Bridge.remove_port bridge 1;
   Alcotest.(check (list int)) "one port left" [ 0 ] (Bridge.ports bridge)
 
-(* --- Classifier ------------------------------------------------------------ *)
-
-module Classifier = Midrr_bridge.Classifier
-
-let tuple ?(src_port = 1000) ?(dst_port = 80) ?(proto = 6) n =
-  {
-    Classifier.src_ip = Int32.of_int (0x0A000000 + n);
-    dst_ip = 0x08080808l;
-    src_port;
-    dst_port;
-    proto;
-  }
-
-let test_classifier_assigns_and_remembers () =
-  let next = ref 100 in
-  let c =
-    Classifier.create
-      ~on_new:(fun _ ->
-        incr next;
-        !next)
-      ()
-  in
-  let f1 = Classifier.classify c (tuple 1) in
-  let f2 = Classifier.classify c (tuple 2) in
-  Alcotest.(check bool) "distinct flows" true (f1 <> f2);
-  Alcotest.(check int) "stable mapping" f1 (Classifier.classify c (tuple 1));
-  Alcotest.(check int) "two flows" 2 (Classifier.flows c);
-  Alcotest.(check (option int)) "lookup" (Some f1)
-    (Classifier.lookup c (tuple 1));
-  Alcotest.(check (option int)) "unknown" None (Classifier.lookup c (tuple 3))
-
-let test_classifier_distinguishes_ports () =
-  let next = ref 0 in
-  let c =
-    Classifier.create
-      ~on_new:(fun _ ->
-        incr next;
-        !next)
-      ()
-  in
-  let a = Classifier.classify c (tuple ~src_port:1000 1) in
-  let b = Classifier.classify c (tuple ~src_port:1001 1) in
-  Alcotest.(check bool) "ports matter" true (a <> b)
-
-let test_classifier_lru_eviction () =
-  let next = ref 0 in
-  let c =
-    Classifier.create ~max_flows:3
-      ~on_new:(fun _ ->
-        incr next;
-        !next)
-      ()
-  in
-  let _ = Classifier.classify c (tuple 1) in
-  let _ = Classifier.classify c (tuple 2) in
-  let _ = Classifier.classify c (tuple 3) in
-  (* Touch 1 so 2 becomes the LRU victim. *)
-  let _ = Classifier.classify c (tuple 1) in
-  let _ = Classifier.classify c (tuple 4) in
-  Alcotest.(check int) "bounded" 3 (Classifier.flows c);
-  Alcotest.(check int) "one eviction" 1 (Classifier.evictions c);
-  Alcotest.(check (option int)) "victim was LRU" None
-    (Classifier.lookup c (tuple 2));
-  Alcotest.(check bool) "recently used kept" true
-    (Classifier.lookup c (tuple 1) <> None)
-
-let test_classifier_forget () =
-  let c = Classifier.create ~on_new:(fun _ -> 7) () in
-  let _ = Classifier.classify c (tuple 1) in
-  Classifier.forget c (tuple 1);
-  Alcotest.(check (option int)) "forgotten" None (Classifier.lookup c (tuple 1))
-
 (* --- Profiler ------------------------------------------------------------- *)
 
 let test_profiler_produces_samples () =
@@ -221,15 +149,6 @@ let () =
           Alcotest.test_case "unknown flow" `Quick
             test_bridge_unknown_flow_rejected;
           Alcotest.test_case "remove port" `Quick test_bridge_remove_port;
-        ] );
-      ( "classifier",
-        [
-          Alcotest.test_case "assigns and remembers" `Quick
-            test_classifier_assigns_and_remembers;
-          Alcotest.test_case "distinguishes ports" `Quick
-            test_classifier_distinguishes_ports;
-          Alcotest.test_case "lru eviction" `Quick test_classifier_lru_eviction;
-          Alcotest.test_case "forget" `Quick test_classifier_forget;
         ] );
       ( "profiler",
         [

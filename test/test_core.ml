@@ -121,45 +121,6 @@ let test_pktqueue_clear () =
   Alcotest.(check bool) "empty" true (Pktqueue.is_empty q);
   Alcotest.(check int) "no bytes" 0 (Pktqueue.backlog_bytes q)
 
-(* --- Prefs ------------------------------------------------------------------ *)
-
-let test_prefs_lifecycle () =
-  let p = Prefs.create () in
-  Prefs.declare_flow p ~flow:1 ~weight:2.0 ~allowed:[ 0; 2 ] ();
-  Prefs.declare_flow p ~flow:2 ~allowed:[ 1 ] ();
-  Alcotest.(check (list int)) "flows" [ 1; 2 ] (Prefs.flows p);
-  close "weight" 2.0 (Prefs.weight p 1);
-  close "default weight" 1.0 (Prefs.weight p 2);
-  Alcotest.(check bool) "allowed" true (Prefs.allowed p ~flow:1 ~iface:2);
-  Alcotest.(check bool) "not allowed" false (Prefs.allowed p ~flow:1 ~iface:1);
-  Prefs.allow p ~flow:1 ~iface:1;
-  Alcotest.(check bool) "now allowed" true (Prefs.allowed p ~flow:1 ~iface:1);
-  Prefs.deny p ~flow:1 ~iface:0;
-  Alcotest.(check (list int)) "updated set" [ 1; 2 ]
-    (Prefs.allowed_ifaces p 1);
-  Prefs.forget_flow p 2;
-  Alcotest.(check bool) "forgotten" false (Prefs.known p 2)
-
-let test_prefs_validation () =
-  let p = Prefs.create () in
-  Prefs.declare_flow p ~flow:1 ~allowed:[] ();
-  Alcotest.check_raises "duplicate"
-    (Invalid_argument "Prefs.declare_flow: duplicate flow") (fun () ->
-      Prefs.declare_flow p ~flow:1 ~allowed:[] ());
-  Alcotest.check_raises "bad weight"
-    (Invalid_argument "Prefs.set_weight: weight <= 0") (fun () ->
-      Prefs.set_weight p 1 0.0)
-
-let test_prefs_to_instance () =
-  let p = Prefs.create () in
-  Prefs.declare_flow p ~flow:10 ~weight:2.0 ~allowed:[ 5 ] ();
-  Prefs.declare_flow p ~flow:20 ~allowed:[ 5; 6 ] ();
-  let inst = Prefs.to_instance p ~capacities:[ (5, 1e6); (6, 2e6) ] in
-  Alcotest.(check int) "rows" 2 (Midrr_flownet.Instance.n_flows inst);
-  close "weight row 0" 2.0 inst.weights.(0);
-  Alcotest.(check bool) "pi(10,6)=0" false inst.allowed.(0).(1);
-  Alcotest.(check bool) "pi(20,6)=1" true inst.allowed.(1).(1)
-
 (* --- Fairness accounting --------------------------------------------------------- *)
 
 let test_fm_definition () =
@@ -599,12 +560,6 @@ let () =
           Alcotest.test_case "fifo" `Quick test_pktqueue_fifo;
           Alcotest.test_case "capacity bound" `Quick test_pktqueue_capacity;
           Alcotest.test_case "clear" `Quick test_pktqueue_clear;
-        ] );
-      ( "prefs",
-        [
-          Alcotest.test_case "lifecycle" `Quick test_prefs_lifecycle;
-          Alcotest.test_case "validation" `Quick test_prefs_validation;
-          Alcotest.test_case "to_instance" `Quick test_prefs_to_instance;
         ] );
       ( "metrics",
         [

@@ -231,6 +231,84 @@ let test_busmetrics_orphan_serve () =
   Alcotest.(check int) "no numeric sample" 0 (Log_histogram.count d);
   Alcotest.(check int) "counted in nan cell" 1 (Log_histogram.nan_count d)
 
+(* Per-flow delay sketches: a flow's Serves pair FIFO with its own
+   Enqueues and record the same integer-nanosecond delays the aggregate
+   sketch records. *)
+let test_busmetrics_flow_delay () =
+  let m = Busmetrics.create () in
+  let ev = feed m in
+  let serve time flow iface =
+    ev time (Serve { flow; iface; bytes = 100; deficit = 0.0 })
+  in
+  let enqueue time flow = ev time (Enqueue { flow; bytes = 100 }) in
+  enqueue 0.1 0;
+  enqueue 0.2 0;
+  enqueue 0.25 1;
+  enqueue 0.3 0;
+  serve 0.35 0 0;
+  serve 0.9 0 1;
+  serve 1.0 1 0;
+  serve 1.7 0 0;
+  (* flow 2 is served with no enqueue seen *)
+  serve 2.0 2 0;
+  (* flow 1's pending enqueue goes with its removal; its sample stays *)
+  enqueue 2.0 1;
+  ev 2.5 (Flow_remove { flow = 1 });
+  serve 3.0 1 0;
+  (* flow 3 is never served *)
+  enqueue 3.0 3;
+  let ns enq srv = int_of_float ((srv -. enq) *. 1e9) in
+  let agg = Busmetrics.delay m in
+  let sketch_of samples =
+    let h =
+      Log_histogram.create ~lo:(Log_histogram.lo agg)
+        ~gamma:(Log_histogram.gamma agg) ~bins:(Log_histogram.bins agg)
+    in
+    List.iter (Log_histogram.observe_ns h) samples;
+    h
+  in
+  let same_as what expected got =
+    Alcotest.(check int) (what ^ " count") (Log_histogram.count expected)
+      (Log_histogram.count got);
+    Alcotest.(check (float 0.0)) (what ^ " exact max")
+      (Log_histogram.max_value expected) (Log_histogram.max_value got);
+    List.iter
+      (fun q ->
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "%s p%g" what (q *. 100.0))
+          (Log_histogram.quantile expected ~q) (Log_histogram.quantile got ~q))
+      [ 0.5; 0.9; 0.99; 1.0 ]
+  in
+  let flow_sketch f =
+    match Busmetrics.flow_delay m ~flow:f with
+    | Some h -> h
+    | None -> Alcotest.failf "flow %d has no delay sketch" f
+  in
+  let f0 = [ ns 0.1 0.35; ns 0.2 0.9; ns 0.3 1.7 ] and f1 = [ ns 0.25 1.0 ] in
+  same_as "flow 0" (sketch_of f0) (flow_sketch 0);
+  Alcotest.(check (float 0.0)) "flow 0 max is 1.4 s to the ns"
+    (Float.of_int (ns 0.3 1.7) *. 1e-9)
+    (Log_histogram.max_value (flow_sketch 0));
+  same_as "flow 1" (sketch_of f1) (flow_sketch 1);
+  Alcotest.(check int) "flow 1 unmatched serve" 1
+    (Log_histogram.nan_count (flow_sketch 1));
+  Alcotest.(check int) "flow 2 no sample" 0
+    (Log_histogram.count (flow_sketch 2));
+  Alcotest.(check int) "flow 2 nan cell" 1
+    (Log_histogram.nan_count (flow_sketch 2));
+  Alcotest.(check bool) "flow 3 never served" true
+    (Option.is_none (Busmetrics.flow_delay m ~flow:3));
+  Alcotest.(check bool) "flow 9 never seen" true
+    (Option.is_none (Busmetrics.flow_delay m ~flow:9));
+  (* the aggregate sketch still sees every serve *)
+  same_as "aggregate" (sketch_of (f0 @ f1)) agg;
+  Alcotest.(check int) "aggregate nan cell" 2 (Log_histogram.nan_count agg);
+  (* per-flow sketches stay out of the registry (and its exports) *)
+  Alcotest.(check (list string))
+    "registered sketches"
+    [ "delay_seconds"; "iface0_delay_seconds"; "iface1_delay_seconds" ]
+    (List.map fst (Metrics.histograms (Busmetrics.registry m)))
+
 (* --- span tracing -------------------------------------------------------- *)
 
 (* Deterministic fake clock: advances 1000 ns per reading. *)
@@ -400,6 +478,7 @@ let () =
           Alcotest.test_case "per-iface occupancy" `Quick
             test_busmetrics_iface_occupancy;
           Alcotest.test_case "orphan serve" `Quick test_busmetrics_orphan_serve;
+          Alcotest.test_case "per-flow delay" `Quick test_busmetrics_flow_delay;
           Alcotest.test_case "reused flow id" `Quick
             test_busmetrics_reused_flow_id;
         ] );

@@ -332,36 +332,15 @@ let test_counters () =
   Counters.add c ~flow:1 ~iface:0 ~bytes:25;
   Counters.add c ~flow:0 ~iface:0 ~bytes:100;
   check Alcotest.int "cell accumulates" 200 (Counters.cell c ~flow:0 ~iface:0);
-  check Alcotest.int "flow_total" 250 (Counters.flow_total c 0);
-  check Alcotest.int "iface_total" 225 (Counters.iface_total c 0);
-  check Alcotest.int "grand_total" 275 (Counters.grand_total c);
-  check
-    Alcotest.(list (pair (pair int int) int))
-    "cells sorted"
-    [ ((0, 0), 200); ((0, 1), 50); ((1, 0), 25) ]
-    (Counters.cells c);
+  check Alcotest.int "other iface" 50 (Counters.cell c ~flow:0 ~iface:1);
+  check Alcotest.int "other flow" 25 (Counters.cell c ~flow:1 ~iface:0);
+  check Alcotest.int "never served" 0 (Counters.cell c ~flow:1 ~iface:1);
   let base = Counters.copy c in
   Counters.add c ~flow:0 ~iface:0 ~bytes:40;
   check Alcotest.int "copy is independent" 200
     (Counters.cell base ~flow:0 ~iface:0);
   check Alcotest.int "since = cur - base" 40
     (Counters.since c base ~flow:0 ~iface:0)
-
-let test_counters_sink_kinds () =
-  let serves = Counters.create ~kind:Counters.Serves () in
-  let completes = Counters.create ~kind:Counters.Completes () in
-  let deliver c = feed (Counters.sink c) ~time:0.0 in
-  let both ev =
-    deliver serves ev;
-    deliver completes ev
-  in
-  both (Event.Serve { flow = 0; iface = 0; bytes = 10; deficit = 0.0 });
-  both (Event.Complete { flow = 0; iface = 0; bytes = 7 });
-  both (Event.Enqueue { flow = 0; bytes = 100 });
-  check Alcotest.int "Serves counts serve events only" 10
-    (Counters.grand_total serves);
-  check Alcotest.int "Completes counts complete events only" 7
-    (Counters.grand_total completes)
 
 (* --- jsonl -------------------------------------------------------------- *)
 
@@ -518,7 +497,6 @@ let () =
       ( "counters",
         [
           Alcotest.test_case "tallies" `Quick test_counters;
-          Alcotest.test_case "sink kinds" `Quick test_counters_sink_kinds;
         ] );
       ( "jsonl",
         [
