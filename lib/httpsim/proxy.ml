@@ -1,24 +1,14 @@
 open Midrr_core
 module Engine = Midrr_sim.Engine
 module Link = Midrr_sim.Link
-module Timeseries = Midrr_stats.Timeseries
-module Rng = Midrr_stats.Rng
-module Counters = Midrr_obs.Counters
-module Metrics = Midrr_obs.Metrics
-module Busmetrics = Midrr_obs.Busmetrics
+module Meter = Midrr_sim.Meter
 module Int_tbl = Midrr_sim.Int_tbl
 
+(* A transfer's datapath state, carried by its {!Meter} flow. *)
 type transfer = {
-  x_flow : Types.flow_id;
-  weight : float;
-  allowed : Types.iface_id list;
-  total : int option;
   mutable requested : int; (* bytes covered by issued chunk requests *)
-  mutable received : int;
   mutable queued_tokens : int; (* chunk tokens currently in the scheduler *)
   mutable stopped : bool;
-  mutable done_at : float option;
-  ts : Timeseries.t;
 }
 
 (* The requests issued on an interface whose response has not fully
@@ -36,7 +26,7 @@ type iface = {
   mutable head : int;
   mutable outstanding : int; (* ring entries: issued, not fully received *)
   mutable receiving : bool;
-  i_outstanding_gauge : Metrics.gauge; (* -1 when no metrics attached *)
+  i_outstanding_gauge : Midrr_obs.Metrics.gauge; (* -1 without metrics *)
   stream : unit -> unit; (* the head response's data begins to flow *)
   complete : unit -> unit; (* the head response has fully arrived *)
 }
@@ -44,98 +34,59 @@ type iface = {
 type t = {
   engine : Engine.t;
   sched : Sched_intf.packed;
-  rng : Rng.t;
-  bin : float;
   chunk_size : int;
   pipeline_depth : int;
   rtt : float;
-  rtt_jitter : float;
-  transfers : transfer Int_tbl.t;
+  meter : transfer Meter.t;
   ifaces : iface Int_tbl.t;
-  cells : Counters.t;
-  sink : Midrr_obs.Sink.t option; (* effective: user sink + metrics fold *)
-  ev : Midrr_obs.Event.record; (* refilled per [Complete] *)
-  metrics : Busmetrics.t option;
 }
 
-let create ?(seed = 1) ?(bin = 1.0) ?(chunk_size = 262144)
-    ?(pipeline_depth = 4) ?(rtt = 0.05) ?(rtt_jitter = 0.0) ?sink ?metrics
-    ~sched () =
+let create ?(bin = 1.0) ?(chunk_size = 262144) ?(pipeline_depth = 4)
+    ?(rtt = 0.05) ?sink ?metrics ~sched () =
   if chunk_size <= 0 then invalid_arg "Proxy.create: chunk_size <= 0";
   if pipeline_depth <= 0 then invalid_arg "Proxy.create: pipeline_depth <= 0";
   if rtt < 0.0 then invalid_arg "Proxy.create: negative rtt";
-  if rtt_jitter < 0.0 then invalid_arg "Proxy.create: negative rtt_jitter";
-  let effective_sink =
-    match (sink, metrics) with
-    | None, None -> None
-    | Some s, None -> Some s
-    | None, Some m -> Some (Busmetrics.sink m)
-    | Some s, Some m -> Some (Midrr_obs.Sink.tee s (Busmetrics.sink m))
-  in
-  let t =
-    {
-      engine = Engine.create ();
-      sched;
-      rng = Rng.create ~seed;
-      bin;
-      chunk_size;
-      pipeline_depth;
-      rtt;
-      rtt_jitter;
-      transfers = Int_tbl.create 16;
-      ifaces = Int_tbl.create 8;
-      cells = Counters.create ();
-      sink = effective_sink;
-      ev = Midrr_obs.Event.create ();
-      metrics;
-    }
-  in
-  (match t.sink with
-  | None -> ()
-  | Some s ->
-      Sched_intf.Packed.subscribe sched
-        (Midrr_obs.Sink.stamp ~clock:(fun () -> Engine.now t.engine) s));
-  t
+  let engine = Engine.create () in
+  {
+    engine;
+    sched;
+    chunk_size;
+    pipeline_depth;
+    rtt;
+    meter = Meter.create ~bin ?sink ?metrics engine sched;
+    ifaces = Int_tbl.create 8;
+  }
 
 let engine t = t.engine
 let now t = Engine.now t.engine
 
-let transfer t f =
-  match Int_tbl.find t.transfers f with
-  | x -> x
-  | exception Not_found -> invalid_arg "Proxy: unknown transfer"
-
 (* Platform-truth gauge: byte-range requests issued on the interface
-   whose response has not fully arrived (the proxy's pipeline fill). *)
+   whose response has not fully arrived (the proxy's pipeline fill).
+   The guard keeps a sinkless run from boxing the float. *)
 let set_outstanding t ifc =
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-      if ifc.i_outstanding_gauge >= 0 then
-        Metrics.set_gauge (Busmetrics.registry m) ifc.i_outstanding_gauge
-          (Float.of_int ifc.outstanding)
+  if ifc.i_outstanding_gauge >= 0 then
+    Meter.set_gauge t.meter ifc.i_outstanding_gauge
+      (Float.of_int ifc.outstanding)
 
 (* Bytes of the transfer's next chunk request; 0 once it is fully
    requested. *)
-let next_chunk t x =
-  match x.total with
-  | None -> t.chunk_size
-  | Some total ->
-      Chunk.next_length ~total_bytes:total ~chunk_size:t.chunk_size
-        ~sent:x.requested
+let next_chunk t fl =
+  Chunk.next_length ~total_bytes:(Meter.size fl) ~chunk_size:t.chunk_size
+    ~sent:(Meter.data fl).requested
 
 (* Keep a small window of chunk tokens queued in the scheduler so the flow
    looks continuously backlogged while bytes remain. *)
-let rec refill_tokens t x =
+let rec refill_tokens t fl =
+  let x = Meter.data fl in
   if (not x.stopped) && x.queued_tokens < t.pipeline_depth then begin
-    let len = next_chunk t x in
+    let len = next_chunk t fl in
     if len > 0 then begin
-      let pkt = Packet.create ~flow:x.x_flow ~size:len ~arrival:(now t) in
+      let pkt = Packet.create ~flow:(Meter.id fl) ~size:len ~arrival:(now t) in
       if Sched_intf.Packed.enqueue t.sched pkt then begin
         x.requested <- x.requested + len;
         x.queued_tokens <- x.queued_tokens + 1;
-        kick t x.allowed;
-        refill_tokens t x
+        kick t (Meter.allowed fl);
+        refill_tokens t fl
       end
     end
   end
@@ -153,10 +104,11 @@ and issue_requests t ifc =
         ifc.req_issued.(slot) <- now t;
         ifc.outstanding <- ifc.outstanding + 1;
         set_outstanding t ifc;
-        (match Int_tbl.find t.transfers pkt.flow with
-        | x ->
+        (match Meter.find t.meter pkt.flow with
+        | fl ->
+            let x = Meter.data fl in
             x.queued_tokens <- x.queued_tokens - 1;
-            refill_tokens t x
+            refill_tokens t fl
         | exception Not_found -> ());
         start_receiving t ifc;
         issue_requests t ifc
@@ -167,14 +119,7 @@ and issue_requests t ifc =
 and start_receiving t ifc =
   if (not ifc.receiving) && ifc.outstanding > 0 then begin
     ifc.receiving <- true;
-    (* Lognormal multiplicative jitter: realistic heavy-ish RTT tail while
-       staying positive and deterministic per seed. *)
-    let rtt =
-      if t.rtt_jitter > 0.0 then
-        t.rtt *. Rng.lognormal t.rng ~mu:0.0 ~sigma:t.rtt_jitter
-      else t.rtt
-    in
-    let begin_data = Float.max (now t) (ifc.req_issued.(ifc.head) +. rtt) in
+    let begin_data = Float.max (now t) (ifc.req_issued.(ifc.head) +. t.rtt) in
     Engine.schedule t.engine ~at:begin_data ifc.stream
   end
 
@@ -195,26 +140,13 @@ and stream t ifc =
 
 (* The body of [ifc.complete]. *)
 and complete t ifc =
-  let time = now t in
   let flow = ifc.req_flow.(ifc.head) and bytes = ifc.req_bytes.(ifc.head) in
   ifc.head <- (ifc.head + 1) mod t.pipeline_depth;
   ifc.receiving <- false;
   ifc.outstanding <- ifc.outstanding - 1;
   set_outstanding t ifc;
-  Counters.add t.cells ~flow ~iface:ifc.i_id ~bytes;
-  (match t.sink with
-  | None -> ()
-  | Some s ->
-      Midrr_obs.Event.set_complete t.ev ~flow ~iface:ifc.i_id ~bytes;
-      s ~time t.ev);
-  (match Int_tbl.find t.transfers flow with
-  | x -> (
-      x.received <- x.received + bytes;
-      Timeseries.record x.ts ~time ~bytes;
-      match x.total with
-      | Some total when x.received >= total && Option.is_none x.done_at ->
-          x.done_at <- Some time
-      | _ -> ())
+  (match Meter.find t.meter flow with
+  | fl -> Meter.deliver t.meter fl ~iface:ifc.i_id ~bytes
   | exception Not_found -> ());
   start_receiving t ifc;
   issue_requests t ifc
@@ -229,13 +161,6 @@ and kick t = function
 
 let add_iface t j profile =
   if Int_tbl.mem t.ifaces j then invalid_arg "Proxy.add_iface: duplicate";
-  let i_outstanding_gauge =
-    match t.metrics with
-    | None -> -1
-    | Some m ->
-        Metrics.gauge (Busmetrics.registry m)
-          (Printf.sprintf "iface%d_outstanding" j)
-  in
   let depth = t.pipeline_depth in
   let rec ifc =
     {
@@ -247,7 +172,7 @@ let add_iface t j profile =
       head = 0;
       outstanding = 0;
       receiving = false;
-      i_outstanding_gauge;
+      i_outstanding_gauge = Meter.gauge t.meter j "outstanding";
       stream = (fun () -> stream t ifc);
       complete = (fun () -> complete t ifc);
     }
@@ -257,31 +182,19 @@ let add_iface t j profile =
   issue_requests t ifc
 
 let add_transfer t ?(at = 0.0) ?total_bytes f ~weight ~allowed () =
-  if Int_tbl.mem t.transfers f then invalid_arg "Proxy.add_transfer: duplicate";
-  let x =
-    {
-      x_flow = f;
-      weight;
-      allowed;
-      total = total_bytes;
-      requested = 0;
-      received = 0;
-      queued_tokens = 0;
-      stopped = false;
-      done_at = None;
-      ts = Timeseries.create ~bin:t.bin;
-    }
+  let fl =
+    Meter.add_flow t.meter f ~weight ~allowed ?size:total_bytes
+      { requested = 0; queued_tokens = 0; stopped = false }
   in
-  Int_tbl.replace t.transfers f x;
   let register () =
     Sched_intf.Packed.add_flow t.sched ~flow:f ~weight ~allowed;
-    refill_tokens t x;
+    refill_tokens t fl;
     kick t allowed
   in
   if at <= now t then register () else Engine.schedule t.engine ~at register
 
 let stop_transfer t ?at f =
-  let x = transfer t f in
+  let x = Meter.data (Meter.flow t.meter f) in
   let act () =
     x.stopped <- true;
     if Sched_intf.Packed.has_flow t.sched f then
@@ -292,57 +205,20 @@ let stop_transfer t ?at f =
   | Some time -> Engine.schedule t.engine ~at:time act
 
 let run t ~until = Engine.run ~until t.engine
+let goodput_series t f = Meter.rate_series t.meter f
+let avg_goodput t f ~t0 ~t1 = Meter.avg_rate t.meter f ~t0 ~t1
+let received_bytes t f = Meter.delivered t.meter f
+let completion_time t f = Meter.completion_time t.meter f
+let served_cell t ~flow ~iface = Meter.served_cell t.meter ~flow ~iface
 
-let goodput_series t f = Timeseries.rate_series ~unit_scale:1e6 (transfer t f).ts
+type snapshot = Meter.snapshot
 
-let avg_goodput t f ~t0 ~t1 =
-  Timeseries.rate_between ~unit_scale:1e6 (transfer t f).ts ~t0 ~t1
-
-let received_bytes t f = (transfer t f).received
-
-let completion_time t f = (transfer t f).done_at
-
-let served_cell t ~flow ~iface = Counters.cell t.cells ~flow ~iface
-
-type snapshot = { snap_time : float; snap_cells : Counters.t }
-
-let snapshot t = { snap_time = now t; snap_cells = Counters.copy t.cells }
-
+let snapshot t = Meter.snapshot t.meter
 let share_since t snap ~flows ~ifaces =
-  let dt = now t -. snap.snap_time in
-  if not (dt > 0.0) then invalid_arg "Proxy.share_since: empty window";
-  Array.of_list
-    (List.map
-       (fun f ->
-         Array.of_list
-           (List.map
-              (fun j ->
-                let d =
-                  Counters.since t.cells snap.snap_cells ~flow:f ~iface:j
-                in
-                8.0 *. Float.of_int d /. dt)
-              ifaces))
-       flows)
+  Meter.share_since t.meter snap ~flows ~ifaces
 
 let instance_of t ~flows ~ifaces =
-  let weights = Array.of_list (List.map (fun f -> (transfer t f).weight) flows) in
-  let capacities =
-    Array.of_list
-      (List.map
-         (fun j ->
-           match Int_tbl.find t.ifaces j with
-           | ifc -> Link.rate_at ifc.profile (now t)
-           | exception Not_found ->
-               invalid_arg "Proxy.instance_of: unknown interface")
-         ifaces)
-  in
-  let allowed =
-    Array.of_list
-      (List.map
-         (fun f ->
-           let x = transfer t f in
-           Array.of_list
-             (List.map (fun j -> List.exists (Int.equal j) x.allowed) ifaces))
-         flows)
-  in
-  Midrr_flownet.Instance.make ~weights ~capacities ~allowed
+  Meter.instance_of t.meter ~flows ~ifaces ~capacity:(fun j ->
+      match Int_tbl.find t.ifaces j with
+      | ifc -> Link.rate_at ifc.profile (now t)
+      | exception Not_found -> invalid_arg "Proxy: unknown interface")

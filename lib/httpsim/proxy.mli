@@ -19,12 +19,10 @@ module Link = Midrr_sim.Link
 type t
 
 val create :
-  ?seed:int ->
   ?bin:float ->
   ?chunk_size:int ->
   ?pipeline_depth:int ->
   ?rtt:float ->
-  ?rtt_jitter:float ->
   ?sink:Midrr_obs.Sink.t ->
   ?metrics:Midrr_obs.Busmetrics.t ->
   sched:Sched_intf.packed ->
@@ -33,9 +31,9 @@ val create :
 (** [chunk_size] bytes per byte-range request (default 262144);
     [pipeline_depth] outstanding requests per interface (default 4);
     [rtt] request round-trip before response data flows (default 0.05 s);
-    [rtt_jitter] sigma of a lognormal multiplier on each request's RTT
-    (default 0 = deterministic); [bin] goodput measurement bin in seconds
-    (default 1.0).  [seed] drives the jitter.
+    [bin] goodput measurement bin in seconds (default 1.0).  A
+    {!Midrr_sim.Meter} does the accounting; [sink] sees the scheduler's
+    events and a [Complete] per delivered chunk.
 
     [metrics] attaches a {!Midrr_obs.Busmetrics} fold to the event
     stream (teed after [sink]) and additionally maintains a
@@ -75,6 +73,8 @@ val avg_goodput : t -> Types.flow_id -> t0:float -> t1:float -> float
 val received_bytes : t -> Types.flow_id -> int
 
 val completion_time : t -> Types.flow_id -> float option
+(** When the received bytes reached [total_bytes]; [None] before, and
+    always for an endless transfer. *)
 
 val served_cell : t -> flow:Types.flow_id -> iface:Types.iface_id -> int
 (** Bytes of the flow delivered through the interface. *)

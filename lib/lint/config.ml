@@ -17,10 +17,9 @@ type t = {
    round robin as well as the other rank programs — and join with no
    baseline entries, as
    do the netcalc curve algebra ([curve]/[arrival]/[service]/[bound],
-   evaluated per flow inside sweeps) and the [delay] sink (fed per
-   event).  The simulators' per-packet path — event queue, engine,
-   netsim, link model and HTTP proxy — runs once or more per packet and
-   is held to the same rule.
+   evaluated per flow inside sweeps).  The simulators' per-packet path
+   — event queue, engine, netsim, link model, delivery meter and HTTP
+   proxy — runs once or more per packet and is held to the same rule.
 
    Entries are repo-relative module paths without extension, so a future
    [lib/trace/event.ml] is not silently hot just because [lib/obs/event.ml]
@@ -41,13 +40,12 @@ let default =
         "lib/sim/engine";
         "lib/sim/netsim";
         "lib/sim/link";
+        "lib/sim/meter";
         "lib/httpsim/proxy";
         "lib/obs/sink";
         "lib/obs/recorder";
-        "lib/obs/counters";
         "lib/obs/jsonl";
         "lib/obs/event";
-        "lib/obs/delay";
         "lib/obs/metrics";
         "lib/obs/busmetrics";
         "lib/obs/span";
@@ -65,7 +63,7 @@ let default =
     (* R7 roots: the decision path (its runtime allocation gate runs
        beside this proof in @crosscheck), the PIFO substrate's
        per-decision ops, the intrusive ring ops the engine drives per
-       decision, the recorder sink and the platforms' byte tally.
+       decision, the recorder sink and the platforms' delivery meter.
        Specs match against display names ("Unit.sub.value"); a trailing
        ".*" matches a whole prefix. *)
     typed_entry_points =
@@ -83,7 +81,7 @@ let default =
         "Active_ring.Make.remove";
         "Active_ring.Make.next";
         "Recorder.record";
-        "Counters.add";
+        "Meter.deliver";
         (* telemetry plane: every hot registry op, the bus fold and the
            span probes carry the same zero-allocation claim; @crosscheck
            measures the five registry ops at runtime *)

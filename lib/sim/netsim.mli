@@ -3,8 +3,8 @@
     Wires a {!Midrr_core.Sched_intf.packed} scheduler to a set of simulated
     interfaces with {!Link} capacity profiles and per-flow traffic sources,
     runs the discrete-event loop, and measures per-flow rates and
-    per-(flow, interface) service — everything needed to regenerate the
-    paper's simulation figures.
+    per-(flow, interface) service through a {!Meter} — everything needed
+    to regenerate the paper's simulation figures.
 
     Model: when an interface is free it asks the scheduler for the next
     packet and transmits it for [size * 8 / rate] seconds at the line rate
@@ -42,7 +42,6 @@ type t
 val create :
   ?seed:int ->
   ?bin:float ->
-  ?window_depth:int ->
   ?sink:Midrr_obs.Sink.t ->
   ?metrics:Midrr_obs.Busmetrics.t ->
   ?spans:Midrr_obs.Span.t ->
@@ -50,13 +49,12 @@ val create :
   unit ->
   t
 (** [bin] is the width of rate-measurement bins in seconds (default 1.0);
-    [window_depth] the number of packets kept queued for backlogged/finite
-    sources (default 32); [seed] drives stochastic sources (default 1).
+    [seed] drives stochastic sources (default 1).  Backlogged and finite
+    sources keep 32 packets queued.
 
     [sink] subscribes to the run's full event stream, stamped with
-    simulation time: the scheduler's decision events (the simulator
-    installs itself on [sched] via {!Sched_intf.Packed.subscribe}) plus a
-    [Complete] event per delivered packet.
+    simulation time: the scheduler's decision events plus a [Complete]
+    event per delivered packet (see {!Meter.create}).
 
     [metrics] attaches a {!Midrr_obs.Busmetrics} fold to the same
     stream, teed {e after} the user sink so traces are unaffected, and
@@ -100,10 +98,6 @@ val set_allowed : t -> Types.flow_id -> Types.iface_id list -> unit
 (** Change a flow's interface preference, waking newly allowed
     interfaces. *)
 
-val on_complete :
-  t -> (time:float -> iface:Types.iface_id -> Packet.t -> unit) -> unit
-(** Add a hook called at every packet transmission completion. *)
-
 val run : t -> until:float -> unit
 (** Advance the simulation to the given time. *)
 
@@ -116,10 +110,8 @@ val avg_rate : t -> Types.flow_id -> t0:float -> t1:float -> float
 (** Mean throughput over a window, Mb/s. *)
 
 val completion_time : t -> Types.flow_id -> float option
-(** When a [Finite] transfer delivered its last byte. *)
-
-val iface_rate_series : t -> Types.iface_id -> (float * float) array
-(** Per-bin bytes carried by the interface, as Mb/s. *)
+(** When a [Finite] transfer delivered its last byte; [None] while bytes
+    are missing, so always for a flow removed before it finished. *)
 
 val iface_utilization : t -> Types.iface_id -> t0:float -> t1:float -> float
 (** Fraction of the interface's offered capacity actually carried over the
@@ -146,6 +138,3 @@ val instance_of :
 (** Freeze the given flows (with their registered weights and preferences)
     and the interfaces at their {e current} line rates into a solver
     instance, for comparing measured against reference allocations. *)
-
-val backlogged_flows : t -> Types.flow_id list
-(** Flows with a non-empty queue right now, ascending. *)

@@ -137,10 +137,9 @@ type directive =
 
 let err lineno fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" lineno m)) fmt
 
-(* Interface ids size the engines' and the telemetry fold's slot arrays
-   and pack into 31 bits of a [Counters] key.  The cap sits far above
-   any id a scenario needs and far below an array the heap cannot
-   hold. *)
+(* Interface ids size the engines' and the telemetry fold's slot
+   arrays.  The cap sits far above any id a scenario needs and far below
+   an array the heap cannot hold. *)
 let max_iface_id = 65535
 
 let iface_id s =
@@ -311,15 +310,16 @@ let event_flow = function
       name
 
 (* One pass over the lines.  Interface ids and flow names are checked for
-   duplicates as they are declared; the flows named by [at] lines are
-   checked once every flow is known, since an [at] line may come first. *)
+   duplicates as they are declared; [at] lines are checked once every
+   line is read, since one may name a flow, or a stop, declared later:
+   each must name a declared flow, and only a stop may come at or after
+   the flow's first stop, when the scheduler no longer knows it. *)
 let parse text =
   let sched = ref (Sched_midrr None) in
   let ifaces = ref [] and flow_specs = ref [] in
-  let events = ref [] and measure_windows = ref [] in
+  let ats = ref [] and measure_windows = ref [] in
   let horizon = ref None in
   let iface_ids = Hashtbl.create 16 and flow_names = Hashtbl.create 16 in
-  let at_flows = ref [] in
   let add lineno = function
     | D_sched s ->
         sched := s;
@@ -340,8 +340,7 @@ let parse text =
           Ok ()
         end
     | D_at (at, e) ->
-        events := (at, e) :: !events;
-        at_flows := (lineno, event_flow e) :: !at_flows;
+        ats := (lineno, at, e) :: !ats;
         Ok ()
     | D_measure (a, b) ->
         measure_windows := (a, b) :: !measure_windows;
@@ -361,16 +360,36 @@ let parse text =
             | Error _ as e -> e)
         | Error _ as e -> e)
   in
-  let unknown_flow () =
-    List.find_opt
-      (fun (_, name) -> not (Hashtbl.mem flow_names name))
-      (List.rev !at_flows)
+  let first_stops () =
+    let stops = Hashtbl.create 16 in
+    List.iter
+      (fun (_, at, e) ->
+        match e with
+        | E_stop name ->
+            let t = Option.value (Hashtbl.find_opt stops name) ~default:at in
+            Hashtbl.replace stops name (Float.min t at)
+        | E_weight _ | E_allow _ | E_deny _ -> ())
+      !ats;
+    stops
+  in
+  let bad_at stops (lineno, at, e) =
+    let name = event_flow e in
+    if not (Hashtbl.mem flow_names name) then
+      Some (err lineno "unknown flow %S" name)
+    else
+      match (e, Hashtbl.find_opt stops name) with
+      | (E_weight _ | E_allow _ | E_deny _), Some stop when at >= stop ->
+          Some
+            (err lineno "flow %S is stopped at %g, so it cannot change at %g"
+               name stop at)
+      | _ -> None
   in
   match go 1 (String.split_on_char '\n' text) with
   | Error e -> Error e
   | Ok () -> (
-      match (unknown_flow (), !horizon) with
-      | Some (lineno, name), _ -> err lineno "unknown flow %S" name
+      let stops = first_stops () in
+      match (List.find_map (bad_at stops) (List.rev !ats), !horizon) with
+      | Some e, _ -> e
       | None, None -> Error "missing 'run T' directive"
       | None, Some horizon ->
           if !ifaces = [] then Error "no interfaces declared"
@@ -381,7 +400,7 @@ let parse text =
                 sched = !sched;
                 ifaces = List.rev !ifaces;
                 flow_specs = List.rev !flow_specs;
-                events = List.rev !events;
+                events = List.rev_map (fun (_, at, e) -> (at, e)) !ats;
                 measure_windows = List.rev !measure_windows;
                 horizon;
               })

@@ -109,8 +109,10 @@ val parse : string -> (t, string) result
 (** Parse scenario text; the error names the offending line.  Besides
     syntax, it rejects interface ids that are not integers in
     [0..65535], a repeated [iface] id or [flow] name, [counter=K] unless
-    [K] is an integer [>= 1], and an [at] line naming a flow the file
-    does not declare, so that a parsed scenario always runs. *)
+    [K] is an integer [>= 1], an [at] line naming a flow the file does
+    not declare, and an [at T weight|allow|deny NAME] line with [T] at
+    or after NAME's first [at ... stop], so that a parsed scenario
+    always runs. *)
 
 (** {1 Introspection}
 

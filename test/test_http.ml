@@ -174,20 +174,6 @@ let test_proxy_pipeline_depth_matters () =
   if deep < 7.0 then
     Alcotest.failf "depth-6 goodput %.2f should hide the RTT" deep
 
-let test_proxy_rtt_jitter_deterministic () =
-  let measure seed =
-    let sched = Midrr.packed (Midrr.create ~base_quantum:65536 ()) in
-    let proxy =
-      Proxy.create ~seed ~chunk_size:65536 ~rtt:0.05 ~rtt_jitter:0.5 ~sched ()
-    in
-    Proxy.add_iface proxy 0 (Link.constant (Types.mbps 8.0));
-    Proxy.add_transfer proxy 0 ~weight:1.0 ~allowed:[ 0 ] ();
-    Proxy.run proxy ~until:20.0;
-    Proxy.received_bytes proxy 0
-  in
-  Alcotest.(check int) "same seed, same run" (measure 3) (measure 3);
-  Alcotest.(check bool) "jitter still delivers" true (measure 4 > 0)
-
 let () =
   Alcotest.run "http"
     [
@@ -220,7 +206,5 @@ let () =
           Alcotest.test_case "share matrix" `Quick test_proxy_share_matrix;
           Alcotest.test_case "pipeline depth matters" `Quick
             test_proxy_pipeline_depth_matters;
-          Alcotest.test_case "rtt jitter deterministic" `Quick
-            test_proxy_rtt_jitter_deterministic;
         ] );
     ]

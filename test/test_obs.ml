@@ -1,7 +1,6 @@
 (* Unit tests for the observability bus (lib/obs) and its wiring into the
    schedulers: event accessors and the record's setters, sink
-   combinators, the ring-buffer recorder, the per-cell counters, the
-   JSONL export format, and the subscribe/tee semantics on a live
+   combinators, the ring-buffer recorder, the JSONL export format, and the subscribe/tee semantics on a live
    scheduler.  Producers refill one record per emission, so several tests
    check that no consumer keeps that record past its call. *)
 
@@ -9,7 +8,6 @@ open Midrr_core
 module Event = Midrr_obs.Event
 module Sink = Midrr_obs.Sink
 module Recorder = Midrr_obs.Recorder
-module Counters = Midrr_obs.Counters
 module Jsonl = Midrr_obs.Jsonl
 
 let check = Alcotest.check
@@ -323,25 +321,6 @@ let test_recorder_matches_immediate_decode () =
     Alcotest.(list (pair (float 0.0) event))
     "recorder = immediate decode" (List.rev !decoded) recorded
 
-(* --- counters ----------------------------------------------------------- *)
-
-let test_counters () =
-  let c = Counters.create () in
-  Counters.add c ~flow:0 ~iface:0 ~bytes:100;
-  Counters.add c ~flow:0 ~iface:1 ~bytes:50;
-  Counters.add c ~flow:1 ~iface:0 ~bytes:25;
-  Counters.add c ~flow:0 ~iface:0 ~bytes:100;
-  check Alcotest.int "cell accumulates" 200 (Counters.cell c ~flow:0 ~iface:0);
-  check Alcotest.int "other iface" 50 (Counters.cell c ~flow:0 ~iface:1);
-  check Alcotest.int "other flow" 25 (Counters.cell c ~flow:1 ~iface:0);
-  check Alcotest.int "never served" 0 (Counters.cell c ~flow:1 ~iface:1);
-  let base = Counters.copy c in
-  Counters.add c ~flow:0 ~iface:0 ~bytes:40;
-  check Alcotest.int "copy is independent" 200
-    (Counters.cell base ~flow:0 ~iface:0);
-  check Alcotest.int "since = cur - base" 40
-    (Counters.since c base ~flow:0 ~iface:0)
-
 (* --- jsonl -------------------------------------------------------------- *)
 
 let test_jsonl_format () =
@@ -493,10 +472,6 @@ let () =
             test_recorder_burst_wraparound;
           Alcotest.test_case "matches immediate decode" `Quick
             test_recorder_matches_immediate_decode;
-        ] );
-      ( "counters",
-        [
-          Alcotest.test_case "tallies" `Quick test_counters;
         ] );
       ( "jsonl",
         [
