@@ -1,78 +1,79 @@
-(* Index-tracked binary min-heap over (rank, tie), keyed by small dense
-   non-negative ints.  [pos.(key)] holds the key's heap slot (-1 when
-   absent), kept in lockstep by every sift, which is what makes remove
-   and re-rank O(log n): find the slot in O(1), repair the heap from
-   there.  This module is on the lint hot-path list: comparisons go
+(* Index-tracked binary min-heap over (rank, key), keyed by small dense
+   non-negative ints, in structure-of-arrays form: slot [i] holds key
+   [keys.(i)] at rank [ranks.(i)], and [pos.(key)] is the key's slot (-1
+   when absent), kept in lockstep by every sift.  That is what makes
+   remove O(log n): find the slot in O(1), repair the heap from there.
+   The ranks are unboxed and the sifts move ints and raw floats only, so
+   nothing here allocates once the arrays have grown.  Every slot at or
+   past [size] holds [infinity], so slot 0 reads [infinity] when the heap
+   is empty.  This module is on the lint hot-path list: comparisons go
    through [Float.compare]/[Int] primitives only. *)
 
-type elt = { key : int; rank : float; tie : int }
-
-let dummy = { key = -1; rank = 0.0; tie = 0 }
-
 type t = {
-  mutable heap : elt array; (* entries live in slots [0, size) *)
+  mutable keys : int array; (* entries live in slots [0, size) *)
+  mutable ranks : Float.Array.t;
   mutable size : int;
   mutable pos : int array; (* key -> heap slot, -1 when absent *)
-  mutable seq : int; (* default tie: monotone, so equal ranks are FIFO *)
 }
 
 let create ?(capacity = 16) () =
   let capacity = if capacity < 1 then 1 else capacity in
   {
-    heap = Array.make capacity dummy;
+    keys = Array.make capacity (-1);
+    ranks = Float.Array.make capacity infinity;
     size = 0;
     pos = Array.make capacity (-1);
-    seq = 0;
   }
 
 let length t = t.size
 let is_empty t = Int.equal t.size 0
-
 let mem t key = key >= 0 && key < Array.length t.pos && t.pos.(key) >= 0
 
-let find t key =
-  if mem t key then Some t.heap.(t.pos.(key)) else None
+(* Slot [a] strictly before slot [b] in (rank, key) order. *)
+let before t a b =
+  let c =
+    Float.compare (Float.Array.get t.ranks a) (Float.Array.get t.ranks b)
+  in
+  if Int.equal c 0 then t.keys.(a) < t.keys.(b) else c < 0
 
-(* (rank, tie) lexicographic, strictly-less. *)
-let before a b =
-  let c = Float.compare a.rank b.rank in
-  if Int.equal c 0 then a.tie < b.tie else c < 0
+let swap t a b =
+  let ka = t.keys.(a) and kb = t.keys.(b) in
+  let ra = Float.Array.get t.ranks a in
+  t.keys.(a) <- kb;
+  t.keys.(b) <- ka;
+  Float.Array.set t.ranks a (Float.Array.get t.ranks b);
+  Float.Array.set t.ranks b ra;
+  t.pos.(kb) <- a;
+  t.pos.(ka) <- b
 
 (* Growth is amortized doubling: O(1) allocation per element over the
    whole run, none once the PIFO reaches its working-set size. *)
 let ensure_key t key =
   let n = Array.length t.pos in
   if key >= n then begin
-    let n' = ref (2 * n) in
-    while key >= !n' do
-      n' := 2 * !n'
-    done;
-    let pos = Array.make !n' (-1) in
+    let pos = Array.make (Int.max (2 * n) (key + 1)) (-1) in
     Array.blit t.pos 0 pos 0 n;
     t.pos <- pos
   end
 [@@midrr.lint.allow "R7"]
 
 let ensure_room t =
-  let n = Array.length t.heap in
+  let n = Array.length t.keys in
   if t.size >= n then begin
-    let heap = Array.make (2 * n) dummy in
-    Array.blit t.heap 0 heap 0 n;
-    t.heap <- heap
+    let keys = Array.make (2 * n) (-1) in
+    let ranks = Float.Array.make (2 * n) infinity in
+    Array.blit t.keys 0 keys 0 n;
+    Float.Array.blit t.ranks 0 ranks 0 n;
+    t.keys <- keys;
+    t.ranks <- ranks
   end
 [@@midrr.lint.allow "R7"]
-
-let set_slot t i e =
-  t.heap.(i) <- e;
-  t.pos.(e.key) <- i
 
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(parent) then begin
-      let e = t.heap.(i) and p = t.heap.(parent) in
-      set_slot t parent e;
-      set_slot t i p;
+    if before t i parent then begin
+      swap t i parent;
       sift_up t parent
     end
   end
@@ -81,85 +82,66 @@ let rec sift_down t i =
   let l = (2 * i) + 1 in
   if l < t.size then begin
     let r = l + 1 in
-    let smallest =
-      let s = if before t.heap.(l) t.heap.(i) then l else i in
-      if r < t.size && before t.heap.(r) t.heap.(s) then r else s
-    in
-    if not (Int.equal smallest i) then begin
-      let e = t.heap.(i) and s = t.heap.(smallest) in
-      set_slot t smallest e;
-      set_slot t i s;
-      sift_down t smallest
+    let s = if before t l i then l else i in
+    let s = if r < t.size && before t r s then r else s in
+    if not (Int.equal s i) then begin
+      swap t i s;
+      sift_down t s
     end
   end
 
-let push ?tie t ~key ~rank =
+let push t ~key ~rank =
   if key < 0 then invalid_arg "Pifo.push: negative key";
   ensure_key t key;
   if t.pos.(key) >= 0 then invalid_arg "Pifo.push: duplicate key";
-  let tie =
-    match tie with
-    | Some x -> x
-    | None ->
-        let s = t.seq in
-        t.seq <- s + 1;
-        s
-  in
   ensure_room t;
   let i = t.size in
   t.size <- i + 1;
-  set_slot t i { key; rank; tie };
+  t.keys.(i) <- key;
+  Float.Array.set t.ranks i rank;
+  t.pos.(key) <- i;
   sift_up t i
 
-(* R7 assumes a float result is boxed per call; here [rank] is a field of
-   a mixed record, so it is already boxed and returned as is (0 minor
-   words per call, measured). *)
-let min_rank t = if is_empty t then infinity else t.heap.(0).rank
-[@@midrr.lint.allow "R7"]
+(* R7 counts a float result as one box per call.  [Sched_prog] reads the
+   minimum rank only to hand it to the program's [on_service] at once, as
+   a float argument, which is boxed: where the call is not inlined (the
+   dev profile) the box is made here, where it is (release) it is made at
+   that call instead.  Either way it is one box per serve from the fresh
+   heap; every other rank test stays inside this module
+   ([pop_at_most]). *)
+let min_rank t = Float.Array.get t.ranks 0 [@@midrr.lint.allow "R7"]
+
+let min_key t = if is_empty t then -1 else t.keys.(0)
 
 (* Remove the entry at slot [i]: move the last entry in, then repair in
    whichever direction the replacement violates. *)
 let remove_slot t i =
   let last = t.size - 1 in
   t.size <- last;
-  let victim = t.heap.(i) in
-  t.pos.(victim.key) <- -1;
+  t.pos.(t.keys.(i)) <- -1;
   if not (Int.equal i last) then begin
-    set_slot t i t.heap.(last);
-    t.heap.(last) <- dummy;
+    let k = t.keys.(last) in
+    t.keys.(i) <- k;
+    Float.Array.set t.ranks i (Float.Array.get t.ranks last);
+    t.pos.(k) <- i;
     sift_down t i;
     sift_up t i
-  end
-  else t.heap.(last) <- dummy;
-  victim
+  end;
+  Float.Array.set t.ranks last infinity
 
-let pop_key t = if is_empty t then -1 else (remove_slot t 0).key
+let pop_key t =
+  let key = min_key t in
+  if key >= 0 then remove_slot t 0;
+  key
+
+let pop_at_most t bound =
+  if (not (is_empty t)) && Float.compare (Float.Array.get t.ranks 0) bound <= 0
+  then pop_key t
+  else -1
 
 let remove t key =
   if mem t key then begin
-    ignore (remove_slot t t.pos.(key) : elt);
+    remove_slot t t.pos.(key);
     true
   end
   else false
-
-let update ?tie t ~key ~rank =
-  if not (mem t key) then invalid_arg "Pifo.update: key not queued";
-  let i = t.pos.(key) in
-  let tie =
-    match tie with Some x -> x | None -> t.heap.(i).tie
-  in
-  t.heap.(i) <- { key; rank; tie };
-  sift_down t i;
-  sift_up t i
-
-let clear t =
-  for i = 0 to t.size - 1 do
-    t.pos.(t.heap.(i).key) <- -1;
-    t.heap.(i) <- dummy
-  done;
-  t.size <- 0
-
-let iter f t =
-  for i = 0 to t.size - 1 do
-    f t.heap.(i)
-  done

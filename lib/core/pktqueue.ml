@@ -65,7 +65,7 @@ let pop_exn t =
 
 let pop t = if Int.equal t.len 0 then None else Some (pop_exn t)
 
-let peek t = if Int.equal t.len 0 then None else Some t.buf.(t.head)
+let peek t = if Int.equal t.len 0 then Packet.none else t.buf.(t.head)
 
 let head_size t = if Int.equal t.len 0 then 0 else t.buf.(t.head).size
 

@@ -17,8 +17,9 @@ val pop_exn : t -> Packet.t
 (** Allocation-free [pop] for hot paths that already know the queue is
     non-empty.  Raises [Invalid_argument] on an empty queue. *)
 
-val peek : t -> Packet.t option
-(** Head-of-line packet without removing it. *)
+val peek : t -> Packet.t
+(** Head-of-line packet without removing it; {!Packet.none} when the
+    queue is empty. *)
 
 val head_size : t -> int
 (** Size in bytes of the head-of-line packet; 0 when empty.  This is the

@@ -5,21 +5,15 @@
    beyond any run length (2^53). *)
 
 module P = struct
-  type t = { counters : (Types.iface_id, int ref) Hashtbl.t }
+  type t = { counters : int ref Int_tbl.t }
 
   let name = "rr"
-  let create () = { counters = Hashtbl.create 16 }
+  let create () = { counters = Int_tbl.create 16 }
   let membership = `All_flows
 
+  (* Ranks are only asked for on online interfaces. *)
   let next_pos t iface =
-    let c =
-      match Hashtbl.find_opt t.counters iface with
-      | Some c -> c
-      | None ->
-          let c = ref 0 in
-          Hashtbl.replace t.counters iface c;
-          c
-    in
+    let c = Int_tbl.find t.counters iface in
     incr c;
     Float.of_int !c
 
@@ -33,8 +27,8 @@ module P = struct
   let rerank_on_weight = false
   let on_flow_add _ ~flow:_ ~weight:_ = ()
   let on_flow_remove _ ~flow:_ = ()
-  let on_iface_add _ ~iface:_ = ()
-  let on_iface_remove t ~iface = Hashtbl.remove t.counters iface
+  let on_iface_add t ~iface = Int_tbl.replace t.counters iface (ref 0)
+  let on_iface_remove t ~iface = Int_tbl.remove t.counters iface
 end
 
 include Sched_prog.Make (P)

@@ -33,7 +33,11 @@ module type S = sig
     unit
   (** Register a flow with its rate preference [weight] (> 0) and
       interface preference [allowed].  Interfaces not yet online may be
-      listed; they take effect when they appear. *)
+      listed; they take effect when they appear.  A scheduler that
+      indexes its state by flow id (the DRR engines, every {!Sched_prog}
+      program) rejects a negative id here with [Invalid_argument],
+      before it changes any state; one that accepts it must then queue
+      and serve the flow like any other. *)
 
   val remove_flow : t -> Types.flow_id -> unit
   (** Deregister a flow, dropping its queue. *)

@@ -1,17 +1,22 @@
 (* The shared substrate lifting a PROG to Sched_intf.S.  See the .mli for
    the model.  This module is on the lint hot-path list: no polymorphic
-   compare/equality, membership via Iset/Pifo, all state inside [t].
+   compare/equality, all state inside [t].  The per-packet path (enqueue,
+   next_packet and the re-ranks they trigger) allocates nothing of its
+   own: flows, interfaces and served bytes are looked up through
+   [Int_tbl], Π_i is a canonical ascending list walked by top-level loops,
+   and no call builds a closure or an option.
 
    Invariants on the two per-interface PIFOs:
    - [`Backlogged]: fresh+stale together hold exactly the flows that are
      backlogged and allow the interface; [stale] holds those whose rank
-     is at or below the program's floor, ordered by flow id.
+     is at or below the program's floor, ordered by flow id.  A flow
+     therefore sits only in the PIFOs of interfaces in its Π_i, which is
+     all that linking, draining and re-ranking it visit.
    - [`All_flows]: [fresh] holds every registered flow except ones
      registered before the interface came up, which [next_packet] sweeps
      in at the back of the rotation in ascending id order.
      [stale] stays empty (the floor is neg_infinity by contract). *)
 
-module Iset = Set.Make (Int)
 module Event = Midrr_obs.Event
 
 module type PROG = sig
@@ -55,10 +60,10 @@ end
 type flow = {
   f_id : Types.flow_id;
   mutable weight : float;
-  mutable allowed : Iset.t;
+  mutable allowed : Types.iface_id list; (* Π_i, strictly ascending *)
   queue : Pktqueue.t;
   mutable served : int;
-  served_on : (Types.iface_id, int) Hashtbl.t;
+  served_on : int Int_tbl.t; (* iface -> bytes *)
 }
 
 type iface = {
@@ -67,12 +72,24 @@ type iface = {
   stale : Pifo.t; (* clamped at the floor: ordered by flow id alone *)
 }
 
+let rec mem_sorted j = function
+  | [] -> false
+  | x :: rest -> if x < j then mem_sorted j rest else Int.equal x j
+
+let bytes_on fs j =
+  match Int_tbl.find fs.served_on j with
+  | bytes -> bytes
+  | exception Not_found -> 0
+
+(* The [`Backlogged] walks over the online interfaces of Π_i. *)
+type walk = Link | Rerank | Unlink
+
 module Make (P : PROG) = struct
   type t = {
     queue_capacity : int option;
     prog : P.t;
-    flows_tbl : (Types.flow_id, flow) Hashtbl.t;
-    ifaces_tbl : (Types.iface_id, iface) Hashtbl.t;
+    flows_tbl : flow Int_tbl.t;
+    ifaces_tbl : iface Int_tbl.t;
     mutable t_sink : Midrr_obs.Sink.raw option;
     t_ev : Event.record; (* refilled per emission, see [Event] *)
   }
@@ -81,8 +98,8 @@ module Make (P : PROG) = struct
     {
       queue_capacity;
       prog = P.create ();
-      flows_tbl = Hashtbl.create 64;
-      ifaces_tbl = Hashtbl.create 16;
+      flows_tbl = Int_tbl.create 64;
+      ifaces_tbl = Int_tbl.create 16;
       t_sink = None;
       t_ev = Event.create ();
     }
@@ -108,44 +125,41 @@ module Make (P : PROG) = struct
   let sink t = t.t_sink
 
   let flow_state t f =
-    match Hashtbl.find_opt t.flows_tbl f with
-    | Some fs -> fs
-    | None -> invalid_arg "Sched_prog: unknown flow"
+    match Int_tbl.find t.flows_tbl f with
+    | fs -> fs
+    | exception Not_found -> invalid_arg "Sched_prog: unknown flow"
 
   let iface_state t j =
-    match Hashtbl.find_opt t.ifaces_tbl j with
-    | Some s -> s
-    | None -> invalid_arg "Sched_prog: unknown interface"
+    match Int_tbl.find t.ifaces_tbl j with
+    | ifc -> ifc
+    | exception Not_found -> invalid_arg "Sched_prog: unknown interface"
 
-  let has_iface t j = Hashtbl.mem t.ifaces_tbl j
-  let has_flow t f = Hashtbl.mem t.flows_tbl f
+  let has_iface t j = Int_tbl.mem t.ifaces_tbl j
+  let has_flow t f = Int_tbl.mem t.flows_tbl f
 
   let flows t =
-    Hashtbl.fold (fun f _ acc -> f :: acc) t.flows_tbl []
+    Int_tbl.fold (fun f _ acc -> f :: acc) t.flows_tbl []
     |> List.sort Int.compare
 
   let ifaces t =
-    Hashtbl.fold (fun j _ acc -> j :: acc) t.ifaces_tbl []
+    Int_tbl.fold (fun j _ acc -> j :: acc) t.ifaces_tbl []
     |> List.sort Int.compare
-
-  let head_of q =
-    match Pktqueue.peek q with Some p -> p | None -> Packet.none
 
   (* [P.rank] may mutate program state (round robin's position counter),
      so call it exactly once per (re)insertion. *)
   let rank_of t fs j =
     P.rank t.prog ~flow:fs.f_id ~iface:j ~weight:fs.weight
-      ~head:(head_of fs.queue)
+      ~head:(Pktqueue.peek fs.queue)
       ~backlog:(Pktqueue.backlog_bytes fs.queue)
 
   let eligible fs j =
-    Iset.mem j fs.allowed && not (Pktqueue.is_empty fs.queue)
+    mem_sorted j fs.allowed && not (Pktqueue.is_empty fs.queue)
 
   let heap_insert t ifc fs =
     let r = rank_of t fs ifc.i_id in
     if Float.compare r (P.floor_rank t.prog ~iface:ifc.i_id) <= 0 then
-      Pifo.push ifc.stale ~tie:fs.f_id ~key:fs.f_id ~rank:neg_infinity
-    else Pifo.push ifc.fresh ~tie:fs.f_id ~key:fs.f_id ~rank:r
+      Pifo.push ifc.stale ~key:fs.f_id ~rank:neg_infinity
+    else Pifo.push ifc.fresh ~key:fs.f_id ~rank:r
 
   let heap_remove ifc f =
     ignore (Pifo.remove ifc.fresh f : bool);
@@ -159,60 +173,73 @@ module Make (P : PROG) = struct
       heap_insert t ifc fs
     end
 
+  (* Every [`Backlogged] rank is pure, so the order of the visits is
+     free.  [Rerank] and [Unlink] pass over an interface that does not
+     hold the flow, such as the one that just popped it. *)
+  let rec walk t op fs = function
+    | [] -> ()
+    | j :: rest ->
+        (match Int_tbl.find t.ifaces_tbl j with
+        | ifc -> (
+            match op with
+            | Link -> heap_insert t ifc fs
+            | Rerank -> heap_update t ifc fs
+            | Unlink -> heap_remove ifc fs.f_id)
+        | exception Not_found -> ());
+        walk t op fs rest
+
   let add_iface t j =
     if has_iface t j then invalid_arg "Sched_prog.add_iface: duplicate";
     let ifc = { i_id = j; fresh = Pifo.create (); stale = Pifo.create () } in
-    Hashtbl.replace t.ifaces_tbl j ifc;
+    Int_tbl.replace t.ifaces_tbl j ifc;
     P.on_iface_add t.prog ~iface:j;
     (match P.membership with
     | `Backlogged ->
-        List.iter
-          (fun f ->
-            let fs = flow_state t f in
-            if eligible fs j then heap_insert t ifc fs)
-          (flows t)
+        Int_tbl.iter
+          (fun _ fs -> if eligible fs j then heap_insert t ifc fs)
+          t.flows_tbl
     | `All_flows -> ());
     Event.set_iface_up t.t_ev ~iface:j;
     emit t
 
   let remove_iface t j =
-    (match Hashtbl.find_opt t.ifaces_tbl j with
-    | Some _ ->
-        Hashtbl.remove t.ifaces_tbl j;
-        P.on_iface_remove t.prog ~iface:j
-    | None -> ());
+    if has_iface t j then begin
+      Int_tbl.remove t.ifaces_tbl j;
+      P.on_iface_remove t.prog ~iface:j
+    end;
     Event.set_iface_down t.t_ev ~iface:j;
     emit t
 
   let add_flow t ~flow ~weight ~allowed =
+    if flow < 0 then invalid_arg "Sched_prog.add_flow: negative flow id";
     if has_flow t flow then invalid_arg "Sched_prog.add_flow: duplicate";
     if not (weight > 0.0) then invalid_arg "Sched_prog.add_flow: weight <= 0";
     let fs =
       {
         f_id = flow;
         weight;
-        allowed = Iset.of_list allowed;
+        allowed = List.sort_uniq Int.compare allowed;
         queue = Pktqueue.create ?capacity_bytes:t.queue_capacity ();
         served = 0;
-        served_on = Hashtbl.create 8;
+        served_on = Int_tbl.create 8;
       }
     in
-    Hashtbl.replace t.flows_tbl flow fs;
+    Int_tbl.replace t.flows_tbl flow fs;
     P.on_flow_add t.prog ~flow ~weight;
     (match P.membership with
     | `Backlogged -> () (* empty queue: nothing to link yet *)
-    | `All_flows -> Hashtbl.iter (fun _ ifc -> heap_insert t ifc fs) t.ifaces_tbl);
+    | `All_flows ->
+        Int_tbl.iter (fun _ ifc -> heap_insert t ifc fs) t.ifaces_tbl);
     Event.set_flow_add t.t_ev ~flow;
     t.t_ev.num.value <- weight;
     emit t
 
   let remove_flow t f =
-    (match Hashtbl.find_opt t.flows_tbl f with
-    | Some _ ->
-        Hashtbl.remove t.flows_tbl f;
-        Hashtbl.iter (fun _ ifc -> heap_remove ifc f) t.ifaces_tbl;
-        P.on_flow_remove t.prog ~flow:f
-    | None -> ());
+    if has_flow t f then begin
+      Int_tbl.remove t.flows_tbl f;
+      Int_tbl.iter (fun _ ifc -> heap_remove ifc f) t.ifaces_tbl;
+      P.on_flow_remove t.prog ~flow:f
+    end;
     Event.set_flow_remove t.t_ev ~flow:f;
     emit t
 
@@ -221,39 +248,37 @@ module Make (P : PROG) = struct
     let fs = flow_state t f in
     fs.weight <- w;
     if P.rerank_on_weight then
-      Hashtbl.iter (fun _ ifc -> heap_update t ifc fs) t.ifaces_tbl;
+      Int_tbl.iter (fun _ ifc -> heap_update t ifc fs) t.ifaces_tbl;
     Event.set_weight_change t.t_ev ~flow:f;
     t.t_ev.num.value <- w;
     emit t
 
   let set_allowed t f allowed =
     let fs = flow_state t f in
-    fs.allowed <- Iset.of_list allowed;
+    fs.allowed <- List.sort_uniq Int.compare allowed;
     match P.membership with
     | `All_flows -> ()
     | `Backlogged ->
-        Hashtbl.iter
+        Int_tbl.iter
           (fun j ifc ->
             let should = eligible fs j in
             if should && not (heap_mem ifc f) then heap_insert t ifc fs
             else if (not should) && heap_mem ifc f then heap_remove ifc f)
           t.ifaces_tbl
 
-  let allowed_ifaces t f = Iset.elements (flow_state t f).allowed
+  let allowed_ifaces t f = (flow_state t f).allowed
+
+  let drop t (p : Packet.t) =
+    Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
+    emit t;
+    false
 
   let enqueue t (p : Packet.t) =
-    match Hashtbl.find_opt t.flows_tbl p.flow with
-    | None ->
-        Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
-        emit t;
-        false
-    | Some fs ->
+    match Int_tbl.find t.flows_tbl p.flow with
+    | exception Not_found -> drop t p
+    | fs ->
         if not (P.admit t.prog p ~backlog:(Pktqueue.backlog_bytes fs.queue))
-        then begin
-          Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
-          emit t;
-          false
-        end
+        then drop t p
         else begin
           let was_empty = Pktqueue.is_empty fs.queue in
           let accepted = Pktqueue.push fs.queue p in
@@ -261,20 +286,8 @@ module Make (P : PROG) = struct
              match P.membership with
              | `All_flows -> ()
              | `Backlogged ->
-                 if was_empty then
-                   Iset.iter
-                     (fun j ->
-                       match Hashtbl.find_opt t.ifaces_tbl j with
-                       | Some ifc -> heap_insert t ifc fs
-                       | None -> ())
-                     fs.allowed
-                 else if P.rerank_on_enqueue then
-                   Iset.iter
-                     (fun j ->
-                       match Hashtbl.find_opt t.ifaces_tbl j with
-                       | Some ifc -> heap_update t ifc fs
-                       | None -> ())
-                     fs.allowed);
+                 if was_empty then walk t Link fs fs.allowed
+                 else if P.rerank_on_enqueue then walk t Rerank fs fs.allowed);
           (match t.t_sink with
           | None -> ()
           | Some s ->
@@ -290,43 +303,34 @@ module Make (P : PROG) = struct
      its services, so decisions stay O(log n) amortized. *)
   let migrate t ifc =
     let fl = P.floor_rank t.prog ~iface:ifc.i_id in
-    if Float.compare fl neg_infinity > 0 then
-      while
-        (not (Pifo.is_empty ifc.fresh))
-        && Float.compare (Pifo.min_rank ifc.fresh) fl <= 0
-      do
-        let f = Pifo.pop_key ifc.fresh in
-        Pifo.push ifc.stale ~tie:f ~key:f ~rank:neg_infinity
+    if Float.compare fl neg_infinity > 0 then begin
+      let f = ref (Pifo.pop_at_most ifc.fresh fl) in
+      while !f >= 0 do
+        Pifo.push ifc.stale ~key:!f ~rank:neg_infinity;
+        f := Pifo.pop_at_most ifc.fresh fl
       done
+    end
 
   let serve t ifc fs ~rank =
     let j = ifc.i_id in
     let pkt = Pktqueue.pop_exn fs.queue in
     fs.served <- fs.served + pkt.size;
-    let prev = Option.value (Hashtbl.find_opt fs.served_on j) ~default:0 in
-    Hashtbl.replace fs.served_on j (prev + pkt.size);
+    Int_tbl.replace fs.served_on j (bytes_on fs j + pkt.size);
     P.on_service t.prog ~flow:fs.f_id ~iface:j ~weight:fs.weight
       ~size:pkt.size ~rank;
     pkt
 
+  (* The served interface already popped the flow: a drained flow leaves
+     the others, a backlogged one re-enters it with a fresh rank. *)
   let serve_backlogged t ifc f ~rank =
     let fs = flow_state t f in
     let pkt = serve t ifc fs ~rank in
-    (if Pktqueue.is_empty fs.queue then
-       Hashtbl.iter
-         (fun _ other ->
-           if not (Int.equal other.i_id ifc.i_id) then heap_remove other f)
-         t.ifaces_tbl
+    (if Pktqueue.is_empty fs.queue then walk t Unlink fs fs.allowed
      else begin
-       heap_insert t ifc fs;
-       match P.rerank_after_service with
+       (match P.rerank_after_service with
        | `Served_iface -> ()
-       | `All_ifaces ->
-           Hashtbl.iter
-             (fun _ other ->
-               if not (Int.equal other.i_id ifc.i_id) then
-                 heap_update t other fs)
-             t.ifaces_tbl
+       | `All_ifaces -> walk t Rerank fs fs.allowed);
+       heap_insert t ifc fs
      end);
     emit_serve t ~flow:f ~iface:ifc.i_id ~bytes:pkt.size;
     Some pkt
@@ -343,37 +347,40 @@ module Make (P : PROG) = struct
       serve_backlogged t ifc (Pifo.pop_key ifc.fresh) ~rank
     else None
 
+  let rec sweep_in t ifc = function
+    | [] -> ()
+    | f :: rest ->
+        if not (Pifo.mem ifc.fresh f) then heap_insert t ifc (flow_state t f);
+        sweep_in t ifc rest
+
   (* Sweep in flows registered before this interface existed, ascending
      id, at the back of the rotation.  O(1) when nothing is missing. *)
   let refresh t ifc =
-    if Pifo.length ifc.fresh < Hashtbl.length t.flows_tbl then
-      List.iter
-        (fun f ->
-          if not (Pifo.mem ifc.fresh f) then heap_insert t ifc (flow_state t f))
-        (flows t)
+    if Pifo.length ifc.fresh < Int_tbl.length t.flows_tbl then
+      sweep_in t ifc (flows t)
 
+  (* At most one lap: ineligible flows at the front move to the back,
+     then the front flow, if eligible, is served and moves to the back. *)
   let next_rotation t ifc =
     refresh t ifc;
     let j = ifc.i_id in
-    let rec lap k =
-      if Int.equal k 0 then None
-      else
-        let rank = Pifo.min_rank ifc.fresh in
-        let f = Pifo.pop_key ifc.fresh in
-        let fs = flow_state t f in
-        if eligible fs j then begin
-          let pkt = serve t ifc fs ~rank in
-          heap_insert t ifc fs (* back of the rotation, served or not *);
-          emit_serve t ~flow:f ~iface:j ~bytes:pkt.size;
-          Some pkt
-        end
-        else begin
-          Pifo.push ifc.fresh ~tie:f ~key:f
-            ~rank:(P.skip_rank t.prog ~flow:f ~iface:j);
-          lap (k - 1)
-        end
-    in
-    lap (Pifo.length ifc.fresh)
+    let lap = ref (Pifo.length ifc.fresh) in
+    while
+      !lap > 0 && not (eligible (flow_state t (Pifo.min_key ifc.fresh)) j)
+    do
+      let f = Pifo.pop_key ifc.fresh in
+      Pifo.push ifc.fresh ~key:f ~rank:(P.skip_rank t.prog ~flow:f ~iface:j);
+      decr lap
+    done;
+    if Int.equal !lap 0 then None
+    else begin
+      let rank = Pifo.min_rank ifc.fresh in
+      let fs = flow_state t (Pifo.pop_key ifc.fresh) in
+      let pkt = serve t ifc fs ~rank in
+      heap_insert t ifc fs;
+      emit_serve t ~flow:fs.f_id ~iface:j ~bytes:pkt.size;
+      Some pkt
+    end
 
   let next_packet t j =
     let ifc = iface_state t j in
@@ -386,10 +393,7 @@ module Make (P : PROG) = struct
   let is_backlogged t f = not (Pktqueue.is_empty (flow_state t f).queue)
   let served_bytes t f = (flow_state t f).served
 
-  let served_bytes_on t ~flow ~iface =
-    Option.value
-      (Hashtbl.find_opt (flow_state t flow).served_on iface)
-      ~default:0
+  let served_bytes_on t ~flow ~iface = bytes_on (flow_state t flow) iface
 
   let packed t =
     let module M = struct

@@ -2,7 +2,6 @@ open Midrr_core
 module Engine = Midrr_sim.Engine
 module Link = Midrr_sim.Link
 module Meter = Midrr_sim.Meter
-module Int_tbl = Midrr_sim.Int_tbl
 
 (* A transfer's datapath state, carried by its {!Meter} flow. *)
 type transfer = {

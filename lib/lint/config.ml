@@ -15,8 +15,9 @@ type t = {
    still fails the gate.  [Pifo] and [Sched_prog] are the programmable
    substrate's per-decision path — the only implementation of WFQ and
    round robin as well as the other rank programs — and join with no
-   baseline entries, as
-   do the netcalc curve algebra ([curve]/[arrival]/[service]/[bound],
+   baseline entries, as do the WFQ and round-robin programs, the
+   [Int_tbl] id table they and the platforms look up through, and the
+   netcalc curve algebra ([curve]/[arrival]/[service]/[bound],
    evaluated per flow inside sweeps).  The simulators' per-packet path
    — event queue, engine, netsim, link model, delivery meter and HTTP
    proxy — runs once or more per packet and is held to the same rule.
@@ -33,6 +34,9 @@ let default =
         "lib/core/drr_engine_ref";
         "lib/core/pifo";
         "lib/core/sched_prog";
+        "lib/core/prog_wfq";
+        "lib/core/prog_rr";
+        "lib/core/int_tbl";
         "lib/core/active_ring";
         "lib/core/spsc";
         "lib/core/shard_engine";
@@ -73,6 +77,7 @@ let default =
         "Pifo.push";
         "Pifo.min_rank";
         "Pifo.pop_key";
+        "Pifo.remove";
         "Active_ring.is_empty";
         "Active_ring.length";
         "Active_ring.head";

@@ -1,23 +1,32 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in 8 bytes rather than a mutable [int64]
+   field: storing into an [int64] field boxes a fresh value per draw,
+   while [Bytes.set_int64_le] stores it raw.  [bits64] and [float] are
+   inlined into the samplers below, so a draw through them boxes no
+   intermediate [int64] or [float] either. *)
+type t = bytes
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (Int64.of_int seed)
+let copy = Bytes.copy
 
 (* SplitMix64 output function: add the golden-ratio increment, then two
    xor-shift-multiply mixing rounds (constants from Steele et al.). *)
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] bits64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = bits64 t }
+let split t = of_state (bits64 t)
 
-let float t =
+let[@inline] float t =
   (* 53 high-quality bits into the mantissa: uniform on [0, 1). *)
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)

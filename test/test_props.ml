@@ -949,6 +949,32 @@ let discipline_cases =
           List.iter (discipline_invariants name make) [ 7; 1009; 65537 ]))
     all_disciplines
 
+(* A negative flow id is either rejected by [add_flow], which then
+   leaves no trace of it, or accepted, and then its packet is served.
+   Failing later is what this rules out: an enqueue that raises with
+   the packet already queued, or an [add_flow] that raises with the
+   flow half registered. *)
+let negative_flow_id () =
+  let module Packed = Sched_intf.Packed in
+  List.iter
+    (fun (name, make) ->
+      let s = make () in
+      Packed.add_iface s 0;
+      match Packed.add_flow s ~flow:(-1) ~weight:1.0 ~allowed:[ 0 ] with
+      | exception Invalid_argument _ ->
+          if Packed.has_flow s (-1) then
+            Alcotest.failf "%s: rejected flow -1 is registered" name;
+          if Option.is_some (Packed.next_packet s 0) then
+            Alcotest.failf "%s: served a packet of no flow" name
+      | () -> (
+          let pkt = Packet.create ~flow:(-1) ~size:100 ~arrival:0.0 in
+          if not (Packed.enqueue s pkt) then
+            Alcotest.failf "%s: dropped the packet of accepted flow -1" name;
+          match Packed.next_packet s 0 with
+          | Some p when p.Packet.flow = -1 -> ()
+          | _ -> Alcotest.failf "%s: never served accepted flow -1" name))
+    all_disciplines
+
 let () =
   (* Fixed generator seed: the suite is deterministic run to run; override
      by exporting QCHECK_SEED. *)
@@ -997,5 +1023,7 @@ let () =
             prop_engine_fuzz;
             prop_engine_fuzz_variants;
           ] );
-      ("disciplines", discipline_cases);
+      ( "disciplines",
+        discipline_cases
+        @ [ Alcotest.test_case "negative flow id" `Quick negative_flow_id ] );
     ]

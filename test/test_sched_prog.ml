@@ -1,7 +1,7 @@
 (* The programmable scheduling substrate, tested three ways:
 
    1. [Pifo] against a sorted-list model under random op sequences —
-      ordering, stable FIFO ties, O(log n) remove/update included.
+      (rank, key) order, arbitrary removes and bounded pops included.
    2. Golden churn transcripts: WFQ and round robin ([Prog_wfq],
       [Prog_rr]) driven through long randomized churn (enqueues, serves,
       flow/iface add/remove, weight and preference changes), with the
@@ -17,11 +17,11 @@ module Packed = Sched_intf.Packed
 
 (* --- 1. Pifo vs sorted-list model ---------------------------------------- *)
 
-(* The model mirrors the implementation's default-tie counter, so model
-   and heap assign identical (rank, tie) pairs push for push. *)
-let model_before (_, (ra, ta)) (_, (rb, tb)) =
+(* The heap orders by (rank, key); keys are unique, so the model's
+   minimum is unique too. *)
+let model_before (ka, ra) (kb, rb) =
   let c = Float.compare ra rb in
-  if c = 0 then ta < tb else c < 0
+  if c = 0 then ka < kb else c < 0
 
 let model_min model =
   List.fold_left
@@ -32,7 +32,7 @@ let model_min model =
     None model
 
 let prop_pifo_model =
-  (* ops: 0-2 push, 3-4 pop, 5 remove, 6 update, 7 min/mem audit *)
+  (* ops: 0-2 push, 3-4 pop, 5 remove, 6 pop_at_most, 7 min/mem audit *)
   let gen =
     QCheck.Gen.(
       list_size (int_range 1 300) (triple (int_range 0 7) (int_range 0 15) (int_range 0 4)))
@@ -41,9 +41,9 @@ let prop_pifo_model =
     (QCheck.make gen) (fun ops ->
       let h = Pifo.create ~capacity:2 () in
       let model = ref [] in
-      let seq = ref 0 in
       let ok = ref true in
       let check b = if not b then ok := false in
+      let take k = model := List.filter (fun (k', _) -> k' <> k) !model in
       List.iter
         (fun (op, key, r) ->
           let rank = Float.of_int r in
@@ -51,42 +51,42 @@ let prop_pifo_model =
           | 0 | 1 | 2 ->
               if not (Pifo.mem h key) then begin
                 Pifo.push h ~key ~rank;
-                model := (key, (rank, !seq)) :: !model;
-                incr seq
+                model := (key, rank) :: !model
               end
           | 3 | 4 -> (
               let rank = Pifo.min_rank h in
               match (Pifo.pop_key h, model_min !model) with
               | -1, None -> ()
-              | key, Some (k, (mr, _)) ->
+              | key, Some (k, mr) ->
                   check (key = k && Float.equal rank mr);
-                  model := List.filter (fun (k', _) -> k' <> k) !model
+                  take k
               | _ -> check false)
           | 5 ->
               let removed = Pifo.remove h key in
               check (removed = List.mem_assoc key !model);
-              model := List.remove_assoc key !model
-          | 6 ->
-              if Pifo.mem h key then begin
-                (* re-rank, keeping the existing tie *)
-                let _, (_, tie) = List.find (fun (k, _) -> k = key) !model in
-                Pifo.update h ~key ~rank;
-                model :=
-                  (key, (rank, tie)) :: List.remove_assoc key !model
-              end
-          | _ ->
+              take key
+          | 6 -> (
+              (* [rank] doubles as the bound *)
+              match (Pifo.pop_at_most h rank, model_min !model) with
+              | -1, None -> ()
+              | -1, Some (_, mr) -> check (mr > rank)
+              | key, Some (k, mr) ->
+                  check (key = k && mr <= rank);
+                  take k
+              | _ -> check false)
+          | _ -> (
               check (Pifo.length h = List.length !model);
               check (Pifo.is_empty h = (!model = []));
               for k = 0 to 15 do
                 check (Pifo.mem h k = List.mem_assoc k !model)
               done;
-              (match model_min !model with
-              | None -> check (Float.equal (Pifo.min_rank h) infinity)
-              | Some (k, (mr, mt)) -> (
+              match model_min !model with
+              | None ->
+                  check (Float.equal (Pifo.min_rank h) infinity);
+                  check (Pifo.min_key h = -1)
+              | Some (k, mr) ->
                   check (Float.equal (Pifo.min_rank h) mr);
-                  match Pifo.find h k with
-                  | Some e -> check (Float.equal e.Pifo.rank mr && e.Pifo.tie = mt)
-                  | None -> check false)))
+                  check (Pifo.min_key h = k)))
         ops;
       (* Drain both; full order must agree. *)
       let rec drain () =
@@ -94,16 +94,17 @@ let prop_pifo_model =
         | -1, None -> ()
         | key, Some (k, _) ->
             check (key = k);
-            model := List.filter (fun (k', _) -> k' <> k) !model;
+            take k;
             drain ()
         | _ -> check false
       in
       drain ();
       !ok)
 
-let pifo_fifo_ties () =
+let pifo_key_ties () =
   let h = Pifo.create () in
   List.iter (fun k -> Pifo.push h ~key:k ~rank:1.0) [ 7; 3; 9; 1 ];
+  Pifo.push h ~key:5 ~rank:0.5;
   let order = ref [] in
   let rec go () =
     match Pifo.pop_key h with
@@ -114,7 +115,7 @@ let pifo_fifo_ties () =
   in
   go ();
   Alcotest.(check (list int))
-    "equal ranks pop in push order" [ 7; 3; 9; 1 ] (List.rev !order)
+    "rank first, then the smaller key" [ 5; 1; 3; 7; 9 ] (List.rev !order)
 
 let pifo_errors () =
   let h = Pifo.create () in
@@ -123,24 +124,11 @@ let pifo_errors () =
     (fun () -> Pifo.push h ~key:3 ~rank:0.7);
   Alcotest.check_raises "negative key" (Invalid_argument "Pifo.push: negative key")
     (fun () -> Pifo.push h ~key:(-1) ~rank:0.0);
-  Alcotest.check_raises "update absent" (Invalid_argument "Pifo.update: key not queued")
-    (fun () -> Pifo.update h ~key:9 ~rank:0.0);
   Alcotest.(check bool) "remove absent" false (Pifo.remove h 9);
   Alcotest.(check bool) "remove present" true (Pifo.remove h 3);
-  Alcotest.(check bool) "now empty" true (Pifo.is_empty h)
-
-let pifo_update_rerank () =
-  let h = Pifo.create () in
-  Pifo.push h ~key:0 ~rank:5.0;
-  Pifo.push h ~key:1 ~rank:6.0;
-  Pifo.push h ~key:2 ~rank:7.0;
-  Pifo.update h ~key:2 ~rank:0.0;
-  Alcotest.(check (float 0.0)) "re-ranked to front" 0.0 (Pifo.min_rank h);
-  (* explicit tie overrides FIFO: same rank, lower tie wins *)
-  Pifo.update ~tie:(-1) h ~key:1 ~rank:0.0;
-  Alcotest.(check int) "explicit tie wins" 1 (Pifo.pop_key h);
-  Alcotest.(check int) "then the re-ranked key" 2 (Pifo.pop_key h);
-  Alcotest.(check int) "empty pops -1" (-1) (Pifo.pop_key (Pifo.create ()))
+  Alcotest.(check bool) "now empty" true (Pifo.is_empty h);
+  Alcotest.(check int) "empty pops -1" (-1) (Pifo.pop_key h);
+  Alcotest.(check (float 0.0)) "empty min is infinity" infinity (Pifo.min_rank h)
 
 (* --- 2. golden churn transcripts ------------------------------------------ *)
 
@@ -371,9 +359,8 @@ let () =
       ( "pifo",
         [
           to_alcotest prop_pifo_model;
-          Alcotest.test_case "FIFO on equal ranks" `Quick pifo_fifo_ties;
+          Alcotest.test_case "equal ranks pop by key" `Quick pifo_key_ties;
           Alcotest.test_case "error cases" `Quick pifo_errors;
-          Alcotest.test_case "update re-ranks" `Quick pifo_update_rerank;
         ] );
       ( "golden",
         [

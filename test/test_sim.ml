@@ -741,16 +741,17 @@ let minor_words f =
 
 module Busmetrics = Midrr_obs.Busmetrics
 
-let corpus_scenario file =
-  (* `dune runtest` runs from the test directory, `dune exec` from the
-     project root; accept either. *)
-  let path =
-    if Sys.file_exists ("../scenarios/" ^ file) then "../scenarios/" ^ file
-    else "scenarios/" ^ file
-  in
+(* `dune runtest` runs from the test directory, `dune exec` from the
+   project root; accept either. *)
+let load_scenario ~from_test ~from_root =
+  let path = if Sys.file_exists from_test then from_test else from_root in
   match Scenario.parse (In_channel.with_open_text path In_channel.input_all) with
   | Ok s -> s
   | Error e -> Alcotest.failf "scenario error: %s" e
+
+let corpus_scenario file =
+  load_scenario ~from_test:("../scenarios/" ^ file)
+    ~from_root:("scenarios/" ^ file)
 
 let serves bm =
   let reg = Busmetrics.registry bm in
@@ -863,6 +864,29 @@ let test_alloc_fig10_proxy () =
   if per_chunk > 17.5 then
     Alcotest.failf "fig10 proxy: %.2f minor words per served chunk (bound 17.5)"
       per_chunk
+
+(* The WFQ program on the benchmark's 64-flow overload mesh
+   ([golden/mesh64.scn] with 64 kB queues, as [test_golden] runs it):
+   225,868 served packets.  The PIFO substrate allocates nothing of its
+   own per packet; WFQ boxes one finish tag per service and the fresh
+   rank it hands [on_service].  29.81 words per served packet measured;
+   a 4-word entry record per PIFO push, generic-hash lookups, a closure
+   per drain and an [int64] box per random draw read 82.06. *)
+let test_alloc_mesh64_wfq () =
+  let scn =
+    load_scenario ~from_test:"golden/mesh64.scn"
+      ~from_root:"test/golden/mesh64.scn"
+  in
+  let sched () = Prog_wfq.packed (Prog_wfq.create ~queue_capacity:65536 ()) in
+  let bm = Busmetrics.create () in
+  ignore (Scenario.run ~metrics:bm ~seed:1 ~sched scn);
+  let per_pkt =
+    minor_words (fun () -> ignore (Scenario.run ~seed:1 ~sched scn))
+    /. Float.of_int (serves bm)
+  in
+  if per_pkt > 30.5 then
+    Alcotest.failf "mesh64 wfq: %.2f minor words per served packet (bound 30.5)"
+      per_pkt
 
 let test_alloc_engine_per_event () =
   (* Pre-sized: a doubling of the heap is amortized, not per event. *)
@@ -981,5 +1005,7 @@ let () =
             test_alloc_decision_with_fold;
           Alcotest.test_case "fig10 proxy words per chunk" `Quick
             test_alloc_fig10_proxy;
+          Alcotest.test_case "mesh64 wfq words per packet" `Quick
+            test_alloc_mesh64_wfq;
         ] );
     ]
