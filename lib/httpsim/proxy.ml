@@ -37,7 +37,7 @@ type t = {
   pipeline_depth : int;
   rtt : float;
   meter : transfer Meter.t;
-  ifaces : iface Int_tbl.t;
+  ifaces : iface Int_tbl.Slots.t;
 }
 
 let create ?(bin = 1.0) ?(chunk_size = 262144) ?(pipeline_depth = 4)
@@ -53,7 +53,7 @@ let create ?(bin = 1.0) ?(chunk_size = 262144) ?(pipeline_depth = 4)
     pipeline_depth;
     rtt;
     meter = Meter.create ~bin ?sink ?metrics engine sched;
-    ifaces = Int_tbl.create 8;
+    ifaces = Int_tbl.Slots.create ();
   }
 
 let engine t = t.engine
@@ -153,13 +153,15 @@ and complete t ifc =
 and kick t = function
   | [] -> ()
   | j :: rest ->
-      (match Int_tbl.find t.ifaces j with
-      | ifc -> issue_requests t ifc
-      | exception Not_found -> ());
+      (match Int_tbl.Slots.find t.ifaces j with
+      | Some ifc -> issue_requests t ifc
+      | None -> ());
       kick t rest
 
 let add_iface t j profile =
-  if Int_tbl.mem t.ifaces j then invalid_arg "Proxy.add_iface: duplicate";
+  if j < 0 then invalid_arg "Proxy.add_iface: negative interface id";
+  if Option.is_some (Int_tbl.Slots.find t.ifaces j) then
+    invalid_arg "Proxy.add_iface: duplicate";
   let depth = t.pipeline_depth in
   let rec ifc =
     {
@@ -176,11 +178,12 @@ let add_iface t j profile =
       complete = (fun () -> complete t ifc);
     }
   in
-  Int_tbl.replace t.ifaces j ifc;
+  Int_tbl.Slots.set t.ifaces j ifc;
   Sched_intf.Packed.add_iface t.sched j;
   issue_requests t ifc
 
 let add_transfer t ?(at = 0.0) ?total_bytes f ~weight ~allowed () =
+  if f < 0 then invalid_arg "Proxy.add_transfer: negative flow id";
   let fl =
     Meter.add_flow t.meter f ~weight ~allowed ?size:total_bytes
       { requested = 0; queued_tokens = 0; stopped = false }
@@ -218,6 +221,6 @@ let share_since t snap ~flows ~ifaces =
 
 let instance_of t ~flows ~ifaces =
   Meter.instance_of t.meter ~flows ~ifaces ~capacity:(fun j ->
-      match Int_tbl.find t.ifaces j with
-      | ifc -> Link.rate_at ifc.profile (now t)
-      | exception Not_found -> invalid_arg "Proxy: unknown interface")
+      match Int_tbl.Slots.find t.ifaces j with
+      | Some ifc -> Link.rate_at ifc.profile (now t)
+      | None -> invalid_arg "Proxy: unknown interface")

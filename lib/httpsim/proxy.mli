@@ -46,6 +46,8 @@ val engine : t -> Midrr_sim.Engine.t
 val now : t -> float
 
 val add_iface : t -> Types.iface_id -> Link.t -> unit
+(** Raises [Invalid_argument] on a negative or registered id: interface
+    ids index a slot array.  Checked before any state changes. *)
 
 val add_transfer :
   t ->
@@ -57,7 +59,9 @@ val add_transfer :
   unit ->
   unit
 (** Start an inbound HTTP flow at time [at] (default 0).  Without
-    [total_bytes] the transfer is endless (a long download). *)
+    [total_bytes] the transfer is endless (a long download).  Raises
+    [Invalid_argument] on a negative id, at the call and before any
+    state changes, not when the deferred registration runs. *)
 
 val stop_transfer : t -> ?at:float -> Types.flow_id -> unit
 

@@ -12,11 +12,11 @@ let create ?capacity () =
 
 let now t = t.clock
 
-let schedule t ~at f =
+let[@inline] schedule t ~at f =
   if at < t.clock then invalid_arg "Engine.schedule: time in the past";
   Event_queue.push t.queue ~time:at f
 
-let schedule_in t ~after f =
+let[@inline] schedule_in t ~after f =
   if after < 0.0 then invalid_arg "Engine.schedule_in: negative delay";
   schedule t ~at:(t.clock +. after) f
 

@@ -62,11 +62,11 @@ let align_items t filler =
   Array.blit t.items 0 items 0 (Array.length t.items);
   t.items <- items
 
-let earlier t i j =
+let[@inline] earlier t i j =
   t.times.(i) < t.times.(j)
   || (Float.equal t.times.(i) t.times.(j) && t.seqs.(i) < t.seqs.(j))
 
-let swap t i j =
+let[@inline] swap t i j =
   let time = t.times.(i) in
   t.times.(i) <- t.times.(j);
   t.times.(j) <- time;
@@ -95,7 +95,7 @@ let rec sift_down t i =
     sift_down t smallest
   end
 
-let push t ~time item =
+let[@inline] push t ~time item =
   if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
   if Int.equal t.size (Array.length t.times) then grow t;
   if Array.length t.items < Array.length t.times then align_items t item;
@@ -107,13 +107,13 @@ let push t ~time item =
   t.size <- i + 1;
   sift_up t i
 
-let min_time t =
+let[@inline] min_time t =
   if Int.equal t.size 0 then invalid_arg "Event_queue.min_time: empty";
   t.times.(0)
 
 let due t ~until = t.size > 0 && t.times.(0) <= until
 
-let pop_min t =
+let[@inline] pop_min t =
   if Int.equal t.size 0 then invalid_arg "Event_queue.pop_min: empty";
   let top = t.slots.(0) in
   let last = t.size - 1 in

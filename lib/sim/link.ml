@@ -1,7 +1,15 @@
+(* A stepped or periodic profile keeps its change points twice: as
+   [(time, rate)] pairs, and their times alone in a flat [float array].
+   The lookups scan the flat times, which read unboxed, and return the
+   rate from its pair, where it is already boxed, so a lookup with a
+   boxed time allocates nothing; a rate read from a [float array] would
+   be boxed afresh on return. *)
 type t =
   | Constant of float
-  | Steps of float * (float * float) array
-  | Periodic of float * (float * float) array
+  | Steps of float * float array * (float * float) array
+  | Periodic of float * float array * (float * float) array
+
+let times_of points = Array.map fst points
 
 let constant rate =
   if rate < 0.0 then invalid_arg "Link.constant: negative rate";
@@ -17,7 +25,8 @@ let steps ~initial changes =
         check time rest
   in
   check 0.0 changes;
-  Steps (initial, Array.of_list changes)
+  let points = Array.of_list changes in
+  Steps (initial, times_of points, points)
 
 let periodic ~period segments =
   if not (period > 0.0) then invalid_arg "Link.periodic: period <= 0";
@@ -34,43 +43,41 @@ let periodic ~period segments =
         check off rest
   in
   check 0.0 segments;
-  Periodic (period, Array.of_list segments)
+  let points = Array.of_list segments in
+  Periodic (period, times_of points, points)
 
-(* Index of the first point after [time] in [points], whose times are
-   non-decreasing: the points at or before [time] form a prefix. *)
-let rec first_after points time i =
-  if i < Array.length points && fst points.(i) <= time then
-    first_after points time (i + 1)
-  else i
+(* Index of the first of [times] after [time]; [times] is
+   non-decreasing, so the times at or before [time] form a prefix. *)
+let[@inline] first_after (times : float array) (time : float) =
+  let i = ref 0 in
+  while !i < Array.length times && times.(!i) <= time do
+    incr i
+  done;
+  !i
 
 let rate_at t time =
   if time < 0.0 then invalid_arg "Link.rate_at: negative time";
   match t with
   | Constant r -> r
-  | Steps (initial, changes) ->
-      let i = first_after changes time 0 in
-      if Int.equal i 0 then initial else snd changes.(i - 1)
-  | Periodic (period, segments) ->
+  | Steps (initial, times, points) ->
+      let i = first_after times time in
+      if Int.equal i 0 then initial else snd points.(i - 1)
+  | Periodic (period, offsets, points) ->
       (* The first offset is 0, so only a NaN phase leaves [i] at 0. *)
-      let i = first_after segments (Float.rem time period) 0 in
-      snd segments.(Int.max 0 (i - 1))
+      let i = first_after offsets (Float.rem time period) in
+      snd points.(Int.max 0 (i - 1))
 
 let next_change t time =
   match t with
   | Constant _ -> None
-  | Steps (_, changes) ->
-      Array.to_list changes
-      |> List.find_opt (fun (at, _) -> at > time)
-      |> Option.map fst
-  | Periodic (period, segments) -> (
+  | Steps (_, times, points) ->
+      let i = first_after times time in
+      if i < Array.length times then Some (fst points.(i)) else None
+  | Periodic (period, offsets, _) ->
       let cycle = Float.of_int (int_of_float (time /. period)) *. period in
-      let phase = time -. cycle in
-      let within =
-        Array.to_list segments |> List.find_opt (fun (off, _) -> off > phase)
-      in
-      match within with
-      | Some (off, _) -> Some (cycle +. off)
-      | None -> Some (cycle +. period))
+      let i = first_after offsets (time -. cycle) in
+      if i < Array.length offsets then Some (cycle +. offsets.(i))
+      else Some (cycle +. period)
 
 let average t ~t0 ~t1 =
   if not (0.0 <= t0 && t0 < t1) then invalid_arg "Link.average: bad window";
@@ -92,12 +99,12 @@ let average t ~t0 ~t1 =
 
 let pp ppf = function
   | Constant r -> Format.fprintf ppf "constant %a" Midrr_core.Types.pp_rate r
-  | Steps (initial, changes) ->
+  | Steps (initial, _, changes) ->
       Format.fprintf ppf "steps %a" Midrr_core.Types.pp_rate initial;
       Array.iter
         (fun (at, r) -> Format.fprintf ppf " @%gs->%a" at Midrr_core.Types.pp_rate r)
         changes
-  | Periodic (period, segments) ->
+  | Periodic (period, _, segments) ->
       Format.fprintf ppf "periodic %.3gs:" period;
       Array.iter
         (fun (off, r) -> Format.fprintf ppf " +%gs:%a" off Midrr_core.Types.pp_rate r)

@@ -21,7 +21,7 @@ type 'a flow = {
 type 'a t = {
   engine : Engine.t;
   bin : float;
-  flows : 'a flow Int_tbl.t;
+  flows : 'a flow Int_tbl.Slots.t;
   sink : Midrr_obs.Sink.t option; (* the caller's sink, then the fold *)
   ev : Event.record; (* refilled per [Complete] *)
   metrics : Busmetrics.t option;
@@ -41,7 +41,7 @@ let create ~bin ?sink ?metrics engine sched =
       Sched_intf.Packed.subscribe sched
         (Midrr_obs.Sink.stamp ~clock:(fun () -> Engine.now engine) s))
     sink;
-  let flows = Int_tbl.create 16 in
+  let flows = Int_tbl.Slots.create () in
   { engine; bin; flows; sink; ev = Event.create (); metrics }
 
 (* Cells for [n] interfaces, all free: sized by the flow's preference
@@ -51,21 +51,25 @@ let free_cells n =
   (Array.make (2 * Stdlib.max 1 n) (-1) [@midrr.lint.allow "R7"])
 
 let add_flow t f ~weight ~allowed ?(size = max_int) data =
-  if Int_tbl.mem t.flows f then invalid_arg "Meter.add_flow: duplicate";
+  if Option.is_some (Int_tbl.Slots.find t.flows f) then
+    invalid_arg "Meter.add_flow: duplicate";
   let series = Timeseries.create ~bin:t.bin in
   let cells = free_cells (List.length allowed) in
   let fl =
     { id = f; weight; allowed; size; series; cells; done_at = Float.nan; data }
   in
-  Int_tbl.replace t.flows f fl;
+  Int_tbl.Slots.set t.flows f fl;
   fl
 
-let find t f = Int_tbl.find t.flows f
+let find t f =
+  match Int_tbl.Slots.find t.flows f with
+  | Some fl -> fl
+  | None -> raise Not_found
 
 let flow t f =
-  match Int_tbl.find t.flows f with
-  | fl -> fl
-  | exception Not_found -> invalid_arg "Meter: unknown flow"
+  match Int_tbl.Slots.find t.flows f with
+  | Some fl -> fl
+  | None -> invalid_arg "Meter: unknown flow"
 
 let id fl = fl.id
 let allowed fl = fl.allowed
@@ -131,15 +135,16 @@ let rec cell cells i iface =
   else cell cells (i + 2) iface
 
 let served_cell t ~flow ~iface =
-  match Int_tbl.find t.flows flow with
-  | fl -> cell fl.cells 0 iface
-  | exception Not_found -> 0
+  match Int_tbl.Slots.find t.flows flow with
+  | Some fl -> cell fl.cells 0 iface
+  | None -> 0
 
-type snapshot = { at : float; base : int array Int_tbl.t }
+type snapshot = { at : float; base : int array Int_tbl.Slots.t }
 
 let snapshot t =
-  let base = Int_tbl.create (Int_tbl.length t.flows) in
-  Int_tbl.iter (fun f fl -> Int_tbl.replace base f (Array.copy fl.cells))
+  let base = Int_tbl.Slots.create () in
+  Int_tbl.Slots.iter
+    (fun f fl -> Int_tbl.Slots.set base f (Array.copy fl.cells))
     t.flows;
   { at = Engine.now t.engine; base }
 
@@ -148,9 +153,9 @@ let share_since t snap ~flows ~ifaces =
   if not (dt > 0.0) then invalid_arg "Meter.share_since: empty window";
   let rate f j =
     let before =
-      match Int_tbl.find snap.base f with
-      | cells -> cell cells 0 j
-      | exception Not_found -> 0
+      match Int_tbl.Slots.find snap.base f with
+      | Some cells -> cell cells 0 j
+      | None -> 0
     in
     8.0 *. Float.of_int (served_cell t ~flow:f ~iface:j - before) /. dt
   in

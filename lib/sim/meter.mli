@@ -35,10 +35,13 @@ val add_flow :
   'a ->
   'a flow
 (** Register a flow that completes once [size] bytes are delivered
-    (default: never).  Raises [Invalid_argument] on a registered id. *)
+    (default: never).  Raises [Invalid_argument] on a registered or
+    negative id. *)
 
 val find : 'a t -> Types.flow_id -> 'a flow
-(** Raises [Not_found]: the datapath's lookup. *)
+(** The datapath's lookup: one bounds-checked load from a slot array
+    indexed by flow id, which grows to the largest id registered.
+    Raises [Not_found]. *)
 
 val flow : 'a t -> Types.flow_id -> 'a flow
 (** Raises [Invalid_argument] for an unregistered id. *)

@@ -17,11 +17,17 @@ type source =
     }
   | Tb of { rate : float; burst : float; pkt_size : int; stop : float option }
 
-(* A flow's datapath state, carried by its {!Meter} flow. *)
+(* A flow's datapath state, carried by its {!Meter} flow.  [queued]
+   counts the flow's packets inside the scheduler: +1 per accepted
+   enqueue, -1 per packet [try_start] hands out.  It equals the
+   scheduler's backlog, because a scheduler loses packets only through
+   [next_packet], a rejected enqueue or [remove_flow], after which the
+   source is stopped. *)
 type src = {
   source : source;
   rng : Rng.t;
   mutable remaining : int; (* bytes not yet enqueued; -1 = unbounded *)
+  mutable queued : int;
   mutable stopped : bool;
 }
 
@@ -44,7 +50,7 @@ type t = {
   master_rng : Rng.t;
   bin : float;
   meter : src Meter.t;
-  ifaces : iface_info Int_tbl.t;
+  ifaces : iface_info Int_tbl.Slots.t;
   spans : Span.t option;
   sp_decide : int;
   sp_enqueue : int;
@@ -68,7 +74,7 @@ let create ?(seed = 1) ?(bin = 1.0) ?sink ?metrics ?spans ~sched () =
     master_rng = Rng.create ~seed;
     bin;
     meter = Meter.create ~bin ?sink ?metrics engine sched;
-    ifaces = Int_tbl.create 8;
+    ifaces = Int_tbl.Slots.create ();
     spans;
     sp_decide;
     sp_enqueue;
@@ -97,27 +103,26 @@ let enqueue_pkt t p =
       accepted
 
 (* Keep a window of packets queued for pull-style sources so the flow stays
-   continuously backlogged without materializing the whole transfer. *)
+   continuously backlogged without materializing the whole transfer.  A
+   kick can start an interface that dequeues from this same flow, so the
+   window is re-checked after each one. *)
 let rec replenish t fl =
   let d = Meter.data fl and f = Meter.id fl in
-  if not d.stopped then
+  if (not d.stopped) && d.queued < window_depth then
     match d.source with
     | Backlogged { pkt_size } ->
-        if Sched_intf.Packed.backlog_packets t.sched f < window_depth then begin
-          let p = Packet.create ~flow:f ~size:pkt_size ~arrival:(now t) in
-          if enqueue_pkt t p then begin
-            kick_allowed t (Meter.allowed fl);
-            replenish t fl
-          end
+        let p = Packet.create ~flow:f ~size:pkt_size ~arrival:(now t) in
+        if enqueue_pkt t p then begin
+          d.queued <- d.queued + 1;
+          kick_allowed t (Meter.allowed fl);
+          replenish t fl
         end
     | Finite { pkt_size; _ } ->
-        if
-          d.remaining > 0
-          && Sched_intf.Packed.backlog_packets t.sched f < window_depth
-        then begin
+        if d.remaining > 0 then begin
           let size = Stdlib.min pkt_size d.remaining in
           let p = Packet.create ~flow:f ~size ~arrival:(now t) in
           if enqueue_pkt t p then begin
+            d.queued <- d.queued + 1;
             d.remaining <- d.remaining - size;
             kick_allowed t (Meter.allowed fl);
             replenish t fl
@@ -154,7 +159,10 @@ and try_start t ifc =
           ifc.sending <- pkt;
           set_busy t ifc 1.0;
           (match Meter.find t.meter pkt.flow with
-          | fl -> replenish t fl
+          | fl ->
+              let d = Meter.data fl in
+              d.queued <- d.queued - 1;
+              replenish t fl
           | exception Not_found -> ());
           let dt = Types.tx_time ~bytes:pkt.size ~rate in
           Engine.schedule_in t.engine ~after:dt ifc.transmitted
@@ -184,9 +192,9 @@ and complete t ifc (pkt : Packet.t) =
 and kick_allowed t = function
   | [] -> ()
   | j :: rest ->
-      (match Int_tbl.find t.ifaces j with
-      | ifc -> try_start t ifc
-      | exception Not_found -> ());
+      (match Int_tbl.Slots.find t.ifaces j with
+      | Some ifc -> try_start t ifc
+      | None -> ());
       kick_allowed t rest
 
 (* --- pushed sources ------------------------------------------------------ *)
@@ -195,9 +203,10 @@ and kick_allowed t = function
    that same closure after every arrival. *)
 
 let inject t fl size =
-  if not (Meter.data fl).stopped then begin
+  let d = Meter.data fl in
+  if not d.stopped then begin
     let p = Packet.create ~flow:(Meter.id fl) ~size ~arrival:(now t) in
-    ignore (enqueue_pkt t p);
+    if enqueue_pkt t p then d.queued <- d.queued + 1;
     kick_allowed t (Meter.allowed fl)
   end
 
@@ -281,7 +290,9 @@ let start_on_off t fl ~rate ~pkt_size ~on_mean ~off_mean ~stop =
 (* --- topology management ------------------------------------------------ *)
 
 let add_iface t j profile =
-  if Int_tbl.mem t.ifaces j then invalid_arg "Netsim.add_iface: duplicate";
+  if j < 0 then invalid_arg "Netsim.add_iface: negative interface id";
+  if Option.is_some (Int_tbl.Slots.find t.ifaces j) then
+    invalid_arg "Netsim.add_iface: duplicate";
   let i_ts = Timeseries.create ~bin:t.bin in
   let rec ifc =
     {
@@ -298,7 +309,7 @@ let add_iface t j profile =
           try_start t ifc);
     }
   in
-  Int_tbl.replace t.ifaces j ifc;
+  Int_tbl.Slots.set t.ifaces j ifc;
   Sched_intf.Packed.add_iface t.sched j;
   (* If the run has started, wake the new interface immediately. *)
   try_start t ifc
@@ -319,6 +330,7 @@ let start_source t fl =
       start_tb t fl ~bucket ~pkt_size ~stop
 
 let add_flow t ?(at = 0.0) f ~weight ~allowed source =
+  if f < 0 then invalid_arg "Netsim.add_flow: negative flow id";
   let size, remaining =
     match source with
     | Finite { total_bytes; _ } -> (Some total_bytes, total_bytes)
@@ -326,7 +338,13 @@ let add_flow t ?(at = 0.0) f ~weight ~allowed source =
   in
   let fl =
     Meter.add_flow t.meter f ~weight ~allowed ?size
-      { source; rng = Rng.split t.master_rng; remaining; stopped = false }
+      {
+        source;
+        rng = Rng.split t.master_rng;
+        remaining;
+        queued = 0;
+        stopped = false;
+      }
   in
   let register () =
     Sched_intf.Packed.add_flow t.sched ~flow:f ~weight ~allowed;
@@ -368,9 +386,9 @@ let avg_rate t f ~t0 ~t1 = Meter.avg_rate t.meter f ~t0 ~t1
 let completion_time t f = Meter.completion_time t.meter f
 
 let iface_info t j =
-  match Int_tbl.find t.ifaces j with
-  | i -> i
-  | exception Not_found -> invalid_arg "Netsim: unknown interface"
+  match Int_tbl.Slots.find t.ifaces j with
+  | Some i -> i
+  | None -> invalid_arg "Netsim: unknown interface"
 
 let iface_utilization t j ~t0 ~t1 =
   let ifc = iface_info t j in

@@ -50,7 +50,16 @@ val create :
   t
 (** [bin] is the width of rate-measurement bins in seconds (default 1.0);
     [seed] drives stochastic sources (default 1).  Backlogged and finite
-    sources keep 32 packets queued.
+    sources keep 32 packets queued.  The simulator counts that window
+    itself, +1 per accepted enqueue and -1 per packet handed out, and
+    never asks the scheduler for its backlog: the count equals
+    {!Sched_intf.Packed.backlog_packets} because a scheduler loses
+    packets only through [next_packet], a rejected enqueue or
+    [remove_flow], after which the source is stopped.
+
+    Flow and interface ids index slot arrays, so they must be
+    non-negative: {!add_iface} and {!add_flow} reject a negative id
+    with [Invalid_argument] before any state changes.
 
     [sink] subscribes to the run's full event stream, stamped with
     simulation time: the scheduler's decision events plus a [Complete]
@@ -71,7 +80,8 @@ val now : t -> float
 
 val add_iface : t -> Types.iface_id -> Link.t -> unit
 (** Attach an interface with its capacity profile.  May be called mid-run
-    inside an {!at} hook ("a new interface comes online"). *)
+    inside an {!at} hook ("a new interface comes online").  Raises
+    [Invalid_argument] on a negative or registered id. *)
 
 val add_flow :
   t ->
@@ -81,7 +91,9 @@ val add_flow :
   allowed:Types.iface_id list ->
   source ->
   unit
-(** Register a flow and start its source at time [at] (default 0). *)
+(** Register a flow and start its source at time [at] (default 0).
+    Raises [Invalid_argument] on a negative id, at the call, not when
+    the deferred registration runs. *)
 
 val remove_flow : t -> ?at:float -> Types.flow_id -> unit
 (** Stop the source and deregister the flow at time [at] (default: now). *)

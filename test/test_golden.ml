@@ -130,23 +130,29 @@ let report_section scenario ppf (label, sched) =
     Midrr_sim.Scenario.pp_report report !events
     (Digest.to_hex (Digest.string (Buffer.contents trace)))
 
-let scenario_reports ?(extra = []) path () =
+let load_scenario path =
   let text = In_channel.with_open_text path In_channel.input_all in
-  let scenario =
-    match Midrr_sim.Scenario.parse text with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "%s: %s" path e
-  in
-  let registry spec () = Midrr_sim.Scenario.make_sched spec in
+  match Midrr_sim.Scenario.parse text with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "%s: %s" path e
+
+let check_sections ~suffix path sections =
+  let scenario = load_scenario path in
   check_golden
-    (Filename.basename path ^ ".wfq-rr.txt")
+    (Filename.basename path ^ suffix)
     (Format.asprintf "%a"
        (Format.pp_print_list (report_section scenario))
-       ([
-          ("wfq", registry Midrr_sim.Scenario.Sched_wfq);
-          ("rr", registry Midrr_sim.Scenario.Sched_rr);
-        ]
-       @ extra))
+       (sections scenario))
+
+let registry spec () = Midrr_sim.Scenario.make_sched spec
+
+let scenario_reports ?(extra = []) path () =
+  check_sections ~suffix:".wfq-rr.txt" path (fun _ ->
+      [
+        ("wfq", registry Midrr_sim.Scenario.Sched_wfq);
+        ("rr", registry Midrr_sim.Scenario.Sched_rr);
+      ]
+      @ extra)
 
 (* The queue bound the benchmark's mesh workload runs WFQ with. *)
 let mesh_extra =
@@ -156,6 +162,93 @@ let mesh_extra =
         Midrr_core.Prog_wfq.packed
           (Midrr_core.Prog_wfq.create ~queue_capacity:65536 ()) );
   ]
+
+(* --- the other disciplines ------------------------------------------ *)
+
+(* Every other discipline's run of each corpus scenario, pinned the
+   same way: `midrr run S --sched D --trace` for the six disciplines
+   below, then `midrr run S --engine ref --trace` (the scenario's own
+   directive on the reference engine).  The fixtures predate the
+   simulator's dense slots and counted window, so they check that
+   datapath against the one it replaced. *)
+let discipline_reports path () =
+  check_sections ~suffix:".disciplines.txt" path (fun scenario ->
+      List.map
+        (fun spec -> (Midrr_sim.Scenario.sched_name spec, registry spec))
+        Midrr_sim.Scenario.
+          [
+            Sched_midrr None;
+            Sched_drr;
+            Sched_sprio;
+            Sched_srpt;
+            Sched_edf;
+            Sched_lstf;
+          ]
+      @ [
+          ( "scenario --engine ref",
+            fun () ->
+              Midrr_sim.Scenario.make_sched
+                ~engine:Midrr_sim.Scenario.Engine_ref
+                (Midrr_sim.Scenario.sched_spec scenario) );
+        ])
+
+(* A Netsim run whose WFQ queues hold 8 packets, under the 32-packet
+   window that backlogged and finite sources keep queued: every refill
+   ends on a rejected enqueue.  Pins the per-flow enqueues, drops and
+   serves, the bytes delivered per interface and the trace digest. *)
+let capacity_window () =
+  let module N = Midrr_sim.Netsim in
+  let sched =
+    Midrr_core.Prog_wfq.packed
+      (Midrr_core.Prog_wfq.create ~queue_capacity:(8 * 1500) ())
+  in
+  let nflows = 5 in
+  let counts = Array.make_matrix nflows 3 0 in
+  let trace = Buffer.create (1 lsl 20) and events = ref 0 in
+  let sink ~time (ev : Midrr_obs.Event.record) =
+    Buffer.add_string trace
+      (Midrr_obs.Jsonl.to_string ~time (Midrr_obs.Event.decode ev));
+    Buffer.add_char trace '\n';
+    incr events;
+    let col =
+      match ev.kind with
+      | Enqueue -> 0
+      | Drop -> 1
+      | Serve -> 2
+      | _ -> -1
+    in
+    if col >= 0 then counts.(ev.flow).(col) <- counts.(ev.flow).(col) + 1
+  in
+  let sim = N.create ~seed:3 ~sink ~sched () in
+  N.add_iface sim 1 (Midrr_sim.Link.constant 2e6);
+  N.add_iface sim 2
+    (Midrr_sim.Link.steps ~initial:5e6 [ (10.0, 0.0); (20.0, 5e6) ]);
+  N.add_flow sim 0 ~weight:1.0 ~allowed:[ 1; 2 ]
+    (N.Backlogged { pkt_size = 1500 });
+  N.add_flow sim 1 ~weight:2.0 ~allowed:[ 2 ]
+    (N.Finite { total_bytes = 3_000_000; pkt_size = 1000 });
+  N.add_flow sim 2 ~weight:1.0 ~allowed:[ 1 ]
+    (N.Poisson { rate = 1e6; pkt_size = 500; stop = None });
+  N.add_flow sim 3 ~at:5.0 ~weight:1.0 ~allowed:[ 1; 2 ]
+    (N.Backlogged { pkt_size = 1200 });
+  N.remove_flow sim ~at:25.0 3;
+  N.add_flow sim 4 ~weight:3.0 ~allowed:[ 1; 2 ]
+    (N.Finite { total_bytes = 900_000; pkt_size = 1500 });
+  N.run sim ~until:30.0;
+  let b = Buffer.create 1024 in
+  for f = 0 to nflows - 1 do
+    Printf.bprintf b
+      "flow %d: enqueue %d drop %d serve %d bytes on 1 %d on 2 %d done %s\n"
+      f counts.(f).(0) counts.(f).(1) counts.(f).(2)
+      (N.served_cell sim ~flow:f ~iface:1)
+      (N.served_cell sim ~flow:f ~iface:2)
+      (match N.completion_time sim f with
+      | Some at -> Printf.sprintf "%.9f" at
+      | None -> "-")
+  done;
+  Printf.bprintf b "trace %d events md5 %s\n" !events
+    (Digest.to_hex (Digest.string (Buffer.contents trace)));
+  check_golden "netsim_capacity_window.txt" (Buffer.contents b)
 
 let fig1_table () =
   check_golden "fig1.txt"
@@ -184,6 +277,17 @@ let () =
             Alcotest.test_case "mesh64.scn reports" `Slow
               (scenario_reports ~extra:mesh_extra "golden/mesh64.scn");
             Alcotest.test_case "fig1 table" `Quick fig1_table;
+          ] );
+      ( "schedulers",
+        List.map
+          (fun path ->
+            Alcotest.test_case
+              (Filename.basename path ^ " reports")
+              `Quick (discipline_reports path))
+          corpus
+        @ [
+            Alcotest.test_case "netsim queues under the window" `Quick
+              capacity_window;
           ] );
       ( "fig6 trace",
         [

@@ -154,6 +154,30 @@ let test_proxy_share_matrix () =
   close ~tol:1e-9 "f0 if1" 0.0 share.(0).(1);
   close ~tol:4e5 "f1 if1" 4e6 share.(1).(1)
 
+(* A negative id is rejected before any state changes: a retry raises
+   the same error (not [duplicate]), a valid id then registers, and a
+   deferred registration cannot fail inside [run]. *)
+let test_proxy_negative_ids () =
+  let sched = Midrr.packed (Midrr.create ~base_quantum:65536 ()) in
+  let proxy =
+    Proxy.create ~chunk_size:65536 ~rtt:0.02 ~pipeline_depth:4
+      ~metrics:(Midrr_obs.Busmetrics.create ()) ~sched ()
+  in
+  let rejects what msg f =
+    for _ = 1 to 2 do
+      Alcotest.check_raises what (Invalid_argument msg) f
+    done
+  in
+  rejects "negative iface" "Proxy.add_iface: negative interface id" (fun () ->
+      Proxy.add_iface proxy (-1) (Link.constant (Types.mbps 8.0)));
+  Proxy.add_iface proxy 0 (Link.constant (Types.mbps 8.0));
+  rejects "negative deferred transfer" "Proxy.add_transfer: negative flow id"
+    (fun () -> Proxy.add_transfer proxy ~at:1.0 (-1) ~weight:1.0 ~allowed:[ 0 ] ());
+  Proxy.add_transfer proxy ~at:1.0 0 ~weight:1.0 ~allowed:[ 0 ] ();
+  Proxy.run proxy ~until:20.0;
+  let g = Proxy.avg_goodput proxy 0 ~t0:3.0 ~t1:20.0 in
+  if g < 7.0 then Alcotest.failf "goodput %.3f after the rejected ids" g
+
 let test_proxy_pipeline_depth_matters () =
   (* With a large RTT and depth 1, the link idles between requests; deeper
      pipelining recovers the capacity (the paper: "request pipelining ...
@@ -204,6 +228,7 @@ let () =
           Alcotest.test_case "link outage resumes" `Quick
             test_proxy_link_outage_resumes;
           Alcotest.test_case "share matrix" `Quick test_proxy_share_matrix;
+          Alcotest.test_case "negative ids" `Quick test_proxy_negative_ids;
           Alcotest.test_case "pipeline depth matters" `Quick
             test_proxy_pipeline_depth_matters;
         ] );
