@@ -1,14 +1,16 @@
-(** Hash tables keyed by flow or interface id.
+(** Tables keyed by flow or interface id, without hashing.
 
-    An id hashes to itself, so a per-packet lookup costs no call into the
-    polymorphic hash and, through [find] with [Not_found], no option. *)
+    Ids are small non-negative ints, so a table is an array indexed by
+    the id, grown to the largest id stored: a lookup is one
+    bounds-checked load and allocates nothing. *)
 
-include Hashtbl.S with type key = int
+val grow : 'a array -> int -> 'a -> 'a array
+(** [grow slots id nil] is [slots] when it has a slot for [id], and
+    otherwise a copy grown to at least [id + 1] slots and at least twice
+    the length, the new slots holding [nil].  [id] must be
+    non-negative. *)
 
-(** Dense tables: a slot per id in an array indexed by the id, grown to
-    the largest id stored, for ids that start near 0.  A lookup is one
-    bounds-checked load and returns the stored option, so it allocates
-    nothing. *)
+(** Option slots, [None] for an id never set. *)
 module Slots : sig
   type 'a t
 
@@ -22,4 +24,22 @@ module Slots : sig
 
   val iter : (int -> 'a -> unit) -> 'a t -> unit
   (** In ascending id order. *)
+end
+
+(** One flow's byte counts per interface: [iface; count] pairs in a flat
+    [int array], in the order the interfaces were first credited.  A flow
+    uses a handful of interfaces, so a scan finds its pair without
+    hashing, and only a credit to a new interface with every pair taken
+    allocates. *)
+module Cells : sig
+  val create : int -> int array
+  (** Free pairs for [n] interfaces, at least one. *)
+
+  val get : int array -> Types.iface_id -> int
+  (** The interface's count; 0 when it has none. *)
+
+  val credit : int array -> Types.iface_id -> int -> int array
+  (** [credit cells iface n] adds [n] to the interface's count and
+      returns the cells: [cells] itself, or, when a new interface finds
+      every pair taken, a copy with twice the pairs. *)
 end

@@ -1,21 +1,15 @@
-type t = { flow : Types.flow_id; size : int; seq : int; arrival : float }
-
-(* A process-wide sequence source: Atomic keeps packet ids unique and the
-   allocation-free create path domain-safe for future sharding. *)
-let counter = Atomic.make 0
+type t = { flow : Types.flow_id; size : int; arrival : float }
 
 let create ~flow ~size ~arrival =
   if size <= 0 then invalid_arg "Packet.create: size <= 0";
-  { flow; size; seq = 1 + Atomic.fetch_and_add counter 1; arrival }
+  { flow; size; arrival }
 
 (* Statically allocated sentinel for allocation-free "no packet" paths
    (ring-buffer fillers, [Drr_engine.next_packet_noalloc]).  Identified by
    physical equality; never enqueue or transmit it. *)
-let none = { flow = -1; size = 0; seq = 0; arrival = Float.neg_infinity }
+let none = { flow = -1; size = 0; arrival = Float.neg_infinity }
 
 let is_none p = p == none
 
-let compare_seq a b = Int.compare a.seq b.seq
-
 let pp ppf t =
-  Format.fprintf ppf "pkt#%d flow=%d %dB @%.6fs" t.seq t.flow t.size t.arrival
+  Format.fprintf ppf "pkt flow=%d %dB @%.6fs" t.flow t.size t.arrival

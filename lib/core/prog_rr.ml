@@ -5,17 +5,17 @@
    beyond any run length (2^53). *)
 
 module P = struct
-  type t = { counters : int ref Int_tbl.t }
+  type t = { mutable counters : int array (* by interface id *) }
 
   let name = "rr"
-  let create () = { counters = Int_tbl.create 16 }
+  let create () = { counters = Array.make 16 0 }
   let membership = `All_flows
 
   (* Ranks are only asked for on online interfaces. *)
   let next_pos t iface =
-    let c = Int_tbl.find t.counters iface in
-    incr c;
-    Float.of_int !c
+    let c = t.counters.(iface) + 1 in
+    t.counters.(iface) <- c;
+    Float.of_int c
 
   let rank t ~flow:_ ~iface ~weight:_ ~head:_ ~backlog:_ = next_pos t iface
   let floor_rank _ ~iface:_ = neg_infinity
@@ -27,8 +27,13 @@ module P = struct
   let rerank_on_weight = false
   let on_flow_add _ ~flow:_ ~weight:_ = ()
   let on_flow_remove _ ~flow:_ = ()
-  let on_iface_add t ~iface = Int_tbl.replace t.counters iface (ref 0)
-  let on_iface_remove t ~iface = Int_tbl.remove t.counters iface
+
+  let on_iface_add t ~iface =
+    t.counters <- Int_tbl.grow t.counters iface 0;
+    t.counters.(iface) <- 0
+
+  (* [on_iface_add] restarts the counter. *)
+  let on_iface_remove _ ~iface:_ = ()
 end
 
 include Sched_prog.Make (P)

@@ -1,53 +1,73 @@
 (* Per-interface weighted fair queueing as a Sched_prog program: the
    rank is the flow's finish tag F_ij, the floor is the interface's
    virtual time v_j, and service advances both.  [rank], [floor_rank]
-   and [on_service] run on every decision, so their lookups go through
-   [Int_tbl.find]: no polymorphic hash, no option. *)
+   and [on_service] run on every decision, so they hash nothing: v_j
+   sits in an array indexed by interface id, and each flow's tags in a
+   short array of (interface, tag) cells, scanned by interface, in an
+   array indexed by flow id.  Both store their floats boxed, so [rank]
+   and [floor_rank] return a stored box instead of allocating one. *)
 
 module P = struct
+  (* A mixed record, so [finish] is stored boxed. *)
+  type tag = { iface : Types.iface_id; mutable finish : float }
+
   type t = {
-    vtimes : float ref Int_tbl.t;
-    (* flow -> iface -> F_ij; a fresh table per registration, so a
-       reused flow id never inherits stale tags. *)
-    finish : float Int_tbl.t Int_tbl.t;
+    idle : float ref; (* never written: fills the offline slots *)
+    mutable vtimes : float ref array; (* by interface id *)
+    (* by flow id, a fresh [||] per registration, so a reused flow id
+       never inherits stale tags; one cell per interface served *)
+    mutable tags : tag array array;
   }
 
   let name = "wfq"
-  let create () = { vtimes = Int_tbl.create 16; finish = Int_tbl.create 64 }
+
+  let create () =
+    let idle = ref neg_infinity in
+    { idle; vtimes = Array.make 16 idle; tags = Array.make 64 [||] }
+
   let membership = `Backlogged
 
+  let rec tag_index tags i iface =
+    if i >= Array.length tags then -1
+    else if Int.equal tags.(i).iface iface then i
+    else tag_index tags (i + 1) iface
+
   let rank t ~flow ~iface ~weight:_ ~head:_ ~backlog:_ =
-    match Int_tbl.find (Int_tbl.find t.finish flow) iface with
-    | tag -> tag
-    | exception Not_found -> 0.0
+    let tags = t.tags.(flow) in
+    let i = tag_index tags 0 iface in
+    if i < 0 then 0.0 else tags.(i).finish
 
   let floor_rank t ~iface =
-    match Int_tbl.find t.vtimes iface with
-    | v -> !v
-    | exception Not_found -> neg_infinity
+    if iface < Array.length t.vtimes then !(t.vtimes.(iface)) else neg_infinity
 
   let skip_rank _ ~flow:_ ~iface:_ = 0.0
   let admit _ _ ~backlog:_ = true
 
   (* Only an online interface serves, and only a registered flow: both
-     have their entries ([on_iface_add], [on_flow_add]). *)
+     have their slots ([on_iface_add], [on_flow_add]). *)
   let on_service t ~flow ~iface ~weight ~size ~rank =
-    Int_tbl.find t.vtimes iface := rank;
-    Int_tbl.replace (Int_tbl.find t.finish flow) iface
-      (rank +. (Float.of_int size /. weight))
+    t.vtimes.(iface) := rank;
+    let finish = rank +. (Float.of_int size /. weight) in
+    let tags = t.tags.(flow) in
+    let i = tag_index tags 0 iface in
+    if i >= 0 then tags.(i).finish <- finish
+    else t.tags.(flow) <- Array.append tags [| { iface; finish } |]
 
   let rerank_on_enqueue = false
   let rerank_after_service = `Served_iface
   let rerank_on_weight = false
 
   let on_flow_add t ~flow ~weight:_ =
-    Int_tbl.replace t.finish flow (Int_tbl.create 8)
+    t.tags <- Int_tbl.grow t.tags flow [||];
+    t.tags.(flow) <- [||]
 
-  let on_flow_remove t ~flow = Int_tbl.remove t.finish flow
-  let on_iface_add t ~iface = Int_tbl.replace t.vtimes iface (ref 0.0)
-  let on_iface_remove t ~iface = Int_tbl.remove t.vtimes iface
+  let on_flow_remove t ~flow = t.tags.(flow) <- [||]
+
+  let on_iface_add t ~iface =
+    t.vtimes <- Int_tbl.grow t.vtimes iface t.idle;
+    t.vtimes.(iface) <- ref 0.0
+
+  let on_iface_remove t ~iface = t.vtimes.(iface) <- t.idle
 end
 
 include Sched_prog.Make (P)
-
-let virtual_time t j = P.floor_rank (prog t) ~iface:j

@@ -17,7 +17,3 @@ include Sched_intf.S
 
 val create : ?queue_capacity:int -> unit -> t
 val packed : t -> Sched_intf.packed
-
-val virtual_time : t -> Types.iface_id -> float
-(** The interface's current virtual time ([neg_infinity] when the
-    interface is offline). *)

@@ -2,9 +2,11 @@
    the model.  This module is on the lint hot-path list: no polymorphic
    compare/equality, all state inside [t].  The per-packet path (enqueue,
    next_packet and the re-ranks they trigger) allocates nothing of its
-   own: flows, interfaces and served bytes are looked up through
-   [Int_tbl], Π_i is a canonical ascending list walked by top-level loops,
-   and no call builds a closure or an option.
+   own and hashes nothing: flows and interfaces sit in slot arrays
+   indexed by id, with the sentinels [nil_flow] and [nil_iface] in the
+   empty slots, served bytes sit in per-flow [Int_tbl.Cells] sized by
+   Π_i, Π_i is a canonical ascending list walked by top-level loops, and
+   no call builds a closure or an option.
 
    Invariants on the two per-interface PIFOs:
    - [`Backlogged]: fresh+stale together hold exactly the flows that are
@@ -63,7 +65,7 @@ type flow = {
   mutable allowed : Types.iface_id list; (* Π_i, strictly ascending *)
   queue : Pktqueue.t;
   mutable served : int;
-  served_on : int Int_tbl.t; (* iface -> bytes *)
+  mutable served_on : int array; (* [Int_tbl.Cells]: iface -> bytes *)
 }
 
 type iface = {
@@ -72,14 +74,37 @@ type iface = {
   stale : Pifo.t; (* clamped at the floor: ordered by flow id alone *)
 }
 
+(* The sentinels filling empty slots.  No path writes either: every path
+   that writes a flow or an interface reaches it through a lookup that
+   rejects them, so schedulers can share them. *)
+let nil_flow =
+  {
+    f_id = -1;
+    weight = 1.0;
+    allowed = [];
+    queue = Pktqueue.create ();
+    served = 0;
+    served_on = [||];
+  }
+
+let nil_iface =
+  {
+    i_id = -1;
+    fresh = Pifo.create ~capacity:1 ();
+    stale = Pifo.create ~capacity:1 ();
+  }
+
 let rec mem_sorted j = function
   | [] -> false
   | x :: rest -> if x < j then mem_sorted j rest else Int.equal x j
 
-let bytes_on fs j =
-  match Int_tbl.find fs.served_on j with
-  | bytes -> bytes
-  | exception Not_found -> 0
+(* The ids of the occupied slots, ascending. *)
+let ids slots nil =
+  let acc = ref [] in
+  for id = Array.length slots - 1 downto 0 do
+    if slots.(id) != nil then acc := id :: !acc
+  done;
+  !acc
 
 (* The [`Backlogged] walks over the online interfaces of Π_i. *)
 type walk = Link | Rerank | Unlink
@@ -88,8 +113,9 @@ module Make (P : PROG) = struct
   type t = {
     queue_capacity : int option;
     prog : P.t;
-    flows_tbl : flow Int_tbl.t;
-    ifaces_tbl : iface Int_tbl.t;
+    mutable flow_slots : flow array; (* indexed by flow id *)
+    mutable iface_slots : iface array; (* indexed by interface id *)
+    mutable nflows : int;
     mutable t_sink : Midrr_obs.Sink.raw option;
     t_ev : Event.record; (* refilled per emission, see [Event] *)
   }
@@ -98,13 +124,13 @@ module Make (P : PROG) = struct
     {
       queue_capacity;
       prog = P.create ();
-      flows_tbl = Int_tbl.create 64;
-      ifaces_tbl = Int_tbl.create 16;
+      flow_slots = Array.make 64 nil_flow;
+      iface_slots = Array.make 16 nil_iface;
+      nflows = 0;
       t_sink = None;
       t_ev = Event.create ();
     }
 
-  let prog t = t.prog
   let name _ = P.name
 
   (* Emission of the record the caller just filled.  The enqueue and serve
@@ -124,26 +150,32 @@ module Make (P : PROG) = struct
   let set_sink t s = t.t_sink <- s
   let sink t = t.t_sink
 
+  (* [nil_flow]/[nil_iface] when the id has none. *)
+  let flow_slot t f =
+    if f >= 0 && f < Array.length t.flow_slots then t.flow_slots.(f)
+    else nil_flow
+
+  let iface_slot t j =
+    if j >= 0 && j < Array.length t.iface_slots then t.iface_slots.(j)
+    else nil_iface
+
   let flow_state t f =
-    match Int_tbl.find t.flows_tbl f with
-    | fs -> fs
-    | exception Not_found -> invalid_arg "Sched_prog: unknown flow"
+    let fs = flow_slot t f in
+    if fs == nil_flow then invalid_arg "Sched_prog: unknown flow" else fs
 
   let iface_state t j =
-    match Int_tbl.find t.ifaces_tbl j with
-    | ifc -> ifc
-    | exception Not_found -> invalid_arg "Sched_prog: unknown interface"
+    let ifc = iface_slot t j in
+    if ifc == nil_iface then invalid_arg "Sched_prog: unknown interface"
+    else ifc
 
-  let has_iface t j = Int_tbl.mem t.ifaces_tbl j
-  let has_flow t f = Int_tbl.mem t.flows_tbl f
+  let has_iface t j = iface_slot t j != nil_iface
+  let has_flow t f = flow_slot t f != nil_flow
+  let flows t = ids t.flow_slots nil_flow
+  let ifaces t = ids t.iface_slots nil_iface
 
-  let flows t =
-    Int_tbl.fold (fun f _ acc -> f :: acc) t.flows_tbl []
-    |> List.sort Int.compare
-
-  let ifaces t =
-    Int_tbl.fold (fun j _ acc -> j :: acc) t.ifaces_tbl []
-    |> List.sort Int.compare
+  (* The online interfaces, ascending id: the control path only. *)
+  let iter_ifaces t f =
+    Array.iter (fun ifc -> if ifc != nil_iface then f ifc) t.iface_slots
 
   (* [P.rank] may mutate program state (round robin's position counter),
      so call it exactly once per (re)insertion. *)
@@ -179,32 +211,34 @@ module Make (P : PROG) = struct
   let rec walk t op fs = function
     | [] -> ()
     | j :: rest ->
-        (match Int_tbl.find t.ifaces_tbl j with
-        | ifc -> (
-            match op with
-            | Link -> heap_insert t ifc fs
-            | Rerank -> heap_update t ifc fs
-            | Unlink -> heap_remove ifc fs.f_id)
-        | exception Not_found -> ());
+        let ifc = iface_slot t j in
+        (if ifc != nil_iface then
+           match op with
+           | Link -> heap_insert t ifc fs
+           | Rerank -> heap_update t ifc fs
+           | Unlink -> heap_remove ifc fs.f_id);
         walk t op fs rest
 
   let add_iface t j =
+    if j < 0 then invalid_arg "Sched_prog.add_iface: negative interface id";
     if has_iface t j then invalid_arg "Sched_prog.add_iface: duplicate";
     let ifc = { i_id = j; fresh = Pifo.create (); stale = Pifo.create () } in
-    Int_tbl.replace t.ifaces_tbl j ifc;
+    t.iface_slots <- Int_tbl.grow t.iface_slots j nil_iface;
+    t.iface_slots.(j) <- ifc;
     P.on_iface_add t.prog ~iface:j;
     (match P.membership with
     | `Backlogged ->
-        Int_tbl.iter
-          (fun _ fs -> if eligible fs j then heap_insert t ifc fs)
-          t.flows_tbl
+        Array.iter
+          (fun fs ->
+            if fs != nil_flow && eligible fs j then heap_insert t ifc fs)
+          t.flow_slots
     | `All_flows -> ());
     Event.set_iface_up t.t_ev ~iface:j;
     emit t
 
   let remove_iface t j =
     if has_iface t j then begin
-      Int_tbl.remove t.ifaces_tbl j;
+      t.iface_slots.(j) <- nil_iface;
       P.on_iface_remove t.prog ~iface:j
     end;
     Event.set_iface_down t.t_ev ~iface:j;
@@ -214,30 +248,33 @@ module Make (P : PROG) = struct
     if flow < 0 then invalid_arg "Sched_prog.add_flow: negative flow id";
     if has_flow t flow then invalid_arg "Sched_prog.add_flow: duplicate";
     if not (weight > 0.0) then invalid_arg "Sched_prog.add_flow: weight <= 0";
+    let allowed = List.sort_uniq Int.compare allowed in
     let fs =
       {
         f_id = flow;
         weight;
-        allowed = List.sort_uniq Int.compare allowed;
+        allowed;
         queue = Pktqueue.create ?capacity_bytes:t.queue_capacity ();
         served = 0;
-        served_on = Int_tbl.create 8;
+        served_on = Int_tbl.Cells.create (List.length allowed);
       }
     in
-    Int_tbl.replace t.flows_tbl flow fs;
+    t.flow_slots <- Int_tbl.grow t.flow_slots flow nil_flow;
+    t.flow_slots.(flow) <- fs;
+    t.nflows <- t.nflows + 1;
     P.on_flow_add t.prog ~flow ~weight;
     (match P.membership with
     | `Backlogged -> () (* empty queue: nothing to link yet *)
-    | `All_flows ->
-        Int_tbl.iter (fun _ ifc -> heap_insert t ifc fs) t.ifaces_tbl);
+    | `All_flows -> iter_ifaces t (fun ifc -> heap_insert t ifc fs));
     Event.set_flow_add t.t_ev ~flow;
     t.t_ev.num.value <- weight;
     emit t
 
   let remove_flow t f =
     if has_flow t f then begin
-      Int_tbl.remove t.flows_tbl f;
-      Int_tbl.iter (fun _ ifc -> heap_remove ifc f) t.ifaces_tbl;
+      t.flow_slots.(f) <- nil_flow;
+      t.nflows <- t.nflows - 1;
+      iter_ifaces t (fun ifc -> heap_remove ifc f);
       P.on_flow_remove t.prog ~flow:f
     end;
     Event.set_flow_remove t.t_ev ~flow:f;
@@ -247,8 +284,7 @@ module Make (P : PROG) = struct
     if not (w > 0.0) then invalid_arg "Sched_prog.set_weight: weight <= 0";
     let fs = flow_state t f in
     fs.weight <- w;
-    if P.rerank_on_weight then
-      Int_tbl.iter (fun _ ifc -> heap_update t ifc fs) t.ifaces_tbl;
+    if P.rerank_on_weight then iter_ifaces t (fun ifc -> heap_update t ifc fs);
     Event.set_weight_change t.t_ev ~flow:f;
     t.t_ev.num.value <- w;
     emit t
@@ -259,12 +295,10 @@ module Make (P : PROG) = struct
     match P.membership with
     | `All_flows -> ()
     | `Backlogged ->
-        Int_tbl.iter
-          (fun j ifc ->
-            let should = eligible fs j in
+        iter_ifaces t (fun ifc ->
+            let should = eligible fs ifc.i_id in
             if should && not (heap_mem ifc f) then heap_insert t ifc fs
             else if (not should) && heap_mem ifc f then heap_remove ifc f)
-          t.ifaces_tbl
 
   let allowed_ifaces t f = (flow_state t f).allowed
 
@@ -274,29 +308,27 @@ module Make (P : PROG) = struct
     false
 
   let enqueue t (p : Packet.t) =
-    match Int_tbl.find t.flows_tbl p.flow with
-    | exception Not_found -> drop t p
-    | fs ->
-        if not (P.admit t.prog p ~backlog:(Pktqueue.backlog_bytes fs.queue))
-        then drop t p
-        else begin
-          let was_empty = Pktqueue.is_empty fs.queue in
-          let accepted = Pktqueue.push fs.queue p in
-          (if accepted then
-             match P.membership with
-             | `All_flows -> ()
-             | `Backlogged ->
-                 if was_empty then walk t Link fs fs.allowed
-                 else if P.rerank_on_enqueue then walk t Rerank fs fs.allowed);
-          (match t.t_sink with
-          | None -> ()
-          | Some s ->
-              if accepted then
-                Event.set_enqueue t.t_ev ~flow:p.flow ~bytes:p.size
-              else Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
-              s t.t_ev);
-          accepted
-        end
+    let fs = flow_slot t p.flow in
+    if fs == nil_flow then drop t p
+    else if not (P.admit t.prog p ~backlog:(Pktqueue.backlog_bytes fs.queue))
+    then drop t p
+    else begin
+      let was_empty = Pktqueue.is_empty fs.queue in
+      let accepted = Pktqueue.push fs.queue p in
+      (if accepted then
+         match P.membership with
+         | `All_flows -> ()
+         | `Backlogged ->
+             if was_empty then walk t Link fs fs.allowed
+             else if P.rerank_on_enqueue then walk t Rerank fs fs.allowed);
+      (match t.t_sink with
+      | None -> ()
+      | Some s ->
+          if accepted then Event.set_enqueue t.t_ev ~flow:p.flow ~bytes:p.size
+          else Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
+          s t.t_ev);
+      accepted
+    end
 
   (* Entries whose rank fell at or below the advancing floor migrate to
      the id-ordered stale heap.  Each entry migrates at most once between
@@ -315,7 +347,8 @@ module Make (P : PROG) = struct
     let j = ifc.i_id in
     let pkt = Pktqueue.pop_exn fs.queue in
     fs.served <- fs.served + pkt.size;
-    Int_tbl.replace fs.served_on j (bytes_on fs j + pkt.size);
+    let cells = Int_tbl.Cells.credit fs.served_on j pkt.size in
+    if cells != fs.served_on then fs.served_on <- cells;
     P.on_service t.prog ~flow:fs.f_id ~iface:j ~weight:fs.weight
       ~size:pkt.size ~rank;
     pkt
@@ -347,17 +380,15 @@ module Make (P : PROG) = struct
       serve_backlogged t ifc (Pifo.pop_key ifc.fresh) ~rank
     else None
 
-  let rec sweep_in t ifc = function
-    | [] -> ()
-    | f :: rest ->
-        if not (Pifo.mem ifc.fresh f) then heap_insert t ifc (flow_state t f);
-        sweep_in t ifc rest
-
   (* Sweep in flows registered before this interface existed, ascending
      id, at the back of the rotation.  O(1) when nothing is missing. *)
   let refresh t ifc =
-    if Pifo.length ifc.fresh < Int_tbl.length t.flows_tbl then
-      sweep_in t ifc (flows t)
+    if Pifo.length ifc.fresh < t.nflows then
+      for f = 0 to Array.length t.flow_slots - 1 do
+        let fs = t.flow_slots.(f) in
+        if fs != nil_flow && not (Pifo.mem ifc.fresh f) then
+          heap_insert t ifc fs
+      done
 
   (* At most one lap: ineligible flows at the front move to the back,
      then the front flow, if eligible, is served and moves to the back. *)
@@ -393,7 +424,8 @@ module Make (P : PROG) = struct
   let is_backlogged t f = not (Pktqueue.is_empty (flow_state t f).queue)
   let served_bytes t f = (flow_state t f).served
 
-  let served_bytes_on t ~flow ~iface = bytes_on (flow_state t flow) iface
+  let served_bytes_on t ~flow ~iface =
+    Int_tbl.Cells.get (flow_state t flow).served_on iface
 
   let packed t =
     let module M = struct

@@ -111,8 +111,5 @@ module Make (P : PROG) : sig
   (** A fresh scheduler over a fresh [P.create ()].  [queue_capacity]
       bounds each flow's queue in bytes (drop-tail). *)
 
-  val prog : t -> P.t
-  (** The underlying program state, for tests and introspection. *)
-
   val packed : t -> Sched_intf.packed
 end

@@ -45,6 +45,28 @@ let evbuf_push b seq ev =
   Event.Columns.store b.eb_cols b.eb_len ev;
   b.eb_len <- b.eb_len + 1
 
+(* Per-run worker accounting, written only by the owning domain. *)
+type wstate = {
+  mutable w_seq : int;  (* sequence number of the op being applied *)
+  mutable w_decisions : int;
+  mutable w_sent : int;
+  mutable w_sent_bytes : int;
+  mutable w_enq : int;
+  mutable w_drop : int;
+  w_events : evbuf;
+}
+
+let wstate_create () =
+  {
+    w_seq = 0;
+    w_decisions = 0;
+    w_sent = 0;
+    w_sent_bytes = 0;
+    w_enq = 0;
+    w_drop = 0;
+    w_events = evbuf_create ();
+  }
+
 type t = {
   t_n : int;
   t_engines : Drr_engine.t array;
@@ -61,6 +83,7 @@ type t = {
   mutable t_conflicts : int;
   mutable t_sink : Midrr_obs.Sink.raw option;
   t_ev : Event.record; (* the routing layer's own emissions, inline *)
+  t_scratch : wstate; (* the inline ops' accounting, which nothing reads *)
 }
 
 let create ?base_quantum ?queue_capacity ?flag_policy ?counter_max
@@ -84,6 +107,7 @@ let create ?base_quantum ?queue_capacity ?flag_policy ?counter_max
     t_conflicts = 0;
     t_sink = None;
     t_ev = Event.create ();
+    t_scratch = wstate_create ();
   }
 
 let shards t = t.t_n
@@ -382,28 +406,6 @@ let route t ~ev ~emit_here ~null_serve op =
         (-1, W_basic op)
       end
 
-(* Per-run worker accounting, written only by the owning domain. *)
-type wstate = {
-  mutable w_seq : int;  (* sequence number of the op being applied *)
-  mutable w_decisions : int;
-  mutable w_sent : int;
-  mutable w_sent_bytes : int;
-  mutable w_enq : int;
-  mutable w_drop : int;
-  w_events : evbuf;
-}
-
-let wstate_create () =
-  {
-    w_seq = 0;
-    w_decisions = 0;
-    w_sent = 0;
-    w_sent_bytes = 0;
-    w_enq = 0;
-    w_drop = 0;
-    w_events = evbuf_create ();
-  }
-
 let serve_loop e st iface budget =
   let continue_ = ref true in
   let k = ref 0 in
@@ -444,14 +446,14 @@ let apply_w e st w =
 
 let ignore_null_serve () = ()
 
-(* Inline scratch accounting: one per dispatch, but control ops are the
-   cold path and inline serve only happens through [apply]. *)
+(* Inline ops run on the caller's domain, so they share one scratch
+   accounting per engine. *)
 let dispatch t op =
   match
     route t ~ev:t.t_ev ~emit_here:(emit t) ~null_serve:ignore_null_serve op
   with
   | -1, _ -> ()
-  | s, w -> apply_w t.t_engines.(s) (wstate_create ()) w
+  | s, w -> apply_w t.t_engines.(s) t.t_scratch w
 
 let add_iface t j = dispatch t (Op_add_iface j)
 let remove_iface t j = dispatch t (Op_remove_iface j)

@@ -16,11 +16,12 @@ type t = {
    substrate's per-decision path — the only implementation of WFQ and
    round robin as well as the other rank programs — and join with no
    baseline entries, as do the WFQ and round-robin programs, the
-   [Int_tbl] id table they and the platforms look up through, and the
-   netcalc curve algebra ([curve]/[arrival]/[service]/[bound],
-   evaluated per flow inside sweeps).  The simulators' per-packet path
-   — event queue, engine, netsim, link model, delivery meter and HTTP
-   proxy — runs once or more per packet and is held to the same rule.
+   [Int_tbl] slot arrays and interface cells that they and the
+   platforms index by id, and the netcalc curve algebra
+   ([curve]/[arrival]/[service]/[bound], evaluated per flow inside
+   sweeps).  The simulators' per-packet path — event queue, engine,
+   netsim, link model, delivery meter and HTTP proxy — runs once or
+   more per packet and is held to the same rule.
 
    Entries are repo-relative module paths without extension, so a future
    [lib/trace/event.ml] is not silently hot just because [lib/obs/event.ml]

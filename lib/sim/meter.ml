@@ -4,9 +4,7 @@ module Event = Midrr_obs.Event
 module Metrics = Midrr_obs.Metrics
 module Busmetrics = Midrr_obs.Busmetrics
 
-(* [cells] holds [iface; bytes] pairs in first-delivery order, free
-   pairs marked by iface -1.  A flow delivers through a handful of
-   interfaces, so a scan finds its cell without hashing. *)
+(* [cells] holds the bytes delivered per interface ([Int_tbl.Cells]). *)
 type 'a flow = {
   id : Types.flow_id;
   mutable weight : float;
@@ -44,17 +42,13 @@ let create ~bin ?sink ?metrics engine sched =
   let flows = Int_tbl.Slots.create () in
   { engine; bin; flows; sink; ev = Event.create (); metrics }
 
-(* Cells for [n] interfaces, all free: sized by the flow's preference
-   row at registration, then doubled when a flow delivers through more
-   interfaces than that, once per new interface. *)
-let free_cells n =
-  (Array.make (2 * Stdlib.max 1 n) (-1) [@midrr.lint.allow "R7"])
-
 let add_flow t f ~weight ~allowed ?(size = max_int) data =
   if Option.is_some (Int_tbl.Slots.find t.flows f) then
     invalid_arg "Meter.add_flow: duplicate";
   let series = Timeseries.create ~bin:t.bin in
-  let cells = free_cells (List.length allowed) in
+  (* Sized by the flow's preference row; they grow when it delivers
+     through more interfaces than that. *)
+  let cells = Int_tbl.Cells.create (List.length allowed) in
   let fl =
     { id = f; weight; allowed; size; series; cells; done_at = Float.nan; data }
   in
@@ -78,20 +72,6 @@ let data fl = fl.data
 let set_weight fl w = fl.weight <- w
 let set_allowed fl allowed = fl.allowed <- allowed
 
-let rec credit fl i iface bytes =
-  let c = fl.cells in
-  if i >= Array.length c then begin
-    fl.cells <- free_cells (Array.length c);
-    Array.blit c 0 fl.cells 0 (Array.length c);
-    credit fl i iface bytes
-  end
-  else if Int.equal c.(i) iface then c.(i + 1) <- c.(i + 1) + bytes
-  else if c.(i) < 0 then begin
-    c.(i) <- iface;
-    c.(i + 1) <- bytes
-  end
-  else credit fl (i + 2) iface bytes
-
 let deliver t fl ~iface ~bytes =
   let time = Engine.now t.engine in
   (match t.sink with
@@ -100,7 +80,8 @@ let deliver t fl ~iface ~bytes =
       Event.set_complete t.ev ~flow:fl.id ~iface ~bytes;
       s ~time t.ev);
   Timeseries.record fl.series ~time ~bytes;
-  credit fl 0 iface bytes;
+  let cells = Int_tbl.Cells.credit fl.cells iface bytes in
+  if cells != fl.cells then fl.cells <- cells;
   if Timeseries.total_bytes fl.series >= fl.size && Float.is_nan fl.done_at
   then fl.done_at <- time
 
@@ -128,15 +109,9 @@ let completion_time t f =
   let d = (flow t f).done_at in
   if Float.is_nan d then None else Some d
 
-(* Bytes in [cells] for the interface; 0 past the last used pair. *)
-let rec cell cells i iface =
-  if i >= Array.length cells || cells.(i) < 0 then 0
-  else if Int.equal cells.(i) iface then cells.(i + 1)
-  else cell cells (i + 2) iface
-
 let served_cell t ~flow ~iface =
   match Int_tbl.Slots.find t.flows flow with
-  | Some fl -> cell fl.cells 0 iface
+  | Some fl -> Int_tbl.Cells.get fl.cells iface
   | None -> 0
 
 type snapshot = { at : float; base : int array Int_tbl.Slots.t }
@@ -154,7 +129,7 @@ let share_since t snap ~flows ~ifaces =
   let rate f j =
     let before =
       match Int_tbl.Slots.find snap.base f with
-      | Some cells -> cell cells 0 j
+      | Some cells -> Int_tbl.Cells.get cells j
       | None -> 0
     in
     8.0 *. Float.of_int (served_cell t ~flow:f ~iface:j - before) /. dt

@@ -200,7 +200,8 @@ and kick_allowed t = function
 (* --- pushed sources ------------------------------------------------------ *)
 
 (* Each pushed source builds its tick closure once, at start, and re-arms
-   that same closure after every arrival. *)
+   that same closure after every arrival; its constant packet time is
+   computed there too, so a tick boxes no float for it. *)
 
 let inject t fl size =
   let d = Meter.data fl in
@@ -215,10 +216,10 @@ let running t fl stop =
   (not (Meter.data fl).stopped) && not beyond
 
 let start_cbr t fl ~rate ~pkt_size ~stop =
+  let gap = Types.tx_time ~bytes:pkt_size ~rate in
   let rec tick () =
     if running t fl stop then begin
       inject t fl pkt_size;
-      let gap = Types.tx_time ~bytes:pkt_size ~rate in
       Engine.schedule_in t.engine ~after:gap tick
     end
   in
@@ -226,10 +227,10 @@ let start_cbr t fl ~rate ~pkt_size ~stop =
 
 let start_poisson t fl ~rate ~pkt_size ~stop =
   let rng = (Meter.data fl).rng in
+  let mean_gap = Types.tx_time ~bytes:pkt_size ~rate in
   let rec tick () =
     if running t fl stop then begin
       inject t fl pkt_size;
-      let mean_gap = Types.tx_time ~bytes:pkt_size ~rate in
       let gap = Rng.exponential rng ~mean:mean_gap in
       Engine.schedule_in t.engine ~after:gap tick
     end
@@ -267,6 +268,7 @@ let start_tb t fl ~bucket ~pkt_size ~stop =
    on; [until] is the end of the current on-period. *)
 let start_on_off t fl ~rate ~pkt_size ~on_mean ~off_mean ~stop =
   let rng = (Meter.data fl).rng in
+  let gap = Types.tx_time ~bytes:pkt_size ~rate in
   let until = ref 0.0 in
   let rec on () =
     if running t fl stop then begin
@@ -276,9 +278,7 @@ let start_on_off t fl ~rate ~pkt_size ~on_mean ~off_mean ~stop =
   and send () =
     if (not (Meter.data fl).stopped) && now t < !until then begin
       inject t fl pkt_size;
-      Engine.schedule_in t.engine
-        ~after:(Types.tx_time ~bytes:pkt_size ~rate)
-        send
+      Engine.schedule_in t.engine ~after:gap send
     end
     else begin
       let quiet = Rng.exponential rng ~mean:off_mean in

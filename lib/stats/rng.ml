@@ -1,8 +1,9 @@
 (* The SplitMix64 state lives in 8 bytes rather than a mutable [int64]
    field: storing into an [int64] field boxes a fresh value per draw,
    while [Bytes.set_int64_le] stores it raw.  [bits64] and [float] are
-   inlined into the samplers below, so a draw through them boxes no
-   intermediate [int64] or [float] either. *)
+   inlined into the samplers below, and [exponential] into its callers,
+   so a draw through them boxes no intermediate [int64] or [float]
+   either. *)
 type t = bytes
 
 let golden_gamma = 0x9E3779B97F4A7C15L
@@ -59,7 +60,7 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let bernoulli t ~p = float t < p
 
-let exponential t ~mean =
+let[@inline] exponential t ~mean =
   assert (mean > 0.);
   let u = 1.0 -. float t in
   -.mean *. log u

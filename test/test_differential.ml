@@ -285,15 +285,12 @@ let run_config cfg =
           let pf = F.next_packet p.fast j and pr = R.next_packet p.refe j in
           match (pf, pr) with
           | None, None -> ()
-          | Some a, Some b
-            when a.Packet.seq = b.Packet.seq && a.Packet.size = b.Packet.size
-            ->
-              ()
+          | Some a, Some b when a == b -> ()
           | _ ->
               let show = function
                 | None -> "idle"
                 | Some (q : Packet.t) ->
-                    Printf.sprintf "flow %d seq %d (%dB)" q.flow q.seq q.size
+                    Printf.sprintf "flow %d (%dB) @%h" q.flow q.size q.arrival
               in
               Alcotest.failf "%s (seed %#x) step %d: serve on %d: fast %s, \
                               ref %s"
@@ -356,7 +353,7 @@ let run_config cfg =
         decr budget;
         match (F.next_packet p.fast j, R.next_packet p.refe j) with
         | None, None -> continue := false
-        | Some a, Some b when a.Packet.seq = b.Packet.seq -> ()
+        | Some a, Some b when a == b -> ()
         | _ -> Alcotest.failf "%s drain: divergence on iface %d" cfg.label j
       done;
       check_events cfg cfg.steps p)
@@ -415,7 +412,7 @@ let teardown_case () =
     (fun j ->
       for _ = 1 to 100 do
         match (F.next_packet p.fast j, R.next_packet p.refe j) with
-        | Some a, Some b when a.Packet.seq = b.Packet.seq -> ()
+        | Some a, Some b when a == b -> ()
         | None, None -> ()
         | _ -> Alcotest.fail "teardown: warmup divergence"
       done)
@@ -455,7 +452,7 @@ let teardown_case () =
   ignore (F.enqueue p.fast pkt);
   ignore (R.enqueue p.refe pkt);
   (match (F.next_packet p.fast 2, R.next_packet p.refe 2) with
-  | Some a, Some b when a.Packet.seq = b.Packet.seq -> ()
+  | Some a, Some b when a == b -> ()
   | _ -> Alcotest.fail "teardown: post-rebuild serve diverges");
   check_events cfg 5 p;
   check_state cfg 5 ~flows:[ 5 ] ~ifaces:[ 2 ] p

@@ -13,8 +13,21 @@
    The fixture is gzipped to keep the repository small; it is inflated
    through the system gzip so no compression library is needed. *)
 
-let golden_path = "golden/fig6_trace_prefix.jsonl.gz"
-let scenario_path = "../scenarios/fig6.scn"
+(* `dune runtest` runs from the test directory, `dune exec` from the
+   project root; accept either. *)
+let fixture ~from_test ~from_root =
+  if Sys.file_exists from_test then from_test else from_root
+
+let golden file =
+  fixture
+    ~from_test:(Filename.concat "golden" file)
+    ~from_root:(Filename.concat "test/golden" file)
+
+let corpus_scenario file =
+  fixture ~from_test:("../scenarios/" ^ file) ~from_root:("scenarios/" ^ file)
+
+let golden_path = golden "fig6_trace_prefix.jsonl.gz"
+let scenario_path = corpus_scenario "fig6.scn"
 
 let read_golden () =
   let ic = Unix.open_process_in (Printf.sprintf "gzip -dc %s" golden_path) in
@@ -110,10 +123,8 @@ let first_divergence name ~golden ~got =
   go 1 (String.split_on_char '\n' golden, String.split_on_char '\n' got)
 
 let check_golden file got =
-  let golden =
-    In_channel.with_open_bin (Filename.concat "golden" file) In_channel.input_all
-  in
-  first_divergence file ~golden ~got
+  let want = In_channel.with_open_bin (golden file) In_channel.input_all in
+  first_divergence file ~golden:want ~got
 
 (* One section per scheduler: the report, then the trace's event count
    and MD5. *)
@@ -155,12 +166,14 @@ let scenario_reports ?(extra = []) path () =
       @ extra)
 
 (* The queue bound the benchmark's mesh workload runs WFQ with. *)
+let mesh_capacity = 65536
+
 let mesh_extra =
   [
-    ( "wfq queue_capacity=65536",
+    ( Printf.sprintf "wfq queue_capacity=%d" mesh_capacity,
       fun () ->
         Midrr_core.Prog_wfq.packed
-          (Midrr_core.Prog_wfq.create ~queue_capacity:65536 ()) );
+          (Midrr_core.Prog_wfq.create ~queue_capacity:mesh_capacity ()) );
   ]
 
 (* --- the other disciplines ------------------------------------------ *)
@@ -191,6 +204,34 @@ let discipline_reports path () =
                 ~engine:Midrr_sim.Scenario.Engine_ref
                 (Midrr_sim.Scenario.sched_spec scenario) );
         ])
+
+(* The other PIFO programs on the 64-flow overload mesh, unbounded and
+   with the benchmark's queues, plus round robin with those queues: the
+   drop path (a rejected push) and the [`All_ifaces] re-rank walks of
+   SRPT, EDF and LSTF under 64 flows at 1.2x load.  Recorded from the
+   substrate's hashed flow and interface tables, before the dense
+   slots replaced them. *)
+let mesh_programs () =
+  let module C = Midrr_core in
+  let programs ?queue_capacity () =
+    [
+      ("sprio", fun () -> C.Prog_sprio.(packed (create ?queue_capacity ())));
+      ("srpt", fun () -> C.Prog_srpt.(packed (create ?queue_capacity ())));
+      ("edf", fun () -> C.Prog_edf.(packed (create ?queue_capacity ())));
+      ("lstf", fun () -> C.Prog_lstf.(packed (create ?queue_capacity ())));
+    ]
+  in
+  let bounded =
+    let queue_capacity = mesh_capacity in
+    programs ~queue_capacity ()
+    @ [ ("rr", fun () -> C.Prog_rr.(packed (create ~queue_capacity ()))) ]
+  in
+  check_sections ~suffix:".disciplines.txt" (golden "mesh64.scn") (fun _ ->
+      programs ()
+      @ List.map
+          (fun (label, make) ->
+            (Printf.sprintf "%s queue_capacity=%d" label mesh_capacity, make))
+          bounded)
 
 (* A Netsim run whose WFQ queues hold 8 packets, under the 32-packet
    window that backlogged and finite sources keep queued: every refill
@@ -256,12 +297,13 @@ let fig1_table () =
        (Midrr_experiments.Fig1.run ()))
 
 let corpus =
-  [
-    "../scenarios/fig6.scn";
-    "../scenarios/handover.scn";
-    "../scenarios/bound_twoiface.scn";
-    "../scenarios/bound_crosstraffic.scn";
-  ]
+  List.map corpus_scenario
+    [
+      "fig6.scn";
+      "handover.scn";
+      "bound_twoiface.scn";
+      "bound_crosstraffic.scn";
+    ]
 
 let () =
   Alcotest.run "golden"
@@ -275,7 +317,7 @@ let () =
           corpus
         @ [
             Alcotest.test_case "mesh64.scn reports" `Slow
-              (scenario_reports ~extra:mesh_extra "golden/mesh64.scn");
+              (scenario_reports ~extra:mesh_extra (golden "mesh64.scn"));
             Alcotest.test_case "fig1 table" `Quick fig1_table;
           ] );
       ( "schedulers",
@@ -286,6 +328,7 @@ let () =
               `Quick (discipline_reports path))
           corpus
         @ [
+            Alcotest.test_case "mesh64.scn programs" `Slow mesh_programs;
             Alcotest.test_case "netsim queues under the window" `Quick
               capacity_window;
           ] );

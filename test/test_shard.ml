@@ -561,6 +561,39 @@ let metrics_merge () =
         [ 0.5; 0.9; 0.99 ])
     hs hm
 
+(* --- inline allocation ---------------------------------------------------- *)
+
+(* [apply] runs an op on the caller's domain: routing it and applying it
+   to the owning sub-engine allocates the packet of an enqueue and a few
+   words of routing, never per-op worker accounting (a fresh one read
+   about 420 words per op). *)
+let apply_words_per_op () =
+  let n_flows = 64 and n_ops = 20_000 in
+  let t = Shard_engine.create ~shards:2 Drr_engine.Service_flags in
+  Shard_engine.apply t (Shard_engine.Op_add_iface 0);
+  for flow = 0 to n_flows - 1 do
+    Shard_engine.apply t
+      (Shard_engine.Op_add_flow { flow; weight = 1.0; allowed = [ 0 ] })
+  done;
+  let ops =
+    Array.init n_ops (fun i ->
+        if i mod 2 = 0 then
+          Shard_engine.Op_enqueue
+            { flow = i / 2 mod n_flows; size = 1000; arrival = 0.0 }
+        else Shard_engine.Op_serve { iface = 0; budget = 1 })
+  in
+  Array.iter (Shard_engine.apply t) ops;
+  let before = Gc.minor_words () in
+  Array.iter (Shard_engine.apply t) ops;
+  let per_op = (Gc.minor_words () -. before) /. Float.of_int n_ops in
+  for flow = 0 to n_flows - 1 do
+    Alcotest.(check int) "every packet served" 0
+      (Shard_engine.backlog_packets t flow)
+  done;
+  Printf.printf "apply: %.2f minor words per op\n" per_op;
+  if per_op > 16.0 then
+    Alcotest.failf "apply: %.2f minor words per op (bound 16)" per_op
+
 (* --- suite ---------------------------------------------------------------- *)
 
 let () =
@@ -609,4 +642,6 @@ let () =
               check_state_equal ~what:"fleet" t e);
         ] );
       ("metrics", [ Alcotest.test_case "per-shard collection merges" `Quick metrics_merge ]);
+      ( "allocation",
+        [ Alcotest.test_case "apply words per op" `Quick apply_words_per_op ] );
     ]
