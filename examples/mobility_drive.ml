@@ -1,25 +1,17 @@
-(* A commute scenario: policy-managed apps on a phone driving through the
-   city.
+(* A commute scenario: apps with preferences on a phone driving through
+   the city.
 
    WiFi coverage comes and goes (hotspot hopping) while LTE quality drifts
-   with distance from the tower.  A policy file pins the preferences:
-   music must stay on cellular for persistence, the podcast sync is
-   restricted to (free) WiFi, and browsing may use anything with a lower
-   weight than music.
+   with distance from the tower.  Each app states its preferences: music
+   must stay on cellular for persistence, with twice the weight of the
+   rest, the podcast sync is restricted to (free) WiFi, and browsing may
+   use anything.
 
    Run with: dune exec examples/mobility_drive.exe *)
 
 open Midrr_core
 module Netsim = Midrr_sim.Netsim
 module Mobility = Midrr_sim.Mobility
-
-let policy_text =
-  {|
-# commute policy
-music    : ifaces=cellular weight=2
-podcasts : ifaces=wifi
-*        : ifaces=any
-|}
 
 let wifi = 1
 let cellular = 2
@@ -28,17 +20,6 @@ let podcasts = 1
 let browser = 2
 
 let () =
-  let policy = Policy.create () in
-  Policy.add_iface policy ~id:wifi ~name:"wlan0" ~classes:[ "wifi" ];
-  Policy.add_iface policy ~id:cellular ~name:"rmnet0"
-    ~classes:[ "cellular"; "metered" ];
-  Policy.add_app policy ~flow:music ~name:"music";
-  Policy.add_app policy ~flow:podcasts ~name:"podcasts";
-  Policy.add_app policy ~flow:browser ~name:"browser";
-  (match Policy.parse_rules policy_text with
-  | Ok rules -> Policy.set_rules policy rules
-  | Error e -> failwith e);
-
   let horizon = 300.0 in
   let sched = Midrr.packed (Midrr.create ~counter_max:4 ()) in
   let sim = Netsim.create ~sched () in
@@ -51,15 +32,12 @@ let () =
     (Mobility.gauss_markov ~seed:5 ~mean:(Types.mbps 6.0)
        ~sigma:(Types.mbps 1.5) ~memory:0.95 ~step:1.0 ~horizon ());
 
-  (* Each app's weight and interface preference come from the policy. *)
-  let add name flow source =
-    let d = Policy.resolve policy name in
-    Netsim.add_flow sim flow ~weight:d.weight ~allowed:d.allowed source
-  in
-  add "music" music
+  (* Each app's weight (φ) and interface preference (Π). *)
+  Netsim.add_flow sim music ~weight:2.0 ~allowed:[ cellular ]
     (Netsim.Cbr { rate = Types.kbps 320.0; pkt_size = 800; stop = None });
-  add "podcasts" podcasts (Netsim.Backlogged { pkt_size = 1400 });
-  add "browser" browser
+  Netsim.add_flow sim podcasts ~weight:1.0 ~allowed:[ wifi ]
+    (Netsim.Backlogged { pkt_size = 1400 });
+  Netsim.add_flow sim browser ~weight:1.0 ~allowed:[ wifi; cellular ]
     (Netsim.On_off
        {
          rate = Types.mbps 12.0;

@@ -225,22 +225,6 @@ let link_for flow j =
   let i = link_index flow.f_links j 0 in
   if i < 0 then nil else flow.f_links.(i)
 
-(* --- preference lists -------------------------------------------------- *)
-
-let rec strictly_ascending = function
-  | a :: (b :: _ as rest) -> Int.compare a b < 0 && strictly_ascending rest
-  | [] | [ _ ] -> true
-
-(* Π_i in canonical form.  The caller's list is kept when it already is
-   canonical (the common case), so registration copies nothing. *)
-let canonical allowed =
-  if strictly_ascending allowed then allowed
-  else List.sort_uniq Int.compare allowed
-
-let rec mem_sorted j = function
-  | [] -> false
-  | x :: rest -> if x < j then mem_sorted j rest else Int.equal x j
-
 (* --- ring membership ------------------------------------------------- *)
 
 let insert_link ifc link =
@@ -322,7 +306,7 @@ let add_iface t j =
      identical under both engines. *)
   Array.iter
     (fun flow ->
-      if flow != nil_flow && mem_sorted j flow.f_allowed then begin
+      if flow != nil_flow && Types.mem_sorted j flow.f_allowed then begin
         let link = add_link flow ifc in
         if not (Pktqueue.is_empty flow.f_queue) then insert_link ifc link
       end)
@@ -372,7 +356,7 @@ let add_flow t ~flow ~weight ~allowed =
   if has_flow t flow then invalid_arg "Drr_engine.add_flow: duplicate";
   if not (weight > 0.0) then invalid_arg "Drr_engine.add_flow: weight <= 0";
   grow_flow_slots t flow;
-  let allowed = canonical allowed in
+  let allowed = Types.canonical allowed in
   let fs =
     {
       f_id = flow;
@@ -421,12 +405,13 @@ let allowed_ifaces t f = (flow_state t f).f_allowed
 
 let set_allowed t f allowed =
   let fs = flow_state t f in
-  let wanted = canonical allowed in
+  let wanted = Types.canonical allowed in
   let backlogged = not (Pktqueue.is_empty fs.f_queue) in
   (* Drop links to interfaces no longer allowed.  Walk backwards: a
      swap-remove only disturbs indices at or above the current one. *)
   for i = Array.length fs.f_links - 1 downto 0 do
-    if not (mem_sorted fs.f_links.(i).l_iface.i_id wanted) then drop_link fs i
+    if not (Types.mem_sorted fs.f_links.(i).l_iface.i_id wanted) then
+      drop_link fs i
   done;
   (* Add links for newly allowed online interfaces. *)
   List.iter

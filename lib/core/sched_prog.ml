@@ -94,10 +94,6 @@ let nil_iface =
     stale = Pifo.create ~capacity:1 ();
   }
 
-let rec mem_sorted j = function
-  | [] -> false
-  | x :: rest -> if x < j then mem_sorted j rest else Int.equal x j
-
 (* The ids of the occupied slots, ascending. *)
 let ids slots nil =
   let acc = ref [] in
@@ -185,7 +181,7 @@ module Make (P : PROG) = struct
       ~backlog:(Pktqueue.backlog_bytes fs.queue)
 
   let eligible fs j =
-    mem_sorted j fs.allowed && not (Pktqueue.is_empty fs.queue)
+    Types.mem_sorted j fs.allowed && not (Pktqueue.is_empty fs.queue)
 
   let heap_insert t ifc fs =
     let r = rank_of t fs ifc.i_id in
@@ -248,7 +244,7 @@ module Make (P : PROG) = struct
     if flow < 0 then invalid_arg "Sched_prog.add_flow: negative flow id";
     if has_flow t flow then invalid_arg "Sched_prog.add_flow: duplicate";
     if not (weight > 0.0) then invalid_arg "Sched_prog.add_flow: weight <= 0";
-    let allowed = List.sort_uniq Int.compare allowed in
+    let allowed = Types.canonical allowed in
     let fs =
       {
         f_id = flow;
@@ -291,7 +287,7 @@ module Make (P : PROG) = struct
 
   let set_allowed t f allowed =
     let fs = flow_state t f in
-    fs.allowed <- List.sort_uniq Int.compare allowed;
+    fs.allowed <- Types.canonical allowed;
     match P.membership with
     | `All_flows -> ()
     | `Backlogged ->

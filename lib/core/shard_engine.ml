@@ -12,14 +12,20 @@
    and per-shard operation subsequences preserve the global order — so
    the sharded run is the single-engine run, component-interleaved.
    Event streams are re-merged into the global order by operation
-   sequence number. *)
+   sequence number.
+
+   Every operation takes one path.  [route] updates the partition,
+   emits the routing layer's own events through [t_sink], leaves in
+   [t_pending] the pending interfaces the destination shard must add
+   first, and names that shard; the caller adds those interfaces
+   silently (inline directly, in [run_ops] as one [Msg_mat] each ahead
+   of the op) and hands the op to [apply_on], the one interpreter that
+   inline calls, [run_ops] workers and [run_ops_single] share. *)
 
 module Event = Midrr_obs.Event
 module Metrics = Midrr_obs.Metrics
 module Busmetrics = Midrr_obs.Busmetrics
 module Par = Midrr_par.Par
-
-let imax a b = if a >= b then a else b
 
 (* Growable flat event buffer; one per participant during a recording
    run, written only by that participant's domain.  Event [i] was emitted
@@ -72,17 +78,20 @@ type t = {
   t_engines : Drr_engine.t array;
   t_strict : bool;
   (* partition state; iface-indexed arrays grow together *)
-  mutable t_parent : int array;  (* union-find parent *)
+  mutable t_parent : int array;  (* union-find parent; -1 at a root *)
   mutable t_binding : int array;  (* component shard, valid at roots; -1 *)
   mutable t_online : bool array;
   mutable t_mat : bool array;  (* lives in its shard's sub-engine *)
-  mutable t_nifaces : int;
   mutable t_flow_shard : int array;  (* home shard per flow id; -1 *)
-  mutable t_nflows : int;
   t_counts : int array;  (* flows homed per shard *)
   mutable t_conflicts : int;
+  mutable t_pending : Types.iface_id list;
+      (* pending interfaces the last routed op's shard must add first;
+         the caller drains it *)
   mutable t_sink : Midrr_obs.Sink.raw option;
-  t_ev : Event.record; (* the routing layer's own emissions, inline *)
+      (* the routing layer's own events; the router's recorder during
+         [run_ops] *)
+  t_ev : Event.record;
   t_scratch : wstate; (* the inline ops' accounting, which nothing reads *)
 }
 
@@ -100,59 +109,35 @@ let create ?base_quantum ?queue_capacity ?flag_policy ?counter_max
     t_binding = [||];
     t_online = [||];
     t_mat = [||];
-    t_nifaces = 0;
     t_flow_shard = [||];
-    t_nflows = 0;
     t_counts = Array.make shards 0;
     t_conflicts = 0;
+    t_pending = [];
     t_sink = None;
     t_ev = Event.create ();
     t_scratch = wstate_create ();
   }
 
-let shards t = t.t_n
-let mode t = Drr_engine.mode t.t_engines.(0)
-let flag_policy t = Drr_engine.flag_policy t.t_engines.(0)
-let counter_max t = Drr_engine.counter_max t.t_engines.(0)
-let base_quantum t = Drr_engine.base_quantum t.t_engines.(0)
 let name t = Drr_engine.name t.t_engines.(0)
 let partition_conflicts t = t.t_conflicts
 let shard_flow_counts t = Array.copy t.t_counts
 
-let emit t ev = match t.t_sink with None -> () | Some s -> s ev
+(* Hand [t_ev], just filled, to the routing layer's sink. *)
+let emit t = match t.t_sink with None -> () | Some s -> s t.t_ev
 
 (* --- partition bookkeeping (routing domain only) ---------------------- *)
 
 let grow_ifaces t j =
-  let cap = Array.length t.t_parent in
-  if j >= cap then begin
-    let ncap = imax (j + 1) (imax 8 (2 * cap)) in
-    let parent = Array.init ncap (fun i -> i)
-    and binding = Array.make ncap (-1)
-    and online = Array.make ncap false
-    and mat = Array.make ncap false in
-    Array.blit t.t_parent 0 parent 0 cap;
-    Array.blit t.t_binding 0 binding 0 cap;
-    Array.blit t.t_online 0 online 0 cap;
-    Array.blit t.t_mat 0 mat 0 cap;
-    t.t_parent <- parent;
-    t.t_binding <- binding;
-    t.t_online <- online;
-    t.t_mat <- mat
-  end
-
-let grow_flows t f =
-  let cap = Array.length t.t_flow_shard in
-  if f >= cap then begin
-    let ncap = imax (f + 1) (imax 8 (2 * cap)) in
-    let fs = Array.make ncap (-1) in
-    Array.blit t.t_flow_shard 0 fs 0 cap;
-    t.t_flow_shard <- fs
+  if j >= Array.length t.t_parent then begin
+    t.t_parent <- Int_tbl.grow t.t_parent j (-1);
+    t.t_binding <- Int_tbl.grow t.t_binding j (-1);
+    t.t_online <- Int_tbl.grow t.t_online j false;
+    t.t_mat <- Int_tbl.grow t.t_mat j false
   end
 
 let rec find t j =
   let p = t.t_parent.(j) in
-  if Int.equal p j then j
+  if p < 0 then j
   else begin
     let r = find t p in
     t.t_parent.(j) <- r;
@@ -182,19 +167,27 @@ let owner_engine t f =
   if has_flow t f then t.t_engines.(t.t_flow_shard.(f))
   else invalid_arg "Shard_engine: unknown flow"
 
-(* Non-negative shard index for flows the partition does not know
-   (unknown-flow enqueues land on an arbitrary shard, whose sub-engine
-   reports the drop exactly as the single engine would). *)
-let hash_shard t f =
-  let m = f mod t.t_n in
-  if m < 0 then m + t.t_n else m
+(* The flow's home shard; for a flow the partition does not know, an
+   arbitrary non-negative one, whose sub-engine reports the drop of an
+   enqueue exactly as the single engine would. *)
+let flow_shard t f =
+  if has_flow t f then t.t_flow_shard.(f)
+  else
+    let m = f mod t.t_n in
+    if m < 0 then m + t.t_n else m
+
+(* An online interface still pending in a component now bound to [s]
+   must be added to [s]'s sub-engine before the op that bound it. *)
+let claim t s j =
+  if t.t_online.(j) && (not t.t_mat.(j)) && Int.equal (binding t j) s then begin
+    t.t_mat.(j) <- true;
+    t.t_pending <- j :: t.t_pending
+  end
 
 (* Decide the home shard of a new flow whose preference is [allowed]
    (negative ids are kept out of the partition; the sub-engine ignores
    them like the single engine does).  Updates the union-find and
-   bindings, and returns [(home, mats)] where [mats] are pending online
-   interfaces that must be added to the home sub-engine silently before
-   the flow registers. *)
+   bindings, and leaves the interfaces to add first in [t_pending]. *)
 let home_for t ~flow allowed =
   let roots = ref [] in
   List.iter
@@ -226,10 +219,9 @@ let home_for t ~flow allowed =
         t.t_conflicts <- t.t_conflicts + 1;
         (false, List.nth bound (flow mod List.length bound))
   in
-  let mats = ref [] in
   if separable then begin
     (* Union every component of the preference into one, bound to
-       [home]; collect pending online interfaces for materialization. *)
+       [home]. *)
     match roots with
     | [] -> ()
     | canon :: rest ->
@@ -243,30 +235,20 @@ let home_for t ~flow allowed =
     List.iter
       (fun r -> if t.t_binding.(r) < 0 then t.t_binding.(r) <- home)
       roots;
-  List.iter
-    (fun j ->
-      if j >= 0 && t.t_online.(j) && (not t.t_mat.(j))
-         && Int.equal (binding t j) home
-      then begin
-        t.t_mat.(j) <- true;
-        mats := j :: !mats
-      end)
-    allowed;
-  (home, List.rev !mats)
+  List.iter (fun j -> if j >= 0 then claim t home j) allowed;
+  t.t_pending <- List.rev t.t_pending;
+  home
 
-(* Add interfaces to a sub-engine without re-emitting their Iface_up:
-   the canonical event was already emitted (from the routing layer) at
-   the interface's own add_iface operation. *)
-let materialize_silently e mats =
-  match mats with
-  | [] -> ()
-  | _ :: _ ->
-      let prev = Drr_engine.sink e in
-      Drr_engine.set_sink e None;
-      List.iter (fun j -> Drr_engine.add_iface e j) mats;
-      Drr_engine.set_sink e prev
+(* Add a pending interface to a sub-engine without re-emitting its
+   Iface_up: the routing layer emitted the canonical event at the
+   interface's own add_iface operation. *)
+let add_silently e j =
+  let prev = Drr_engine.sink e in
+  Drr_engine.set_sink e None;
+  Drr_engine.add_iface e j;
+  Drr_engine.set_sink e prev
 
-(* --- batch operations -------------------------------------------------- *)
+(* --- one op path ------------------------------------------------------- *)
 
 type op =
   | Op_add_iface of Types.iface_id
@@ -282,129 +264,96 @@ type op =
   | Op_enqueue of { flow : Types.flow_id; size : int; arrival : float }
   | Op_serve of { iface : Types.iface_id; budget : int }
 
-(* Worker-side form: flow registrations carry the interfaces their
-   shard must materialize first. *)
-type wop =
-  | W_basic of op
-  | W_add_flow of {
-      wf_flow : Types.flow_id;
-      wf_weight : float;
-      wf_allowed : Types.iface_id list;
-      wf_mat : Types.iface_id list;
-    }
-  | W_set_allowed of {
-      ws_flow : Types.flow_id;
-      ws_allowed : Types.iface_id list;
-      ws_mat : Types.iface_id list;
-    }
-
-(* Route one operation: update the partition, emit routing-layer events
-   (pending-interface up/down, filled into [ev] and handed to
-   [emit_here]; unknown-flow drops are left to the destination
-   sub-engine), and name the destination shard.  [-1] means the
-   operation is fully handled here.  [null_serve] is called instead when
-   a serve lands on a pending interface: the single engine would make
-   exactly one empty decision there. *)
-let route t ~ev ~emit_here ~null_serve op =
+(* Route one operation: update the partition, emit the routing layer's
+   own events (a pending interface's up/down; unknown-flow drops are
+   left to the destination sub-engine), leave in [t_pending] the
+   interfaces the destination must add first, and return the
+   destination shard.  [-1] means the operation is fully handled here;
+   a serve routed there is one empty decision on the single engine. *)
+let route t op =
   match op with
   | Op_add_iface j ->
       if j < 0 then invalid_arg "Shard_engine.add_iface: negative interface id";
       if has_iface t j then invalid_arg "Shard_engine.add_iface: duplicate";
       grow_ifaces t j;
       t.t_online.(j) <- true;
-      t.t_nifaces <- t.t_nifaces + 1;
       let b = binding t j in
-      if b >= 0 then begin
-        t.t_mat.(j) <- true;
-        (b, W_basic op)
-      end
+      if b >= 0 then t.t_mat.(j) <- true
       else begin
-        Event.set_iface_up ev ~iface:j;
-        emit_here ev;
-        (-1, W_basic op)
-      end
+        Event.set_iface_up t.t_ev ~iface:j;
+        emit t
+      end;
+      b
   | Op_remove_iface j ->
       if not (has_iface t j) then
         invalid_arg "Shard_engine.remove_iface: unknown interface";
       t.t_online.(j) <- false;
-      t.t_nifaces <- t.t_nifaces - 1;
       if t.t_mat.(j) then begin
         t.t_mat.(j) <- false;
-        (binding t j, W_basic op)
+        binding t j
       end
       else begin
-        Event.set_iface_down ev ~iface:j;
-        emit_here ev;
-        (-1, W_basic op)
+        Event.set_iface_down t.t_ev ~iface:j;
+        emit t;
+        -1
       end
   | Op_add_flow { flow; weight; allowed } ->
       if flow < 0 then invalid_arg "Shard_engine.add_flow: negative flow id";
       if has_flow t flow then invalid_arg "Shard_engine.add_flow: duplicate";
       if not (weight > 0.0) then
         invalid_arg "Shard_engine.add_flow: weight <= 0";
-      let home, mats = home_for t ~flow allowed in
-      grow_flows t flow;
+      let home = home_for t ~flow allowed in
+      if flow >= Array.length t.t_flow_shard then
+        t.t_flow_shard <- Int_tbl.grow t.t_flow_shard flow (-1);
       t.t_flow_shard.(flow) <- home;
       t.t_counts.(home) <- t.t_counts.(home) + 1;
-      t.t_nflows <- t.t_nflows + 1;
-      ( home,
-        W_add_flow
-          { wf_flow = flow; wf_weight = weight; wf_allowed = allowed;
-            wf_mat = mats } )
+      home
   | Op_remove_flow f ->
       if not (has_flow t f) then
         invalid_arg "Shard_engine.remove_flow: unknown flow";
       let s = t.t_flow_shard.(f) in
       t.t_flow_shard.(f) <- -1;
       t.t_counts.(s) <- t.t_counts.(s) - 1;
-      t.t_nflows <- t.t_nflows - 1;
-      (s, W_basic op)
+      s
   | Op_set_weight { flow; _ } ->
       if not (has_flow t flow) then
         invalid_arg "Shard_engine.set_weight: unknown flow";
-      (t.t_flow_shard.(flow), W_basic op)
+      t.t_flow_shard.(flow)
   | Op_set_allowed { flow; allowed } ->
       if not (has_flow t flow) then
         invalid_arg "Shard_engine.set_allowed: unknown flow";
       let s = t.t_flow_shard.(flow) in
-      let mats = ref [] in
+      (* refuse before binding anything, or a refused preference would
+         leave its unbound interfaces claimed for [s] *)
+      if t.t_strict
+         && List.exists
+              (fun j ->
+                let b = shard_of_iface t j in
+                b >= 0 && not (Int.equal b s))
+              allowed
+      then
+        invalid_arg
+          "Shard_engine.set_allowed: preference spans components bound to \
+           different shards (strict mode)";
       List.iter
         (fun j ->
           if j >= 0 then begin
             grow_ifaces t j;
             let r = find t j in
             let b = t.t_binding.(r) in
-            if b < 0 then begin
-              t.t_binding.(r) <- s;
-              if t.t_online.(j) && not t.t_mat.(j) then begin
-                t.t_mat.(j) <- true;
-                mats := j :: !mats
-              end
-            end
-            else if not (Int.equal b s) then begin
-              if t.t_strict then
-                invalid_arg
-                  "Shard_engine.set_allowed: preference spans components \
-                   bound to different shards (strict mode)";
-              t.t_conflicts <- t.t_conflicts + 1
-            end
+            if b < 0 then t.t_binding.(r) <- s
+            else if not (Int.equal b s) then
+              t.t_conflicts <- t.t_conflicts + 1;
+            claim t s j
           end)
         allowed;
-      ( s,
-        W_set_allowed
-          { ws_flow = flow; ws_allowed = allowed; ws_mat = List.rev !mats } )
-  | Op_enqueue { flow; _ } ->
-      let s = if has_flow t flow then t.t_flow_shard.(flow)
-              else hash_shard t flow in
-      (s, W_basic op)
-  | Op_serve { iface; budget } ->
+      t.t_pending <- List.rev t.t_pending;
+      s
+  | Op_enqueue { flow; _ } -> flow_shard t flow
+  | Op_serve { iface; _ } ->
       if not (has_iface t iface) then
         invalid_arg "Shard_engine.next_packet: unknown interface";
-      if t.t_mat.(iface) then (binding t iface, W_basic op)
-      else begin
-        if budget > 0 then null_serve ();
-        (-1, W_basic op)
-      end
+      if t.t_mat.(iface) then binding t iface else -1
 
 let serve_loop e st iface budget =
   let continue_ = ref true in
@@ -420,43 +369,40 @@ let serve_loop e st iface budget =
     end
   done
 
-let apply_w e st w =
-  match w with
-  | W_basic (Op_add_iface j) -> Drr_engine.add_iface e j
-  | W_basic (Op_remove_iface j) -> Drr_engine.remove_iface e j
-  | W_basic (Op_remove_flow f) -> Drr_engine.remove_flow e f
-  | W_basic (Op_set_weight { flow; weight }) ->
-      Drr_engine.set_weight e flow weight
-  | W_basic (Op_enqueue { flow; size; arrival }) ->
+(* Apply one operation to the engine that owns it, counting into [st]. *)
+let apply_on e st op =
+  match op with
+  | Op_add_iface j -> Drr_engine.add_iface e j
+  | Op_remove_iface j -> Drr_engine.remove_iface e j
+  | Op_add_flow { flow; weight; allowed } ->
+      Drr_engine.add_flow e ~flow ~weight ~allowed
+  | Op_remove_flow f -> Drr_engine.remove_flow e f
+  | Op_set_weight { flow; weight } -> Drr_engine.set_weight e flow weight
+  | Op_set_allowed { flow; allowed } -> Drr_engine.set_allowed e flow allowed
+  | Op_enqueue { flow; size; arrival } ->
       if Drr_engine.enqueue e (Packet.create ~flow ~size ~arrival) then
         st.w_enq <- st.w_enq + 1
       else st.w_drop <- st.w_drop + 1
-  | W_basic (Op_serve { iface; budget }) -> serve_loop e st iface budget
-  | W_basic (Op_add_flow _ | Op_set_allowed _) ->
-      (* the router always rewrites these *)
-      assert false
-  | W_add_flow { wf_flow; wf_weight; wf_allowed; wf_mat } ->
-      materialize_silently e wf_mat;
-      Drr_engine.add_flow e ~flow:wf_flow ~weight:wf_weight ~allowed:wf_allowed
-  | W_set_allowed { ws_flow; ws_allowed; ws_mat } ->
-      materialize_silently e ws_mat;
-      Drr_engine.set_allowed e ws_flow ws_allowed
+  | Op_serve { iface; budget } -> serve_loop e st iface budget
 
 (* --- inline (Sched_intf.S) --------------------------------------------- *)
 
-let ignore_null_serve () = ()
-
 (* Inline ops run on the caller's domain, so they share one scratch
    accounting per engine. *)
-let dispatch t op =
-  match
-    route t ~ev:t.t_ev ~emit_here:(emit t) ~null_serve:ignore_null_serve op
-  with
-  | -1, _ -> ()
-  | s, w -> apply_w t.t_engines.(s) t.t_scratch w
+let apply t op =
+  let s = route t op in
+  if s >= 0 then begin
+    let e = t.t_engines.(s) in
+    (match t.t_pending with
+    | [] -> ()
+    | pending ->
+        t.t_pending <- [];
+        List.iter (add_silently e) pending);
+    apply_on e t.t_scratch op
+  end
 
-let add_iface t j = dispatch t (Op_add_iface j)
-let remove_iface t j = dispatch t (Op_remove_iface j)
+let add_iface t j = apply t (Op_add_iface j)
+let remove_iface t j = apply t (Op_remove_iface j)
 
 let ifaces t =
   let acc = ref [] in
@@ -466,9 +412,9 @@ let ifaces t =
   !acc
 
 let add_flow t ~flow ~weight ~allowed =
-  dispatch t (Op_add_flow { flow; weight; allowed })
+  apply t (Op_add_flow { flow; weight; allowed })
 
-let remove_flow t f = dispatch t (Op_remove_flow f)
+let remove_flow t f = apply t (Op_remove_flow f)
 
 let flows t =
   let acc = ref [] in
@@ -477,18 +423,12 @@ let flows t =
   done;
   !acc
 
-let set_weight t f w = dispatch t (Op_set_weight { flow = f; weight = w })
-let set_allowed t f allowed = dispatch t (Op_set_allowed { flow = f; allowed })
+let set_weight t f w = apply t (Op_set_weight { flow = f; weight = w })
+let set_allowed t f allowed = apply t (Op_set_allowed { flow = f; allowed })
 let allowed_ifaces t f = Drr_engine.allowed_ifaces (owner_engine t f) f
 
 let enqueue t (p : Packet.t) =
-  if has_flow t p.flow then
-    Drr_engine.enqueue t.t_engines.(t.t_flow_shard.(p.flow)) p
-  else begin
-    Event.set_drop t.t_ev ~flow:p.flow ~bytes:p.size;
-    emit t t.t_ev;
-    false
-  end
+  Drr_engine.enqueue t.t_engines.(flow_shard t p.flow) p
 
 let next_packet t j =
   if not (has_iface t j) then
@@ -536,7 +476,6 @@ let ring_flows t j =
 let considered t =
   Array.fold_left (fun acc e -> acc + Drr_engine.considered e) 0 t.t_engines
 
-let reset_counters t = Array.iter Drr_engine.reset_counters t.t_engines
 let drops t f = Drr_engine.drops (owner_engine t f) f
 
 (* --- parallel batch driver --------------------------------------------- *)
@@ -550,7 +489,11 @@ type run_stats = {
   rs_events : (int * Event.t) array;
 }
 
-type msg = Msg_none | Msg_stop | Msg_op of { m_seq : int; m_op : wop }
+type msg =
+  | Msg_none
+  | Msg_stop
+  | Msg_mat of Types.iface_id  (* add a pending interface silently *)
+  | Msg_op of { m_seq : int; m_op : op }
 
 (* [fold_iface_events:false] is the shard-side variant: interface
    up/down is partition-layer state whose events straddle folds (a
@@ -644,10 +587,9 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
       Drr_engine.set_sink e
         (make_run_sink ~record ~fold_iface_events:false states.(i) folds.(i)))
     t.t_engines;
-  (* the router's own record: the inline [t_ev] belongs to the caller's
-     domain *)
-  let router_ev = Event.create () in
-  let emit_here ev = if record then evbuf_push router_st.w_events router_st.w_seq ev in
+  (* [route] emits through [t_sink]: for the run, that is the router's
+     recorder, which folds nothing (see below) *)
+  t.t_sink <- make_run_sink ~record router_st None;
   (* see [make_run_sink]: every interface transition folds here, in
      global op order, whichever side emits the event *)
   let fold_here ev =
@@ -655,7 +597,6 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
     | None -> ()
     | Some b -> Busmetrics.on_event b ~time:0.0 ev
   in
-  let null_serve () = router_st.w_decisions <- router_st.w_decisions + 1 in
   let send_stops () = Array.iter (fun ring -> Spsc.push ring Msg_stop) rings in
   (* Messages travel in bursts: the router stages up to [burst] routed
      ops per shard and publishes them with one [Spsc.push_slice]; each
@@ -677,27 +618,37 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
       done;
       stage_len.(s) <- 0
     in
+    let post s msg =
+      stage.(s).(stage_len.(s)) <- msg;
+      stage_len.(s) <- stage_len.(s) + 1;
+      if stage_len.(s) >= burst then flush s
+    in
     (try
        Array.iteri
          (fun seq op ->
            router_st.w_seq <- seq;
-           let dest = route t ~ev:router_ev ~emit_here ~null_serve op in
+           let s = route t op in
            (* fold after [route] validated — an op that raises emits
               nothing on the single engine either *)
            (match op with
            | Op_add_iface j ->
-               Event.set_iface_up router_ev ~iface:j;
-               fold_here router_ev
+               Event.set_iface_up t.t_ev ~iface:j;
+               fold_here t.t_ev
            | Op_remove_iface j ->
-               Event.set_iface_down router_ev ~iface:j;
-               fold_here router_ev
+               Event.set_iface_down t.t_ev ~iface:j;
+               fold_here t.t_ev
+           | Op_serve { budget; _ } ->
+               if s < 0 && budget > 0 then
+                 router_st.w_decisions <- router_st.w_decisions + 1
            | _ -> ());
-           match dest with
-           | -1, _ -> ()
-           | s, w ->
-               stage.(s).(stage_len.(s)) <- Msg_op { m_seq = seq; m_op = w };
-               stage_len.(s) <- stage_len.(s) + 1;
-               if stage_len.(s) >= burst then flush s)
+           if s >= 0 then begin
+             (match t.t_pending with
+             | [] -> ()
+             | pending ->
+                 t.t_pending <- [];
+                 List.iter (fun j -> post s (Msg_mat j)) pending);
+             post s (Msg_op { m_seq = seq; m_op = op })
+           end)
          ops;
        for s = 0 to n - 1 do
          flush s
@@ -718,7 +669,9 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
     let ring = rings.(i) in
     let batch = Array.make burst Msg_none in
     let rec drain () =
-      match Spsc.pop ring with Msg_stop -> () | Msg_op _ | Msg_none -> drain ()
+      match Spsc.pop ring with
+      | Msg_stop -> ()
+      | Msg_op _ | Msg_mat _ | Msg_none -> drain ()
     in
     let running = ref true in
     try
@@ -729,9 +682,10 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
           for j = 0 to k - 1 do
             match batch.(j) with
             | Msg_stop -> running := false
+            | Msg_mat iface -> add_silently e iface
             | Msg_op { m_seq; m_op } ->
                 st.w_seq <- m_seq;
-                apply_w e st m_op
+                apply_on e st m_op
             | Msg_none -> ()
           done
       done
@@ -746,6 +700,7 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
     Array.init (n + 1) (fun i -> if i < n then worker i else router)
   in
   let finish () =
+    t.t_sink <- prev_sink;
     Array.iter (fun e -> Drr_engine.set_sink e prev_sink) t.t_engines
   in
   (match Par.run ~jobs:(n + 1) tasks with
@@ -767,15 +722,6 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
 
 (* --- single-domain baseline -------------------------------------------- *)
 
-let apply_single e st op =
-  match op with
-  | Op_add_flow { flow; weight; allowed } ->
-      Drr_engine.add_flow e ~flow ~weight ~allowed
-  | Op_set_allowed { flow; allowed } -> Drr_engine.set_allowed e flow allowed
-  | Op_add_iface _ | Op_remove_iface _ | Op_remove_flow _ | Op_set_weight _
-  | Op_enqueue _ | Op_serve _ ->
-      apply_w e st (W_basic op)
-
 let run_ops_single ?(record = false) ?metrics e ops =
   let prev_sink = Drr_engine.sink e in
   let st = wstate_create () in
@@ -788,7 +734,7 @@ let run_ops_single ?(record = false) ?metrics e ops =
      Array.iteri
        (fun seq op ->
          st.w_seq <- seq;
-         apply_single e st op)
+         apply_on e st op)
        ops
    with ex ->
      finish ();
@@ -800,5 +746,3 @@ let run_ops_single ?(record = false) ?metrics e ops =
       Metrics.merge_into ~src:(Busmetrics.registry b) ~dst
   | _, _ -> ());
   stats_of ~record [| st |]
-
-let apply t op = dispatch t op

@@ -33,12 +33,15 @@
     a first flow binds their component, so event streams and ring
     orders match the single-engine run.
 
-    Two ways to drive it:
+    Every operation takes one path: the routing layer updates the
+    partition and names the owning shard, and one interpreter applies
+    the operation to that shard's sub-engine.  Two ways to drive it:
 
     - {b Inline} — the full {!Sched_intf.S} implementation below, every
       call routed synchronously on the caller's domain.  This is what
       Netsim/Scenario use ([--engine sharded]); it is the fast engine
-      plus an O(1) routing lookup.
+      plus an O(1) routing lookup, and an enqueue or a serve allocates
+      what it allocates on the fast engine.
     - {b Parallel batch} — {!run_ops} pins each shard to its own domain
       via [Par], feeds them through bounded {!Spsc} mailboxes, and
       merges per-shard event streams back into the canonical
@@ -65,14 +68,9 @@ val create :
 (** [create mode] builds an empty sharded scheduler; the per-engine
     parameters are those of {!Drr_engine.create}, applied to every
     shard.  [shards] defaults to [1]; [strict] (default [false]) makes
-    non-separable registrations raise [Invalid_argument] instead of
+    non-separable registrations and preference changes raise
+    [Invalid_argument], before touching the partition, instead of
     falling back to the flow-id hash. *)
-
-val shards : t -> int
-val mode : t -> Drr_engine.mode
-val flag_policy : t -> Drr_engine.flag_policy
-val counter_max : t -> int
-val base_quantum : t -> int
 
 val shard_of_flow : t -> Types.flow_id -> int
 (** Home shard of a registered flow; [-1] when unknown. *)
@@ -81,7 +79,7 @@ val shard_of_iface : t -> Types.iface_id -> int
 (** Shard owning the interface's component; [-1] while unbound/pending. *)
 
 val shard_flow_counts : t -> int array
-(** Flows currently homed per shard (length {!shards}). *)
+(** Flows currently homed per shard, one entry per shard. *)
 
 val partition_conflicts : t -> int
 (** Registrations that fell back to the flow-id hash because their
@@ -99,7 +97,6 @@ val turns : t -> Types.flow_id -> int
 val turns_on : t -> flow:Types.flow_id -> iface:Types.iface_id -> int
 val ring_flows : t -> Types.iface_id -> Types.flow_id list
 val considered : t -> int
-val reset_counters : t -> unit
 val drops : t -> Types.flow_id -> int
 
 (** {1 Batch operations}

@@ -1,4 +1,5 @@
-(** Shared identifiers and unit helpers for the scheduler core.
+(** Shared identifiers, preference lists and unit helpers for the
+    scheduler core.
 
     Flows and interfaces are identified by small integers chosen by the
     caller; the scheduler treats them as opaque keys.  Rates are bits per
@@ -7,6 +8,20 @@
 
 type flow_id = int
 type iface_id = int
+
+(** {1 Interface preferences}
+
+    Every scheduler holds a flow's Π_i row as a canonical list:
+    interface ids in strictly ascending order. *)
+
+val canonical : iface_id list -> iface_id list
+(** The list sorted and deduplicated; the list itself, copying nothing,
+    when it already is canonical (the common case). *)
+
+val mem_sorted : iface_id -> iface_id list -> bool
+(** Membership in a canonical list, stopping at the first larger id. *)
+
+(** {1 Units} *)
 
 val mbps : float -> float
 (** [mbps x] is [x] megabits/s in bits/s. *)

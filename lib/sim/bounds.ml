@@ -30,23 +30,25 @@ let min_line_rate profile ~horizon =
   in
   go 0.0 Float.infinity
 
-let pkt_of_source = function
-  | Scenario.S_backlogged pkt
-  | Scenario.S_finite (_, pkt)
-  | Scenario.S_cbr (_, pkt)
-  | Scenario.S_poisson (_, pkt)
-  | Scenario.S_tb (_, _, pkt) ->
-      pkt
+let pkt_of_source : Netsim.source -> int = function
+  | Backlogged { pkt_size }
+  | Finite { pkt_size; _ }
+  | Cbr { pkt_size; _ }
+  | Poisson { pkt_size; _ }
+  | On_off { pkt_size; _ }
+  | Tb { pkt_size; _ } ->
+      pkt_size
 
 (* Only deterministically bounded sources carry an arrival curve; a
    Poisson source exceeds any affine envelope with probability 1 over an
-   infinite horizon, so it gets none (and its flow no bound). *)
-let arrival_of_source = function
-  | Scenario.S_cbr (rate, pkt) -> Some (Arrival.cbr ~rate_bps:rate ~pkt)
-  | Scenario.S_tb (rate, burst, _) ->
+   infinite horizon, so it gets none (and its flow no bound).  No
+   scenario declares an on/off source, so it gets none either. *)
+let arrival_of_source : Netsim.source -> Curve.t option = function
+  | Cbr { rate; pkt_size; _ } ->
+      Some (Arrival.cbr ~rate_bps:rate ~pkt:pkt_size)
+  | Tb { rate; burst; _ } ->
       Some (Arrival.token_bucket ~rate:(rate /. 8.0) ~burst)
-  | Scenario.S_backlogged _ | Scenario.S_finite _ | Scenario.S_poisson _ ->
-      None
+  | Backlogged _ | Finite _ | Poisson _ | On_off _ -> None
 
 let analyze ?(base_quantum = 1500) ~discipline scn =
   let horizon = Scenario.horizon scn in

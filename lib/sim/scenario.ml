@@ -1,13 +1,6 @@
 open Midrr_core
 module Maxmin = Midrr_flownet.Maxmin
 
-type source_spec =
-  | S_backlogged of int
-  | S_finite of int * int
-  | S_cbr of float * int
-  | S_poisson of float * int
-  | S_tb of float * float * int
-
 type sched_spec =
   | Sched_midrr of int option
   | Sched_drr
@@ -64,7 +57,7 @@ type flow_spec = {
   fs_name : string;
   fs_weight : float;
   fs_ifaces : int list;
-  fs_source : source_spec;
+  fs_source : Netsim.source;
 }
 
 type t = {
@@ -193,30 +186,42 @@ let parse_source lineno tokens =
     | _ -> err lineno "missing or bad pkt="
   in
   if List.mem "backlogged" tokens then
-    Result.map (fun p -> S_backlogged p) (pkt ())
+    Result.map (fun pkt_size -> Netsim.Backlogged { pkt_size }) (pkt ())
   else if List.mem "finite" tokens then
     match Option.bind (field "bytes" tokens) parse_bytes with
-    | Some b when b > 0 -> Result.map (fun p -> S_finite (b, p)) (pkt ())
+    | Some total_bytes when total_bytes > 0 ->
+        Result.map
+          (fun pkt_size -> Netsim.Finite { total_bytes; pkt_size })
+          (pkt ())
     | _ -> err lineno "missing or bad bytes="
   else if List.mem "cbr" tokens then
     match Option.bind (field "rate" tokens) parse_rate with
-    | Some r when r > 0.0 -> Result.map (fun p -> S_cbr (r, p)) (pkt ())
+    | Some rate when rate > 0.0 ->
+        Result.map
+          (fun pkt_size -> Netsim.Cbr { rate; pkt_size; stop = None })
+          (pkt ())
     | _ -> err lineno "missing or bad rate="
   else if List.mem "poisson" tokens then
     match Option.bind (field "rate" tokens) parse_rate with
-    | Some r when r > 0.0 -> Result.map (fun p -> S_poisson (r, p)) (pkt ())
+    | Some rate when rate > 0.0 ->
+        Result.map
+          (fun pkt_size -> Netsim.Poisson { rate; pkt_size; stop = None })
+          (pkt ())
     | _ -> err lineno "missing or bad rate="
   else if List.mem "tb" tokens then
     match
       ( Option.bind (field "rate" tokens) parse_rate,
         Option.bind (field "burst" tokens) parse_bytes )
     with
-    | Some r, Some b when r > 0.0 && b > 0 ->
-        Result.bind (pkt ()) (fun p ->
+    | Some rate, Some b when rate > 0.0 && b > 0 ->
+        Result.bind (pkt ()) (fun pkt_size ->
             (* A burst smaller than one packet would make the source's
                time_until infinite: nothing could ever be sent. *)
-            if b < p then err lineno "tb burst= must be >= pkt="
-            else Ok (S_tb (r, Float.of_int b, p)))
+            if b < pkt_size then err lineno "tb burst= must be >= pkt="
+            else
+              Ok
+                (Netsim.Tb
+                   { rate; burst = Float.of_int b; pkt_size; stop = None }))
     | _ -> err lineno "missing or bad rate=/burst="
   else err lineno "unknown source (want backlogged|finite|cbr|poisson|tb)"
 
@@ -470,18 +475,8 @@ let run ?sink ?metrics ?spans ?ticks ?seed ?engine ?sched t =
   List.iteri
     (fun i fs ->
       Hashtbl.replace ids fs.fs_name i;
-      let source =
-        match fs.fs_source with
-        | S_backlogged pkt -> Netsim.Backlogged { pkt_size = pkt }
-        | S_finite (bytes, pkt) ->
-            Netsim.Finite { total_bytes = bytes; pkt_size = pkt }
-        | S_cbr (rate, pkt) -> Netsim.Cbr { rate; pkt_size = pkt; stop = None }
-        | S_poisson (rate, pkt) ->
-            Netsim.Poisson { rate; pkt_size = pkt; stop = None }
-        | S_tb (rate, burst, pkt) ->
-            Netsim.Tb { rate; burst; pkt_size = pkt; stop = None }
-      in
-      Netsim.add_flow sim i ~weight:fs.fs_weight ~allowed:fs.fs_ifaces source)
+      Netsim.add_flow sim i ~weight:fs.fs_weight ~allowed:fs.fs_ifaces
+        fs.fs_source)
     t.flow_specs;
   let flow_id name =
     match Hashtbl.find_opt ids name with
@@ -548,7 +543,7 @@ let run ?sink ?metrics ?spans ?ticks ?seed ?engine ?sched t =
     List.filter_map
       (fun fs ->
         match fs.fs_source with
-        | S_finite _ ->
+        | Netsim.Finite _ ->
             Option.map
               (fun at -> (fs.fs_name, at))
               (Netsim.completion_time sim (flow_id fs.fs_name))

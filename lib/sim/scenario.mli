@@ -40,22 +40,14 @@
 type t
 (** A parsed scenario. *)
 
-(** What a flow sends, as declared in the file.  [S_cbr (rate, pkt)] and
-    [S_poisson (rate, pkt)] carry the rate in bits/s and the packet size
-    in bytes; [S_tb (rate, burst, pkt)] adds the bucket depth in bytes.
-    Mirrors {!Netsim.source} minus the runtime-only [stop] field. *)
-type source_spec =
-  | S_backlogged of int
-  | S_finite of int * int  (** total bytes, packet size *)
-  | S_cbr of float * int
-  | S_poisson of float * int
-  | S_tb of float * float * int
-
 type flow_spec = {
   fs_name : string;
   fs_weight : float;
   fs_ifaces : int list;
-  fs_source : source_spec;
+  fs_source : Netsim.source;
+      (** what the flow sends, as declared in the file: a
+          [backlogged], [finite], [cbr], [poisson] or [tb] source, with
+          no [stop] (an [at T stop NAME] line removes the flow) *)
 }
 
 (** The scheduling discipline a scenario (or a [--sched] override)

@@ -178,12 +178,18 @@ let mesh_extra =
 
 (* --- the other disciplines ------------------------------------------ *)
 
+let on_engine engine scenario () =
+  Midrr_sim.Scenario.make_sched ~engine (Midrr_sim.Scenario.sched_spec scenario)
+
+let ref_label = "scenario --engine ref"
+
 (* Every other discipline's run of each corpus scenario, pinned the
    same way: `midrr run S --sched D --trace` for the six disciplines
    below, then `midrr run S --engine ref --trace` (the scenario's own
-   directive on the reference engine).  The fixtures predate the
-   simulator's dense slots and counted window, so they check that
-   datapath against the one it replaced. *)
+   directive on the reference engine), a section that the sharded
+   engine at 2 shards must render byte for byte as well.  The fixtures
+   predate the simulator's dense slots and counted window, so they
+   check that datapath against the one it replaced. *)
 let discipline_reports path () =
   check_sections ~suffix:".disciplines.txt" path (fun scenario ->
       List.map
@@ -197,13 +203,22 @@ let discipline_reports path () =
             Sched_edf;
             Sched_lstf;
           ]
-      @ [
-          ( "scenario --engine ref",
-            fun () ->
-              Midrr_sim.Scenario.make_sched
-                ~engine:Midrr_sim.Scenario.Engine_ref
-                (Midrr_sim.Scenario.sched_spec scenario) );
-        ])
+      @ [ (ref_label, on_engine Midrr_sim.Scenario.Engine_ref scenario) ]);
+  let file = Filename.basename path ^ ".disciplines.txt" in
+  let header = Printf.sprintf "== %s ==" ref_label in
+  let rec section = function
+    | [] -> Alcotest.failf "%s: no %s section" file header
+    | line :: _ as lines when String.equal line header ->
+        String.concat "\n" lines
+    | _ :: rest -> section rest
+  in
+  let fixture = In_channel.with_open_bin (golden file) In_channel.input_all in
+  let scenario = load_scenario path in
+  first_divergence (file ^ " under --engine sharded --shards 2")
+    ~golden:(section (String.split_on_char '\n' fixture))
+    ~got:
+      (Format.asprintf "%a" (report_section scenario)
+         (ref_label, on_engine (Midrr_sim.Scenario.Engine_sharded 2) scenario))
 
 (* The other PIFO programs on the 64-flow overload mesh, unbounded and
    with the benchmark's queues, plus round robin with those queues: the

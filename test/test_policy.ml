@@ -1,164 +1,10 @@
-(* Tests for the user-preference policy layer and token-bucket shaping. *)
+(* Tests for token-bucket shaping. *)
 
 open Midrr_core
 
 let close ?(tol = 1e-9) what expected got =
   if Float.abs (expected -. got) > tol then
     Alcotest.failf "%s: expected %.6g, got %.6g" what expected got
-
-let phone_policy () =
-  let p = Policy.create () in
-  Policy.add_iface p ~id:1 ~name:"wlan0" ~classes:[ "wifi" ];
-  Policy.add_iface p ~id:2 ~name:"rmnet0" ~classes:[ "cellular"; "metered" ];
-  Policy.add_app p ~flow:10 ~name:"netflix";
-  Policy.add_app p ~flow:11 ~name:"skype";
-  Policy.add_app p ~flow:12 ~name:"browser";
-  p
-
-(* --- resolution --------------------------------------------------------- *)
-
-let test_policy_resolution () =
-  let p = phone_policy () in
-  Policy.set_rules p
-    [
-      { app = Some "netflix"; ifaces = Only [ "wifi" ]; weight = Some 2.0 };
-      { app = Some "skype"; ifaces = Only [ "cellular" ]; weight = None };
-      { app = None; ifaces = Any; weight = None };
-    ];
-  let netflix = Policy.resolve p "netflix" in
-  close "netflix weight" 2.0 netflix.weight;
-  Alcotest.(check (list int)) "netflix wifi only" [ 1 ] netflix.allowed;
-  let skype = Policy.resolve p "skype" in
-  Alcotest.(check (list int)) "skype cellular" [ 2 ] skype.allowed;
-  let browser = Policy.resolve p "browser" in
-  Alcotest.(check (list int)) "browser anywhere" [ 1; 2 ] browser.allowed
-
-let test_policy_first_match_wins () =
-  let p = phone_policy () in
-  Policy.set_rules p
-    [
-      { app = Some "netflix"; ifaces = Only [ "wifi" ]; weight = Some 2.0 };
-      { app = Some "netflix"; ifaces = Any; weight = Some 9.0 };
-    ];
-  close "first rule" 2.0 (Policy.resolve p "netflix").weight
-
-let test_policy_except () =
-  let p = phone_policy () in
-  Policy.set_rules p
-    [ { app = None; ifaces = Except [ "metered" ]; weight = None } ];
-  Alcotest.(check (list int)) "avoid metered" [ 1 ]
-    (Policy.resolve p "browser").allowed
-
-let test_policy_by_iface_name () =
-  let p = phone_policy () in
-  Policy.set_rules p
-    [ { app = None; ifaces = Only [ "rmnet0" ]; weight = None } ];
-  Alcotest.(check (list int)) "by device name" [ 2 ]
-    (Policy.resolve p "browser").allowed
-
-let test_policy_unmatched_app_gets_nothing () =
-  let p = phone_policy () in
-  Policy.set_rules p
-    [ { app = Some "netflix"; ifaces = Any; weight = None } ];
-  Alcotest.(check (list int)) "no rule, no interfaces" []
-    (Policy.resolve p "skype").allowed
-
-let test_policy_apply_to_scheduler () =
-  let p = phone_policy () in
-  Policy.set_rules p
-    [
-      { app = Some "netflix"; ifaces = Only [ "wifi" ]; weight = Some 2.0 };
-      { app = None; ifaces = Any; weight = None };
-    ];
-  let m = Midrr.create () in
-  let sched = Midrr.packed m in
-  Drr_engine.add_iface m 1;
-  Drr_engine.add_iface m 2;
-  Policy.apply p sched;
-  Alcotest.(check bool) "netflix registered" true (Drr_engine.has_flow m 10);
-  close "netflix quantum doubled" 3000.0 (Drr_engine.quantum m 10);
-  (* Netflix packets never appear on cellular. *)
-  ignore (Drr_engine.enqueue m (Packet.create ~flow:10 ~size:500 ~arrival:0.0));
-  Alcotest.(check bool) "not on cellular" true (Drr_engine.next_packet m 2 = None);
-  Alcotest.(check bool) "on wifi" true (Drr_engine.next_packet m 1 <> None);
-  (* Re-applying after a rule change updates rather than duplicates. *)
-  Policy.set_rules p [ { app = None; ifaces = Any; weight = None } ];
-  Policy.apply p sched;
-  close "weight reset" 1500.0 (Drr_engine.quantum m 10)
-
-let test_policy_validation () =
-  let p = phone_policy () in
-  Alcotest.check_raises "dup iface id"
-    (Invalid_argument "Policy.add_iface: duplicate id") (fun () ->
-      Policy.add_iface p ~id:1 ~name:"other" ~classes:[]);
-  Alcotest.check_raises "dup iface name"
-    (Invalid_argument "Policy.add_iface: duplicate name") (fun () ->
-      Policy.add_iface p ~id:9 ~name:"wlan0" ~classes:[]);
-  Alcotest.check_raises "dup app"
-    (Invalid_argument "Policy.add_app: duplicate app") (fun () ->
-      Policy.add_app p ~flow:99 ~name:"netflix")
-
-(* --- config parsing -------------------------------------------------------- *)
-
-let config_text =
-  {|
-# phone policy
-netflix : ifaces=wifi weight=2
-skype   : ifaces=cellular
-updates : ifaces=!metered
-*       : ifaces=any
-|}
-
-let test_parse_rules () =
-  match Policy.parse_rules config_text with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok rules ->
-      Alcotest.(check int) "four rules" 4 (List.length rules);
-      (match rules with
-      | first :: _ ->
-          Alcotest.(check (option string)) "app" (Some "netflix") first.app;
-          close "weight" 2.0 (Option.get first.weight)
-      | [] -> Alcotest.fail "no rules");
-      let last = List.nth rules 3 in
-      Alcotest.(check (option string)) "wildcard" None last.app
-
-let test_parse_roundtrip () =
-  match Policy.parse_rules config_text with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok rules -> (
-      let text' =
-        String.concat "\n" (List.map Policy.rule_to_string rules)
-      in
-      match Policy.parse_rules text' with
-      | Error e -> Alcotest.failf "reparse failed: %s" e
-      | Ok rules' ->
-          Alcotest.(check int) "same count" (List.length rules)
-            (List.length rules'))
-
-let test_parse_errors () =
-  let check_err text =
-    match Policy.parse_rules text with
-    | Ok _ -> Alcotest.failf "expected error for %S" text
-    | Error _ -> ()
-  in
-  check_err "netflix ifaces=wifi";
-  check_err "netflix : weight=2";
-  check_err "netflix : ifaces=wifi weight=-1";
-  check_err "netflix : ifaces=wifi,!cellular";
-  check_err ": ifaces=any"
-
-let test_parse_applies_end_to_end () =
-  let p = phone_policy () in
-  (match Policy.parse_rules config_text with
-  | Ok rules -> Policy.set_rules p rules
-  | Error e -> Alcotest.failf "parse: %s" e);
-  Alcotest.(check (list int)) "netflix wifi" [ 1 ]
-    (Policy.resolve p "netflix").allowed;
-  (* "updates" has no app binding but resolves against the rules anyway. *)
-  Alcotest.(check (list int)) "updates avoid metered" [ 1 ]
-    (Policy.resolve p "updates").allowed
-
-(* --- token bucket ------------------------------------------------------------ *)
 
 let test_bucket_starts_full () =
   let b = Tokenbucket.create ~rate:1000.0 ~burst:5000.0 in
@@ -218,29 +64,8 @@ let test_bucket_set_rate () =
   close "slower refill" 500.0 (Tokenbucket.available b ~now:1.0)
 
 let () =
-  Alcotest.run "policy"
+  Alcotest.run "tokenbucket"
     [
-      ( "resolution",
-        [
-          Alcotest.test_case "basic rules" `Quick test_policy_resolution;
-          Alcotest.test_case "first match wins" `Quick
-            test_policy_first_match_wins;
-          Alcotest.test_case "except classes" `Quick test_policy_except;
-          Alcotest.test_case "by interface name" `Quick
-            test_policy_by_iface_name;
-          Alcotest.test_case "unmatched app" `Quick
-            test_policy_unmatched_app_gets_nothing;
-          Alcotest.test_case "apply to scheduler" `Quick
-            test_policy_apply_to_scheduler;
-          Alcotest.test_case "validation" `Quick test_policy_validation;
-        ] );
-      ( "config",
-        [
-          Alcotest.test_case "parse" `Quick test_parse_rules;
-          Alcotest.test_case "roundtrip" `Quick test_parse_roundtrip;
-          Alcotest.test_case "errors" `Quick test_parse_errors;
-          Alcotest.test_case "end to end" `Quick test_parse_applies_end_to_end;
-        ] );
       ( "tokenbucket",
         [
           Alcotest.test_case "starts full" `Quick test_bucket_starts_full;

@@ -474,47 +474,6 @@ let prop_chunk_plan =
       && List.fold_left (fun acc (r : Midrr_http.Chunk.range) -> acc + r.length) 0 plan
          = total)
 
-(* Policy rules survive a print/parse round trip. *)
-let prop_policy_roundtrip =
-  let label_gen =
-    QCheck.Gen.(oneofl [ "wifi"; "cellular"; "metered"; "wlan0"; "rmnet0" ])
-  in
-  let spec_gen =
-    QCheck.Gen.(
-      oneof
-        [
-          return Policy.Any;
-          map (fun ls -> Policy.Only ls) (list_size (int_range 1 3) label_gen);
-          map (fun ls -> Policy.Except ls) (list_size (int_range 1 3) label_gen);
-        ])
-  in
-  let rule_gen =
-    QCheck.Gen.(
-      let* app = opt (oneofl [ "netflix"; "skype"; "maps" ]) in
-      let* ifaces = spec_gen in
-      let* weight = opt (float_range 0.5 9.0) in
-      return { Policy.app; ifaces; weight })
-  in
-  QCheck.Test.make ~count:200 ~name:"policy rules roundtrip through text"
-    (QCheck.make
-       ~print:(fun rs -> String.concat "\n" (List.map Policy.rule_to_string rs))
-       QCheck.Gen.(list_size (int_range 0 6) rule_gen))
-    (fun rules ->
-      let text = String.concat "\n" (List.map Policy.rule_to_string rules) in
-      match Policy.parse_rules text with
-      | Error _ -> false
-      | Ok rules' ->
-          List.length rules = List.length rules'
-          && List.for_all2
-               (fun (a : Policy.rule) (b : Policy.rule) ->
-                 a.app = b.app && a.ifaces = b.ifaces
-                 &&
-                 match (a.weight, b.weight) with
-                 | None, None -> true
-                 | Some x, Some y -> Float.abs (x -. y) < 1e-4
-                 | _ -> false)
-               rules rules')
-
 (* Token bucket long-run conservation: total consumption over any op
    sequence never exceeds burst + rate * elapsed. *)
 let prop_tokenbucket_conservation =
@@ -1013,7 +972,6 @@ let () =
             prop_ring_model;
             prop_pktqueue_capacity;
             prop_chunk_plan;
-            prop_policy_roundtrip;
             prop_tokenbucket_conservation;
             prop_tokenbucket_available_monotone;
             prop_tokenbucket_time_until_consistent;

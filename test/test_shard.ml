@@ -516,7 +516,21 @@ let strict_conflicts () =
     (Invalid_argument
        "Shard_engine.add_flow: preference spans components bound to \
         different shards (strict mode)") (fun () ->
-      Shard_engine.add_flow t ~flow:2 ~weight:1.0 ~allowed:[ 0; 1 ])
+      Shard_engine.add_flow t ~flow:2 ~weight:1.0 ~allowed:[ 0; 1 ]);
+  (* A refused preference change leaves the partition as it was: the
+     pending interface 2 listed ahead of the conflict stays unbound and
+     answers as the single engine does. *)
+  Shard_engine.add_iface t 2;
+  Alcotest.check_raises "strict set_allowed raises"
+    (Invalid_argument
+       "Shard_engine.set_allowed: preference spans components bound to \
+        different shards (strict mode)") (fun () ->
+      Shard_engine.set_allowed t 0 [ 2; 1 ]);
+  Alcotest.(check int) "refused interface unbound" (-1)
+    (Shard_engine.shard_of_iface t 2);
+  Alcotest.(check bool)
+    "refused interface serves nothing" true
+    (Option.is_none (Shard_engine.next_packet t 2))
 
 (* --- per-shard metrics collection ---------------------------------------- *)
 
@@ -563,18 +577,17 @@ let metrics_merge () =
 
 (* --- inline allocation ---------------------------------------------------- *)
 
-(* [apply] runs an op on the caller's domain: routing it and applying it
-   to the owning sub-engine allocates the packet of an enqueue and a few
-   words of routing, never per-op worker accounting (a fresh one read
-   about 420 words per op). *)
+(* [apply] runs an op on the caller's domain: routing it to the owning
+   sub-engine must allocate nothing beyond what the fast engine
+   allocates when driven directly on the same ops (the packet of an
+   enqueue). *)
 let apply_words_per_op () =
   let n_flows = 64 and n_ops = 20_000 in
-  let t = Shard_engine.create ~shards:2 Drr_engine.Service_flags in
-  Shard_engine.apply t (Shard_engine.Op_add_iface 0);
-  for flow = 0 to n_flows - 1 do
-    Shard_engine.apply t
-      (Shard_engine.Op_add_flow { flow; weight = 1.0; allowed = [ 0 ] })
-  done;
+  let setup =
+    Shard_engine.Op_add_iface 0
+    :: List.init n_flows (fun flow ->
+           Shard_engine.Op_add_flow { flow; weight = 1.0; allowed = [ 0 ] })
+  in
   let ops =
     Array.init n_ops (fun i ->
         if i mod 2 = 0 then
@@ -582,17 +595,44 @@ let apply_words_per_op () =
             { flow = i / 2 mod n_flows; size = 1000; arrival = 0.0 }
         else Shard_engine.Op_serve { iface = 0; budget = 1 })
   in
-  Array.iter (Shard_engine.apply t) ops;
-  let before = Gc.minor_words () in
-  Array.iter (Shard_engine.apply t) ops;
-  let per_op = (Gc.minor_words () -. before) /. Float.of_int n_ops in
-  for flow = 0 to n_flows - 1 do
-    Alcotest.(check int) "every packet served" 0
-      (Shard_engine.backlog_packets t flow)
-  done;
-  Printf.printf "apply: %.2f minor words per op\n" per_op;
-  if per_op > 16.0 then
-    Alcotest.failf "apply: %.2f minor words per op (bound 16)" per_op
+  (* The same ops on one fast engine, as a platform would drive it. *)
+  let direct e = function
+    | Shard_engine.Op_enqueue { flow; size; arrival } ->
+        ignore (Drr_engine.enqueue e (Packet.create ~flow ~size ~arrival))
+    | Shard_engine.Op_serve { iface; budget } ->
+        let k = ref 0 in
+        while !k < budget do
+          incr k;
+          if Packet.is_none (Drr_engine.next_packet_noalloc e iface) then
+            k := budget
+        done
+    | op -> wapply_single e op
+  in
+  let words_per_op run =
+    Array.iter run ops;
+    let before = Gc.minor_words () in
+    Array.iter run ops;
+    (Gc.minor_words () -. before) /. Float.of_int n_ops
+  in
+  let t = Shard_engine.create ~shards:2 Drr_engine.Service_flags in
+  List.iter (Shard_engine.apply t) setup;
+  let per_op = words_per_op (Shard_engine.apply t) in
+  let e = Drr_engine.create Drr_engine.Service_flags in
+  List.iter (wapply_single e) setup;
+  let engine_per_op = words_per_op (direct e) in
+  let backlog packets =
+    List.fold_left (fun acc flow -> acc + packets flow) 0
+      (List.init n_flows Fun.id)
+  in
+  Alcotest.(check int) "every packet served" 0
+    (backlog (Shard_engine.backlog_packets t));
+  Alcotest.(check int) "every packet served directly" 0
+    (backlog (Drr_engine.backlog_packets e));
+  Printf.printf "apply: %.2f minor words per op, the engine directly %.2f\n"
+    per_op engine_per_op;
+  if per_op > engine_per_op +. 0.01 then
+    Alcotest.failf "apply: %.2f minor words per op, %.2f above the engine's %.2f"
+      per_op (per_op -. engine_per_op) engine_per_op
 
 (* --- suite ---------------------------------------------------------------- *)
 
