@@ -174,29 +174,6 @@ let name t =
 
 (* --- dense slot plumbing ---------------------------------------------- *)
 
-let next_pow2_above cap wanted =
-  let n = ref (Stdlib.max 8 (2 * cap)) in
-  while wanted >= !n do
-    n := 2 * !n
-  done;
-  !n
-
-let grow_flow_slots t f =
-  let cap = Array.length t.t_flow_slots in
-  if f >= cap then begin
-    let a = Array.make (next_pow2_above cap f) nil_flow in
-    Array.blit t.t_flow_slots 0 a 0 cap;
-    t.t_flow_slots <- a
-  end
-
-let grow_iface_slots t j =
-  let cap = Array.length t.t_iface_slots in
-  if j >= cap then begin
-    let a = Array.make (next_pow2_above cap j) None in
-    Array.blit t.t_iface_slots 0 a 0 cap;
-    t.t_iface_slots <- a
-  end
-
 (* [nil_flow] when the id has no flow. *)
 let flow_slot t f =
   if f >= 0 && f < Array.length t.t_flow_slots then t.t_flow_slots.(f)
@@ -296,7 +273,7 @@ let has_iface t j = Option.is_some (iface_slot t j)
 let add_iface t j =
   if j < 0 then invalid_arg "Drr_engine.add_iface: negative interface id";
   if has_iface t j then invalid_arg "Drr_engine.add_iface: duplicate";
-  grow_iface_slots t j;
+  t.t_iface_slots <- Int_tbl.grow t.t_iface_slots j None;
   let ifc = { i_id = j; i_ring = Active_ring.create (); i_cursor = nil } in
   t.t_iface_slots.(j) <- Some ifc;
   (* Link every flow that already listed this interface in its preference;
@@ -355,7 +332,7 @@ let add_flow t ~flow ~weight ~allowed =
   if flow < 0 then invalid_arg "Drr_engine.add_flow: negative flow id";
   if has_flow t flow then invalid_arg "Drr_engine.add_flow: duplicate";
   if not (weight > 0.0) then invalid_arg "Drr_engine.add_flow: weight <= 0";
-  grow_flow_slots t flow;
+  t.t_flow_slots <- Int_tbl.grow t.t_flow_slots flow nil_flow;
   let allowed = Types.canonical allowed in
   let fs =
     {

@@ -2,7 +2,7 @@ let grow slots id nil =
   let cap = Array.length slots in
   if id < cap then slots
   else begin
-    let a = Array.make (Stdlib.max (id + 1) (2 * cap)) nil in
+    let a = Array.make (id + 1 + cap) nil in
     Array.blit slots 0 a 0 cap;
     a
   end

@@ -6,9 +6,10 @@
 
 val grow : 'a array -> int -> 'a -> 'a array
 (** [grow slots id nil] is [slots] when it has a slot for [id], and
-    otherwise a copy grown to at least [id + 1] slots and at least twice
-    the length, the new slots holding [nil].  [id] must be
-    non-negative. *)
+    otherwise a copy grown to [id + 1] slots plus the old length, the new
+    slots holding [nil].  Dense ascending ids still at least double the
+    length, while a sparse first id (4096, say) costs about [id] slots,
+    not the next doubling past it.  [id] must be non-negative. *)
 
 (** Option slots, [None] for an id never set. *)
 module Slots : sig

@@ -350,7 +350,6 @@ module Replay = struct
 
       let floor_rank _ ~iface:_ = neg_infinity
       let skip_rank _ ~flow:_ ~iface:_ = 0.0
-      let admit _ _ ~backlog:_ = true
 
       let on_service t ~flow ~iface ~weight:_ ~size:_ ~rank:_ =
         match Hashtbl.find_opt t.pending iface with

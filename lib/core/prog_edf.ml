@@ -20,7 +20,6 @@ module P = struct
 
   let floor_rank () ~iface:_ = neg_infinity
   let skip_rank () ~flow:_ ~iface:_ = 0.0
-  let admit () _ ~backlog:_ = true
   let on_service () ~flow:_ ~iface:_ ~weight:_ ~size:_ ~rank:_ = ()
 
   (* The queue is FIFO, so the head — and with it the rank — changes

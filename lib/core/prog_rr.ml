@@ -20,7 +20,6 @@ module P = struct
   let rank t ~flow:_ ~iface ~weight:_ ~head:_ ~backlog:_ = next_pos t iface
   let floor_rank _ ~iface:_ = neg_infinity
   let skip_rank t ~flow:_ ~iface = next_pos t iface
-  let admit _ _ ~backlog:_ = true
   let on_service _ ~flow:_ ~iface:_ ~weight:_ ~size:_ ~rank:_ = ()
   let rerank_on_enqueue = false
   let rerank_after_service = `Served_iface

@@ -12,7 +12,6 @@ module P = struct
   let rank () ~flow:_ ~iface:_ ~weight ~head:_ ~backlog:_ = -.weight
   let floor_rank () ~iface:_ = neg_infinity
   let skip_rank () ~flow:_ ~iface:_ = 0.0
-  let admit () _ ~backlog:_ = true
   let on_service () ~flow:_ ~iface:_ ~weight:_ ~size:_ ~rank:_ = ()
   let rerank_on_enqueue = false
   let rerank_after_service = `Served_iface

@@ -41,7 +41,6 @@ module P = struct
     if iface < Array.length t.vtimes then !(t.vtimes.(iface)) else neg_infinity
 
   let skip_rank _ ~flow:_ ~iface:_ = 0.0
-  let admit _ _ ~backlog:_ = true
 
   (* Only an online interface serves, and only a registered flow: both
      have their slots ([on_iface_add], [on_flow_add]). *)

@@ -39,7 +39,6 @@ module type PROG = sig
 
   val floor_rank : t -> iface:Types.iface_id -> float
   val skip_rank : t -> flow:Types.flow_id -> iface:Types.iface_id -> float
-  val admit : t -> Packet.t -> backlog:int -> bool
 
   val on_service :
     t ->
@@ -306,8 +305,6 @@ module Make (P : PROG) = struct
   let enqueue t (p : Packet.t) =
     let fs = flow_slot t p.flow in
     if fs == nil_flow then drop t p
-    else if not (P.admit t.prog p ~backlog:(Pktqueue.backlog_bytes fs.queue))
-    then drop t p
     else begin
       let was_empty = Pktqueue.is_empty fs.queue in
       let accepted = Pktqueue.push fs.queue p in

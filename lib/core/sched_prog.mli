@@ -69,10 +69,6 @@ module type PROG = sig
   (** [`All_flows] only: the new rank for an ineligible flow the
       interface just passed over (round robin: "move to the back"). *)
 
-  val admit : t -> Packet.t -> backlog:int -> bool
-  (** Admission control, consulted before the flow's queue; a rejected
-      packet is dropped (and counted as such on the event stream). *)
-
   val on_service :
     t ->
     flow:Types.flow_id ->

@@ -84,6 +84,8 @@ type t = {
   mutable t_mat : bool array;  (* lives in its shard's sub-engine *)
   mutable t_flow_shard : int array;  (* home shard per flow id; -1 *)
   t_counts : int array;  (* flows homed per shard *)
+  t_stamp : int array;  (* per shard: [t_epoch] when [home_for] marked it *)
+  mutable t_epoch : int;
   mutable t_conflicts : int;
   mutable t_pending : Types.iface_id list;
       (* pending interfaces the last routed op's shard must add first;
@@ -111,6 +113,8 @@ let create ?base_quantum ?queue_capacity ?flag_policy ?counter_max
     t_mat = [||];
     t_flow_shard = [||];
     t_counts = Array.make shards 0;
+    t_stamp = Array.make shards 0;
+    t_epoch = 0;
     t_conflicts = 0;
     t_pending = [];
     t_sink = None;
@@ -184,58 +188,78 @@ let claim t s j =
     t.t_pending <- j :: t.t_pending
   end
 
+(* [home_for]'s walks over Π_i, top-level so that a registration
+   allocates only the pending interfaces it claims. *)
+
+(* Grow the partition to every interface of [allowed] and mark in
+   [t_stamp] the distinct shards its components are bound to; [n] plus
+   the number of shards newly marked. *)
+let rec mark_bound t n = function
+  | [] -> n
+  | j :: rest ->
+      if j < 0 then mark_bound t n rest
+      else begin
+        grow_ifaces t j;
+        let b = binding t j in
+        if b < 0 || Int.equal t.t_stamp.(b) t.t_epoch then mark_bound t n rest
+        else begin
+          t.t_stamp.(b) <- t.t_epoch;
+          mark_bound t (n + 1) rest
+        end
+      end
+
+(* The [k]-th marked shard from [s], ascending. *)
+let rec nth_marked t s k =
+  if not (Int.equal t.t_stamp.(s) t.t_epoch) then nth_marked t (s + 1) k
+  else if Int.equal k 0 then s
+  else nth_marked t (s + 1) (k - 1)
+
+(* The canonical root: the component of the first interface in Π_i
+   order; [-1] when there is none. *)
+let rec first_root t = function
+  | [] -> -1
+  | j :: rest -> if j < 0 then first_root t rest else find t j
+
+(* Settle the components of [allowed] for a flow homed on [s]: union
+   each into [canon]'s, or, with no [canon] ([-1], the non-separable
+   fallback), bind the still-unbound ones to [s] and leave the bound
+   ones as they are, so the flow can at least use those interfaces
+   there.  Then claim the interface, in Π_i order. *)
+let rec settle t canon s = function
+  | [] -> ()
+  | j :: rest ->
+      if j >= 0 then begin
+        let r = find t j in
+        if canon >= 0 then begin
+          if not (Int.equal r canon) then t.t_parent.(r) <- canon
+        end
+        else if t.t_binding.(r) < 0 then t.t_binding.(r) <- s;
+        claim t s j
+      end;
+      settle t canon s rest
+
 (* Decide the home shard of a new flow whose preference is [allowed]
    (negative ids are kept out of the partition; the sub-engine ignores
    them like the single engine does).  Updates the union-find and
    bindings, and leaves the interfaces to add first in [t_pending]. *)
 let home_for t ~flow allowed =
-  let roots = ref [] in
-  List.iter
-    (fun j ->
-      if j >= 0 then begin
-        grow_ifaces t j;
-        let r = find t j in
-        if not (List.exists (Int.equal r) !roots) then roots := r :: !roots
-      end)
-    allowed;
-  let roots = List.rev !roots in
-  let bound =
-    List.sort_uniq Int.compare
-      (List.filter_map
-         (fun r ->
-           let b = t.t_binding.(r) in
-           if b >= 0 then Some b else None)
-         roots)
+  t.t_epoch <- t.t_epoch + 1;
+  let bound = mark_bound t 0 allowed in
+  if bound >= 2 then begin
+    if t.t_strict then
+      invalid_arg
+        "Shard_engine.add_flow: preference spans components bound to \
+         different shards (strict mode)";
+    t.t_conflicts <- t.t_conflicts + 1
+  end;
+  let home =
+    if Int.equal bound 0 then least_loaded t
+    else nth_marked t 0 (flow mod bound)
   in
-  let separable, home =
-    match bound with
-    | [] -> (true, least_loaded t)
-    | [ s ] -> (true, s)
-    | _ :: _ :: _ ->
-        if t.t_strict then
-          invalid_arg
-            "Shard_engine.add_flow: preference spans components bound to \
-             different shards (strict mode)";
-        t.t_conflicts <- t.t_conflicts + 1;
-        (false, List.nth bound (flow mod List.length bound))
-  in
-  if separable then begin
-    (* Union every component of the preference into one, bound to
-       [home]. *)
-    match roots with
-    | [] -> ()
-    | canon :: rest ->
-        List.iter (fun r -> t.t_parent.(r) <- canon) rest;
-        t.t_binding.(canon) <- home
-  end
-  else
-    (* Non-separable fallback: leave the bound components as they are,
-       but claim the still-unbound ones for the home shard so the flow
-       can at least use those interfaces there. *)
-    List.iter
-      (fun r -> if t.t_binding.(r) < 0 then t.t_binding.(r) <- home)
-      roots;
-  List.iter (fun j -> if j >= 0 then claim t home j) allowed;
+  (* separable: one component, rooted at the first interface's *)
+  let canon = if bound <= 1 then first_root t allowed else -1 in
+  if canon >= 0 then t.t_binding.(canon) <- home;
+  settle t canon home allowed;
   t.t_pending <- List.rev t.t_pending;
   home
 
@@ -498,11 +522,11 @@ type msg =
 (* [fold_iface_events:false] is the shard-side variant: interface
    up/down is partition-layer state whose events straddle folds (a
    pending interface's up is emitted at the router, its materialized
-   down at a shard), and Busmetrics tracks up-ness with a per-registry
-   bitmask that would drop the unpaired half.  The router folds every
-   interface transition itself — it sees the full stream in global
-   order — so the shard folds must skip them (they still record them,
-   the canonical event stream is unaffected). *)
+   down at a shard), and Busmetrics keeps one up flag per interface in
+   each fold, which would count the unpaired half wrongly.  The router
+   folds every interface transition itself — it sees the full stream in
+   global order — so the shard folds must skip them (they still record
+   them, the canonical event stream is unaffected). *)
 let make_run_sink ~record ?(fold_iface_events = true) st bm =
   let fold =
     match bm with

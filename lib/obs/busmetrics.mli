@@ -8,7 +8,8 @@
     - gauges: total queue occupancy in packets and bytes, active flows,
       interfaces up, and per-interface queue occupancy (the summed
       backlog of the flows associated with each interface, the
-      association learned from [Turn]/[Serve] events);
+      association learned from [Turn]/[Serve] events; it covers
+      interface ids 0..61, and higher ids read 0);
     - histograms: enqueue-to-service delay, aggregate, per-interface
       and per-flow, as streaming log-bucket sketches (1 us floor, 5%
       buckets).  Delays are taken at 1 ns resolution: the [n]-th
@@ -17,10 +18,11 @@
       forgets the flow's unserved enqueues.  A [Serve] with no pending
       enqueue (fold attached mid-run) counts in the sketches' NaN cell.
 
-    The steady-state [on_event] path allocates nothing (R7-checked):
-    state lives in preallocated int/float arrays, and gauge values are
-    mirrored as exact ints, written to the registry's float gauges only
-    by [publish].  Call [publish] before exporting. *)
+    The steady-state [on_event] path allocates nothing (R7-checked): it
+    keeps one record per flow id and one per interface id, and updates
+    no gauge.  Gauge values are derived from those records by [publish],
+    which writes them to the registry's float gauges, and by the
+    accessors below.  Call [publish] before exporting. *)
 
 module Log_histogram = Midrr_stats.Log_histogram
 
@@ -36,11 +38,14 @@ val on_event : t -> time:float -> Event.record -> unit
 val sink : t -> Sink.t
 
 val publish : t -> unit
-(** Write the current gauge mirrors (queue occupancy, active flows,
-    interfaces up, per-interface occupancy) into the registry so
-    exporters see fresh values.  Cold path. *)
+(** Derive the current gauges (queue occupancy, active flows,
+    interfaces up, per-interface occupancy) and write them into the
+    registry so exporters see fresh values.  Cold path: one pass over
+    the flow and interface records. *)
 
-(** Exact current values, straight from the int mirrors: *)
+(** Exact current values, derived from the records in O(flows) (the
+    interface counts in O(interfaces)); [iface_serves] reads the
+    registry counter [iface<j>_serves]: *)
 
 val queue_packets : t -> int
 val queue_bytes : t -> int

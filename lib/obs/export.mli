@@ -8,7 +8,8 @@
     [midrr_].
 
     When the registry is fed by a {!Busmetrics} fold, call
-    [Busmetrics.publish] first so gauges reflect the mirrors. *)
+    [Busmetrics.publish] first so the gauges hold the values it derives
+    from its records. *)
 
 val sanitize : string -> string
 

@@ -311,6 +311,31 @@ let fig1_table () =
     (Format.asprintf "%a@." Midrr_experiments.Fig1.print
        (Midrr_experiments.Fig1.run ()))
 
+(* --- the telemetry plane ------------------------------------------------- *)
+
+(* What `midrr run S --metrics F --metrics-interval 5 --top` writes: the
+   fold's [--top] snapshot at every 5 s tick, as an MD5 (the stream runs
+   to hundreds of lines), then the final snapshot's MD5 and the final
+   Prometheus file in full.  Recorded before the fold derived its gauges
+   at publish instead of mirroring them per event. *)
+let telemetry path () =
+  let scenario = load_scenario path in
+  let bm = Midrr_obs.Busmetrics.create () in
+  let reg = Midrr_obs.Busmetrics.registry bm in
+  let out = Buffer.create 4096 in
+  let top () =
+    Midrr_obs.Busmetrics.publish bm;
+    Digest.to_hex
+      (Digest.string (Format.asprintf "%a" Midrr_obs.Export.pp_top reg))
+  in
+  let tick ~time = Printf.bprintf out "t=%.3f top md5 %s\n" time (top ()) in
+  ignore
+    (Midrr_sim.Scenario.run ~metrics:bm ~ticks:(5.0, tick) scenario
+      : Midrr_sim.Scenario.report);
+  Printf.bprintf out "final top md5 %s\n%s" (top ())
+    (Midrr_obs.Export.prometheus_string reg);
+  check_golden (Filename.basename path ^ ".telemetry.txt") (Buffer.contents out)
+
 let corpus =
   List.map corpus_scenario
     [
@@ -346,6 +371,17 @@ let () =
             Alcotest.test_case "mesh64.scn programs" `Slow mesh_programs;
             Alcotest.test_case "netsim queues under the window" `Quick
               capacity_window;
+          ] );
+      ( "telemetry",
+        List.map
+          (fun path ->
+            Alcotest.test_case
+              (Filename.basename path ^ " metrics and top")
+              `Quick (telemetry path))
+          corpus
+        @ [
+            Alcotest.test_case "mesh64.scn metrics and top" `Slow
+              (telemetry (golden "mesh64.scn"));
           ] );
       ( "fig6 trace",
         [

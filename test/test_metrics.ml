@@ -150,7 +150,7 @@ let test_busmetrics_fold () =
   Alcotest.(check int) "delay samples" 2 (Log_histogram.count d);
   close ~tol:1e-6 "min delay" 1.0 (Log_histogram.min_value d);
   close ~tol:1e-6 "max delay" 2.0 (Log_histogram.max_value d);
-  (* publish pushes int mirrors into the float gauges *)
+  (* publish writes the values derived from the fold's records *)
   Busmetrics.publish m;
   close "published packets gauge" 1.0
     (Metrics.gauge_value r (Metrics.gauge r "queue_packets"));
@@ -308,6 +308,169 @@ let test_busmetrics_flow_delay () =
     "registered sketches"
     [ "delay_seconds"; "iface0_delay_seconds"; "iface1_delay_seconds" ]
     (List.map fst (Metrics.histograms (Busmetrics.registry m)))
+
+(* --- busmetrics against a replayed model --------------------------------- *)
+
+(* Random event streams over flows 0..9 and interfaces 0..65.  Ids past
+   61 do not fit a flow's association mask, so their occupancy reads 0.
+   Every stream opens with a Serve before any Enqueue, a Flow_remove
+   with a backlog and a re-registered id.  After every event the fold's
+   values must equal those of a model replaying the stream, and after
+   the stream [publish] must write them to the registry. *)
+let model_flows = 10
+let model_ifaces = 66
+let mask_ifaces = 62
+
+let gen_event =
+  let open QCheck.Gen in
+  let flow = int_bound (model_flows - 1)
+  and iface = int_bound (model_ifaces - 1)
+  and bytes = int_range 1 1500 in
+  frequency
+    [
+      (6, map2 (fun flow bytes -> Event.Enqueue { flow; bytes }) flow bytes);
+      ( 6,
+        map3
+          (fun flow iface bytes ->
+            Event.Serve { flow; iface; bytes; deficit = 0.0 })
+          flow iface bytes );
+      (1, map2 (fun flow bytes -> Event.Drop { flow; bytes }) flow bytes);
+      (2, map2 (fun flow iface -> Event.Turn { flow; iface }) flow iface);
+      (1, map2 (fun flow iface -> Event.Flag_reset { flow; iface }) flow iface);
+      ( 1,
+        map3
+          (fun flow iface bytes -> Event.Complete { flow; iface; bytes })
+          flow iface bytes );
+      (1, map (fun iface -> Event.Iface_up { iface }) iface);
+      (1, map (fun iface -> Event.Iface_down { iface }) iface);
+      (2, map (fun flow -> Event.Flow_add { flow; weight = 1.0 }) flow);
+      (1, map (fun flow -> Event.Flow_remove { flow }) flow);
+      (1, map (fun flow -> Event.Weight_change { flow; weight = 2.0 }) flow);
+    ]
+
+let preamble =
+  Event.
+    [
+      Serve { flow = 0; iface = 63; bytes = 100; deficit = 0.0 };
+      Flow_add { flow = 1; weight = 1.0 };
+      Enqueue { flow = 1; bytes = 500 };
+      Enqueue { flow = 1; bytes = 700 };
+      Turn { flow = 1; iface = 4 };
+      Flow_remove { flow = 1 };
+      Flow_add { flow = 1; weight = 1.0 };
+    ]
+
+type model = {
+  backlog : int array;
+  qbytes : int array;
+  assoc : bool array array; (* flow, interface *)
+  active : bool array;
+  up : bool array;
+  seen : bool array; (* interfaces the stream named *)
+}
+
+let model_step m (ev : Event.t) =
+  let associate flow iface =
+    m.seen.(iface) <- true;
+    if iface < mask_ifaces then m.assoc.(flow).(iface) <- true
+  in
+  match ev with
+  | Enqueue { flow; bytes } ->
+      m.backlog.(flow) <- m.backlog.(flow) + 1;
+      m.qbytes.(flow) <- m.qbytes.(flow) + bytes
+  | Serve { flow; iface; bytes; _ } ->
+      associate flow iface;
+      if m.backlog.(flow) > 0 then begin
+        m.backlog.(flow) <- m.backlog.(flow) - 1;
+        m.qbytes.(flow) <- m.qbytes.(flow) - bytes
+      end
+  | Turn { flow; iface } -> associate flow iface
+  | Complete { iface; _ } -> m.seen.(iface) <- true
+  | Iface_up { iface } ->
+      m.seen.(iface) <- true;
+      m.up.(iface) <- true
+  | Iface_down { iface } ->
+      m.seen.(iface) <- true;
+      m.up.(iface) <- false
+  | Flow_add { flow; _ } -> m.active.(flow) <- true
+  | Flow_remove { flow } ->
+      m.active.(flow) <- false;
+      m.backlog.(flow) <- 0;
+      m.qbytes.(flow) <- 0;
+      Array.fill m.assoc.(flow) 0 model_ifaces false
+  | Drop _ | Flag_reset _ | Weight_change _ -> ()
+
+let sum a = Array.fold_left ( + ) 0 a
+let count a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a
+
+let model_occupancy m j =
+  let n = ref 0 in
+  for f = 0 to model_flows - 1 do
+    if m.assoc.(f).(j) then n := !n + m.backlog.(f)
+  done;
+  !n
+
+let prop_busmetrics_model =
+  let print evs =
+    String.concat "; " (List.map (Format.asprintf "%a" Event.pp) evs)
+  in
+  QCheck.Test.make ~count:300 ~name:"busmetrics matches a replayed model"
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 0 300) gen_event))
+    (fun evs ->
+      let m =
+        {
+          backlog = Array.make model_flows 0;
+          qbytes = Array.make model_flows 0;
+          assoc = Array.make_matrix model_flows model_ifaces false;
+          active = Array.make model_flows false;
+          up = Array.make model_ifaces false;
+          seen = Array.make model_ifaces false;
+        }
+      in
+      let b = Busmetrics.create () in
+      let ev = feed b in
+      let check i what want got =
+        if want <> got then
+          QCheck.Test.fail_reportf "after event %d: %s is %d, the model says %d"
+            i what got want
+      in
+      List.iteri
+        (fun i e ->
+          ev (Float.of_int i) e;
+          model_step m e;
+          check i "queue_packets" (sum m.backlog) (Busmetrics.queue_packets b);
+          check i "queue_bytes" (sum m.qbytes) (Busmetrics.queue_bytes b);
+          check i "flows_active" (count m.active) (Busmetrics.flows_active b);
+          check i "ifaces_up" (count m.up) (Busmetrics.ifaces_up b);
+          for j = 0 to model_ifaces - 1 do
+            check i
+              (Printf.sprintf "iface %d occupancy" j)
+              (model_occupancy m j)
+              (Busmetrics.iface_queue_packets b ~iface:j)
+          done)
+        (preamble @ evs);
+      Busmetrics.publish b;
+      let gauges = Metrics.gauges (Busmetrics.registry b) in
+      let gauge name =
+        match List.assoc_opt name gauges with
+        | Some v -> int_of_float v
+        | None -> QCheck.Test.fail_reportf "no gauge %s" name
+      in
+      let last = List.length preamble + List.length evs in
+      check last "published queue_packets" (sum m.backlog)
+        (gauge "queue_packets");
+      check last "published queue_bytes" (sum m.qbytes) (gauge "queue_bytes");
+      check last "published flows_active" (count m.active)
+        (gauge "flows_active");
+      check last "published ifaces_up" (count m.up) (gauge "ifaces_up");
+      for j = 0 to model_ifaces - 1 do
+        let name = Printf.sprintf "iface%d_queue_packets" j in
+        if m.seen.(j) then
+          check last ("published " ^ name) (model_occupancy m j) (gauge name)
+        else if List.mem_assoc name gauges then
+          QCheck.Test.fail_reportf "gauge %s for an interface never named" name
+      done;
+      true)
 
 (* --- span tracing -------------------------------------------------------- *)
 
@@ -481,6 +644,9 @@ let () =
           Alcotest.test_case "per-flow delay" `Quick test_busmetrics_flow_delay;
           Alcotest.test_case "reused flow id" `Quick
             test_busmetrics_reused_flow_id;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 20131209 |])
+            prop_busmetrics_model;
         ] );
       ( "span",
         [

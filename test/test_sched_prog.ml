@@ -404,6 +404,36 @@ let flow_footprint name make ~bound () =
   if low > bound then
     Alcotest.failf "%s: %.1f live words per flow > %.0f" name low bound
 
+(* Words reachable from a scheduler after registering [ifaces], in that
+   order.  A slot array indexed by interface id must grow to about the
+   largest id, not to the next doubling past it: on {4096, 4097} the
+   ascending order must cost what the descending one does (the old
+   doubling rule kept 8194 slots per array ascending, 4098 descending). *)
+let reachable_after add_iface s ifaces =
+  List.iter (add_iface s) ifaces;
+  Obj.reachable_words (Obj.repr s)
+
+let sparse_iface_ids () =
+  let orders name words =
+    let up = words [ 4096; 4097 ] and down = words [ 4097; 4096 ] in
+    Printf.printf "%s: %d words ascending, %d descending\n" name up down;
+    if Float.of_int (abs (up - down)) > 0.01 *. Float.of_int down then
+      Alcotest.failf "%s: %d words ascending vs %d descending, over 1%% apart"
+        name up down
+  in
+  orders "wfq" (fun ifaces ->
+      reachable_after Prog_wfq.add_iface (Prog_wfq.create ()) ifaces);
+  orders "rr" (fun ifaces ->
+      reachable_after Prog_rr.add_iface (Prog_rr.create ()) ifaces);
+  let engine =
+    reachable_after Drr_engine.add_iface
+      (Drr_engine.create Drr_engine.Service_flags)
+      [ 4096; 4097 ]
+  in
+  Printf.printf "drr engine: %d words ascending\n" engine;
+  if engine > 4_400 then
+    Alcotest.failf "drr engine: %d words on interfaces 4096, 4097 > 4400" engine
+
 let () =
   let rand =
     match Sys.getenv_opt "QCHECK_SEED" with
@@ -448,5 +478,6 @@ let () =
             (flow_footprint "rr"
                (fun () -> Prog_rr.packed (Prog_rr.create ()))
                ~bound:50.0);
+          Alcotest.test_case "sparse interface ids" `Quick sparse_iface_ids;
         ] );
     ]

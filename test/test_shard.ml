@@ -634,6 +634,44 @@ let apply_words_per_op () =
     Alcotest.failf "apply: %.2f minor words per op, %.2f above the engine's %.2f"
       per_op (per_op -. engine_per_op) engine_per_op
 
+(* Registering a flow on a materialized component allocates nothing in
+   the routing layer: [apply] of an [Op_add_flow] costs what
+   [Drr_engine.add_flow] costs on the same prebuilt ops (the flow's
+   state), at 1 and 2 shards.  The highest id registers first, so no
+   slot array grows while the others are measured. *)
+let apply_words_per_registration () =
+  let n = 10_000 and allowed = [ 0; 1 ] in
+  let add flow = Shard_engine.Op_add_flow { flow; weight = 1.0; allowed } in
+  let setup = Shard_engine.[ Op_add_iface 0; Op_add_iface 1; add n ] in
+  let ops = Array.init n add in
+  let words_per_op apply =
+    List.iter apply setup;
+    let before = Gc.minor_words () in
+    Array.iter apply ops;
+    (Gc.minor_words () -. before) /. Float.of_int n
+  in
+  let engine =
+    words_per_op (wapply_single (Drr_engine.create Drr_engine.Service_flags))
+  in
+  List.iter
+    (fun shards ->
+      let t = Shard_engine.create ~shards Drr_engine.Service_flags in
+      let per_op = words_per_op (Shard_engine.apply t) in
+      Printf.printf
+        "apply at %d shards: %.2f minor words per registration, the engine \
+         directly %.2f\n"
+        shards per_op engine;
+      Alcotest.(check int)
+        (Printf.sprintf "%d shards: every flow registered" shards)
+        (n + 1)
+        (List.length (Shard_engine.flows t));
+      if per_op > engine +. 0.01 then
+        Alcotest.failf
+          "apply at %d shards: %.2f minor words per registration, %.2f above \
+           the engine's %.2f"
+          shards per_op (per_op -. engine) engine)
+    [ 1; 2 ]
+
 (* --- suite ---------------------------------------------------------------- *)
 
 let () =
@@ -683,5 +721,9 @@ let () =
         ] );
       ("metrics", [ Alcotest.test_case "per-shard collection merges" `Quick metrics_merge ]);
       ( "allocation",
-        [ Alcotest.test_case "apply words per op" `Quick apply_words_per_op ] );
+        [
+          Alcotest.test_case "apply words per op" `Quick apply_words_per_op;
+          Alcotest.test_case "apply words per registration" `Quick
+            apply_words_per_registration;
+        ] );
     ]
