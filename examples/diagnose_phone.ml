@@ -2,8 +2,8 @@
 
    A phone with three interfaces runs four apps with preferences.  We ask
    the reference solver to explain each flow's binding constraint and the
-   counterfactual gain from relaxing its interface preference, then watch
-   the live system with the fairness monitor.
+   counterfactual gain from relaxing its interface preference, after
+   checking the live system's rate clustering window by window.
 
    Run with: dune exec examples/diagnose_phone.exe *)
 
@@ -11,6 +11,7 @@ open Midrr_core
 module Netsim = Midrr_sim.Netsim
 module Link = Midrr_sim.Link
 module Diagnose = Midrr_flownet.Diagnose
+module Cluster = Midrr_flownet.Cluster
 
 let wifi = 0
 let lte = 1
@@ -38,13 +39,23 @@ let () =
         (Netsim.Backlogged { pkt_size = 1300 }))
     specs;
 
-  (* Watch fairness while the scenario runs; the monitor needs the rate
-     preferences to normalize service. *)
-  let phi = function 0 -> 2.0 | _ -> 1.0 in
-  let monitor = Fairmon.create ~phi sched in
-  for k = 0 to 5 do
+  (* Check Theorem 2's rate-clustering conditions on every 5 s window
+     while the scenario runs, from the measured per-interface rates. *)
+  let flows = List.map (fun (f, _, _) -> f) specs
+  and ifaces = [ wifi; lte; slow_3g ] in
+  let snap = ref None and windows = ref 0 and violating = ref 0 in
+  for k = 0 to 6 do
     Netsim.at sim (Float.of_int k *. 5.0) (fun () ->
-        ignore (Fairmon.sample monitor))
+        Option.iter
+          (fun snap ->
+            let share = Netsim.share_since sim snap ~flows ~ifaces in
+            let rates = Array.map (Array.fold_left ( +. ) 0.0) share in
+            let inst = Netsim.instance_of sim ~flows ~ifaces in
+            incr windows;
+            if Cluster.check ~tol:0.03 inst ~share ~rates <> [] then
+              incr violating)
+          !snap;
+        snap := Some (Netsim.snapshot sim))
   done;
   Netsim.run sim ~until:30.0;
 
@@ -54,14 +65,11 @@ let () =
       Format.printf "  %-8s %6.3f Mb/s@." names.(f)
         (Netsim.avg_rate sim f ~t0:5.0 ~t1:30.0))
     specs;
-  Format.printf "fairness monitor: %d windows, %d alarms@.@."
-    (Fairmon.windows monitor) (Fairmon.alarms monitor);
+  Format.printf "fairness check: %d windows, %d with violations@.@."
+    !windows !violating;
 
   (* Explain every flow from the reference allocation. *)
-  let inst =
-    Netsim.instance_of sim ~flows:[ 0; 1; 2; 3 ]
-      ~ifaces:[ wifi; lte; slow_3g ]
-  in
+  let inst = Netsim.instance_of sim ~flows ~ifaces in
   Format.printf "reference diagnosis (rates in bit/s):@.";
   List.iter
     (fun (e : Diagnose.explanation) ->

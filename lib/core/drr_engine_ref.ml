@@ -84,11 +84,6 @@ let create ?(base_quantum = 1500) ?queue_capacity ?(flag_policy = Per_turn)
     t_ev = Event.create ();
   }
 
-let mode t = t.t_mode
-let flag_policy t = t.t_flag_policy
-let counter_max t = t.t_counter_max
-let base_quantum t = t.t_base_quantum
-
 let name t =
   match t.t_mode with Plain -> "drr-per-interface" | Service_flags -> "midrr"
 

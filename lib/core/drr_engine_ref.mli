@@ -61,14 +61,6 @@ val create :
     allocation more closely on asymmetric topologies (see the flag-policy
     ablation, [midrr ablation]). *)
 
-val mode : t -> mode
-
-val flag_policy : t -> flag_policy
-
-val counter_max : t -> int
-
-val base_quantum : t -> int
-
 (** {1 Introspection} *)
 
 val deficit : t -> Types.flow_id -> float

@@ -4,8 +4,8 @@
     one event.  Producers ({!Midrr_core.Drr_engine}, the PIFO programs of
     [Sched_prog] — WFQ and round robin among them — [Oracle], the
     simulator, the HTTP proxy) emit into an optional sink; consumers
-    (ring-buffer recorder, the fairness monitor, the JSONL exporter, the
-    metrics fold) subscribe to the one stream instead of polling three
+    (ring-buffer recorder, the JSONL exporter, the metrics fold)
+    subscribe to the one stream instead of polling three
     incompatible substrates.
 
     {b Two shapes.}  On the bus an event is a {!record}: one mutable

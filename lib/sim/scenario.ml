@@ -83,9 +83,13 @@ type report = {
 
 (* --- value parsing ------------------------------------------------------- *)
 
+(* Every number must be finite: [nan] and [inf] parse as floats, and a
+   run given one crashes, hangs or prints wrong numbers. *)
+let finite v = if Float.is_finite v then Some v else None
+
 let parse_suffixed ~suffixes s =
   let rec try_suffixes = function
-    | [] -> Option.map (fun v -> v) (float_of_string_opt s)
+    | [] -> float_of_string_opt s
     | (suffix, scale) :: rest ->
         if
           String.length s > String.length suffix
@@ -98,14 +102,36 @@ let parse_suffixed ~suffixes s =
           Option.map (fun v -> v *. scale) (float_of_string_opt body)
         else try_suffixes rest
   in
-  try_suffixes suffixes
+  Option.bind (try_suffixes suffixes) finite
 
+(* A rate in bits/s, >= 0 (a source's must also be > 0). *)
 let parse_rate s =
-  parse_suffixed ~suffixes:[ ("kb", 1e3); ("Mb", 1e6); ("Gb", 1e9) ] s
+  match parse_suffixed ~suffixes:[ ("kb", 1e3); ("Mb", 1e6); ("Gb", 1e9) ] s with
+  | Some r when r >= 0.0 -> Some r
+  | _ -> None
 
+(* A byte count, below 2^62 so that it converts to an int. *)
 let parse_bytes s =
-  Option.map int_of_float
-    (parse_suffixed ~suffixes:[ ("kB", 1e3); ("MB", 1e6); ("GB", 1e9) ] s)
+  match parse_suffixed ~suffixes:[ ("kB", 1e3); ("MB", 1e6); ("GB", 1e9) ] s with
+  | Some b when b < 0x1p62 -> Some (int_of_float b)
+  | _ -> None
+
+(* A time in seconds, >= 0. *)
+let parse_time s =
+  match Option.bind (float_of_string_opt s) finite with
+  | Some t when t >= 0.0 -> Some t
+  | _ -> None
+
+(* Weights span six decades: a DRR turn adds a quantum scaled by the
+   weight, so a tiny weight makes a decision take forever, and the
+   water-filling reference loses a flow whose weight dwarfs another's. *)
+let min_weight = 1e-3
+let max_weight = 1e3
+
+let parse_weight s =
+  match float_of_string_opt s with
+  | Some w when w >= min_weight && w <= max_weight -> Some w
+  | _ -> None
 
 let field key tokens =
   List.find_map
@@ -122,7 +148,7 @@ let field key tokens =
 
 type directive =
   | D_sched of sched_spec
-  | D_iface of int * Link.t
+  | D_iface of int * Link.t * float list (* the profile's rates *)
   | D_flow of flow_spec
   | D_at of float * event
   | D_measure of float * float
@@ -143,32 +169,42 @@ let iface_id s =
 let bad_iface_id lineno s =
   err lineno "bad interface id %S (want an integer in 0..%d)" s max_iface_id
 
+let bad_rate lineno s = err lineno "bad rate %S (want a finite rate >= 0)" s
+
+let bad_weight lineno s =
+  err lineno "bad weight %S (want a number in %g..%g)" s min_weight max_weight
+
 let parse_iface lineno tokens =
   match tokens with
   | id :: _ when Option.is_none (iface_id id) -> bad_iface_id lineno id
   | [ id; "constant"; rate ] -> (
       match (iface_id id, parse_rate rate) with
-      | Some id, Some r -> Ok (D_iface (id, Link.constant r))
-      | _ -> err lineno "bad iface constant")
+      | Some id, Some r -> Ok (D_iface (id, Link.constant r, [ r ]))
+      | _ -> bad_rate lineno rate)
   | id :: "steps" :: initial :: changes -> (
+      let step c =
+        match String.split_on_char ':' c with
+        | [ at; rate ] -> (
+            match (parse_time at, parse_rate rate) with
+            | Some a, Some r -> Ok (a, r)
+            | _ -> err lineno "bad step %S (want T:RATE, T >= 0)" c)
+        | _ -> err lineno "bad step %S (want T:RATE, T >= 0)" c
+      in
+      let rec steps acc = function
+        | [] -> Ok (List.rev acc)
+        | c :: rest -> Result.bind (step c) (fun p -> steps (p :: acc) rest)
+      in
       match (iface_id id, parse_rate initial) with
       | Some id, Some r0 -> (
-          let parsed =
-            List.map
-              (fun c ->
-                match String.split_on_char ':' c with
-                | [ at; rate ] -> (
-                    match (float_of_string_opt at, parse_rate rate) with
-                    | Some a, Some r -> Some (a, r)
-                    | _ -> None)
-                | _ -> None)
-              changes
-          in
-          if List.exists Option.is_none parsed then err lineno "bad step"
-          else
-            try Ok (D_iface (id, Link.steps ~initial:r0 (List.filter_map Fun.id parsed)))
-            with Invalid_argument m -> err lineno "%s" m)
-      | _ -> err lineno "bad iface steps")
+          match steps [] changes with
+          | Error _ as e -> e
+          | Ok points -> (
+              try
+                Ok
+                  (D_iface
+                     (id, Link.steps ~initial:r0 points, r0 :: List.map snd points))
+              with Invalid_argument m -> err lineno "%s" m))
+      | _ -> bad_rate lineno initial)
   | _ -> err lineno "bad iface directive"
 
 (* The ids of an [ifaces=] list, or an error naming the first bad one. *)
@@ -228,13 +264,10 @@ let parse_source lineno tokens =
 let parse_flow lineno tokens =
   match tokens with
   | name :: rest -> (
-      let weight =
-        match field "weight" rest with
-        | None -> Some 1.0
-        | Some w -> float_of_string_opt w
-      in
-      match (weight, field "ifaces" rest) with
-      | Some w, Some ids when w > 0.0 -> (
+      let w = Option.value (field "weight" rest) ~default:"1" in
+      match (parse_weight w, field "ifaces" rest) with
+      | None, _ -> bad_weight lineno w
+      | Some w, Some ids -> (
           match iface_list lineno [] (String.split_on_char ',' ids) with
           | Error _ as e -> e
           | Ok ifaces ->
@@ -242,17 +275,18 @@ let parse_flow lineno tokens =
                 (fun source ->
                   D_flow { fs_name = name; fs_weight = w; fs_ifaces = ifaces; fs_source = source })
                 (parse_source lineno rest))
-      | _ -> err lineno "flow needs weight>0 and ifaces=I[,J...]")
+      | Some _, None -> err lineno "flow needs ifaces=I[,J...]")
   | [] -> err lineno "flow needs a name"
 
 let parse_at lineno tokens =
   match tokens with
   | time :: rest -> (
-      match (float_of_string_opt time, rest) with
+      match (parse_time time, rest) with
+      | None, _ -> err lineno "bad time %S (want a finite time >= 0)" time
       | Some at, [ "weight"; name; w ] -> (
-          match float_of_string_opt w with
-          | Some w when w > 0.0 -> Ok (D_at (at, E_weight (name, w)))
-          | _ -> err lineno "bad weight value")
+          match parse_weight w with
+          | Some w -> Ok (D_at (at, E_weight (name, w)))
+          | None -> bad_weight lineno w)
       | Some at, [ "allow"; name; iface ] -> (
           match iface_id iface with
           | Some j -> Ok (D_at (at, E_allow (name, j)))
@@ -298,13 +332,13 @@ let parse_line lineno line =
       | "flow" :: rest -> parse_flow lineno rest
       | "at" :: rest -> parse_at lineno rest
       | [ "measure"; t0; t1 ] -> (
-          match (float_of_string_opt t0, float_of_string_opt t1) with
+          match (parse_time t0, parse_time t1) with
           | Some a, Some b when b > a -> Ok (D_measure (a, b))
-          | _ -> err lineno "bad measure window")
+          | _ -> err lineno "bad measure window %s %s (want 0 <= T0 < T1)" t0 t1)
       | [ "run"; horizon ] -> (
-          match float_of_string_opt horizon with
+          match parse_time horizon with
           | Some h when h > 0.0 -> Ok (D_run h)
-          | _ -> err lineno "bad run horizon")
+          | _ -> err lineno "bad run horizon %S (want a finite time > 0)" horizon)
       | d :: _ -> err lineno "unknown directive %S" d
       | [] -> err lineno "empty directive"
     in
@@ -314,26 +348,46 @@ let event_flow = function
   | E_weight (name, _) | E_allow (name, _) | E_deny (name, _) | E_stop name ->
       name
 
+(* A source's packet size and, for a pushed source, its rate. *)
+let source_pkt_rate = function
+  | Netsim.Backlogged { pkt_size } | Finite { pkt_size; _ } -> (pkt_size, [])
+  | Cbr { rate; pkt_size; _ }
+  | Poisson { rate; pkt_size; _ }
+  | On_off { rate; pkt_size; _ }
+  | Tb { rate; pkt_size; _ } ->
+      (pkt_size, [ rate ])
+
+(* What a line declared that can only be judged against the horizon. *)
+type late = L_window_end of float | L_rate of float
+
 (* One pass over the lines.  Interface ids and flow names are checked for
    duplicates as they are declared; [at] lines are checked once every
    line is read, since one may name a flow, or a stop, declared later:
    each must name a declared flow, and only a stop may come at or after
-   the flow's first stop, when the scheduler no longer knows it. *)
+   the flow's first stop, when the scheduler no longer knows it.  Then,
+   in line order, every [measure] window must end by the horizon, and one
+   packet of the file's smallest size must take time at every positive
+   rate, even at the horizon, or the clock would stop there. *)
 let parse text =
   let sched = ref (Sched_midrr None) in
   let ifaces = ref [] and flow_specs = ref [] in
   let ats = ref [] and measure_windows = ref [] in
-  let horizon = ref None in
+  let horizon = ref None and pkt_min = ref max_int in
   let iface_ids = Hashtbl.create 16 and flow_names = Hashtbl.create 16 in
+  let late = ref [] in
+  let rates lineno =
+    List.iter (fun r -> if r > 0.0 then late := (lineno, L_rate r) :: !late)
+  in
   let add lineno = function
     | D_sched s ->
         sched := s;
         Ok ()
-    | D_iface (id, profile) ->
+    | D_iface (id, profile, rs) ->
         if Hashtbl.mem iface_ids id then err lineno "duplicate interface %d" id
         else begin
           Hashtbl.replace iface_ids id ();
           ifaces := (id, profile) :: !ifaces;
+          rates lineno rs;
           Ok ()
         end
     | D_flow f ->
@@ -342,6 +396,9 @@ let parse text =
         else begin
           Hashtbl.replace flow_names f.fs_name ();
           flow_specs := f :: !flow_specs;
+          let pkt, rs = source_pkt_rate f.fs_source in
+          pkt_min := Int.min !pkt_min pkt;
+          rates lineno rs;
           Ok ()
         end
     | D_at (at, e) ->
@@ -349,6 +406,7 @@ let parse text =
         Ok ()
     | D_measure (a, b) ->
         measure_windows := (a, b) :: !measure_windows;
+        late := (lineno, L_window_end b) :: !late;
         Ok ()
     | D_run h ->
         horizon := Some h;
@@ -389,6 +447,16 @@ let parse text =
                name stop at)
       | _ -> None
   in
+  let bad_late horizon = function
+    | lineno, L_window_end t1 when t1 > horizon ->
+        Some (err lineno "measure window ends at %g, after run %g" t1 horizon)
+    | lineno, L_rate r when not (horizon +. (8.0 *. Float.of_int !pkt_min /. r) > horizon) ->
+        Some
+          (err lineno
+             "rate %g b/s is too high: a %d-byte packet at it takes no time at %g"
+             r !pkt_min horizon)
+    | _ -> None
+  in
   match go 1 (String.split_on_char '\n' text) with
   | Error e -> Error e
   | Ok () -> (
@@ -396,19 +464,22 @@ let parse text =
       match (List.find_map (bad_at stops) (List.rev !ats), !horizon) with
       | Some e, _ -> e
       | None, None -> Error "missing 'run T' directive"
-      | None, Some horizon ->
-          if !ifaces = [] then Error "no interfaces declared"
-          else if !flow_specs = [] then Error "no flows declared"
-          else
-            Ok
-              {
-                sched = !sched;
-                ifaces = List.rev !ifaces;
-                flow_specs = List.rev !flow_specs;
-                events = List.rev_map (fun (_, at, e) -> (at, e)) !ats;
-                measure_windows = List.rev !measure_windows;
-                horizon;
-              })
+      | None, Some horizon -> (
+          match List.find_map (bad_late horizon) (List.rev !late) with
+          | Some e -> e
+          | None ->
+              if !ifaces = [] then Error "no interfaces declared"
+              else if !flow_specs = [] then Error "no flows declared"
+              else
+                Ok
+                  {
+                    sched = !sched;
+                    ifaces = List.rev !ifaces;
+                    flow_specs = List.rev !flow_specs;
+                    events = List.rev_map (fun (_, at, e) -> (at, e)) !ats;
+                    measure_windows = List.rev !measure_windows;
+                    horizon;
+                  }))
 
 (* --- introspection -------------------------------------------------------- *)
 

@@ -103,8 +103,19 @@ val parse : string -> (t, string) result
     [0..65535], a repeated [iface] id or [flow] name, [counter=K] unless
     [K] is an integer [>= 1], an [at] line naming a flow the file does
     not declare, and an [at T weight|allow|deny NAME] line with [T] at
-    or after NAME's first [at ... stop], so that a parsed scenario
-    always runs. *)
+    or after NAME's first [at ... stop].  Numbers must also be in range:
+    - every number is finite ([nan] and [inf] are rejected);
+    - times ([at], step times, [measure]) are [>= 0], and [run] is [> 0];
+    - every [measure T0 T1] window has [0 <= T0 < T1 <= run];
+    - interface rates are [>= 0], source rates [> 0];
+    - weights, declared or set by [at T weight], lie in [[1e-3, 1e3]];
+    - a positive rate [R] must be low enough that one packet at it still
+      advances the clock at the horizon:
+      [run +. 8 *. pkt_min /. R > run], where [pkt_min] is the file's
+      smallest [pkt=].
+
+    So a parsed scenario always runs to its horizon, and reports
+    rates that mean something. *)
 
 (** {1 Introspection}
 

@@ -119,45 +119,6 @@ let test_pktqueue_clear () =
   Alcotest.(check bool) "empty" true (Pktqueue.is_empty q);
   Alcotest.(check int) "no bytes" 0 (Pktqueue.backlog_bytes q)
 
-(* --- Fairness accounting --------------------------------------------------------- *)
-
-let test_fm_definition () =
-  close "fm" 2.5 (Fairmon.fm ~s_i:10.0 ~phi_i:2.0 ~s_j:5.0 ~phi_j:2.0);
-  close "weighted fm" 0.0 (Fairmon.fm ~s_i:10.0 ~phi_i:2.0 ~s_j:5.0 ~phi_j:1.0)
-
-let test_metrics_window () =
-  let m = Midrr.create () in
-  let sched = Midrr.packed m in
-  Drr_engine.add_iface m 0;
-  Drr_engine.add_flow m ~flow:1 ~weight:1.0 ~allowed:[ 0 ];
-  Drr_engine.add_flow m ~flow:2 ~weight:1.0 ~allowed:[ 0 ];
-  (* Serve some initial traffic before the window opens. *)
-  for _ = 1 to 10 do
-    ignore (Drr_engine.enqueue m (pkt ~flow:1 1000))
-  done;
-  for _ = 1 to 5 do
-    ignore (Drr_engine.next_packet m 0)
-  done;
-  let window = Fairmon.start sched in
-  Alcotest.(check int) "zero at open" 0 (Fairmon.service_since window sched 1);
-  for _ = 1 to 10 do
-    ignore (Drr_engine.enqueue m (pkt ~flow:2 500))
-  done;
-  let popped = ref 0 in
-  for _ = 1 to 8 do
-    match Drr_engine.next_packet m 0 with
-    | Some p -> popped := !popped + p.size
-    | None -> ()
-  done;
-  let s1 = Fairmon.service_since window sched 1
-  and s2 = Fairmon.service_since window sched 2 in
-  (* The window sees exactly the in-window service, not the 5 packets
-     served before it opened. *)
-  Alcotest.(check int) "window totals" !popped (s1 + s2);
-  close "fm over window"
-    ((Float.of_int s1 /. 1.0) -. (Float.of_int s2 /. 1.0))
-    (Fairmon.fm_between window sched ~phi:(fun _ -> 1.0) ~i:1 ~j:2)
-
 (* --- WFQ ---------------------------------------------------------------------- *)
 
 let test_wfq_single_iface_weighted () =
@@ -558,11 +519,6 @@ let () =
           Alcotest.test_case "fifo" `Quick test_pktqueue_fifo;
           Alcotest.test_case "capacity bound" `Quick test_pktqueue_capacity;
           Alcotest.test_case "clear" `Quick test_pktqueue_clear;
-        ] );
-      ( "metrics",
-        [
-          Alcotest.test_case "fm definition" `Quick test_fm_definition;
-          Alcotest.test_case "window" `Quick test_metrics_window;
         ] );
       ( "wfq",
         [

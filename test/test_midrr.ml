@@ -327,13 +327,13 @@ let test_lemma6_service_bound () =
   Netsim.add_flow sim 2 ~weight:1.0 ~allowed:[ 2 ]
     (Netsim.Backlogged { pkt_size = 1500 });
   (* Skip the convergence transient, then measure cumulative service. *)
-  let window = ref None in
-  Netsim.at sim 5.0 (fun () -> window := Some (Fairmon.start sched));
+  let served f = Sched_intf.Packed.served_bytes sched f in
+  let base = ref (0, 0) in
+  Netsim.at sim 5.0 (fun () -> base := (served 1, served 2));
   Netsim.run sim ~until:65.0;
-  let window = Option.get !window in
-  let phi = function 1 -> 2.0 | _ -> 1.0 in
-  let fm = Fairmon.fm_between window sched ~phi ~i:1 ~j:2 in
-  let s_b = Fairmon.service_since window sched 1 in
+  let s_b = served 1 - fst !base and s_c = served 2 - snd !base in
+  (* Definition 3: FM_{b->c} = S_b/phi_b - S_c/phi_c, with phi_b = 2. *)
+  let fm = (Float.of_int s_b /. 2.0) -. Float.of_int s_c in
   if s_b < 40_000_000 then Alcotest.failf "too little service: %d" s_b;
   (* Bound: one quantum per interface per flow plus two max packets, with
      2x slack for the shared-cluster drift across both interfaces. *)
@@ -341,38 +341,58 @@ let test_lemma6_service_bound () =
     Alcotest.failf "Lemma 6 bound violated: |FM| = %.0f bytes over %d bytes"
       (Float.abs fm) s_b
 
-(* The online fairness monitor stays quiet on miDRR and raises alarms on
-   the unfair per-interface WFQ/DRR split in the same scenario. *)
+(* Theorem 2's conditions, judged on every 5 s window of [0, 30] as
+   fig6's phases are: quiet on miDRR, violated by the unfair
+   per-interface DRR split in the same scenario.  Returns each window's
+   violations.  The 3% tolerance is 30 kb/s per unit weight here. *)
 let run_with_monitor sched =
   let sim = Netsim.create ~sched () in
-  let monitor = Fairmon.create ~alarm_threshold:20_000.0 sched in
   Netsim.add_iface sim 0 (Link.constant (Types.mbps 1.0));
   Netsim.add_iface sim 1 (Link.constant (Types.mbps 1.0));
   Netsim.add_flow sim 0 ~weight:1.0 ~allowed:[ 0; 1 ]
     (Netsim.Backlogged { pkt_size = 1000 });
   Netsim.add_flow sim 1 ~weight:1.0 ~allowed:[ 1 ]
     (Netsim.Backlogged { pkt_size = 1000 });
-  (* Sample every 5 s. *)
+  let flows = [ 0; 1 ] and ifaces = [ 0; 1 ] in
+  let snap = ref None and windows = ref [] in
   for k = 0 to 6 do
     Netsim.at sim (Float.of_int k *. 5.0) (fun () ->
-        ignore (Fairmon.sample monitor))
+        Option.iter
+          (fun snap ->
+            let share = Netsim.share_since sim snap ~flows ~ifaces in
+            let rates = Array.map (Array.fold_left ( +. ) 0.0) share in
+            let inst = Netsim.instance_of sim ~flows ~ifaces in
+            windows := Cluster.check ~tol:0.03 inst ~share ~rates :: !windows)
+          !snap;
+        snap := Some (Netsim.snapshot sim))
   done;
   Netsim.run sim ~until:31.0;
-  monitor
+  List.rev !windows
 
-let test_fairmon_quiet_on_midrr () =
-  let monitor = run_with_monitor (Midrr.packed (Midrr.create ())) in
-  Alcotest.(check int) "no alarms" 0 (Fairmon.alarms monitor);
-  Alcotest.(check bool) "windows ran" true (Fairmon.windows monitor >= 6)
+let test_clustering_quiet_on_midrr () =
+  let windows = run_with_monitor (Midrr.packed (Midrr.create ())) in
+  Alcotest.(check int) "windows ran" 6 (List.length windows);
+  List.iter
+    (function
+      | [] -> ()
+      | v :: _ -> Alcotest.failf "violation: %a" Cluster.pp_violation v)
+    windows
 
-let test_fairmon_flags_naive_drr () =
-  let monitor = run_with_monitor (Drr.packed (Drr.create ())) in
+let test_clustering_flags_naive_drr () =
+  let windows = run_with_monitor (Drr.packed (Drr.create ())) in
   (* Naive DRR gives 1.5/0.5 while both flows draw from interface 1: the
      same-cluster equality condition is violated every window. *)
-  Alcotest.(check bool) "alarms raised" true (Fairmon.alarms monitor >= 3);
-  Alcotest.(check bool)
-    "violation magnitude" true
-    (Fairmon.worst_ever monitor > 100_000.0)
+  let violating = List.length (List.filter (fun vs -> vs <> []) windows) in
+  Alcotest.(check bool) "violations raised" true (violating >= 3);
+  let spread =
+    List.fold_left
+      (List.fold_left (fun acc -> function
+         | Cluster.Unequal_rates_in_cluster { spread; _ } -> Float.max acc spread
+         | _ -> acc))
+      0.0 windows
+  in
+  (* 160 kb/s per unit weight: 100 kB per unit weight per 5 s window. *)
+  Alcotest.(check bool) "violation magnitude" true (spread > 160e3)
 
 (* Regression: the adversarial instance where the published 1-bit flag
    deviates from max-min (the fully multi-homed ablation).  Every flow of
@@ -456,9 +476,9 @@ let () =
         ] );
       ( "fairmon",
         [
-          Alcotest.test_case "quiet on midrr" `Quick test_fairmon_quiet_on_midrr;
+          Alcotest.test_case "quiet on midrr" `Quick test_clustering_quiet_on_midrr;
           Alcotest.test_case "flags naive drr" `Quick
-            test_fairmon_flags_naive_drr;
+            test_clustering_flags_naive_drr;
         ] );
       ( "adversarial",
         [

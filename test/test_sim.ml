@@ -948,8 +948,11 @@ module Busmetrics = Midrr_obs.Busmetrics
 
 (* `dune runtest` runs from the test directory, `dune exec` from the
    project root; accept either. *)
+let fixture ~from_test ~from_root =
+  if Sys.file_exists from_test then from_test else from_root
+
 let load_scenario ~from_test ~from_root =
-  let path = if Sys.file_exists from_test then from_test else from_root in
+  let path = fixture ~from_test ~from_root in
   match Scenario.parse (In_channel.with_open_text path In_channel.input_all) with
   | Ok s -> s
   | Error e -> Alcotest.failf "scenario error: %s" e
@@ -1116,6 +1119,96 @@ let test_alloc_engine_per_event () =
   if per_event > 4.0 then
     Alcotest.failf "engine: %.2f minor words per event (bound 4.0)" per_event
 
+(* --- Malformed numbers ----------------------------------------------------- *)
+
+(* A mutation fuzzer over the scenario corpus and the mesh: one numeric
+   token of a seed file, with its unit, becomes an extreme value.
+   [Scenario.parse] must answer [Ok] or an error located at a line, and
+   never raise; a mutant that still parses once its measure lines are
+   dropped and its horizon cut to 2 s must also run without raising. *)
+let fuzz_values = [| "nan"; "inf"; "-inf"; "-1"; "0"; "1e-300"; "1e300"; "1e9" |]
+
+let fuzz_seeds =
+  lazy
+    (let dir = fixture ~from_test:"../scenarios" ~from_root:"scenarios" in
+     let corpus =
+       Sys.readdir dir |> Array.to_list
+       |> List.filter (fun f -> Filename.check_suffix f ".scn")
+       |> List.sort String.compare
+       |> List.map (Filename.concat dir)
+     in
+     List.map
+       (fun path -> (path, In_channel.with_open_text path In_channel.input_all))
+       (corpus
+       @ [ fixture ~from_test:"golden/mesh64.scn" ~from_root:"test/golden/mesh64.scn" ])
+     |> Array.of_list)
+
+(* The numeric tokens of a text's directive lines, as (start, length):
+   its words, split at '=', ',' and ':', that read as a number once a
+   unit suffix is dropped. *)
+let numeric_tokens text =
+  let units = [ "kb"; "Mb"; "Gb"; "kB"; "MB"; "GB" ] in
+  let numeric tok =
+    let body =
+      match List.find_opt (fun suffix -> String.ends_with ~suffix tok) units with
+      | Some u -> String.sub tok 0 (String.length tok - String.length u)
+      | None -> tok
+    in
+    Option.is_some (float_of_string_opt body)
+  in
+  let tokens = ref [] and start = ref 0 and comment = ref false in
+  String.iteri
+    (fun i c ->
+      match c with
+      | ' ' | '\t' | '\n' | '=' | ',' | ':' ->
+          if (not !comment) && i > !start && numeric (String.sub text !start (i - !start))
+          then tokens := (!start, i - !start) :: !tokens;
+          if c = '\n' then comment := false;
+          start := i + 1
+      | '#' when i = !start -> comment := true
+      | _ -> ())
+    (text ^ "\n");
+  Array.of_list (List.rev !tokens)
+
+let fuzz_case_gen st =
+  let seeds = Lazy.force fuzz_seeds in
+  let path, text = seeds.(QCheck.Gen.int_bound (Array.length seeds - 1) st) in
+  let tokens = numeric_tokens text in
+  let start, len = tokens.(QCheck.Gen.int_bound (Array.length tokens - 1) st) in
+  let value = QCheck.Gen.oneofa fuzz_values st in
+  ( path,
+    String.sub text 0 start ^ value
+    ^ String.sub text (start + len) (String.length text - start - len) )
+
+let located e =
+  match String.index_opt e ':' with
+  | Some i when String.starts_with ~prefix:"line " e ->
+      Option.is_some (int_of_string_opt (String.sub e 5 (i - 5)))
+  | _ -> false
+
+let shortened text =
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' (String.trim line) with
+         | "measure" :: _ -> None
+         | "run" :: _ -> Some "run 2"
+         | _ -> Some line)
+  |> String.concat "\n"
+
+let test_scenario_fuzz =
+  QCheck.Test.make ~count:500 ~name:"mutated corpus fails located or runs"
+    (QCheck.make ~print:(fun (path, text) -> path ^ ":\n" ^ text) fuzz_case_gen)
+    (fun (_, text) ->
+      (match Scenario.parse text with
+      | Ok _ -> ()
+      | Error e when located e -> ()
+      | Error e -> QCheck.Test.fail_reportf "unlocated error %S" e);
+      match Scenario.parse (shortened text) with
+      | Ok scn ->
+          ignore (Scenario.run scn);
+          true
+      | Error _ -> true)
+
 let () =
   let rand =
     match Sys.getenv_opt "QCHECK_SEED" with
@@ -1176,6 +1269,7 @@ let () =
           Alcotest.test_case "unknown scheduler" `Quick
             test_scenario_unknown_scheduler;
           Alcotest.test_case "rate units" `Quick test_scenario_units;
+          to_alcotest test_scenario_fuzz;
         ] );
       ( "tracer",
         [
