@@ -4,25 +4,24 @@
    interface id, in slot arrays indexed by the id (empty slots hold the
    sentinels [nil_flow] and [nil_iface], which no path writes).  A flow
    holds its backlog in packets and bytes, whether it is registered, the
-   interfaces it was seen on (a bitmask learned from Turn/Serve), its
-   pending enqueue times and its delay sketch; an interface holds its
-   up-ness and its registry handles.  The gauges (queue occupancy, active
-   flows, interfaces up, per-interface occupancy: the summed backlog of
-   the flows associated with the interface) are derived from the records
-   by [publish] and the accessors, off the event path.
+   interfaces it was seen on (a bitmask learned from Turn/Serve) and its
+   pending enqueue times; an interface holds its up-ness and its registry
+   handles.  The gauges (queue occupancy, active flows, interfaces up,
+   per-interface occupancy: the summed backlog of the flows associated
+   with the interface) are derived from the records by [publish] and the
+   accessors, off the event path.
 
    Allocation discipline: [on_event] allocates nothing in the steady
    state (counters are registry int stores, facts are record int stores,
    delays go into cached sketches).  The only allocating branches are a
-   record's creation the first time its id appears, a pending ring's
-   growth and a flow's first sketch, each annotated
-   [@midrr.lint.allow "R7"].
+   record's creation the first time its id appears and a pending ring's
+   growth, each annotated [@midrr.lint.allow "R7"].
 
    Delays: each flow keeps a ring of pending enqueue times (FIFO flow
    queues match its n-th Serve to its n-th Enqueue); the popped
-   difference, in integer nanoseconds, feeds the aggregate,
-   per-interface and per-flow sketches alike.  Per-flow sketches stay
-   out of the registry. *)
+   difference, in integer nanoseconds, feeds the aggregate and the
+   per-interface sketch.  A consumer that wants one flow's delays runs a
+   fold of its own over that flow's events, as [Bounds.report] does. *)
 
 module Log_histogram = Midrr_stats.Log_histogram
 
@@ -43,7 +42,6 @@ type flow = {
   mutable pend : float array; (* ring of pending enqueue times *)
   mutable phead : int;
   mutable plen : int;
-  mutable sketch : Log_histogram.t; (* [nil_sketch] until the first Serve *)
 }
 
 type iface = {
@@ -56,8 +54,6 @@ type iface = {
 (* The sentinels filling empty slots.  Every path that writes a record
    reaches it through [flow] or [iface], which replace a sentinel with a
    fresh record first, so folds can share them. *)
-let nil_sketch = Log_histogram.create ~lo:delay_lo ~gamma:delay_gamma ~bins:1
-
 let new_flow () =
   ({
      backlog = 0;
@@ -67,13 +63,18 @@ let new_flow () =
      pend = [||];
      phead = 0;
      plen = 0;
-     sketch = nil_sketch;
    }
   [@midrr.lint.allow "R7"])
 
 let nil_flow = new_flow ()
 
-let nil_iface = { up = false; occupancy = -1; serves = -1; idelay = nil_sketch }
+let nil_iface =
+  {
+    up = false;
+    occupancy = -1;
+    serves = -1;
+    idelay = Log_histogram.create ~lo:delay_lo ~gamma:delay_gamma ~bins:1;
+  }
 
 type t = {
   reg : Metrics.t;
@@ -96,8 +97,8 @@ type t = {
   mutable ifaces : iface array; (* indexed by interface id *)
 }
 
-let create ?registry () =
-  let reg = match registry with Some r -> r | None -> Metrics.create () in
+let create () =
+  let reg = Metrics.create () in
   let histogram name =
     Metrics.hist reg
       (Metrics.histogram reg name ~lo:delay_lo ~gamma:delay_gamma
@@ -168,14 +169,6 @@ let iface t j =
   let r = if j < Array.length t.ifaces then t.ifaces.(j) else nil_iface in
   if r != nil_iface then r else add_iface t j
 
-(* A flow's delay sketch, created at its first Serve. *)
-let flow_sketch fl =
-  if fl.sketch == nil_sketch then
-    (fl.sketch <-
-       Log_histogram.create ~lo:delay_lo ~gamma:delay_gamma ~bins:delay_bins)
-    [@midrr.lint.allow "R7"];
-  fl.sketch
-
 let grow_pending fl =
   (let old = fl.pend in
    let ring = Array.make (Stdlib.max 16 (2 * Array.length old)) 0.0 in
@@ -236,19 +229,16 @@ let on_event t ~time (ev : Event.record) =
         fl.backlog <- fl.backlog - 1;
         fl.bytes <- fl.bytes - bytes
       end;
-      let fl_delay = flow_sketch fl in
       let ns = pop_pending_ns fl ~time in
       if Int.equal ns min_int then begin
         (* no matching enqueue seen: count in the NaN cell ([Float.nan]
            is a static constant, so this branch still allocates nothing) *)
         Log_histogram.observe t.delay Float.nan;
-        Log_histogram.observe ifc.idelay Float.nan;
-        Log_histogram.observe fl_delay Float.nan
+        Log_histogram.observe ifc.idelay Float.nan
       end
       else begin
         Log_histogram.observe_ns t.delay ns;
-        Log_histogram.observe_ns ifc.idelay ns;
-        Log_histogram.observe_ns fl_delay ns
+        Log_histogram.observe_ns ifc.idelay ns
       end
   | Drop ->
       Metrics.incr t.reg t.c_drops;
@@ -328,9 +318,3 @@ let delay t = t.delay
 
 let iface_delay t ~iface =
   if known t iface then Some t.ifaces.(iface).idelay else None
-
-let flow_delay t ~flow =
-  if flow >= 0 && flow < Array.length t.flows
-     && t.flows.(flow).sketch != nil_sketch
-  then Some t.flows.(flow).sketch
-  else None

@@ -10,27 +10,32 @@
       backlog of the flows associated with each interface, the
       association learned from [Turn]/[Serve] events; it covers
       interface ids 0..61, and higher ids read 0);
-    - histograms: enqueue-to-service delay, aggregate, per-interface
-      and per-flow, as streaming log-bucket sketches (1 us floor, 5%
-      buckets).  Delays are taken at 1 ns resolution: the [n]-th
+    - histograms: enqueue-to-service delay, aggregate and
+      per-interface only, as streaming log-bucket sketches (1 us floor,
+      5% buckets).  Delays are taken at 1 ns resolution: the [n]-th
       [Serve] of a flow is matched with its [n]-th [Enqueue] (flow
       queues are FIFO), [Drop]s never enter the match and [Flow_remove]
       forgets the flow's unserved enqueues.  A [Serve] with no pending
       enqueue (fold attached mid-run) counts in the sketches' NaN cell.
+      One flow's delays are the aggregate sketch of a fold fed only
+      that flow's events (how [Bounds.report] measures them).
 
     The steady-state [on_event] path allocates nothing (R7-checked): it
-    keeps one record per flow id and one per interface id, and updates
-    no gauge.  Gauge values are derived from those records by [publish],
-    which writes them to the registry's float gauges, and by the
-    accessors below.  Call [publish] before exporting. *)
+    keeps one record per flow id (a few words plus a ring of pending
+    enqueue times) and one per interface id, and updates no gauge.  It
+    allocates only when an id appears for the first time (its record, a
+    larger slot array, and for an interface its registry entries) and
+    when a flow's pending ring fills up and doubles.  Gauge values are
+    derived from the records by [publish], which writes them to the
+    registry's float gauges, and by the accessors below.  Call
+    [publish] before exporting. *)
 
 module Log_histogram = Midrr_stats.Log_histogram
 
 type t
 
-val create : ?registry:Metrics.t -> unit -> t
-(** Fold state registering its metrics in [registry] (a fresh registry
-    when omitted). *)
+val create : unit -> t
+(** Fold state registering its metrics in a fresh registry. *)
 
 val registry : t -> Metrics.t
 
@@ -59,8 +64,3 @@ val delay : t -> Log_histogram.t
 
 val iface_delay : t -> iface:int -> Log_histogram.t option
 
-val flow_delay : t -> flow:int -> Log_histogram.t option
-(** The flow's delay sketch (seconds; shared, not a copy), created at
-    its first [Serve] and kept across [Flow_remove]; [None] for a flow
-    never served.  Per-flow sketches are not registered in
-    {!registry}, so exports and registry merges do not carry them. *)

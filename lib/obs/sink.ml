@@ -1,8 +1,6 @@
 type raw = Event.record -> unit
 type t = time:float -> Event.record -> unit
 
-let null : t = fun ~time:_ _ -> ()
-
 let tee (a : t) (b : t) : t =
  fun ~time ev ->
   a ~time ev;

@@ -26,9 +26,6 @@ type t = time:float -> Event.record -> unit
     platform's clock (simulated seconds, or seconds since start for the
     wall-clock bridge). *)
 
-val null : t
-(** Discards everything. *)
-
 val tee : t -> t -> t
 (** [tee a b] delivers every event to [a] then [b]: both read the same
     record. *)

@@ -50,7 +50,16 @@ let arrival_of_source : Netsim.source -> Curve.t option = function
       Some (Arrival.token_bucket ~rate:(rate /. 8.0) ~burst)
   | Backlogged _ | Finite _ | Poisson _ | On_off _ -> None
 
-let analyze ?(base_quantum = 1500) ~discipline scn =
+(* The quantum scale shared by the schedulers [report] runs and the
+   service curves [analyze] derives. *)
+let base_quantum = 1500
+
+let sched_thunk = function
+  | Drr -> fun () -> Midrr_core.Drr.packed (Midrr_core.Drr.create ~base_quantum ())
+  | Midrr ->
+      fun () -> Midrr_core.Midrr.packed (Midrr_core.Midrr.create ~base_quantum ())
+
+let analyze ~discipline scn =
   let horizon = Scenario.horizon scn in
   let ifaces = Scenario.iface_profiles scn in
   let specs = Scenario.flow_specs scn in
@@ -106,18 +115,19 @@ let analyze ?(base_quantum = 1500) ~discipline scn =
           (fs.fs_name, bound))
     specs
 
-let sched_thunk ~base_quantum = function
-  | Drr -> fun () -> Midrr_core.Drr.packed (Midrr_core.Drr.create ~base_quantum ())
-  | Midrr ->
-      fun () -> Midrr_core.Midrr.packed (Midrr_core.Midrr.create ~base_quantum ())
-
-let report ?(base_quantum = 1500) ?seed ~label ~discipline scn =
-  let bounds = analyze ~base_quantum ~discipline scn in
-  let bm = Busmetrics.create () in
+(* Flow [i]'s delays (the [i]-th spec's id) are the aggregate sketch of
+   a fold fed only the events that carry id [i]: FIFO pairing, NaN cell
+   and [Flow_remove] handling as in a fold over the whole stream. *)
+let report ?seed ~label ~discipline scn =
+  let bounds = analyze ~discipline scn in
+  let specs = Scenario.flow_specs scn in
+  let folds = Array.of_list (List.map (fun _ -> Busmetrics.create ()) specs) in
+  let sink ~time (ev : Midrr_obs.Event.record) =
+    if ev.flow >= 0 && ev.flow < Array.length folds then
+      Busmetrics.on_event folds.(ev.flow) ~time ev
+  in
   let (_ : Scenario.report) =
-    Scenario.run ~metrics:bm ?seed
-      ~sched:(sched_thunk ~base_quantum discipline)
-      scn
+    Scenario.run ~sink ?seed ~sched:(sched_thunk discipline) scn
   in
   let rows =
     List.mapi
@@ -127,30 +137,21 @@ let report ?(base_quantum = 1500) ?seed ~label ~discipline scn =
           | Some b -> b
           | None -> Float.infinity
         in
-        match Busmetrics.flow_delay bm ~flow:i with
-        | Some h when Log_histogram.count h > 0 ->
-            (* max is exact; p99/p999 come from the streaming sketch
-               (conservative: never below the true quantile, never above
-               the exact max), so the bound check stays sound at O(1)
-               memory per flow. *)
-            {
-              flow = fs.fs_name;
-              bound;
-              samples = Log_histogram.count h;
-              sim_max = Log_histogram.max_value h;
-              sim_p99 = Log_histogram.quantile h ~q:0.99;
-              sim_p999 = Log_histogram.quantile h ~q:0.999;
-            }
-        | Some _ | None ->
-            {
-              flow = fs.fs_name;
-              bound;
-              samples = 0;
-              sim_max = Float.nan;
-              sim_p99 = Float.nan;
-              sim_p999 = Float.nan;
-            })
-      (Scenario.flow_specs scn)
+        let h = Busmetrics.delay folds.(i) in
+        (* max is exact; p99/p999 come from the streaming sketch
+           (conservative: never below the true quantile, never above
+           the exact max), so the bound check stays sound at O(1)
+           memory per flow. *)
+        let stat f = if Log_histogram.count h > 0 then f h else Float.nan in
+        {
+          flow = fs.fs_name;
+          bound;
+          samples = Log_histogram.count h;
+          sim_max = stat Log_histogram.max_value;
+          sim_p99 = stat (Log_histogram.quantile ~q:0.99);
+          sim_p999 = stat (Log_histogram.quantile ~q:0.999);
+        })
+      specs
   in
   { label; discipline; rows }
 

@@ -3,10 +3,11 @@
     Bridges {!Midrr_netcalc} and {!Scenario}: derives each flow's arrival
     curve from its declared source and its residual service curve from
     the scenario's quanta and line rates, computes the worst-case delay
-    bound, then (optionally) runs the simulation with the
-    {!Midrr_obs.Busmetrics} fold attached and reports each flow's
-    measured enqueue-to-service delays ({!Midrr_obs.Busmetrics.flow_delay},
-    recorded at 1 ns resolution) next to the bound.
+    bound, then (optionally) runs the simulation and reports each flow's
+    measured enqueue-to-service delays next to the bound.  The run feeds
+    each flow's events to a {!Midrr_obs.Busmetrics} fold of its own, so
+    a flow's delays are that fold's aggregate sketch (recorded at 1 ns
+    resolution, paired FIFO as every fold pairs them).
     test/test_bounds.ml asserts [sim <= bound] across the scenario
     corpus; [midrr bounds] prints the same table.
 
@@ -42,26 +43,20 @@ val min_line_rate : Link.t -> horizon:float -> float
 (** Smallest line rate (bits/s) the profile offers in [0, horizon) — the
     conservative capacity the service curves assume. *)
 
-val analyze :
-  ?base_quantum:int -> discipline:discipline -> Scenario.t -> (string * float) list
+val analyze : discipline:discipline -> Scenario.t -> (string * float) list
 (** Per-flow worst-case delay bounds (seconds), in declaration order.
     For each flow the bound is the minimum over its allowed interfaces of
     the horizontal deviation between its arrival curve and that
     interface's residual service ({!Midrr_netcalc.Service.residual}
-    with quanta [weight * base_quantum]).  [base_quantum] must match the
-    scheduler's (default 1500, the schedulers' own default). *)
+    with quanta [weight * 1500]: the base quantum of the schedulers
+    {!report} runs). *)
 
 val report :
-  ?base_quantum:int ->
-  ?seed:int ->
-  label:string ->
-  discipline:discipline ->
-  Scenario.t ->
-  report
+  ?seed:int -> label:string -> discipline:discipline -> Scenario.t -> report
 (** {!analyze}, then run the scenario under the given discipline
-    (overriding its [scheduler] directive) with the telemetry fold
-    attached and fill in the measured columns.  [label] names the
-    scenario in output (typically the file name). *)
+    (overriding its [scheduler] directive) with one telemetry fold per
+    flow and fill in the measured columns.  [label] names the scenario
+    in output (typically the file name). *)
 
 val pp_report : Format.formatter -> report -> unit
 (** The human-readable table [midrr bounds] prints: one line per flow

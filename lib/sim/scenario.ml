@@ -367,7 +367,9 @@ type late = L_window_end of float | L_rate of float
    the flow's first stop, when the scheduler no longer knows it.  Then,
    in line order, every [measure] window must end by the horizon, and one
    packet of the file's smallest size must take time at every positive
-   rate, even at the horizon, or the clock would stop there. *)
+   rate, even at the horizon, or the clock would stop there; nor may a
+   rate carry more than 2^30 such packets by the horizon, or the run
+   would never end in practice. *)
 let parse text =
   let sched = ref (Sched_midrr None) in
   let ifaces = ref [] and flow_specs = ref [] in
@@ -450,11 +452,19 @@ let parse text =
   let bad_late horizon = function
     | lineno, L_window_end t1 when t1 > horizon ->
         Some (err lineno "measure window ends at %g, after run %g" t1 horizon)
-    | lineno, L_rate r when not (horizon +. (8.0 *. Float.of_int !pkt_min /. r) > horizon) ->
-        Some
-          (err lineno
-             "rate %g b/s is too high: a %d-byte packet at it takes no time at %g"
-             r !pkt_min horizon)
+    | lineno, L_rate r ->
+        let bits = 8.0 *. Float.of_int !pkt_min in
+        if not (horizon +. (bits /. r) > horizon) then
+          Some
+            (err lineno
+               "rate %g b/s is too high: a %d-byte packet at it takes no time at %g"
+               r !pkt_min horizon)
+        else if r *. horizon /. bits > 0x1p30 then
+          Some
+            (err lineno
+               "rate %g b/s is too high: %.3g %d-byte packets at it by %g, over 2^30"
+               r (r *. horizon /. bits) !pkt_min horizon)
+        else None
     | _ -> None
   in
   match go 1 (String.split_on_char '\n' text) with

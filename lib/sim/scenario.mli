@@ -112,10 +112,14 @@ val parse : string -> (t, string) result
     - a positive rate [R] must be low enough that one packet at it still
       advances the clock at the horizon:
       [run +. 8 *. pkt_min /. R > run], where [pkt_min] is the file's
-      smallest [pkt=].
+      smallest [pkt=];
+    - and low enough that one link at it carries at most [2^30] (about
+      1.07e9) such packets before the horizon:
+      [R *. run /. (8 *. pkt_min) <= 2^30].  This is checked after the
+      clock rule, at the rate's line.
 
-    So a parsed scenario always runs to its horizon, and reports
-    rates that mean something. *)
+    So a parsed scenario always runs to its horizon in bounded time, and
+    reports rates that mean something. *)
 
 (** {1 Introspection}
 

@@ -1,8 +1,9 @@
 (* The delay-bound harness: qcheck properties of the min-plus curve
-   algebra, closed-form spot checks, and the corpus sweep — every
+   algebra, closed-form spot checks, the corpus sweep — every
    token-bucket-shaped scenario run under both drr and midrr, asserting
    the simulated worst-case and p999 enqueue-to-service delays never
-   exceed the analytical network-calculus bound. *)
+   exceed the analytical network-calculus bound — and the same check of
+   the worst case over random tb/cbr scenarios. *)
 
 module Curve = Midrr_netcalc.Curve
 module Arrival = Midrr_netcalc.Arrival
@@ -300,6 +301,89 @@ let test_corpus_seed_insensitive () =
         (row.sim_max <= row.bound))
     r.rows
 
+(* --- random scenarios ----------------------------------------------------- *)
+
+(* A random scenario the analysis covers: 2-3 constant-rate interfaces of
+   2-20 Mb/s and 2-5 tb/cbr flows, each on a random non-empty set of
+   them, whose rates sum to 20-90% of the total capacity, over a horizon
+   of 1-4 s.  A flow confined to a slow interface may still overload it;
+   its bound is then infinite and its row unchecked. *)
+let scenario_gen =
+  QCheck.Gen.(
+    let* caps = list_size (int_range 2 3) (int_range 2_000 20_000) in
+    let n_if = List.length caps in
+    let flow =
+      let* weight = float_range 0.5 4.0 in
+      let* mask = int_range 1 ((1 lsl n_if) - 1) in
+      let* pkt = oneofl [ 500; 1000; 1500 ] in
+      let* share = float_range 0.1 1.0 in
+      let* tb = bool in
+      let* burst = int_range 1 4 in
+      return (weight, mask, pkt, share, tb, burst)
+    in
+    let* flows = list_size (int_range 2 5) flow in
+    let* load = float_range 0.2 0.9 in
+    let* horizon = int_range 1 4 in
+    let b = Buffer.create 256 in
+    List.iteri (fun j c -> Printf.bprintf b "iface %d constant %dkb\n" j c) caps;
+    let total = Float.of_int (List.fold_left ( + ) 0 caps) in
+    let shares = List.fold_left (fun a (_, _, _, s, _, _) -> a +. s) 0. flows in
+    List.iteri
+      (fun i (weight, mask, pkt, share, tb, burst) ->
+        let ifaces =
+          List.filter (fun j -> mask land (1 lsl j) <> 0) (List.init n_if Fun.id)
+        in
+        let rate = Float.round (load *. total *. share /. shares) in
+        Printf.bprintf b "flow f%d weight=%.2f ifaces=%s " i weight
+          (String.concat "," (List.map string_of_int ifaces));
+        if tb then
+          Printf.bprintf b "tb rate=%.0fkb burst=%d pkt=%d\n" rate
+            (burst * pkt) pkt
+        else Printf.bprintf b "cbr rate=%.0fkb pkt=%d\n" rate pkt)
+      flows;
+    Printf.bprintf b "run %d\n" horizon;
+    return (Buffer.contents b))
+
+let finite_rows = ref 0
+let tightest = ref 0.0
+
+let prop_random_within_bounds =
+  QCheck.Test.make ~count:250
+    ~name:"random tb/cbr scenarios: simulated max within every finite bound"
+    (QCheck.make ~print:Fun.id scenario_gen)
+    (fun text ->
+      match Scenario.parse text with
+      | Error e -> QCheck.Test.fail_reportf "parse: %s" e
+      | Ok scn ->
+          List.for_all
+            (fun discipline ->
+              let r = Bounds.report ~label:"random" ~discipline scn in
+              List.for_all
+                (fun (row : Bounds.row) ->
+                  if not (Float.is_finite row.bound) then true
+                  else if row.sim_max <= row.bound then begin
+                    incr finite_rows;
+                    tightest := Float.max !tightest (row.sim_max /. row.bound);
+                    true
+                  end
+                  else
+                    QCheck.Test.fail_reportf "%s/%s: max %.9g s, bound %.9g s"
+                      (Bounds.discipline_name discipline)
+                      row.flow row.sim_max row.bound)
+                r.rows)
+            [ Bounds.Drr; Bounds.Midrr ])
+
+(* The property must check rows, not pass on scenarios whose every bound
+   is infinite: a finite row with no simulated delay (max nan) fails it. *)
+let test_random_within_bounds () =
+  QCheck.Test.check_exn
+    ~rand:(Random.State.make [| 20261018 |])
+    prop_random_within_bounds;
+  Printf.printf "%d finite rows checked, tightest sim_max/bound %.3f\n"
+    !finite_rows !tightest;
+  if !finite_rows < 250 then
+    Alcotest.failf "only %d finite rows over 250 scenarios" !finite_rows
+
 let () =
   let rand = Random.State.make [| 20260808 |] in
   let to_alcotest t = QCheck_alcotest.to_alcotest ~rand t in
@@ -332,5 +416,10 @@ let () =
           Alcotest.test_case "simulated delays within bounds" `Slow test_corpus;
           Alcotest.test_case "bounds are seed-insensitive" `Quick
             test_corpus_seed_insensitive;
+        ] );
+      ( "random",
+        [
+          Alcotest.test_case "simulated max within every finite bound" `Quick
+            test_random_within_bounds;
         ] );
     ]
