@@ -343,13 +343,15 @@ module Replay = struct
             | None -> None
             | Some q -> Queue.peek_opt q)
 
-      let rank t ~flow ~iface ~weight:_ ~head:_ ~backlog:_ =
-        match next_index t ~flow ~iface with
-        | Some i -> Float.of_int i
-        | None -> horizon +. Float.of_int flow
+      let rank t ~flow ~iface ~weight:_ ~head:_ ~backlog:_ (into : Pifo.cell)
+          =
+        into.v <-
+          (match next_index t ~flow ~iface with
+          | Some i -> Float.of_int i
+          | None -> horizon +. Float.of_int flow)
 
-      let floor_rank _ ~iface:_ = neg_infinity
-      let skip_rank _ ~flow:_ ~iface:_ = 0.0
+      let floor_rank _ ~iface:_ (into : Pifo.cell) = into.v <- neg_infinity
+      let skip_rank _ ~flow:_ ~iface:_ (into : Pifo.cell) = into.v <- 0.0
 
       let on_service t ~flow ~iface ~weight:_ ~size:_ ~rank:_ =
         match Hashtbl.find_opt t.pending iface with

@@ -3,11 +3,14 @@
    [keys.(i)] at rank [ranks.(i)], and [pos.(key)] is the key's slot (-1
    when absent), kept in lockstep by every sift.  That is what makes
    remove O(log n): find the slot in O(1), repair the heap from there.
-   The ranks are unboxed and the sifts move ints and raw floats only, so
-   nothing here allocates once the arrays have grown.  Every slot at or
-   past [size] holds [infinity], so slot 0 reads [infinity] when the heap
-   is empty.  This module is on the lint hot-path list: comparisons go
-   through [Float.compare]/[Int] primitives only. *)
+   The ranks are unboxed, they cross the interface only inside a [cell],
+   and the sifts move ints and raw floats only, so nothing here allocates
+   once the arrays have grown.  Every slot at or past [size] holds
+   [infinity], so slot 0 reads [infinity] when the heap is empty.  This
+   module is on the lint hot-path list: comparisons go through
+   [Float.compare]/[Int] primitives only. *)
+
+type cell = { mutable v : float }
 
 type t = {
   mutable keys : int array; (* entries live in slots [0, size) *)
@@ -98,18 +101,11 @@ let push t ~key ~rank =
   let i = t.size in
   t.size <- i + 1;
   t.keys.(i) <- key;
-  Float.Array.set t.ranks i rank;
+  Float.Array.set t.ranks i rank.v;
   t.pos.(key) <- i;
   sift_up t i
 
-(* R7 counts a float result as one box per call.  [Sched_prog] reads the
-   minimum rank only to hand it to the program's [on_service] at once, as
-   a float argument, which is boxed: where the call is not inlined (the
-   dev profile) the box is made here, where it is (release) it is made at
-   that call instead.  Either way it is one box per serve from the fresh
-   heap; every other rank test stays inside this module
-   ([pop_at_most]). *)
-let min_rank t = Float.Array.get t.ranks 0 [@@midrr.lint.allow "R7"]
+let min_rank t into = into.v <- Float.Array.get t.ranks 0
 
 let min_key t = if is_empty t then -1 else t.keys.(0)
 
@@ -135,7 +131,9 @@ let pop_key t =
   key
 
 let pop_at_most t bound =
-  if (not (is_empty t)) && Float.compare (Float.Array.get t.ranks 0) bound <= 0
+  if
+    (not (is_empty t))
+    && Float.compare (Float.Array.get t.ranks 0) bound.v <= 0
   then pop_key t
   else -1
 

@@ -15,11 +15,11 @@ module P = struct
   let create () = ()
   let membership = `Backlogged
 
-  let rank () ~flow:_ ~iface:_ ~weight ~head ~backlog:_ =
-    (head : Packet.t).arrival +. (deadline_base /. weight)
+  let rank () ~flow:_ ~iface:_ ~weight ~head ~backlog:_ (into : Pifo.cell) =
+    into.v <- (head : Packet.t).arrival +. (deadline_base /. weight)
 
-  let floor_rank () ~iface:_ = neg_infinity
-  let skip_rank () ~flow:_ ~iface:_ = 0.0
+  let floor_rank () ~iface:_ (into : Pifo.cell) = into.v <- neg_infinity
+  let skip_rank () ~flow:_ ~iface:_ (into : Pifo.cell) = into.v <- 0.0
   let on_service () ~flow:_ ~iface:_ ~weight:_ ~size:_ ~rank:_ = ()
 
   (* The queue is FIFO, so the head — and with it the rank — changes

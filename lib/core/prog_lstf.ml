@@ -16,13 +16,14 @@ module P = struct
   let create () = ()
   let membership = `Backlogged
 
-  let rank () ~flow:_ ~iface:_ ~weight ~head ~backlog =
-    (head : Packet.t).arrival
-    +. (deadline_base /. weight)
-    -. (Float.of_int backlog /. drain_bytes_per_sec)
+  let rank () ~flow:_ ~iface:_ ~weight ~head ~backlog (into : Pifo.cell) =
+    into.v <-
+      (head : Packet.t).arrival
+      +. (deadline_base /. weight)
+      -. (Float.of_int backlog /. drain_bytes_per_sec)
 
-  let floor_rank () ~iface:_ = neg_infinity
-  let skip_rank () ~flow:_ ~iface:_ = 0.0
+  let floor_rank () ~iface:_ (into : Pifo.cell) = into.v <- neg_infinity
+  let skip_rank () ~flow:_ ~iface:_ (into : Pifo.cell) = into.v <- 0.0
   let on_service () ~flow:_ ~iface:_ ~weight:_ ~size:_ ~rank:_ = ()
   let rerank_on_enqueue = true
   let rerank_after_service = `All_ifaces

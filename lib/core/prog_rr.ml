@@ -12,14 +12,16 @@ module P = struct
   let membership = `All_flows
 
   (* Ranks are only asked for on online interfaces. *)
-  let next_pos t iface =
+  let next_pos t iface (into : Pifo.cell) =
     let c = t.counters.(iface) + 1 in
     t.counters.(iface) <- c;
-    Float.of_int c
+    into.v <- Float.of_int c
 
-  let rank t ~flow:_ ~iface ~weight:_ ~head:_ ~backlog:_ = next_pos t iface
-  let floor_rank _ ~iface:_ = neg_infinity
-  let skip_rank t ~flow:_ ~iface = next_pos t iface
+  let rank t ~flow:_ ~iface ~weight:_ ~head:_ ~backlog:_ into =
+    next_pos t iface into
+
+  let floor_rank _ ~iface:_ (into : Pifo.cell) = into.v <- neg_infinity
+  let skip_rank t ~flow:_ ~iface into = next_pos t iface into
   let on_service _ ~flow:_ ~iface:_ ~weight:_ ~size:_ ~rank:_ = ()
   let rerank_on_enqueue = false
   let rerank_after_service = `Served_iface

@@ -9,9 +9,11 @@ module P = struct
   let name = "sprio"
   let create () = ()
   let membership = `Backlogged
-  let rank () ~flow:_ ~iface:_ ~weight ~head:_ ~backlog:_ = -.weight
-  let floor_rank () ~iface:_ = neg_infinity
-  let skip_rank () ~flow:_ ~iface:_ = 0.0
+  let rank () ~flow:_ ~iface:_ ~weight ~head:_ ~backlog:_ (into : Pifo.cell) =
+    into.v <- -.weight
+
+  let floor_rank () ~iface:_ (into : Pifo.cell) = into.v <- neg_infinity
+  let skip_rank () ~flow:_ ~iface:_ (into : Pifo.cell) = into.v <- 0.0
   let on_service () ~flow:_ ~iface:_ ~weight:_ ~size:_ ~rank:_ = ()
   let rerank_on_enqueue = false
   let rerank_after_service = `Served_iface

@@ -10,9 +10,11 @@ module P = struct
   let name = "srpt"
   let create () = ()
   let membership = `Backlogged
-  let rank () ~flow:_ ~iface:_ ~weight:_ ~head:_ ~backlog = Float.of_int backlog
-  let floor_rank () ~iface:_ = neg_infinity
-  let skip_rank () ~flow:_ ~iface:_ = 0.0
+  let rank () ~flow:_ ~iface:_ ~weight:_ ~head:_ ~backlog (into : Pifo.cell) =
+    into.v <- Float.of_int backlog
+
+  let floor_rank () ~iface:_ (into : Pifo.cell) = into.v <- neg_infinity
+  let skip_rank () ~flow:_ ~iface:_ (into : Pifo.cell) = into.v <- 0.0
   let on_service () ~flow:_ ~iface:_ ~weight:_ ~size:_ ~rank:_ = ()
   let rerank_on_enqueue = true
   let rerank_after_service = `All_ifaces

@@ -35,10 +35,13 @@ module type PROG = sig
     weight:float ->
     head:Packet.t ->
     backlog:int ->
-    float
+    Pifo.cell ->
+    unit
 
-  val floor_rank : t -> iface:Types.iface_id -> float
-  val skip_rank : t -> flow:Types.flow_id -> iface:Types.iface_id -> float
+  val floor_rank : t -> iface:Types.iface_id -> Pifo.cell -> unit
+
+  val skip_rank :
+    t -> flow:Types.flow_id -> iface:Types.iface_id -> Pifo.cell -> unit
 
   val on_service :
     t ->
@@ -46,7 +49,7 @@ module type PROG = sig
     iface:Types.iface_id ->
     weight:float ->
     size:int ->
-    rank:float ->
+    rank:Pifo.cell ->
     unit
 
   val rerank_on_enqueue : bool
@@ -113,6 +116,13 @@ module Make (P : PROG) = struct
     mutable nflows : int;
     mutable t_sink : Midrr_obs.Sink.raw option;
     t_ev : Event.record; (* refilled per emission, see [Event] *)
+    (* The cells every rank crosses [P] and [Pifo] in: [rank] takes what
+       [P.rank]/[P.skip_rank] write and what [P.on_service] reads,
+       [floor] what [P.floor_rank] writes; [bottom] stays at
+       [neg_infinity], the rank of every stale entry. *)
+    rank : Pifo.cell;
+    floor : Pifo.cell;
+    bottom : Pifo.cell;
   }
 
   let create ?queue_capacity () =
@@ -124,6 +134,9 @@ module Make (P : PROG) = struct
       nflows = 0;
       t_sink = None;
       t_ev = Event.create ();
+      rank = { v = 0.0 };
+      floor = { v = neg_infinity };
+      bottom = { v = neg_infinity };
     }
 
   let name _ = P.name
@@ -178,15 +191,17 @@ module Make (P : PROG) = struct
     P.rank t.prog ~flow:fs.f_id ~iface:j ~weight:fs.weight
       ~head:(Pktqueue.peek fs.queue)
       ~backlog:(Pktqueue.backlog_bytes fs.queue)
+      t.rank
 
   let eligible fs j =
     Types.mem_sorted j fs.allowed && not (Pktqueue.is_empty fs.queue)
 
   let heap_insert t ifc fs =
-    let r = rank_of t fs ifc.i_id in
-    if Float.compare r (P.floor_rank t.prog ~iface:ifc.i_id) <= 0 then
-      Pifo.push ifc.stale ~key:fs.f_id ~rank:neg_infinity
-    else Pifo.push ifc.fresh ~key:fs.f_id ~rank:r
+    rank_of t fs ifc.i_id;
+    P.floor_rank t.prog ~iface:ifc.i_id t.floor;
+    if Float.compare t.rank.v t.floor.v <= 0 then
+      Pifo.push ifc.stale ~key:fs.f_id ~rank:t.bottom
+    else Pifo.push ifc.fresh ~key:fs.f_id ~rank:t.rank
 
   let heap_remove ifc f =
     ignore (Pifo.remove ifc.fresh f : bool);
@@ -325,17 +340,19 @@ module Make (P : PROG) = struct
 
   (* Entries whose rank fell at or below the advancing floor migrate to
      the id-ordered stale heap.  Each entry migrates at most once between
-     its services, so decisions stay O(log n) amortized. *)
+     its services, so decisions stay O(log n) amortized.  Leaves the
+     floor in [t.floor]. *)
   let migrate t ifc =
-    let fl = P.floor_rank t.prog ~iface:ifc.i_id in
-    if Float.compare fl neg_infinity > 0 then begin
-      let f = ref (Pifo.pop_at_most ifc.fresh fl) in
+    P.floor_rank t.prog ~iface:ifc.i_id t.floor;
+    if Float.compare t.floor.v neg_infinity > 0 then begin
+      let f = ref (Pifo.pop_at_most ifc.fresh t.floor) in
       while !f >= 0 do
-        Pifo.push ifc.stale ~key:!f ~rank:neg_infinity;
-        f := Pifo.pop_at_most ifc.fresh fl
+        Pifo.push ifc.stale ~key:!f ~rank:t.bottom;
+        f := Pifo.pop_at_most ifc.fresh t.floor
       done
     end
 
+  (* [rank] holds the effective rank until [P.on_service] has read it. *)
   let serve t ifc fs ~rank =
     let j = ifc.i_id in
     let pkt = Pktqueue.pop_exn fs.queue in
@@ -361,16 +378,16 @@ module Make (P : PROG) = struct
     emit_serve t ~flow:f ~iface:ifc.i_id ~bytes:pkt.size;
     Some pkt
 
-  (* A stale entry is served at the floor; a fresh one at its own rank,
-     read before the pop. *)
+  (* A stale entry is served at the floor that [migrate] left; a fresh
+     one at its own rank, read before the pop. *)
   let next_backlogged t ifc =
     migrate t ifc;
     if not (Pifo.is_empty ifc.stale) then
-      serve_backlogged t ifc (Pifo.pop_key ifc.stale)
-        ~rank:(P.floor_rank t.prog ~iface:ifc.i_id)
-    else if not (Pifo.is_empty ifc.fresh) then
-      let rank = Pifo.min_rank ifc.fresh in
-      serve_backlogged t ifc (Pifo.pop_key ifc.fresh) ~rank
+      serve_backlogged t ifc (Pifo.pop_key ifc.stale) ~rank:t.floor
+    else if not (Pifo.is_empty ifc.fresh) then begin
+      Pifo.min_rank ifc.fresh t.rank;
+      serve_backlogged t ifc (Pifo.pop_key ifc.fresh) ~rank:t.rank
+    end
     else None
 
   (* Sweep in flows registered before this interface existed, ascending
@@ -393,14 +410,15 @@ module Make (P : PROG) = struct
       !lap > 0 && not (eligible (flow_state t (Pifo.min_key ifc.fresh)) j)
     do
       let f = Pifo.pop_key ifc.fresh in
-      Pifo.push ifc.fresh ~key:f ~rank:(P.skip_rank t.prog ~flow:f ~iface:j);
+      P.skip_rank t.prog ~flow:f ~iface:j t.rank;
+      Pifo.push ifc.fresh ~key:f ~rank:t.rank;
       decr lap
     done;
     if Int.equal !lap 0 then None
     else begin
-      let rank = Pifo.min_rank ifc.fresh in
+      Pifo.min_rank ifc.fresh t.rank;
       let fs = flow_state t (Pifo.pop_key ifc.fresh) in
-      let pkt = serve t ifc fs ~rank in
+      let pkt = serve t ifc fs ~rank:t.rank in
       heap_insert t ifc fs;
       emit_serve t ~flow:fs.f_id ~iface:j ~bytes:pkt.size;
       Some pkt

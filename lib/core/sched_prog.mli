@@ -31,7 +31,21 @@
     substrate keeps, per interface, a second PIFO ordered by flow id
     holding exactly the entries at or below the floor, migrating entries
     as the floor advances — each entry migrates at most once between its
-    services, preserving O(log n) amortized decisions. *)
+    services, preserving O(log n) amortized decisions.
+
+    {2 Ranks by reference}
+
+    Ranks cross this interface only inside a {!Pifo.cell} that the
+    substrate owns: [rank], [floor_rank] and [skip_rank] store their
+    result in the cell they are handed, and [on_service] reads the
+    effective rank from one.  A float computed in one function and
+    handed to another by value, as a result or an argument, is boxed
+    unless the call is inlined, and the dev build ([-opaque]) inlines
+    nothing across modules: by value, every rank would cost a box.
+    A cell's value lives only until the call returns: the substrate
+    reuses its cells for the next rank, so a program copies [v] out
+    (into cells of its own, as WFQ keeps [v_j] and its finish tags) and
+    never keeps the cell. *)
 
 module type PROG = sig
   type t
@@ -55,19 +69,23 @@ module type PROG = sig
     weight:float ->
     head:Packet.t ->
     backlog:int ->
-    float
-  (** The program: this flow's rank on this interface, given its weight,
-      head-of-line packet ({!Packet.none} when the queue is empty, which
-      only happens under [`All_flows]) and backlog in bytes. *)
+    Pifo.cell ->
+    unit
+  (** The program: store in the cell this flow's rank on this interface,
+      given its weight, head-of-line packet ({!Packet.none} when the
+      queue is empty, which only happens under [`All_flows]) and backlog
+      in bytes. *)
 
-  val floor_rank : t -> iface:Types.iface_id -> float
-  (** Monotone per-interface lower bound on effective ranks (see above);
-      [neg_infinity] when the discipline has none.  Must be
-      [neg_infinity] under [`All_flows]. *)
+  val floor_rank : t -> iface:Types.iface_id -> Pifo.cell -> unit
+  (** Store in the cell the monotone per-interface lower bound on
+      effective ranks (see above); [neg_infinity] when the discipline has
+      none.  Must be [neg_infinity] under [`All_flows]. *)
 
-  val skip_rank : t -> flow:Types.flow_id -> iface:Types.iface_id -> float
-  (** [`All_flows] only: the new rank for an ineligible flow the
-      interface just passed over (round robin: "move to the back"). *)
+  val skip_rank :
+    t -> flow:Types.flow_id -> iface:Types.iface_id -> Pifo.cell -> unit
+  (** [`All_flows] only: store in the cell the new rank for an
+      ineligible flow the interface just passed over (round robin: "move
+      to the back"). *)
 
   val on_service :
     t ->
@@ -75,10 +93,10 @@ module type PROG = sig
     iface:Types.iface_id ->
     weight:float ->
     size:int ->
-    rank:float ->
+    rank:Pifo.cell ->
     unit
   (** The flow was just served [size] bytes on [iface] at effective rank
-      [rank] (the floor when the entry had been clamped).  WFQ advances
+      [rank.v] (the floor when the entry had been clamped).  WFQ advances
       [v_j] and the finish tag here. *)
 
   val rerank_on_enqueue : bool

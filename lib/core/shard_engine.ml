@@ -18,9 +18,10 @@
    emits the routing layer's own events through [t_sink], leaves in
    [t_pending] the pending interfaces the destination shard must add
    first, and names that shard; the caller adds those interfaces
-   silently (inline directly, in [run_ops] as one [Msg_mat] each ahead
-   of the op) and hands the op to [apply_on], the one interpreter that
-   inline calls, [run_ops] workers and [run_ops_single] share. *)
+   silently (inline directly, in [run_ops] as one materialize code each
+   ahead of the op's index) and hands the op to [apply_on], the one
+   interpreter that inline calls, [run_ops] workers and [run_ops_single]
+   share. *)
 
 module Event = Midrr_obs.Event
 module Metrics = Midrr_obs.Metrics
@@ -97,6 +98,11 @@ type t = {
   t_scratch : wstate; (* the inline ops' accounting, which nothing reads *)
 }
 
+(* The largest interface id: the slot arrays here and in the
+   sub-engines are sized by the id, and [run_ops]'s mailbox codes
+   interface [j] as the negative int [-2 - j] (see [msg_mat]). *)
+let max_iface_id = 65535
+
 let create ?base_quantum ?queue_capacity ?flag_policy ?counter_max
     ?(shards = 1) ?(strict = false) mode =
   if shards < 1 then invalid_arg "Shard_engine.create: shards < 1";
@@ -107,11 +113,11 @@ let create ?base_quantum ?queue_capacity ?flag_policy ?counter_max
           Drr_engine.create ?base_quantum ?queue_capacity ?flag_policy
             ?counter_max mode);
     t_strict = strict;
-    t_parent = [||];
-    t_binding = [||];
-    t_online = [||];
-    t_mat = [||];
-    t_flow_shard = [||];
+    t_parent = Array.make 16 (-1);
+    t_binding = Array.make 16 (-1);
+    t_online = Array.make 16 false;
+    t_mat = Array.make 16 false;
+    t_flow_shard = Array.make 64 (-1);
     t_counts = Array.make shards 0;
     t_stamp = Array.make shards 0;
     t_epoch = 0;
@@ -263,6 +269,29 @@ let home_for t ~flow allowed =
   t.t_pending <- List.rev t.t_pending;
   home
 
+(* [set_allowed]'s walks over the new Π_i, top-level like [home_for]'s:
+   whether an interface's component is bound to a shard other than [s],
+   and binding the unbound ones to [s] (counting a conflict for each one
+   bound elsewhere) and claiming each. *)
+let rec bound_elsewhere t s = function
+  | [] -> false
+  | j :: rest ->
+      let b = shard_of_iface t j in
+      (b >= 0 && not (Int.equal b s)) || bound_elsewhere t s rest
+
+let rec bind_to t s = function
+  | [] -> ()
+  | j :: rest ->
+      if j >= 0 then begin
+        grow_ifaces t j;
+        let r = find t j in
+        let b = t.t_binding.(r) in
+        if b < 0 then t.t_binding.(r) <- s
+        else if not (Int.equal b s) then t.t_conflicts <- t.t_conflicts + 1;
+        claim t s j
+      end;
+      bind_to t s rest
+
 (* Add a pending interface to a sub-engine without re-emitting its
    Iface_up: the routing layer emitted the canonical event at the
    interface's own add_iface operation. *)
@@ -298,6 +327,8 @@ let route t op =
   match op with
   | Op_add_iface j ->
       if j < 0 then invalid_arg "Shard_engine.add_iface: negative interface id";
+      if j > max_iface_id then
+        invalid_arg "Shard_engine.add_iface: interface id above 65535";
       if has_iface t j then invalid_arg "Shard_engine.add_iface: duplicate";
       grow_ifaces t j;
       t.t_online.(j) <- true;
@@ -349,28 +380,11 @@ let route t op =
       let s = t.t_flow_shard.(flow) in
       (* refuse before binding anything, or a refused preference would
          leave its unbound interfaces claimed for [s] *)
-      if t.t_strict
-         && List.exists
-              (fun j ->
-                let b = shard_of_iface t j in
-                b >= 0 && not (Int.equal b s))
-              allowed
-      then
+      if t.t_strict && bound_elsewhere t s allowed then
         invalid_arg
           "Shard_engine.set_allowed: preference spans components bound to \
            different shards (strict mode)";
-      List.iter
-        (fun j ->
-          if j >= 0 then begin
-            grow_ifaces t j;
-            let r = find t j in
-            let b = t.t_binding.(r) in
-            if b < 0 then t.t_binding.(r) <- s
-            else if not (Int.equal b s) then
-              t.t_conflicts <- t.t_conflicts + 1;
-            claim t s j
-          end)
-        allowed;
+      bind_to t s allowed;
       t.t_pending <- List.rev t.t_pending;
       s
   | Op_enqueue { flow; _ } -> flow_shard t flow
@@ -513,11 +527,16 @@ type run_stats = {
   rs_events : (int * Event.t) array;
 }
 
-type msg =
-  | Msg_none
-  | Msg_stop
-  | Msg_mat of Types.iface_id  (* add a pending interface silently *)
-  | Msg_op of { m_seq : int; m_op : op }
+(* A mailbox message is one int, so posting it allocates nothing: the
+   index of an op in the run's op array, which the worker reads from
+   that shared, immutable array, or a reserved negative code.  Every
+   code lies in [-2 - max_iface_id, -1], above [msg_filler], which
+   fills the rings' empty slots and is never posted. *)
+let msg_stop = -1
+let msg_filler = min_int
+
+(* add pending interface [j] silently ([add_silently]) *)
+let msg_mat j = -2 - j
 
 (* [fold_iface_events:false] is the shard-side variant: interface
    up/down is partition-layer state whose events straddle folds (a
@@ -598,7 +617,7 @@ let stats_of ~record states =
 let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
   let n = t.t_n in
   let prev_sink = t.t_sink in
-  let rings = Array.init n (fun _ -> Spsc.create ~dummy:Msg_none mailbox) in
+  let rings = Array.init n (fun _ -> Spsc.create ~dummy:msg_filler mailbox) in
   let states = Array.init (n + 1) (fun _ -> wstate_create ()) in
   let router_st = states.(n) in
   let folds =
@@ -621,16 +640,17 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
     | None -> ()
     | Some b -> Busmetrics.on_event b ~time:0.0 ev
   in
-  let send_stops () = Array.iter (fun ring -> Spsc.push ring Msg_stop) rings in
+  let send_stops () = Array.iter (fun ring -> Spsc.push ring msg_stop) rings in
   (* Messages travel in bursts: the router stages up to [burst] routed
-     ops per shard and publishes them with one [Spsc.push_slice]; each
-     worker drains with [Spsc.pop_slice].  Per-shard FIFO order is all
-     the merge needs (the global order is reconstructed from the seq
-     tags), and the burst amortizes the shared-cursor cache traffic that
-     dominates per-message cost across domains. *)
+     op indices per shard and publishes them with one [Spsc.push_slice];
+     each worker drains with [Spsc.pop_slice].  Per-shard FIFO order is
+     all the merge needs (the global order is reconstructed from the op
+     indices, which are the sequence numbers), and the burst amortizes
+     the shared-cursor cache traffic that dominates per-message cost
+     across domains. *)
   let burst = 64 in
   let router () =
-    let stage = Array.init n (fun _ -> Array.make burst Msg_none) in
+    let stage = Array.init n (fun _ -> Array.make burst msg_filler) in
     let stage_len = Array.make n 0 in
     let flush s =
       let buf = stage.(s) and len = stage_len.(s) in
@@ -670,8 +690,8 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
              | [] -> ()
              | pending ->
                  t.t_pending <- [];
-                 List.iter (fun j -> post s (Msg_mat j)) pending);
-             post s (Msg_op { m_seq = seq; m_op = op })
+                 List.iter (fun j -> post s (msg_mat j)) pending);
+             post s seq
            end)
          ops;
        for s = 0 to n - 1 do
@@ -686,16 +706,16 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
   in
   (* Each worker owns shard [i] exclusively: its engine, its accounting
      record and the consumer end of its mailbox are touched by no other
-     task, and the router communicates only through the SPSC ring. *)
+     task, and the router communicates only through the SPSC ring.  The
+     op array is shared, and only read: it was filled before [Par.run]
+     spawned the domains, and no task writes it. *)
   let worker i () =
     let e = t.t_engines.(i) in
     let st = states.(i) in
     let ring = rings.(i) in
-    let batch = Array.make burst Msg_none in
+    let batch = Array.make burst msg_filler in
     let rec drain () =
-      match Spsc.pop ring with
-      | Msg_stop -> ()
-      | Msg_op _ | Msg_mat _ | Msg_none -> drain ()
+      if not (Int.equal (Spsc.pop ring) msg_stop) then drain ()
     in
     let running = ref true in
     try
@@ -704,13 +724,13 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
         if Int.equal k 0 then Domain.cpu_relax ()
         else
           for j = 0 to k - 1 do
-            match batch.(j) with
-            | Msg_stop -> running := false
-            | Msg_mat iface -> add_silently e iface
-            | Msg_op { m_seq; m_op } ->
-                st.w_seq <- m_seq;
-                apply_on e st m_op
-            | Msg_none -> ()
+            let m = batch.(j) in
+            if m >= 0 then begin
+              st.w_seq <- m;
+              apply_on e st ops.(m)
+            end
+            else if Int.equal m msg_stop then running := false
+            else add_silently e (-2 - m) (* [msg_mat] *)
           done
       done
     with ex ->

@@ -27,6 +27,12 @@
     [~strict:true] the registration raises instead, which is what the
     differential suite runs under.
 
+    Interface ids run from 0 to 65535, the range [Scenario] accepts:
+    [add_iface] (and an [Op_add_iface]) raises [Invalid_argument] above
+    it, since the partition's slot arrays are sized by the id and
+    {!run_ops}'s mailbox names an interface by a negative int derived
+    from it.
+
     Interfaces with no registered flow are kept {e pending} at the
     routing layer (their [Iface_up]/[Iface_down] events are emitted
     from here) and materialize into a shard's sub-engine silently when
@@ -151,7 +157,9 @@ val run_ops :
     domain, communicating over bounded SPSC mailboxes of [mailbox]
     slots (default 8192; full mailboxes backpressure the router — a
     deep ring keeps the pipeline moving even when the OS time-slices
-    more domains than it has cores).
+    more domains than it has cores).  A message is one int, an op's
+    index: the workers read the ops from the array itself, so routing
+    an op allocates nothing.
     [record] collects every scheduler event with its operation sequence
     number and returns the canonically merged stream.  [metrics] gives
     each shard a private {!Midrr_obs.Busmetrics} fold over its own

@@ -78,7 +78,13 @@ let default =
         "Pifo.push";
         "Pifo.min_rank";
         "Pifo.pop_key";
+        "Pifo.pop_at_most";
         "Pifo.remove";
+        (* the WFQ program's per-decision hooks: ranks, v_j and finish
+           tags cross them in [Pifo.cell]s, so no float is boxed *)
+        "Prog_wfq.P.rank";
+        "Prog_wfq.P.floor_rank";
+        "Prog_wfq.P.on_service";
         "Active_ring.is_empty";
         "Active_ring.length";
         "Active_ring.head";

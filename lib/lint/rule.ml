@@ -117,7 +117,9 @@ let description = function
   | R7 ->
       "The typed zero-allocation proof.  Over the .cmt Typedtree, the \
        call graph is built from the configured decision entry points \
-       (Drr_engine.decide, next_packet_noalloc, Pifo push/min_rank/pop_key, \
+       (Drr_engine.decide, next_packet_noalloc, Pifo \
+       push/min_rank/pop_key/pop_at_most/remove, the WFQ program's \
+       rank/floor_rank/on_service, \
        the Active_ring ops, the obs sink emit paths, and the telemetry hot \
        ops — Metrics incr/add/set_gauge/observe, Log_histogram \
        observe/observe_ns, Busmetrics.on_event, Span enter/exit) and \

@@ -169,9 +169,12 @@ let iface t j =
   let r = if j < Array.length t.ifaces then t.ifaces.(j) else nil_iface in
   if r != nil_iface then r else add_iface t j
 
+(* A flow's ring starts at 2 slots and doubles: most flows never hold
+   more than one packet pending, so a larger first ring is mostly
+   empty words kept for every flow the fold has seen. *)
 let grow_pending fl =
   (let old = fl.pend in
-   let ring = Array.make (Stdlib.max 16 (2 * Array.length old)) 0.0 in
+   let ring = Array.make (Stdlib.max 2 (2 * Array.length old)) 0.0 in
    for i = 0 to fl.plen - 1 do
      ring.(i) <- old.((fl.phead + i) mod Array.length old)
    done;

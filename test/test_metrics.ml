@@ -318,10 +318,10 @@ let test_busmetrics_flow_delay () =
     (List.map fst (Metrics.histograms (Busmetrics.registry m)))
 
 (* Words the fold keeps per registered flow, over flows each added,
-   enqueued and served once: a record, a 16-slot pending ring and a slot
-   in the flow array, about 26.6 words.  A 520-bucket delay sketch per
-   flow read 567.6, which made the fold 6.4x the bare heap on the
-   quarter fleet. *)
+   enqueued and served once: a record, a 2-slot pending ring and a slot
+   in the flow array, about 12.6 words.  A first ring of 16 slots read
+   26.6; a 520-bucket delay sketch per flow read 567.6, which made the
+   fold 6.4x the bare heap on the quarter fleet. *)
 let test_busmetrics_footprint () =
   let n = 10_000 in
   let m = Busmetrics.create () in
@@ -339,8 +339,8 @@ let test_busmetrics_footprint () =
   Alcotest.(check int) "all served" n (Busmetrics.iface_serves m ~iface:0);
   let per_flow = Float.of_int (after - before) /. Float.of_int n in
   Printf.printf "busmetrics: %.1f reachable words per flow\n" per_flow;
-  if per_flow > 32.0 then
-    Alcotest.failf "busmetrics: %.1f reachable words per flow > 32" per_flow
+  if per_flow > 13.6 then
+    Alcotest.failf "busmetrics: %.1f reachable words per flow > 13.6" per_flow
 
 (* --- busmetrics against a replayed model --------------------------------- *)
 

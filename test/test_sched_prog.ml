@@ -45,17 +45,22 @@ let prop_pifo_model =
       let ok = ref true in
       let check b = if not b then ok := false in
       let take k = model := List.filter (fun (k', _) -> k' <> k) !model in
+      let cell = { Pifo.v = 0.0 } in
+      let min_rank h =
+        Pifo.min_rank h cell;
+        cell.v
+      in
       List.iter
         (fun (op, key, r) ->
           let rank = Float.of_int r in
           match op with
           | 0 | 1 | 2 ->
               if not (Pifo.mem h key) then begin
-                Pifo.push h ~key ~rank;
+                Pifo.push h ~key ~rank:{ v = rank };
                 model := (key, rank) :: !model
               end
           | 3 | 4 -> (
-              let rank = Pifo.min_rank h in
+              let rank = min_rank h in
               match (Pifo.pop_key h, model_min !model) with
               | -1, None -> ()
               | key, Some (k, mr) ->
@@ -68,7 +73,7 @@ let prop_pifo_model =
               take key
           | 6 -> (
               (* [rank] doubles as the bound *)
-              match (Pifo.pop_at_most h rank, model_min !model) with
+              match (Pifo.pop_at_most h { v = rank }, model_min !model) with
               | -1, None -> ()
               | -1, Some (_, mr) -> check (mr > rank)
               | key, Some (k, mr) ->
@@ -83,10 +88,10 @@ let prop_pifo_model =
               done;
               match model_min !model with
               | None ->
-                  check (Float.equal (Pifo.min_rank h) infinity);
+                  check (Float.equal (min_rank h) infinity);
                   check (Pifo.min_key h = -1)
               | Some (k, mr) ->
-                  check (Float.equal (Pifo.min_rank h) mr);
+                  check (Float.equal (min_rank h) mr);
                   check (Pifo.min_key h = k)))
         ops;
       (* Drain both; full order must agree. *)
@@ -104,8 +109,8 @@ let prop_pifo_model =
 
 let pifo_key_ties () =
   let h = Pifo.create () in
-  List.iter (fun k -> Pifo.push h ~key:k ~rank:1.0) [ 7; 3; 9; 1 ];
-  Pifo.push h ~key:5 ~rank:0.5;
+  List.iter (fun k -> Pifo.push h ~key:k ~rank:{ v = 1.0 }) [ 7; 3; 9; 1 ];
+  Pifo.push h ~key:5 ~rank:{ v = 0.5 };
   let order = ref [] in
   let rec go () =
     match Pifo.pop_key h with
@@ -120,16 +125,18 @@ let pifo_key_ties () =
 
 let pifo_errors () =
   let h = Pifo.create () in
-  Pifo.push h ~key:3 ~rank:0.5;
+  Pifo.push h ~key:3 ~rank:{ v = 0.5 };
   Alcotest.check_raises "duplicate push" (Invalid_argument "Pifo.push: duplicate key")
-    (fun () -> Pifo.push h ~key:3 ~rank:0.7);
+    (fun () -> Pifo.push h ~key:3 ~rank:{ v = 0.7 });
   Alcotest.check_raises "negative key" (Invalid_argument "Pifo.push: negative key")
-    (fun () -> Pifo.push h ~key:(-1) ~rank:0.0);
+    (fun () -> Pifo.push h ~key:(-1) ~rank:{ v = 0.0 });
   Alcotest.(check bool) "remove absent" false (Pifo.remove h 9);
   Alcotest.(check bool) "remove present" true (Pifo.remove h 3);
   Alcotest.(check bool) "now empty" true (Pifo.is_empty h);
   Alcotest.(check int) "empty pops -1" (-1) (Pifo.pop_key h);
-  Alcotest.(check (float 0.0)) "empty min is infinity" infinity (Pifo.min_rank h)
+  let min = { Pifo.v = 0.0 } in
+  Pifo.min_rank h min;
+  Alcotest.(check (float 0.0)) "empty min is infinity" infinity min.v
 
 (* --- 2. golden churn transcripts ------------------------------------------ *)
 

@@ -672,6 +672,114 @@ let apply_words_per_registration () =
           shards per_op (per_op -. engine) engine)
     [ 1; 2 ]
 
+(* --- mailbox allocation --------------------------------------------------- *)
+
+(* Minor words [f] allocates on every domain.  [Gc.quick_stat] folds in
+   the counters of a domain [Par.run] has joined, but the calling
+   domain's own words reach it only at a minor collection, so one is
+   forced on each side, as the benchmark harness does. *)
+let words_all_domains f =
+  Gc.minor ();
+  let w0 = (Gc.quick_stat ()).minor_words in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  (Gc.quick_stat ()).minor_words -. w0
+
+(* A mailbox message is an op's index: per data op (enqueue, serve or
+   weight), [run_ops] at 1 and 2 shards must allocate what the
+   single-domain replay allocates (the packet of each enqueue), within
+   0.05 words; a boxed message per routed op read about 3 words above
+   it.  Each replay's words on the stream's registration skeleton (its
+   interface and flow churn alone) are taken off first: they hold the
+   run's own set-up, domains and rings included, and the slot arrays
+   that every sub-engine grows to the flow ids it is given. *)
+let mailbox_words_per_op ~seed ~groups ~late_group ~n_ops ~storm () =
+  let ops = gen_ops ~seed ~groups ~late_group ~n_ops ~storm in
+  let skeleton =
+    Array.of_list
+      (List.filter
+         (function
+           | Shard_engine.Op_enqueue _ | Op_serve _ | Op_set_weight _ -> false
+           | _ -> true)
+         (Array.to_list ops))
+  in
+  let per_op words =
+    (words ops -. words skeleton)
+    /. Float.of_int (Array.length ops - Array.length skeleton)
+  in
+  let single =
+    per_op (fun ops ->
+        let e = Drr_engine.create Drr_engine.Service_flags in
+        words_all_domains (fun () -> Shard_engine.run_ops_single e ops))
+  in
+  List.iter
+    (fun shards ->
+      let sharded =
+        per_op (fun ops ->
+            let t =
+              Shard_engine.create ~shards ~strict:true Drr_engine.Service_flags
+            in
+            words_all_domains (fun () -> Shard_engine.run_ops t ops))
+      in
+      Printf.printf
+        "run_ops at %d shards: %.3f minor words per data op, run_ops_single \
+         %.3f\n"
+        shards sharded single;
+      if sharded > single +. 0.05 then
+        Alcotest.failf
+          "run_ops at %d shards: %.3f minor words per data op, %.3f above \
+           run_ops_single's %.3f (bound 0.05)"
+          shards sharded (sharded -. single) single)
+    [ 1; 2 ]
+
+(* The largest interface id the sharded engine accepts, 65535, travels
+   through the mailbox as the lowest reserved code: pending, then
+   materialized on a worker by a flow's registration, it must replay
+   exactly as on the single engine, at 1 and 2 shards.  One id beyond it
+   is refused at [add_iface], inline and in a parallel run alike. *)
+let mailbox_iface_limit () =
+  let top = 65535 in
+  let ops =
+    Shard_engine.
+      [|
+        Op_add_iface 0;
+        Op_add_iface top;
+        Op_add_flow { flow = 0; weight = 1.0; allowed = [ 0 ] };
+        Op_add_flow { flow = 1; weight = 2.0; allowed = [ top ] };
+        Op_enqueue { flow = 1; size = 1000; arrival = 0.0 };
+        Op_enqueue { flow = 0; size = 500; arrival = 0.0 };
+        Op_serve { iface = top; budget = 2 };
+        Op_serve { iface = 0; budget = 2 };
+        Op_remove_iface top;
+      |]
+  in
+  let e = Drr_engine.create Drr_engine.Service_flags in
+  let single = Shard_engine.run_ops_single ~record:true e ops in
+  Alcotest.(check int) "single: both packets sent" 2 single.rs_sent;
+  List.iter
+    (fun shards ->
+      let what = Printf.sprintf "iface %d, shards=%d" top shards in
+      let t =
+        Shard_engine.create ~shards ~strict:true Drr_engine.Service_flags
+      in
+      let st = Shard_engine.run_ops ~record:true t ops in
+      Alcotest.(check int) (what ^ " sent") single.rs_sent st.rs_sent;
+      check_events_equal ~what st.rs_events single.rs_events;
+      check_state_equal ~what t e)
+    [ 1; 2 ];
+  let refused =
+    Invalid_argument "Shard_engine.add_iface: interface id above 65535"
+  in
+  Alcotest.check_raises "inline add_iface one beyond" refused (fun () ->
+      Shard_engine.add_iface
+        (Shard_engine.create ~shards:2 Drr_engine.Plain)
+        (top + 1));
+  Alcotest.check_raises "run_ops one beyond" refused (fun () ->
+      ignore
+        (Shard_engine.run_ops
+           (Shard_engine.create ~shards:2 Drr_engine.Plain)
+           Shard_engine.[| Op_add_iface 0; Op_add_iface (top + 1) |]))
+
 (* --- suite ---------------------------------------------------------------- *)
 
 let () =
@@ -725,5 +833,16 @@ let () =
           Alcotest.test_case "apply words per op" `Quick apply_words_per_op;
           Alcotest.test_case "apply words per registration" `Quick
             apply_words_per_registration;
+          Alcotest.test_case "mailbox words per op (miDRR churn)" `Quick
+            (mailbox_words_per_op ~seed:3 ~groups:4 ~late_group:true
+               ~n_ops:4000 ~storm:0);
+          Alcotest.test_case "mailbox words per op (plain churn)" `Quick
+            (mailbox_words_per_op ~seed:5 ~groups:3 ~late_group:false
+               ~n_ops:4000 ~storm:0);
+          Alcotest.test_case "mailbox words per op (teardown storms)" `Quick
+            (mailbox_words_per_op ~seed:17 ~groups:4 ~late_group:true
+               ~n_ops:3000 ~storm:250);
+          Alcotest.test_case "mailbox at the interface id limit" `Quick
+            mailbox_iface_limit;
         ] );
     ]
