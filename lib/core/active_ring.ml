@@ -1,6 +1,13 @@
-type 'a t = { mutable head : 'a option; mutable length : int }
+type t = { mutable head : int; mutable length : int }
 
-let create () = { head = None; length = 0 }
+let nil = -1
+
+(* A slot's ring ints: prev at [s * stride], next one further.  A slot
+   is linked iff its prev is a slot, so no separate flag is kept. *)
+let stride = 8
+let fields = 2
+
+let create () = { head = nil; length = 0 }
 
 let is_empty t = Int.equal t.length 0
 
@@ -8,84 +15,56 @@ let length t = t.length
 
 let head t = t.head
 
-module type ELT = sig
-  type t
+let linked nodes s = nodes.(s * stride) >= 0
 
-  val prev : t -> t
-  val set_prev : t -> t -> unit
-  val next : t -> t
-  val set_next : t -> t -> unit
-  val linked : t -> bool
-  val set_linked : t -> bool -> unit
-end
+(* Splice [e] between [a] and its successor. *)
+let splice_after nodes a e =
+  let b = nodes.((a * stride) + 1) in
+  nodes.(e * stride) <- a;
+  nodes.((e * stride) + 1) <- b;
+  nodes.((a * stride) + 1) <- e;
+  nodes.(b * stride) <- e
 
-module Make (E : ELT) = struct
-  let link_singleton e =
-    E.set_prev e e;
-    E.set_next e e;
-    E.set_linked e true
+let push_back t nodes e =
+  if linked nodes e then invalid_arg "Active_ring.push_back: already linked";
+  if t.head < 0 then begin
+    nodes.(e * stride) <- e;
+    nodes.((e * stride) + 1) <- e;
+    t.head <- e
+  end
+  else splice_after nodes nodes.(t.head * stride) e;
+  t.length <- t.length + 1
 
-  (* Splice [e] between [a] and its successor [b = E.next a]. *)
-  let splice_after a e =
-    let b = E.next a in
-    E.set_prev e a;
-    E.set_next e b;
-    E.set_next a e;
-    E.set_prev b e;
-    E.set_linked e true
+let insert_before t nodes ~anchor e =
+  if not (linked nodes anchor) then
+    invalid_arg "Active_ring.insert_before: unlinked anchor";
+  if linked nodes e then invalid_arg "Active_ring.insert_before: already linked";
+  splice_after nodes nodes.(anchor * stride) e;
+  t.length <- t.length + 1
 
-  let push_back t e =
-    if E.linked e then invalid_arg "Active_ring.push_back: already linked";
-    (match t.head with
-    | None ->
-        link_singleton e;
-        (* [Some] here is churn (empty -> non-empty), not steady state:
-           the sinkless decision loop never takes this branch *)
-        (t.head <- Some e) [@midrr.lint.allow "R7"]
-    | Some head -> splice_after (E.prev head) e);
-    t.length <- t.length + 1
+let remove t nodes e =
+  if not (linked nodes e) then invalid_arg "Active_ring.remove: not linked";
+  let p = nodes.(e * stride) and n = nodes.((e * stride) + 1) in
+  nodes.(e * stride) <- nil;
+  nodes.((e * stride) + 1) <- nil;
+  t.length <- t.length - 1;
+  if Int.equal t.length 0 then t.head <- nil
+  else begin
+    nodes.((p * stride) + 1) <- n;
+    nodes.(n * stride) <- p;
+    (* head only moves when the head itself leaves the ring *)
+    if Int.equal t.head e then t.head <- n
+  end
 
-  let insert_before t ~anchor e =
-    if not (E.linked anchor) then
-      invalid_arg "Active_ring.insert_before: unlinked anchor";
-    if E.linked e then invalid_arg "Active_ring.insert_before: already linked";
-    splice_after (E.prev anchor) e;
-    t.length <- t.length + 1
+let next t nodes e =
+  if not (linked nodes e) then invalid_arg "Active_ring.next: unlinked element";
+  if Int.equal t.length 0 then invalid_arg "Active_ring.next: empty ring";
+  nodes.((e * stride) + 1)
 
-  let remove t e =
-    if not (E.linked e) then invalid_arg "Active_ring.remove: not linked";
-    E.set_linked e false;
-    t.length <- t.length - 1;
-    if Int.equal t.length 0 then t.head <- None
-    else begin
-      let p = E.prev e and n = E.next e in
-      E.set_next p n;
-      E.set_prev n p;
-      match t.head with
-      | Some h when h == e ->
-          (* head only moves when the head itself leaves the ring *)
-          (t.head <- Some n) [@midrr.lint.allow "R7"]
-      | _ -> ()
-    end
-
-  let next t e =
-    if not (E.linked e) then invalid_arg "Active_ring.next: unlinked element";
-    if Int.equal t.length 0 then invalid_arg "Active_ring.next: empty ring";
-    E.next e
-
-  let iter t f =
-    match t.head with
-    | None -> ()
-    | Some head ->
-        let rec go e =
-          f e;
-          let n = E.next e in
-          if n != head then go n
-        in
-        go head
-
-  let to_list t =
-    let acc = ref [] in
-    iter t (fun e -> acc := e :: !acc);
-    List.rev !acc
-end
+let to_list t nodes =
+  let rec go acc e =
+    let acc = e :: acc in
+    let n = nodes.((e * stride) + 1) in
+    if Int.equal n t.head then List.rev acc else go acc n
+  in
+  if t.head < 0 then [] else go [] t.head

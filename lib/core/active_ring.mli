@@ -1,67 +1,72 @@
-(** Intrusive circular doubly-linked rings.
+(** Intrusive circular doubly-linked rings over int slots.
 
-    Like {!Ring}, but the prev/next/linked node state lives {e inside} the
-    element itself instead of in a separately allocated [Ring.node], so
-    linking and unlinking an element allocates nothing and needs no
-    [option] indirection on the hot path.  The fast DRR engine threads one
-    ring per interface through its per-(flow, interface) link records: only
-    backlogged, flag-eligible flows are linked, which is what makes a
-    scheduling decision O(active flows) rather than O(total flows).
+    Like {!Ring}, but the prev/next node state lives {e inside} the
+    element's own storage instead of in a separately allocated
+    [Ring.node], so linking and unlinking an element allocates nothing.
+    An element is a non-negative int {e slot} into a caller-owned
+    {e node store}, a flat [int array] in which slot [s] owns the
+    {!stride} ints from [s * stride]: the ring keeps prev and next in the
+    first {!fields} of them and leaves the rest to the caller.  The fast
+    DRR engine threads one ring per interface through its pool of
+    per-(flow, interface) link slots: only backlogged, flag-eligible
+    flows are linked, which is what makes a scheduling decision
+    O(active flows) rather than O(total flows).
 
-    The ring type ['a t] is polymorphic so it can appear inside the
-    element's own (mutually recursive) type definition; the operations
-    come from {!Make}, instantiated once the element type exists.
+    Heads and links are ints, with {!nil} for "none", so no operation
+    allocates.  A slot is linked iff its prev int is a slot: the caller
+    fills a new store's ints with {!nil}, and {!remove} puts {!nil} back,
+    so a fresh or removed slot reads unlinked.  Every operation on a
+    ring must be given the store its slots live in; the store may be
+    replaced by a larger copy between operations (the caller's pool
+    growing).
 
     Ordering semantics are identical to {!Ring} — same head movement on
     removal, same insert-before-head meaning of [push_back] — so an engine
     built on either structure visits flows in the same order. *)
 
-type 'a t
-(** A ring of intrusive elements of type ['a]. *)
+type t
+(** A ring's head and length; its links live in the node store. *)
 
-val create : unit -> 'a t
+val nil : int
+(** -1: the head of an empty ring, and the prev and next of an unlinked
+    slot. *)
 
-val is_empty : 'a t -> bool
+val stride : int
+(** Ints per slot in a node store: 8, one cache line of ints. *)
 
-val length : 'a t -> int
+val fields : int
+(** Ints of each slot the ring owns (2), at the start of the slot; the
+    caller's own fields start at this offset. *)
 
-val head : 'a t -> 'a option
+val create : unit -> t
 
-(** How to reach the node state embedded in an element.  [prev]/[next] may
-    return anything for an unlinked element; [linked] must be [false] for
-    an element never yet inserted. *)
-module type ELT = sig
-  type t
+val is_empty : t -> bool
 
-  val prev : t -> t
-  val set_prev : t -> t -> unit
-  val next : t -> t
-  val set_next : t -> t -> unit
-  val linked : t -> bool
-  val set_linked : t -> bool -> unit
-end
+val length : t -> int
 
-module Make (E : ELT) : sig
-  val push_back : E.t t -> E.t -> unit
-  (** Insert at the "end" of the ring: just before the head, so a full
-      traversal starting at the head visits it last.  Raises
-      [Invalid_argument] if the element is already linked. *)
+val head : t -> int
+(** The head slot, or {!nil} when the ring is empty. *)
 
-  val insert_before : E.t t -> anchor:E.t -> E.t -> unit
-  (** Insert immediately before [anchor].  The head does not move.  Raises
-      [Invalid_argument] on an unlinked anchor or an already linked
-      element. *)
+val linked : int array -> int -> bool
+(** Whether the slot is linked into some ring. *)
 
-  val remove : E.t t -> E.t -> unit
-  (** Unlink the element; if it was the head, the head moves to its
-      successor.  Raises [Invalid_argument] if not linked. *)
+val push_back : t -> int array -> int -> unit
+(** Insert at the "end" of the ring: just before the head, so a full
+    traversal starting at the head visits it last.  Raises
+    [Invalid_argument] if the slot is already linked. *)
 
-  val next : E.t t -> E.t -> E.t
-  (** Clockwise successor, wrapping.  Raises [Invalid_argument] on an
-      unlinked element or empty ring. *)
+val insert_before : t -> int array -> anchor:int -> int -> unit
+(** Insert immediately before [anchor].  The head does not move.  Raises
+    [Invalid_argument] on an unlinked anchor or an already linked
+    slot. *)
 
-  val iter : E.t t -> (E.t -> unit) -> unit
-  (** Visit each element once, starting at the head. *)
+val remove : t -> int array -> int -> unit
+(** Unlink the slot; if it was the head, the head moves to its
+    successor.  Raises [Invalid_argument] if not linked. *)
 
-  val to_list : E.t t -> E.t list
-end
+val next : t -> int array -> int -> int
+(** Clockwise successor, wrapping.  Raises [Invalid_argument] on an
+    unlinked slot or empty ring. *)
+
+val to_list : t -> int array -> int list
+(** The slots from the head on, in ring order. *)

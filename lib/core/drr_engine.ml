@@ -15,20 +15,30 @@
    - Flow and interface states live in dense slot arrays indexed directly
      by their (non-negative) ids, so [enqueue] and [next_packet] do one
      bounds-checked array load where the spec does a [Hashtbl.find_opt].
-   - Each flow's state is sized by its own preference list, not by the
-     interface-id space: an exact-size array of its per-(flow, interface)
-     links (swept by a service turn to raise flags) and Π_i as a
-     canonical ascending list, shared with the caller when it already is
-     one.  [link_for] scans that array; only the control path and
-     introspection call it, never [enqueue] or a decision.
-   - Each interface's round is an {e intrusive} ring (see {!Active_ring}):
-     the prev/next pointers live inside the link record, so
-     linking/unlinking a newly backlogged / drained flow allocates nothing.
-     Only backlogged flows are linked, so a decision never touches idle
-     flows no matter how many are registered.
-   - "No flow" and "no cursor" are the sentinels [nil_flow] and [nil]
-     rather than [None], so slots and cursors hold their states
-     directly. *)
+   - Each per-(flow, interface) link is an int {e slot} in a per-engine
+     pool, not a record: DC_ij is [t_dc.(s)] in one [Float.Array.t], and
+     the link's ints are one cache line of [t_links] (see the field
+     offsets below).  A flow keeps its first slot and chains the rest
+     through [l_next], so its state is sized by its own preference list,
+     not by the interface-id space, and registering a flow allocates
+     only its record and its queue.  Freed slots go on a free list
+     threaded through the same field; the pool doubles when the list
+     runs dry.  [link_for] scans a flow's chain; only the control path
+     and introspection call it, never [enqueue] or a decision.
+   - Each interface's round is an {e intrusive} ring over those slots
+     (see {!Active_ring}): prev/next are two of the slot's ints, so
+     linking/unlinking a newly backlogged / drained flow allocates
+     nothing.  Only backlogged flows are linked, so a decision never
+     touches idle flows no matter how many are registered.
+   - "No slot" is [nil] (-1): no cursor, an empty ring's head, the end
+     of a chain or of the free list.  "No flow" and "no interface" are
+     the records [nil_flow] and [nil_iface].  Slots, cursors and heads
+     therefore hold their states directly, with no [option].
+
+   A cursor is [nil] or a slot linked in its own interface's ring:
+   unlinking the cursor's slot moves the cursor to its successor (or to
+   [nil] when the ring empties), and a slot is always unlinked before it
+   is freed, so a recycled slot is never anyone's cursor. *)
 
 module Event = Midrr_obs.Event
 
@@ -36,94 +46,61 @@ type mode = Plain | Service_flags
 
 type flag_policy = Per_turn | Per_send
 
-(* A single-field all-float record is stored flat, so [cell.fc <- x] writes
-   the raw float in place.  Keeping DC_ij behind one of these (instead of a
-   [mutable float] field in the mixed [link] record) is what makes deficit
-   updates allocation-free: a float store into a mixed record must box. *)
-type fcell = { mutable fc : float }
+let nil = Active_ring.nil
 
-type link = {
-  l_flow : flow_state;
-  l_iface : iface_state;
-  mutable flag : int;
-      (* SF_ij generalized to a saturating counter of services elsewhere
-         since this interface last considered the flow; the paper's one-bit
-         flag is the [counter_max = 1] case *)
-  l_deficit : fcell; (* DC_ij, bytes: each interface runs its own DRR *)
-  mutable l_served : int;
-  mutable l_turns : int;
-  (* intrusive Active_ring node state; linked iff the flow is backlogged *)
-  mutable ar_prev : link;
-  mutable ar_next : link;
-  mutable ar_linked : bool;
-}
+(* A link's ints: slot [s] owns the [stride] ints of [t_links] from
+   [s * stride]; the ring's prev/next come first, then these fields. *)
+let stride = Active_ring.stride
+let l_flow = Active_ring.fields
+let l_iface = l_flow + 1
 
-and flow_state = {
+(* SF_ij generalized to a saturating counter of services elsewhere since
+   this interface last considered the flow; the paper's one-bit flag is
+   the [counter_max = 1] case *)
+let l_flag = l_flow + 2
+
+let l_served = l_flow + 3
+let l_turns = l_flow + 4
+let l_next = l_flow + 5 (* the flow's next link, or the next free slot *)
+
+type flow_state = {
   f_id : Types.flow_id;
   mutable f_weight : float; (* Q_i = f_weight * base_quantum *)
   f_queue : Pktqueue.t;
-  mutable f_links : link array;
-      (* exactly one link per allowed online interface, in no meaningful
-         order: every sweep over it (flag raising, deficit reset,
-         activation into per-interface rings) is order-insensitive *)
+  mutable f_links : int;
+      (* first link slot, [nil] when none: exactly one link per allowed
+         online interface, chained in no meaningful order: every sweep
+         over them (flag raising, deficit reset, activation into
+         per-interface rings) is order-insensitive *)
   mutable f_allowed : Types.iface_id list;
       (* Π_i, ascending without duplicates; includes offline interfaces *)
   mutable f_served : int;
   mutable f_turns : int;
 }
 
-and iface_state = {
+type iface_state = {
   i_id : Types.iface_id;
-  i_ring : link Active_ring.t;
-  mutable i_cursor : link; (* C_j, or [nil] *)
+  i_ring : Active_ring.t;
+  mutable i_cursor : int; (* C_j, or [nil] *)
 }
 
-module Aring = Active_ring.Make (struct
-  type t = link
-
-  let prev l = l.ar_prev
-  let set_prev l p = l.ar_prev <- p
-  let next l = l.ar_next
-  let set_next l n = l.ar_next <- n
-  let linked l = l.ar_linked
-  let set_linked l b = l.ar_linked <- b
-end)
-
-(* The sentinels.  [nil] is the cursor of an interface with no current
-   flow and the ring-pointer filler of an unlinked link; [nil_flow] fills
-   empty flow slots.  No path writes either: [nil] is never linked (so
-   every cursor use sees [ar_linked = false] and falls back to the ring
-   head), [nil_flow] owns no links, and every path that writes a flow
-   reaches it through a lookup that rejects [nil_flow].  Sharing them
-   across engines and domains is therefore safe. *)
-let nil_queue = Pktqueue.create ()
-let nil_ring = Active_ring.create ()
-
-let rec nil =
-  {
-    l_flow = nil_flow;
-    l_iface = nil_iface;
-    flag = 0;
-    l_deficit = { fc = 0.0 };
-    l_served = 0;
-    l_turns = 0;
-    ar_prev = nil;
-    ar_next = nil;
-    ar_linked = false;
-  }
-
-and nil_flow =
+(* The sentinels fill empty flow and interface slots.  No path writes
+   either: [nil_flow] owns no links, no link names [nil_iface], and every
+   path that writes a flow or an interface reaches it through a lookup
+   that rejects the sentinel.  Sharing them across engines and domains
+   is therefore safe. *)
+let nil_flow =
   {
     f_id = -1;
     f_weight = 1.0;
-    f_queue = nil_queue;
-    f_links = [||];
+    f_queue = Pktqueue.create ();
+    f_links = nil;
     f_allowed = [];
     f_served = 0;
     f_turns = 0;
   }
 
-and nil_iface = { i_id = -1; i_ring = nil_ring; i_cursor = nil }
+let nil_iface = { i_id = -1; i_ring = Active_ring.create (); i_cursor = nil }
 
 type t = {
   t_mode : mode;
@@ -132,7 +109,10 @@ type t = {
   t_base_quantum : int;
   t_queue_capacity : int option;
   mutable t_flow_slots : flow_state array; (* indexed by flow id *)
-  mutable t_iface_slots : iface_state option array; (* indexed by iface id *)
+  mutable t_iface_slots : iface_state array; (* indexed by iface id *)
+  mutable t_links : int array; (* the link pool's ints, [stride] per slot *)
+  mutable t_dc : Float.Array.t; (* DC_ij per link slot, bytes *)
+  mutable t_free : int; (* first free slot, or [nil] *)
   mutable t_considered : int;
   mutable t_sink : Midrr_obs.Sink.raw option;
   t_ev : Event.record; (* refilled per emission, see [Event] *)
@@ -158,7 +138,10 @@ let create ?(base_quantum = 1500) ?queue_capacity ?(flag_policy = Per_turn)
     t_base_quantum = base_quantum;
     t_queue_capacity = queue_capacity;
     t_flow_slots = Array.make 64 nil_flow;
-    t_iface_slots = Array.make 16 None;
+    t_iface_slots = Array.make 16 nil_iface;
+    t_links = [||];
+    t_dc = Float.Array.create 0;
+    t_free = nil;
     t_considered = 0;
     t_sink = None;
     t_ev = Event.create ();
@@ -174,103 +157,140 @@ let flow_slot t f =
   if f >= 0 && f < Array.length t.t_flow_slots then t.t_flow_slots.(f)
   else nil_flow
 
+(* [nil_iface] when the id has no interface. *)
 let iface_slot t j =
   if j >= 0 && j < Array.length t.t_iface_slots then t.t_iface_slots.(j)
-  else None
+  else nil_iface
 
 let flow_state t f =
   let fs = flow_slot t f in
   if fs == nil_flow then invalid_arg "Drr_engine: unknown flow" else fs
 
 let iface_state t j =
-  match iface_slot t j with
-  | Some ifc -> ifc
-  | None -> invalid_arg "Drr_engine: unknown interface"
+  let ifc = iface_slot t j in
+  if ifc == nil_iface then invalid_arg "Drr_engine: unknown interface"
+  else ifc
 
-(* Position of the flow's link to interface [j] in [links], or -1. *)
-let rec link_index links j i =
-  if i >= Array.length links then -1
-  else if Int.equal links.(i).l_iface.i_id j then i
-  else link_index links j (i + 1)
+(* A link's interface: always online, since taking an interface down
+   frees its links. *)
+let iface_of t s = t.t_iface_slots.(t.t_links.((s * stride) + l_iface))
 
-let link_for flow j =
-  let i = link_index flow.f_links j 0 in
-  if i < 0 then nil else flow.f_links.(i)
+(* The flow's link to interface [j] from slot [s] on, or [nil]. *)
+let rec find_link links j s =
+  if s < 0 || Int.equal links.((s * stride) + l_iface) j then s
+  else find_link links j links.((s * stride) + l_next)
+
+let link_for t flow j = find_link t.t_links j flow.f_links
+
+(* --- the link pool ----------------------------------------------------- *)
+
+(* Double the pool and put the new slots on the free list, lowest first.
+   Only called with the list empty.  New slots are filled with [nil], so
+   their ring ints read unlinked, as a removed slot's do.  The first pool
+   has 8 slots, 74 words, enough for a small scenario's links.  From 64
+   slots the int store is past 256 words, and from 512 the float store,
+   which the runtime allocates straight in the major heap: no minor
+   words, nothing promoted.  A first pool of 64 slots would already be
+   there, and short simulations would leave each engine's 4 KB store to
+   the major collector: proxy-fig10's peak heap read 1.29 MB, not
+   0.82. *)
+let grow_pool t =
+  let cap = Float.Array.length t.t_dc in
+  let ncap = Stdlib.max 8 (2 * cap) in
+  let links = Array.make (ncap * stride) nil in
+  Array.blit t.t_links 0 links 0 (cap * stride);
+  let dc = Float.Array.make ncap 0.0 in
+  Float.Array.blit t.t_dc 0 dc 0 cap;
+  for s = ncap - 1 downto cap do
+    links.((s * stride) + l_next) <- t.t_free;
+    t.t_free <- s
+  done;
+  t.t_links <- links;
+  t.t_dc <- dc
+
+(* A fresh unlinked link of [fs] to [ifc], first in the flow's chain. *)
+let add_link t fs ifc =
+  if t.t_free < 0 then grow_pool t;
+  let s = t.t_free in
+  let links = t.t_links in
+  let b = s * stride in
+  t.t_free <- links.(b + l_next);
+  links.(b + l_flow) <- fs.f_id;
+  links.(b + l_iface) <- ifc.i_id;
+  links.(b + l_flag) <- 0;
+  links.(b + l_served) <- 0;
+  links.(b + l_turns) <- 0;
+  links.(b + l_next) <- fs.f_links;
+  Float.Array.set t.t_dc s 0.0;
+  fs.f_links <- s;
+  s
+
+(* Return an unlinked slot to the pool. *)
+let free_link t s =
+  t.t_links.((s * stride) + l_next) <- t.t_free;
+  t.t_free <- s
 
 (* --- ring membership ------------------------------------------------- *)
 
-let insert_link ifc link =
+let insert_link t ifc s =
   (* A newly backlogged flow joins at the end of the current round: just
      before the cursor when one is set, at the ring tail otherwise. *)
   let anchor = ifc.i_cursor in
-  if anchor.ar_linked then Aring.insert_before ifc.i_ring ~anchor link
-  else Aring.push_back ifc.i_ring link
+  if anchor >= 0 then Active_ring.insert_before ifc.i_ring t.t_links ~anchor s
+  else Active_ring.push_back ifc.i_ring t.t_links s
 
-let remove_link ifc link =
-  if link.ar_linked then begin
-    if ifc.i_cursor == link then
+let remove_link t ifc s =
+  let links = t.t_links in
+  if Active_ring.linked links s then begin
+    if Int.equal ifc.i_cursor s then
       ifc.i_cursor <-
         (if Active_ring.length ifc.i_ring <= 1 then nil
-         else Aring.next ifc.i_ring link);
-    Aring.remove ifc.i_ring link
+         else Active_ring.next ifc.i_ring links s);
+    Active_ring.remove ifc.i_ring links s
   end
 
-let activate flow =
-  let links = flow.f_links in
-  for i = 0 to Array.length links - 1 do
-    let link = links.(i) in
-    if not link.ar_linked then insert_link link.l_iface link
-  done
+(* Link every unlinked slot of the chain from [s] into its round. *)
+let rec activate t s =
+  if s >= 0 then begin
+    if not (Active_ring.linked t.t_links s) then insert_link t (iface_of t s) s;
+    activate t t.t_links.((s * stride) + l_next)
+  end
 
-let deactivate flow =
-  let links = flow.f_links in
-  for i = 0 to Array.length links - 1 do
-    let link = links.(i) in
-    remove_link link.l_iface link
-  done
+(* BL_i = 0: zero the deficits of the chain from [s] and leave every
+   round. *)
+let rec drain t s =
+  if s >= 0 then begin
+    Float.Array.set t.t_dc s 0.0;
+    remove_link t (iface_of t s) s;
+    drain t t.t_links.((s * stride) + l_next)
+  end
 
-(* --- link lifecycle ---------------------------------------------------- *)
-
-let make_link fs ifc =
-  {
-    l_flow = fs;
-    l_iface = ifc;
-    flag = 0;
-    l_deficit = { fc = 0.0 };
-    l_served = 0;
-    l_turns = 0;
-    ar_prev = nil;
-    ar_next = nil;
-    ar_linked = false;
-  }
-
-(* Adding or dropping a link reallocates the flow's link array at its new
-   exact size: both happen only on preference and interface changes. *)
-let add_link fs ifc =
-  let link = make_link fs ifc in
-  fs.f_links <- Array.append fs.f_links [| link |];
-  link
-
-(* Swap-remove the link at [i]: the last link takes its place. *)
-let drop_link fs i =
-  let links = fs.f_links in
-  let link = links.(i) in
-  remove_link link.l_iface link;
-  let last = Array.length links - 1 in
-  let a = Array.sub links 0 last in
-  if i < last then a.(i) <- links.(last);
-  fs.f_links <- a
+(* Unlink and free the links of [fs]'s chain from [s] on whose interface
+   [keep] rejects; [prev] precedes [s] ([nil] when [s] is first). *)
+let rec drop_links t fs ~keep ~prev s =
+  if s >= 0 then begin
+    let next = t.t_links.((s * stride) + l_next) in
+    if keep t.t_links.((s * stride) + l_iface) then
+      drop_links t fs ~keep ~prev:s next
+    else begin
+      remove_link t (iface_of t s) s;
+      if prev < 0 then fs.f_links <- next
+      else t.t_links.((prev * stride) + l_next) <- next;
+      free_link t s;
+      drop_links t fs ~keep ~prev next
+    end
+  end
 
 (* --- interface management -------------------------------------------- *)
 
-let has_iface t j = Option.is_some (iface_slot t j)
+let has_iface t j = iface_slot t j != nil_iface
 
 let add_iface t j =
   if j < 0 then invalid_arg "Drr_engine.add_iface: negative interface id";
   if has_iface t j then invalid_arg "Drr_engine.add_iface: duplicate";
-  t.t_iface_slots <- Int_tbl.grow t.t_iface_slots j None;
+  t.t_iface_slots <- Int_tbl.grow t.t_iface_slots j nil_iface;
   let ifc = { i_id = j; i_ring = Active_ring.create (); i_cursor = nil } in
-  t.t_iface_slots.(j) <- Some ifc;
+  t.t_iface_slots.(j) <- ifc;
   (* Link every flow that already listed this interface in its preference;
      backlogged ones join the round immediately (paper property 4: new
      capacity is used).  The slot scan runs in ascending id order, matching
@@ -279,8 +299,8 @@ let add_iface t j =
   Array.iter
     (fun flow ->
       if flow != nil_flow && Types.mem_sorted j flow.f_allowed then begin
-        let link = add_link flow ifc in
-        if not (Pktqueue.is_empty flow.f_queue) then insert_link ifc link
+        let s = add_link t flow ifc in
+        if not (Pktqueue.is_empty flow.f_queue) then insert_link t ifc s
       end)
     t.t_flow_slots;
   Event.set_iface_up t.t_ev ~iface:j;
@@ -288,19 +308,18 @@ let add_iface t j =
 
 let remove_iface t j =
   let (_ : iface_state) = iface_state t j in
+  let keep i = not (Int.equal i j) in
   Array.iter
-    (fun flow ->
-      let i = link_index flow.f_links j 0 in
-      if i >= 0 then drop_link flow i)
+    (fun flow -> drop_links t flow ~keep ~prev:nil flow.f_links)
     t.t_flow_slots;
-  t.t_iface_slots.(j) <- None;
+  t.t_iface_slots.(j) <- nil_iface;
   Event.set_iface_down t.t_ev ~iface:j;
   emit t
 
 let ifaces t =
   let acc = ref [] in
   for j = Array.length t.t_iface_slots - 1 downto 0 do
-    if Option.is_some t.t_iface_slots.(j) then acc := j :: !acc
+    if t.t_iface_slots.(j) != nil_iface then acc := j :: !acc
   done;
   !acc
 
@@ -308,20 +327,18 @@ let ifaces t =
 
 let has_flow t f = flow_slot t f != nil_flow
 
-let rec count_online t n = function
-  | [] -> n
-  | j :: rest -> count_online t (if has_iface t j then n + 1 else n) rest
-
-(* Fill [links] from [k] on with one link per online interface of
-   [allowed], in ascending interface order. *)
-let rec fill_links t fs links k = function
+(* Link [fs] to every online interface of [allowed] it has no link to;
+   [insert] also enters each new link into its round.  Recursion, not a
+   closure, so registering a flow allocates nothing here. *)
+let rec link_allowed t fs ~insert = function
   | [] -> ()
-  | j :: rest -> (
-      match iface_slot t j with
-      | None -> fill_links t fs links k rest
-      | Some ifc ->
-          links.(k) <- make_link fs ifc;
-          fill_links t fs links (k + 1) rest)
+  | j :: rest ->
+      let ifc = iface_slot t j in
+      if ifc != nil_iface && link_for t fs j < 0 then begin
+        let s = add_link t fs ifc in
+        if insert then insert_link t ifc s
+      end;
+      link_allowed t fs ~insert rest
 
 let add_flow t ~flow ~weight ~allowed =
   if flow < 0 then invalid_arg "Drr_engine.add_flow: negative flow id";
@@ -334,18 +351,13 @@ let add_flow t ~flow ~weight ~allowed =
       f_id = flow;
       f_weight = weight;
       f_queue = Pktqueue.create ?capacity_bytes:t.t_queue_capacity ();
-      f_links = [||];
+      f_links = nil;
       f_allowed = allowed;
       f_served = 0;
       f_turns = 0;
     }
   in
-  let n = count_online t 0 allowed in
-  if n > 0 then begin
-    let links = Array.make n nil in
-    fill_links t fs links 0 allowed;
-    fs.f_links <- links
-  end;
+  link_allowed t fs ~insert:false allowed;
   t.t_flow_slots.(flow) <- fs;
   Event.set_flow_add t.t_ev ~flow;
   t.t_ev.num.value <- weight;
@@ -353,7 +365,7 @@ let add_flow t ~flow ~weight ~allowed =
 
 let remove_flow t f =
   let fs = flow_state t f in
-  deactivate fs;
+  drop_links t fs ~keep:(fun _ -> false) ~prev:nil fs.f_links;
   t.t_flow_slots.(f) <- nil_flow;
   Event.set_flow_remove t.t_ev ~flow:f;
   emit t
@@ -378,23 +390,9 @@ let allowed_ifaces t f = (flow_state t f).f_allowed
 let set_allowed t f allowed =
   let fs = flow_state t f in
   let wanted = Types.canonical allowed in
-  let backlogged = not (Pktqueue.is_empty fs.f_queue) in
-  (* Drop links to interfaces no longer allowed.  Walk backwards: a
-     swap-remove only disturbs indices at or above the current one. *)
-  for i = Array.length fs.f_links - 1 downto 0 do
-    if not (Types.mem_sorted fs.f_links.(i).l_iface.i_id wanted) then
-      drop_link fs i
-  done;
-  (* Add links for newly allowed online interfaces. *)
-  List.iter
-    (fun j ->
-      if link_for fs j == nil then
-        match iface_slot t j with
-        | None -> ()
-        | Some ifc ->
-            let link = add_link fs ifc in
-            if backlogged then insert_link ifc link)
-    wanted;
+  drop_links t fs ~keep:(fun j -> Types.mem_sorted j wanted) ~prev:nil
+    fs.f_links;
+  link_allowed t fs ~insert:(not (Pktqueue.is_empty fs.f_queue)) wanted;
   fs.f_allowed <- wanted
 
 (* --- data path --------------------------------------------------------- *)
@@ -412,7 +410,7 @@ let enqueue t (p : Packet.t) =
   else begin
     let was_empty = Pktqueue.is_empty fs.f_queue in
     let accepted = Pktqueue.push fs.f_queue p in
-    if accepted && was_empty then activate fs;
+    if accepted && was_empty then activate t fs.f_links;
     (match t.t_sink with
     | None -> ()
     | Some s ->
@@ -422,34 +420,40 @@ let enqueue t (p : Packet.t) =
     accepted
   end
 
-(* Raise SF_ik at every interface k of the flow other than the one whose
-   link is [link]. *)
-let raise_flags t flow link =
-  let links = flow.f_links in
-  for i = 0 to Array.length links - 1 do
-    let other = links.(i) in
-    if other != link then
-      other.flag <- Stdlib.min t.t_counter_max (other.flag + 1)
-  done
+(* Raise SF_ik at every link of the chain from [s] other than [link]. *)
+let rec raise_flags t links link s =
+  if s >= 0 then begin
+    let b = s * stride in
+    if not (Int.equal s link) then begin
+      let c = links.(b + l_flag) + 1 in
+      links.(b + l_flag) <- (if c < t.t_counter_max then c else t.t_counter_max)
+    end;
+    raise_flags t links link links.(b + l_next)
+  end
 
-(* Give a flow its service turn: top up the deficit and, in miDRR mode,
-   raise its service flag at every other interface (Algorithm 3.2's
-   "SF_ik = 1, forall k <> j"). *)
+(* Give the flow of [link] its service turn: top up the deficit and, in
+   miDRR mode, raise its service flag at every other interface
+   (Algorithm 3.2's "SF_ik = 1, forall k <> j"). *)
 let begin_turn t ifc link =
-  let flow = link.l_flow in
+  let links = t.t_links in
+  let b = link * stride in
+  let flow = t.t_flow_slots.(links.(b + l_flow)) in
   (* Q_i is recomputed here rather than stored, which saves the flow a
      boxed float; the product is the one a stored quantum would hold.  A
      call returning it would box, hence inline. *)
-  link.l_deficit.fc <-
-    link.l_deficit.fc +. (flow.f_weight *. Float.of_int t.t_base_quantum);
+  Float.Array.set t.t_dc link
+    (Float.Array.get t.t_dc link
+    +. (flow.f_weight *. Float.of_int t.t_base_quantum));
   flow.f_turns <- flow.f_turns + 1;
-  link.l_turns <- link.l_turns + 1;
+  links.(b + l_turns) <- links.(b + l_turns) + 1;
   (match t.t_sink with
   | None -> ()
   | Some s ->
       Event.set_turn t.t_ev ~flow:flow.f_id ~iface:ifc.i_id;
       s t.t_ev);
-  match t.t_mode with Plain -> () | Service_flags -> raise_flags t flow link
+  match t.t_mode with
+  | Plain -> ()
+  | Service_flags -> raise_flags t links link flow.f_links
 
 (* Advance C_j to the next flow to serve.  [skip_current] distinguishes the
    two call sites of the paper's pseudocode: after an ordinary
@@ -461,24 +465,28 @@ let begin_turn t ifc link =
    unflagged, so the second lap stops at the first flow.  Tail-recursive
    rather than a [ref] loop so the advancement allocates nothing. *)
 let rec skip_flagged t ifc n =
-  if n.flag > 0 then begin
+  let links = t.t_links in
+  let b = n * stride in
+  if links.(b + l_flag) > 0 then begin
     t.t_considered <- t.t_considered + 1;
-    n.flag <- n.flag - 1;
+    links.(b + l_flag) <- links.(b + l_flag) - 1;
     (match t.t_sink with
     | None -> ()
     | Some s ->
-        Event.set_flag_reset t.t_ev ~flow:n.l_flow.f_id ~iface:ifc.i_id;
+        Event.set_flag_reset t.t_ev ~flow:links.(b + l_flow) ~iface:ifc.i_id;
         s t.t_ev);
-    skip_flagged t ifc (Aring.next ifc.i_ring n)
+    skip_flagged t ifc (Active_ring.next ifc.i_ring links n)
   end
   else n
 
 let check_next t ifc ~skip_current =
   let cur =
     let c = ifc.i_cursor in
-    if c.ar_linked then c else Option.get (Active_ring.head ifc.i_ring)
+    if c >= 0 then c else Active_ring.head ifc.i_ring
   in
-  let start = if skip_current then Aring.next ifc.i_ring cur else cur in
+  let start =
+    if skip_current then Active_ring.next ifc.i_ring t.t_links cur else cur
+  in
   let n =
     match t.t_mode with Plain -> start | Service_flags -> skip_flagged t ifc start
   in
@@ -494,48 +502,48 @@ let rec decide t ifc j =
   else begin
     let link =
       let c = ifc.i_cursor in
-      if c.ar_linked then c
+      if c >= 0 then c
       else begin
         (* First decision on this ring (or cursor lost with the ring):
            start a turn for the head flow. *)
-        let head = Option.get (Active_ring.head ifc.i_ring) in
+        let head = Active_ring.head ifc.i_ring in
         ifc.i_cursor <- head;
         begin_turn t ifc head;
         head
       end
     in
-    let flow = link.l_flow in
+    let links = t.t_links in
+    let b = link * stride in
+    let flow = t.t_flow_slots.(links.(b + l_flow)) in
     let size = Pktqueue.head_size flow.f_queue in
     t.t_considered <- t.t_considered + 1;
-    if Float.of_int size <= link.l_deficit.fc then begin
+    if Float.of_int size <= Float.Array.get t.t_dc link then begin
       let pkt = Pktqueue.pop_exn flow.f_queue in
-      link.l_deficit.fc <- link.l_deficit.fc -. Float.of_int size;
+      Float.Array.set t.t_dc link
+        (Float.Array.get t.t_dc link -. Float.of_int size);
       flow.f_served <- flow.f_served + size;
-      link.l_served <- link.l_served + size;
+      links.(b + l_served) <- links.(b + l_served) + size;
       (match t.t_sink with
       | None -> ()
       | Some s ->
           Event.set_serve t.t_ev ~flow:flow.f_id ~iface:j ~bytes:size;
-          t.t_ev.num.value <- link.l_deficit.fc;
+          t.t_ev.num.value <- Float.Array.get t.t_dc link;
           s t.t_ev);
       (* Under [Per_send], "when interface k serves flow i" (paper §3.1
          prose) is read as every transmission, refreshing the flags during
          the whole turn; the default [Per_turn] follows Algorithm 3.2 and
          raises them only at selection (in [begin_turn]). *)
       (match (t.t_mode, t.t_flag_policy) with
-      | Service_flags, Per_send -> raise_flags t flow link
+      | Service_flags, Per_send -> raise_flags t links link flow.f_links
       | _ -> ());
       if Pktqueue.is_empty flow.f_queue then begin
-        (* BL_i = 0: reset the deficits and leave every round. *)
-        let links = flow.f_links in
-        for i = 0 to Array.length links - 1 do
-          links.(i).l_deficit.fc <- 0.0
-        done;
-        deactivate flow;
+        drain t flow.f_links;
         if not (Active_ring.is_empty ifc.i_ring) then
           check_next t ifc ~skip_current:false
       end
-      else if Float.of_int (Pktqueue.head_size flow.f_queue) > link.l_deficit.fc
+      else if
+        Float.of_int (Pktqueue.head_size flow.f_queue)
+        > Float.Array.get t.t_dc link
       then check_next t ifc ~skip_current:true;
       pkt
     end
@@ -558,29 +566,41 @@ let backlog_packets t f = Pktqueue.length (flow_state t f).f_queue
 let is_backlogged t f = not (Pktqueue.is_empty (flow_state t f).f_queue)
 let served_bytes t f = (flow_state t f).f_served
 
-(* Introspection of the (flow, iface) pair; [nil]'s zeroed fields read as
-   the unlinked pair's values. *)
-let pair t ~flow ~iface = link_for (flow_state t flow) iface
+(* Introspection of the (flow, iface) pair: its link slot, or [nil]. *)
+let pair t ~flow ~iface = link_for t (flow_state t flow) iface
 
-let served_bytes_on t ~flow ~iface = (pair t ~flow ~iface).l_served
+(* An int field of the pair's link; 0, as the spec reads an unlinked
+   pair. *)
+let pair_field t ~flow ~iface field =
+  let s = pair t ~flow ~iface in
+  if s < 0 then 0 else t.t_links.((s * stride) + field)
+
+let served_bytes_on t ~flow ~iface = pair_field t ~flow ~iface l_served
 
 let deficit t f =
-  let links = (flow_state t f).f_links in
-  let acc = ref 0.0 in
-  for i = 0 to Array.length links - 1 do
-    acc := Float.max !acc links.(i).l_deficit.fc
-  done;
-  !acc
+  let rec go acc s =
+    if s < 0 then acc
+    else
+      go
+        (Float.max acc (Float.Array.get t.t_dc s))
+        t.t_links.((s * stride) + l_next)
+  in
+  go 0.0 (flow_state t f).f_links
 
-let deficit_on t ~flow ~iface = (pair t ~flow ~iface).l_deficit.fc
+let deficit_on t ~flow ~iface =
+  let s = pair t ~flow ~iface in
+  if s < 0 then 0.0 else Float.Array.get t.t_dc s
+
 let quantum t f = (flow_state t f).f_weight *. Float.of_int t.t_base_quantum
-let service_flag t ~flow ~iface = (pair t ~flow ~iface).flag > 0
-let service_counter t ~flow ~iface = (pair t ~flow ~iface).flag
+let service_flag t ~flow ~iface = pair_field t ~flow ~iface l_flag > 0
+let service_counter t ~flow ~iface = pair_field t ~flow ~iface l_flag
 let turns t f = (flow_state t f).f_turns
-let turns_on t ~flow ~iface = (pair t ~flow ~iface).l_turns
+let turns_on t ~flow ~iface = pair_field t ~flow ~iface l_turns
 
 let ring_flows t j =
-  Aring.to_list (iface_state t j).i_ring |> List.map (fun l -> l.l_flow.f_id)
+  let links = t.t_links in
+  Active_ring.to_list (iface_state t j).i_ring links
+  |> List.map (fun s -> links.((s * stride) + l_flow))
 
 let considered t = t.t_considered
 
@@ -590,13 +610,14 @@ let reset_counters t =
     (fun fs ->
       if fs != nil_flow then begin
         fs.f_served <- 0;
-        fs.f_turns <- 0;
-        Array.iter
-          (fun l ->
-            l.l_served <- 0;
-            l.l_turns <- 0)
-          fs.f_links
+        fs.f_turns <- 0
       end)
-    t.t_flow_slots
+    t.t_flow_slots;
+  (* free slots too: harmless, a slot's fields are reset when it is
+     taken *)
+  for s = 0 to Float.Array.length t.t_dc - 1 do
+    t.t_links.((s * stride) + l_served) <- 0;
+    t.t_links.((s * stride) + l_turns) <- 0
+  done
 
 let drops t f = Pktqueue.drops (flow_state t f).f_queue

@@ -2,11 +2,22 @@
 
     This is the default engine: flow and interface state live in dense
     slot arrays indexed by id, and each interface's round is an intrusive
-    {!Active_ring} threaded through the per-(flow, interface) link
-    records — so a scheduling decision costs O(active flows), independent
-    of how many idle flows are registered.  A flow's own state is sized by
-    its preference list (one link per allowed online interface), not by
-    the interface-id space.  Flow and interface ids must be non-negative
+    {!Active_ring} threaded through the per-(flow, interface) links — so
+    a scheduling decision costs O(active flows), independent of how many
+    idle flows are registered.  A link is an int slot in a per-engine
+    pool, not a record: its deficit sits in one flat float array and its
+    ints (flow, interface, service counter, served bytes, turns, ring
+    prev/next, the flow's next link) on one cache line of one flat int
+    array, 9 words a link.  A flow keeps its first link and chains the
+    rest, one per allowed online interface, so its state is sized by its
+    own preference list, not by the interface-id space, and registering
+    a flow allocates only its record and its queue.  Removing a flow,
+    dropping an interface from its preferences or taking an interface
+    down returns the slots to the pool's free list for reuse; the pool
+    doubles when the list runs dry.  An empty cursor, ring head or chain
+    end is the sentinel slot -1, never an [option]; a cursor [C_j] is that
+    sentinel or a slot linked in interface [j]'s ring, so a recycled slot
+    is never a cursor.  Flow and interface ids must be non-negative
     (they index the slot arrays directly; ids are expected to be small
     and dense).  Semantics are specified by {!Drr_engine_ref}, the original
     list-and-hashtable implementation kept as the executable spec; the

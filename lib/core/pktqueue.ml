@@ -1,10 +1,15 @@
 (* Growable circular buffer rather than a linked [Queue.t]: push writes
    into a slot and pop reads one, so the steady data path allocates
    nothing (the old representation allocated a list cell per push and a
-   [Some] per [take_opt]).  Slots outside the live window keep whatever
-   packet last occupied them, with [Packet.none] as the initial filler —
-   never read past [len].  The first buffer holds four packets, which is
-   all that most flows of a large fleet ever queue at once. *)
+   [Some] per [take_opt]).  A pop leaves the served packet in its slot,
+   since clearing it costs a write barrier on every packet; instead,
+   when the last packet leaves, the whole buffer is refilled with
+   [Packet.none] and the window restarts at slot 0, so an idle queue
+   keeps no packet alive and a backlogged one pays nothing.  Slots
+   outside the live window are never read.  The first buffer holds four
+   packets, which is all that most flows of a large fleet ever queue at
+   once.  Indices wrap by a compare and a subtraction, not by [mod],
+   which would cost an integer division per packet. *)
 
 type t = {
   mutable buf : Packet.t array;
@@ -28,14 +33,13 @@ let create ?capacity_bytes () =
     drops = 0;
   }
 
-(* Double the buffer, unrolling the circular window to start at 0. *)
+(* Double the full buffer, unrolling the circular window to start at 0:
+   [head, cap) then [0, head). *)
 let grow t =
   let cap = Array.length t.buf in
-  let ncap = Stdlib.max 4 (2 * cap) in
-  let nbuf = Array.make ncap Packet.none in
-  for i = 0 to t.len - 1 do
-    nbuf.(i) <- t.buf.((t.head + i) mod cap)
-  done;
+  let nbuf = Array.make (Stdlib.max 4 (2 * cap)) Packet.none in
+  Array.blit t.buf t.head nbuf 0 (cap - t.head);
+  Array.blit t.buf 0 nbuf (cap - t.head) t.head;
   t.buf <- nbuf;
   t.head <- 0
 
@@ -45,7 +49,10 @@ let push t (p : Packet.t) =
   in
   if fits then begin
     if Int.equal t.len (Array.length t.buf) then grow t;
-    t.buf.((t.head + t.len) mod Array.length t.buf) <- p;
+    let n = Array.length t.buf in
+    (* head + len < 2n: one subtraction wraps it *)
+    let i = t.head + t.len in
+    t.buf.(if i >= n then i - n else i) <- p;
     t.len <- t.len + 1;
     t.bytes <- t.bytes + p.size;
     true
@@ -57,10 +64,18 @@ let push t (p : Packet.t) =
 
 let pop_exn t =
   if Int.equal t.len 0 then invalid_arg "Pktqueue.pop_exn: empty queue";
-  let p = t.buf.(t.head) in
-  t.head <- (t.head + 1) mod Array.length t.buf;
+  let buf = t.buf in
+  let p = buf.(t.head) in
   t.len <- t.len - 1;
   t.bytes <- t.bytes - p.size;
+  if Int.equal t.len 0 then begin
+    Array.fill buf 0 (Array.length buf) Packet.none;
+    t.head <- 0
+  end
+  else begin
+    let i = t.head + 1 in
+    t.head <- (if Int.equal i (Array.length buf) then 0 else i)
+  end;
   p
 
 let pop t = if Int.equal t.len 0 then None else Some (pop_exn t)

@@ -97,7 +97,11 @@ and issue_requests t ifc =
     match Sched_intf.Packed.next_packet t.sched ifc.i_id with
     | None -> ()
     | Some pkt ->
-        let slot = (ifc.head + ifc.outstanding) mod t.pipeline_depth in
+        (* head + outstanding < 2 * depth: wrap by one subtraction *)
+        let slot = ifc.head + ifc.outstanding in
+        let slot =
+          if slot >= t.pipeline_depth then slot - t.pipeline_depth else slot
+        in
         ifc.req_flow.(slot) <- pkt.flow;
         ifc.req_bytes.(slot) <- pkt.size;
         ifc.req_issued.(slot) <- now t;
@@ -140,7 +144,8 @@ and stream t ifc =
 (* The body of [ifc.complete]. *)
 and complete t ifc =
   let flow = ifc.req_flow.(ifc.head) and bytes = ifc.req_bytes.(ifc.head) in
-  ifc.head <- (ifc.head + 1) mod t.pipeline_depth;
+  (let next = ifc.head + 1 in
+   ifc.head <- (if Int.equal next t.pipeline_depth then 0 else next));
   ifc.receiving <- false;
   ifc.outstanding <- ifc.outstanding - 1;
   set_outstanding t ifc;

@@ -67,7 +67,7 @@ let default =
     domain_spawn_dirs = [ "lib/par" ];
     (* R7 roots: the decision path (its runtime allocation gate runs
        beside this proof in @crosscheck), the PIFO substrate's
-       per-decision ops, the intrusive ring ops the engine drives per
+       per-decision ops, the int-slot ring ops the engine drives per
        decision, the recorder sink and the platforms' delivery meter.
        Specs match against display names ("Unit.sub.value"); a trailing
        ".*" matches a whole prefix. *)
@@ -85,13 +85,15 @@ let default =
         "Prog_wfq.P.rank";
         "Prog_wfq.P.floor_rank";
         "Prog_wfq.P.on_service";
+        (* the int-slot ring: heads, cursors and links are ints *)
         "Active_ring.is_empty";
         "Active_ring.length";
         "Active_ring.head";
-        "Active_ring.Make.push_back";
-        "Active_ring.Make.insert_before";
-        "Active_ring.Make.remove";
-        "Active_ring.Make.next";
+        "Active_ring.linked";
+        "Active_ring.push_back";
+        "Active_ring.insert_before";
+        "Active_ring.remove";
+        "Active_ring.next";
         "Recorder.record";
         "Meter.deliver";
         (* telemetry plane: every hot registry op, the bus fold and the

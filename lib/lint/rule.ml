@@ -120,8 +120,9 @@ let description = function
        (Drr_engine.decide, next_packet_noalloc, Pifo \
        push/min_rank/pop_key/pop_at_most/remove, the WFQ program's \
        rank/floor_rank/on_service, \
-       the Active_ring ops, the obs sink emit paths, and the telemetry hot \
-       ops — Metrics incr/add/set_gauge/observe, Log_histogram \
+       Active_ring's int-slot ops \
+       is_empty/length/head/linked/push_back/insert_before/remove/next, \
+       the obs sink emit paths, and the telemetry hot ops — Metrics incr/add/set_gauge/observe, Log_histogram \
        observe/observe_ns, Busmetrics.on_event, Span enter/exit) and \
        every reachable function is checked for allocating constructs: \
        closure creation, \

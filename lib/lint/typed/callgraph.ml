@@ -4,15 +4,15 @@ open Midrr_lint
 
    Nodes are top-level (and nested-module / functor-body) value bindings
    of every compilation unit handed to [build].  Node keys use the full
-   dune-mangled unit name ("Midrr_core__Active_ring.Make.remove") so two
+   dune-mangled unit name ("Midrr_core__Sched_prog.Make.enqueue") so two
    libraries can both define [Util.log] without colliding; display names
-   drop the mangle prefix ("Active_ring.Make.remove") and are what
+   drop the mangle prefix ("Sched_prog.Make.enqueue") and are what
    config specs match against.
 
    Reference resolution handles the three shapes we observe in real
    cmts:
    - local [Pident]s, resolved through per-unit ident tables (values and
-     module bindings, including aliases like [module Aring = ...] and
+     module bindings, including aliases like [module Event = ...] and
      functor applications);
    - cross-module paths through the library wrapper alias
      ("Midrr_core.Active_ring.length" when the unit on disk is
@@ -283,8 +283,8 @@ let register_unit t ~modname ~file (str : Typedtree.structure) =
   u
 
 (* Fix up own-unit nested-module idents: replace the "<dot>" placeholder
-   with real components so [Aring.remove]-style local references resolve
-   to "Unit.Aring.remove" node keys when the submodule is literal, or
+   with real components so [Sub.f]-style local references resolve
+   to "Unit.Sub.f" node keys when the submodule is literal, or
    stay resolvable when it is an alias (handled in register_module). *)
 let patch_local_submodules u (str : Typedtree.structure) =
   let rec walk ~comps (items : Typedtree.structure_item list) =

@@ -175,9 +175,10 @@ let iface t j =
 let grow_pending fl =
   (let old = fl.pend in
    let ring = Array.make (Stdlib.max 2 (2 * Array.length old)) 0.0 in
-   for i = 0 to fl.plen - 1 do
-     ring.(i) <- old.((fl.phead + i) mod Array.length old)
-   done;
+   (* the old ring is full: its window is [phead, n) then [0, phead) *)
+   let n = Array.length old in
+   Array.blit old fl.phead ring 0 (n - fl.phead);
+   Array.blit old 0 ring (n - fl.phead) fl.phead;
    fl.pend <- ring;
    fl.phead <- 0)
   [@midrr.lint.allow "R7"]
@@ -187,7 +188,9 @@ let grow_pending fl =
 let push_pending fl time =
   if fl.plen >= Array.length fl.pend then grow_pending fl;
   let ring = fl.pend in
-  ring.((fl.phead + fl.plen) mod Array.length ring) <- time;
+  (* phead + plen < 2n: one subtraction wraps it, no division *)
+  let i = fl.phead + fl.plen in
+  ring.(if i >= Array.length ring then i - Array.length ring else i) <- time;
   fl.plen <- fl.plen + 1
 
 (* Pop the oldest pending enqueue time, returned as integer
@@ -201,7 +204,8 @@ let pop_pending_ns fl ~time =
   else begin
     let ring = fl.pend in
     let head = fl.phead in
-    fl.phead <- (head + 1) mod Array.length ring;
+    let next = head + 1 in
+    fl.phead <- (if Int.equal next (Array.length ring) then 0 else next);
     fl.plen <- fl.plen - 1;
     int_of_float ((time -. ring.(head)) *. 1e9)
   end

@@ -119,6 +119,38 @@ let test_pktqueue_clear () =
   Alcotest.(check bool) "empty" true (Pktqueue.is_empty q);
   Alcotest.(check int) "no bytes" 0 (Pktqueue.backlog_bytes q)
 
+(* Push [n] fresh packets, each watched through [w] from slot [first]
+   on.  Kept out of line so no packet stays in the caller's frame. *)
+let[@inline never] push_watched q w ~first n =
+  for i = first to first + n - 1 do
+    let p = pkt ~flow:i 100 in
+    Weak.set w i (Some p);
+    ignore (Pktqueue.push q p)
+  done
+
+(* A served packet must not outlive its service in the queue's buffer:
+   once the queue drains, an idle flow pins no dead packet. *)
+let test_pktqueue_drained_releases () =
+  let q = Pktqueue.create () in
+  let w = Weak.create 6 in
+  (* three in, two out, three more: the window wraps the 4-slot buffer *)
+  push_watched q w ~first:0 3;
+  for _ = 1 to 2 do
+    ignore (Pktqueue.pop_exn q)
+  done;
+  push_watched q w ~first:3 3;
+  while not (Pktqueue.is_empty q) do
+    ignore (Pktqueue.pop_exn q)
+  done;
+  Gc.full_major ();
+  for i = 0 to 5 do
+    Alcotest.(check bool) (Printf.sprintf "packet %d released" i) false
+      (Weak.check w i)
+  done;
+  let p = pkt 50 in
+  Alcotest.(check bool) "reusable" true (Pktqueue.push q p);
+  Alcotest.(check bool) "fifo after a drain" true (Pktqueue.pop_exn q == p)
+
 (* --- WFQ ---------------------------------------------------------------------- *)
 
 let test_wfq_single_iface_weighted () =
@@ -519,6 +551,8 @@ let () =
           Alcotest.test_case "fifo" `Quick test_pktqueue_fifo;
           Alcotest.test_case "capacity bound" `Quick test_pktqueue_capacity;
           Alcotest.test_case "clear" `Quick test_pktqueue_clear;
+          Alcotest.test_case "a drained queue keeps no packet alive" `Quick
+            test_pktqueue_drained_releases;
         ] );
       ( "wfq",
         [

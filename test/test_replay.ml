@@ -41,7 +41,16 @@ let replayability scenario spec =
   in
   (golden, candidate, Replay.compare_schedules ~golden ~candidate)
 
-let scenario_paths = [ "../scenarios/fig6.scn"; "../scenarios/handover.scn" ]
+(* `dune runtest` runs from the test directory, `dune exec` from the
+   project root; accept either. *)
+let fixture ~from_test ~from_root =
+  if Sys.file_exists from_test then from_test else from_root
+
+let scenario_paths =
+  List.map
+    (fun file ->
+      fixture ~from_test:("../scenarios/" ^ file) ~from_root:("scenarios/" ^ file))
+    [ "fig6.scn"; "handover.scn" ]
 
 let report_table () =
   List.iter

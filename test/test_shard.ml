@@ -638,7 +638,11 @@ let apply_words_per_op () =
    the routing layer: [apply] of an [Op_add_flow] costs what
    [Drr_engine.add_flow] costs on the same prebuilt ops (the flow's
    state), at 1 and 2 shards.  The highest id registers first, so no
-   slot array grows while the others are measured. *)
+   slot array grows while the others are measured.  The engine itself
+   allocates the flow's record (8 words) and its queue (7) and nothing
+   else: its two links are slots of the engine's pool, whose doublings
+   up to 256 words are all the remainder (0.09 words per
+   registration). *)
 let apply_words_per_registration () =
   let n = 10_000 and allowed = [ 0; 1 ] in
   let add flow = Shard_engine.Op_add_flow { flow; weight = 1.0; allowed } in
@@ -653,6 +657,13 @@ let apply_words_per_registration () =
   let engine =
     words_per_op (wapply_single (Drr_engine.create Drr_engine.Service_flags))
   in
+  Printf.printf "the engine: %.2f minor words per registration (bound 15.1)\n"
+    engine;
+  if engine > 15.1 then
+    Alcotest.failf
+      "the engine allocates %.2f minor words per two-interface \
+       registration, above 15.1 (a flow record and a queue)"
+      engine;
   List.iter
     (fun shards ->
       let t = Shard_engine.create ~shards Drr_engine.Service_flags in
@@ -671,6 +682,32 @@ let apply_words_per_registration () =
            the engine's %.2f"
           shards per_op (per_op -. engine) engine)
     [ 1; 2 ]
+
+(* Slots are recycled: cycles that register a two-interface flow,
+   backlog it, move it between interfaces, bounce an interface and
+   remove it leave the engine exactly as large as one cycle did. *)
+let registration_churn () =
+  let e = Drr_engine.create Drr_engine.Service_flags in
+  Drr_engine.add_iface e 0;
+  Drr_engine.add_iface e 1;
+  let pkt = Packet.create ~flow:7 ~size:1000 ~arrival:0.0 in
+  let cycle () =
+    Drr_engine.add_flow e ~flow:7 ~weight:1.0 ~allowed:[ 0; 1 ];
+    ignore (Drr_engine.enqueue e pkt);
+    Drr_engine.set_allowed e 7 [ 1 ];
+    Drr_engine.set_allowed e 7 [ 0; 1 ];
+    Drr_engine.remove_iface e 0;
+    Drr_engine.add_iface e 0;
+    Drr_engine.remove_flow e 7
+  in
+  cycle ();
+  let one = Obj.reachable_words (Obj.repr e) in
+  for _ = 2 to 10_000 do
+    cycle ()
+  done;
+  let many = Obj.reachable_words (Obj.repr e) in
+  Printf.printf "engine words after 1 cycle: %d, after 10000: %d\n" one many;
+  Alcotest.(check int) "engine words after 10000 cycles" one many
 
 (* --- mailbox allocation --------------------------------------------------- *)
 
@@ -833,6 +870,8 @@ let () =
           Alcotest.test_case "apply words per op" `Quick apply_words_per_op;
           Alcotest.test_case "apply words per registration" `Quick
             apply_words_per_registration;
+          Alcotest.test_case "registration churn recycles link slots" `Quick
+            registration_churn;
           Alcotest.test_case "mailbox words per op (miDRR churn)" `Quick
             (mailbox_words_per_op ~seed:3 ~groups:4 ~late_group:true
                ~n_ops:4000 ~storm:0);
