@@ -46,6 +46,7 @@ let () =
   Netsim.add_flow sim ci ~weight:1.0 ~allowed:[ cpu1; cpu2 ]
     (Netsim.Backlogged { pkt_size = quantum });
 
+  let judged = Netsim.window sim ~t0:20.0 ~t1:120.0 ~judge:(fun _ -> true) in
   Netsim.run sim ~until:120.0;
   let rate f = Netsim.avg_rate sim f ~t0:20.0 ~t1:120.0 /. 8.0 *. 1e6 in
   Format.printf "ml-training: %7.1f units/s (GPUs only)@." (rate ml_training);
@@ -53,12 +54,7 @@ let () =
     (rate analytics);
   Format.printf "ci:          %7.1f units/s (CPUs only)@." (rate ci);
 
-  let inst =
-    Netsim.instance_of sim
-      ~flows:[ ml_training; analytics; ci ]
-      ~ifaces:[ gpu1; gpu2; cpu1; cpu2 ]
-  in
-  let reference = Midrr_flownet.Maxmin.solve inst in
+  let reference = (judged ()).reference in
   Format.printf "@.water-filling reference: ml=%.1f analytics=%.1f ci=%.1f@."
     (reference.rates.(0) /. 8.0)
     (reference.rates.(1) /. 8.0)

@@ -11,7 +11,7 @@ open Midrr_core
 module Netsim = Midrr_sim.Netsim
 module Link = Midrr_sim.Link
 module Diagnose = Midrr_flownet.Diagnose
-module Cluster = Midrr_flownet.Cluster
+module Meter = Midrr_sim.Meter
 
 let wifi = 0
 let lte = 1
@@ -41,23 +41,13 @@ let () =
 
   (* Check Theorem 2's rate-clustering conditions on every 5 s window
      while the scenario runs, from the measured per-interface rates. *)
-  let flows = List.map (fun (f, _, _) -> f) specs
-  and ifaces = [ wifi; lte; slow_3g ] in
-  let snap = ref None and windows = ref 0 and violating = ref 0 in
-  for k = 0 to 6 do
-    Netsim.at sim (Float.of_int k *. 5.0) (fun () ->
-        Option.iter
-          (fun snap ->
-            let share = Netsim.share_since sim snap ~flows ~ifaces in
-            let rates = Array.map (Array.fold_left ( +. ) 0.0) share in
-            let inst = Netsim.instance_of sim ~flows ~ifaces in
-            incr windows;
-            if Cluster.check ~tol:0.03 inst ~share ~rates <> [] then
-              incr violating)
-          !snap;
-        snap := Some (Netsim.snapshot sim))
-  done;
+  let windows =
+    List.init 6 (fun k ->
+        let t0 = Float.of_int k *. 5.0 in
+        Netsim.window sim ~t0 ~t1:(t0 +. 5.0) ~judge:(fun _ -> true))
+  in
   Netsim.run sim ~until:30.0;
+  let windows = List.map (fun w -> w ()) windows in
 
   Format.printf "measured rates after 30 s:@.";
   List.iter
@@ -66,10 +56,13 @@ let () =
         (Netsim.avg_rate sim f ~t0:5.0 ~t1:30.0))
     specs;
   Format.printf "fairness check: %d windows, %d with violations@.@."
-    !windows !violating;
+    (List.length windows)
+    (List.length
+       (List.filter (fun (w : Meter.window) -> w.violations <> []) windows));
 
-  (* Explain every flow from the reference allocation. *)
-  let inst = Netsim.instance_of sim ~flows ~ifaces in
+  (* Explain every flow from the reference allocation of the last
+     window's instance. *)
+  let inst = (List.nth windows 5).instance in
   Format.printf "reference diagnosis (rates in bit/s):@.";
   List.iter
     (fun (e : Diagnose.explanation) ->

@@ -27,14 +27,9 @@ let () =
   Proxy.add_transfer proxy browsing ~weight:1.0 ~allowed:[ wifi ] ();
 
   (* Measure the per-interface split over a steady window. *)
-  Proxy.run proxy ~until:5.0;
-  let snap = Proxy.snapshot proxy in
-  Proxy.run proxy ~until:60.0;
-  let share =
-    Proxy.share_since proxy snap ~flows:[ download; browsing ]
-      ~ifaces:[ wifi; lte ]
-  in
+  let judged = Proxy.window proxy ~t0:5.0 ~t1:60.0 ~judge:(fun _ -> true) in
   Proxy.run proxy ~until:150.0;
+  let { Midrr_sim.Meter.share; reference; _ } = judged () in
 
   Format.printf "download goodput: %.3f Mb/s (WiFi %.2f + LTE %.2f)@."
     (Proxy.avg_goodput proxy download ~t0:5.0 ~t1:60.0)
@@ -45,10 +40,6 @@ let () =
   (match Proxy.completion_time proxy download with
   | Some t -> Format.printf "download completed at %.1f s@." t
   | None -> Format.printf "download still running at 150 s@.");
-  let inst =
-    Proxy.instance_of proxy ~flows:[ download; browsing ] ~ifaces:[ wifi; lte ]
-  in
-  let reference = Midrr_flownet.Maxmin.solve inst in
   Format.printf
     "@.Max-min reference: both flows get %.1f Mb/s (the download aggregates \
      all of LTE plus a slice of WiFi).@."

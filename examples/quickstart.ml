@@ -26,15 +26,16 @@ let () =
   Netsim.add_flow sim 1 ~weight:1.0 ~allowed:[ 2 ]
     (Netsim.Backlogged { pkt_size = 1200 });
 
-  (* 4. Run for 30 simulated seconds and read the steady-state rates. *)
+  (* 4. Judge the steady state from 5 s on against the offline
+     water-filling reference, then run for 30 simulated seconds. *)
+  let judged = Netsim.window sim ~t0:5.0 ~t1:30.0 ~judge:(fun _ -> true) in
   Netsim.run sim ~until:30.0;
   let rate f = Netsim.avg_rate sim f ~t0:5.0 ~t1:30.0 in
   Format.printf "flow a (interfaces 1,2): %.3f Mb/s@." (rate 0);
   Format.printf "flow b (interface 2):    %.3f Mb/s@." (rate 1);
 
-  (* 5. Compare with the offline water-filling reference. *)
-  let inst = Netsim.instance_of sim ~flows:[ 0; 1 ] ~ifaces:[ 1; 2 ] in
-  let reference = Midrr_flownet.Maxmin.solve inst in
+  (* 5. Compare with the reference. *)
+  let reference = (judged ()).reference in
   Format.printf "reference max-min:       a=%.3f b=%.3f Mb/s@."
     (Types.to_mbps reference.rates.(0))
     (Types.to_mbps reference.rates.(1))

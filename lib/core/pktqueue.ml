@@ -2,14 +2,18 @@
    into a slot and pop reads one, so the steady data path allocates
    nothing (the old representation allocated a list cell per push and a
    [Some] per [take_opt]).  A pop leaves the served packet in its slot,
-   since clearing it costs a write barrier on every packet; instead,
-   when the last packet leaves, the whole buffer is refilled with
-   [Packet.none] and the window restarts at slot 0, so an idle queue
-   keeps no packet alive and a backlogged one pays nothing.  Slots
-   outside the live window are never read.  The first buffer holds four
-   packets, which is all that most flows of a large fleet ever queue at
-   once.  Indices wrap by a compare and a subtraction, not by [mod],
-   which would cost an integer division per packet. *)
+   since clearing it costs a write barrier on every packet.  The window
+   starts at slot 0 after every clear, so served packets sit only in
+   [0, head): when the last packet leaves, slots [0, head] are refilled
+   with [Packet.none] and the window restarts at 0, and when [head]
+   wraps, the slots past the live window, [len, n), are.  Each clear
+   covers slots that as many pops have passed, so it costs O(1) per
+   packet however large the buffer once grew; an idle queue keeps no
+   packet alive.  Slots outside the live window are never read.  The
+   first buffer holds four packets, which is all that most flows of a
+   large fleet ever queue at once.  Indices wrap by a compare and a
+   subtraction, not by [mod], which would cost an integer division per
+   packet. *)
 
 type t = {
   mutable buf : Packet.t array;
@@ -64,18 +68,20 @@ let push t (p : Packet.t) =
 
 let pop_exn t =
   if Int.equal t.len 0 then invalid_arg "Pktqueue.pop_exn: empty queue";
-  let buf = t.buf in
-  let p = buf.(t.head) in
-  t.len <- t.len - 1;
+  let buf = t.buf and h = t.head in
+  let p = buf.(h) in
+  let len = t.len - 1 in
+  t.len <- len;
   t.bytes <- t.bytes - p.size;
-  if Int.equal t.len 0 then begin
-    Array.fill buf 0 (Array.length buf) Packet.none;
+  if Int.equal len 0 then begin
+    Array.fill buf 0 (h + 1) Packet.none;
     t.head <- 0
   end
-  else begin
-    let i = t.head + 1 in
-    t.head <- (if Int.equal i (Array.length buf) then 0 else i)
-  end;
+  else if Int.equal (h + 1) (Array.length buf) then begin
+    Array.fill buf len (Array.length buf - len) Packet.none;
+    t.head <- 0
+  end
+  else t.head <- h + 1;
   p
 
 let pop t = if Int.equal t.len 0 then None else Some (pop_exn t)

@@ -1,8 +1,8 @@
 open Midrr_core
 module Netsim = Midrr_sim.Netsim
 module Link = Midrr_sim.Link
+module Meter = Midrr_sim.Meter
 module Gen = Midrr_trace.Gen
-module Maxmin = Midrr_flownet.Maxmin
 module Rng = Midrr_stats.Rng
 module Summary = Midrr_stats.Summary
 
@@ -69,49 +69,26 @@ let run ?(seed = 17) ?(horizon = 240.0)
         (Netsim.Backlogged { pkt_size = 1000 });
       Netsim.remove_flow sim ~at:f.stop f.id)
     flows;
-  (* Sliding 5 s windows: for each, compare the rates of flows alive
-     throughout against the per-window water-filling reference. *)
+  (* Sliding 5 s windows, each judged over the flows alive throughout
+     it, when there are at least two. *)
   let window = 5.0 in
-  let results = ref [] in
-  let starved = ref 0 in
-  let rec plan t0 =
+  let rec plan t0 acc =
     let t1 = t0 +. window in
-    if t1 < horizon then begin
-      let snap = ref None in
-      Netsim.at sim t0 (fun () -> snap := Some (Netsim.snapshot sim));
-      Netsim.at sim t1 (fun () ->
-          let covered =
-            List.filter
-              (fun f -> f.start <= t0 -. 0.5 && f.stop >= t1 +. 0.5)
-              flows
-          in
-          if List.length covered >= 2 then begin
-            let ids = List.map (fun f -> f.id) covered in
-            let iface_ids = List.map fst ifaces in
-            let share =
-              Netsim.share_since sim (Option.get !snap) ~flows:ids
-                ~ifaces:iface_ids
-            in
-            let rates =
-              Array.map (fun row -> Array.fold_left ( +. ) 0.0 row) share
-            in
-            let inst = Netsim.instance_of sim ~flows:ids ~ifaces:iface_ids in
-            let reference = Maxmin.solve inst in
-            let ratios =
-              Array.mapi
-                (fun i r ->
-                  if reference.rates.(i) > 0.0 then r /. reference.rates.(i)
-                  else 1.0)
-                rates
-            in
-            Array.iter (fun r -> if r <= 0.0 then incr starved) ratios;
-            results :=
-              (Summary.jain_index ratios, List.length covered) :: !results
-          end);
-      plan (t0 +. window)
-    end
+    if t1 >= horizon then List.rev acc
+    else
+      let ids =
+        List.filter_map
+          (fun f ->
+            if f.start <= t0 -. 0.5 && f.stop >= t1 +. 0.5 then Some f.id
+            else None)
+          flows
+      in
+      plan t1
+        (if List.length ids >= 2 then
+           Netsim.window sim ~t0 ~t1 ~judge:(fun f -> List.mem f ids) :: acc
+         else acc)
   in
-  plan 10.0;
+  let windows = plan 10.0 [] in
   Netsim.run sim ~until:horizon;
   (* Preference violations: any bytes on a banned interface. *)
   let violations = ref 0 in
@@ -123,15 +100,26 @@ let run ?(seed = 17) ?(horizon = 240.0)
             violations := !violations + Netsim.served_cell sim ~flow:f.id ~iface:j)
         ifaces)
     flows;
-  let jains = List.map fst !results in
-  let peak = List.fold_left (fun acc (_, n) -> Stdlib.max acc n) 0 !results in
+  (* Each judged flow's measured over reference rate. *)
+  let ratios w =
+    let ({ rates; reference; _ } : Meter.window) = w () in
+    Array.mapi
+      (fun i r ->
+        let want = reference.rates.(i) in
+        if want > 0.0 then r /. want else 1.0)
+      rates
+  in
+  let ratios = List.map ratios windows in
+  let jains = List.map Summary.jain_index ratios in
+  let starved r n = if r <= 0.0 then n + 1 else n in
   {
     windows = List.length jains;
     mean_jain = Summary.mean (Array.of_list jains);
     min_jain = List.fold_left Float.min 1.0 jains;
     violations = !violations;
-    starved_windows = !starved;
-    peak_concurrent = peak;
+    starved_windows = Array.fold_right starved (Array.concat ratios) 0;
+    peak_concurrent =
+      List.fold_left (fun acc r -> Stdlib.max acc (Array.length r)) 0 ratios;
   }
 
 let print ppf r =

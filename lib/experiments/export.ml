@@ -65,16 +65,16 @@ let fig6 ~dir (r : Fig6.result) =
     (List.map (fun (f, s) -> (flow_label "flow_" (name f), s)) r.transient);
   let rows =
     List.concat_map
-      (fun (p : Fig6.phase) ->
-        List.map
-          (fun (f, rate) ->
+      (fun ({ label; window = w } : Fig6.phase) ->
+        List.mapi
+          (fun i f ->
             [
-              p.label;
+              label;
               name f;
-              fmt_float rate;
-              fmt_float (List.assoc f p.reference);
+              fmt_float (Midrr_core.Types.to_mbps w.rates.(i));
+              fmt_float (Midrr_core.Types.to_mbps w.reference.rates.(i));
             ])
-          p.rates)
+          w.flows)
       r.phases
   in
   write_csv

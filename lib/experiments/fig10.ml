@@ -1,16 +1,14 @@
 open Midrr_core
 module Proxy = Midrr_http.Proxy
 module Link = Midrr_sim.Link
-module Cluster = Midrr_flownet.Cluster
+module Meter = Midrr_sim.Meter
 
 type phase = {
   label : string;
-  t0 : float;
-  t1 : float;
+  window : Meter.window;
   goodput : (string * float) list;
   fast_flow : string;
   b_tracks_faster : bool;
-  clusters : Cluster.t list;
 }
 
 type result = {
@@ -38,6 +36,20 @@ let if2_profile =
   Link.steps ~initial:(Types.mbps 5.0)
     [ (11.0, Types.mbps 10.0); (18.0, Types.mbps 5.0); (29.0, Types.mbps 10.0) ]
 
+let phase label (window : Meter.window) =
+  let gp f = Types.to_mbps window.rates.(f) in
+  let faster = Float.max (gp flow_a) (gp flow_c) in
+  {
+    label;
+    window;
+    goodput =
+      List.map (fun f -> (flow_name f, gp f)) [ flow_a; flow_b; flow_c ];
+    fast_flow = (if gp flow_a >= gp flow_c then "a" else "c");
+    (* b tracks the faster restricted flow within 20%. *)
+    b_tracks_faster =
+      Float.abs (gp flow_b -. faster) <= 0.2 *. Float.max 1.0 faster;
+  }
+
 let run ?(horizon = 45.0) () =
   let sched = Midrr.packed (Midrr.create ~base_quantum:65536 ()) in
   let proxy =
@@ -49,71 +61,34 @@ let run ?(horizon = 45.0) () =
   Proxy.add_transfer proxy flow_a ~weight:1.0 ~allowed:[ 1 ] ();
   Proxy.add_transfer proxy flow_b ~weight:1.0 ~allowed:[ 1; 2 ] ();
   Proxy.add_transfer proxy flow_c ~weight:1.0 ~allowed:[ 2 ] ();
-  (* Plant phase snapshots before running.  Measurement windows sit inside
-     each phase, away from the switch transients. *)
+  (* Measurement windows sit inside each phase, away from the switch
+     transients. *)
   let windows =
-    [
-      ("phase 0-11s (if1 fast)", 2.0, 10.5);
-      ("phase 11-18s (if2 fast)", 12.5, 17.5);
-      ("phase 18-29s (if1 fast)", 20.0, 28.5);
-      ("phase 29s+ (if2 fast)", 31.0, 44.0);
-    ]
+    List.map
+      (fun (label, t0, t1) ->
+        (label, Proxy.window proxy ~t0 ~t1 ~judge:(fun _ -> true)))
+      [
+        ("phase 0-11s (if1 fast)", 2.0, 10.5);
+        ("phase 11-18s (if2 fast)", 12.5, 17.5);
+        ("phase 18-29s (if1 fast)", 20.0, 28.5);
+        ("phase 29s+ (if2 fast)", 31.0, 44.0);
+      ]
   in
-  let snaps = List.map (fun _ -> ref None) windows in
-  let results = List.map (fun _ -> ref None) windows in
-  List.iteri
-    (fun k (_, t0, t1) ->
-      let snap = List.nth snaps k and out = List.nth results k in
-      Proxy.engine proxy |> fun engine ->
-      Midrr_sim.Engine.schedule engine ~at:t0 (fun () ->
-          snap := Some (Proxy.snapshot proxy));
-      Midrr_sim.Engine.schedule engine ~at:t1 (fun () ->
-          let snap = Option.get !snap in
-          let flows = [ flow_a; flow_b; flow_c ] and ifaces = [ 1; 2 ] in
-          let share = Proxy.share_since proxy snap ~flows ~ifaces in
-          let rates =
-            Array.map (fun row -> Array.fold_left ( +. ) 0.0 row) share
-          in
-          let inst = Proxy.instance_of proxy ~flows ~ifaces in
-          out := Some (share, rates, Cluster.decompose inst ~share ~rates)))
-    windows;
   Proxy.run proxy ~until:horizon;
-  let phases =
-    List.map2
-      (fun (label, t0, t1) out ->
-        let _, rates, clusters = Option.get !out in
-        let gp f = Types.to_mbps rates.(f) in
-        let fast_flow = if gp flow_a >= gp flow_c then "a" else "c" in
-        let faster = Float.max (gp flow_a) (gp flow_c) in
-        (* b tracks the faster restricted flow within 20%. *)
-        let b_tracks_faster =
-          Float.abs (gp flow_b -. faster) <= 0.2 *. Float.max 1.0 faster
-        in
-        {
-          label;
-          t0;
-          t1;
-          goodput =
-            List.map (fun f -> (flow_name f, gp f)) [ flow_a; flow_b; flow_c ];
-          fast_flow;
-          b_tracks_faster;
-          clusters;
-        })
-      windows results
-  in
   let series =
     List.map
       (fun f -> (flow_name f, Proxy.goodput_series proxy f))
       [ flow_a; flow_b; flow_c ]
   in
-  { series; phases }
+  { series; phases = List.map (fun (label, w) -> phase label (w ())) windows }
 
 let print ppf r =
   Format.fprintf ppf
     "@[<v>Figure 10: HTTP goodput over fluctuating links (Mb/s)@,";
   List.iter
     (fun p ->
-      Format.fprintf ppf "@,%s (window %.1f-%.1fs):@," p.label p.t0 p.t1;
+      Format.fprintf ppf "@,%s (window %.1f-%.1fs):@," p.label p.window.t0
+        p.window.t1;
       List.iter
         (fun (name, g) -> Format.fprintf ppf "  flow %s: %.3f@," name g)
         p.goodput;
@@ -144,16 +119,8 @@ let print_clusters ppf r =
   List.iter
     (fun p ->
       Format.fprintf ppf "@,%s:@," p.label;
-      List.iteri
-        (fun k (c : Cluster.t) ->
-          Format.fprintf ppf
-            "  cluster %d: flows={%s} ifaces={%s} norm-rate=%.3f Mb/s@," k
-            (String.concat "," (List.map flow_name c.flows))
-            (String.concat ","
-               (List.map
-                  (fun i -> Printf.sprintf "if%d" (List.nth [ 1; 2 ] i))
-                  c.ifaces))
-            (Types.to_mbps c.norm_rate))
-        p.clusters)
+      List.iter
+        (Format.fprintf ppf "  %s@,")
+        (Meter.cluster_lines ~name:flow_name p.window))
     r.phases;
   Format.fprintf ppf "@]"

@@ -12,12 +12,10 @@
 
 type phase = {
   label : string;
-  t0 : float;
-  t1 : float;
+  window : Midrr_sim.Meter.window;  (** judged over all three flows *)
   goodput : (string * float) list;  (** per flow, Mb/s *)
   fast_flow : string;  (** which restricted flow is on the faster link *)
   b_tracks_faster : bool;
-  clusters : Midrr_flownet.Cluster.t list;
 }
 
 type result = {

@@ -1,19 +1,9 @@
 open Midrr_core
 module Netsim = Midrr_sim.Netsim
 module Link = Midrr_sim.Link
-module Maxmin = Midrr_flownet.Maxmin
-module Cluster = Midrr_flownet.Cluster
+module Meter = Midrr_sim.Meter
 
-type phase = {
-  label : string;
-  t0 : float;
-  t1 : float;
-  flows : int list;
-  rates : (int * float) list;
-  reference : (int * float) list;
-  clusters : Cluster.t list;
-  violations : Cluster.violation list;
-}
+type phase = { label : string; window : Meter.window }
 
 type result = {
   series : (int * (float * float) array) list;
@@ -42,48 +32,19 @@ let build ~bin =
     (Netsim.Backlogged { pkt_size = 1500 });
   sim
 
-(* Measure one phase window: rates, reference allocation and clusters, using
-   snapshots planted before the run reaches the window. *)
-let plan_phase sim ~label ~t0 ~t1 ~flows acc =
-  let snap = ref None in
-  Netsim.at sim t0 (fun () -> snap := Some (Netsim.snapshot sim));
-  Netsim.at sim t1 (fun () ->
-      let snap = Option.get !snap in
-      let ifaces = [ 1; 2 ] in
-      let share = Netsim.share_since sim snap ~flows ~ifaces in
-      let rates = Array.map (fun row -> Array.fold_left ( +. ) 0.0 row) share in
-      let inst = Netsim.instance_of sim ~flows ~ifaces in
-      let reference = Maxmin.solve inst in
-      (* 3% tolerance: packetized service wobbles around the fluid rates. *)
-      let violations = Cluster.check ~tol:0.03 inst ~share ~rates in
-      let clusters = Cluster.decompose inst ~share ~rates in
-      acc :=
-        {
-          label;
-          t0;
-          t1;
-          flows;
-          rates =
-            List.mapi (fun i f -> (f, Types.to_mbps rates.(i))) flows;
-          reference =
-            List.mapi
-              (fun i f -> (f, Types.to_mbps reference.rates.(i)))
-              flows;
-          clusters;
-          violations;
-        }
-        :: !acc)
-
 let run () =
   (* Full run at 1 s bins for the Fig. 6(b) series and phase measurements. *)
   let sim = build ~bin:1.0 in
-  let phases = ref [] in
-  plan_phase sim ~label:"phase 1 (0-66s)" ~t0:10.0 ~t1:60.0
-    ~flows:[ flow_a; flow_b; flow_c ] phases;
-  plan_phase sim ~label:"phase 2 (66-85s)" ~t0:69.0 ~t1:83.0
-    ~flows:[ flow_b; flow_c ] phases;
-  plan_phase sim ~label:"phase 3 (85-100s)" ~t0:88.0 ~t1:99.0
-    ~flows:[ flow_c ] phases;
+  let phases =
+    List.map
+      (fun (label, t0, t1, flows) ->
+        (label, Netsim.window sim ~t0 ~t1 ~judge:(fun f -> List.mem f flows)))
+      [
+        ("phase 1 (0-66s)", 10.0, 60.0, [ flow_a; flow_b; flow_c ]);
+        ("phase 2 (66-85s)", 69.0, 83.0, [ flow_b; flow_c ]);
+        ("phase 3 (85-100s)", 88.0, 99.0, [ flow_c ]);
+      ]
+  in
   Netsim.run sim ~until:100.0;
   let series =
     List.map (fun f -> (f, Netsim.rate_series sim f)) [ flow_a; flow_b; flow_c ]
@@ -101,7 +62,7 @@ let run () =
     transient;
     completion_a;
     completion_b;
-    phases = List.rev !phases;
+    phases = List.map (fun (label, w) -> { label; window = w () }) phases;
   }
 
 let flow_name f =
@@ -134,17 +95,16 @@ let print ppf r =
   Format.fprintf ppf "flow a completes at %.2fs (paper: 66s)@," r.completion_a;
   Format.fprintf ppf "flow b completes at %.2fs (paper: 85s)@," r.completion_b;
   List.iter
-    (fun p ->
-      Format.fprintf ppf "@,%s (measured over %.0f-%.0fs):@," p.label p.t0
-        p.t1;
-      List.iter
-        (fun (f, rate) ->
-          let reference = List.assoc f p.reference in
+    (fun { label; window = w } ->
+      Format.fprintf ppf "@,%s (measured over %.0f-%.0fs):@," label w.t0 w.t1;
+      List.iteri
+        (fun i f ->
           Format.fprintf ppf "  flow %s: %.3f Mb/s (reference %.3f)@,"
-            (flow_name f) rate reference)
-        p.rates;
+            (flow_name f) (Types.to_mbps w.rates.(i))
+            (Types.to_mbps w.reference.rates.(i)))
+        w.flows;
       Format.fprintf ppf "  rate clustering violations: %d@,"
-        (List.length p.violations))
+        (List.length w.violations))
     r.phases;
   Format.fprintf ppf "@,Figure 6(b) series (1s bins):@,";
   print_series ppf r.series;
@@ -156,18 +116,9 @@ let print_clusters ppf r =
   Format.fprintf ppf "@[<v>Figure 8: cluster evolution@,";
   List.iter
     (fun p ->
-      (* Cluster members are indices into the phase's flow/interface lists;
-         translate back to the scenario's names. *)
-      let flow_of i = flow_name (List.nth p.flows i) in
-      let iface_of i = Printf.sprintf "if%d" (List.nth [ 1; 2 ] i) in
       Format.fprintf ppf "@,%s:@," p.label;
-      List.iteri
-        (fun k (c : Cluster.t) ->
-          Format.fprintf ppf
-            "  cluster %d: flows={%s} ifaces={%s} norm-rate=%.3f Mb/s@," k
-            (String.concat "," (List.map flow_of c.flows))
-            (String.concat "," (List.map iface_of c.ifaces))
-            (Types.to_mbps c.norm_rate))
-        p.clusters)
+      List.iter
+        (Format.fprintf ppf "  %s@,")
+        (Meter.cluster_lines ~name:flow_name p.window))
     r.phases;
   Format.fprintf ppf "@]"

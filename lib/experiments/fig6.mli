@@ -14,13 +14,8 @@
 
 type phase = {
   label : string;
-  t0 : float;
-  t1 : float;
-  flows : int list;  (** flows active in the phase *)
-  rates : (int * float) list;  (** measured Mb/s per flow *)
-  reference : (int * float) list;  (** water-filling Mb/s per flow *)
-  clusters : Midrr_flownet.Cluster.t list;
-  violations : Midrr_flownet.Cluster.violation list;
+  window : Midrr_sim.Meter.window;
+      (** judged over the flows active in the phase *)
 }
 
 type result = {

@@ -160,14 +160,3 @@ let check ?(tol = 1e-6) ?eps (inst : Instance.t) ~share ~rates =
     end
   done;
   List.rev !violations
-
-let pp ppf clusters =
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun k c ->
-      Format.fprintf ppf "cluster %d: flows={%s} ifaces={%s} rate=%.6g@," k
-        (String.concat "," (List.map string_of_int c.flows))
-        (String.concat "," (List.map string_of_int c.ifaces))
-        c.norm_rate)
-    clusters;
-  Format.fprintf ppf "@]"

@@ -50,6 +50,3 @@ val check :
     using relative tolerance [tol] (default 1e-6) for rate comparisons.
     An empty list means the allocation satisfies Theorem 2's conditions and
     is therefore weighted max-min fair. *)
-
-val pp : Format.formatter -> t list -> unit
-(** Render clusters the way the paper's Fig. 8 caption describes them. *)

@@ -224,8 +224,6 @@ let snapshot t = Meter.snapshot t.meter
 let share_since t snap ~flows ~ifaces =
   Meter.share_since t.meter snap ~flows ~ifaces
 
-let instance_of t ~flows ~ifaces =
-  Meter.instance_of t.meter ~flows ~ifaces ~capacity:(fun j ->
-      match Int_tbl.Slots.find t.ifaces j with
-      | Some ifc -> Link.rate_at ifc.profile (now t)
-      | None -> invalid_arg "Proxy: unknown interface")
+let window t ~t0 ~t1 ~judge =
+  let links f = Int_tbl.Slots.iter (fun j ifc -> f j ifc.profile) t.ifaces in
+  Meter.window t.meter ~links ~t0 ~t1 ~judge

@@ -43,8 +43,6 @@ val create :
 
 val engine : t -> Midrr_sim.Engine.t
 
-val now : t -> float
-
 val add_iface : t -> Types.iface_id -> Link.t -> unit
 (** Raises [Invalid_argument] on a negative or registered id: interface
     ids index a slot array.  Checked before any state changes. *)
@@ -92,8 +90,7 @@ val share_since :
   float array array
 (** Measured delivery-rate matrix [r_ij] (bits/s) since the snapshot. *)
 
-val instance_of :
-  t -> flows:Types.flow_id list -> ifaces:Types.iface_id list ->
-  Midrr_flownet.Instance.t
-(** Current-instant solver instance (current line rates, registered
-    preferences), for comparing measured clusters against the reference. *)
+val window :
+  t -> t0:float -> t1:float -> judge:(Types.flow_id -> bool) ->
+  (unit -> Midrr_sim.Meter.window)
+(** {!Midrr_sim.Meter.window} over the proxy's interfaces. *)

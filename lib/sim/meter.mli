@@ -92,11 +92,46 @@ val share_since :
 (** The rate matrix [r_ij] in bits/s since the snapshot, ordered by the
     given lists.  Requires time to have advanced. *)
 
-val instance_of :
+(** {1 Judged windows: Theorem 2's judge around a measurement window} *)
+
+type window = {
+  t0 : float;
+  t1 : float;
+  flows : Types.flow_id list;
+      (** the judged flows, ascending: row [i] of [share], flow [i] of
+          [instance] and of the clusters *)
+  ifaces : Types.iface_id list;
+      (** the platform's interfaces at [t1], ascending: column [j] *)
+  share : float array array;  (** [r_ij] over the window, bits/s *)
+  rates : float array;  (** each judged flow's total, bits/s *)
+  instance : Midrr_flownet.Instance.t;
+      (** the judged flows' weights and preferences at [t1], on each
+          interface's line rate at [t1] less the bytes that the other
+          flows carried through it during the window (at least 0) *)
+  reference : Midrr_flownet.Maxmin.allocation;  (** [Maxmin.solve instance] *)
+  clusters : Midrr_flownet.Cluster.t list;
+      (** [Cluster.decompose instance ~share ~rates] *)
+  violations : Midrr_flownet.Cluster.violation list;
+      (** [Cluster.check ~tol:0.03 instance ~share ~rates]: 3% absorbs
+          packetized service's wobble around the fluid rates.  Call
+          [Cluster.check] on the fields for another tolerance. *)
+}
+
+val window :
   'a t ->
-  capacity:(Types.iface_id -> float) ->
-  flows:Types.flow_id list ->
-  ifaces:Types.iface_id list ->
-  Midrr_flownet.Instance.t
-(** The flows with their registered weights and preferences, on
-    interfaces of the platform's current [capacity]. *)
+  links:((Types.iface_id -> Link.t -> unit) -> unit) ->
+  t0:float ->
+  t1:float ->
+  judge:(Types.flow_id -> bool) ->
+  (unit -> window)
+(** [window t ~links ~t0 ~t1 ~judge] plants the window [[t0, t1]] on the
+    engine and returns its result, which raises [Invalid_argument] until
+    the run has passed [t1].  At [t1] it judges every registered flow
+    for which [judge] holds;
+    every other flow, removed ones included, counts against the
+    capacity.  [links f] calls [f j profile] on each of the platform's
+    interfaces, ascending by id.  Requires [now <= t0 < t1]. *)
+
+val cluster_lines : name:(Types.flow_id -> string) -> window -> string list
+(** One line per cluster in Fig. 8's format,
+    [cluster K: flows={a,b} ifaces={if1,if2} norm-rate=R Mb/s]. *)

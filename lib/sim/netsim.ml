@@ -398,12 +398,6 @@ let iface_utilization t j ~t0 ~t1 =
 
 let served_cell t ~flow ~iface = Meter.served_cell t.meter ~flow ~iface
 
-type snapshot = Meter.snapshot
-
-let snapshot t = Meter.snapshot t.meter
-let share_since t snap ~flows ~ifaces =
-  Meter.share_since t.meter snap ~flows ~ifaces
-
-let instance_of t ~flows ~ifaces =
-  Meter.instance_of t.meter ~flows ~ifaces ~capacity:(fun j ->
-      Link.rate_at (iface_info t j).profile (now t))
+let window t ~t0 ~t1 ~judge =
+  let links f = Int_tbl.Slots.iter (fun j ifc -> f j ifc.profile) t.ifaces in
+  Meter.window t.meter ~links ~t0 ~t1 ~judge

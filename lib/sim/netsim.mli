@@ -76,8 +76,6 @@ val create :
 
 val engine : t -> Engine.t
 
-val now : t -> float
-
 val add_iface : t -> Types.iface_id -> Link.t -> unit
 (** Attach an interface with its capacity profile.  May be called mid-run
     inside an {!at} hook ("a new interface comes online").  Raises
@@ -132,21 +130,7 @@ val iface_utilization : t -> Types.iface_id -> t0:float -> t1:float -> float
 val served_cell : t -> flow:Types.flow_id -> iface:Types.iface_id -> int
 (** Cumulative bytes of the flow carried by the interface. *)
 
-type snapshot
-
-val snapshot : t -> snapshot
-(** Capture cumulative per-(flow, interface) counters. *)
-
-val share_since :
-  t -> snapshot -> flows:Types.flow_id list -> ifaces:Types.iface_id list ->
-  float array array
-(** [share_since t snap ~flows ~ifaces] is the measured rate matrix
-    [r_ij] in bits/s between the snapshot and now (ordered by the given
-    lists).  Requires time to have advanced since the snapshot. *)
-
-val instance_of :
-  t -> flows:Types.flow_id list -> ifaces:Types.iface_id list ->
-  Midrr_flownet.Instance.t
-(** Freeze the given flows (with their registered weights and preferences)
-    and the interfaces at their {e current} line rates into a solver
-    instance, for comparing measured against reference allocations. *)
+val window :
+  t -> t0:float -> t1:float -> judge:(Types.flow_id -> bool) ->
+  (unit -> Meter.window)
+(** {!Meter.window} over the simulator's interfaces. *)

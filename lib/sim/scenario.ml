@@ -73,7 +73,9 @@ type window_report = {
   t0 : float;
   t1 : float;
   rates : (string * float) list;
-  reference : (string * float) list;
+  reference : float array;
+  clusters : string list;
+  violations : int;
 }
 
 type report = {
@@ -580,45 +582,50 @@ let run ?sink ?metrics ?spans ?ticks ?seed ?engine ?sched t =
               Netsim.set_allowed sim f (List.filter (fun k -> k <> j) current)
           | E_stop name -> Netsim.remove_flow sim (flow_id name)))
     t.events;
-  let names = List.map (fun fs -> fs.fs_name) t.flow_specs in
-  (* Capture the reference allocation at each window's end, when the flow
-     population and preferences reflect that window. *)
-  let captured = List.map (fun _ -> ref []) t.measure_windows in
-  List.iteri
-    (fun k (_, t1) ->
-      let slot = List.nth captured k in
-      Netsim.at sim t1 (fun () ->
-          let alive =
-            List.filter
-              (fun name ->
-                Sched_intf.Packed.has_flow sched (flow_id name)
-                && Sched_intf.Packed.is_backlogged sched (flow_id name))
-              names
-          in
-          match alive with
-          | [] -> ()
-          | _ ->
-              let flows = List.map flow_id alive in
-              let inst =
-                Netsim.instance_of sim ~flows ~ifaces:(List.map fst t.ifaces)
-              in
-              let alloc = Maxmin.solve inst in
-              slot :=
-                List.mapi
-                  (fun k name -> (name, Types.to_mbps alloc.rates.(k)))
-                  alive))
-    t.measure_windows;
+  (* Judge the flows whose source keeps them backlogged: only their
+     rates are the scheduler's to set.  A flow's id is its index in
+     [t.flow_specs]. *)
+  let pull =
+    Array.of_list
+      (List.map
+         (fun fs ->
+           match fs.fs_source with
+           | Netsim.Backlogged _ | Netsim.Finite _ -> true
+           | _ -> false)
+         t.flow_specs)
+  in
+  let judge f =
+    pull.(f)
+    && Sched_intf.Packed.has_flow sched f
+    && Sched_intf.Packed.is_backlogged sched f
+  in
+  let judged =
+    List.map
+      (fun (t0, t1) -> Netsim.window sim ~t0 ~t1 ~judge)
+      t.measure_windows
+  in
   Netsim.run sim ~until:t.horizon;
+  let names = List.map (fun fs -> fs.fs_name) t.flow_specs in
+  let name_of = Array.get (Array.of_list names) in
   let windows =
     List.map2
-      (fun (t0, t1) slot ->
+      (fun (t0, t1) result ->
         let rates =
           List.map
             (fun name -> (name, Netsim.avg_rate sim (flow_id name) ~t0 ~t1))
             names
         in
-        { t0; t1; rates; reference = !slot })
-      t.measure_windows captured
+        let (w : Meter.window) = result () in
+        let reference = Array.make (List.length names) Float.nan in
+        List.iteri
+          (fun k f -> reference.(f) <- Types.to_mbps w.reference.rates.(k))
+          w.flows;
+        let clusters =
+          if w.flows = [] then [] else Meter.cluster_lines ~name:name_of w
+        in
+        let violations = List.length w.violations in
+        { t0; t1; rates; reference; clusters; violations })
+      t.measure_windows judged
   in
   let completions =
     List.filter_map
@@ -641,15 +648,18 @@ let pp_report ppf r =
   List.iter
     (fun w ->
       Format.fprintf ppf "window %.1f-%.1fs:@," w.t0 w.t1;
-      List.iter
-        (fun (name, rate) ->
+      List.iteri
+        (fun f (name, rate) ->
           let reference =
-            match List.assoc_opt name w.reference with
-            | Some r -> Printf.sprintf " (reference %.3f)" r
-            | None -> ""
+            if Float.is_nan w.reference.(f) then ""
+            else Printf.sprintf " (reference %.3f)" w.reference.(f)
           in
           Format.fprintf ppf "  %-12s %8.3f Mb/s%s@," name rate reference)
-        w.rates)
+        w.rates;
+      if w.clusters <> [] then begin
+        List.iter (Format.fprintf ppf "  %s@,") w.clusters;
+        Format.fprintf ppf "  rate clustering violations: %d@," w.violations
+      end)
     r.windows;
   List.iter
     (fun (name, at) ->

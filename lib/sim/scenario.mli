@@ -30,8 +30,10 @@
       constrained arrivals, [burst >= pkt] — see {!Netsim.source});
     - [at T weight NAME W], [at T allow NAME IFACE],
       [at T deny NAME IFACE], [at T stop NAME];
-    - [measure T0 T1] (repeatable): report rates over the window, plus the
-      water-filling reference for flows alive throughout it;
+    - [measure T0 T1] (repeatable): report rates over the window, and
+      judge it ({!Meter.window}) over the flows with a [backlogged] or
+      [finite] source still backlogged at [T1]: their water-filling
+      reference, their clusters and the rate clustering violations;
     - [run T]: the horizon (required, last).
 
     Rates accept [kb]/[Mb]/[Gb] suffixes (bits/s); byte sizes accept
@@ -75,9 +77,18 @@ type window_report = {
   t0 : float;
   t1 : float;
   rates : (string * float) list;  (** measured Mb/s per flow name *)
-  reference : (string * float) list;
-      (** water-filling Mb/s for flows alive throughout the window *)
+  reference : float array;
+      (** water-filling Mb/s by flow id (the index in [rates]); [nan]
+          for a flow not judged *)
+  clusters : string list;
+      (** the judged flows' clusters, rendered by {!Meter.cluster_lines};
+          empty when no flow is judged *)
+  violations : int;  (** rate clustering violations *)
 }
+(** A window's report keeps what {!pp_report} prints, not the judge's
+    {!Meter.window}: sweeps and the benchmark hold every report of a
+    run.  The window is judged over the flows with a [backlogged] or
+    [finite] source still backlogged at [t1]. *)
 
 type report = {
   windows : window_report list;

@@ -139,17 +139,40 @@ let test_pktqueue_drained_releases () =
     ignore (Pktqueue.pop_exn q)
   done;
   push_watched q w ~first:3 3;
-  while not (Pktqueue.is_empty q) do
-    ignore (Pktqueue.pop_exn q)
-  done;
-  Gc.full_major ();
-  for i = 0 to 5 do
-    Alcotest.(check bool) (Printf.sprintf "packet %d released" i) false
-      (Weak.check w i)
-  done;
+  let drain q =
+    while Pktqueue.length q > 0 do ignore (Pktqueue.pop_exn q) done
+  in
+  let released w ~first n =
+    Gc.full_major ();
+    for i = first to first + n - 1 do
+      Alcotest.(check bool) (Printf.sprintf "packet %d released" i) false
+        (Weak.check w i)
+    done
+  in
+  drain q;
+  released w ~first:0 6;
   let p = pkt 50 in
   Alcotest.(check bool) "reusable" true (Pktqueue.push q p);
-  Alcotest.(check bool) "fifo after a drain" true (Pktqueue.pop_exn q == p)
+  Alcotest.(check bool) "fifo after a drain" true (Pktqueue.pop_exn q == p);
+  (* a burst to 1024 slots, then cycles between 0 and 1 packets *)
+  let q = Pktqueue.create () and w = Weak.create 1032 in
+  push_watched q w ~first:0 1024;
+  drain q;
+  for i = 1024 to 1031 do
+    push_watched q w ~first:i 1;
+    ignore (Pktqueue.pop_exn q)
+  done;
+  released w ~first:0 1032;
+  (* one packet waits while four pass: the head wraps, never drained *)
+  let q = Pktqueue.create () and w = Weak.create 5 in
+  push_watched q w ~first:0 1;
+  for i = 1 to 4 do
+    push_watched q w ~first:i 1;
+    ignore (Pktqueue.pop_exn q)
+  done;
+  released w ~first:0 4;
+  Alcotest.(check int) "one queued" 1 (Pktqueue.length q);
+  Alcotest.(check bool) "queued packet kept" true (Weak.check w 4)
 
 (* --- WFQ ---------------------------------------------------------------------- *)
 

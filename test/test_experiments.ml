@@ -57,44 +57,45 @@ let test_theorem1_order_flips () =
 
 let fig6 = lazy (E.Fig6.run ())
 
+(* Measured Mb/s of the [i]-th flow a phase judges, in id order. *)
+let mbps (p : E.Fig6.phase) i = Midrr_core.Types.to_mbps p.window.rates.(i)
+
 let test_fig6_shape () =
   let r = Lazy.force fig6 in
   close ~tol:0.03 "a completes" 66.0 r.completion_a;
   close ~tol:0.03 "b completes" 85.0 r.completion_b;
   match r.phases with
   | [ p1; p2; p3 ] ->
-      close "p1 a" 3.0 (List.assoc E.Fig6.flow_a p1.rates);
-      close "p1 b" 6.67 (List.assoc E.Fig6.flow_b p1.rates);
-      close "p1 c" 3.33 (List.assoc E.Fig6.flow_c p1.rates);
-      close "p2 b" 8.67 (List.assoc E.Fig6.flow_b p2.rates);
-      close "p2 c" 4.33 (List.assoc E.Fig6.flow_c p2.rates);
-      close "p3 c" 10.0 (List.assoc E.Fig6.flow_c p3.rates);
+      close "p1 a" 3.0 (mbps p1 0);
+      close "p1 b" 6.67 (mbps p1 1);
+      close "p1 c" 3.33 (mbps p1 2);
+      close "p2 b" 8.67 (mbps p2 0);
+      close "p2 c" 4.33 (mbps p2 1);
+      close "p3 c" 10.0 (mbps p3 0);
       List.iter
         (fun (p : E.Fig6.phase) ->
           Alcotest.(check int)
             (p.label ^ " clustering clean")
             0
-            (List.length p.violations))
+            (List.length p.window.violations))
         [ p1; p2; p3 ]
   | _ -> Alcotest.fail "expected three phases"
 
 let test_fig8_cluster_structure () =
   let r = Lazy.force fig6 in
-  match r.phases with
+  match List.map (fun (p : E.Fig6.phase) -> p.window.clusters) r.phases with
   | [ p1; p2; p3 ] ->
       (* Phase 1: {a | if1} and {b, c | if2}. *)
-      Alcotest.(check int) "p1 two clusters" 2 (List.length p1.clusters);
+      Alcotest.(check int) "p1 two clusters" 2 (List.length p1);
       (* Phase 2: one cluster spanning both interfaces. *)
       let spanning =
         List.exists
           (fun (c : Midrr_flownet.Cluster.t) -> List.length c.ifaces = 2)
-          p2.clusters
+          p2
       in
       Alcotest.(check bool) "p2 spans both interfaces" true spanning;
       (* Phase 3: c alone on interface 2; interface 1 idle. *)
-      let c_cluster =
-        Midrr_flownet.Cluster.find_cluster_of_flow p3.clusters 0
-      in
+      let c_cluster = Midrr_flownet.Cluster.find_cluster_of_flow p3 0 in
       close ~tol:0.02 "p3 c at 10" 10.0
         (Midrr_core.Types.to_mbps c_cluster.norm_rate)
   | _ -> Alcotest.fail "expected three phases"
@@ -154,7 +155,9 @@ let test_fig11_cluster_swap () =
   match r.phases with
   | p1 :: p2 :: _ ->
       let b_with flow_idx (p : E.Fig10.phase) =
-        let c = Midrr_flownet.Cluster.find_cluster_of_flow p.clusters 1 in
+        let c =
+          Midrr_flownet.Cluster.find_cluster_of_flow p.window.clusters 1
+        in
         List.mem flow_idx c.flows
       in
       Alcotest.(check bool) "phase 1: b with a" true (b_with 0 p1);

@@ -311,6 +311,12 @@ let fig1_table () =
     (Format.asprintf "%a@." Midrr_experiments.Fig1.print
        (Midrr_experiments.Fig1.run ()))
 
+(* `midrr theorem1`, `fig6 --clusters` and `fig10 --clusters` stdout,
+   recorded before the figures' windows moved onto [Meter.window]. *)
+let figure file print () = check_golden file (Format.asprintf "%t" print)
+
+module E = Midrr_experiments
+
 (* --- the telemetry plane ------------------------------------------------- *)
 
 (* What `midrr run S --metrics F --metrics-interval 5 --top` writes: the
@@ -360,6 +366,23 @@ let () =
               (scenario_reports ~extra:mesh_extra (golden "mesh64.scn"));
             Alcotest.test_case "fig1 table" `Quick fig1_table;
           ] );
+      ( "figures",
+        [
+          Alcotest.test_case "theorem1" `Quick
+            (figure "theorem1.txt" (fun ppf ->
+                 Format.fprintf ppf "%a@." E.Theorem1.print
+                   (E.Theorem1.run ())));
+          Alcotest.test_case "fig6 --clusters" `Quick
+            (figure "fig6_clusters.txt" (fun ppf ->
+                 let r = E.Fig6.run () in
+                 Format.fprintf ppf "%a@.%a@." E.Fig6.print r
+                   E.Fig6.print_clusters r));
+          Alcotest.test_case "fig10 --clusters" `Quick
+            (figure "fig10_clusters.txt" (fun ppf ->
+                 let r = E.Fig10.run () in
+                 Format.fprintf ppf "%a@.%a@." E.Fig10.print r
+                   E.Fig10.print_clusters r));
+        ] );
       ( "schedulers",
         List.map
           (fun path ->

@@ -146,10 +146,9 @@ let test_proxy_share_matrix () =
   Proxy.add_iface proxy 1 (Link.constant (Types.mbps 4.0));
   Proxy.add_transfer proxy 0 ~weight:1.0 ~allowed:[ 0 ] ();
   Proxy.add_transfer proxy 1 ~weight:1.0 ~allowed:[ 1 ] ();
-  Proxy.run proxy ~until:5.0;
-  let snap = Proxy.snapshot proxy in
+  let judged = Proxy.window proxy ~t0:5.0 ~t1:25.0 ~judge:(fun _ -> true) in
   Proxy.run proxy ~until:25.0;
-  let share = Proxy.share_since proxy snap ~flows:[ 0; 1 ] ~ifaces:[ 0; 1 ] in
+  let { Midrr_sim.Meter.share; _ } = judged () in
   close ~tol:4e5 "f0 if0" 4e6 share.(0).(0);
   close ~tol:1e-9 "f0 if1" 0.0 share.(0).(1);
   close ~tol:4e5 "f1 if1" 4e6 share.(1).(1)

@@ -4,7 +4,7 @@
 open Midrr_core
 module Netsim = Midrr_sim.Netsim
 module Link = Midrr_sim.Link
-module Maxmin = Midrr_flownet.Maxmin
+module Meter = Midrr_sim.Meter
 module Cluster = Midrr_flownet.Cluster
 
 let check_close ?(tol = 0.05) what expected got =
@@ -257,28 +257,28 @@ let test_new_interface_capacity () =
   check_close "flow 0 after" 3.0 (Netsim.avg_rate sim 0 ~t0:25.0 ~t1:39.0);
   check_close "flow 1 after" 3.0 (Netsim.avg_rate sim 1 ~t0:25.0 ~t1:39.0)
 
-(* Measured allocation satisfies the rate clustering property (Theorem 2)
-   on the Fig. 6 phase-1 topology. *)
+(* The Fig. 6 phase-1 topology, backlogged, judged over 5-35 s. *)
+let fig6_phase1 =
+  lazy
+    (let sched = Midrr.packed (Midrr.create ()) in
+     let sim = Netsim.create ~sched () in
+     Netsim.add_iface sim 0 (Link.constant (Types.mbps 3.0));
+     Netsim.add_iface sim 1 (Link.constant (Types.mbps 10.0));
+     Netsim.add_flow sim 0 ~weight:1.0 ~allowed:[ 0 ]
+       (Backlogged { pkt_size = 1500 });
+     Netsim.add_flow sim 1 ~weight:2.0 ~allowed:[ 0; 1 ]
+       (Backlogged { pkt_size = 1500 });
+     Netsim.add_flow sim 2 ~weight:1.0 ~allowed:[ 1 ]
+       (Backlogged { pkt_size = 1500 });
+     let judged = Netsim.window sim ~t0:5.0 ~t1:35.0 ~judge:(fun _ -> true) in
+     Netsim.run sim ~until:35.0;
+     (sim, judged ()))
+
+(* Measured allocation satisfies the rate clustering property (Theorem 2). *)
 let test_rate_clustering_measured () =
-  let sched = Midrr.packed (Midrr.create ()) in
-  let sim = Netsim.create ~sched () in
-  Netsim.add_iface sim 0 (Link.constant (Types.mbps 3.0));
-  Netsim.add_iface sim 1 (Link.constant (Types.mbps 10.0));
-  Netsim.add_flow sim 0 ~weight:1.0 ~allowed:[ 0 ]
-    (Backlogged { pkt_size = 1500 });
-  Netsim.add_flow sim 1 ~weight:2.0 ~allowed:[ 0; 1 ]
-    (Backlogged { pkt_size = 1500 });
-  Netsim.add_flow sim 2 ~weight:1.0 ~allowed:[ 1 ]
-    (Backlogged { pkt_size = 1500 });
-  Netsim.run sim ~until:5.0;
-  let snap = Netsim.snapshot sim in
-  Netsim.run sim ~until:35.0;
-  let flows = [ 0; 1; 2 ] and ifaces = [ 0; 1 ] in
-  let share = Netsim.share_since sim snap ~flows ~ifaces in
-  let rates = Array.map (fun row -> Array.fold_left ( +. ) 0.0 row) share in
-  let inst = Netsim.instance_of sim ~flows ~ifaces in
+  let _, { Meter.instance; share; rates; _ } = Lazy.force fig6_phase1 in
   (* Allow 2% tolerance: packetization wobbles around the fluid rates. *)
-  let violations = Cluster.check ~tol:0.02 inst ~share ~rates in
+  let violations = Cluster.check ~tol:0.02 instance ~share ~rates in
   match violations with
   | [] -> ()
   | v :: _ ->
@@ -287,19 +287,7 @@ let test_rate_clustering_measured () =
 (* The measured rates match the water-filling reference on the same
    instance. *)
 let test_matches_reference () =
-  let sched = Midrr.packed (Midrr.create ()) in
-  let sim = Netsim.create ~sched () in
-  Netsim.add_iface sim 0 (Link.constant (Types.mbps 3.0));
-  Netsim.add_iface sim 1 (Link.constant (Types.mbps 10.0));
-  Netsim.add_flow sim 0 ~weight:1.0 ~allowed:[ 0 ]
-    (Backlogged { pkt_size = 1500 });
-  Netsim.add_flow sim 1 ~weight:2.0 ~allowed:[ 0; 1 ]
-    (Backlogged { pkt_size = 1500 });
-  Netsim.add_flow sim 2 ~weight:1.0 ~allowed:[ 1 ]
-    (Backlogged { pkt_size = 1500 });
-  Netsim.run sim ~until:35.0;
-  let inst = Netsim.instance_of sim ~flows:[ 0; 1; 2 ] ~ifaces:[ 0; 1 ] in
-  let reference = Maxmin.solve inst in
+  let sim, { Meter.reference; _ } = Lazy.force fig6_phase1 in
   List.iteri
     (fun i f ->
       let measured = Netsim.avg_rate sim f ~t0:5.0 ~t1:35.0 in
@@ -353,21 +341,13 @@ let run_with_monitor sched =
     (Netsim.Backlogged { pkt_size = 1000 });
   Netsim.add_flow sim 1 ~weight:1.0 ~allowed:[ 1 ]
     (Netsim.Backlogged { pkt_size = 1000 });
-  let flows = [ 0; 1 ] and ifaces = [ 0; 1 ] in
-  let snap = ref None and windows = ref [] in
-  for k = 0 to 6 do
-    Netsim.at sim (Float.of_int k *. 5.0) (fun () ->
-        Option.iter
-          (fun snap ->
-            let share = Netsim.share_since sim snap ~flows ~ifaces in
-            let rates = Array.map (Array.fold_left ( +. ) 0.0) share in
-            let inst = Netsim.instance_of sim ~flows ~ifaces in
-            windows := Cluster.check ~tol:0.03 inst ~share ~rates :: !windows)
-          !snap;
-        snap := Some (Netsim.snapshot sim))
-  done;
+  let windows =
+    List.init 6 (fun k ->
+        let t0 = Float.of_int k *. 5.0 in
+        Netsim.window sim ~t0 ~t1:(t0 +. 5.0) ~judge:(fun _ -> true))
+  in
   Netsim.run sim ~until:31.0;
-  List.rev !windows
+  List.map (fun w -> (w ()).Meter.violations) windows
 
 let test_clustering_quiet_on_midrr () =
   let windows = run_with_monitor (Midrr.packed (Midrr.create ())) in

@@ -4,6 +4,7 @@
 open Midrr_core
 module Netsim = Midrr_sim.Netsim
 module Link = Midrr_sim.Link
+module Meter = Midrr_sim.Meter
 module Instance = Midrr_flownet.Instance
 module Maxmin = Midrr_flownet.Maxmin
 module Cluster = Midrr_flownet.Cluster
@@ -42,25 +43,18 @@ let topo_gen ~uniform =
       allowed;
     return { weights; capacities; allowed })
 
-let topo_print t =
-  let inst =
-    Instance.make ~weights:t.weights
-      ~capacities:(Array.map Types.mbps t.capacities)
-      ~allowed:t.allowed
-  in
-  Format.asprintf "%a" Instance.pp inst
-
-let topo_arb ~uniform =
-  QCheck.make ~print:topo_print (topo_gen ~uniform)
-
 let instance_of_topo t =
   Instance.make ~weights:t.weights
     ~capacities:(Array.map Types.mbps t.capacities)
     ~allowed:t.allowed
 
+let topo_print t = Format.asprintf "%a" Instance.pp (instance_of_topo t)
+
+let topo_arb ~uniform =
+  QCheck.make ~print:topo_print (topo_gen ~uniform)
+
 (* Run a scheduler over the topology with everyone backlogged; return
-   measured per-flow rates (bits/s) and the per-(flow, iface) byte
-   matrix. *)
+   the window after the warm-up, judged over every flow. *)
 let simulate ?(horizon = 25.0) ?(warmup = 5.0)
     ?(make_sched = fun () -> Midrr.packed (Midrr.create ())) t =
   let n = Array.length t.weights and m = Array.length t.capacities in
@@ -76,15 +70,11 @@ let simulate ?(horizon = 25.0) ?(warmup = 5.0)
     Netsim.add_flow sim i ~weight:t.weights.(i) ~allowed
       (Netsim.Backlogged { pkt_size = 1000 })
   done;
-  Netsim.run sim ~until:warmup;
-  let snap = Netsim.snapshot sim in
-  Netsim.run sim ~until:horizon;
-  let share =
-    Netsim.share_since sim snap ~flows:(List.init n Fun.id)
-      ~ifaces:(List.init m Fun.id)
+  let judged =
+    Netsim.window sim ~t0:warmup ~t1:horizon ~judge:(fun _ -> true)
   in
-  let rates = Array.map (fun row -> Array.fold_left ( +. ) 0.0 row) share in
-  (rates, share, sim)
+  Netsim.run sim ~until:horizon;
+  judged ()
 
 (* --- scheduler properties -------------------------------------------------- *)
 
@@ -92,7 +82,7 @@ let simulate ?(horizon = 25.0) ?(warmup = 5.0)
 let prop_preferences_respected =
   QCheck.Test.make ~count:25 ~name:"midrr never uses a banned interface"
     (topo_arb ~uniform:false) (fun t ->
-      let _, share, _ = simulate t in
+      let { Meter.share; _ } = simulate t in
       Array.for_all Fun.id
         (Array.mapi
            (fun i row ->
@@ -107,7 +97,7 @@ let prop_preferences_respected =
 let prop_work_conserving =
   QCheck.Test.make ~count:25 ~name:"midrr is work-conserving"
     (topo_arb ~uniform:false) (fun t ->
-      let _, share, _ = simulate t in
+      let { Meter.share; _ } = simulate t in
       let m = Array.length t.capacities in
       let ok = ref true in
       for j = 0 to m - 1 do
@@ -125,8 +115,7 @@ let prop_work_conserving =
 let prop_no_starvation =
   QCheck.Test.make ~count:25 ~name:"no flow starves"
     (topo_arb ~uniform:false) (fun t ->
-      let rates, _, _ = simulate t in
-      Array.for_all (fun r -> r > 0.0) rates)
+      Array.for_all (fun r -> r > 0.0) (simulate t).rates)
 
 (* The published 1-bit flag can deviate from max-min on adversarial
    asymmetric topologies (see EXPERIMENTS.md), but it is never farther from
@@ -143,14 +132,14 @@ let prop_no_worse_than_naive =
   QCheck.Test.make ~count:20
     ~name:"midrr at least as close to max-min as naive DRR"
     (topo_arb ~uniform:false) (fun t ->
-      let reference = Maxmin.solve (instance_of_topo t) in
-      let midrr_rates, _, _ = simulate t in
-      let naive_rates, _, _ =
+      let midrr = simulate t in
+      let naive =
         simulate ~make_sched:(fun () -> Drr.packed (Drr.create ())) t
       in
+      let reference = midrr.reference in
       let scale = Array.fold_left ( +. ) 0.0 reference.rates in
-      total_deviation midrr_rates reference
-      <= total_deviation naive_rates reference +. (0.10 *. scale))
+      total_deviation midrr.rates reference
+      <= total_deviation naive.rates reference +. (0.10 *. scale))
 
 (* Generalizing the flag to a small saturating counter (counter_max = 8)
    recovers tight max-min convergence on arbitrary topologies — the
@@ -159,12 +148,11 @@ let prop_counter_flags_tight =
   QCheck.Test.make ~count:20
     ~name:"counter-flag midrr within 12% of max-min everywhere"
     (topo_arb ~uniform:false) (fun t ->
-      let rates, _, _ =
+      let { Meter.rates; reference; _ } =
         simulate
           ~make_sched:(fun () -> Midrr.packed (Midrr.create ~counter_max:8 ()))
           t
       in
-      let reference = Maxmin.solve (instance_of_topo t) in
       Array.for_all Fun.id
         (Array.mapi
            (fun i r ->
@@ -181,8 +169,7 @@ let prop_reference_uniform =
   QCheck.Test.make ~count:20
     ~name:"measured rates within 25% of max-min (uniform instances)"
     (topo_arb ~uniform:true) (fun t ->
-      let rates, _, _ = simulate t in
-      let reference = Maxmin.solve (instance_of_topo t) in
+      let { Meter.rates; reference; _ } = simulate t in
       Array.for_all Fun.id
         (Array.mapi
            (fun i r ->
@@ -203,7 +190,7 @@ let prop_twins_equal =
           allowed = Array.append t.allowed [| Array.copy t.allowed.(0) |];
         }
       in
-      let rates, _, _ = simulate t' in
+      let { Meter.rates; _ } = simulate t' in
       let a = rates.(0) and b = rates.(n) in
       Float.abs (a -. b) <= 0.10 *. Float.max a 1e5)
 
@@ -262,9 +249,8 @@ let churn_print p =
 
 let churn_arb = QCheck.make ~print:churn_print churn_gen
 
-(* Apply the plan; return the survivors' measured rates and share matrix
-   over the settled window, plus the reference instance for the surviving
-   set.  [None] when every flow has left. *)
+(* Apply the plan; return the settled window judged over the survivors.
+   [None] when every flow has left. *)
 let run_churn ?(make_sched = fun () -> Midrr.packed (Midrr.create ())) plan =
   let n = Array.length plan.base.weights in
   let m = Array.length plan.base.capacities in
@@ -301,26 +287,12 @@ let run_churn ?(make_sched = fun () -> Midrr.packed (Midrr.create ())) plan =
           add ~at:t id ~weight ~row:allowed;
           live := !live @ [ (id, weight, allowed) ])
     (List.sort (fun (a, _) (b, _) -> Float.compare a b) plan.churn);
-  Netsim.run sim ~until:18.0;
-  let snap = Netsim.snapshot sim in
+  let judged =
+    Netsim.window sim ~t0:18.0 ~t1:38.0 ~judge:(fun f ->
+        List.exists (fun (id, _, _) -> Int.equal id f) !live)
+  in
   Netsim.run sim ~until:38.0;
-  match !live with
-  | [] -> None
-  | survivors ->
-      let ids = List.map (fun (id, _, _) -> id) survivors in
-      let share =
-        Netsim.share_since sim snap ~flows:ids ~ifaces:(List.init m Fun.id)
-      in
-      let rates =
-        Array.map (fun row -> Array.fold_left ( +. ) 0.0 row) share
-      in
-      let inst =
-        Instance.make
-          ~weights:(Array.of_list (List.map (fun (_, w, _) -> w) survivors))
-          ~capacities:(Array.map Types.mbps plan.base.capacities)
-          ~allowed:(Array.of_list (List.map (fun (_, _, r) -> r) survivors))
-      in
-      Some (rates, share, inst)
+  match !live with [] -> None | _ :: _ -> Some (judged ())
 
 (* Counter-flag miDRR reconverges to the surviving set's max-min
    allocation after arbitrary churn. *)
@@ -334,8 +306,7 @@ let prop_churn_counter_tracks_maxmin =
           plan
       with
       | None -> true
-      | Some (rates, _, inst) ->
-          let reference = Maxmin.solve inst in
+      | Some { rates; reference; _ } ->
           Array.for_all Fun.id
             (Array.mapi
                (fun i r ->
@@ -357,7 +328,7 @@ let prop_churn_per_send_invariants =
           plan
       with
       | None -> true
-      | Some (rates, share, inst) ->
+      | Some { rates; share; instance = inst; _ } ->
           let prefs_ok =
             Array.for_all Fun.id
               (Array.mapi
