@@ -2,7 +2,8 @@
     1-bit service flag is stressed (EXPERIMENTS.md fidelity notes).
 
     Two instances, each run under every coordination scheme and compared
-    against the water-filling reference:
+    against the water-filling reference of its judged window
+    ({!Midrr_sim.Netsim.window}):
     - {e service-flag policy}: interfaces of 6 and 4 Mb/s, flow D allowed
       on both and flow B on the first only; the reference gives both
       5 Mb/s;
@@ -20,18 +21,20 @@ type row = {
   rates : float array;  (** measured steady rates in Mb/s, by flow *)
 }
 
-type result = {
-  flag_policy : row list;  (** flows D and B *)
-  multihomed_reference : float array;  (** water-filling rates, Mb/s *)
-  multihomed : row list;  (** flows 0-3 *)
+type table = {
+  reference : float array;
+      (** the judged windows' water-filling rates, Mb/s, by flow *)
+  rows : row list;
 }
 
-val multihomed_reference : unit -> float array
-(** Water-filling rates of the fully multi-homed instance, Mb/s. *)
+type result = {
+  flag_policy : table;  (** flows D and B, judged over [10, 40] s *)
+  multihomed : table;  (** flows 0-3, judged over [5, 25] s *)
+}
 
-val multihomed_rates : Midrr_core.Sched_intf.packed -> float array
+val multihomed : Midrr_core.Sched_intf.packed -> Midrr_sim.Meter.window
 (** Backlogged 1000 B flows on the fully multi-homed instance under the
-    given scheduler: each flow's average rate in Mb/s over [5, 25] s. *)
+    given scheduler, judged over [5, 25] s. *)
 
 val run : unit -> result
 

@@ -1,8 +1,6 @@
 open Midrr_core
 module Netsim = Midrr_sim.Netsim
 module Link = Midrr_sim.Link
-module Instance = Midrr_flownet.Instance
-module Maxmin = Midrr_flownet.Maxmin
 
 type row = {
   n_ifaces : int;
@@ -35,32 +33,21 @@ let run_one n_ifaces =
       Netsim.add_flow sim j ~weight:1.0 ~allowed:[ j ]
         (Netsim.Backlogged { pkt_size = 1400 }))
     ifaces;
+  let w = Netsim.window sim ~t0:warmup ~t1:horizon ~judge:(fun _ -> true) in
   Netsim.run sim ~until:horizon;
-  let weights = Array.make (n_ifaces + 1) 1.0 in
-  let capacities = Array.of_list (List.map rate_of ifaces) in
-  let allowed =
-    Array.init (n_ifaces + 1) (fun i ->
-        Array.init n_ifaces (fun j -> i = n_ifaces || i = j))
-  in
-  (* Row n_ifaces is the aggregator. *)
-  let inst = Instance.make ~weights ~capacities ~allowed in
-  let reference = Maxmin.solve inst in
-  let utilizations =
-    List.map (fun j -> Netsim.iface_utilization sim j ~t0:warmup ~t1:horizon) ifaces
-  in
-  let carried =
-    List.fold_left
-      (fun acc j ->
-        acc +. (Netsim.iface_utilization sim j ~t0:warmup ~t1:horizon *. rate_of j))
-      0.0 ifaces
-  in
-  let offered = List.fold_left (fun acc j -> acc +. rate_of j) 0.0 ifaces in
+  let w = w () in
+  (* Interface j carried column j of the share matrix. *)
+  let carried j = Array.fold_left (fun acc r -> acc +. r.(j)) 0.0 w.share in
+  let total f = List.fold_left (fun acc j -> acc +. f j) 0.0 ifaces in
+  let utilization j = carried j /. rate_of j in
   {
     n_ifaces;
-    efficiency = carried /. offered;
-    aggregator_rate = Netsim.avg_rate sim aggregator ~t0:warmup ~t1:horizon;
-    aggregator_reference = Types.to_mbps reference.rates.(n_ifaces);
-    min_utilization = List.fold_left Float.min 1.0 utilizations;
+    efficiency = total carried /. total rate_of;
+    (* The aggregator, the largest id, is the last judged flow. *)
+    aggregator_rate = Types.to_mbps w.rates.(n_ifaces);
+    aggregator_reference = Types.to_mbps w.reference.rates.(n_ifaces);
+    min_utilization =
+      List.fold_left Float.min 1.0 (List.map utilization ifaces);
   }
 
 let run ?(iface_counts = [ 1; 2; 4; 8; 16 ]) () = List.map run_one iface_counts

@@ -4,10 +4,12 @@
     at the same time to give all the available bandwidth to a single
     application".  This study grows the interface count from 1 to 16
     (heterogeneous rates), points one aggregating flow at all of them
-    alongside a population of single-homed flows, and measures
+    alongside a population of single-homed flows, and measures over a
+    judged window, [5, 30] s:
 
-    - the aggregate efficiency: total carried bits over total offered
-      capacity (work conservation at scale);
+    - the aggregate efficiency: total carried bits (the columns of the
+      window's share matrix) over total offered capacity (work
+      conservation at scale);
     - the aggregating flow's rate against the water-filling reference.
 
     Expected shape: efficiency stays ~1.0 at every width and the

@@ -11,11 +11,6 @@ type row = {
 
 type result = row list
 
-(* The Fig. 6 topology, whose phase-1 references are 3, 6.67 and
-   3.33 Mb/s. *)
-(* Read-only reference vector (array only for O(1) indexing). *)
-let references = [| 3.0; 20.0 /. 3.0; 10.0 /. 3.0 |] [@midrr.lint.allow "R5"]
-
 let horizon = 40.0
 let bin = 0.25
 
@@ -34,7 +29,13 @@ let run_one base_quantum =
     (Netsim.Backlogged { pkt_size = 1000 });
   Netsim.add_flow sim 2 ~weight:1.0 ~allowed:[ 2 ]
     (Netsim.Backlogged { pkt_size = 1000 });
+  (* The steady state, the second half of the run, judged over the three
+     flows: its reference is Fig. 6's phase 1, 3, 6.67 and 3.33 Mb/s. *)
+  let w =
+    Netsim.window sim ~t0:(horizon /. 2.0) ~t1:horizon ~judge:(fun _ -> true)
+  in
   Netsim.run sim ~until:horizon;
+  let references = Array.map Types.to_mbps (w ()).reference.rates in
   let series = Array.init 3 (fun f -> Netsim.rate_series sim f) in
   (* Settling: the end of the last 1 s window in which any flow's rate
      strayed more than 10% from its reference (wide enough to sit above

@@ -5,9 +5,10 @@
     the atomic nature of packets and the size of the quanta".  This
     experiment quantifies both effects as functions of the base quantum:
 
-    - {e settling time}: the first time after which every flow's
-      windowed rate stays within 5% of its reference forever (within the
-      horizon);
+    - {e settling time}: the end of the last 1 s window, sliding by
+      0.5 s, in which some flow's rate strays more than 10% from its
+      reference (the water-filling rates of the run's judged second
+      half); [nan] if that is within 2 s of the horizon;
     - {e ripple}: the standard deviation of per-bin rates around the
       reference in steady state, averaged over flows.
 

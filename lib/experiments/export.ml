@@ -49,20 +49,16 @@ let cdf_csv ~path cdf =
   in
   write_csv ~path ~header:[ "value"; "cumulative_probability" ] ~rows
 
-let in_dir dir file = Filename.concat dir file
-
-let flow_label prefix f = Printf.sprintf "%s%s" prefix f
-
 let fig6 ~dir (r : Fig6.result) =
   let name f =
     if f = Fig6.flow_a then "a" else if f = Fig6.flow_b then "b" else "c"
   in
   series_csv
-    ~path:(in_dir dir "fig6_series.csv")
-    (List.map (fun (f, s) -> (flow_label "flow_" (name f), s)) r.series);
+    ~path:(Filename.concat dir "fig6_series.csv")
+    (List.map (fun (n, s) -> ("flow_" ^ n, s)) r.series);
   series_csv
-    ~path:(in_dir dir "fig6_transient.csv")
-    (List.map (fun (f, s) -> (flow_label "flow_" (name f), s)) r.transient);
+    ~path:(Filename.concat dir "fig6_transient.csv")
+    (List.map (fun (n, s) -> ("flow_" ^ n, s)) r.transient);
   let rows =
     List.concat_map
       (fun ({ label; window = w } : Fig6.phase) ->
@@ -78,11 +74,12 @@ let fig6 ~dir (r : Fig6.result) =
       r.phases
   in
   write_csv
-    ~path:(in_dir dir "fig6_phases.csv")
+    ~path:(Filename.concat dir "fig6_phases.csv")
     ~header:[ "phase"; "flow"; "measured_mbps"; "reference_mbps" ]
     ~rows
 
-let fig7 ~dir (r : Fig7.result) = cdf_csv ~path:(in_dir dir "fig7_cdf.csv") r.cdf
+let fig7 ~dir (r : Fig7.result) =
+  cdf_csv ~path:(Filename.concat dir "fig7_cdf.csv") r.cdf
 
 let fig9 ~dir (rows : Fig9.result) =
   let quantiles = [ 0.1; 0.25; 0.5; 0.75; 0.9; 0.95; 0.99 ] in
@@ -100,9 +97,9 @@ let fig9 ~dir (rows : Fig9.result) =
              rows)
       quantiles
   in
-  write_csv ~path:(in_dir dir "fig9_cdf.csv") ~header ~rows:body;
+  write_csv ~path:(Filename.concat dir "fig9_cdf.csv") ~header ~rows:body;
   write_csv
-    ~path:(in_dir dir "fig9_summary.csv")
+    ~path:(Filename.concat dir "fig9_summary.csv")
     ~header:[ "ifaces"; "median_ns"; "p90_ns"; "p99_ns"; "supported_gbps" ]
     ~rows:
       (List.map
@@ -118,8 +115,8 @@ let fig9 ~dir (rows : Fig9.result) =
 
 let fig10 ~dir (r : Fig10.result) =
   series_csv
-    ~path:(in_dir dir "fig10_series.csv")
-    (List.map (fun (name, s) -> (flow_label "flow_" name, s)) r.series);
+    ~path:(Filename.concat dir "fig10_series.csv")
+    (List.map (fun (name, s) -> ("flow_" ^ name, s)) r.series);
   let rows =
     List.concat_map
       (fun (p : Fig10.phase) ->
@@ -131,6 +128,6 @@ let fig10 ~dir (r : Fig10.result) =
       r.phases
   in
   write_csv
-    ~path:(in_dir dir "fig10_phases.csv")
+    ~path:(Filename.concat dir "fig10_phases.csv")
     ~header:[ "phase"; "flow"; "goodput_mbps"; "fast_flow"; "b_tracks_faster" ]
     ~rows

@@ -1,8 +1,7 @@
 open Midrr_core
 module Netsim = Midrr_sim.Netsim
 module Link = Midrr_sim.Link
-module Instance = Midrr_flownet.Instance
-module Maxmin = Midrr_flownet.Maxmin
+module Meter = Midrr_sim.Meter
 
 type scenario = {
   label : string;
@@ -62,45 +61,42 @@ let algorithms spec =
            ()) );
   ]
 
-let reference_of spec =
-  let weights = Array.of_list (List.map (fun (_, w, _) -> w) spec.flows) in
-  let capacities = Array.of_list (List.map snd spec.ifaces) in
-  let iface_ids = List.map fst spec.ifaces in
-  let allowed =
-    Array.of_list
-      (List.map
-         (fun (_, _, ok) ->
-           Array.of_list (List.map (fun j -> List.mem j ok) iface_ids))
-         spec.flows)
-  in
-  let inst = Instance.make ~weights ~capacities ~allowed in
-  Array.map Types.to_mbps (Maxmin.solve inst).rates
+let mbps = Array.map Types.to_mbps
 
-let measure ~horizon spec (name, sched) =
-  let sim = Netsim.create ~bin:0.5 ~sched () in
+(* Judged over both flows, from a fifth of the horizon to its end. *)
+let measure ~horizon spec sched =
+  let sim = Netsim.create ~sched () in
   List.iter (fun (j, r) -> Netsim.add_iface sim j (Link.constant r)) spec.ifaces;
   List.iter
     (fun (f, w, allowed) ->
       Netsim.add_flow sim f ~weight:w ~allowed
         (Netsim.Backlogged { pkt_size = 1000 }))
     spec.flows;
-  Netsim.run sim ~until:horizon;
-  let rates =
-    List.map
-      (fun (f, _, _) ->
-        Netsim.avg_rate sim f ~t0:(horizon /. 5.0) ~t1:horizon)
-      spec.flows
+  let w =
+    Netsim.window sim ~t0:(horizon /. 5.0) ~t1:horizon ~judge:(fun _ -> true)
   in
-  (name, Array.of_list rates)
+  Netsim.run sim ~until:horizon;
+  w ()
 
 let run ?(horizon = 30.0) () =
   List.map
     (fun spec ->
+      let judged =
+        List.map (fun (name, sched) -> (name, measure ~horizon spec sched))
+          (algorithms spec)
+      in
       {
         label = spec.s_label;
         description = spec.s_desc;
-        reference = reference_of spec;
-        measured = List.map (measure ~horizon spec) (algorithms spec);
+        (* Every run judges the same instance. *)
+        reference =
+          (match judged with
+          | (_, w) :: _ -> mbps w.reference.rates
+          | [] -> [||]);
+        measured =
+          List.map
+            (fun (name, (w : Meter.window)) -> (name, mbps w.rates))
+            judged;
       })
     specs
 

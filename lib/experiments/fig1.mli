@@ -8,14 +8,17 @@
       under the interface preference; work conservation must win).
 
     Each scenario runs under miDRR, naive per-interface DRR, per-interface
-    WFQ and round robin, and is compared against the water-filling
-    reference.  The paper's claims: WFQ/naive DRR give (1.5, 0.5) in (c)
-    while miDRR gives (1, 1); in (c') both flows still get 1 Mb/s. *)
+    WFQ, round robin and the full-information oracle, and is compared
+    against the water-filling reference of its judged window
+    ({!Midrr_sim.Netsim.window}).  The paper's claims: WFQ/naive DRR give
+    (1.5, 0.5) in (c) while miDRR gives (1, 1); in (c') both flows still
+    get 1 Mb/s. *)
 
 type scenario = {
   label : string;
   description : string;
-  reference : float array;  (** water-filling rates, Mb/s, flows a then b *)
+  reference : float array;
+      (** the window's water-filling rates, Mb/s, flows a then b *)
   measured : (string * float array) list;
       (** per algorithm: measured steady rates in Mb/s *)
 }

@@ -28,13 +28,19 @@ let flow_name = function
 (* Interface speeds alternate at 11, 18 and 29 s, after Fig. 11's phase
    boundaries: interface 1 is fast in [0,11) and [18,29), interface 2 in
    [11,18) and [29,45]. *)
-let if1_profile =
-  Link.steps ~initial:(Types.mbps 12.0)
-    [ (11.0, Types.mbps 4.0); (18.0, Types.mbps 12.0); (29.0, Types.mbps 4.0) ]
+let links =
+  let steps initial changes =
+    Link.steps ~initial:(Types.mbps initial)
+      (List.map (fun (t, r) -> (t, Types.mbps r)) changes)
+  in
+  [
+    (1, steps 12.0 [ (11.0, 4.0); (18.0, 12.0); (29.0, 4.0) ]);
+    (2, steps 5.0 [ (11.0, 10.0); (18.0, 5.0); (29.0, 10.0) ]);
+  ]
 
-let if2_profile =
-  Link.steps ~initial:(Types.mbps 5.0)
-    [ (11.0, Types.mbps 10.0); (18.0, Types.mbps 5.0); (29.0, Types.mbps 10.0) ]
+(* Measurement windows sit inside each phase, away from the switch
+   transients. *)
+let windows = [ (2.0, 10.5); (12.5, 17.5); (20.0, 28.5); (31.0, 44.0) ]
 
 let phase label (window : Meter.window) =
   let gp f = Types.to_mbps window.rates.(f) in
@@ -56,23 +62,21 @@ let run ?(horizon = 45.0) () =
     Proxy.create ~bin:1.0 ~chunk_size:65536 ~pipeline_depth:4 ~rtt:0.03 ~sched
       ()
   in
-  Proxy.add_iface proxy 1 if1_profile;
-  Proxy.add_iface proxy 2 if2_profile;
+  List.iter (fun (j, l) -> Proxy.add_iface proxy j l) links;
   Proxy.add_transfer proxy flow_a ~weight:1.0 ~allowed:[ 1 ] ();
   Proxy.add_transfer proxy flow_b ~weight:1.0 ~allowed:[ 1; 2 ] ();
   Proxy.add_transfer proxy flow_c ~weight:1.0 ~allowed:[ 2 ] ();
-  (* Measurement windows sit inside each phase, away from the switch
-     transients. *)
-  let windows =
-    List.map
-      (fun (label, t0, t1) ->
+  let judged =
+    List.map2
+      (fun label (t0, t1) ->
         (label, Proxy.window proxy ~t0 ~t1 ~judge:(fun _ -> true)))
       [
-        ("phase 0-11s (if1 fast)", 2.0, 10.5);
-        ("phase 11-18s (if2 fast)", 12.5, 17.5);
-        ("phase 18-29s (if1 fast)", 20.0, 28.5);
-        ("phase 29s+ (if2 fast)", 31.0, 44.0);
+        "phase 0-11s (if1 fast)";
+        "phase 11-18s (if2 fast)";
+        "phase 18-29s (if1 fast)";
+        "phase 29s+ (if2 fast)";
       ]
+      windows
   in
   Proxy.run proxy ~until:horizon;
   let series =
@@ -80,7 +84,7 @@ let run ?(horizon = 45.0) () =
       (fun f -> (flow_name f, Proxy.goodput_series proxy f))
       [ flow_a; flow_b; flow_c ]
   in
-  { series; phases = List.map (fun (label, w) -> phase label (w ())) windows }
+  { series; phases = List.map (fun (label, w) -> phase label (w ())) judged }
 
 let print ppf r =
   Format.fprintf ppf
@@ -96,22 +100,7 @@ let print ppf r =
         p.fast_flow p.b_tracks_faster)
     r.phases;
   Format.fprintf ppf "@,goodput series (1s bins):@,";
-  (match r.series with
-  | (_, first) :: _ ->
-      Format.fprintf ppf "  %6s" "t(s)";
-      List.iter (fun (name, _) -> Format.fprintf ppf " %8s" name) r.series;
-      Format.fprintf ppf "@,";
-      Array.iteri
-        (fun i (t, _) ->
-          Format.fprintf ppf "  %6.2f" t;
-          List.iter
-            (fun (_, s) ->
-              let v = if i < Array.length s then snd s.(i) else 0.0 in
-              Format.fprintf ppf " %8.3f" v)
-            r.series;
-          Format.fprintf ppf "@,")
-        first
-  | [] -> ());
+  Fig6.print_series ppf r.series;
   Format.fprintf ppf "@]"
 
 let print_clusters ppf r =

@@ -24,6 +24,13 @@ type result = {
   phases : phase list;
 }
 
+val links : (Midrr_core.Types.iface_id * Midrr_sim.Link.t) list
+(** Interfaces 1 and 2, whose speeds swap at 11, 18 and 29 s. *)
+
+val windows : (float * float) list
+(** One measurement window inside each phase.  {!Inbound} runs these
+    links and windows too. *)
+
 val run : ?horizon:float -> unit -> result
 
 val print : Format.formatter -> result -> unit

@@ -6,8 +6,8 @@ module Meter = Midrr_sim.Meter
 type phase = { label : string; window : Meter.window }
 
 type result = {
-  series : (int * (float * float) array) list;
-  transient : (int * (float * float) array) list;
+  series : (string * (float * float) array) list;
+  transient : (string * (float * float) array) list;
   completion_a : float;
   completion_b : float;
   phases : phase list;
@@ -16,6 +16,12 @@ type result = {
 let flow_a = 0
 let flow_b = 1
 let flow_c = 2
+
+let flow_name f =
+  match f with
+  | f when f = flow_a -> "a"
+  | f when f = flow_b -> "b"
+  | _ -> "c"
 
 let mb_to_bytes mb = int_of_float (mb *. 1e6 /. 8.0)
 
@@ -32,6 +38,11 @@ let build ~bin =
     (Netsim.Backlogged { pkt_size = 1500 });
   sim
 
+let series sim =
+  List.map
+    (fun f -> (flow_name f, Netsim.rate_series sim f))
+    [ flow_a; flow_b; flow_c ]
+
 let run () =
   (* Full run at 1 s bins for the Fig. 6(b) series and phase measurements. *)
   let sim = build ~bin:1.0 in
@@ -46,40 +57,31 @@ let run () =
       ]
   in
   Netsim.run sim ~until:100.0;
-  let series =
-    List.map (fun f -> (f, Netsim.rate_series sim f)) [ flow_a; flow_b; flow_c ]
+  let completion f =
+    Option.value (Netsim.completion_time sim f) ~default:Float.nan
   in
-  let completion_a = Option.value (Netsim.completion_time sim flow_a) ~default:Float.nan in
-  let completion_b = Option.value (Netsim.completion_time sim flow_b) ~default:Float.nan in
   (* Separate fine-grained run for the Fig. 6(c) transient. *)
   let fine = build ~bin:0.25 in
   Netsim.run fine ~until:5.0;
-  let transient =
-    List.map (fun f -> (f, Netsim.rate_series fine f)) [ flow_a; flow_b; flow_c ]
-  in
   {
-    series;
-    transient;
-    completion_a;
-    completion_b;
+    series = series sim;
+    transient = series fine;
+    completion_a = completion flow_a;
+    completion_b = completion flow_b;
     phases = List.map (fun (label, w) -> { label; window = w () }) phases;
   }
 
-let flow_name f =
-  match f with
-  | f when f = flow_a -> "a"
-  | f when f = flow_b -> "b"
-  | _ -> "c"
-
 let print_series ppf series =
-  let times =
-    match series with (_, s) :: _ -> Array.map fst s | [] -> [||]
+  let longest =
+    List.fold_left
+      (fun acc (_, s) -> if Array.length s > Array.length acc then s else acc)
+      [||] series
   in
   Format.fprintf ppf "  %6s" "t(s)";
-  List.iter (fun (f, _) -> Format.fprintf ppf " %8s" (flow_name f)) series;
+  List.iter (fun (name, _) -> Format.fprintf ppf " %8s" name) series;
   Format.fprintf ppf "@,";
   Array.iteri
-    (fun i t ->
+    (fun i (t, _) ->
       Format.fprintf ppf "  %6.2f" t;
       List.iter
         (fun (_, s) ->
@@ -87,7 +89,7 @@ let print_series ppf series =
           Format.fprintf ppf " %8.3f" v)
         series;
       Format.fprintf ppf "@,")
-    times
+    longest
 
 let print ppf r =
   Format.fprintf ppf

@@ -19,10 +19,10 @@ type phase = {
 }
 
 type result = {
-  series : (int * (float * float) array) list;
-      (** per flow: (time, Mb/s) at 1 s bins over the full run *)
-  transient : (int * (float * float) array) list;
-      (** per flow: (time, Mb/s) at 0.25 s bins over the first 5 s *)
+  series : (string * (float * float) array) list;
+      (** per flow name: (time, Mb/s) at 1 s bins over the full run *)
+  transient : (string * (float * float) array) list;
+      (** per flow name: (time, Mb/s) at 0.25 s bins over the first 5 s *)
   completion_a : float;
   completion_b : float;
   phases : phase list;
@@ -39,3 +39,8 @@ val print : Format.formatter -> result -> unit
 
 val print_clusters : Format.formatter -> result -> unit
 (** Figure 8: the cluster evolution. *)
+
+val print_series :
+  Format.formatter -> (string * (float * float) array) list -> unit
+(** Named [(time, Mb/s)] series of one bin width as a table, Figures 6
+    and 10's: a row per bin of the longest, 0.000 past a series' end. *)

@@ -2,12 +2,10 @@ open Midrr_core
 module Proxy = Midrr_http.Proxy
 module Netsim = Midrr_sim.Netsim
 module Link = Midrr_sim.Link
-module Maxmin = Midrr_flownet.Maxmin
-module Instance = Midrr_flownet.Instance
+module Meter = Midrr_sim.Meter
 
 type row = {
   label : string;
-  chunk_size : int option;
   rates : float array; (* counter-4 coordination *)
   rates_one_bit : float array;
   reference : float array;
@@ -24,22 +22,20 @@ type result = row list
 let if1_rate = Types.mbps 6.0
 let if2_rate = Types.mbps 4.0
 
-let reference_rates () =
-  let inst =
-    Instance.make ~weights:[| 1.0; 1.0 |] ~capacities:[| if1_rate; if2_rate |]
-      ~allowed:[| [| true; true |]; [| true; false |] |]
-  in
-  (Maxmin.solve inst).rates
+let mbps = Array.map Types.to_mbps
 
-let deviation rates reference =
+(* The worst flow's deviation from the window's reference, %. *)
+let deviation (w : Meter.window) =
   let worst = ref 0.0 in
   Array.iteri
     (fun i r ->
-      let want = reference.(i) in
+      let want = w.reference.rates.(i) in
       if want > 0.0 then
         worst := Float.max !worst (100.0 *. Float.abs (r -. want) /. want))
-    rates;
+    w.rates;
   !worst
+
+let all _ = true
 
 let measure_proxy ~counter_max chunk_size =
   let sched =
@@ -50,11 +46,9 @@ let measure_proxy ~counter_max chunk_size =
   Proxy.add_iface proxy 2 (Link.constant if2_rate);
   Proxy.add_transfer proxy 0 ~weight:1.0 ~allowed:[ 1; 2 ] ();
   Proxy.add_transfer proxy 1 ~weight:1.0 ~allowed:[ 1 ] ();
+  let w = Proxy.window proxy ~t0:10.0 ~t1:60.0 ~judge:all in
   Proxy.run proxy ~until:60.0;
-  [|
-    Proxy.avg_goodput proxy 0 ~t0:10.0 ~t1:60.0;
-    Proxy.avg_goodput proxy 1 ~t0:10.0 ~t1:60.0;
-  |]
+  w ()
 
 let measure_packets ~counter_max () =
   let sched = Midrr.packed (Midrr.create ~counter_max ()) in
@@ -65,50 +59,42 @@ let measure_packets ~counter_max () =
     (Netsim.Backlogged { pkt_size = 1400 });
   Netsim.add_flow sim 1 ~weight:1.0 ~allowed:[ 1 ]
     (Netsim.Backlogged { pkt_size = 1400 });
+  let w = Netsim.window sim ~t0:10.0 ~t1:60.0 ~judge:all in
   Netsim.run sim ~until:60.0;
-  [|
-    Netsim.avg_rate sim 0 ~t0:10.0 ~t1:60.0;
-    Netsim.avg_rate sim 1 ~t0:10.0 ~t1:60.0;
-  |]
+  w ()
+
+(* [w] under counter-4 coordination, [w1] under the 1-bit flag. *)
+let row label (w : Meter.window) (w1 : Meter.window) =
+  {
+    label;
+    rates = mbps w.rates;
+    rates_one_bit = mbps w1.rates;
+    reference = mbps w.reference.rates;
+    max_deviation_pct = deviation w;
+    max_deviation_one_bit_pct = deviation w1;
+  }
 
 let run ?(chunk_sizes = [ 16384; 65536; 262144; 1048576 ]) () =
-  let reference = Array.map Types.to_mbps (reference_rates ()) in
-  let packet_rates = measure_packets ~counter_max:4 () in
-  let packet_rates_1bit = measure_packets ~counter_max:1 () in
-  let packet_row =
-    {
-      label = "packet-level (1400 B)";
-      chunk_size = None;
-      rates = packet_rates;
-      rates_one_bit = packet_rates_1bit;
-      reference;
-      max_deviation_pct = deviation packet_rates reference;
-      max_deviation_one_bit_pct = deviation packet_rates_1bit reference;
-    }
-  in
-  let proxy_rows =
-    List.map
-      (fun cs ->
-        let rates = measure_proxy ~counter_max:4 cs in
-        let rates_one_bit = measure_proxy ~counter_max:1 cs in
-        {
-          label = Printf.sprintf "HTTP chunks %d KiB" (cs / 1024);
-          chunk_size = Some cs;
-          rates;
-          rates_one_bit;
-          reference;
-          max_deviation_pct = deviation rates reference;
-          max_deviation_one_bit_pct = deviation rates_one_bit reference;
-        })
-      chunk_sizes
-  in
-  packet_row :: proxy_rows
+  row "packet-level (1400 B)"
+    (measure_packets ~counter_max:4 ())
+    (measure_packets ~counter_max:1 ())
+  :: List.map
+       (fun cs ->
+         row
+           (Printf.sprintf "HTTP chunks %d KiB" (cs / 1024))
+           (measure_proxy ~counter_max:4 cs)
+           (measure_proxy ~counter_max:1 cs))
+       chunk_sizes
 
 let print ppf rows =
   Format.fprintf ppf
     "@[<v>Granularity ablation (paper 6.4): deviation from max-min vs chunk \
      size@,";
-  Format.fprintf ppf "topology: if1=6, if2=4 Mb/s; reference 5.000 / 5.000@,";
+  (match rows with
+  | r :: _ ->
+      Format.fprintf ppf "topology: if1=6, if2=4 Mb/s; reference %.3f / %.3f@,"
+        r.reference.(0) r.reference.(1)
+  | [] -> ());
   Format.fprintf ppf "  %-24s %21s %21s@," "" "counter-4 flags"
     "1-bit flags (paper)";
   Format.fprintf ppf "  %-24s %10s %10s %10s %10s@," "granularity" "rates"

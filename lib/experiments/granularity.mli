@@ -4,15 +4,14 @@
     scheduling" yet finds chunk-level control sufficient.  This experiment
     quantifies that trade-off: the same two-interface topology is scheduled
     at different byte-range chunk sizes and compared against the
-    water-filling reference, alongside a packet-granularity simulation of
-    the identical topology.
+    water-filling reference of each run's judged window over [10, 60] s,
+    alongside a packet-granularity simulation of the identical topology.
 
     Expected shape: deviation from the reference grows with chunk size;
     packet-level scheduling with counter flags is essentially exact. *)
 
 type row = {
   label : string;
-  chunk_size : int option;  (** [None] for the packet-level run *)
   rates : float array;  (** measured per-flow Mb/s, counter-4 coordination *)
   rates_one_bit : float array;  (** same with the paper's 1-bit flag *)
   reference : float array;

@@ -1,9 +1,7 @@
 open Midrr_core
 module Netsim = Midrr_sim.Netsim
 module Proxy = Midrr_http.Proxy
-module Link = Midrr_sim.Link
-module Instance = Midrr_flownet.Instance
-module Maxmin = Midrr_flownet.Maxmin
+module Meter = Midrr_sim.Meter
 
 type phase = {
   label : string;
@@ -18,56 +16,32 @@ type result = {
   mean_err_client_http : float;
 }
 
-(* The Fig. 10 link schedule and flow set. *)
-let if1_profile () =
-  Link.steps ~initial:(Types.mbps 12.0)
-    [ (11.0, Types.mbps 4.0); (18.0, Types.mbps 12.0); (29.0, Types.mbps 4.0) ]
-
-let if2_profile () =
-  Link.steps ~initial:(Types.mbps 5.0)
-    [ (11.0, Types.mbps 10.0); (18.0, Types.mbps 5.0); (29.0, Types.mbps 10.0) ]
-
-let windows =
-  [
-    ("phase 0-11s", 2.0, 10.5);
-    ("phase 11-18s", 12.5, 17.5);
-    ("phase 18-29s", 20.0, 28.5);
-    ("phase 29-45s", 31.0, 44.0);
-  ]
-
+(* Fig. 10's flows, run over its link schedule and judged over its phase
+   windows. *)
+let labels = [ "phase 0-11s"; "phase 11-18s"; "phase 18-29s"; "phase 29-45s" ]
 let horizon = 45.0
-
 let allowed_of = function 0 -> [ 1 ] | 1 -> [ 1; 2 ] | _ -> [ 2 ]
 
-let reference_for ~t0 ~t1 =
-  let capacities =
-    [|
-      Link.average (if1_profile ()) ~t0 ~t1;
-      Link.average (if2_profile ()) ~t0 ~t1;
-    |]
+let judged window run =
+  let windows =
+    List.map
+      (fun (t0, t1) -> window ~t0 ~t1 ~judge:(fun _ -> true))
+      Fig10.windows
   in
-  let inst =
-    Instance.make ~weights:[| 1.0; 1.0; 1.0 |] ~capacities
-      ~allowed:[| [| true; false |]; [| true; true |]; [| false; true |] |]
-  in
-  Array.map Types.to_mbps (Maxmin.solve inst).rates
+  run ~until:horizon;
+  List.map (fun w -> w ()) windows
 
 (* Fig. 4: the in-network proxy sees individual packets and runs miDRR
    directly in front of the two last-mile links. *)
 let run_in_network () =
   let sched = Midrr.packed (Midrr.create ~counter_max:4 ()) in
   let sim = Netsim.create ~sched () in
-  Netsim.add_iface sim 1 (if1_profile ());
-  Netsim.add_iface sim 2 (if2_profile ());
+  List.iter (fun (j, l) -> Netsim.add_iface sim j l) Fig10.links;
   for f = 0 to 2 do
     Netsim.add_flow sim f ~weight:1.0 ~allowed:(allowed_of f)
       (Netsim.Backlogged { pkt_size = 1400 })
   done;
-  Netsim.run sim ~until:horizon;
-  List.map
-    (fun (_, t0, t1) ->
-      Array.init 3 (fun f -> Netsim.avg_rate sim f ~t0 ~t1))
-    windows
+  judged (Netsim.window sim) (Netsim.run sim)
 
 (* Fig. 5: the client proxy schedules byte-range chunks with a request
    round-trip, as in the Fig. 10 reproduction. *)
@@ -76,46 +50,50 @@ let run_client_http () =
   let proxy =
     Proxy.create ~chunk_size:65536 ~pipeline_depth:4 ~rtt:0.03 ~sched ()
   in
-  Proxy.add_iface proxy 1 (if1_profile ());
-  Proxy.add_iface proxy 2 (if2_profile ());
+  List.iter (fun (j, l) -> Proxy.add_iface proxy j l) Fig10.links;
   for f = 0 to 2 do
     Proxy.add_transfer proxy f ~weight:1.0 ~allowed:(allowed_of f) ()
   done;
-  Proxy.run proxy ~until:horizon;
-  List.map
-    (fun (_, t0, t1) ->
-      Array.init 3 (fun f -> Proxy.avg_goodput proxy f ~t0 ~t1))
-    windows
+  judged (Proxy.window proxy) (Proxy.run proxy)
 
-let mean_err rows references =
+(* Each flow's error against its window's reference, %, averaged over
+   every window. *)
+let mean_err windows =
   let total = ref 0.0 and n = ref 0 in
-  List.iter2
-    (fun measured reference ->
+  List.iter
+    (fun (w : Meter.window) ->
       Array.iteri
         (fun i v ->
-          if reference.(i) > 0.0 then begin
-            total := !total +. (100.0 *. Float.abs (v -. reference.(i)) /. reference.(i));
+          let want = w.reference.rates.(i) in
+          if want > 0.0 then begin
+            total := !total +. (100.0 *. Float.abs (v -. want) /. want);
             incr n
           end)
-        measured)
-    rows references;
+        w.rates)
+    windows;
   !total /. Float.of_int (Stdlib.max 1 !n)
 
+let mbps = Array.map Types.to_mbps
+
 let run () =
-  let references = List.map (fun (_, t0, t1) -> reference_for ~t0 ~t1) windows in
   let in_network = run_in_network () in
   let client_http = run_client_http () in
   let phases =
     List.map2
-      (fun ((label, _, _), reference) (inn, http) ->
-        { label; reference; in_network = inn; client_http = http })
-      (List.combine windows references)
+      (fun label ((inn : Meter.window), (http : Meter.window)) ->
+        {
+          label;
+          reference = mbps inn.reference.rates;
+          in_network = mbps inn.rates;
+          client_http = mbps http.rates;
+        })
+      labels
       (List.combine in_network client_http)
   in
   {
     phases;
-    mean_err_in_network = mean_err in_network references;
-    mean_err_client_http = mean_err client_http references;
+    mean_err_in_network = mean_err in_network;
+    mean_err_client_http = mean_err client_http;
   }
 
 let print ppf r =

@@ -6,9 +6,10 @@
     miDRR at packet granularity just before the last-mile links (Fig. 4) —
     and the deployable compromise it actually builds, the in-client HTTP
     byte-range proxy (Fig. 5).  The paper evaluates only the latter; this
-    study runs both on the Figure 10 workload (two fluctuating links,
-    three flows, b willing to use both) and compares how closely each
-    tracks the max-min reference in every phase.
+    study runs both on the Figure 10 workload ({!Fig10.links}: two
+    fluctuating links, three flows, b willing to use both) and compares
+    how closely each tracks the max-min reference of every phase's judged
+    window.
 
     Expected shape: both systems track the reference; the in-network
     packet scheduler is tighter (it reacts within a packet rather than a

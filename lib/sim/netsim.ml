@@ -1,6 +1,5 @@
 open Midrr_core
 module Rng = Midrr_stats.Rng
-module Timeseries = Midrr_stats.Timeseries
 module Span = Midrr_obs.Span
 
 type source =
@@ -38,7 +37,6 @@ type iface_info = {
   profile : Link.t;
   mutable sending : Packet.t; (* [Packet.none] while idle *)
   mutable wake_pending : bool;
-  i_ts : Timeseries.t; (* bytes carried, for utilization measurement *)
   i_busy_gauge : Midrr_obs.Metrics.gauge; (* -1 without metrics *)
   transmitted : unit -> unit; (* the completion event *)
   wake : unit -> unit; (* the line-up event after an outage *)
@@ -48,7 +46,6 @@ type t = {
   engine : Engine.t;
   sched : Sched_intf.packed;
   master_rng : Rng.t;
-  bin : float;
   meter : src Meter.t;
   ifaces : iface_info Int_tbl.Slots.t;
   spans : Span.t option;
@@ -72,7 +69,6 @@ let create ?(seed = 1) ?(bin = 1.0) ?sink ?metrics ?spans ~sched () =
     engine;
     sched;
     master_rng = Rng.create ~seed;
-    bin;
     meter = Meter.create ~bin ?sink ?metrics engine sched;
     ifaces = Int_tbl.Slots.create ();
     spans;
@@ -181,7 +177,6 @@ and complete t ifc (pkt : Packet.t) =
   (match t.spans with
   | Some sp -> Span.enter sp t.sp_complete
   | None -> ());
-  Timeseries.record ifc.i_ts ~time:(now t) ~bytes:pkt.size;
   (match Meter.find t.meter pkt.flow with
   | fl ->
       Meter.deliver t.meter fl ~iface:ifc.i_id ~bytes:pkt.size;
@@ -293,14 +288,12 @@ let add_iface t j profile =
   if j < 0 then invalid_arg "Netsim.add_iface: negative interface id";
   if Option.is_some (Int_tbl.Slots.find t.ifaces j) then
     invalid_arg "Netsim.add_iface: duplicate";
-  let i_ts = Timeseries.create ~bin:t.bin in
   let rec ifc =
     {
       i_id = j;
       profile;
       sending = Packet.none;
       wake_pending = false;
-      i_ts;
       i_busy_gauge = Meter.gauge t.meter j "busy";
       transmitted = (fun () -> transmitted t ifc);
       wake =
@@ -384,17 +377,6 @@ let run t ~until = Engine.run ~until t.engine
 let rate_series t f = Meter.rate_series t.meter f
 let avg_rate t f ~t0 ~t1 = Meter.avg_rate t.meter f ~t0 ~t1
 let completion_time t f = Meter.completion_time t.meter f
-
-let iface_info t j =
-  match Int_tbl.Slots.find t.ifaces j with
-  | Some i -> i
-  | None -> invalid_arg "Netsim: unknown interface"
-
-let iface_utilization t j ~t0 ~t1 =
-  let ifc = iface_info t j in
-  let carried = Timeseries.rate_between ifc.i_ts ~t0 ~t1 in
-  let offered = Link.average ifc.profile ~t0 ~t1 in
-  if offered <= 0.0 then 0.0 else carried /. offered
 
 let served_cell t ~flow ~iface = Meter.served_cell t.meter ~flow ~iface
 

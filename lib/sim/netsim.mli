@@ -123,10 +123,6 @@ val completion_time : t -> Types.flow_id -> float option
 (** When a [Finite] transfer delivered its last byte; [None] while bytes
     are missing, so always for a flow removed before it finished. *)
 
-val iface_utilization : t -> Types.iface_id -> t0:float -> t1:float -> float
-(** Fraction of the interface's offered capacity actually carried over the
-    window (1.0 = fully utilized); 0 when the link offered nothing. *)
-
 val served_cell : t -> flow:Types.flow_id -> iface:Types.iface_id -> int
 (** Cumulative bytes of the flow carried by the interface. *)
 

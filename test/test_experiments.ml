@@ -104,7 +104,7 @@ let test_fig6_transient_converges () =
   let r = Lazy.force fig6 in
   (* Fig. 6(c): within the first five seconds the rates settle near the
      fair allocation; check the last transient bin for flow b. *)
-  let b_series = List.assoc E.Fig6.flow_b r.transient in
+  let b_series = List.assoc "b" r.transient in
   let _, last = b_series.(Array.length b_series - 1) in
   close ~tol:0.15 "b transient settles" 6.67 last
 
@@ -240,7 +240,7 @@ let test_aggregation_efficiency () =
    over-serves the multi-homed flow D.  (test_midrr checks the
    multi-homed instance.) *)
 let test_ablation_flag_policy () =
-  let rows = (E.Ablation.run ()).flag_policy in
+  let rows = (E.Ablation.run ()).flag_policy.rows in
   let rates label =
     (List.find (fun (r : E.Ablation.row) -> String.equal r.label label) rows)
       .rates

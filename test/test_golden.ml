@@ -311,9 +311,20 @@ let fig1_table () =
     (Format.asprintf "%a@." Midrr_experiments.Fig1.print
        (Midrr_experiments.Fig1.run ()))
 
-(* `midrr theorem1`, `fig6 --clusters` and `fig10 --clusters` stdout,
-   recorded before the figures' windows moved onto [Meter.window]. *)
+(* The stdout of `midrr theorem1`, `fig6 --clusters`, `fig10 --clusters`,
+   `ablation`, `aggregation`, `granularity` and `convergence`, recorded
+   before each figure's windows and reference moved onto [Meter.window]
+   (Fig. 6(b)'s table since runs on to flow c's last bin), and of
+   `inbound`, recorded after: its exact windows moved the client-HTTP
+   column. *)
 let figure file print () = check_golden file (Format.asprintf "%t" print)
+
+(* [print ppf (run ())] as the command prints it. *)
+let study file print run =
+  Alcotest.test_case
+    (Filename.remove_extension file)
+    `Quick
+    (figure file (fun ppf -> Format.fprintf ppf "%a@." print (run ())))
 
 module E = Midrr_experiments
 
@@ -382,6 +393,11 @@ let () =
                  let r = E.Fig10.run () in
                  Format.fprintf ppf "%a@.%a@." E.Fig10.print r
                    E.Fig10.print_clusters r));
+          study "ablation.txt" E.Ablation.print E.Ablation.run;
+          study "aggregation.txt" E.Aggregation.print E.Aggregation.run;
+          study "granularity.txt" E.Granularity.print E.Granularity.run;
+          study "convergence.txt" E.Convergence.print E.Convergence.run;
+          study "inbound.txt" E.Inbound.print E.Inbound.run;
         ] );
       ( "schedulers",
         List.map

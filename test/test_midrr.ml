@@ -390,10 +390,16 @@ let deviation measured reference =
     measured;
   !acc
 
+(* Measured and water-filling rates of a judged window, Mb/s. *)
+let rates (w : Meter.window) = Array.map Types.to_mbps w.rates
+
+let reference (w : Meter.window) =
+  Array.map Types.to_mbps w.reference.rates
+
 let test_adversarial_one_bit_bounded () =
-  let reference = Ablation.multihomed_reference () in
-  let measured = Ablation.multihomed_rates (Midrr.packed (Midrr.create ())) in
-  let naive = Ablation.multihomed_rates (Drr.packed (Drr.create ())) in
+  let w = Ablation.multihomed (Midrr.packed (Midrr.create ())) in
+  let reference = reference w and measured = rates w in
+  let naive = rates (Ablation.multihomed (Drr.packed (Drr.create ()))) in
   (* The 1-bit flag deviates here (documented fidelity limit) but beats the
      uncoordinated baseline. *)
   let d_midrr = deviation measured reference in
@@ -403,10 +409,8 @@ let test_adversarial_one_bit_bounded () =
       d_naive
 
 let test_adversarial_counter_exact () =
-  let reference = Ablation.multihomed_reference () in
-  let measured =
-    Ablation.multihomed_rates (Midrr.packed (Midrr.create ~counter_max:4 ()))
-  in
+  let w = Ablation.multihomed (Midrr.packed (Midrr.create ~counter_max:4 ())) in
+  let reference = reference w and measured = rates w in
   Array.iteri
     (fun i r ->
       check_close ~tol:0.03
