@@ -1,7 +1,7 @@
-(* midrr-lint: scheduler-specific static analysis over lib/, bin/ and
-   bench/.  Exit status 0 when the repo is clean (no finding outside the
-   committed baseline, no parse error, and — with --typed — no missing
-   or stale .cmt artifact), 1 otherwise. *)
+(* midrr-lint: scheduler-specific static analysis over lib/, bin/,
+   bench/ and examples/.  Exit status 0 when the repo is clean (no
+   finding outside the committed baseline, no parse error, and — with
+   --typed — no missing or stale .cmt artifact), 1 otherwise. *)
 
 open Cmdliner
 
@@ -12,7 +12,7 @@ let root =
 let dirs =
   let doc =
     "Directory (relative to $(b,--root)) to scan; repeatable.  Defaults \
-     to lib, bin and bench."
+     to lib, bin, bench and examples."
   in
   Arg.(value & opt_all string [] & info [ "dir" ] ~docv:"DIR" ~doc)
 
@@ -44,7 +44,8 @@ let quiet =
 let typed =
   let doc =
     "Also run the typed tier (R7 static zero-allocation, R8 \
-     interprocedural domain-safety) over the .cmt artifacts a normal \
+     interprocedural domain-safety, R9 no export without a caller) over \
+     the .cmt artifacts a normal \
      [dune build] leaves under $(b,--build-dir).  Both tiers share the \
      baseline file."
   in
@@ -64,7 +65,7 @@ let explain =
   let doc =
     "Print what the given rules check and how to fix findings, then \
      exit.  $(docv) is a comma- or space-separated list of rule ids, a \
-     range (R1..R8), or $(b,all)."
+     range (R1..R9), or $(b,all)."
   in
   Arg.(value & opt (some string) None & info [ "explain" ] ~docv:"RULES" ~doc)
 
@@ -78,7 +79,7 @@ let split_spec spec =
   |> String.split_on_char ' '
   |> List.filter (fun s -> not (String.equal s ""))
 
-(* "R1..R8" -> every rule between the two ids in declaration order *)
+(* "R1..R9" -> every rule between the two ids in declaration order *)
 let expand_range seg =
   match String.index_opt seg '.' with
   | Some i
@@ -143,7 +144,9 @@ let run root dirs baseline_path json_path update quiet typed build_dir explain
   match explain with
   | Some spec -> explain_rules spec
   | None -> (
-      let dirs = match dirs with [] -> [ "lib"; "bin"; "bench" ] | ds -> ds in
+      let dirs =
+        match dirs with [] -> [ "lib"; "bin"; "bench"; "examples" ] | ds -> ds
+      in
       let baseline_file = resolve root baseline_path in
       let build_dir = resolve root build_dir in
       if update then begin
@@ -166,7 +169,7 @@ let run root dirs baseline_path json_path update quiet typed build_dir explain
               baseline_file msg;
             1
         | Ok baseline ->
-            (* an untyped-only run neither applies nor reports R7/R8
+            (* an untyped-only run neither applies nor reports R7-R9
                baseline entries: it cannot judge rules it did not run *)
             let baseline =
               if typed then baseline
@@ -174,7 +177,7 @@ let run root dirs baseline_path json_path update quiet typed build_dir explain
                 Midrr_lint.Baseline.filter
                   (fun k ->
                     match Midrr_lint.Baseline.rule_of_key k with
-                    | Some (Midrr_lint.Rule.R7 | Midrr_lint.Rule.R8) -> false
+                    | Some Midrr_lint.Rule.(R7 | R8 | R9) -> false
                     | Some _ | None -> true)
                   baseline
             in
@@ -254,12 +257,14 @@ let cmd =
         "With $(b,--typed), a second tier runs over the .cmt artifacts of \
          the last [dune build]: R7 proves the configured decision entry \
          points allocation-free by reachability over the resolved call \
-         graph, and R8 makes the domain-safety check interprocedural.  \
-         See DESIGN.md section 13.";
+         graph, R8 makes the domain-safety check interprocedural, and R9 \
+         requires every val of a lib/ interface to be referenced by \
+         another unit of lib/, bin/, bench/ or examples/.  See DESIGN.md \
+         section 13.";
       `P
         "Suppress a single site with [@midrr.lint.allow \"R5\"] or \
          tolerate pre-existing findings via the committed baseline file.  \
-         $(b,--explain R1..R8) prints the rationale for every rule.";
+         $(b,--explain R1..R9) prints the rationale for every rule.";
     ]
   in
   Cmd.v

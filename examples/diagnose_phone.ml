@@ -17,7 +17,7 @@ let wifi = 0
 let lte = 1
 let slow_3g = 2
 
-let names = [| "netflix"; "dropbox"; "skype"; "podcast" |]
+let name f = List.nth [ "netflix"; "dropbox"; "skype"; "podcast" ] f
 
 let () =
   let sched = Midrr.packed (Midrr.create ~counter_max:4 ()) in
@@ -52,7 +52,7 @@ let () =
   Format.printf "measured rates after 30 s:@.";
   List.iter
     (fun (f, _, _) ->
-      Format.printf "  %-8s %6.3f Mb/s@." names.(f)
+      Format.printf "  %-8s %6.3f Mb/s@." (name f)
         (Netsim.avg_rate sim f ~t0:5.0 ~t1:30.0))
     specs;
   Format.printf "fairness check: %d windows, %d with violations@.@."
@@ -66,5 +66,5 @@ let () =
   Format.printf "reference diagnosis (rates in bit/s):@.";
   List.iter
     (fun (e : Diagnose.explanation) ->
-      Format.printf "-- %s --@.%a@." names.(e.flow) Diagnose.pp e)
+      Format.printf "-- %s --@.%a@." (name e.flow) Diagnose.pp e)
     (Diagnose.explain_all inst)

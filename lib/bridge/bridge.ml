@@ -7,30 +7,15 @@ type port = {
 }
 
 type t = {
-  vif : Vif.addr;
   sched : Sched_intf.packed;
   ports : (Types.iface_id, port) Hashtbl.t;
   mutable rewrites : int;
 }
 
-let default_vif =
-  Vif.addr ~mac:0x02_00_5E_00_00_01L ~ip:0x0A00_0001l (* 10.0.0.1 *)
+(* The arbitrary address presented to applications. *)
+let vif = Vif.addr ~mac:0x02_00_5E_00_00_01L ~ip:0x0A00_0001l (* 10.0.0.1 *)
 
-let create ?(vif_addr = default_vif) ?sink ~sched () =
-  let t = { vif = vif_addr; sched; ports = Hashtbl.create 8; rewrites = 0 } in
-  (match sink with
-  | None -> ()
-  | Some s ->
-      (* The bridge runs on the wall clock: stamp events with seconds
-         since the bridge came up. *)
-      let t0 = Monotonic_clock.now () in
-      let clock () =
-        Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
-      in
-      Sched_intf.Packed.subscribe sched (Midrr_obs.Sink.stamp ~clock s));
-  t
-
-let vif_addr t = t.vif
+let create ~sched () = { sched; ports = Hashtbl.create 8; rewrites = 0 }
 
 let add_port t j ~local ~gateway =
   if Hashtbl.mem t.ports j then invalid_arg "Bridge.add_port: duplicate";
@@ -60,7 +45,7 @@ let transmit t j =
       | Some pkt ->
           (* The application addressed the packet to the virtual interface;
              rewrite to the physical port's addresses before emission. *)
-          let virtual_frame = Vif.make ~src:t.vif ~dst:t.vif pkt in
+          let virtual_frame = Vif.make ~src:vif ~dst:vif pkt in
           let frame =
             Vif.rewrite virtual_frame ~src:port.local ~dst:port.gateway
           in

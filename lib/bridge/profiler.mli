@@ -12,18 +12,10 @@ type result = {
   samples_ns : float array;  (** one per timed decision *)
 }
 
-val run :
-  ?n_flows:int ->
-  ?queued_packets:int ->
-  ?decisions:int ->
-  ?pkt_size:int ->
-  ?seed:int ->
-  n_ifaces:int ->
-  unit ->
-  result
+val run : ?n_flows:int -> ?decisions:int -> n_ifaces:int -> unit -> result
 (** Build a miDRR instance with [n_ifaces] interfaces and [n_flows]
-    (default 32) flows willing to use every interface, keep
-    [queued_packets] (default 1000) packets queued across them, and time
+    (default 32) flows willing to use every interface, keep 1000 packets
+    of 1000 bytes queued across them, and time
     [decisions] (default 20000) scheduling decisions round-robining over
     the interfaces.  Queues are topped up between timed sections. *)
 

@@ -66,9 +66,3 @@ let checksum_valid frame =
   frame.checksum
   = header_checksum ~src:frame.src ~dst:frame.dst
       ~payload_len:frame.payload.Midrr_core.Packet.size
-
-let pp_addr ppf a = Format.fprintf ppf "%012Lx/%08lx" a.mac a.ip
-
-let pp ppf f =
-  Format.fprintf ppf "%a -> %a (%a, csum=%04x)" pp_addr f.src pp_addr f.dst
-    Midrr_core.Packet.pp f.payload f.checksum

@@ -28,10 +28,9 @@ val rewrite : frame -> src:addr -> dst:addr -> frame
 (** Replace addresses (virtual -> physical) and recompute the checksum. *)
 
 val checksum_valid : frame -> bool
+[@@midrr.lint.allow "R9"] (* test_bridge checks emitted frames with these *)
 (** Recompute and compare — the invariant tests rely on. *)
 
 val header_checksum : src:addr -> dst:addr -> payload_len:int -> int
+[@@midrr.lint.allow "R9"]
 (** The 16-bit internet checksum over the modeled header fields. *)
-
-val pp_addr : Format.formatter -> addr -> unit
-val pp : Format.formatter -> frame -> unit

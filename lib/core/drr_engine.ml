@@ -604,20 +604,4 @@ let ring_flows t j =
 
 let considered t = t.t_considered
 
-let reset_counters t =
-  t.t_considered <- 0;
-  Array.iter
-    (fun fs ->
-      if fs != nil_flow then begin
-        fs.f_served <- 0;
-        fs.f_turns <- 0
-      end)
-    t.t_flow_slots;
-  (* free slots too: harmless, a slot's fields are reset when it is
-     taken *)
-  for s = 0 to Float.Array.length t.t_dc - 1 do
-    t.t_links.((s * stride) + l_served) <- 0;
-    t.t_links.((s * stride) + l_turns) <- 0
-  done
-
 let drops t f = Pktqueue.drops (flow_state t f).f_queue

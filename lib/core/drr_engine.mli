@@ -116,9 +116,5 @@ val considered : t -> int
 (** Total flows examined across all {!next_packet} calls — the search work
     that paper §6.3 profiles. *)
 
-val reset_counters : t -> unit
-(** Zero the service/turn/considered accounting (deficits and flags keep
-    their values).  Used to start a measurement window. *)
-
 val drops : t -> Types.flow_id -> int
 (** Packets dropped by the flow's bounded queue. *)

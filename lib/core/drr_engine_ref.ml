@@ -455,17 +455,4 @@ let ring_flows t j =
 
 let considered t = t.t_considered
 
-let reset_counters t =
-  t.t_considered <- 0;
-  Hashtbl.iter
-    (fun _ fs ->
-      fs.f_served <- 0;
-      fs.f_turns <- 0;
-      List.iter
-        (fun l ->
-          l.l_served <- 0;
-          l.l_turns <- 0)
-        fs.f_links)
-    t.t_flows
-
 let drops t f = Pktqueue.drops (flow_state t f).f_queue

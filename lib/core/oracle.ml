@@ -18,7 +18,6 @@ type flow = {
 }
 
 type t = {
-  queue_capacity : int option;
   capacity : Types.iface_id -> float;
   flows_tbl : (Types.flow_id, flow) Hashtbl.t;
   mutable iface_list : Types.iface_id list;
@@ -28,9 +27,8 @@ type t = {
   t_ev : Event.record; (* refilled per emission, see [Event] *)
 }
 
-let create ?queue_capacity ~capacity () =
+let create ~capacity () =
   {
-    queue_capacity;
     capacity;
     flows_tbl = Hashtbl.create 32;
     iface_list = [];
@@ -79,7 +77,7 @@ let add_flow t ~flow ~weight ~allowed =
       f_id = flow;
       weight;
       allowed = Iset.of_list allowed;
-      queue = Pktqueue.create ?capacity_bytes:t.queue_capacity ();
+      queue = Pktqueue.create ();
       served = 0;
       served_on = Hashtbl.create 8;
       epoch_served = Hashtbl.create 8;

@@ -10,6 +10,3 @@ let create ~flow ~size ~arrival =
 let none = { flow = -1; size = 0; arrival = Float.neg_infinity }
 
 let is_none p = p == none
-
-let pp ppf t =
-  Format.fprintf ppf "pkt flow=%d %dB @%.6fs" t.flow t.size t.arrival

@@ -21,5 +21,3 @@ val none : t
 
 val is_none : t -> bool
 (** [is_none p] is [p == none]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -35,5 +35,6 @@ val run : ?horizon:float -> spec -> result
     arrivals. *)
 
 val finish_order : result -> (int * int) list
+[@@midrr.lint.allow "R9"] (* only test_core's finish order case calls it *)
 (** Packets as [(flow, index)] sorted by increasing finishing time
     (unfinished packets excluded). *)

@@ -8,6 +8,3 @@ include Sched_intf.S
 
 val create : ?queue_capacity:int -> unit -> t
 val packed : t -> Sched_intf.packed
-
-val deadline_base : float
-(** Relative deadline in seconds for a weight-1 flow (1.0). *)

@@ -8,10 +8,3 @@ include Sched_intf.S
 
 val create : ?queue_capacity:int -> unit -> t
 val packed : t -> Sched_intf.packed
-
-val deadline_base : float
-(** Relative deadline in seconds for a weight-1 flow (1.0). *)
-
-val drain_bytes_per_sec : float
-(** Reference drain rate used to turn backlog into remaining service
-    time (125 kB/s = 1 Mb/s). *)

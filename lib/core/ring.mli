@@ -39,7 +39,4 @@ val next : 'a t -> 'a node -> 'a node
 (** Clockwise successor, wrapping.  Raises [Invalid_argument] on a removed
     node or empty ring. *)
 
-val iter : 'a t -> ('a -> unit) -> unit
-(** Visit each element once, starting at the head. *)
-
 val to_list : 'a t -> 'a list

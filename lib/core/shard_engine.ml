@@ -103,15 +103,13 @@ type t = {
    interface [j] as the negative int [-2 - j] (see [msg_mat]). *)
 let max_iface_id = 65535
 
-let create ?base_quantum ?queue_capacity ?flag_policy ?counter_max
-    ?(shards = 1) ?(strict = false) mode =
+let create ?counter_max ?(shards = 1) ?(strict = false) mode =
   if shards < 1 then invalid_arg "Shard_engine.create: shards < 1";
   {
     t_n = shards;
     t_engines =
       Array.init shards (fun _ ->
-          Drr_engine.create ?base_quantum ?queue_capacity ?flag_policy
-            ?counter_max mode);
+          Drr_engine.create ?counter_max mode);
     t_strict = strict;
     t_parent = Array.make 16 (-1);
     t_binding = Array.make 16 (-1);

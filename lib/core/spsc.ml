@@ -116,7 +116,3 @@ let pop_slice t dst ~pos ~len =
     Atomic.set t.head (hd + n)
   end;
   n
-
-let pop_opt t =
-  let x = try_pop t in
-  if x == t.dummy then None else Some x

@@ -10,9 +10,6 @@ let create ~rate ~burst =
   if not (burst > 0.0) then invalid_arg "Tokenbucket.create: burst <= 0";
   { fill_rate = rate; bucket_size = burst; tokens = burst; last = 0.0 }
 
-let rate t = t.fill_rate
-let burst t = t.bucket_size
-
 let settle t ~now =
   if now > t.last then begin
     t.tokens <-

@@ -12,10 +12,8 @@ val create : rate:float -> burst:float -> t
 (** [rate] in bytes/s (> 0), [burst] in bytes (> 0).  The bucket starts
     full. *)
 
-val rate : t -> float
-val burst : t -> float
-
 val available : t -> now:float -> float
+[@@midrr.lint.allow "R9"] (* tests check try_consume's refill with it *)
 (** Tokens available at time [now] (monotone in [now]). *)
 
 val try_consume : t -> now:float -> bytes:int -> bool
@@ -30,4 +28,5 @@ val time_until : t -> now:float -> bytes:int -> float
     finite, {!try_consume} succeeds once that much time has elapsed. *)
 
 val set_rate : t -> now:float -> float -> unit
+[@@midrr.lint.allow "R9"] (* only tests change a bucket's rate *)
 (** Change the fill rate, settling accumulated tokens first. *)

@@ -24,9 +24,3 @@ let bytes_to_bits b = 8.0 *. Float.of_int b
 let[@inline] tx_time ~bytes ~rate =
   if rate <= 0.0 then invalid_arg "Types.tx_time: non-positive rate";
   bytes_to_bits bytes /. rate
-
-let pp_rate ppf r =
-  if Float.abs r >= 1e9 then Format.fprintf ppf "%.3g Gb/s" (r /. 1e9)
-  else if Float.abs r >= 1e6 then Format.fprintf ppf "%.3g Mb/s" (r /. 1e6)
-  else if Float.abs r >= 1e3 then Format.fprintf ppf "%.3g kb/s" (r /. 1e3)
-  else Format.fprintf ppf "%.3g b/s" r

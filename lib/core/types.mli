@@ -30,16 +30,14 @@ val kbps : float -> float
 (** [kbps x] is [x] kilobits/s in bits/s. *)
 
 val gbps : float -> float
+[@@midrr.lint.allow "R9"] (* only test_core's units case calls these *)
 (** [gbps x] is [x] gigabits/s in bits/s. *)
 
 val to_mbps : float -> float
 (** bits/s to Mb/s. *)
 
-val bytes_to_bits : int -> float
+val bytes_to_bits : int -> float [@@midrr.lint.allow "R9"]
 
 val tx_time : bytes:int -> rate:float -> float
 (** Transmission time in seconds of [bytes] on a [rate] bit/s line.
     Raises [Invalid_argument] when [rate <= 0]. *)
-
-val pp_rate : Format.formatter -> float -> unit
-(** Render a bit/s value with an adaptive unit (b/s, kb/s, Mb/s, Gb/s). *)

@@ -33,6 +33,7 @@ type result = {
 }
 
 val multihomed : Midrr_core.Sched_intf.packed -> Midrr_sim.Meter.window
+[@@midrr.lint.allow "R9"] (* test_midrr judges its schedulers on it *)
 (** Backlogged 1000 B flows on the fully multi-homed instance under the
     given scheduler, judged over [5, 25] s. *)
 

@@ -50,9 +50,6 @@ let cdf_csv ~path cdf =
   write_csv ~path ~header:[ "value"; "cumulative_probability" ] ~rows
 
 let fig6 ~dir (r : Fig6.result) =
-  let name f =
-    if f = Fig6.flow_a then "a" else if f = Fig6.flow_b then "b" else "c"
-  in
   series_csv
     ~path:(Filename.concat dir "fig6_series.csv")
     (List.map (fun (n, s) -> ("flow_" ^ n, s)) r.series);
@@ -66,7 +63,7 @@ let fig6 ~dir (r : Fig6.result) =
           (fun i f ->
             [
               label;
-              name f;
+              Fig6.flow_name f;
               fmt_float (Midrr_core.Types.to_mbps w.rates.(i));
               fmt_float (Midrr_core.Types.to_mbps w.reference.rates.(i));
             ])

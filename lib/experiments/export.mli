@@ -4,20 +4,6 @@
     columns are the series the paper plots.  Paths are created inside the
     target directory, which must exist. *)
 
-val write_csv :
-  path:string -> header:string list -> rows:string list list -> unit
-(** Low-level writer; raises [Sys_error] on IO failure and
-    [Invalid_argument] when a row's width differs from the header. *)
-
-val series_csv :
-  path:string -> (string * (float * float) array) list -> unit
-(** Write named [(time, value)] series sharing a time base:
-    [time, name1, name2, ...].  Shorter series are padded with empty
-    cells. *)
-
-val cdf_csv : path:string -> Midrr_stats.Cdf.t -> unit
-(** Two columns: value, cumulative probability. *)
-
 val fig6 : dir:string -> Fig6.result -> unit
 (** [fig6_series.csv], [fig6_transient.csv], [fig6_phases.csv]. *)
 

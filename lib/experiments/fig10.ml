@@ -20,10 +20,6 @@ let flow_a = 0
 let flow_b = 1
 let flow_c = 2
 
-let flow_name = function
-  | f when f = flow_a -> "a"
-  | f when f = flow_b -> "b"
-  | _ -> "c"
 
 (* Interface speeds alternate at 11, 18 and 29 s, after Fig. 11's phase
    boundaries: interface 1 is fast in [0,11) and [18,29), interface 2 in
@@ -41,6 +37,7 @@ let links =
 (* Measurement windows sit inside each phase, away from the switch
    transients. *)
 let windows = [ (2.0, 10.5); (12.5, 17.5); (20.0, 28.5); (31.0, 44.0) ]
+let horizon = 45.0
 
 let phase label (window : Meter.window) =
   let gp f = Types.to_mbps window.rates.(f) in
@@ -49,14 +46,14 @@ let phase label (window : Meter.window) =
     label;
     window;
     goodput =
-      List.map (fun f -> (flow_name f, gp f)) [ flow_a; flow_b; flow_c ];
+      List.map (fun f -> (Fig6.flow_name f, gp f)) [ flow_a; flow_b; flow_c ];
     fast_flow = (if gp flow_a >= gp flow_c then "a" else "c");
     (* b tracks the faster restricted flow within 20%. *)
     b_tracks_faster =
       Float.abs (gp flow_b -. faster) <= 0.2 *. Float.max 1.0 faster;
   }
 
-let run ?(horizon = 45.0) () =
+let run () =
   let sched = Midrr.packed (Midrr.create ~base_quantum:65536 ()) in
   let proxy =
     Proxy.create ~bin:1.0 ~chunk_size:65536 ~pipeline_depth:4 ~rtt:0.03 ~sched
@@ -81,7 +78,7 @@ let run ?(horizon = 45.0) () =
   Proxy.run proxy ~until:horizon;
   let series =
     List.map
-      (fun f -> (flow_name f, Proxy.goodput_series proxy f))
+      (fun f -> (Fig6.flow_name f, Proxy.goodput_series proxy f))
       [ flow_a; flow_b; flow_c ]
   in
   { series; phases = List.map (fun (label, w) -> phase label (w ())) judged }
@@ -110,6 +107,6 @@ let print_clusters ppf r =
       Format.fprintf ppf "@,%s:@," p.label;
       List.iter
         (Format.fprintf ppf "  %s@,")
-        (Meter.cluster_lines ~name:flow_name p.window))
+        (Meter.cluster_lines ~name:Fig6.flow_name p.window))
     r.phases;
   Format.fprintf ppf "@]"

@@ -28,10 +28,13 @@ val links : (Midrr_core.Types.iface_id * Midrr_sim.Link.t) list
 (** Interfaces 1 and 2, whose speeds swap at 11, 18 and 29 s. *)
 
 val windows : (float * float) list
-(** One measurement window inside each phase.  {!Inbound} runs these
-    links and windows too. *)
+(** One measurement window inside each phase. *)
 
-val run : ?horizon:float -> unit -> result
+val horizon : float
+(** The run's end, 45 s.  {!Inbound} runs these links, windows and
+    horizon too. *)
+
+val run : unit -> result
 
 val print : Format.formatter -> result -> unit
 (** Figure 10: goodput series and per-phase summary. *)

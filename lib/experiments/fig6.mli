@@ -28,9 +28,8 @@ type result = {
   phases : phase list;
 }
 
-val flow_a : int
-val flow_b : int
-val flow_c : int
+val flow_name : int -> string
+(** Flow ids 0, 1 and 2 are flows a, b and c, here and in Figure 10. *)
 
 val run : unit -> result
 

@@ -26,13 +26,13 @@ let run ?(quick = false) ?(iface_counts = [ 4; 8; 12; 16 ]) () =
 
 type flow_row = { n_flows : int; summary : Summary.t }
 
-let run_flow_scaling ?(quick = false) ?(flow_counts = [ 8; 32; 128; 512 ]) () =
+let run_flow_scaling ?(quick = false) () =
   let decisions = if quick then 2000 else 20000 in
   List.map
     (fun n_flows ->
       let r = Profiler.run ~decisions ~n_ifaces:8 ~n_flows () in
       { n_flows; summary = Profiler.summary r })
-    flow_counts
+    [ 8; 32; 128; 512 ]
 
 let print_flow_scaling ppf rows =
   Format.fprintf ppf

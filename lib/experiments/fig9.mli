@@ -25,9 +25,9 @@ val print : Format.formatter -> result -> unit
 
 type flow_row = { n_flows : int; summary : Midrr_stats.Summary.t }
 
-val run_flow_scaling : ?quick:bool -> ?flow_counts:int list -> unit -> flow_row list
+val run_flow_scaling : ?quick:bool -> unit -> flow_row list
 (** The paper's companion claim in §6.3: "the scheduling time is
     independent of the number of flows".  Profiles the decision at a fixed
-    8 interfaces while scaling the flow count (default 8, 32, 128, 512). *)
+    8 interfaces while scaling the flow count (8, 32, 128, 512). *)
 
 val print_flow_scaling : Format.formatter -> flow_row list -> unit

@@ -16,10 +16,9 @@ type result = {
   mean_err_client_http : float;
 }
 
-(* Fig. 10's flows, run over its link schedule and judged over its phase
-   windows. *)
+(* Fig. 10's flows, run over its link schedule to its horizon and judged
+   over its phase windows. *)
 let labels = [ "phase 0-11s"; "phase 11-18s"; "phase 18-29s"; "phase 29-45s" ]
-let horizon = 45.0
 let allowed_of = function 0 -> [ 1 ] | 1 -> [ 1; 2 ] | _ -> [ 2 ]
 
 let judged window run =
@@ -28,7 +27,7 @@ let judged window run =
       (fun (t0, t1) -> window ~t0 ~t1 ~judge:(fun _ -> true))
       Fig10.windows
   in
-  run ~until:horizon;
+  run ~until:Fig10.horizon;
   List.map (fun w -> w ()) windows
 
 (* Fig. 4: the in-network proxy sees individual packets and runs miDRR

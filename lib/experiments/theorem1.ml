@@ -13,7 +13,11 @@ let outcome_of (res : Pgps_fluid.result) =
   and finish_b = res.finish_times.(1).(0) in
   { finish_a; finish_b; first = (if finish_a < finish_b then `A else `B) }
 
-let run ?(packet_bits = 1e6) ?(epsilon = 0.01) () =
+(* The paper's L = 1e6 bits; the new flows arrive at epsilon = 0.01 s. *)
+let packet_bits = 1e6
+let epsilon = 0.01
+
+let run () =
   let l_bytes = int_of_float (packet_bits /. 8.0) in
   let rate = Types.mbps 1.0 in
   (* Flow a: one packet of L bits, may use both interfaces.

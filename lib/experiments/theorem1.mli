@@ -18,8 +18,7 @@ type result = {
   order_flips : bool;
 }
 
-val run : ?packet_bits:float -> ?epsilon:float -> unit -> result
-(** [packet_bits] is the paper's [L] (default 1e6); the new flows arrive at
-    [epsilon] seconds (default 0.01). *)
+val run : unit -> result
+(** With the paper's [L] = 1e6 bits; the new flows arrive at 0.01 s. *)
 
 val print : Format.formatter -> result -> unit

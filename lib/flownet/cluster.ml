@@ -28,9 +28,9 @@ end
 let default_eps (inst : Instance.t) =
   Feq.scale_eps ~rel:1e-6 (Array.fold_left Float.max 0.0 inst.capacities)
 
-let decompose ?eps (inst : Instance.t) ~share ~rates =
+let decompose (inst : Instance.t) ~share ~rates =
   let n = Instance.n_flows inst and m = Instance.n_ifaces inst in
-  let eps = Option.value eps ~default:(default_eps inst) in
+  let eps = default_eps inst in
   let uf = Uf.create (n + m) in
   for i = 0 to n - 1 do
     for j = 0 to m - 1 do
@@ -102,10 +102,10 @@ let pp_violation ppf = function
         "interface %d carries %.6g of %.6g bit/s despite willing flows"
         iface used capacity
 
-let check ?(tol = 1e-6) ?eps (inst : Instance.t) ~share ~rates =
+let check ?(tol = 1e-6) (inst : Instance.t) ~share ~rates =
   let n = Instance.n_flows inst and m = Instance.n_ifaces inst in
-  let eps = Option.value eps ~default:(default_eps inst) in
-  let clusters = decompose ~eps inst ~share ~rates in
+  let eps = default_eps inst in
+  let clusters = decompose inst ~share ~rates in
   let scale =
     Float.max 1.0
       (Array.fold_left

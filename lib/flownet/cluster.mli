@@ -17,17 +17,14 @@ type t = {
 }
 
 val decompose :
-  ?eps:float -> Instance.t -> share:float array array -> rates:float array -> t list
+  Instance.t -> share:float array array -> rates:float array -> t list
 (** Connected components of the bipartite graph restricted to edges carrying
-    rate above [eps] (default: 1e-6 of the peak capacity).  Flows receiving
+    rate above 1e-6 of the peak capacity.  Flows receiving
     no service and interfaces serving no flow appear as singleton clusters.
     Clusters are returned sorted by descending rate. *)
 
 val find_cluster_of_flow : t list -> int -> t
 (** The cluster containing the given flow.  Raises [Not_found]. *)
-
-val find_cluster_of_iface : t list -> int -> t
-(** The cluster containing the given interface.  Raises [Not_found]. *)
 
 type violation =
   | Unequal_rates_in_cluster of { cluster : t; spread : float }
@@ -38,10 +35,10 @@ type violation =
       (** an interface with willing flows is not saturated *)
 
 val pp_violation : Format.formatter -> violation -> unit
+[@@midrr.lint.allow "R9"] (* test_flownet, test_midrr print failed checks *)
 
 val check :
   ?tol:float ->
-  ?eps:float ->
   Instance.t ->
   share:float array array ->
   rates:float array ->

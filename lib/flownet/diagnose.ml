@@ -90,10 +90,6 @@ let context inst =
   let clusters = Cluster.decompose inst ~share:alloc.share ~rates:alloc.rates in
   (alloc, clusters)
 
-let explain ?(with_headroom = true) inst ~flow =
-  let alloc, clusters = context inst in
-  explain_one inst alloc clusters ~with_headroom flow
-
 let explain_all ?(with_headroom = true) inst =
   let alloc, clusters = context inst in
   List.init (Instance.n_flows inst)

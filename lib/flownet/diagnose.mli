@@ -27,11 +27,6 @@ type explanation = {
           "what if I relaxed the preference" counterfactual *)
 }
 
-val explain : ?with_headroom:bool -> Instance.t -> flow:int -> explanation
-(** Solve the instance and explain one flow.  [with_headroom] (default
-    true) additionally solves one counterfactual per unallowed
-    interface. *)
-
 val explain_all : ?with_headroom:bool -> Instance.t -> explanation list
 
 val pp : Format.formatter -> explanation -> unit

@@ -7,5 +7,4 @@ let scale_eps ?(rel = 1e-9) scale = rel *. Float.max 1.0 scale
 let approx ~eps a b = Float.abs (a -. b) <= eps
 let geq ~eps a b = a >= b -. eps
 let leq ~eps a b = a <= b +. eps
-let is_zero ~eps x = Float.abs x <= eps
 let saturated ~rel ~used ~cap = used >= cap *. (1.0 -. rel)

@@ -20,8 +20,6 @@ val geq : eps:float -> float -> float -> bool
 val leq : eps:float -> float -> float -> bool
 (** [leq ~eps a b] is [a <= b +. eps]: tolerant [<=]. *)
 
-val is_zero : eps:float -> float -> bool
-
 val saturated : rel:float -> used:float -> cap:float -> bool
 (** [saturated ~rel ~used ~cap] is [used >= cap *. (1 - rel)]: is a
     capacity within relative tolerance of fully used? *)

@@ -20,13 +20,16 @@ val n_flows : t -> int
 val n_ifaces : t -> int
 
 val allowed_ifaces : t -> int -> int list
+[@@midrr.lint.allow "R9"] (* test_props checks generated instances by it *)
 (** Interfaces flow [i] is willing to use, ascending. *)
 
 val allowed_flows : t -> int -> int list
 (** Flows willing to use interface [j], ascending. *)
 
 val is_complete : t -> bool
+[@@midrr.lint.allow "R9"] (* only test_flownet calls it *)
 (** [true] when every flow is willing to use every interface (the classical
     aggregated-link case with no interface preferences). *)
 
 val pp : Format.formatter -> t -> unit
+[@@midrr.lint.allow "R9"] (* tests print counterexample instances with it *)

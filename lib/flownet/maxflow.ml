@@ -12,8 +12,6 @@ let create ~n =
   if n <= 0 then invalid_arg "Maxflow.create: n <= 0";
   { n; adj = Array.make n [||]; sizes = Array.make n 0 }
 
-let n_nodes t = t.n
-
 let push_edge t node e =
   let row = t.adj.(node) in
   let size = t.sizes.(node) in
@@ -133,7 +131,8 @@ let residual_coreachable ?(eps = default_eps) t ~dst =
   done;
   seen
 
-let residual_reachable ?(eps = default_eps) t ~src =
+let residual_reachable t ~src =
+  let eps = default_eps in
   let seen = Array.make t.n false in
   let queue = Queue.create () in
   seen.(src) <- true;

@@ -53,11 +53,11 @@ let build (inst : Instance.t) ~demands =
 
 let total_demand demands = Array.fold_left ( +. ) 0.0 demands
 
-let is_feasible ?eps (inst : Instance.t) ~demands =
+let is_feasible (inst : Instance.t) ~demands =
   if Array.length demands <> Instance.n_flows inst then
     invalid_arg "Maxmin.is_feasible: demand vector has wrong length";
   let net = build inst ~demands in
-  let eps = Option.value eps ~default:(Float.max net.eps 1e-9) in
+  let eps = Float.max net.eps 1e-9 in
   let value = Maxflow.max_flow ~eps:net.eps net.graph ~src:source ~dst:net.sink in
   Feq.geq
     ~eps:(eps *. Float.of_int (Array.length demands + 1))
@@ -149,19 +149,3 @@ let solve ?(tol = 1e-9) (inst : Instance.t) =
   done;
   let normalized = Array.mapi (fun i r -> r /. inst.weights.(i)) rates in
   { rates; share; normalized }
-
-let pp_allocation ppf a =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun i r ->
-      let shares =
-        Array.to_list a.share.(i)
-        |> List.mapi (fun j s -> (j, s))
-        |> List.filter (fun (_, s) -> s > 1e-9)
-        |> List.map (fun (j, s) -> Printf.sprintf "if%d:%.4g" j s)
-        |> String.concat " "
-      in
-      Format.fprintf ppf "flow %d: rate=%.6g norm=%.6g [%s]@," i r
-        a.normalized.(i) shares)
-    a.rates;
-  Format.fprintf ppf "@]"

@@ -25,11 +25,10 @@ val solve : ?tol:float -> Instance.t -> allocation
     the relative precision of the binary search (default [1e-9]).  Flows
     with no allowed interface receive rate 0. *)
 
-val is_feasible : ?eps:float -> Instance.t -> demands:float array -> bool
+val is_feasible : Instance.t -> demands:float array -> bool
+[@@midrr.lint.allow "R9"] (* test_flownet checks solve's capacity bound *)
 (** Can the given per-flow demand vector be routed within interface
     capacities and preferences? *)
 
-val total_capacity : Instance.t -> float
+val total_capacity : Instance.t -> float [@@midrr.lint.allow "R9"]
 (** Sum of capacities over interfaces that at least one flow may use. *)
-
-val pp_allocation : Format.formatter -> allocation -> unit

@@ -22,14 +22,6 @@ type instance = {
   allowed : bool array array;
 }
 
-val of_float_instance : Instance.t -> instance
-(** Convert a float instance via {!Rat.of_float_approx} (exact for integral
-    and simple-fraction inputs). *)
-
-val solve : instance -> Rat.t array
-(** Per-flow max-min rates.  Flows with no allowed interface get zero.
-    Raises [Invalid_argument] on shape errors and on more than 16 flows
-    (2^n subset enumeration). *)
-
 val solve_floats : Instance.t -> float array
+[@@midrr.lint.allow "R9"] (* the exact reference tests hold Maxmin.solve to *)
 (** Convenience: convert, solve exactly, return floats. *)

@@ -33,10 +33,6 @@ let make n d = normalize n d
 let of_int i = { n = Int64.of_int i; d = 1L }
 
 let zero = { n = 0L; d = 1L }
-let one = { n = 1L; d = 1L }
-
-let num t = t.n
-let den t = t.d
 
 let add a b = normalize (add64 (mul64 a.n b.d) (mul64 b.n a.d)) (mul64 a.d b.d)
 let sub a b = normalize (add64 (mul64 a.n b.d) (Int64.neg (mul64 b.n a.d))) (mul64 a.d b.d)
@@ -54,13 +50,13 @@ let compare a b =
   Int64.compare (mul64 a.n b.d) (mul64 b.n a.d)
 
 let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 let sign t = Int64.compare t.n 0L
 
 let to_float t = Int64.to_float t.n /. Int64.to_float t.d
 
-let of_float_approx ?(max_den = 1_000_000L) x =
+let max_den = 1_000_000L
+
+let of_float_approx x =
   if Float.is_nan x || not (Float.is_finite x) then
     invalid_arg "Rat.of_float_approx: not finite";
   if Float.is_integer x then normalize (Int64.of_float x) 1L

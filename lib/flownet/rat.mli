@@ -13,14 +13,11 @@ type t
 exception Overflow
 
 val make : int64 -> int64 -> t
+[@@midrr.lint.allow "R9"] (* test_flownet builds expected values with these *)
 (** [make num den].  Raises [Division_by_zero] when [den = 0]. *)
 
-val of_int : int -> t
+val of_int : int -> t [@@midrr.lint.allow "R9"]
 val zero : t
-val one : t
-
-val num : t -> int64
-val den : t -> int64
 
 val add : t -> t -> t
 val sub : t -> t -> t
@@ -28,18 +25,15 @@ val mul : t -> t -> t
 val div : t -> t -> t
 (** Raises [Division_by_zero]. *)
 
-val neg : t -> t
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 val sign : t -> int
 
 val to_float : t -> float
 
-val of_float_approx : ?max_den:int64 -> float -> t
-(** Best rational approximation with denominator at most [max_den]
-    (default 1_000_000), via continued fractions.  Exact for inputs that
+val of_float_approx : float -> t
+(** Best rational approximation with denominator at most 1_000_000, via
+    continued fractions.  Exact for inputs that
     are such rationals. *)
 
-val pp : Format.formatter -> t -> unit
+val pp : Format.formatter -> t -> unit [@@midrr.lint.allow "R9"]

@@ -28,6 +28,3 @@ let is_contiguous ranges =
         offset = expected && length > 0 && go (offset + length) rest
   in
   go 0 ranges
-
-let pp ppf { offset; length } =
-  Format.fprintf ppf "bytes=%d-%d" offset (offset + length - 1)

@@ -62,6 +62,7 @@ val add_transfer :
     state changes, not when the deferred registration runs. *)
 
 val stop_transfer : t -> ?at:float -> Types.flow_id -> unit
+[@@midrr.lint.allow "R9"] (* only test_http stops a transfer *)
 
 val run : t -> until:float -> unit
 
@@ -73,12 +74,14 @@ val goodput_series : t -> Types.flow_id -> (float * float) array
 val avg_goodput : t -> Types.flow_id -> t0:float -> t1:float -> float
 
 val received_bytes : t -> Types.flow_id -> int
+[@@midrr.lint.allow "R9"] (* test_http reads the meter's counts with these *)
 
 val completion_time : t -> Types.flow_id -> float option
 (** When the received bytes reached [total_bytes]; [None] before, and
     always for an endless transfer. *)
 
 val served_cell : t -> flow:Types.flow_id -> iface:Types.iface_id -> int
+[@@midrr.lint.allow "R9"]
 (** Bytes of the flow delivered through the interface. *)
 
 type snapshot

@@ -48,7 +48,6 @@ let default =
         "lib/sim/meter";
         "lib/httpsim/proxy";
         "lib/obs/sink";
-        "lib/obs/recorder";
         "lib/obs/jsonl";
         "lib/obs/event";
         "lib/obs/metrics";
@@ -68,7 +67,7 @@ let default =
     (* R7 roots: the decision path (its runtime allocation gate runs
        beside this proof in @crosscheck), the PIFO substrate's
        per-decision ops, the int-slot ring ops the engine drives per
-       decision, the recorder sink and the platforms' delivery meter.
+       decision and the platforms' delivery meter.
        Specs match against display names ("Unit.sub.value"); a trailing
        ".*" matches a whole prefix. *)
     typed_entry_points =
@@ -94,7 +93,6 @@ let default =
         "Active_ring.insert_before";
         "Active_ring.remove";
         "Active_ring.next";
-        "Recorder.record";
         "Meter.deliver";
         (* telemetry plane: every hot registry op, the bus fold and the
            span probes carry the same zero-allocation claim; @crosscheck

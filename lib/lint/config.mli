@@ -26,9 +26,6 @@ type t = {
 
 val default : t
 
-val module_name_of_file : string -> string
-(** Basename without extension. *)
-
 val module_path_of_file : string -> string
 (** Repo-relative path without extension (["lib/core/drr_engine.ml"]
     becomes ["lib/core/drr_engine"]). *)

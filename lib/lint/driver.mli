@@ -18,6 +18,7 @@ val clean : report -> bool
     warnings are reported but do not fail the gate. *)
 
 val lint_string : ?config:Config.t -> file:string -> string -> Finding.t list
+[@@midrr.lint.allow "R9"] (* the lint tests run the rules on fixtures by it *)
 (** Lint in-memory source (test fixtures).  Raises [Invalid_argument] on
     parse errors. *)
 
@@ -38,6 +39,7 @@ val scan :
   baseline:Baseline.t ->
   unit ->
   report
+[@@midrr.lint.allow "R9"] (* test_lint runs the CLI's untyped scan by it *)
 
 val all_keys :
   ?config:Config.t -> root:string -> dirs:string list -> unit -> string list

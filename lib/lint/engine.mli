@@ -4,17 +4,9 @@
     expression, value binding or [Pstr_eval] item, or file-wide via a
     floating [[@@@midrr.lint.allow "..."]]. *)
 
-val allow_attr_name : string
-
 val allows_of_attrs : Parsetree.attributes -> Rule.t list
 (** Rule ids listed by [@midrr.lint.allow "..."] attributes.  Typedtree
     attributes are Parsetree attributes, so the typed tier shares this. *)
-
-val lint_structure :
-  Config.t -> file:string -> Parsetree.structure -> Finding.t list
-
-val lint_signature :
-  Config.t -> file:string -> Parsetree.signature -> Finding.t list
 
 val lint_source :
   Config.t -> file:string -> string -> (Finding.t list, string) result

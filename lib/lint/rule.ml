@@ -1,6 +1,6 @@
-type t = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8
+type t = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
 
-let all = [ R1; R2; R3; R4; R5; R6; R7; R8 ]
+let all = [ R1; R2; R3; R4; R5; R6; R7; R8; R9 ]
 
 let id = function
   | R1 -> "R1"
@@ -11,6 +11,7 @@ let id = function
   | R6 -> "R6"
   | R7 -> "R7"
   | R8 -> "R8"
+  | R9 -> "R9"
 
 let of_id = function
   | "R1" -> Some R1
@@ -21,6 +22,7 @@ let of_id = function
   | "R6" -> Some R6
   | "R7" -> Some R7
   | "R8" -> Some R8
+  | "R9" -> Some R9
   | _ -> None
 
 let title = function
@@ -32,6 +34,7 @@ let title = function
   | R6 -> "shared mutable capture in a Par task closure"
   | R7 -> "allocation reachable from a decision entry point"
   | R8 -> "shared mutable write reachable from a Par task"
+  | R9 -> "exported value that no program references"
 
 let hint = function
   | R1 ->
@@ -67,6 +70,11 @@ let hint = function
        (Par merges positionally), replace the shared cell with Atomic.t, \
        or, if the write is provably disjoint, say so with \
        [@midrr.lint.allow \"R8\"]"
+  | R9 ->
+      "drop the value from the .mli if its own unit still uses it, delete \
+       it (and the tests that test only it) if nothing does, or keep it \
+       with [@@midrr.lint.allow \"R9\"] on the val and a one-line reason \
+       when a test checks through it behaviour a program has"
 
 (* Long-form rationale behind each rule, printed by
    `midrr-lint --explain`.  The one-line [title]/[hint] pair stays the
@@ -147,6 +155,18 @@ let description = function
        synchronization owner) is excluded.  This is the race detector \
        required before flows are partitioned across domains.  Scope: \
        `midrr-lint --typed` / `dune build @lint-typed`."
+  | R9 ->
+      "No export without a caller.  Every explicit top-level val of a \
+       lib/ interface (.mli) must be referenced by another unit of the \
+       programs: lib/, bin/, bench/ and examples/.  A reference is an \
+       identifier in any expression of those units, top-level `let () =` \
+       included, matched by its resolved path, so the values an `include` \
+       of a functor application brings in count.  test/ is not a caller: \
+       surface kept for a test carries [@@midrr.lint.allow \"R9\"] on its \
+       val with the reason.  Vals an `include` brings into the .mli are \
+       skipped.  Units without an .mli (lib/lint/typed/*.ml, \
+       lib/core/wfq.ml) are out of scope.  Scope: `midrr-lint --typed` / \
+       `dune build @lint-typed`."
 
 let equal a b = String.equal (id a) (id b)
 let compare a b = String.compare (id a) (id b)

@@ -2,7 +2,7 @@
 
     Each rule enforces one scheduler-specific invariant; see DESIGN.md
     sections 9 and 13 for the rationale behind every rule.  R1–R6 are
-    enforced by the untyped Parsetree pass ({!Engine}); R7 and R8 need
+    enforced by the untyped Parsetree pass ({!Engine}); R7–R9 need
     fully-resolved identifiers and types, so they live in the typed tier
     over [.cmt] files (the [midrr.lint-typed] library). *)
 
@@ -24,6 +24,9 @@ type t =
   | R8
       (** typed tier: no write to non-task-local mutable state in any
           function reachable from a [Par.run] / [Par.map] task *)
+  | R9
+      (** typed tier: no val in a [lib/] interface that no other unit of
+          [lib/], [bin/], [bench/] or [examples/] references *)
 
 val all : t list
 val id : t -> string

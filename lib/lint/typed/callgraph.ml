@@ -85,11 +85,14 @@ let canonical t comps =
     let key = String.concat "." (c0 :: rest) in
     if Hashtbl.mem t.nodes key then Node key else External key
   in
+  (* The wrapper-alias pair comes first: with the generated wrapper
+     unit ([Midrr_core]) loaded, "Midrr_core.Active_ring.length" must
+     still reach the unit that defines it. *)
   match comps with
   | [] -> External ""
-  | c0 :: rest when Hashtbl.mem t.units c0 -> join c0 rest
   | c0 :: c1 :: rest when Hashtbl.mem t.units (c0 ^ "__" ^ c1) ->
       join (c0 ^ "__" ^ c1) rest
+  | c0 :: rest when Hashtbl.mem t.units c0 -> join c0 rest
   | _ -> External (String.concat "." comps)
 
 let resolve t ~unit_name p =
@@ -316,6 +319,17 @@ let patch_local_submodules u (str : Typedtree.structure) =
 
 (* ---- edges ----------------------------------------------------------- *)
 
+(* A constant's right-hand side runs once, at module initialisation: a
+   reference to it reads the built value and reaches none of its
+   callees.  Only a function, or a binding that may evaluate to one (an
+   application or an alias), passes reachability on. *)
+let passes_reach node =
+  node.n_is_function
+  ||
+  match node.n_expr.exp_desc with
+  | Texp_apply _ | Texp_ident _ -> true
+  | _ -> false
+
 let collect_edges t node =
   let super = Tast_iterator.default_iterator in
   let expr sub (e : Typedtree.expression) =
@@ -356,8 +370,8 @@ let build inputs =
       Hashtbl.iter
         (fun _ key ->
           match Hashtbl.find_opt t.nodes key with
-          | Some node -> collect_edges t node
-          | None -> ())
+          | Some node when passes_reach node -> collect_edges t node
+          | Some _ | None -> ())
         u.u_values)
     us;
   t
@@ -414,8 +428,9 @@ let resolution_matches_entry t ~spec r =
 
 (* Breadth-first reachability from [roots] (node keys).  Returns a table
    mapping each reachable key to the root's display name that first
-   reached it (for blame messages). *)
-let reachable t roots =
+   reached it (for blame messages).  A node [stop] holds is reached but
+   not expanded. *)
+let reachable ?(stop = fun _ -> false) t roots =
   let seen = Hashtbl.create 64 in
   let queue = Queue.create () in
   List.iter
@@ -429,11 +444,17 @@ let reachable t roots =
     let why =
       match Hashtbl.find_opt seen key with Some w -> w | None -> key
     in
-    List.iter
-      (fun callee ->
-        if not (Hashtbl.mem seen callee) then (
-          Hashtbl.replace seen callee why;
-          Queue.add callee queue))
-      (callees t key)
+    let expand =
+      match Hashtbl.find_opt t.nodes key with
+      | Some n -> not (stop n)
+      | None -> true
+    in
+    if expand then
+      List.iter
+        (fun callee ->
+          if not (Hashtbl.mem seen callee) then (
+            Hashtbl.replace seen callee why;
+            Queue.add callee queue))
+        (callees t key)
   done;
   seen

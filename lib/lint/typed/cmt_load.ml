@@ -1,7 +1,7 @@
-(* Locate and read the [.cmt] artifacts a normal [dune build] leaves
-   under [_build], map each back to its repo-relative source, and check
-   freshness by content digest (mtime-independent: dune rewrites
-   artifacts freely). *)
+(* Locate and read the [.cmt] and [.cmti] artifacts a normal [dune
+   build] leaves under [_build], map each back to its repo-relative
+   source, and check freshness by content digest (mtime-independent:
+   dune rewrites artifacts freely). *)
 
 type loaded = {
   l_modname : string;
@@ -9,8 +9,15 @@ type loaded = {
   l_structure : Typedtree.structure;
 }
 
+type interface = {
+  i_modname : string;
+  i_file : string;  (* repo-relative .mli path *)
+  i_signature : Typedtree.signature;
+}
+
 type result = {
   loaded : loaded list;
+  interfaces : interface list;  (* the .mli files under lib/ *)
   warnings : string list;  (* unreadable or stale cmts, with detail *)
   stale : string list;  (* sources whose cmt predates the current text *)
   missing : string list;  (* scanned .ml files with no cmt at all *)
@@ -23,7 +30,7 @@ let under_dir file dir =
 
 let is_relative = Filename.is_relative
 
-(* Walk [dir] recursively collecting .cmt paths. *)
+(* Walk [dir] recursively collecting .cmt and .cmti paths. *)
 let rec collect_cmts dir acc =
   if Sys.file_exists dir && Sys.is_directory dir then
     Array.fold_left
@@ -31,14 +38,20 @@ let rec collect_cmts dir acc =
         let path = Filename.concat dir name in
         if Sys.is_directory path then
           if String.equal name ".git" then acc else collect_cmts path acc
-        else if Filename.check_suffix name ".cmt" then path :: acc
+        else if
+          Filename.check_suffix name ".cmt"
+          || Filename.check_suffix name ".cmti"
+        then path :: acc
         else acc)
       acc (Sys.readdir dir)
   else acc
 
-(* Walk [root]/[d] for .ml implementation files (mirrors the untyped
-   driver's walk, minus .mli: interfaces have no cmt we care about). *)
-let rec collect_ml root rel acc =
+(* Interfaces are read for the units R9 judges: lib/ alone. *)
+let interface_dir = "lib"
+
+(* Walk [root]/[d] for the sources that must have an artifact: every
+   .ml (mirrors the untyped driver's walk) and the .mli files R9 reads. *)
+let rec collect_sources root rel acc =
   let abs = Filename.concat root rel in
   if Sys.is_directory abs then
     Array.fold_left
@@ -47,15 +60,42 @@ let rec collect_ml root rel acc =
           (String.length name > 0 && Char.equal name.[0] '.')
           || String.equal name "_build" || String.equal name "_opam"
         then acc
-        else collect_ml root (Filename.concat rel name) acc)
+        else collect_sources root (Filename.concat rel name) acc)
       acc (Sys.readdir abs)
-  else if Filename.check_suffix rel ".ml" then rel :: acc
+  else if
+    Filename.check_suffix rel ".ml"
+    || (Filename.check_suffix rel ".mli" && under_dir rel interface_dir)
+  then rel :: acc
   else acc
 
 let load ~root ~build_dir ~dirs () =
   let cmts = List.sort String.compare (collect_cmts build_dir []) in
-  let loaded = ref [] and warnings = ref [] and stale = ref [] in
+  let loaded = ref [] and interfaces = ref [] in
+  let warnings = ref [] and stale = ref [] in
   let seen_sources = Hashtbl.create 64 in
+  (* The text a cmt was compiled from: the repo file, or, for a unit
+     dune generates (a library wrapper, [dune__exe], [build_info.ml]),
+     its copy in the build directory.  Generated units carry the
+     module aliases that cross-unit paths go through, so they load
+     wherever the tier runs from; they hold no finding of their own. *)
+  let source_of sf =
+    List.find_opt Sys.file_exists
+      [ Filename.concat root sf; Filename.concat build_dir sf ]
+  in
+  let fresh sf digest =
+    match (source_of sf, digest) with
+    | None, _ -> false
+    | Some src, Some digest when not (String.equal digest (Digest.file src)) ->
+        stale := sf :: !stale;
+        warnings :=
+          Printf.sprintf
+            "stale cmt for %s: source changed since the last build — run \
+             [dune build] and retry"
+            sf
+          :: !warnings;
+        false
+    | Some _, _ -> true
+  in
   List.iter
     (fun path ->
       match Cmt_format.read_cmt path with
@@ -65,41 +105,36 @@ let load ~root ~build_dir ~dirs () =
             :: !warnings
       | infos -> (
           match (infos.cmt_sourcefile, infos.cmt_annots) with
-          | Some sf, Cmt_format.Implementation str
-            when is_relative sf
-                 && List.exists (under_dir sf) dirs
-                 && not (Hashtbl.mem seen_sources sf) -> (
-              let src = Filename.concat root sf in
-              if not (Sys.file_exists src) then
-                (* generated source (e.g. a dune module wrapper): not a
-                   repo file, nothing to report findings against *)
-                ()
-              else
-                match infos.cmt_source_digest with
-                | Some digest when not (String.equal digest (Digest.file src))
-                  ->
-                    stale := sf :: !stale;
-                    warnings :=
-                      Printf.sprintf
-                        "stale cmt for %s: source changed since the last \
-                         build — run [dune build] and retry"
-                        sf
-                      :: !warnings
-                | _ ->
-                    Hashtbl.replace seen_sources sf ();
-                    loaded :=
-                      {
-                        l_modname = infos.cmt_modname;
-                        l_file = sf;
-                        l_structure = str;
-                      }
-                      :: !loaded)
+          | Some sf, _
+            when (not (is_relative sf))
+                 || (not (List.exists (under_dir sf) dirs))
+                 || Hashtbl.mem seen_sources sf ->
+              ()
+          | Some sf, Cmt_format.Implementation str ->
+              if fresh sf infos.cmt_source_digest then begin
+                Hashtbl.replace seen_sources sf ();
+                loaded :=
+                  {
+                    l_modname = infos.cmt_modname;
+                    l_file = sf;
+                    l_structure = str;
+                  }
+                  :: !loaded
+              end
+          | Some sf, Cmt_format.Interface sg
+            when under_dir sf interface_dir && fresh sf infos.cmt_source_digest
+            ->
+              Hashtbl.replace seen_sources sf ();
+              interfaces :=
+                { i_modname = infos.cmt_modname; i_file = sf; i_signature = sg }
+                :: !interfaces
           | _ -> ()))
     cmts;
   let missing =
     List.concat_map
       (fun d ->
-        if Sys.file_exists (Filename.concat root d) then collect_ml root d []
+        if Sys.file_exists (Filename.concat root d) then
+          collect_sources root d []
         else [])
       dirs
     |> List.filter (fun sf -> not (Hashtbl.mem seen_sources sf))
@@ -108,6 +143,8 @@ let load ~root ~build_dir ~dirs () =
   {
     loaded =
       List.sort (fun a b -> String.compare a.l_file b.l_file) !loaded;
+    interfaces =
+      List.sort (fun a b -> String.compare a.i_file b.i_file) !interfaces;
     warnings = List.rev !warnings;
     stale = List.sort String.compare !stale;
     missing;

@@ -3,21 +3,7 @@ open Midrr_lint
 (* Discovery driver for the typed tier: load cmts from the build
    directory, run the analyses, and hand back findings keyed for the
    shared baseline.  The CLI merges these with the untyped tier's
-   findings under one [Baseline.apply]; typed-only reports (tests, ad
-   hoc runs) go through [scan]. *)
-
-type report = {
-  units_loaded : int;
-  findings : Finding.t list;
-  baselined : int;
-  stale_baseline : (string * int) list;
-  warnings : string list;
-  missing_cmts : string list;
-}
-
-let clean r =
-  (match r.findings with [] -> true | _ -> false)
-  && (match r.missing_cmts with [] -> true | _ -> false)
+   findings under one [Baseline.apply]. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -61,7 +47,19 @@ let collect_keys ?(config = Config.default) ~root ~build_dir ~dirs () =
         })
       r.loaded
   in
-  let findings, analysis_warnings = Typed_engine.analyze ~config inputs in
+  let interfaces =
+    List.map
+      (fun (i : Cmt_load.interface) ->
+        {
+          Export_rule.modname = i.i_modname;
+          file = i.i_file;
+          signature = i.i_signature;
+        })
+      r.interfaces
+  in
+  let findings, analysis_warnings =
+    Typed_engine.analyze ~config ~interfaces inputs
+  in
   let key = keyer ~root in
   let with_keys = List.map (fun f -> (f, key f)) findings in
   let missing_warnings =
@@ -78,29 +76,6 @@ let collect_keys ?(config = Config.default) ~root ~build_dir ~dirs () =
     r.warnings @ missing_warnings @ analysis_warnings,
     List.sort String.compare (r.missing @ r.stale) )
 
-let scan ?(config = Config.default) ~root ~build_dir ~dirs ~baseline () =
-  let units_loaded, with_keys, warnings, missing_cmts =
-    collect_keys ~config ~root ~build_dir ~dirs ()
-  in
-  let findings, baselined, stale_baseline = Baseline.apply baseline with_keys in
-  { units_loaded; findings; baselined; stale_baseline; warnings; missing_cmts }
-
 let all_keys ?(config = Config.default) ~root ~build_dir ~dirs () =
   let _, with_keys, _, _ = collect_keys ~config ~root ~build_dir ~dirs () in
   List.map snd with_keys
-
-let pp_report ppf r =
-  List.iter (fun f -> Format.fprintf ppf "@[<v>%a@]@." Finding.pp f) r.findings;
-  List.iter (fun w -> Format.fprintf ppf "warning: %s@." w) r.warnings;
-  List.iter
-    (fun (k, n) ->
-      Format.fprintf ppf "stale baseline entry (%d unmatched): %s@." n
-        (String.concat " | " (String.split_on_char '\t' k)))
-    r.stale_baseline;
-  Format.fprintf ppf
-    "midrr-lint[typed]: %d unit(s) loaded, %d fresh finding(s), %d \
-     baselined, %d missing cmt(s)@."
-    r.units_loaded
-    (List.length r.findings)
-    r.baselined
-    (List.length r.missing_cmts)

@@ -2,8 +2,9 @@ open Midrr_lint
 
 (* Orchestration of the typed tier: build the call graph over all
    loaded units, then run R7 (static zero-allocation over the entry
-   reachability set) and R8 (interprocedural domain-safety over the
-   Par-task reachability set). *)
+   reachability set), R8 (interprocedural domain-safety over the
+   Par-task reachability set) and R9 (every val of the given interfaces
+   has a caller among the loaded units). *)
 
 type unit_input = {
   ui_modname : string;
@@ -50,7 +51,10 @@ let check_r7 ~cfg ~graph ~add_finding ~add_warning =
               the unit's .cmt was not loaded)"
              spec))
     cfg.Config.typed_entry_points;
-  let reach = Callgraph.reachable graph !roots in
+  (* A binding that allows R7 is a cold path by declaration (a
+     registration, a constructor): what it calls runs on that path. *)
+  let stop (n : Callgraph.node) = List.exists (Rule.equal Rule.R7) n.n_allows in
+  let reach = Callgraph.reachable ~stop graph !roots in
   Hashtbl.iter
     (fun key entry_spec ->
       match Callgraph.find_node graph key with
@@ -154,7 +158,8 @@ let check_r8 ~cfg ~graph ~inputs ~add_finding =
                 (Domain_rule.global_writes ~graph node))
     reach
 
-let analyze ?(config = Config.default) (inputs : unit_input list) =
+let analyze ?(config = Config.default) ?(interfaces = [])
+    (inputs : unit_input list) =
   let graph =
     Callgraph.build
       (List.map
@@ -171,5 +176,8 @@ let analyze ?(config = Config.default) (inputs : unit_input list) =
   let add_warning w = warnings := w :: !warnings in
   check_r7 ~cfg:config ~graph ~add_finding ~add_warning;
   check_r8 ~cfg:config ~graph ~inputs ~add_finding;
+  Export_rule.check ~graph
+    ~units:(List.map (fun ui -> (ui.ui_modname, ui.ui_structure)) inputs)
+    ~interfaces ~add_finding;
   let findings = List.sort_uniq Finding.compare !findings in
   (findings, List.rev !warnings)

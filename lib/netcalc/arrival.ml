@@ -1,10 +1,5 @@
 let token_bucket ~rate ~burst = Curve.affine ~burst ~rate
 
-let of_tokenbucket tb =
-  token_bucket
-    ~rate:(Midrr_core.Tokenbucket.rate tb)
-    ~burst:(Midrr_core.Tokenbucket.burst tb)
-
 let cbr ~rate_bps ~pkt =
   if pkt <= 0 then invalid_arg "Arrival.cbr: pkt <= 0";
   token_bucket ~rate:(rate_bps /. 8.0) ~burst:(Float.of_int pkt)

@@ -10,10 +10,6 @@
 val token_bucket : rate:float -> burst:float -> Curve.t
 (** [rate] in bytes/s, [burst] in bytes: the curve [burst + rate * t]. *)
 
-val of_tokenbucket : Midrr_core.Tokenbucket.t -> Curve.t
-(** The constraint a {!Midrr_core.Tokenbucket}-policed flow obeys —
-    its [(rate, burst)] parameters read back as a curve. *)
-
 val cbr : rate_bps:float -> pkt:int -> Curve.t
 (** A constant-bit-rate packet source: [rate_bps] in bits/s (the
     simulator's unit), burst of one packet. *)

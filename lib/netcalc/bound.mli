@@ -7,6 +7,7 @@ val delay : arrival:Curve.t -> service:Curve.t -> float
     its guaranteed rate (no bound exists). *)
 
 val backlog : arrival:Curve.t -> service:Curve.t -> float
+[@@midrr.lint.allow "R9"] (* test_bounds checks vdev's closed form by it *)
 (** Worst-case backlog (bytes): the vertical deviation. *)
 
 val tightness : bound:float -> observed:float -> float option

@@ -143,15 +143,6 @@ let is_convex c =
   done;
   !ok
 
-let is_concave c =
-  let eps = slope_eps c in
-  let ok = ref true in
-  for i = 1 to Array.length c - 1 do
-    if (not (continuous_at c i)) || c.(i).s > c.(i - 1).s +. eps then
-      ok := false
-  done;
-  !ok
-
 let is_nondecreasing c =
   let eps = slope_eps c in
   let ok = ref true in
@@ -264,12 +255,3 @@ let vdev ~alpha ~beta =
     Array.fold_left
       (fun acc x -> Float.max acc (eval alpha x -. eval beta x))
       0.0 (merged_xs alpha beta)
-
-let pp ppf c =
-  Format.fprintf ppf "@[<h>";
-  Array.iteri
-    (fun i sg ->
-      if i > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "[%g: %g +%g/s]" sg.x sg.y sg.s)
-    c;
-  Format.fprintf ppf "@]"

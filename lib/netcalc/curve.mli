@@ -29,13 +29,8 @@ val zero : t
 (** The identically-zero curve. *)
 
 val eval : t -> float -> float
+[@@midrr.lint.allow "R9"] (* test_bounds' algebra properties read curves *)
 (** Value at a time ([>= 0]; negative times evaluate to 0). *)
-
-val final_slope : t -> float
-(** Slope of the infinite last segment — the curve's long-run rate. *)
-
-val breakpoints : t -> float array
-(** Segment start times, ascending, first always [0]. *)
 
 val sum : t -> t -> t
 (** Pointwise sum (aggregating arrival curves). *)
@@ -44,6 +39,7 @@ val sub : t -> t -> t
 (** Pointwise difference; may go negative (clamp with {!pos}). *)
 
 val min_curve : t -> t -> t
+[@@midrr.lint.allow "R9"] (* only test_bounds' algebra properties call these *)
 (** Pointwise minimum, with breakpoints inserted at crossings.  Concave
     curves are closed under it. *)
 
@@ -54,25 +50,17 @@ val max_curve : t -> t -> t
 val pos : t -> t
 (** [max_curve c zero]: the non-negative part [c]+. *)
 
-val conv : t -> t -> t
+val conv : t -> t -> t [@@midrr.lint.allow "R9"]
 (** Min-plus convolution [(f ⊗ g)(t) = inf_s f(s) + g(t-s)] of two
     {e convex} curves: start at [f 0 + g 0] and concatenate all segments
     in nondecreasing slope order.  Rate-latency curves are closed under
     it: [conv (R1,T1) (R2,T2) = (min R1 R2, T1+T2)].  Raises
     [Invalid_argument] if either curve is not convex. *)
 
-val is_convex : t -> bool
+val is_convex : t -> bool [@@midrr.lint.allow "R9"]
 (** Continuous with nondecreasing slopes (up to a relative epsilon). *)
 
-val is_concave : t -> bool
-(** Nonincreasing slopes, continuous except for an upward jump at 0. *)
-
-val is_nondecreasing : t -> bool
-
-val inv : t -> float -> float
-(** [inv c y] is the smallest [t >= 0] with [eval c t >= y] (the
-    pseudo-inverse used by {!hdev}); [infinity] when the curve never
-    reaches [y].  Requires a nondecreasing curve. *)
+val is_nondecreasing : t -> bool [@@midrr.lint.allow "R9"]
 
 val hdev : alpha:t -> beta:t -> float
 (** Horizontal deviation [sup_t (inf { d | alpha t <= beta (t + d) })] —
@@ -85,5 +73,3 @@ val hdev : alpha:t -> beta:t -> float
 val vdev : alpha:t -> beta:t -> float
 (** Vertical deviation [sup_t (alpha t - beta t)] — the worst-case
     backlog bound. *)
-
-val pp : Format.formatter -> t -> unit

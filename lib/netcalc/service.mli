@@ -25,6 +25,7 @@ val lap_residual :
   deficit_cells:int ->
   competitors:competitor list ->
   Curve.t
+[@@midrr.lint.allow "R9"] (* test_bounds checks both residuals residual uses *)
 (** The round-robin ("lap") bound on one interface of line rate [C]:
     every full cursor lap grants the flow one service turn of at least
     its quantum [Q_i] while each competitor sends at most [Q_k + L_k]
@@ -40,6 +41,7 @@ val lap_residual :
     transmission when the flow becomes backlogged. *)
 
 val blind_residual : line_rate:float -> competitors:competitor list -> Curve.t option
+[@@midrr.lint.allow "R9"]
 (** The constrained-cross-traffic refinement: while the flow is
     backlogged the interface is work-conserving over its flows, so the
     flow receives at least [[C t - sum_k alpha_k t - L_max]+] whatever

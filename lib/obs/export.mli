@@ -12,8 +12,10 @@
     from its records. *)
 
 val sanitize : string -> string
+[@@midrr.lint.allow "R9"] (* test_metrics checks prometheus' name mangling *)
 
 val prometheus_string : Metrics.t -> string
+[@@midrr.lint.allow "R9"] (* test_golden pins write_prometheus' text by it *)
 
 val write_prometheus : Metrics.t -> path:string -> unit
 (** Atomic-enough file export: writes [path ^ ".tmp"], then renames

@@ -38,6 +38,7 @@ val gauge : t -> string -> gauge
 val set_gauge : t -> gauge -> float -> unit
 val incr_gauge : t -> gauge -> float -> unit
 val gauge_value : t -> gauge -> float
+[@@midrr.lint.allow "R9"] (* test_metrics reads the gauges publish sets *)
 
 val histogram :
   ?lo:float -> ?gamma:float -> ?bins:int -> t -> string -> histogram
@@ -47,8 +48,9 @@ val histogram :
     return the existing sketch and ignore the geometry arguments. *)
 
 val observe : t -> histogram -> float -> unit
+[@@midrr.lint.allow "R9"] (* R7 roots @crosscheck measures; no program calls *)
 
-val observe_ns : t -> histogram -> int -> unit
+val observe_ns : t -> histogram -> int -> unit [@@midrr.lint.allow "R9"]
 (** Duration in integer nanoseconds; see
     {!Log_histogram.observe_ns} for why computed durations should
     cross the call boundary as ints. *)

@@ -26,6 +26,7 @@ type discipline = Drr | Midrr
     deficit counter per allowed interface (DESIGN.md section 12). *)
 
 val discipline_name : discipline -> string
+[@@midrr.lint.allow "R9"] (* test_bounds labels its checked rows with it *)
 (** ["drr"] or ["midrr"] — matches the {!Scenario.sched_names} registry. *)
 
 type row = {
@@ -40,10 +41,12 @@ type row = {
 type report = { label : string; discipline : discipline; rows : row list }
 
 val min_line_rate : Link.t -> horizon:float -> float
+[@@midrr.lint.allow "R9"] (* test_bounds checks the rate analyze assumes *)
 (** Smallest line rate (bits/s) the profile offers in [0, horizon) — the
     conservative capacity the service curves assume. *)
 
 val analyze : discipline:discipline -> Scenario.t -> (string * float) list
+[@@midrr.lint.allow "R9"] (* test_bounds checks the bounds report prints *)
 (** Per-flow worst-case delay bounds (seconds), in declaration order.
     For each flow the bound is the minimum over its allowed interfaces of
     the horizontal deviation between its arrival curve and that

@@ -10,7 +10,10 @@ type t = {
 let create ?capacity () =
   { queue = Event_queue.create ?capacity (); clock = 0.0; executed = 0 }
 
-let now t = t.clock
+(* Returns the clock field's own box, which allocates nothing: R7 reads
+   any float return as a fresh box.  test_sim's allocation gate counts
+   the words of an event. *)
+let now t = t.clock [@@midrr.lint.allow "R7"]
 
 let[@inline] schedule t ~at f =
   if at < t.clock then invalid_arg "Engine.schedule: time in the past";

@@ -124,9 +124,3 @@ let[@inline] pop_min t =
   t.size <- last;
   sift_down t 0;
   t.items.(top)
-
-let clear t =
-  t.size <- 0;
-  (* Drop item references for the GC; key capacity is kept so a pre-sized
-     queue stays pre-sized across reuse. *)
-  t.items <- [||]

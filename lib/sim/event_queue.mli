@@ -32,5 +32,3 @@ val due : 'a t -> until:float -> bool
 val pop_min : 'a t -> 'a
 (** Remove and return the earliest item.  Raises [Invalid_argument] when
     empty. *)
-
-val clear : 'a t -> unit

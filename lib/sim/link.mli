@@ -1,8 +1,8 @@
 (** Link capacity profiles.
 
-    An interface's line rate over time: constant, piecewise-constant steps
-    (used to emulate the fluctuating WiFi links of the paper's HTTP
-    experiment), or periodic patterns. *)
+    An interface's line rate over time: constant, or piecewise-constant
+    steps (used to emulate the fluctuating WiFi links of the paper's HTTP
+    experiment). *)
 
 type t
 
@@ -14,20 +14,9 @@ val steps : initial:float -> (float * float) list -> t
     [(time, rate)] change at its absolute time.  Times must be positive and
     strictly increasing. *)
 
-val periodic : period:float -> (float * float) list -> t
-(** [periodic ~period segments] repeats the given pattern forever:
-    [segments] is a list of [(offset, rate)] with offsets in [0, period),
-    strictly increasing, first offset 0. *)
-
 val rate_at : t -> float -> float
 (** Line rate at an absolute time (>= 0). *)
 
 val next_change : t -> float -> float option
 (** The first time strictly after the given one at which the rate changes;
     [None] for constant profiles (or after the last step). *)
-
-val average : t -> t0:float -> t1:float -> float
-(** Exact time-average rate over [t0, t1) (piecewise integration).
-    Requires [0 <= t0 < t1]. *)
-
-val pp : Format.formatter -> t -> unit

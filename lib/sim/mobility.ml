@@ -22,10 +22,8 @@ let gauss_markov ?(seed = 1) ~mean ~sigma ~memory ~step ~horizon () =
   let changes = walk 0.0 mean [] in
   Link.steps ~initial:mean changes
 
-let coverage ?(seed = 1) ~rate_in ?(rate_out = 0.0) ~on_mean ~off_mean ~horizon
-    () =
+let coverage ?(seed = 1) ~rate_in ~on_mean ~off_mean ~horizon () =
   if not (rate_in > 0.0) then invalid_arg "Mobility.coverage: rate_in <= 0";
-  if rate_out < 0.0 then invalid_arg "Mobility.coverage: negative rate_out";
   if not (on_mean > 0.0 && off_mean > 0.0) then
     invalid_arg "Mobility.coverage: non-positive period";
   let rng = Rng.create ~seed in
@@ -36,7 +34,7 @@ let coverage ?(seed = 1) ~rate_in ?(rate_out = 0.0) ~on_mean ~off_mean ~horizon
         Rng.exponential rng ~mean:(if inside then on_mean else off_mean)
       in
       let t' = t +. span in
-      let next_rate = if inside then rate_out else rate_in in
+      let next_rate = if inside then 0.0 else rate_in in
       if t' >= horizon then List.rev acc
       else build t' (not inside) ((t', next_rate) :: acc)
   in

@@ -29,14 +29,14 @@ val gauss_markov :
 val coverage :
   ?seed:int ->
   rate_in:float ->
-  ?rate_out:float ->
   on_mean:float ->
   off_mean:float ->
   horizon:float ->
   unit ->
   Link.t
 (** Alternating exponential in-coverage ([rate_in]) and out-of-coverage
-    ([rate_out], default 0) periods starting in coverage. *)
+    (rate 0) periods starting in coverage. *)
 
 val mean_rate : Link.t -> horizon:float -> samples:int -> float
+[@@midrr.lint.allow "R9"] (* test_sim checks the profiles' means with it *)
 (** Time-average of a profile, for calibrating scenarios. *)

@@ -24,25 +24,9 @@ type outcome = {
   rendered : string;  (** the point's report, rendered under a header *)
 }
 
-val grid :
-  ?sched:Scenario.sched_spec ->
-  scenarios:(string * Scenario.t) list ->
-  seeds:int list ->
-  engines:Scenario.engine list ->
-  unit ->
-  point array
-(** The full cross product, scenario-major then seed then engine.  The
-    order fixes the merged output independent of execution.  [sched]
-    applies the same discipline override to every point. *)
-
 val derived_seeds : ?seed:int -> int -> int list
 (** [derived_seeds ~seed n] expands one master seed (default 42) into [n]
     per-point seeds via {!Midrr_par.Par.split_seeds}. *)
-
-val run_point : point -> outcome
-(** Run one grid point to a rendered report.  A discipline override adds
-    [ sched=NAME] to the point's header; without one the header is
-    byte-identical to earlier releases. *)
 
 val run :
   ?jobs:int ->

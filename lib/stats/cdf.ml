@@ -68,12 +68,3 @@ let complementary t x = 1.0 -. eval t x
 let support t = Array.copy t.values
 
 let points t = Array.init (Array.length t.values) (fun i -> (t.values.(i), t.cum.(i)))
-
-let count t = t.count
-
-let pp ?(column_width = 12) ppf t =
-  Format.fprintf ppf "%*s %*s@." column_width "value" column_width "P(X<=v)";
-  Array.iteri
-    (fun i v ->
-      Format.fprintf ppf "%*.4g %*.4f@." column_width v column_width t.cum.(i))
-    t.values

@@ -17,6 +17,7 @@ val of_weighted : (float * float) list -> t
     empty. *)
 
 val eval : t -> float -> float
+[@@midrr.lint.allow "R9"] (* tests read Fig. 7 and Fig. 9's CDFs with it *)
 (** [eval t x] is P(X <= x). *)
 
 val quantile : t -> q:float -> float
@@ -24,17 +25,13 @@ val quantile : t -> q:float -> float
     [eval t v >= q]. *)
 
 val complementary : t -> float -> float
+[@@midrr.lint.allow "R9"] (* only test_stats calls it, beside eval *)
 (** [complementary t x] is P(X > x) = 1 - eval t x. *)
 
 val support : t -> float array
+[@@midrr.lint.allow "R9"] (* test_stats counts the steps points prints *)
 (** Distinct sample values in increasing order. *)
 
 val points : t -> (float * float) array
 (** The CDF as [(value, cumulative-probability)] steps, suitable for
     plotting or golden-file comparison. *)
-
-val count : t -> int
-(** Number of samples (1 per weighted point for weighted CDFs). *)
-
-val pp : ?column_width:int -> Format.formatter -> t -> unit
-(** Render the CDF as a two-column table. *)

@@ -105,11 +105,6 @@ let bucket_count t i =
     invalid_arg "Log_histogram.bucket_count: index out of range";
   t.counts.(i)
 
-let bucket_edges t i =
-  if i < 0 || i >= Array.length t.counts then
-    invalid_arg "Log_histogram.bucket_edges: index out of range";
-  (t.lo *. (t.gamma ** Float.of_int i), t.lo *. (t.gamma ** Float.of_int (i + 1)))
-
 (* Quantiles report the *upper* edge of the bucket holding the rank,
    clamped by the exact running max: the estimate is never below the
    true quantile (bound harnesses stay sound) and never above the true
@@ -171,26 +166,5 @@ let copy t =
     stats = Array.copy t.stats;
   }
 
-let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.stats.(s_sum) <- 0.0;
-  t.stats.(s_max) <- Float.neg_infinity;
-  t.stats.(s_min) <- Float.infinity;
-  t.underflow <- 0;
-  t.overflow <- 0;
-  t.nan <- 0;
-  t.total <- 0
-
 let lo t = t.lo
 let gamma t = t.gamma
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>log-histogram: %d obs (%d under, %d over, %d nan)@," t.total
-    t.underflow t.overflow t.nan;
-  if t.total > 0 then
-    Format.fprintf ppf
-      "min %.6g  mean %.6g  max %.6g@,p50 %.6g  p90 %.6g  p99 %.6g  p999 %.6g@,"
-      (min_value t) (mean t) (max_value t) (quantile t ~q:0.5)
-      (quantile t ~q:0.9) (quantile t ~q:0.99) (quantile t ~q:0.999);
-  Format.fprintf ppf "@]"

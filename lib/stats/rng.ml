@@ -76,35 +76,6 @@ let gaussian t ~mu ~sigma =
 
 let lognormal t ~mu ~sigma = exp (gaussian t ~mu ~sigma)
 
-let pareto t ~alpha ~x_min =
-  assert (alpha > 0. && x_min > 0.);
-  let u = 1.0 -. float t in
-  x_min /. (u ** (1.0 /. alpha))
-
-let zipf t ~n ~s =
-  assert (n > 0);
-  let h = Array.make (n + 1) 0.0 in
-  for k = 1 to n do
-    h.(k) <- h.(k - 1) +. (1.0 /. (Float.of_int k ** s))
-  done;
-  let target = float t *. h.(n) in
-  (* Binary search the first rank whose cumulative mass exceeds [target]. *)
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if h.(mid) >= target then search lo mid else search (mid + 1) hi
-  in
-  search 1 n
-
 let choose t arr =
   assert (Array.length arr > 0);
   arr.(int t ~bound:(Array.length arr))
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t ~bound:(i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

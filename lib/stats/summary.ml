@@ -25,14 +25,6 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
-let min xs =
-  if Array.length xs = 0 then Float.nan
-  else Array.fold_left Float.min xs.(0) xs
-
-let max xs =
-  if Array.length xs = 0 then Float.nan
-  else Array.fold_left Float.max xs.(0) xs
-
 let percentile_sorted sorted ~p =
   let n = Array.length sorted in
   if n = 0 then Float.nan
@@ -100,10 +92,3 @@ let describe xs =
       (if Array.length sorted = 0 then Float.nan
        else sorted.(Array.length sorted - 1));
   }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "n=%d mean=%.4g sd=%.4g min=%.4g p25=%.4g med=%.4g p75=%.4g p90=%.4g \
-     p99=%.4g p999=%.4g max=%.4g"
-    t.count t.mean t.stddev t.min t.p25 t.median t.p75 t.p90 t.p99 t.p999
-    t.max

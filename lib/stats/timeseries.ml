@@ -9,11 +9,12 @@ let create ~bin =
   if not (bin > 0.0) then invalid_arg "Timeseries.create: bin <= 0";
   { bin; bins = Array.make 64 0; last = -1; total = 0 }
 
+(* Doubling growth: amortized over the bins it adds. *)
 let ensure t i =
   let n = Array.length t.bins in
   if i >= n then begin
     let n' = Stdlib.max (i + 1) (2 * n) in
-    let bins = Array.make n' 0 in
+    let bins = (Array.make n' 0 [@midrr.lint.allow "R7"]) in
     Array.blit t.bins 0 bins 0 n;
     t.bins <- bins
   end
@@ -25,8 +26,6 @@ let record t ~time ~bytes =
   t.bins.(i) <- t.bins.(i) + bytes;
   t.total <- t.total + bytes;
   if i > t.last then t.last <- i
-
-let bin_width t = t.bin
 
 let n_bins t = t.last + 1
 

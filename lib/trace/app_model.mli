@@ -26,13 +26,8 @@ type profile = {
   long_flow_mean : float;  (** exponential mean of the long flow, seconds *)
 }
 
-val web : profile
-val video : profile
-val audio : profile
-val messaging : profile
-val sync : profile
-
 val default_mix : profile list
 (** The calibrated mix used by {!Gen.default_params}. *)
 
 val name : kind -> string
+[@@midrr.lint.allow "R9"] (* test_trace names a bad profile with it *)

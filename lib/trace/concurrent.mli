@@ -5,6 +5,7 @@
     {e active} periods only — instants with at least one ongoing flow. *)
 
 val occupancy : ?horizon:float -> Gen.interval list -> (int * float) list
+[@@midrr.lint.allow "R9"] (* test_trace checks Fig. 7's occupancy steps *)
 (** [(k, seconds)] pairs: total time spent with exactly [k] concurrent
     flows, for every [k] that occurs (including 0), ascending.  Counting
     starts at time 0; pass [horizon] to also count the idle tail after the

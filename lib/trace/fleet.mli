@@ -38,6 +38,7 @@ type params = {
 }
 
 val default_params : params
+[@@midrr.lint.allow "R9"] (* test_shard replays a scaled fleet from it *)
 (** A small smoke-scale configuration (tens of thousands of flows). *)
 
 val million_params : params

@@ -514,17 +514,6 @@ let test_engine_considered_grows () =
   ignore (Drr_engine.next_packet m 0);
   Alcotest.(check bool) "work accounted" true (Drr_engine.considered m > before)
 
-let test_engine_reset_counters () =
-  let m = Midrr.create () in
-  Drr_engine.add_iface m 0;
-  Drr_engine.add_flow m ~flow:1 ~weight:1.0 ~allowed:[ 0 ];
-  ignore (Drr_engine.enqueue m (pkt ~flow:1 100));
-  ignore (Drr_engine.next_packet m 0);
-  Alcotest.(check bool) "served" true (Drr_engine.served_bytes m 1 > 0);
-  Drr_engine.reset_counters m;
-  Alcotest.(check int) "reset" 0 (Drr_engine.served_bytes m 1);
-  Alcotest.(check int) "considered reset" 0 (Drr_engine.considered m)
-
 (* Live major-heap words per registered flow on interfaces [ifaces].
    miDRR keeps one deficit and one flag per (flow, interface) edge of Π,
    so a flow's state must grow with its own preference list only. *)
@@ -630,7 +619,6 @@ let () =
             test_engine_counter_saturates;
           Alcotest.test_case "considered grows" `Quick
             test_engine_considered_grows;
-          Alcotest.test_case "reset counters" `Quick test_engine_reset_counters;
           Alcotest.test_case "per-flow footprint" `Quick
             test_engine_flow_footprint;
         ] );

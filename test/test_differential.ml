@@ -338,9 +338,7 @@ let run_config cfg =
         if af || ar then
           Alcotest.failf "%s step %d: unknown-flow enqueue accepted" cfg.label
             step
-    | _ ->
-        F.reset_counters p.fast;
-        R.reset_counters p.refe);
+    | _ -> ());
     check_events cfg step p;
     check_state cfg step ~flows:!flows ~ifaces:!ifaces p
   done;

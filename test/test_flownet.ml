@@ -328,7 +328,7 @@ let test_diagnose_fig1c () =
     Instance.make ~weights:[| 1.0; 1.0 |] ~capacities:[| 1.0; 1.0 |]
       ~allowed:[| [| true; true |]; [| false; true |] |]
   in
-  let e = Diagnose.explain inst ~flow:1 in
+  let e = List.nth (Diagnose.explain_all inst) 1 in
   close "rate" 1.0 e.rate;
   (match e.binding with
   | Diagnose.Saturated_ifaces [ 1 ] -> ()
@@ -344,7 +344,7 @@ let test_diagnose_headroom () =
     Instance.make ~weights:[| 1.0; 1.0 |] ~capacities:[| 2.0; 8.0 |]
       ~allowed:[| [| true; true |]; [| true; false |] |]
   in
-  let e = Diagnose.explain inst ~flow:1 in
+  let e = List.nth (Diagnose.explain_all inst) 1 in
   (* Flow 1 wifi-only: max-min gives both flows 5? flows: flow0 both,
      flow1 if0 only; caps 2,8: water-fill: t: flow1 <= 2 eventually; flow0
      takes if1: flow1 = 2 - share... compute: t rises, flow1 on if0 only:
@@ -359,7 +359,7 @@ let test_diagnose_no_interface () =
     Instance.make ~weights:[| 1.0 |] ~capacities:[| 3.0 |]
       ~allowed:[| [| false |] |]
   in
-  let e = Diagnose.explain inst ~flow:0 in
+  let e = List.nth (Diagnose.explain_all inst) 0 in
   Alcotest.(check bool) "blocked" true (e.binding = Diagnose.No_interface);
   (match e.headroom with
   | [ (0, r) ] -> close "unblocking gives capacity" 3.0 r

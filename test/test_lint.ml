@@ -345,13 +345,13 @@ let test_clean_repo () =
     | Ok b -> b
     | Error msg -> Alcotest.failf "cannot load lint.baseline: %s" msg
   in
-  (* the committed baseline also carries typed-tier (R7/R8) entries; an
+  (* the committed baseline may carry typed-tier (R7-R9) entries; an
      untyped scan cannot judge those, so drop them as the CLI does *)
   let baseline =
     Baseline.filter
       (fun k ->
         match Baseline.rule_of_key k with
-        | Some (Rule.R7 | Rule.R8) -> false
+        | Some (Rule.R7 | Rule.R8 | Rule.R9) -> false
         | Some _ | None -> true)
       baseline
   in

@@ -1,8 +1,8 @@
-(* The typed lint tier (R7/R8) against an in-process-typechecked fixture
+(* The typed lint tier (R7-R9) against an in-process-typechecked fixture
    corpus: allocating constructs on the entry reachability set, mutable
    writes hidden one call deep from a Par task (the case the untyped R6
-   provably misses), allow-attribute suppression, and the shared
-   baseline ratchet. *)
+   provably misses), exports no other unit references, allow-attribute
+   suppression, and the shared baseline ratchet. *)
 
 module L = Midrr_lint
 module T = Midrr_lint_typed
@@ -227,6 +227,82 @@ let test_r8_reachable_global_write () =
   in
   check_rules "global write reachable from task root flagged" [ "R8" ] fs
 
+(* ---- R9: no export without a caller ---------------------------------- *)
+
+(* Unit [Fix] from [ml] and its interface [mli], judged by R9 against
+   the units [User0], [User1], ... typechecked from [users] with [Fix]
+   in scope.  No R7/R8 roots, so R9 alone speaks. *)
+let r9_lint ~mli ~ml users =
+  let ok what = function
+    | Ok x -> x
+    | Error msg -> Alcotest.failf "%s does not typecheck: %s" what msg
+  in
+  let sg = ok "fix.mli" (T.Typecheck.signature ~filename:"fix.mli" mli) in
+  let unit_input modname file str =
+    { T.Typed_engine.ui_modname = modname; ui_file = file; ui_structure = str }
+  in
+  let fix =
+    unit_input "Fix" fixture_file
+      (ok fixture_file (T.Typecheck.structure ~filename:fixture_file ml))
+  in
+  let users =
+    List.mapi
+      (fun i src ->
+        let file = Printf.sprintf "user%d.ml" i in
+        unit_input (Printf.sprintf "User%d" i) file
+          (ok file
+             (T.Typecheck.structure ~filename:file
+                ~units:[ ("Fix", sg.sig_type) ] src)))
+      users
+  in
+  let interfaces =
+    [ { T.Export_rule.modname = "Fix"; file = "fix.mli"; signature = sg } ]
+  in
+  fst (T.Typed_engine.analyze ~config:cfg_r8 ~interfaces (fix :: users))
+
+let test_r9_unreferenced () =
+  let fs =
+    r9_lint ~mli:"val used : int\nval dead : int"
+      ~ml:"let dead = 2\nlet used = dead" [ "let x = Fix.used" ]
+  in
+  (* [dead] is used, but only by its own unit *)
+  check_rules "unreferenced export flagged" [ "R9" ] fs;
+  match fs with
+  | [ f ] ->
+      Alcotest.(check string) "on the interface" "fix.mli" f.file;
+      Alcotest.(check int) "at the val" 2 f.line;
+      Alcotest.(check bool)
+        "message names the export" true
+        (String.length f.message >= 10
+        && String.equal (String.sub f.message 0 10) "[Fix.dead]")
+  | _ -> ()
+
+let test_r9_other_unit_clears () =
+  check_rules "a reference from another unit clears it" []
+    (r9_lint ~mli:"val used : int\nval dead : int"
+       ~ml:"let used = 1\nlet dead = 2"
+       [ "let x = Fix.used"; "let () = print_int Fix.dead" ])
+
+let test_r9_functor_include () =
+  let ml =
+    "module Make (P : sig val x : int end) = struct\n\
+    \  let create () = P.x\n\
+     end\n\
+     include Make (struct let x = 1 end)"
+  in
+  let mli = "val create : unit -> int" in
+  check_rules "a value a functor include brings in, referenced" []
+    (r9_lint ~mli ~ml [ "let y = Fix.create ()" ]);
+  check_rules "the same value, unreferenced" [ "R9" ] (r9_lint ~mli ~ml [])
+
+let test_r9_allow () =
+  check_rules "R9 allow clears it" []
+    (r9_lint ~mli:"val dead : int [@@midrr.lint.allow \"R9\"]"
+       ~ml:"let dead = 2" []);
+  check_rules "an allow for another rule does not" [ "R9" ]
+    (r9_lint ~mli:"val dead : int [@@midrr.lint.allow \"R7\"]"
+       ~ml:"let dead = 2" [])
+
 (* ---- baseline ratchet over typed findings ---------------------------- *)
 
 let test_typed_baseline_ratchet () =
@@ -285,6 +361,14 @@ let () =
           Alcotest.test_case "allow" `Quick test_r8_allow;
           Alcotest.test_case "reachable-global-write" `Quick
             test_r8_reachable_global_write;
+        ] );
+      ( "r9",
+        [
+          Alcotest.test_case "unreferenced-flagged" `Quick test_r9_unreferenced;
+          Alcotest.test_case "other-unit-clears" `Quick
+            test_r9_other_unit_clears;
+          Alcotest.test_case "functor-include" `Quick test_r9_functor_include;
+          Alcotest.test_case "allow" `Quick test_r9_allow;
         ] );
       ( "baseline",
         [

@@ -1,13 +1,13 @@
 (* Unit tests for the observability bus (lib/obs) and its wiring into the
    schedulers: event accessors and the record's setters, sink
-   combinators, the ring-buffer recorder, the JSONL export format, and the subscribe/tee semantics on a live
-   scheduler.  Producers refill one record per emission, so several tests
-   check that no consumer keeps that record past its call. *)
+   combinators, the JSONL export format, and the subscribe/tee
+   semantics on a live scheduler.  Producers refill one record per
+   emission, so several tests check that no consumer keeps that record
+   past its call. *)
 
 open Midrr_core
 module Event = Midrr_obs.Event
 module Sink = Midrr_obs.Sink
-module Recorder = Midrr_obs.Recorder
 module Jsonl = Midrr_obs.Jsonl
 
 let check = Alcotest.check
@@ -173,86 +173,17 @@ let test_sink_tee_same_event () =
   check timed "a saw every event, in order" sent (List.rev !seen_a);
   check timed "b saw the same" sent (List.rev !seen_b)
 
-(* --- recorder ----------------------------------------------------------- *)
-
-let test_recorder_fold_and_wrap () =
-  let r = Recorder.create ~capacity:4 () in
-  let ev = Event.create () in
-  for i = 1 to 10 do
-    Event.set_enqueue ev ~flow:i ~bytes:(i * 100);
-    Recorder.record r ~time:(float_of_int i) ev
-  done;
-  check Alcotest.int "length capped" 4 (Recorder.length r);
-  check Alcotest.int "total counts everything" 10 (Recorder.total r);
-  check Alcotest.int "dropped = total - retained" 6 (Recorder.dropped r);
-  (* oldest-first over the retained window: flows 7..10 *)
-  let flows =
-    Recorder.fold r ~init:[] ~f:(fun acc (e : Recorder.entry) ->
-        match Event.flow e.event with Some f -> f :: acc | None -> acc)
-  in
-  check Alcotest.(list int) "retained, oldest first" [ 10; 9; 8; 7 ] flows;
-  let windowed =
-    Recorder.fold_between r ~t0:8.0 ~t1:10.0 ~init:0 ~f:(fun n _ -> n + 1)
-  in
-  check Alcotest.int "fold_between is [t0, t1)" 2 windowed;
-  Recorder.clear r;
-  check Alcotest.int "clear empties" 0 (Recorder.length r)
-
-(* Wraparound under a burst far larger than the ring, driven by a live
-   scheduler rather than hand-fed events: every overwritten entry must be
-   accounted for in [dropped] (total = length + dropped — nothing is
-   truncated silently), and the retained window must be exactly the most
-   recent [capacity] events in order. *)
-let test_recorder_burst_wraparound () =
-  let capacity = 64 in
-  let r = Recorder.create ~capacity () in
-  let sched = Midrr.create () in
-  let clock = ref 0.0 in
-  Midrr.set_sink sched (Some (Sink.stamp ~clock:(fun () -> !clock) (Recorder.sink r)));
-  Drr_engine.add_iface sched 0;
-  Drr_engine.add_flow sched ~flow:0 ~weight:1.0 ~allowed:[ 0 ];
-  (* Each iteration emits one enqueue and one serve event. *)
-  let rounds = 5_000 in
-  for i = 1 to rounds do
-    clock := float_of_int i;
-    ignore
-      (Drr_engine.enqueue sched (Packet.create ~flow:0 ~size:100 ~arrival:!clock));
-    match Drr_engine.next_packet sched 0 with
-    | Some _ -> ()
-    | None -> Alcotest.fail "burst: expected a packet"
-  done;
-  let expected_total =
-    (* iface_up + flow_add + per round: enqueue, turn(s), serve *)
-    Recorder.length r + Recorder.dropped r
-  in
-  check Alcotest.int "no silent truncation: total = length + dropped"
-    expected_total (Recorder.total r);
-  check Alcotest.int "length capped at capacity" capacity (Recorder.length r);
-  check Alcotest.bool "burst actually wrapped" true
-    (Recorder.dropped r > rounds);
-  (* Retained entries are the newest ones, oldest first, and timestamps
-     are monotone across the wrapped window. *)
-  let times =
-    Recorder.fold r ~init:[] ~f:(fun acc (e : Recorder.entry) -> e.time :: acc)
-    |> List.rev
-  in
-  check Alcotest.int "retained count" capacity (List.length times);
-  let sorted = List.sort compare times in
-  check Alcotest.bool "oldest-first across wrap" true (times = sorted);
-  check (Alcotest.float 1e-9) "newest event retained" (float_of_int rounds)
-    (List.nth times (capacity - 1))
-
-(* A JSONL sink under the same burst writes every event: the stream is
-   unbounded (no ring), so line count must equal the recorder's total. *)
+(* A JSONL sink under a burst writes every event: the stream is
+   unbounded, so its line count must equal the events emitted. *)
 let test_jsonl_burst_to_file () =
   let path = Filename.temp_file "midrr_jsonl_burst" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let r = Recorder.create ~capacity:16 () in
+      let total = ref 0 in
       let oc = open_out path in
       let sched = Midrr.create () in
-      let sink = Sink.tee (Jsonl.sink oc) (Recorder.sink r) in
+      let sink = Sink.tee (Jsonl.sink oc) (fun ~time:_ _ -> incr total) in
       Midrr.set_sink sched (Some (Sink.stamp ~clock:(fun () -> 0.0) sink));
       Drr_engine.add_iface sched 0;
       Drr_engine.add_flow sched ~flow:3 ~weight:1.0 ~allowed:[ 0 ];
@@ -264,62 +195,13 @@ let test_jsonl_burst_to_file () =
       done;
       close_out oc;
       let lines = In_channel.with_open_text path In_channel.input_lines in
-      check Alcotest.bool "recorder ring wrapped" true (Recorder.dropped r > 0);
-      check Alcotest.int "jsonl keeps every event the ring dropped"
-        (Recorder.total r) (List.length lines);
+      check Alcotest.int "jsonl keeps every event" !total (List.length lines);
       List.iter
         (fun line ->
           let n = String.length line in
           if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then
             Alcotest.failf "malformed jsonl line: %s" line)
         lines)
-
-let test_recorder_as_sink () =
-  let r = Recorder.create () in
-  let s = feed (Recorder.sink r) in
-  s ~time:0.25 (Event.Complete { flow = 1; iface = 0; bytes = 999 });
-  check Alcotest.int "sink records" 1 (Recorder.length r);
-  match Recorder.entries r with
-  | [ e ] ->
-      check (Alcotest.float 1e-9) "time kept" 0.25 e.time;
-      check Alcotest.(option int) "bytes kept" (Some 999) (Event.bytes e.event)
-  | _ -> Alcotest.fail "expected one entry"
-
-(* The ring copies fields, not the producer's record: a recorder teed
-   next to a sink that decodes at once holds the same events, though the
-   scheduler refilled one record for all of them. *)
-let test_recorder_matches_immediate_decode () =
-  let r = Recorder.create ~capacity:4096 () in
-  let decoded = ref [] in
-  let immediate ~time ev = decoded := (time, Event.decode ev) :: !decoded in
-  let sched = Midrr.create () in
-  let clock = ref 0.0 in
-  Midrr.set_sink sched
-    (Some
-       (Sink.stamp ~clock:(fun () -> !clock) (Sink.tee (Recorder.sink r) immediate)));
-  Drr_engine.add_iface sched 0;
-  Drr_engine.add_iface sched 1;
-  Drr_engine.add_flow sched ~flow:0 ~weight:1.0 ~allowed:[ 0; 1 ];
-  Drr_engine.add_flow sched ~flow:1 ~weight:2.5 ~allowed:[ 1 ];
-  for i = 1 to 200 do
-    clock := Float.of_int i;
-    ignore
-      (Drr_engine.enqueue sched
-         (Packet.create ~flow:(i mod 2) ~size:(100 + i) ~arrival:!clock));
-    ignore (Drr_engine.next_packet sched (i mod 2))
-  done;
-  Drr_engine.set_weight sched 1 0.5;
-  ignore (Drr_engine.enqueue sched (Packet.create ~flow:7 ~size:1 ~arrival:0.0));
-  Drr_engine.remove_flow sched 0;
-  Drr_engine.remove_iface sched 1;
-  let recorded =
-    List.map (fun (e : Recorder.entry) -> (e.time, e.event)) (Recorder.entries r)
-  in
-  check Alcotest.int "nothing dropped" 0 (Recorder.dropped r);
-  check Alcotest.bool "many distinct events" true (List.length recorded > 400);
-  check
-    Alcotest.(list (pair (float 0.0) event))
-    "recorder = immediate decode" (List.rev !decoded) recorded
 
 (* --- jsonl -------------------------------------------------------------- *)
 
@@ -466,12 +348,6 @@ let () =
         ] );
       ( "recorder",
         [
-          Alcotest.test_case "fold and wrap" `Quick test_recorder_fold_and_wrap;
-          Alcotest.test_case "as sink" `Quick test_recorder_as_sink;
-          Alcotest.test_case "burst wraparound" `Quick
-            test_recorder_burst_wraparound;
-          Alcotest.test_case "matches immediate decode" `Quick
-            test_recorder_matches_immediate_decode;
         ] );
       ( "jsonl",
         [

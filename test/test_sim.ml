@@ -285,13 +285,6 @@ let test_link_steps_validation () =
     (Invalid_argument "Link.steps: non-increasing times") (fun () ->
       ignore (Link.steps ~initial:1.0 [ (5.0, 1.0); (5.0, 2.0) ]))
 
-let test_link_average () =
-  let l = Link.steps ~initial:2e6 [ (10.0, 4e6) ] in
-  close "before change" 2e6 (Link.average l ~t0:0.0 ~t1:10.0);
-  close "after change" 4e6 (Link.average l ~t0:10.0 ~t1:20.0);
-  close "straddling" 3e6 (Link.average l ~t0:5.0 ~t1:15.0);
-  close "constant" 7e6 (Link.average (Link.constant 7e6) ~t0:3.0 ~t1:9.0)
-
 let test_iface_utilization () =
   let sched = Midrr.packed (Midrr.create ()) in
   let sim = Netsim.create ~sched () in
@@ -313,71 +306,26 @@ let test_iface_utilization () =
   if u0 < 0.97 || u0 > 1.01 then Alcotest.failf "iface 0 util %.3f" u0;
   if Float.abs (u1 -. 0.25) > 0.03 then Alcotest.failf "iface 1 util %.3f" u1
 
-let test_link_periodic () =
-  let l = Link.periodic ~period:10.0 [ (0.0, 1e6); (5.0, 2e6) ] in
-  close "phase 0" 1e6 (Link.rate_at l 2.0);
-  close "phase 1" 2e6 (Link.rate_at l 7.0);
-  close "wraps" 1e6 (Link.rate_at l 12.0);
-  Alcotest.(check (option (float 1e-9)))
-    "next change within cycle" (Some 5.0) (Link.next_change l 2.0);
-  Alcotest.(check (option (float 1e-9)))
-    "next change wraps" (Some 10.0) (Link.next_change l 7.0);
-  (* Of segments at one offset, the last listed holds. *)
-  let tied = Link.periodic ~period:10.0 [ (0.0, 1e6); (5.0, 2e6); (5.0, 3e6) ] in
-  close "tied offsets at the offset" 3e6 (Link.rate_at tied 5.0);
-  close "tied offsets after it" 3e6 (Link.rate_at tied 9.0);
-  close "before the tie" 1e6 (Link.rate_at tied 4.0)
-
 (* [Link] against the list scans its lookups ran before the change
-   times went flat: the rate of the last point at or before the time
-   (of tied periodic offsets, the last listed), and the first point
-   strictly after it. *)
-type link_model =
-  | Steps_m of float * (float * float) list
-  | Periodic_m of float * (float * float) list
+   times went flat: the rate of the last point at or before the time,
+   and the first point strictly after it. *)
+type link_model = Steps_m of float * (float * float) list
 
-let link_of_model = function
-  | Steps_m (initial, points) -> Link.steps ~initial points
-  | Periodic_m (period, segments) -> Link.periodic ~period segments
+let link_of_model (Steps_m (initial, points)) = Link.steps ~initial points
 
 let rec last_at_or_before x acc = function
   | (at, r) :: rest when at <= x -> last_at_or_before x r rest
   | _ -> acc
 
-let model_rate_at m time =
-  match m with
-  | Steps_m (initial, points) -> last_at_or_before time initial points
-  | Periodic_m (period, segments) ->
-      last_at_or_before (Float.rem time period) (snd (List.hd segments))
-        segments
+let model_rate_at (Steps_m (initial, points)) time =
+  last_at_or_before time initial points
 
-let model_next_change m time =
-  match m with
-  | Steps_m (_, points) ->
-      List.find_opt (fun (at, _) -> at > time) points |> Option.map fst
-  | Periodic_m (period, segments) -> (
-      let cycle = Float.of_int (int_of_float (time /. period)) *. period in
-      let phase = time -. cycle in
-      match List.find_opt (fun (off, _) -> off > phase) segments with
-      | Some (off, _) -> Some (cycle +. off)
-      | None -> Some (cycle +. period))
-
-let model_average m ~t0 ~t1 =
-  let acc = ref 0.0 and cursor = ref t0 in
-  while !cursor < t1 do
-    let segment_end =
-      match model_next_change m !cursor with
-      | Some at when at < t1 -> at
-      | _ -> t1
-    in
-    acc := !acc +. (model_rate_at m !cursor *. (segment_end -. !cursor));
-    cursor := segment_end
-  done;
-  !acc /. (t1 -. t0)
+let model_next_change (Steps_m (_, points)) time =
+  List.find_opt (fun (at, _) -> at > time) points |> Option.map fst
 
 (* Query times: every change point, the instant before it and the
-   midpoint after it, over three periods of a periodic profile. *)
-let link_queries m =
+   midpoint after it. *)
+let link_queries (Steps_m (_, points)) =
   let around at next = [ at; Float.pred at; (at +. next) /. 2.0 ] in
   let rec walk shift = function
     | [] -> []
@@ -385,61 +333,32 @@ let link_queries m =
     | (at, _) :: ((next, _) :: _ as rest) ->
         around (shift +. at) (shift +. next) @ walk shift rest
   in
-  let times =
-    match m with
-    | Steps_m (_, points) -> 0.0 :: walk 0.0 points
-    | Periodic_m (period, segments) ->
-        List.concat_map
-          (fun k -> walk (Float.of_int k *. period) segments)
-          [ 0; 1; 2 ]
-  in
+  let times = 0.0 :: walk 0.0 points in
   List.sort_uniq Float.compare (List.filter (fun x -> x >= 0.0) times)
 
 let link_rate_gen = QCheck.Gen.oneofl [ 0.0; 1e6; 2.5e6; 12e6 ]
 
 let link_model_gen =
   QCheck.Gen.(
-    let steps =
-      let* initial = link_rate_gen in
-      let* n = int_range 0 6 in
-      let* gaps = list_repeat n (int_range 1 40) in
-      let* rates = list_repeat n link_rate_gen in
-      let times =
-        List.rev
-          (snd
-             (List.fold_left
-                (fun (at, acc) gap ->
-                  let at = at +. (Float.of_int gap *. 0.25) in
-                  (at, at :: acc))
-                (0.0, []) gaps))
-      in
-      return (Steps_m (initial, List.combine times rates))
+    let* initial = link_rate_gen in
+    let* n = int_range 0 6 in
+    let* gaps = list_repeat n (int_range 1 40) in
+    let* rates = list_repeat n link_rate_gen in
+    let times =
+      List.rev
+        (snd
+           (List.fold_left
+              (fun (at, acc) gap ->
+                let at = at +. (Float.of_int gap *. 0.25) in
+                (at, at :: acc))
+              (0.0, []) gaps))
     in
-    (* Offsets in eighths of the period, so ties are common. *)
-    let periodic =
-      let* period = map (fun k -> Float.of_int k *. 0.5) (int_range 1 40) in
-      let* n = int_range 0 5 in
-      let* eighths = list_repeat n (int_range 0 7) in
-      let* rates = list_repeat (n + 1) link_rate_gen in
-      let offsets =
-        0.0
-        :: List.map
-             (fun k -> period *. Float.of_int k /. 8.0)
-             (List.sort Int.compare eighths)
-      in
-      return (Periodic_m (period, List.combine offsets rates))
-    in
-    oneof [ steps; periodic ])
+    return (Steps_m (initial, List.combine times rates)))
 
-let pp_link_model = function
-  | Steps_m (initial, points) ->
-      Printf.sprintf "steps %g [%s]" initial
-        (String.concat "; "
-           (List.map (fun (a, r) -> Printf.sprintf "%h, %g" a r) points))
-  | Periodic_m (period, segments) ->
-      Printf.sprintf "periodic %h [%s]" period
-        (String.concat "; "
-           (List.map (fun (a, r) -> Printf.sprintf "%h, %g" a r) segments))
+let pp_link_model (Steps_m (initial, points)) =
+  Printf.sprintf "steps %g [%s]" initial
+    (String.concat "; "
+       (List.map (fun (a, r) -> Printf.sprintf "%h, %g" a r) points))
 
 let prop_link_matches_list_scan m =
   let l = link_of_model m in
@@ -455,22 +374,6 @@ let prop_link_matches_list_scan m =
           (Option.fold ~none:"None" ~some:(Printf.sprintf "%h") got)
           (Option.fold ~none:"None" ~some:(Printf.sprintf "%h") want))
     queries;
-  let rec windows = function
-    | t0 :: (t1 :: _ as rest) -> (t0, t1) :: windows rest
-    | _ -> []
-  in
-  let spans =
-    match (queries, List.rev queries) with
-    | first :: _ :: _, last :: _ -> (first, last) :: windows queries
-    | _ -> windows queries
-  in
-  List.iter
-    (fun (t0, t1) ->
-      let got = Link.average l ~t0 ~t1 and want = model_average m ~t0 ~t1 in
-      if not (Float.equal got want) then
-        QCheck.Test.fail_reportf "average [%h, %h): %g, list scan %g" t0 t1
-          got want)
-    spans;
   true
 
 let test_link_model =
@@ -873,43 +776,43 @@ run 20
 
 (* --- Tracing a run ---------------------------------------------------------- *)
 
-(* A [Recorder] on the simulator's event bus: the delivery log of a run. *)
-module Recorder = Midrr_obs.Recorder
+(* A list sink on the simulator's event bus: the delivery log of a run,
+   oldest first, each event decoded as it arrives. *)
+let delivery_log () =
+  let log = ref [] in
+  let sink ~time ev = log := (time, Midrr_obs.Event.decode ev) :: !log in
+  (sink, fun () -> List.rev !log)
 
-let completions recorder =
+let completions entries =
   List.filter_map
-    (fun (e : Recorder.entry) ->
-      match e.event with
-      | Midrr_obs.Event.Complete { flow; iface; bytes } ->
-          Some (e.time, iface, flow, bytes)
+    (fun (time, (ev : Midrr_obs.Event.t)) ->
+      match ev with
+      | Complete { flow; iface; bytes } -> Some (time, iface, flow, bytes)
       | _ -> None)
-    (Recorder.entries recorder)
+    entries
 
 let test_tracer_captures_events () =
-  let recorder = Recorder.create () in
+  let sink, entries = delivery_log () in
   let sched = Midrr.packed (Midrr.create ()) in
-  let sim = Netsim.create ~sink:(Recorder.sink recorder) ~sched () in
+  let sim = Netsim.create ~sink ~sched () in
   Netsim.add_iface sim 0 (Link.constant (Types.mbps 8.0));
   Netsim.add_flow sim 0 ~weight:1.0 ~allowed:[ 0 ]
     (Netsim.Finite { total_bytes = 10_000; pkt_size = 1000 });
   Netsim.run sim ~until:2.0;
-  Alcotest.(check int) "no drops" 0 (Recorder.dropped recorder);
-  let delivered = completions recorder in
+  let delivered = completions (entries ()) in
   Alcotest.(check int) "ten completions" 10 (List.length delivered);
   Alcotest.(check bool) "flow 0 on iface 0" true
     (List.for_all (fun (_, iface, flow, _) -> iface = 0 && flow = 0) delivered);
   Alcotest.(check int) "flow bytes" 10_000
     (List.fold_left (fun acc (_, _, _, bytes) -> acc + bytes) 0 delivered);
   (* Events are time-ordered. *)
-  let times =
-    List.map (fun (e : Recorder.entry) -> e.time) (Recorder.entries recorder)
-  in
+  let times = List.map fst (entries ()) in
   Alcotest.(check bool) "sorted" true (List.sort Float.compare times = times)
 
 let test_tracer_interleaving () =
-  let recorder = Recorder.create () in
+  let sink, entries = delivery_log () in
   let sched = Midrr.packed (Midrr.create ()) in
-  let sim = Netsim.create ~sink:(Recorder.sink recorder) ~sched () in
+  let sim = Netsim.create ~sink ~sched () in
   Netsim.add_iface sim 0 (Link.constant (Types.mbps 8.0));
   Netsim.add_flow sim 0 ~weight:1.0 ~allowed:[ 0 ]
     (Netsim.Backlogged { pkt_size = 1500 });
@@ -919,7 +822,7 @@ let test_tracer_interleaving () =
   (* With equal 1500 B quanta and packets, DRR alternates strictly once
      both flows are backlogged; flow 0 is added, and served, first. *)
   let pattern =
-    List.tl (List.map (fun (_, _, flow, _) -> flow) (completions recorder))
+    List.tl (List.map (fun (_, _, flow, _) -> flow) (completions (entries ())))
   in
   let rec alternates = function
     | a :: (b :: _ as rest) -> a <> b && alternates rest
@@ -1249,9 +1152,7 @@ let () =
           Alcotest.test_case "steps" `Quick test_link_steps;
           Alcotest.test_case "steps validation" `Quick
             test_link_steps_validation;
-          Alcotest.test_case "average" `Quick test_link_average;
           Alcotest.test_case "utilization" `Quick test_iface_utilization;
-          Alcotest.test_case "periodic" `Quick test_link_periodic;
           to_alcotest test_link_model;
           Alcotest.test_case "stepped lookup allocates nothing" `Quick
             test_link_lookup_no_alloc;
