@@ -1,25 +1,40 @@
 (** The fast-path deficit-round-robin engine behind both DRR and miDRR.
 
-    This is the default engine: flow and interface state live in dense
-    slot arrays indexed by id, and each interface's round is an intrusive
+    This is the default engine: each interface's round is an intrusive
     {!Active_ring} threaded through the per-(flow, interface) links — so
     a scheduling decision costs O(active flows), independent of how many
-    idle flows are registered.  A link is an int slot in a per-engine
-    pool, not a record: its deficit sits in one flat float array and its
-    ints (flow, interface, service counter, served bytes, turns, ring
-    prev/next, the flow's next link) on one cache line of one flat int
-    array, 9 words a link.  A flow keeps its first link and chains the
-    rest, one per allowed online interface, so its state is sized by its
-    own preference list, not by the interface-id space, and registering
-    a flow allocates only its record and its queue.  Removing a flow,
-    dropping an interface from its preferences or taking an interface
-    down returns the slots to the pool's free list for reuse; the pool
-    doubles when the list runs dry.  An empty cursor, ring head or chain
-    end is the sentinel slot -1, never an [option]; a cursor [C_j] is that
-    sentinel or a slot linked in interface [j]'s ring, so a recycled slot
-    is never a cursor.  Flow and interface ids must be non-negative
-    (they index the slot arrays directly; ids are expected to be small
-    and dense).  Semantics are specified by {!Drr_engine_ref}, the original
+    idle flows are registered.  Flows, links and queued packets are int
+    slots in three per-engine pools, not records:
+
+    - a flow's ints (id, first link, served bytes, turns, its FIFO's
+      tail, length and bytes, drops) fill one cache line of one flat int
+      array, its weight sits in a float array and its preference list in
+      a list array, 10 words a flow;
+    - a link's deficit sits in a float array and its ints (its flow's
+      slot, interface, service counter, served bytes, turns, ring
+      prev/next, the flow's next link) on one cache line of an int
+      array, 9 words a link.  A flow keeps its first link and chains the
+      rest, one per allowed online interface, so its state is sized by
+      its own preference list, not by the interface-id space;
+    - a flow's FIFO is a circular chain through one packet pool, a
+      packet array and an int array of successors, 2 words a queued
+      packet.  A pop refills the packet's slot with {!Packet.none}, so
+      the engine keeps no served packet alive.
+
+    A flow id reaches its slot through an index of one int per id, the
+    only state sized by the flow-id space, and a link names its flow's
+    slot, so neither a decision nor [enqueue] looks an id up.  Removing
+    a flow, dropping an interface from its preferences, taking an
+    interface down or popping a packet returns the slots to their pool's
+    free list for reuse; a pool doubles from 8 slots when its list runs
+    dry.  Registering a flow and queueing a packet therefore allocate
+    nothing once the pools have grown to the working set.  An empty
+    cursor, ring head, chain end or queue is the sentinel slot -1, never
+    an [option]; a cursor [C_j] is that sentinel or a slot linked in
+    interface [j]'s ring, so a recycled slot is never a cursor.  Flow and
+    interface ids must be non-negative (they index the id index and the
+    interface slots directly; ids are expected to be small and dense).
+    Semantics are specified by {!Drr_engine_ref}, the original
     list-and-hashtable implementation kept as the executable spec; the
     differential and golden-trace suites hold the two engines to
     identical serve sequences, deficits, flags and event streams.
@@ -71,7 +86,9 @@ val create :
 (** [create mode] builds an empty scheduler.  [base_quantum] (bytes,
     default 1500) scales per-flow quanta: [Q_i = weight_i * base_quantum].
     [queue_capacity] bounds each flow queue in bytes (unbounded by
-    default).  [flag_policy] defaults to [Per_turn].
+    default; [Invalid_argument] unless positive): a packet that would
+    take the flow's backlog above it is dropped and counted.
+    [flag_policy] defaults to [Per_turn].
 
     [counter_max] (default 1 = the paper's one-bit flag) generalizes the
     service flag to a saturating counter: serving a flow elsewhere

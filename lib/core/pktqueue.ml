@@ -10,10 +10,10 @@
    covers slots that as many pops have passed, so it costs O(1) per
    packet however large the buffer once grew; an idle queue keeps no
    packet alive.  Slots outside the live window are never read.  The
-   first buffer holds four packets, which is all that most flows of a
-   large fleet ever queue at once.  Indices wrap by a compare and a
+   first buffer holds four packets.  Indices wrap by a compare and a
    subtraction, not by [mod], which would cost an integer division per
-   packet. *)
+   packet.  The fast engine keeps its queues in its own packet pool;
+   the spec, [Oracle] and [Sched_prog] use this module. *)
 
 type t = {
   mutable buf : Packet.t array;

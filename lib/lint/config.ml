@@ -74,6 +74,9 @@ let default =
       [
         "Drr_engine.decide";
         "Drr_engine.next_packet_noalloc";
+        (* a packet's pool slot is recycled; the pools' doubling
+           ([extend]) is its one allowed site *)
+        "Drr_engine.enqueue";
         "Pifo.push";
         "Pifo.min_rank";
         "Pifo.pop_key";

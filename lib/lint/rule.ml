@@ -125,7 +125,7 @@ let description = function
   | R7 ->
       "The typed zero-allocation proof.  Over the .cmt Typedtree, the \
        call graph is built from the configured decision entry points \
-       (Drr_engine.decide, next_packet_noalloc, Pifo \
+       (Drr_engine.decide, next_packet_noalloc, enqueue, Pifo \
        push/min_rank/pop_key/pop_at_most/remove, the WFQ program's \
        rank/floor_rank/on_service, \
        Active_ring's int-slot ops \
@@ -135,8 +135,10 @@ let description = function
        every reachable function is checked for allocating constructs: \
        closure creation, \
        tuple/record/variant/constructor blocks, array literals, partial \
-       application, boxed-float returns, and calls to allocating stdlib \
-       externals.  Raise-only error paths are exempt, with no carve-out \
+       application, boxed-float returns (a float read from a record \
+       field that holds it boxed returns that box and passes), and calls \
+       to allocating stdlib externals.  Raise-only error paths are \
+       exempt, with no carve-out \
        for the event path: producers refill one event record.  This turns \
        the runtime Gc.minor_words gate into a static proof with blame \
        locations; `dune build @crosscheck` runs both on the decision path \

@@ -23,7 +23,9 @@ open Midrr_lint
      documented imprecision — the runtime gate in @crosscheck catches
      what it misses on the decision path);
    - boxed-float results: a reachable function whose return type is
-     [float] boxes on every call.
+     [float] boxes on every call, unless its body reads the float from a
+     field of a record that stores it boxed: that returns the existing
+     box.
 
    Exemptions: subtrees that only run on the raise path
    ([raise]/[failwith]/[invalid_arg]/[assert]) are cold by definition;
@@ -149,6 +151,14 @@ let is_arrow ty =
 let is_float ty =
   match Types.get_desc ty with
   | Types.Tconstr (p, _, _) -> Path.same p Predef.path_float
+  | _ -> false
+
+(* A field read returns the box a record already holds, except from a
+   float record, whose fields are unboxed. *)
+let reads_stored_box (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_field (_, _, lbl) -> (
+      match lbl.lbl_repres with Types.Record_float -> false | _ -> true)
   | _ -> false
 
 (* ---- the walker ------------------------------------------------------ *)
@@ -324,20 +334,29 @@ and walk_apply ctx e f args =
         (fun (_, arg) -> Option.iter (walk_expr ctx) arg)
         args
 
-(* Walk the node's body, skipping its own leading lambda chain: the
-   binding's closure is built once at module init, not per call. *)
-let rec walk_body ctx (e : Typedtree.expression) =
+(* The body under a binding's leading lambda chain: the binding's
+   closure is built once at module init, not per call. *)
+let rec lambda_body (e : Typedtree.expression) =
   match e.exp_desc with
   | Texp_function { cases = [ c ]; _ } when Option.is_none c.c_guard ->
-      walk_body ctx c.c_rhs
+      lambda_body c.c_rhs
+  | _ -> e
+
+let walk_body ctx e =
+  let body = lambda_body e in
+  match body.exp_desc with
   | Texp_function { cases; _ } -> List.iter (walk_case ctx) cases
-  | _ -> walk_expr ctx e
+  | _ -> walk_expr ctx body
 
 let check_node ~cfg ~graph ~emit ~with_allows ~allowed (node : Callgraph.node) =
   let ctx = { cfg; graph; node; emit; allowed; with_allows } in
   if node.Callgraph.n_is_function then begin
     let ret = peel_arrows node.Callgraph.n_expr.exp_type in
-    if is_float ret && not (allowed ()) then
+    if
+      is_float ret
+      && (not (reads_stored_box (lambda_body node.Callgraph.n_expr)))
+      && not (allowed ())
+    then
       emit ~loc:node.Callgraph.n_loc
         (Printf.sprintf
            "[%s] returns a boxed float: every call allocates the box"

@@ -1,12 +1,13 @@
 (* Cross-check: the static R7 verdict against the runtime allocation
    counter, on the same build.
 
-   The typed tier claims the Drr_engine decision path is allocation-free
-   by reachability over the .cmt call graph, event emission included:
-   the engine refills one event record, and R7 has no carve-out for
-   events.  The runtime gate below claims the same thing empirically: a
-   [next_packet_noalloc] decision moves zero minor words, sinkless and
-   with the [Busmetrics] fold attached through a stamped sink.  Each
+   The typed tier claims the Drr_engine decision and enqueue paths are
+   allocation-free by reachability over the .cmt call graph, event
+   emission included: the engine refills one event record, and R7 has no
+   carve-out for events.  The runtime gates below claim the same thing
+   empirically: a [next_packet_noalloc] decision and an [enqueue] of a
+   prebuilt packet each move zero minor words, sinkless and with the
+   [Busmetrics] fold attached through a stamped sink.  Each
    claim has a failure mode the other catches — the static walk can
    under-approximate (a deny-list external it does not know,
    flambda-dependent boxing), the counter can only ever sample one
@@ -31,17 +32,20 @@ let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
 (* ---- side 1: the static verdict -------------------------------------- *)
 
-(* Root the reachability walk at the serve-decision entries only: the
-   gate below exercises exactly this path.  The wider default entry set
-   (Pifo, Recorder, ...) is @lint-typed's business, with its own
+(* Root the reachability walk at the serve-decision and enqueue entries
+   only: the gates below exercise exactly these paths.  The wider default
+   entry set (Pifo, Metrics, ...) is @lint-typed's business, with its own
    baseline; here the verdict must be unconditional. *)
-let decide_entries = [ "Drr_engine.decide"; "Drr_engine.next_packet_noalloc" ]
+let engine_entries =
+  [
+    "Drr_engine.decide"; "Drr_engine.next_packet_noalloc"; "Drr_engine.enqueue";
+  ]
 
 let static_verdict () =
   let config =
     {
       L.Config.default with
-      typed_entry_points = decide_entries;
+      typed_entry_points = engine_entries;
       par_task_entries = [] (* R7 only: the gate measures allocation *);
     }
   in
@@ -79,14 +83,13 @@ let measured_words_per_call ~calls op =
   let w1 = Gc.minor_words () in
   (w1 -. w0) /. float_of_int calls
 
-(* Queues prefilled deeper than the decision count so no flow drains
-   inside the measured window — every decision is a pure pop through
-   [next_packet_noalloc].  With [~fold], the [Busmetrics] fold is
-   attached through a sink stamped by a clock that returns a pre-boxed
-   time, as [Engine.now] does. *)
-let measured_words_per_decision ~fold =
-  let n_flows = 64 and n_ifaces = 4 in
-  let decisions = 20_000 in
+let n_flows = 64
+let n_ifaces = 4
+
+(* An engine of [n_flows] flows on [n_ifaces] interfaces.  With [~fold],
+   the [Busmetrics] fold is attached through a sink stamped by a clock
+   that returns a pre-boxed time, as [Engine.now] does. *)
+let engine ~fold =
   let t = Drr_engine.create Drr_engine.Service_flags in
   (if fold then
      let now = ref 1.0 in
@@ -102,15 +105,43 @@ let measured_words_per_decision ~fold =
   for f = 0 to n_flows - 1 do
     Drr_engine.add_flow t ~flow:f ~weight:1.0 ~allowed:all_ifaces
   done;
-  let per_flow = ((decisions + (decisions / 10)) / n_flows) + 64 in
-  for f = 0 to n_flows - 1 do
-    for _ = 1 to per_flow do
-      ignore
-        (Drr_engine.enqueue t (Packet.create ~flow:f ~size:1000 ~arrival:0.0))
+  t
+
+let packets n =
+  Array.init n (fun i ->
+      Packet.create ~flow:(i mod n_flows) ~size:1000 ~arrival:0.0)
+
+let drain t =
+  for j = 0 to n_ifaces - 1 do
+    while not (Packet.is_none (Drr_engine.next_packet_noalloc t j)) do
+      ()
     done
-  done;
+  done
+
+(* Queues prefilled deeper than the decision count so no flow drains
+   inside the measured window — every decision is a pure pop through
+   [next_packet_noalloc]. *)
+let measured_words_per_decision ~fold =
+  let decisions = 20_000 in
+  let t = engine ~fold in
+  let per_flow = ((decisions + (decisions / 10)) / n_flows) + 64 in
+  Array.iter
+    (fun p -> ignore (Drr_engine.enqueue t p))
+    (packets (per_flow * n_flows));
   measured_words_per_call ~calls:decisions (fun d ->
       ignore (Drr_engine.next_packet_noalloc t (d mod n_ifaces)))
+
+(* Enqueues of prebuilt packets into pools that a first backlog as deep
+   as the measured one has grown (and the decisions then drained): the
+   measured window reuses freed slots and allocates no packet. *)
+let measured_words_per_enqueue ~fold =
+  let calls = 20_000 in
+  let t = engine ~fold in
+  let pkts = packets (calls + (calls / 10)) in
+  Array.iter (fun p -> ignore (Drr_engine.enqueue t p)) pkts;
+  drain t;
+  measured_words_per_call ~calls (fun i ->
+      ignore (Drr_engine.enqueue t pkts.(i)))
 
 (* The five registry hot ops, each called with the arguments a producer
    passes: a float literal is static data (no caller-side boxing), and
@@ -139,34 +170,42 @@ let () =
       Printf.eprintf "crosscheck: static R7 finding %s:%d %s\n" f.file f.line
         f.message)
     findings;
-  let sinkless = measured_words_per_decision ~fold:false in
-  let folded = measured_words_per_decision ~fold:true in
-  let words = Float.max sinkless folded in
+  let measured what measure =
+    let sinkless = measure ~fold:false in
+    let folded = measure ~fold:true in
+    Printf.printf
+      "crosscheck: static=%s empirical=%.4f sinkless, %.4f with the fold, \
+       minor words/%s\n"
+      (if statically_clean then "clean" else "findings")
+      sinkless folded what;
+    Float.max sinkless folded
+  in
+  let decision = measured "decision" measured_words_per_decision in
+  let words =
+    Float.max decision (measured "enqueue" measured_words_per_enqueue)
+  in
   let empirically_clean = words < 0.01 in
-  Printf.printf
-    "crosscheck: static=%s empirical=%.4f sinkless, %.4f with the fold, \
-     minor words/decision\n"
-    (if statically_clean then "clean" else "findings")
-    sinkless folded;
   (match (statically_clean, empirically_clean) with
   | true, true ->
       print_endline
-        "crosscheck: R7-clean decision path confirmed allocation-free"
+        "crosscheck: R7-clean decision and enqueue paths confirmed \
+         allocation-free"
   | true, false ->
       fail
-        "crosscheck: DISAGREEMENT — static R7 says clean but the gate \
-         measured %.4f minor words/decision (an allocating construct the \
+        "crosscheck: DISAGREEMENT — static R7 says clean but the gates \
+         measured %.4f minor words per call (an allocating construct the \
          typed walk does not model?)"
         words
   | false, true ->
       fail
-        "crosscheck: static R7 findings on the decision path (above); the \
-         gate still reads zero, so the walk may have grown a false positive \
-         — fix the site or the classifier, do not baseline it here"
+        "crosscheck: static R7 findings on the decision or enqueue path \
+         (above); the gates still read zero, so the walk may have grown a \
+         false positive — fix the site or the classifier, do not baseline \
+         it here"
   | false, false ->
       fail
-        "crosscheck: decision path regressed on both sides — %.4f minor \
-         words/decision and static findings (above)"
+        "crosscheck: decision or enqueue path regressed on both sides — \
+         %.4f minor words per call and static findings (above)"
         words);
   let allocating =
     List.filter_map

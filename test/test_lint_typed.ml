@@ -72,7 +72,18 @@ let test_r7_boxed_float_return () =
   check_rules "boxed-float return flagged" [ "R7" ]
     (typed_lint ~config:cfg "let entry x = x +. 1.0");
   check_rules "int return stays quiet" []
-    (typed_lint ~config:cfg "let entry x = x + 1")
+    (typed_lint ~config:cfg "let entry x = x + 1");
+  (* a float field of a mixed record is stored boxed, so returning it
+     hands back the existing box; arithmetic on it, or a field of an
+     all-float record (stored unboxed), makes a new one *)
+  let clock = "type t = { mutable clock : float; mutable n : int }\n" in
+  check_rules "stored box returned" []
+    (typed_lint ~config:cfg (clock ^ "let entry t = t.clock"));
+  check_rules "arithmetic on the field still boxes" [ "R7" ]
+    (typed_lint ~config:cfg (clock ^ "let entry t = t.clock +. 1.0"));
+  check_rules "float record field boxes" [ "R7" ]
+    (typed_lint ~config:cfg
+       "type t = { a : float; b : float }\nlet entry t = t.a")
 
 let test_r7_hidden_one_call_deep () =
   let source = "let helper x = [ x ]\nlet entry x = helper x" in
