@@ -1,7 +1,8 @@
 (* midrr-lint: scheduler-specific static analysis over lib/, bin/,
-   bench/ and examples/.  Exit status 0 when the repo is clean (no
-   finding outside the committed baseline, no parse error, and — with
-   --typed — no missing or stale .cmt artifact), 1 otherwise. *)
+   bench/ and examples/, read from the .cmt/.cmti artifacts of the last
+   [dune build].  Exit status 0 when the repo is clean (no finding
+   outside the committed baseline, and no missing or stale artifact),
+   1 otherwise. *)
 
 open Cmdliner
 
@@ -32,24 +33,13 @@ let update_baseline =
   let doc =
     "Rewrite the baseline file so every current finding is tolerated, \
      then exit 0.  Ratchet discipline: only use this to shrink the \
-     baseline after fixing sites (or to seed it once).  With \
-     $(b,--typed), the written baseline covers both tiers."
+     baseline after fixing sites (or to seed it once)."
   in
   Arg.(value & flag & info [ "update-baseline" ] ~doc)
 
 let quiet =
   let doc = "Suppress the per-finding text report (summary line only)." in
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
-
-let typed =
-  let doc =
-    "Also run the typed tier (R7 static zero-allocation, R8 \
-     interprocedural domain-safety, R9 no export without a caller) over \
-     the .cmt artifacts a normal \
-     [dune build] leaves under $(b,--build-dir).  Both tiers share the \
-     baseline file."
-  in
-  Arg.(value & flag & info [ "typed" ] ~doc)
 
 let build_dir =
   let doc =
@@ -120,9 +110,9 @@ let explain_rules spec =
   in
   match bad with
   | _ :: _ ->
-      Printf.eprintf "midrr-lint: unknown rule id(s): %s (try R1..R%d)\n"
+      Printf.eprintf "midrr-lint: unknown rule id(s): %s (try R1..%s)\n"
         (String.concat ", " (List.rev bad))
-        (List.length R.all);
+        (R.id (List.nth R.all (List.length R.all - 1)));
       1
   | [] ->
       let rules = List.sort_uniq R.compare rules in
@@ -136,27 +126,18 @@ let explain_rules spec =
 
 (* ---- scanning -------------------------------------------------------- *)
 
-let typed_collect ~root ~build_dir ~dirs =
-  Midrr_lint_typed.Typed_driver.collect_keys ~root ~build_dir ~dirs ()
-
-let run root dirs baseline_path json_path update quiet typed build_dir explain
-    =
+let run root dirs baseline_path json_path update quiet build_dir explain =
   match explain with
   | Some spec -> explain_rules spec
   | None -> (
+      let module D = Midrr_lint.Driver in
       let dirs =
         match dirs with [] -> [ "lib"; "bin"; "bench"; "examples" ] | ds -> ds
       in
       let baseline_file = resolve root baseline_path in
       let build_dir = resolve root build_dir in
       if update then begin
-        let keys = Midrr_lint.Driver.all_keys ~root ~dirs () in
-        let keys =
-          if typed then
-            keys
-            @ Midrr_lint_typed.Typed_driver.all_keys ~root ~build_dir ~dirs ()
-          else keys
-        in
+        let keys = D.all_keys ~root ~build_dir ~dirs () in
         Midrr_lint.Baseline.save baseline_file ~keys;
         Printf.printf "midrr-lint: wrote %d baseline entr(ies) to %s\n"
           (List.length keys) baseline_file;
@@ -169,76 +150,22 @@ let run root dirs baseline_path json_path update quiet typed build_dir explain
               baseline_file msg;
             1
         | Ok baseline ->
-            (* an untyped-only run neither applies nor reports R7-R9
-               baseline entries: it cannot judge rules it did not run *)
-            let baseline =
-              if typed then baseline
-              else
-                Midrr_lint.Baseline.filter
-                  (fun k ->
-                    match Midrr_lint.Baseline.rule_of_key k with
-                    | Some Midrr_lint.Rule.(R7 | R8 | R9) -> false
-                    | Some _ | None -> true)
-                  baseline
-            in
-            let files_scanned, untyped_keys, parse_errors, warnings =
-              Midrr_lint.Driver.collect_keys ~root ~dirs ()
-            in
-            let typed_keys, typed_warnings, blocked_cmts =
-              if typed then
-                let _units, keys, warns, blocked =
-                  typed_collect ~root ~build_dir ~dirs
-                in
-                (keys, warns, blocked)
-              else ([], [], [])
-            in
-            let with_keys =
-              List.sort
-                (fun ((a : Midrr_lint.Finding.t), _) (b, _) ->
-                  Midrr_lint.Finding.compare a b)
-                (untyped_keys @ typed_keys)
-            in
-            let findings, baselined, stale_baseline =
-              Midrr_lint.Baseline.apply baseline with_keys
-            in
-            let report =
-              {
-                Midrr_lint.Driver.files_scanned;
-                findings;
-                baselined;
-                stale_baseline;
-                parse_errors;
-                warnings = warnings @ typed_warnings;
-              }
-            in
+            let report = D.scan ~root ~build_dir ~dirs ~baseline () in
             Option.iter
               (fun path ->
                 let oc = open_out_bin (resolve root path) in
                 Fun.protect
                   ~finally:(fun () -> close_out_noerr oc)
-                  (fun () ->
-                    output_string oc
-                      (Midrr_lint.Driver.report_to_json report)))
+                  (fun () -> output_string oc (D.report_to_json report)))
               json_path;
             if quiet then
               Printf.eprintf
-                "midrr-lint: %d fresh finding(s), %d parse error(s)\n"
+                "midrr-lint: %d fresh finding(s), %d source(s) without a \
+                 fresh artifact\n"
                 (List.length report.findings)
-                (List.length report.parse_errors)
-            else Format.eprintf "%a" Midrr_lint.Driver.pp_report report;
-            (match blocked_cmts with
-            | [] -> ()
-            | fs ->
-                Printf.eprintf
-                  "midrr-lint: %d source(s) without a fresh .cmt artifact \
-                   under %s — the typed tier cannot certify them.  Run [dune \
-                   build] and retry.\n"
-                  (List.length fs) build_dir);
-            if
-              Midrr_lint.Driver.clean report
-              && (match blocked_cmts with [] -> true | _ -> false)
-            then 0
-            else 1)
+                (List.length report.blocked)
+            else Format.eprintf "%a" D.pp_report report;
+            if D.clean report then 0 else 1)
 
 let cmd =
   let doc = "scheduler-specific static analysis for the midrr repo" in
@@ -246,21 +173,20 @@ let cmd =
     [
       `S Manpage.s_description;
       `P
-        "Walks every .ml/.mli under the scanned directories and enforces \
-         the midrr rule set: R1 no polymorphic compare/equality in \
-         hot-path modules; R2 no catch-all exception handlers; R3 no \
-         float =/<> on computed values in flownet/stats; R4 no Obj.magic \
-         or warning suppressions; R5 no top-level mutable state outside \
-         the declared allowlist; R6 no captured-state writes in Par \
-         tasks.  See DESIGN.md section 9.";
-      `P
-        "With $(b,--typed), a second tier runs over the .cmt artifacts of \
-         the last [dune build]: R7 proves the configured decision entry \
-         points allocation-free by reachability over the resolved call \
-         graph, R8 makes the domain-safety check interprocedural, and R9 \
-         requires every val of a lib/ interface to be referenced by \
-         another unit of lib/, bin/, bench/ or examples/.  See DESIGN.md \
-         section 13.";
+        "Reads the .cmt/.cmti artifacts the last [dune build] left under \
+         $(b,--build-dir) for every .ml/.mli under the scanned \
+         directories, and enforces the midrr rule set over their typed \
+         trees, matching callees by resolved path: R1 no polymorphic \
+         compare/equality in hot-path modules; R2 no catch-all exception \
+         handlers; R3 no =/<> at type float in flownet/stats; R4 no \
+         Obj.magic or warning suppressions; R5 no top-level mutable state \
+         and no Domain.spawn outside lib/par; R7 no allocation reachable \
+         from the configured decision entry points; R8 no write to shared \
+         mutable state from a Par task, however many calls deep; R9 every \
+         val of a lib/ interface is referenced by another unit of lib/, \
+         bin/, bench/ or examples/.  A source with no artifact, or one \
+         older than its text, fails the run.  R6 is retired into R8.  \
+         See DESIGN.md section 9.";
       `P
         "Suppress a single site with [@midrr.lint.allow \"R5\"] or \
          tolerate pre-existing findings via the committed baseline file.  \
@@ -271,6 +197,6 @@ let cmd =
     (Cmd.info "midrr-lint" ~doc ~man)
     Term.(
       const run $ root $ dirs $ baseline_path $ json_path $ update_baseline
-      $ quiet $ typed $ build_dir $ explain)
+      $ quiet $ build_dir $ explain)
 
 let () = exit (Cmd.eval' cmd)

@@ -22,15 +22,6 @@ let add_port t j ~local ~gateway =
   Hashtbl.replace t.ports j { local; gateway; tx_frames = 0 };
   Sched_intf.Packed.add_iface t.sched j
 
-let remove_port t j =
-  if Hashtbl.mem t.ports j then begin
-    Hashtbl.remove t.ports j;
-    Sched_intf.Packed.remove_iface t.sched j
-  end
-
-let ports t =
-  Hashtbl.fold (fun j _ acc -> j :: acc) t.ports [] |> List.sort compare
-
 let register_flow t ~flow ?(weight = 1.0) ~allowed () =
   Sched_intf.Packed.add_flow t.sched ~flow ~weight ~allowed
 

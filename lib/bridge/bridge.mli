@@ -20,11 +20,6 @@ val add_port :
   t -> Types.iface_id -> local:Vif.addr -> gateway:Vif.addr -> unit
 (** Attach a physical interface with its own addresses. *)
 
-val remove_port : t -> Types.iface_id -> unit
-[@@midrr.lint.allow "R9"] (* only test_bridge detaches a port *)
-
-val ports : t -> Types.iface_id list [@@midrr.lint.allow "R9"]
-
 val register_flow :
   t -> flow:Types.flow_id -> ?weight:float -> allowed:Types.iface_id list -> unit -> unit
 (** Install the user's preferences for a flow. *)

@@ -154,18 +154,3 @@ let run ?(horizon = 1e6) spec =
     finish_times = Array.map (fun r -> r.finish) runs;
     epochs = List.rev !epochs;
   }
-
-let finish_order result =
-  let items = ref [] in
-  Array.iteri
-    (fun i finishes ->
-      Array.iteri
-        (fun k ft -> if Float.is_finite ft then items := (ft, (i, k)) :: !items)
-        finishes)
-    result.finish_times;
-  let cmp (ta, (ia, ka)) (tb, (ib, kb)) =
-    match Float.compare ta tb with
-    | 0 -> ( match Int.compare ia ib with 0 -> Int.compare ka kb | c -> c)
-    | c -> c
-  in
-  List.sort cmp !items |> List.map snd

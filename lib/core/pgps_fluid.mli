@@ -33,8 +33,3 @@ val run : ?horizon:float -> spec -> result
 (** Simulate until every packet finishes or [horizon] (default 1e6 s) is
     reached.  Raises [Invalid_argument] on shape mismatches or unsorted
     arrivals. *)
-
-val finish_order : result -> (int * int) list
-[@@midrr.lint.allow "R9"] (* only test_core's finish order case calls it *)
-(** Packets as [(flow, index)] sorted by increasing finishing time
-    (unfinished packets excluded). *)

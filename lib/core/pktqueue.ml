@@ -97,10 +97,3 @@ let length t = t.len
 let is_empty t = Int.equal t.len 0
 
 let drops t = t.drops
-
-let clear t =
-  (* Drop packet references so the GC can reclaim them. *)
-  Array.fill t.buf 0 (Array.length t.buf) Packet.none;
-  t.head <- 0;
-  t.len <- 0;
-  t.bytes <- 0

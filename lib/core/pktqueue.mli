@@ -34,6 +34,3 @@ val is_empty : t -> bool
 
 val drops : t -> int
 (** Packets rejected so far by the capacity bound. *)
-
-val clear : t -> unit
-[@@midrr.lint.allow "R9"] (* only test_core calls it; no program clears *)

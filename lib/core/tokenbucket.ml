@@ -1,5 +1,5 @@
 type t = {
-  mutable fill_rate : float; (* bytes/s *)
+  fill_rate : float; (* bytes/s *)
   bucket_size : float; (* bytes *)
   mutable tokens : float;
   mutable last : float;
@@ -47,8 +47,3 @@ let time_until t ~now ~bytes =
   if not (Midrr_flownet.Feq.leq ~eps need t.bucket_size) then Float.infinity
   else if Midrr_flownet.Feq.geq ~eps t.tokens need then 0.0
   else (need -. t.tokens) /. t.fill_rate
-
-let set_rate t ~now new_rate =
-  if not (new_rate > 0.0) then invalid_arg "Tokenbucket.set_rate: rate <= 0";
-  settle t ~now;
-  t.fill_rate <- new_rate

@@ -26,7 +26,3 @@ val time_until : t -> now:float -> bytes:int -> float
     beyond a scale-relative float tolerance ({!Midrr_flownet.Feq}); the
     boundary case [bytes = burst] is finite.  Whenever the result is
     finite, {!try_consume} succeeds once that much time has elapsed. *)
-
-val set_rate : t -> now:float -> float -> unit
-[@@midrr.lint.allow "R9"] (* only tests change a bucket's rate *)
-(** Change the fill rate, settling accumulated tokens first. *)

@@ -15,12 +15,10 @@ let rec mem_sorted j = function
 
 let mbps x = x *. 1e6
 let kbps x = x *. 1e3
-let gbps x = x *. 1e9
 let to_mbps x = x /. 1e6
-let bytes_to_bits b = 8.0 *. Float.of_int b
 
 (* Inlined so that the simulators' per-transmission call returns its
    float unboxed: out of line, the result is boxed on every call. *)
 let[@inline] tx_time ~bytes ~rate =
   if rate <= 0.0 then invalid_arg "Types.tx_time: non-positive rate";
-  bytes_to_bits bytes /. rate
+  8.0 *. Float.of_int bytes /. rate

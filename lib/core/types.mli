@@ -29,14 +29,8 @@ val mbps : float -> float
 val kbps : float -> float
 (** [kbps x] is [x] kilobits/s in bits/s. *)
 
-val gbps : float -> float
-[@@midrr.lint.allow "R9"] (* only test_core's units case calls these *)
-(** [gbps x] is [x] gigabits/s in bits/s. *)
-
 val to_mbps : float -> float
 (** bits/s to Mb/s. *)
-
-val bytes_to_bits : int -> float [@@midrr.lint.allow "R9"]
 
 val tx_time : bytes:int -> rate:float -> float
 (** Transmission time in seconds of [bytes] on a [rate] bit/s line.

@@ -32,9 +32,6 @@ let allowed_ifaces t i =
 let allowed_flows t j =
   List.filter (fun i -> t.allowed.(i).(j)) (List.init (n_flows t) Fun.id)
 
-let is_complete t =
-  Array.for_all (fun row -> Array.for_all Fun.id row) t.allowed
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>flows=%d ifaces=%d@," (n_flows t) (n_ifaces t);
   Array.iteri

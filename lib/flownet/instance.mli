@@ -26,10 +26,5 @@ val allowed_ifaces : t -> int -> int list
 val allowed_flows : t -> int -> int list
 (** Flows willing to use interface [j], ascending. *)
 
-val is_complete : t -> bool
-[@@midrr.lint.allow "R9"] (* only test_flownet calls it *)
-(** [true] when every flow is willing to use every interface (the classical
-    aggregated-link case with no interface preferences). *)
-
 val pp : Format.formatter -> t -> unit
 [@@midrr.lint.allow "R9"] (* tests print counterexample instances with it *)

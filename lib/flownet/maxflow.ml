@@ -1,4 +1,4 @@
-type edge = { dst : int; mutable cap : float; mutable flow : float; rev : int }
+type edge = { dst : int; cap : float; mutable flow : float; rev : int }
 (* [rev] is the index of the paired reverse edge inside [adj.(dst)]. *)
 
 type t = { n : int; adj : edge array array; mutable sizes : int array }
@@ -38,18 +38,6 @@ let add_edge t ~src ~dst ~cap =
   handle src fwd_idx
 
 let get_edge t h = t.adj.(handle_node h).(handle_idx h)
-
-let reset_flow t =
-  for v = 0 to t.n - 1 do
-    for i = 0 to t.sizes.(v) - 1 do
-      t.adj.(v).(i).flow <- 0.0
-    done
-  done
-
-let set_cap t h cap =
-  if cap < 0.0 then invalid_arg "Maxflow.set_cap: negative capacity";
-  (get_edge t h).cap <- cap;
-  reset_flow t
 
 let flow_on t h = (get_edge t h).flow
 

@@ -17,19 +17,11 @@ val infinity_cap : float
 
 val add_edge : t -> src:int -> dst:int -> cap:float -> int
 (** Add a directed edge and its zero-capacity reverse edge; returns an edge
-    handle usable with {!flow_on} and {!set_cap}.  Requires [cap >= 0]. *)
-
-val set_cap : t -> int -> float -> unit
-[@@midrr.lint.allow "R9"] (* only test_flownet's set_cap case calls these *)
-(** Change an edge's capacity and reset all flow in the network.  Allows
-    reusing one graph across feasibility probes. *)
-
-val reset_flow : t -> unit [@@midrr.lint.allow "R9"]
-(** Zero all flow, keeping capacities. *)
+    handle usable with {!flow_on}.  Requires [cap >= 0]. *)
 
 val max_flow : ?eps:float -> t -> src:int -> dst:int -> float
-(** Compute the maximum [src]→[dst] flow.  The result and per-edge flows are
-    stored in the network until the next reset. *)
+(** Compute the maximum [src]→[dst] flow.  The per-edge flows stay
+    stored in the network. *)
 
 val flow_on : t -> int -> float
 (** Flow routed on the given edge handle by the last {!max_flow} run. *)

@@ -7,7 +7,6 @@ module Meter = Midrr_sim.Meter
 type transfer = {
   mutable requested : int; (* bytes covered by issued chunk requests *)
   mutable queued_tokens : int; (* chunk tokens currently in the scheduler *)
-  mutable stopped : bool;
 }
 
 (* The requests issued on an interface whose response has not fully
@@ -77,7 +76,7 @@ let next_chunk t fl =
    looks continuously backlogged while bytes remain. *)
 let rec refill_tokens t fl =
   let x = Meter.data fl in
-  if (not x.stopped) && x.queued_tokens < t.pipeline_depth then begin
+  if x.queued_tokens < t.pipeline_depth then begin
     let len = next_chunk t fl in
     if len > 0 then begin
       let pkt = Packet.create ~flow:(Meter.id fl) ~size:len ~arrival:(now t) in
@@ -191,7 +190,7 @@ let add_transfer t ?(at = 0.0) ?total_bytes f ~weight ~allowed () =
   if f < 0 then invalid_arg "Proxy.add_transfer: negative flow id";
   let fl =
     Meter.add_flow t.meter f ~weight ~allowed ?size:total_bytes
-      { requested = 0; queued_tokens = 0; stopped = false }
+      { requested = 0; queued_tokens = 0 }
   in
   let register () =
     Sched_intf.Packed.add_flow t.sched ~flow:f ~weight ~allowed;
@@ -199,17 +198,6 @@ let add_transfer t ?(at = 0.0) ?total_bytes f ~weight ~allowed () =
     kick t allowed
   in
   if at <= now t then register () else Engine.schedule t.engine ~at register
-
-let stop_transfer t ?at f =
-  let x = Meter.data (Meter.flow t.meter f) in
-  let act () =
-    x.stopped <- true;
-    if Sched_intf.Packed.has_flow t.sched f then
-      Sched_intf.Packed.remove_flow t.sched f
-  in
-  match at with
-  | None -> act ()
-  | Some time -> Engine.schedule t.engine ~at:time act
 
 let run t ~until = Engine.run ~until t.engine
 let goodput_series t f = Meter.rate_series t.meter f

@@ -61,9 +61,6 @@ val add_transfer :
     [Invalid_argument] on a negative id, at the call and before any
     state changes, not when the deferred registration runs. *)
 
-val stop_transfer : t -> ?at:float -> Types.flow_id -> unit
-[@@midrr.lint.allow "R9"] (* only test_http stops a transfer *)
-
 val run : t -> until:float -> unit
 
 (** {1 Measurement} *)

@@ -1,5 +1,3 @@
-open Midrr_lint
-
 (* R7: static zero-allocation proof over the typed tree.
 
    Every function transitively reachable from a configured entry point
@@ -148,11 +146,6 @@ let rec peel_arrows ty =
 let is_arrow ty =
   match Types.get_desc ty with Types.Tarrow _ -> true | _ -> false
 
-let is_float ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, _, _) -> Path.same p Predef.path_float
-  | _ -> false
-
 (* A field read returns the box a record already holds, except from a
    float record, whose fields are unboxed. *)
 let reads_stored_box (e : Typedtree.expression) =
@@ -185,7 +178,7 @@ let head_name ctx (f : Typedtree.expression) =
   | _ -> None
 
 let rec walk_expr ctx (e : Typedtree.expression) =
-  let allows = Engine.allows_of_attrs e.exp_attributes in
+  let allows = Rule.allows_of_attrs e.exp_attributes in
   ctx.with_allows allows (fun () -> walk_expr_inner ctx e)
 
 and walk_case : type k. ctx -> k Typedtree.case -> unit =
@@ -259,7 +252,7 @@ and walk_expr_inner ctx (e : Typedtree.expression) =
       List.iter
         (fun (vb : Typedtree.value_binding) ->
           ctx.with_allows
-            (Engine.allows_of_attrs vb.vb_attributes)
+            (Rule.allows_of_attrs vb.vb_attributes)
             (fun () -> walk_expr ctx vb.vb_expr))
         vbs;
       walk_expr ctx body
@@ -353,7 +346,7 @@ let check_node ~cfg ~graph ~emit ~with_allows ~allowed (node : Callgraph.node) =
   if node.Callgraph.n_is_function then begin
     let ret = peel_arrows node.Callgraph.n_expr.exp_type in
     if
-      is_float ret
+      Unit_rules.is_float node.Callgraph.n_expr.exp_env ret
       && (not (reads_stored_box (lambda_body node.Callgraph.n_expr)))
       && not (allowed ())
     then

@@ -101,13 +101,3 @@ let apply t findings_with_keys =
     List.length findings_with_keys - List.length fresh
   in
   (List.map fst fresh, baselined, stale)
-
-let filter pred (t : t) : t =
-  let out = empty () in
-  Hashtbl.iter (fun k n -> if pred k then Hashtbl.replace out k n) t;
-  out
-
-let rule_of_key k =
-  match String.index_opt k '\t' with
-  | Some i -> Rule.of_id (String.sub k 0 i)
-  | None -> None

@@ -25,11 +25,3 @@ val apply : t -> (Finding.t * string) list -> Finding.t list * int * (string * i
     findings not absorbed by the baseline, how many were absorbed, and
     the baseline entries (with multiplicity) that matched nothing —
     stale entries that should be deleted. *)
-
-val filter : (string -> bool) -> t -> t
-(** Keep only the entries whose key satisfies the predicate — a lint
-    run only judges (applies or reports stale) the entries of rules it
-    actually ran. *)
-
-val rule_of_key : string -> Rule.t option
-(** The rule id leading a baseline key, if it parses. *)

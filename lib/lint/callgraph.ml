@@ -1,5 +1,3 @@
-open Midrr_lint
-
 (* Call graph over fully-resolved Typedtree identifiers.
 
    Nodes are top-level (and nested-module / functor-body) value bindings
@@ -200,7 +198,7 @@ let rec register_structure t u ~prefix (str : Typedtree.structure) =
       | Tstr_value (_, vbs) ->
           List.iter
             (fun (vb : Typedtree.value_binding) ->
-              let allows = Engine.allows_of_attrs vb.vb_attributes in
+              let allows = Rule.allows_of_attrs vb.vb_attributes in
               List.iter
                 (fun id ->
                   let node =
@@ -267,7 +265,7 @@ let register_unit t ~modname ~file (str : Typedtree.structure) =
     List.concat_map
       (fun (item : Typedtree.structure_item) ->
         match item.str_desc with
-        | Tstr_attribute attr -> Engine.allows_of_attrs [ attr ]
+        | Tstr_attribute attr -> Rule.allows_of_attrs [ attr ]
         | _ -> [])
       str.str_items
   in

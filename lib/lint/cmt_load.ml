@@ -3,24 +3,12 @@
    source, and check freshness by content digest (mtime-independent:
    dune rewrites artifacts freely). *)
 
-type loaded = {
-  l_modname : string;
-  l_file : string;  (* repo-relative source path *)
-  l_structure : Typedtree.structure;
-}
-
-type interface = {
-  i_modname : string;
-  i_file : string;  (* repo-relative .mli path *)
-  i_signature : Typedtree.signature;
-}
-
 type result = {
-  loaded : loaded list;
-  interfaces : interface list;  (* the .mli files under lib/ *)
+  loaded : Callgraph.input list;
+  interfaces : Export_rule.interface list;
   warnings : string list;  (* unreadable or stale cmts, with detail *)
   stale : string list;  (* sources whose cmt predates the current text *)
-  missing : string list;  (* scanned .ml files with no cmt at all *)
+  missing : string list;  (* scanned .ml/.mli files with no artifact *)
 }
 
 let under_dir file dir =
@@ -46,11 +34,8 @@ let rec collect_cmts dir acc =
       acc (Sys.readdir dir)
   else acc
 
-(* Interfaces are read for the units R9 judges: lib/ alone. *)
-let interface_dir = "lib"
-
 (* Walk [root]/[d] for the sources that must have an artifact: every
-   .ml (mirrors the untyped driver's walk) and the .mli files R9 reads. *)
+   .ml and .mli. *)
 let rec collect_sources root rel acc =
   let abs = Filename.concat root rel in
   if Sys.is_directory abs then
@@ -62,14 +47,19 @@ let rec collect_sources root rel acc =
         then acc
         else collect_sources root (Filename.concat rel name) acc)
       acc (Sys.readdir abs)
-  else if
-    Filename.check_suffix rel ".ml"
-    || (Filename.check_suffix rel ".mli" && under_dir rel interface_dir)
+  else if Filename.check_suffix rel ".ml" || Filename.check_suffix rel ".mli"
   then rel :: acc
   else acc
 
 let load ~root ~build_dir ~dirs () =
   let cmts = List.sort String.compare (collect_cmts build_dir []) in
+  (* A cmt keeps only the summaries of its typing environments; R3
+     rebuilds them ([Envaux]) to see through abbreviations such as
+     [Float.t], from the .cmi files that sit beside the artifacts. *)
+  Compmisc.init_path ();
+  List.iter Load_path.add_dir
+    (List.sort_uniq String.compare (List.map Filename.dirname cmts));
+  Envaux.reset_cache ();
   let loaded = ref [] and interfaces = ref [] in
   let warnings = ref [] and stale = ref [] in
   let seen_sources = Hashtbl.create 64 in
@@ -77,7 +67,7 @@ let load ~root ~build_dir ~dirs () =
      dune generates (a library wrapper, [dune__exe], [build_info.ml]),
      its copy in the build directory.  Generated units carry the
      module aliases that cross-unit paths go through, so they load
-     wherever the tier runs from; they hold no finding of their own. *)
+     wherever the lint runs from; they hold no finding of their own. *)
   let source_of sf =
     List.find_opt Sys.file_exists
       [ Filename.concat root sf; Filename.concat build_dir sf ]
@@ -115,18 +105,21 @@ let load ~root ~build_dir ~dirs () =
                 Hashtbl.replace seen_sources sf ();
                 loaded :=
                   {
-                    l_modname = infos.cmt_modname;
-                    l_file = sf;
-                    l_structure = str;
+                    Callgraph.in_modname = infos.cmt_modname;
+                    in_file = sf;
+                    in_structure = str;
                   }
                   :: !loaded
               end
           | Some sf, Cmt_format.Interface sg
-            when under_dir sf interface_dir && fresh sf infos.cmt_source_digest
-            ->
+            when fresh sf infos.cmt_source_digest ->
               Hashtbl.replace seen_sources sf ();
               interfaces :=
-                { i_modname = infos.cmt_modname; i_file = sf; i_signature = sg }
+                {
+                  Export_rule.modname = infos.cmt_modname;
+                  file = sf;
+                  signature = sg;
+                }
                 :: !interfaces
           | _ -> ()))
     cmts;
@@ -142,9 +135,13 @@ let load ~root ~build_dir ~dirs () =
   in
   {
     loaded =
-      List.sort (fun a b -> String.compare a.l_file b.l_file) !loaded;
+      List.sort
+        (fun (a : Callgraph.input) b -> String.compare a.in_file b.in_file)
+        !loaded;
     interfaces =
-      List.sort (fun a b -> String.compare a.i_file b.i_file) !interfaces;
+      List.sort
+        (fun (a : Export_rule.interface) b -> String.compare a.file b.file)
+        !interfaces;
     warnings = List.rev !warnings;
     stale = List.sort String.compare !stale;
     missing;

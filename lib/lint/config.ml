@@ -1,7 +1,6 @@
 type t = {
   hot_path_modules : string list;
   float_sensitive_dirs : string list;
-  warning_allowlist : string list;
   domain_spawn_dirs : string list;
   typed_entry_points : string list;
   par_task_entries : string list;
@@ -25,8 +24,7 @@ type t = {
 
    Entries are repo-relative module paths without extension, so a future
    [lib/trace/event.ml] is not silently hot just because [lib/obs/event.ml]
-   is.  A bare basename still matches as a deprecated fallback (the
-   driver surfaces a warning) so older config values keep working. *)
+   is. *)
 let default =
   {
     hot_path_modules =
@@ -60,7 +58,6 @@ let default =
         "lib/netcalc/bound";
       ];
     float_sensitive_dirs = [ "lib/flownet"; "lib/stats" ];
-    warning_allowlist = [];
     (* The parallel executor is the single owner of raw domains; every
        other module must go through its deterministic merge. *)
     domain_spawn_dirs = [ "lib/par" ];
@@ -121,43 +118,9 @@ let default =
     par_task_entries = [ "Par.run"; "Par.map" ];
   }
 
-let module_name_of_file file =
-  let base = Filename.basename file in
-  match String.index_opt base '.' with
-  | Some i -> String.sub base 0 i
-  | None -> base
-
-(* Repo-relative path of [file] without its extension, '/'-separated. *)
-let module_path_of_file file =
-  match String.rindex_opt file '.' with
-  | Some i
-    when not (String.contains (String.sub file i (String.length file - i)) '/')
-    ->
-      String.sub file 0 i
-  | _ -> file
-
-type hot_match = Hot_path | Hot_basename_deprecated | Not_hot
-
-let hot_path_match t file =
-  let path = String.lowercase_ascii (module_path_of_file file) in
-  if List.exists (String.equal path) t.hot_path_modules then Hot_path
-  else
-    let base = String.lowercase_ascii (module_name_of_file file) in
-    if
-      List.exists
-        (fun entry ->
-          (* Only bare (slash-free) entries participate in the deprecated
-             basename fallback: a path entry like "lib/obs/metrics" must
-             not make an unrelated lib/core/metrics.ml hot. *)
-          (not (String.contains entry '/')) && String.equal base entry)
-        t.hot_path_modules
-    then Hot_basename_deprecated
-    else Not_hot
-
 let is_hot_path t file =
-  match hot_path_match t file with
-  | Hot_path | Hot_basename_deprecated -> true
-  | Not_hot -> false
+  let path = String.lowercase_ascii (Filename.remove_extension file) in
+  List.exists (String.equal path) t.hot_path_modules
 
 let under_dir file dir =
   let prefix = dir ^ "/" in
@@ -166,9 +129,6 @@ let under_dir file dir =
 
 let is_float_sensitive t file =
   List.exists (under_dir file) t.float_sensitive_dirs
-
-let warning_allowed t file =
-  List.exists (String.equal file) t.warning_allowlist
 
 let domain_spawn_allowed t file =
   List.exists (under_dir file) t.domain_spawn_dirs

@@ -1,10 +1,5 @@
-open Midrr_lint
-
-(* R8: interprocedural domain-safety.
-
-   The untyped R6 only sees writes that appear *textually* inside a
-   closure passed to [Par.run]/[Par.map].  This rule upgrades the check
-   to reachability over the call graph:
+(* R8: interprocedural domain-safety, by resolved path and reachability
+   over the call graph:
 
    1. Every application of a configured par entry point is a task site.
       Task arguments are either closure literals or identifiers naming
@@ -14,9 +9,8 @@ open Midrr_lint
       (captured or module-level mutable state).
    3. A captured value passed to a callee that writes the corresponding
       parameter — directly or transitively, via a fixpoint over
-      per-function summaries — is flagged too.  This is the case the
-      untyped pass provably misses: the mutation is hidden one call
-      deep.
+      per-function summaries — is flagged too: the mutation is hidden
+      one call deep.
    4. Every function reachable from a task root is scanned for direct
       writes to module-level mutable state.
 
@@ -58,7 +52,7 @@ let write_of_apply name (args : (_ * Typedtree.expression option) list) =
   | "Float.Array.set" | "Float.Array.unsafe_set" | "Float.Array.fill" ->
       target 0 "a float array cell"
   | "Bytes.set" | "Bytes.unsafe_set" | "Bytes.fill" -> target 0 "bytes"
-  | "Bytes.blit" | "Bytes.blit_string" -> target 2 "bytes"
+  | "Bytes.blit" | "Bytes.blit_string" | "String.blit" -> target 2 "bytes"
   | "Hashtbl.replace" | "Hashtbl.add" | "Hashtbl.remove" | "Hashtbl.reset"
   | "Hashtbl.clear" | "Hashtbl.filter_map_inplace" ->
       target 0 "a hash table"
@@ -326,7 +320,7 @@ let scan_task_arg ~graph ~summaries:sums ~unit_name ~emit ~allowed
     | Callgraph.Local _ -> ()
   in
   let rec walk ~depth (e : Typedtree.expression) =
-    let allows = Engine.allows_of_attrs e.exp_attributes in
+    let allows = Rule.allows_of_attrs e.exp_attributes in
     with_allows allows (fun () -> walk_inner ~depth e)
   and walk_case : type k. depth:int -> k Typedtree.case -> unit =
    fun ~depth c ->

@@ -1,15 +1,15 @@
 type report = {
-  files_scanned : int;
-  findings : Finding.t list;  (** fresh findings, after baseline *)
+  units : int;
+  findings : Finding.t list;
   baselined : int;
   stale_baseline : (string * int) list;
-  parse_errors : (string * string) list;
+  blocked : string list;
   warnings : string list;
 }
 
 let clean r =
   (match r.findings with [] -> true | _ -> false)
-  && (match r.parse_errors with [] -> true | _ -> false)
+  && match r.blocked with [] -> true | _ -> false
 
 let read_file path =
   let ic = open_in_bin path in
@@ -17,109 +17,62 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let source_line lines n =
-  if n >= 1 && n <= Array.length lines then lines.(n - 1) else ""
+(* Baseline keys need the source line under the finding; cache the line
+   arrays per file. *)
+let keyer ~root =
+  let cache = Hashtbl.create 16 in
+  fun (f : Finding.t) ->
+    let lines =
+      match Hashtbl.find_opt cache f.file with
+      | Some lines -> lines
+      | None ->
+          let lines =
+            match read_file (Filename.concat root f.file) with
+            | source -> String.split_on_char '\n' source |> Array.of_list
+            | exception Sys_error _ -> [||]
+          in
+          Hashtbl.replace cache f.file lines;
+          lines
+    in
+    let line =
+      if f.line >= 1 && f.line <= Array.length lines then lines.(f.line - 1)
+      else ""
+    in
+    Baseline.key ~source_line:line f
 
-let lint_string ?(config = Config.default) ~file source =
-  match Engine.lint_source config ~file source with
-  | Ok findings -> findings
-  | Error msg -> invalid_arg ("Driver.lint_string: " ^ msg)
-
-let is_ml_file name =
-  Filename.check_suffix name ".ml" || Filename.check_suffix name ".mli"
-
-let skip_dir name =
-  match name with
-  | "_build" | ".git" | "_opam" -> true
-  | _ -> String.length name > 0 && Char.equal name.[0] '.'
-
-(* Collect repo-relative paths of .ml/.mli files under [root]/[dir],
-   sorted for deterministic reports. *)
-let rec collect root rel acc =
-  let abs = Filename.concat root rel in
-  if Sys.is_directory abs then
-    Array.fold_left
-      (fun acc name ->
-        if skip_dir name then acc
-        else collect root (Filename.concat rel name) acc)
-      acc (Sys.readdir abs)
-  else if is_ml_file rel then rel :: acc
-  else acc
-
-(* Satellite of the path-scoped hot-path config: a file that is hot only
-   through the basename fallback still gets the R1 treatment, but the
-   report says so — the entry should be scoped by repo-relative path. *)
-let deprecation_warnings config files =
-  List.filter_map
-    (fun rel ->
-      match Config.hot_path_match config rel with
-      | Config.Hot_basename_deprecated ->
-          Some
-            (Printf.sprintf
-               "%s: hot-path match by basename only (deprecated): scope the \
-                hot_path_modules entry as %s"
-               rel
-               (Config.module_path_of_file rel))
-      | Config.Hot_path | Config.Not_hot -> None)
-    files
-
-let scan_files ?(config = Config.default) ~root files =
-  let files = List.sort String.compare files in
-  let findings = ref [] and parse_errors = ref [] in
-  List.iter
-    (fun rel ->
-      let source = read_file (Filename.concat root rel) in
-      match Engine.lint_source config ~file:rel source with
-      | Ok fs ->
-          let lines = String.split_on_char '\n' source |> Array.of_list in
-          List.iter
-            (fun (f : Finding.t) ->
-              let k = Baseline.key ~source_line:(source_line lines f.line) f in
-              findings := (f, k) :: !findings)
-            fs
-      | Error msg -> parse_errors := (rel, msg) :: !parse_errors)
-    files;
-  let with_keys =
-    List.sort (fun ((a : Finding.t), _) (b, _) -> Finding.compare a b)
-      !findings
+let collect_keys ?(config = Config.default) ~root ~build_dir ~dirs () =
+  let r = Cmt_load.load ~root ~build_dir ~dirs () in
+  let findings, analysis_warnings =
+    Typed_engine.analyze ~config ~interfaces:r.interfaces r.loaded
   in
-  (List.length files, with_keys, List.rev !parse_errors)
-
-let collect_keys ?(config = Config.default) ~root ~dirs () =
-  let files =
-    List.concat_map
-      (fun dir ->
-        if Sys.file_exists (Filename.concat root dir) then collect root dir []
-        else [])
-      dirs
+  let key = keyer ~root in
+  let missing_warnings =
+    List.map
+      (fun sf ->
+        Printf.sprintf
+          "no .cmt artifact for %s under %s — run [dune build] so the lint \
+           can see it"
+          sf build_dir)
+      r.missing
   in
-  let files_scanned, with_keys, parse_errors = scan_files ~config ~root files in
-  (files_scanned, with_keys, parse_errors,
-   deprecation_warnings config (List.sort String.compare files))
+  ( List.length r.loaded,
+    List.map (fun f -> (f, key f)) findings,
+    r.warnings @ missing_warnings @ analysis_warnings,
+    List.sort String.compare (r.missing @ r.stale) )
 
-let scan ?(config = Config.default) ~root ~dirs ~baseline () =
-  let files_scanned, with_keys, parse_errors, warnings =
-    collect_keys ~config ~root ~dirs ()
+let all_keys ?config ~root ~build_dir ~dirs () =
+  let _, with_keys, _, _ = collect_keys ?config ~root ~build_dir ~dirs () in
+  List.map snd with_keys
+
+let scan ?config ~root ~build_dir ~dirs ~baseline () =
+  let units, with_keys, warnings, blocked =
+    collect_keys ?config ~root ~build_dir ~dirs ()
   in
   let findings, baselined, stale_baseline = Baseline.apply baseline with_keys in
-  { files_scanned; findings; baselined; stale_baseline; parse_errors; warnings }
-
-let all_keys ?(config = Config.default) ~root ~dirs () =
-  let files =
-    List.concat_map
-      (fun dir ->
-        if Sys.file_exists (Filename.concat root dir) then collect root dir []
-        else [])
-      dirs
-  in
-  let _, with_keys, _ = scan_files ~config ~root files in
-  List.map snd with_keys
+  { units; findings; baselined; stale_baseline; blocked; warnings }
 
 let pp_report ppf r =
   List.iter (fun f -> Format.fprintf ppf "@[<v>%a@]@." Finding.pp f) r.findings;
-  List.iter
-    (fun (file, msg) -> Format.fprintf ppf "%s: unparseable: %s@." file msg)
-    r.parse_errors;
   List.iter (fun w -> Format.fprintf ppf "warning: %s@." w) r.warnings;
   List.iter
     (fun (k, n) ->
@@ -130,49 +83,38 @@ let pp_report ppf r =
         (String.concat " | " (String.split_on_char '\t' k)))
     r.stale_baseline;
   Format.fprintf ppf
-    "midrr-lint: %d file(s) scanned, %d fresh finding(s), %d baselined, %d \
-     stale baseline entr(ies), %d parse error(s)@."
-    r.files_scanned
+    "midrr-lint: %d unit(s) loaded, %d fresh finding(s), %d baselined, %d \
+     stale baseline entr(ies), %d source(s) without a fresh artifact@."
+    r.units
     (List.length r.findings)
     r.baselined
     (List.length r.stale_baseline)
-    (List.length r.parse_errors)
+    (List.length r.blocked)
+
+let json_list buf items to_json =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf "\n    ";
+      Buffer.add_string buf (to_json x))
+    items
+
+let json_string s = Printf.sprintf "\"%s\"" (Finding.json_escape s)
 
 let report_to_json r =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"files_scanned\": ";
-  Buffer.add_string buf (Int.to_string r.files_scanned);
+  Buffer.add_string buf "{\n  \"units\": ";
+  Buffer.add_string buf (Int.to_string r.units);
   Buffer.add_string buf ",\n  \"baselined\": ";
   Buffer.add_string buf (Int.to_string r.baselined);
   Buffer.add_string buf ",\n  \"findings\": [";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n    ";
-      Buffer.add_string buf (Finding.to_json f))
-    r.findings;
+  json_list buf r.findings Finding.to_json;
   Buffer.add_string buf "\n  ],\n  \"stale_baseline\": [";
-  List.iteri
-    (fun i (k, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    {\"key\":\"%s\",\"count\":%d}"
-           (Finding.json_escape k) n))
-    r.stale_baseline;
-  Buffer.add_string buf "\n  ],\n  \"parse_errors\": [";
-  List.iteri
-    (fun i (file, msg) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    {\"file\":\"%s\",\"error\":\"%s\"}"
-           (Finding.json_escape file) (Finding.json_escape msg)))
-    r.parse_errors;
+  json_list buf r.stale_baseline (fun (k, n) ->
+      Printf.sprintf "{\"key\":%s,\"count\":%d}" (json_string k) n);
+  Buffer.add_string buf "\n  ],\n  \"blocked\": [";
+  json_list buf r.blocked json_string;
   Buffer.add_string buf "\n  ],\n  \"warnings\": [";
-  List.iteri
-    (fun i w ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    \"%s\"" (Finding.json_escape w)))
-    r.warnings;
+  json_list buf r.warnings json_string;
   Buffer.add_string buf "\n  ]\n}\n";
   Buffer.contents buf

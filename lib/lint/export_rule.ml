@@ -1,10 +1,8 @@
-open Midrr_lint
-
 (* R9: no export without a caller.
 
-   Every explicit top-level [val] of a judged interface must be
+   Every explicit top-level [val] of a lib/ interface must be
    referenced by another loaded unit.  The callers are whatever the
-   tier loaded (lib/, bin/, bench/ and examples/ from the CLI; never
+   driver loaded (lib/, bin/, bench/ and examples/ from the CLI; never
    test/).  A reference is any identifier in any expression of a unit,
    module initialisers included, resolved through the call graph and
    matched by its resolved name, [Node] or [External]: values an
@@ -38,7 +36,7 @@ let rec module_path (me : Typedtree.module_expr) =
 let references graph units =
   let refs = Hashtbl.create 1024 in
   List.iter
-    (fun (unit_name, (str : Typedtree.structure)) ->
+    (fun { Callgraph.in_modname = unit_name; in_structure = str; _ } ->
       let mark key =
         if not (own ~unit_name key) then Hashtbl.replace refs key ()
       in
@@ -66,6 +64,10 @@ let references graph units =
     units;
   refs
 
+(* R9 judges the library surface; executables' interfaces export to
+   no other unit. *)
+let judged i = String.starts_with ~prefix:"lib/" i.file
+
 let check ~graph ~units ~interfaces ~add_finding =
   let refs = references graph units in
   List.iter
@@ -77,7 +79,7 @@ let check ~graph ~units ~interfaces ~add_finding =
               let name = vd.val_name.txt in
               let allowed =
                 List.exists (Rule.equal rule)
-                  (Engine.allows_of_attrs vd.val_attributes)
+                  (Rule.allows_of_attrs vd.val_attributes)
               in
               if not (allowed || Hashtbl.mem refs (i.modname ^ "." ^ name))
               then
@@ -90,4 +92,4 @@ let check ~graph ~units ~interfaces ~add_finding =
                         name))
           | _ -> ())
         i.signature.sig_items)
-    interfaces
+    (List.filter judged interfaces)

@@ -1,32 +1,30 @@
 (** The midrr-lint rule set.
 
     Each rule enforces one scheduler-specific invariant; see DESIGN.md
-    sections 9 and 13 for the rationale behind every rule.  R1–R6 are
-    enforced by the untyped Parsetree pass ({!Engine}); R7–R9 need
-    fully-resolved identifiers and types, so they live in the typed tier
-    over [.cmt] files (the [midrr.lint-typed] library). *)
+    section 9 for the rationale behind every rule.  Every rule runs over
+    the Typedtree of the [.cmt]/[.cmti] artifacts, where callees are
+    matched by resolved path and operands by type.  R6, the syntactic
+    check of Par task closures, is retired: R8 judges those writes. *)
 
 type t =
   | R1  (** no polymorphic [compare]/[=]/[Hashtbl.hash] in hot-path modules *)
   | R2  (** no [try ... with _ ->] catch-alls *)
-  | R3  (** no float [=]/[<>] on computed values in flownet/stats *)
-  | R4  (** no [Obj.magic], no warning suppressions outside the allowlist *)
+  | R3  (** no [=]/[<>] at type [float] in flownet/stats *)
+  | R4  (** no [Obj.magic], no warning suppressions *)
   | R5
       (** no top-level mutable state outside the declared allowlist, and no
           [Domain.spawn] outside the directories allowed to own domains
           (by default only [lib/par]) *)
-  | R6
-      (** no writes to mutable state captured from the enclosing scope
-          inside a task closure passed to [Par.run] / [Par.map] *)
   | R7
-      (** typed tier: no allocating construct in any function reachable
-          from the configured decision entry points *)
+      (** no allocating construct in any function reachable from the
+          configured decision entry points *)
   | R8
-      (** typed tier: no write to non-task-local mutable state in any
-          function reachable from a [Par.run] / [Par.map] task *)
+      (** no write to non-task-local mutable state inside a task closure
+          passed to [Par.run] / [Par.map], or in any function reachable
+          from one *)
   | R9
-      (** typed tier: no val in a [lib/] interface that no other unit of
-          [lib/], [bin/], [bench/] or [examples/] references *)
+      (** no val in a [lib/] interface that no other unit of [lib/],
+          [bin/], [bench/] or [examples/] references *)
 
 val all : t list
 val id : t -> string
@@ -39,3 +37,15 @@ val description : t -> string
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val allows_of_attrs : Parsetree.attributes -> t list
+(** Rule ids listed by [[@midrr.lint.allow "R1 R5"]] attributes (space-
+    or comma-separated; unknown ids are ignored).  A site is suppressed
+    by the attribute on its expression or binding, a file by a floating
+    [[@@@midrr.lint.allow "..."]]. *)
+
+val allow_stack :
+  t list -> (t -> unit -> bool) * (t list -> (unit -> unit) -> unit)
+(** [allow_stack file_allows] is [(allowed, with_allows)]: [allowed r ()]
+    holds when an allow for [r] is in scope, and [with_allows allows f]
+    runs [f] with [allows] in scope. *)

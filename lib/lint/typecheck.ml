@@ -1,5 +1,5 @@
-(* In-process typechecking of fixture sources, so the typed-tier tests
-   can run without producing cmt artifacts on disk.  Uses the same
+(* In-process typechecking of fixture sources, so the lint tests can
+   run without producing cmt artifacts on disk.  Uses the same
    compiler-libs the build itself uses; the environment is the initial
    Stdlib environment, so fixtures must be self-contained (they declare
    their own local [Par] module, say, rather than depending on

@@ -1,38 +1,8 @@
-open Midrr_lint
-
-(* Orchestration of the typed tier: build the call graph over all
-   loaded units, then run R7 (static zero-allocation over the entry
-   reachability set), R8 (interprocedural domain-safety over the
-   Par-task reachability set) and R9 (every val of the given interfaces
-   has a caller among the loaded units). *)
-
-type unit_input = {
-  ui_modname : string;
-  ui_file : string;
-  ui_structure : Typedtree.structure;
-}
-
-(* Allow-attribute scope stack shared by both rules: file-wide allows at
-   the bottom, binding allows pushed per node, expression allows pushed
-   during the walk. *)
-let make_allow_stack initial =
-  let stack = ref [ initial ] in
-  let allowed rule () =
-    List.exists
-      (List.exists (fun r -> Rule.compare r rule = 0))
-      !stack
-  in
-  let with_allows allows f =
-    match allows with
-    | [] -> f ()
-    | _ ->
-        stack := allows :: !stack;
-        Fun.protect
-          ~finally:(fun () ->
-            match !stack with _ :: rest -> stack := rest | [] -> ())
-          f
-  in
-  (allowed, with_allows)
+(* Orchestration: build the call graph over all loaded units, then run
+   R1-R5 on each unit and R4 on each interface ([Unit_rules]), R7
+   (static zero-allocation over the entry reachability set), R8
+   (domain-safety over the Par-task reachability set) and R9 (every val
+   of a lib/ interface has a caller among the loaded units). *)
 
 let check_r7 ~cfg ~graph ~add_finding ~add_warning =
   let roots = ref [] in
@@ -62,7 +32,7 @@ let check_r7 ~cfg ~graph ~add_finding ~add_warning =
       | Some node ->
           let file_allows = Callgraph.unit_allows graph node.Callgraph.n_unit in
           let allowed, with_allows =
-            make_allow_stack (file_allows @ node.Callgraph.n_allows)
+            Rule.allow_stack (file_allows @ node.Callgraph.n_allows)
           in
           let allowed = allowed Rule.R7 in
           let emit ~loc msg =
@@ -109,21 +79,21 @@ let check_r8 ~cfg ~graph ~inputs ~add_finding =
   let sums = Domain_rule.summaries graph in
   let all_roots = ref [] in
   List.iter
-    (fun ui ->
+    (fun (ui : Callgraph.input) ->
       (* the executor layer owns its own synchronization: its internal
          Par.run self-calls are not user task sites *)
-      if not (Config.domain_spawn_allowed cfg ui.ui_file) then
-        let unit_name = ui.ui_modname in
+      if not (Config.domain_spawn_allowed cfg ui.in_file) then
+        let unit_name = ui.in_modname in
         let file_allows = Callgraph.unit_allows graph unit_name in
         List.iter
           (fun (_, entry, task_args) ->
             List.iter
               (fun arg ->
-                let allowed, with_allows = make_allow_stack file_allows in
+                let allowed, with_allows = Rule.allow_stack file_allows in
                 let allowed = allowed Rule.R8 in
                 let emit ~loc msg =
                   add_finding
-                    (Finding.v ~file:ui.ui_file ~loc ~rule:Rule.R8
+                    (Finding.v ~file:ui.in_file ~loc ~rule:Rule.R8
                        (Printf.sprintf "%s (task of [%s])" msg entry))
                 in
                 Domain_rule.scan_task_arg ~graph ~summaries:sums ~unit_name
@@ -132,7 +102,7 @@ let check_r8 ~cfg ~graph ~inputs ~add_finding =
                   (fun key -> all_roots := (key, entry) :: !all_roots)
                   (Domain_rule.task_roots ~graph ~unit_name arg))
               task_args)
-          (par_sites ~cfg ~graph ~unit_name ui.ui_structure))
+          (par_sites ~cfg ~graph ~unit_name ui.in_structure))
     inputs;
   let reach = Callgraph.reachable graph !all_roots in
   Hashtbl.iter
@@ -159,25 +129,24 @@ let check_r8 ~cfg ~graph ~inputs ~add_finding =
     reach
 
 let analyze ?(config = Config.default) ?(interfaces = [])
-    (inputs : unit_input list) =
-  let graph =
-    Callgraph.build
-      (List.map
-         (fun ui ->
-           {
-             Callgraph.in_modname = ui.ui_modname;
-             in_file = ui.ui_file;
-             in_structure = ui.ui_structure;
-           })
-         inputs)
-  in
+    (inputs : Callgraph.input list) =
+  let graph = Callgraph.build inputs in
   let findings = ref [] and warnings = ref [] in
   let add_finding f = findings := f :: !findings in
   let add_warning w = warnings := w :: !warnings in
+  List.iter
+    (fun (ui : Callgraph.input) ->
+      (* dune's generated units ([.ml-gen]) hold no source of their own *)
+      if Filename.check_suffix ui.in_file ".ml" then
+        Unit_rules.check_structure ~config ~graph ~unit_name:ui.in_modname
+          ~file:ui.in_file ~add_finding ui.in_structure)
+    inputs;
+  List.iter
+    (fun (i : Export_rule.interface) ->
+      Unit_rules.check_signature ~file:i.file ~add_finding i.signature)
+    interfaces;
   check_r7 ~cfg:config ~graph ~add_finding ~add_warning;
   check_r8 ~cfg:config ~graph ~inputs ~add_finding;
-  Export_rule.check ~graph
-    ~units:(List.map (fun ui -> (ui.ui_modname, ui.ui_structure)) inputs)
-    ~interfaces ~add_finding;
+  Export_rule.check ~graph ~units:inputs ~interfaces ~add_finding;
   let findings = List.sort_uniq Finding.compare !findings in
   (findings, List.rev !warnings)

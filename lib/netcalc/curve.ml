@@ -103,105 +103,18 @@ let xs_with_crossings a b =
   done;
   sorted_unique eps (Array.append xs (Array.of_list !extra))
 
-let select ~lower a b =
+let max_curve a b =
   Array.map
     (fun x ->
       let ya = eval a x and yb = eval b x in
       let sa = slope_at a x and sb = slope_at b x in
       let eps = Feq.scale_eps (Float.max (Float.abs ya) (Float.abs yb)) in
-      let pick_a =
-        if Feq.approx ~eps ya yb then if lower then sa <= sb else sa >= sb
-        else if lower then ya < yb
-        else ya > yb
-      in
+      let pick_a = if Feq.approx ~eps ya yb then sa >= sb else ya > yb in
       if pick_a then { x; y = ya; s = sa } else { x; y = yb; s = sb })
     (xs_with_crossings a b)
+  |> check "Curve.max_curve"
 
-let min_curve a b = check "Curve.min_curve" (select ~lower:true a b)
-let max_curve a b = check "Curve.max_curve" (select ~lower:false a b)
 let pos c = max_curve c zero
-
-let slope_eps c =
-  let m =
-    Array.fold_left (fun acc sg -> Float.max acc (Float.abs sg.s)) 0.0 c
-  in
-  Feq.scale_eps m
-
-let continuous_at c i =
-  (* value reaches segment i's start from segment i-1 without a jump *)
-  let p = c.(i - 1) and q = c.(i) in
-  let reached = p.y +. (p.s *. (q.x -. p.x)) in
-  let eps = Feq.scale_eps (Float.max (Float.abs reached) (Float.abs q.y)) in
-  Feq.approx ~eps reached q.y
-
-let is_convex c =
-  let eps = slope_eps c in
-  let ok = ref true in
-  for i = 1 to Array.length c - 1 do
-    if (not (continuous_at c i)) || c.(i).s < c.(i - 1).s -. eps then
-      ok := false
-  done;
-  !ok
-
-let is_nondecreasing c =
-  let eps = slope_eps c in
-  let ok = ref true in
-  for i = 0 to Array.length c - 1 do
-    if c.(i).s < -.eps then ok := false;
-    if i > 0 then begin
-      let p = c.(i - 1) in
-      let reached = p.y +. (p.s *. (c.(i).x -. p.x)) in
-      let veps =
-        Feq.scale_eps (Float.max (Float.abs reached) (Float.abs c.(i).y))
-      in
-      if not (Feq.geq ~eps:veps c.(i).y reached) then ok := false
-    end
-  done;
-  !ok
-
-(* Min-plus convolution of convex curves: the infimal path takes segments
-   in nondecreasing slope order, starting from f(0) + g(0).  Segments at
-   or above the combined long-run slope are never entered — the cheaper
-   infinite tail dominates them. *)
-let conv a b =
-  if not (is_convex a && is_convex b) then
-    invalid_arg "Curve.conv: curves must be convex";
-  let tail = Float.min (final_slope a) (final_slope b) in
-  let eps = Float.max (slope_eps a) (slope_eps b) in
-  let finite c =
-    let out = ref [] in
-    for i = 0 to Array.length c - 2 do
-      out := (c.(i + 1).x -. c.(i).x, c.(i).s) :: !out
-    done;
-    !out
-  in
-  let pieces =
-    List.filter
-      (fun (_, s) -> s < tail -. eps)
-      (List.rev_append (finite a) (finite b))
-  in
-  let pieces =
-    List.sort (fun (_, s1) (_, s2) -> Float.compare s1 s2) pieces
-  in
-  (* Build breakpoints by walking the sorted pieces, merging runs of
-     equal slope into one segment. *)
-  let acc = ref [] in
-  let cx = ref 0.0 and cy = ref (eval a 0.0 +. eval b 0.0) in
-  List.iter
-    (fun (d, s) ->
-      (match !acc with
-      | (_, _, s0) :: _ when Float.abs (s0 -. s) <= eps -> ()
-      | _ -> acc := (!cx, !cy, s) :: !acc);
-      cx := !cx +. d;
-      cy := !cy +. (s *. d))
-    pieces;
-  (match !acc with
-  | (_, _, s0) :: _ when Float.abs (s0 -. tail) <= eps -> ()
-  | _ -> acc := (!cx, !cy, tail) :: !acc);
-  let segs =
-    List.rev_map (fun (x, y, s) -> { x; y; s }) !acc |> Array.of_list
-  in
-  check "Curve.conv" segs
 
 let inv c y =
   let n = Array.length c in

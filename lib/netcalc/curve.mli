@@ -38,29 +38,13 @@ val sum : t -> t -> t
 val sub : t -> t -> t
 (** Pointwise difference; may go negative (clamp with {!pos}). *)
 
-val min_curve : t -> t -> t
-[@@midrr.lint.allow "R9"] (* only test_bounds' algebra properties call these *)
-(** Pointwise minimum, with breakpoints inserted at crossings.  Concave
-    curves are closed under it. *)
-
 val max_curve : t -> t -> t
-(** Pointwise maximum.  Two strict service curves for the same node
-    combine into a (better) strict service curve this way. *)
+(** Pointwise maximum, with breakpoints inserted at crossings.  Two
+    strict service curves for the same node combine into a (better)
+    strict service curve this way. *)
 
 val pos : t -> t
 (** [max_curve c zero]: the non-negative part [c]+. *)
-
-val conv : t -> t -> t [@@midrr.lint.allow "R9"]
-(** Min-plus convolution [(f ⊗ g)(t) = inf_s f(s) + g(t-s)] of two
-    {e convex} curves: start at [f 0 + g 0] and concatenate all segments
-    in nondecreasing slope order.  Rate-latency curves are closed under
-    it: [conv (R1,T1) (R2,T2) = (min R1 R2, T1+T2)].  Raises
-    [Invalid_argument] if either curve is not convex. *)
-
-val is_convex : t -> bool [@@midrr.lint.allow "R9"]
-(** Continuous with nondecreasing slopes (up to a relative epsilon). *)
-
-val is_nondecreasing : t -> bool [@@midrr.lint.allow "R9"]
 
 val hdev : alpha:t -> beta:t -> float
 (** Horizontal deviation [sup_t (inf { d | alpha t <= beta (t + d) })] —

@@ -97,7 +97,8 @@ let phases t = Array.to_list (Array.sub t.names 0 t.n_phases)
 (* Timestamps are rebased to the earliest sampled begin so the trace
    opens at t = 0 regardless of the absolute clock origin.  ts is in
    microseconds per the trace_event spec. *)
-let chrome_buf t buf =
+let write_chrome t oc =
+  let buf = Buffer.create (256 + (t.n * 160)) in
   let t0 = ref max_int in
   for i = 0 to t.n - 1 do
     if t.tb.(i) < !t0 then t0 := t.tb.(i)
@@ -116,14 +117,5 @@ let chrome_buf t buf =
          "\n{\"name\":%S,\"cat\":\"midrr\",\"ph\":\"E\",\"pid\":1,\"tid\":1,\"ts\":%.3f}"
          name (us t.te.(i)))
   done;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n"
-
-let chrome_json t =
-  let buf = Buffer.create (256 + (t.n * 160)) in
-  chrome_buf t buf;
-  Buffer.contents buf
-
-let write_chrome t oc =
-  let buf = Buffer.create (256 + (t.n * 160)) in
-  chrome_buf t buf;
+  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.output_buffer oc buf

@@ -38,10 +38,7 @@ val dropped : t -> int
 val phases : t -> string list
 [@@midrr.lint.allow "R9"] (* test_metrics checks the span probes by it *)
 
-val chrome_json : t -> string
-[@@midrr.lint.allow "R9"] (* only test_metrics exports a trace *)
-(** The trace as a Chrome trace_event JSON object
+val write_chrome : t -> out_channel -> unit
+(** Write the trace as a Chrome trace_event JSON object
     ({["{"traceEvents":[...]}"]}), timestamps rebased to the first
     sampled begin, in microseconds. *)
-
-val write_chrome : t -> out_channel -> unit

@@ -9,9 +9,9 @@
     Determinism contract: {!run} returns results positionally — task [i]'s
     result lands at index [i] of the returned array no matter which domain
     ran it or in what order tasks finished — so any fold over the results
-    is independent of [jobs].  Tasks must not share mutable state (rule R6
-    warns on captures that look shared); per-task randomness should come
-    from {!split_seeds}. *)
+    is independent of [jobs].  Tasks must not share mutable state (rule R8
+    reports a task's writes to captured or module-level state); per-task
+    randomness should come from {!split_seeds}. *)
 
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], clamped to at least 1.  The

@@ -63,7 +63,6 @@ let quantile t ~q =
   in
   search 0 (n - 1)
 
-let complementary t x = 1.0 -. eval t x
 
 let support t = Array.copy t.values
 

@@ -24,10 +24,6 @@ val quantile : t -> q:float -> float
 (** [quantile t ~q] with [0 <= q <= 1] is the smallest sample value [v] with
     [eval t v >= q]. *)
 
-val complementary : t -> float -> float
-[@@midrr.lint.allow "R9"] (* only test_stats calls it, beside eval *)
-(** [complementary t x] is P(X > x) = 1 - eval t x. *)
-
 val support : t -> float array
 [@@midrr.lint.allow "R9"] (* test_stats counts the steps points prints *)
 (** Distinct sample values in increasing order. *)

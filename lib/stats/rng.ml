@@ -14,7 +14,6 @@ let of_state s =
   t
 
 let create ~seed = of_state (Int64.of_int seed)
-let copy = Bytes.copy
 
 (* SplitMix64 output function: add the golden-ratio increment, then two
    xor-shift-multiply mixing rounds (constants from Steele et al.). *)

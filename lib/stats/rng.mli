@@ -13,10 +13,6 @@ val create : seed:int -> t
 (** [create ~seed] returns a fresh generator.  Equal seeds yield identical
     streams. *)
 
-val copy : t -> t
-[@@midrr.lint.allow "R9"] (* only test_stats' known answers call it *)
-(** [copy t] is an independent generator continuing from [t]'s state. *)
-
 val split : t -> t
 (** [split t] derives a statistically independent substream and advances
     [t].  Use one substream per independent model component. *)

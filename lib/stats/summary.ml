@@ -55,10 +55,6 @@ let jain_index xs =
     if ((sq = 0.0) [@midrr.lint.allow "R3"]) then Float.nan
     else s *. s /. (Float.of_int n *. sq)
 
-let weighted_jain_index ~rates ~weights =
-  assert (Array.length rates = Array.length weights);
-  jain_index (Array.mapi (fun i r -> r /. weights.(i)) rates)
-
 type t = {
   count : int;
   mean : float;

@@ -24,11 +24,6 @@ val jain_index : float array -> float
     positive allocations, down to 1/n in the most unequal case.  [nan] on
     the empty array or when all samples are zero. *)
 
-val weighted_jain_index : rates:float array -> weights:float array -> float
-[@@midrr.lint.allow "R9"] (* only test_stats calls it, beside jain_index *)
-(** Jain's index applied to normalized rates [rates.(i) /. weights.(i)],
-    i.e. fairness with respect to a weighted objective. *)
-
 type t = {
   count : int;
   mean : float;

@@ -92,11 +92,6 @@ let test_bridge_unknown_flow_rejected () =
   Alcotest.(check bool) "unknown flow" false
     (Bridge.send bridge (Packet.create ~flow:42 ~size:100 ~arrival:0.0))
 
-let test_bridge_remove_port () =
-  let bridge = make_bridge () in
-  Bridge.remove_port bridge 1;
-  Alcotest.(check (list int)) "one port left" [ 0 ] (Bridge.ports bridge)
-
 (* --- Profiler ------------------------------------------------------------- *)
 
 let test_profiler_produces_samples () =
@@ -148,7 +143,6 @@ let () =
           Alcotest.test_case "counters" `Quick test_bridge_counters;
           Alcotest.test_case "unknown flow" `Quick
             test_bridge_unknown_flow_rejected;
-          Alcotest.test_case "remove port" `Quick test_bridge_remove_port;
         ] );
       ( "profiler",
         [

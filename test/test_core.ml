@@ -11,9 +11,7 @@ let close ?(tol = 1e-9) what expected got =
 let test_units () =
   close "mbps" 2e6 (Types.mbps 2.0);
   close "kbps" 64e3 (Types.kbps 64.0);
-  close "gbps" 1e9 (Types.gbps 1.0);
-  close "to_mbps" 3.0 (Types.to_mbps 3e6);
-  close "bytes_to_bits" 8000.0 (Types.bytes_to_bits 1000)
+  close "to_mbps" 3.0 (Types.to_mbps 3e6)
 
 let test_tx_time () =
   close "1500B at 1Mb/s" 0.012 (Types.tx_time ~bytes:1500 ~rate:1e6);
@@ -111,13 +109,6 @@ let test_pktqueue_capacity () =
   Alcotest.(check bool) "second dropped" false (Pktqueue.push q (pkt 100));
   Alcotest.(check int) "drop counted" 1 (Pktqueue.drops q);
   Alcotest.(check bool) "small fits" true (Pktqueue.push q (pkt 50))
-
-let test_pktqueue_clear () =
-  let q = Pktqueue.create () in
-  ignore (Pktqueue.push q (pkt 100));
-  Pktqueue.clear q;
-  Alcotest.(check bool) "empty" true (Pktqueue.is_empty q);
-  Alcotest.(check int) "no bytes" 0 (Pktqueue.backlog_bytes q)
 
 (* Push [n] fresh packets, each watched through [w] from slot [first]
    on.  Kept out of line so no packet stays in the caller's frame. *)
@@ -334,8 +325,10 @@ let test_pgps_finish_order () =
     }
   in
   let r = Pgps_fluid.run spec in
-  Alcotest.(check (list (pair int int)))
-    "order" [ (0, 0); (1, 0) ] (Pgps_fluid.finish_order r)
+  (* equal weights: the half-size packet finishes first *)
+  Alcotest.(check bool)
+    "flow 0 first" true
+    (r.finish_times.(0).(0) < r.finish_times.(1).(0))
 
 (* --- Oracle ------------------------------------------------------------------------- *)
 
@@ -608,7 +601,6 @@ let () =
         [
           Alcotest.test_case "fifo" `Quick test_pktqueue_fifo;
           Alcotest.test_case "capacity bound" `Quick test_pktqueue_capacity;
-          Alcotest.test_case "clear" `Quick test_pktqueue_clear;
           Alcotest.test_case "a drained queue keeps no packet alive" `Quick
             test_pktqueue_drained_releases;
         ] );

@@ -1,7 +1,7 @@
 (* Cross-check: the static R7 verdict against the runtime allocation
    counter, on the same build.
 
-   The typed tier claims the Drr_engine decision and enqueue paths are
+   R7 claims the Drr_engine decision and enqueue paths are
    allocation-free by reachability over the .cmt call graph, event
    emission included: the engine refills one event record, and R7 has no
    carve-out for events.  The runtime gates below claim the same thing
@@ -22,7 +22,6 @@
    trees coexist; it is not part of plain `dune runtest`. *)
 
 module L = Midrr_lint
-module T = Midrr_lint_typed
 module Drr_engine = Midrr_core.Drr_engine
 module Packet = Midrr_core.Packet
 module Busmetrics = Midrr_obs.Busmetrics
@@ -34,7 +33,7 @@ let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
 (* Root the reachability walk at the serve-decision and enqueue entries
    only: the gates below exercise exactly these paths.  The wider default
-   entry set (Pifo, Metrics, ...) is @lint-typed's business, with its own
+   entry set (Pifo, Metrics, ...) is @lint's business, with its own
    baseline; here the verdict must be unconditional. *)
 let engine_entries =
   [
@@ -49,23 +48,23 @@ let static_verdict () =
       par_task_entries = [] (* R7 only: the gate measures allocation *);
     }
   in
-  let units, keyed, warnings, blocked =
-    T.Typed_driver.collect_keys ~config ~root:"." ~build_dir:"." ~dirs:[ "lib" ]
-      ()
+  let report =
+    L.Driver.scan ~config ~root:"." ~build_dir:"." ~dirs:[ "lib" ]
+      ~baseline:(L.Baseline.of_keys []) ()
   in
-  List.iter (Printf.eprintf "crosscheck: %s\n") warnings;
-  (match blocked with
+  List.iter (Printf.eprintf "crosscheck: %s\n") report.warnings;
+  (match report.blocked with
   | [] -> ()
   | fs ->
       fail "crosscheck: %d source(s) without a fresh .cmt — run [dune build]"
         (List.length fs));
-  if units < 10 then fail "crosscheck: suspiciously few units loaded: %d" units;
-  (* R7's verdict only: the other typed rules judge lib/ against callers
-     this lib-only load does not see *)
-  List.filter_map
-    (fun ((f : L.Finding.t), _) ->
-      if L.Rule.equal f.rule L.Rule.R7 then Some f else None)
-    keyed
+  if report.units < 10 then
+    fail "crosscheck: suspiciously few units loaded: %d" report.units;
+  (* R7's verdict only: R9 judges lib/ against callers this lib-only
+     load does not see *)
+  List.filter
+    (fun (f : L.Finding.t) -> L.Rule.equal f.rule L.Rule.R7)
+    report.findings
 
 (* ---- side 2: the runtime counter ------------------------------------- *)
 

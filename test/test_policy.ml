@@ -57,12 +57,6 @@ let test_bucket_long_term_rate () =
   if Float.abs (rate -. 1000.0) > 60.0 then
     Alcotest.failf "long-term rate %.1f not ~1000" rate
 
-let test_bucket_set_rate () =
-  let b = Tokenbucket.create ~rate:1000.0 ~burst:2000.0 in
-  ignore (Tokenbucket.try_consume b ~now:0.0 ~bytes:2000);
-  Tokenbucket.set_rate b ~now:0.0 500.0;
-  close "slower refill" 500.0 (Tokenbucket.available b ~now:1.0)
-
 let () =
   Alcotest.run "tokenbucket"
     [
@@ -75,6 +69,5 @@ let () =
             test_bucket_boundary_burst;
           Alcotest.test_case "long-term rate" `Quick
             test_bucket_long_term_rate;
-          Alcotest.test_case "set rate" `Quick test_bucket_set_rate;
         ] );
     ]

@@ -33,12 +33,6 @@ let test_rng_known_answers () =
   check "split child, 2nd" 0xb382a305f4414f5eL (Rng.bits64 child);
   check "split child, 3rd" 0x631a9154fbabf717L (Rng.bits64 child);
   check "parent after split" 0x6e789e6aa1b965f4L (Rng.bits64 parent);
-  let a = Rng.create ~seed:42 in
-  ignore (Rng.bits64 a : int64);
-  let b = Rng.copy a in
-  check "copy" 0x28efe333b266f103L (Rng.bits64 b);
-  check "original after copy" 0x28efe333b266f103L (Rng.bits64 a);
-  check "copy, next" 0x47526757130f9f52L (Rng.bits64 b);
   check "negative seed" 0x16b1cba95fc60262L
     (Rng.bits64 (Rng.create ~seed:(-5)));
   let r = Rng.create ~seed:7 in
@@ -127,9 +121,7 @@ let test_summary_kahan () =
 
 let test_jain_index () =
   close "equal allocations" 1.0 (Summary.jain_index [| 3.0; 3.0; 3.0 |]);
-  close "one hog" (1.0 /. 3.0) (Summary.jain_index [| 9.0; 0.0; 0.0 |]);
-  close "weighted equal" 1.0
-    (Summary.weighted_jain_index ~rates:[| 2.0; 4.0 |] ~weights:[| 1.0; 2.0 |])
+  close "one hog" (1.0 /. 3.0) (Summary.jain_index [| 9.0; 0.0; 0.0 |])
 
 let test_describe_consistency () =
   let rng = Rng.create ~seed:12 in
@@ -220,8 +212,7 @@ let test_cdf_weighted () =
   (* 1 with weight 3, 5 with weight 1. *)
   let c = Cdf.of_weighted [ (1.0, 3.0); (5.0, 1.0) ] in
   close "P(X<=1)" 0.75 (Cdf.eval c 1.0);
-  close "P(X<=5)" 1.0 (Cdf.eval c 5.0);
-  close "complementary" 0.25 (Cdf.complementary c 1.0)
+  close "P(X<=5)" 1.0 (Cdf.eval c 5.0)
 
 let test_cdf_merges_duplicates () =
   let c = Cdf.of_weighted [ (2.0, 1.0); (2.0, 1.0); (3.0, 2.0) ] in
