@@ -37,7 +37,10 @@
      double from 8 slots when the list runs dry, and get back every slot
      that [remove_flow], [set_allowed], [remove_iface] or a pop frees.
      So registering a flow and queueing a packet allocate nothing once
-     the pools have grown to the working set.
+     the pools have grown to the working set.  A caller that knows its
+     population ahead, a replay of a recorded op stream, grows the flow
+     and link pools and the id index once with [reserve] instead of
+     through a chain of doublings whose old copies are garbage.
    - Each interface's round is an {e intrusive} ring over the link slots
      (see {!Active_ring}): prev/next are two of the slot's ints, so
      linking/unlinking a newly backlogged / drained flow allocates
@@ -210,17 +213,22 @@ let link_for t fs j = find_link t.t_links j (flow_int t fs f_links)
 
 (* --- the pools ---------------------------------------------------------- *)
 
-(* Each pool doubles when its free list runs dry and puts the new slots
-   on the list, lowest first; new ints are filled with [nil], so a new
-   link's ring ints read unlinked, as a removed one's do, and a new flow
-   slot's id reads free.  The first pools have 8 slots: the link pool's
-   74 words are enough for a small scenario's links.  From 64 slots a
-   link or flow pool's int store is past 256 words, and from 512 its
-   float store, which the runtime allocates straight in the major heap:
-   no minor words, nothing promoted.  A first link pool of 64 slots
-   would already be there, and short simulations would leave each
-   engine's 4 KB store to the major collector: proxy-fig10's peak heap
-   read 1.29 MB, not 0.82.  The enqueue path reaches the packet pool's
+(* Each pool doubles when its free list runs dry, or grows once to what
+   [reserve] asks, and queues the new slots behind any free ones, lowest
+   first.  Either way a pool hands out a slot it freed last, else its
+   lowest slot never used, so when and by how much it grew changes no
+   slot it assigns.  New ints are filled with [nil], so a new link's
+   ring ints read unlinked, as a removed one's do, and a new flow slot's
+   id reads free.  The first pools have 8 slots: the link pool's 74
+   words are enough for a small scenario's links.  From 64 slots a link
+   or flow pool's int store is past 256 words, and from 512 its float
+   store, which the runtime allocates straight in the major heap: no
+   minor words, nothing promoted.  A first link pool of 64 slots would
+   already be there, and short simulations would leave each engine's
+   4 KB store to the major collector: proxy-fig10's peak heap read
+   1.29 MB, not 0.82.  Each doubling copies the pool and leaves the old
+   copy to the collector, so a replay that can count its flows up front
+   [reserve]s instead.  The enqueue path reaches the packet pool's
    growth, so [extend] carries R7's one allow on it. *)
 let extend a n fill =
   let b = Array.make n fill in
@@ -233,42 +241,60 @@ let extend_floats a n =
   Float.Array.blit a 0 b 0 (Float.Array.length a);
   b
 
-(* Thread slots [s] down to [cap] onto the free list headed by [free],
-   through the int at offset [o] of each [k]-int slot; the new head. *)
-let rec free_slots ints ~k ~o ~cap s free =
-  if s < cap then free
+(* The on-demand size of a pool of [cap] slots. *)
+let doubled cap = Stdlib.max 8 (2 * cap)
+
+(* The last slot of the free list from [s], linked through the int at
+   offset [o] of each [k]-int slot. *)
+let rec last_free ints ~k ~o s =
+  let next = ints.((s * k) + o) in
+  if next < 0 then s else last_free ints ~k ~o next
+
+(* Thread the new slots [cap] to [ncap - 1], ascending, behind the free
+   list headed by [free]; the list's head.  The last new slot's int is
+   already [nil]. *)
+let free_slots ints ~k ~o ~cap ~ncap free =
+  for s = cap to ncap - 2 do
+    ints.((s * k) + o) <- s + 1
+  done;
+  if free < 0 then cap
   else begin
-    ints.((s * k) + o) <- free;
-    free_slots ints ~k ~o ~cap (s - 1) s
+    ints.((last_free ints ~k ~o free * k) + o) <- cap;
+    free
   end
 
-let grow_pool t =
+(* Grow the link pool to [ncap] slots, [ncap] above its size. *)
+let grow_pool t ncap =
   let cap = Float.Array.length t.t_dc in
-  let ncap = Stdlib.max 8 (2 * cap) in
   t.t_links <- extend t.t_links (ncap * stride) nil;
   t.t_dc <- extend_floats t.t_dc ncap;
-  t.t_free <- free_slots t.t_links ~k:stride ~o:l_next ~cap (ncap - 1) t.t_free
+  t.t_free <- free_slots t.t_links ~k:stride ~o:l_next ~cap ~ncap t.t_free
 
-let grow_flows t =
+(* Grow the flow pool to [ncap] slots, [ncap] above its size. *)
+let grow_flows t ncap =
   let cap = Array.length t.t_allowed in
-  let ncap = Stdlib.max 8 (2 * cap) in
   t.t_flows <- extend t.t_flows (ncap * flow_stride) nil;
   t.t_weight <- extend_floats t.t_weight ncap;
   t.t_allowed <- extend t.t_allowed ncap [];
   t.t_ffree <-
-    free_slots t.t_flows ~k:flow_stride ~o:f_links ~cap (ncap - 1) t.t_ffree
+    free_slots t.t_flows ~k:flow_stride ~o:f_links ~cap ~ncap t.t_ffree
 
 let grow_pkts t =
   let cap = Array.length t.t_pkts in
-  let ncap = Stdlib.max 8 (2 * cap) in
+  let ncap = doubled cap in
   t.t_pkts <- extend t.t_pkts ncap Packet.none;
   t.t_pnext <- extend t.t_pnext ncap nil;
-  t.t_pfree <- free_slots t.t_pnext ~k:1 ~o:0 ~cap (ncap - 1) t.t_pfree
+  t.t_pfree <- free_slots t.t_pnext ~k:1 ~o:0 ~cap ~ncap t.t_pfree
+
+let reserve t ~flows ~links ~flow_id =
+  if flow_id >= 0 then t.t_ids <- Int_tbl.grow t.t_ids flow_id nil;
+  if flows > Array.length t.t_allowed then grow_flows t flows;
+  if links > Float.Array.length t.t_dc then grow_pool t links
 
 (* A fresh unlinked link of flow slot [fs] to [ifc], first in the
    flow's chain. *)
 let add_link t fs ifc =
-  if t.t_free < 0 then grow_pool t;
+  if t.t_free < 0 then grow_pool t (doubled (Float.Array.length t.t_dc));
   let s = t.t_free in
   let links = t.t_links in
   let b = s * stride in
@@ -458,7 +484,7 @@ let add_flow t ~flow ~weight ~allowed =
   if not (weight > 0.0) then invalid_arg "Drr_engine.add_flow: weight <= 0";
   t.t_ids <- Int_tbl.grow t.t_ids flow nil;
   let allowed = Types.canonical allowed in
-  if t.t_ffree < 0 then grow_flows t;
+  if t.t_ffree < 0 then grow_flows t (doubled (Array.length t.t_allowed));
   let fs = t.t_ffree in
   let flows = t.t_flows in
   let fb = fs * flow_stride in

@@ -27,8 +27,9 @@
     a flow, dropping an interface from its preferences, taking an
     interface down or popping a packet returns the slots to their pool's
     free list for reuse; a pool doubles from 8 slots when its list runs
-    dry.  Registering a flow and queueing a packet therefore allocate
-    nothing once the pools have grown to the working set.  An empty
+    dry, or grows once through {!reserve}.  Registering a flow and
+    queueing a packet therefore allocate nothing once the pools have
+    grown to the working set.  An empty
     cursor, ring head, chain end or queue is the sentinel slot -1, never
     an [option]; a cursor [C_j] is that sentinel or a slot linked in
     interface [j]'s ring, so a recycled slot is never a cursor.  Flow and
@@ -100,6 +101,19 @@ val create :
     flows that are served elsewhere {e more often}, tracking the max-min
     allocation more closely on asymmetric topologies (see the flag-policy
     ablation, [midrr ablation]). *)
+
+val reserve : t -> flows:int -> links:int -> flow_id:int -> unit
+(** [reserve t ~flows ~links ~flow_id] grows the flow pool to hold
+    [flows] registered flows, the link pool [links] (flow, interface)
+    links and the id index the id [flow_id], each in one step and only
+    when it holds less (a negative [flow_id] asks nothing).  Doubling
+    on demand would copy a pool once per power of two on the way and
+    leave every old copy to the collector.  The new slots queue behind
+    the free slots the pools already have, lowest first, as doubling
+    queues them, so reserving changes no slot the engine assigns, no
+    decision and no event; a pool that outgrows its reservation doubles
+    from there.  {!Shard_engine.run_ops} and
+    {!Shard_engine.run_ops_single} size their engines with it. *)
 
 (** {1 Introspection} *)
 

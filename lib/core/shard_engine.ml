@@ -612,7 +612,157 @@ let stats_of ~record states =
     rs_events = events;
   }
 
+(* --- sizing the engines from the stream ---------------------------------- *)
+
+(* Before a replay applies its first op, a pass over the stream's
+   registrations, removals and preference changes finds, per engine, the
+   peak count of registered flows, the peak count of links and the
+   largest flow id, and [Drr_engine.reserve] grows each engine's pools
+   and id index once to hold them.  The link count is the sum of |Π_i|
+   over the registered flows as listed, which bounds the links whatever
+   interfaces are online.  The pass starts from the flows the engines
+   already hold and stops at the first op it cannot account for (a
+   negative, duplicate or unknown flow id): the replay raises there, and
+   applies nothing after it. *)
+type sizing = {
+  z_pi : int array;
+      (* per flow id: 1 + |Π_i| while the flow is registered, else 0; the
+         pass's one array sized by the id space *)
+  z_flows : int array; (* per engine: registered flows *)
+  z_links : int array; (* per engine: Σ |Π_i| over them *)
+  z_peak_flows : int array;
+  z_peak_links : int array;
+  z_top : int array; (* per engine: the largest flow id, or [-1] *)
+}
+
+(* The largest flow id that [ops] or [existing] registers, or [-1]. *)
+let top_flow_id ops existing =
+  Array.fold_left
+    (fun top op ->
+      match op with Op_add_flow { flow; _ } when flow > top -> flow | _ -> top)
+    (List.fold_left Stdlib.max (-1) existing)
+    ops
+
+let sizing ~engines ~top =
+  {
+    z_pi = Array.make (top + 1) 0;
+    z_flows = Array.make engines 0;
+    z_links = Array.make engines 0;
+    z_peak_flows = Array.make engines 0;
+    z_peak_links = Array.make engines 0;
+    z_top = Array.make engines (-1);
+  }
+
+let registered z f = f >= 0 && f < Array.length z.z_pi && z.z_pi.(f) > 0
+
+(* Engine [s] now lists [links] links. *)
+let set_links z s links =
+  z.z_links.(s) <- links;
+  if links > z.z_peak_links.(s) then z.z_peak_links.(s) <- links
+
+let size_add z s flow allowed =
+  let n = List.length allowed in
+  z.z_pi.(flow) <- n + 1;
+  z.z_flows.(s) <- z.z_flows.(s) + 1;
+  if z.z_flows.(s) > z.z_peak_flows.(s) then z.z_peak_flows.(s) <- z.z_flows.(s);
+  if flow > z.z_top.(s) then z.z_top.(s) <- flow;
+  set_links z s (z.z_links.(s) + n)
+
+let size_remove z s flow =
+  z.z_flows.(s) <- z.z_flows.(s) - 1;
+  set_links z s (z.z_links.(s) - (z.z_pi.(flow) - 1));
+  z.z_pi.(flow) <- 0
+
+let size_reallow z s flow allowed =
+  let n = List.length allowed in
+  set_links z s (z.z_links.(s) + n - (z.z_pi.(flow) - 1));
+  z.z_pi.(flow) <- n + 1
+
+let reserve_engines z engines =
+  Array.iteri
+    (fun s e ->
+      Drr_engine.reserve e ~flows:z.z_peak_flows.(s) ~links:z.z_peak_links.(s)
+        ~flow_id:z.z_top.(s))
+    engines
+
+(* The single engine's pass: the engine's own checks, by flow id. *)
+let rec scan_single z ops i =
+  if i < Array.length ops then
+    match ops.(i) with
+    | Op_add_flow { flow; weight; allowed } ->
+        if flow >= 0 && (not (registered z flow)) && weight > 0.0 then begin
+          size_add z 0 flow allowed;
+          scan_single z ops (i + 1)
+        end
+    | Op_remove_flow f ->
+        if registered z f then begin
+          size_remove z 0 f;
+          scan_single z ops (i + 1)
+        end
+    | Op_set_allowed { flow; allowed } ->
+        if registered z flow then begin
+          size_reallow z 0 flow allowed;
+          scan_single z ops (i + 1)
+        end
+    | _ -> scan_single z ops (i + 1)
+
+let size_single e ops =
+  let existing = Drr_engine.flows e in
+  let z = sizing ~engines:1 ~top:(top_flow_id ops existing) in
+  List.iter (fun f -> size_add z 0 f (Drr_engine.allowed_ifaces e f)) existing;
+  scan_single z ops 0;
+  reserve_engines z [| e |]
+
+(* A copy of [t]'s partition that routes silently: [route] on it names
+   the shard of an op exactly as on [t], and writes nothing of [t]'s. *)
+let partition_copy t =
+  {
+    t with
+    t_parent = Array.copy t.t_parent;
+    t_binding = Array.copy t.t_binding;
+    t_online = Array.copy t.t_online;
+    t_mat = Array.copy t.t_mat;
+    t_flow_shard = Array.copy t.t_flow_shard;
+    t_counts = Array.copy t.t_counts;
+    t_stamp = Array.copy t.t_stamp;
+    t_pending = [];
+    t_sink = None;
+    t_ev = Event.create ();
+  }
+
+(* The sharded pass routes each control op on the copy [c], so it
+   counts every flow on the shard that will hold it, and stops where
+   routing raises.  Data ops never change the partition. *)
+let rec scan_sharded c z ops i =
+  if i < Array.length ops then
+    match ops.(i) with
+    | Op_enqueue _ | Op_serve _ | Op_set_weight _ -> scan_sharded c z ops (i + 1)
+    | op -> (
+        match route c op with
+        | exception Invalid_argument _ -> ()
+        | s ->
+            c.t_pending <- [];
+            (match op with
+            | Op_add_flow { flow; allowed; _ } -> size_add z s flow allowed
+            | Op_remove_flow f -> size_remove z s f
+            | Op_set_allowed { flow; allowed } -> size_reallow z s flow allowed
+            | _ -> ());
+            scan_sharded c z ops (i + 1))
+
+(* Also grows the router's shard per flow id once, before the copy. *)
+let size_sharded t ops =
+  let existing = flows t in
+  let top = top_flow_id ops existing in
+  if top >= 0 then t.t_flow_shard <- Int_tbl.grow t.t_flow_shard top (-1);
+  let z = sizing ~engines:t.t_n ~top in
+  List.iter
+    (fun f -> size_add z t.t_flow_shard.(f) f (allowed_ifaces t f))
+    existing;
+  scan_sharded (partition_copy t) z ops 0;
+  reserve_engines z t.t_engines
+
 let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
+  size_sharded t ops;
   let n = t.t_n in
   let prev_sink = t.t_sink in
   let rings = Array.init n (fun _ -> Spsc.create ~dummy:msg_filler mailbox) in
@@ -665,6 +815,11 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
       stage_len.(s) <- stage_len.(s) + 1;
       if stage_len.(s) >= burst then flush s
     in
+    let flush_all () =
+      for s = 0 to n - 1 do
+        flush s
+      done
+    in
     (try
        Array.iteri
          (fun seq op ->
@@ -691,14 +846,15 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
                  List.iter (fun j -> post s (msg_mat j)) pending);
              post s seq
            end)
-         ops;
-       for s = 0 to n - 1 do
-         flush s
-       done
+         ops
      with ex ->
-       (* still release the workers, or Par.run would wait forever *)
+       (* hand over the ops staged before the failing one, which the
+          single engine applied too, and release the workers, or Par.run
+          would wait forever *)
+       flush_all ();
        send_stops ();
        raise ex);
+    flush_all ();
     send_stops ()
   [@midrr.lint.allow "R8"]
   in
@@ -765,6 +921,7 @@ let run_ops ?(record = false) ?metrics ?(mailbox = 8192) t ops =
 (* --- single-domain baseline -------------------------------------------- *)
 
 let run_ops_single ?(record = false) ?metrics e ops =
+  size_single e ops;
   let prev_sink = Drr_engine.sink e in
   let st = wstate_create () in
   let fold =

@@ -109,7 +109,22 @@ val drops : t -> Types.flow_id -> int [@@midrr.lint.allow "R9"]
 
     The parallel driver consumes a prerecorded operation stream — the
     shape the trace generator ({!Midrr_trace}) produces and the bench
-    harness replays. *)
+    harness replays.
+
+    Both drivers size their engines from the stream before its first
+    operation: one pass over its registrations, removals and preference
+    changes, starting from the flows the engines already hold, finds
+    each engine's peak count of registered flows, its peak count of
+    links (the sum of |Π_i| over its registered flows) and its largest
+    flow id, and {!Drr_engine.reserve} grows the pools and the id index
+    once to hold them.  {!run_ops} counts each flow on the shard that
+    will hold it by routing the stream's control operations on a copy
+    of its partition, and also grows its own shard-per-flow-id array
+    once.  Sizing changes no decision, event, statistic or failure: the
+    pass stops at the first operation it cannot count (a negative,
+    duplicate or unknown flow id, or one that routing rejects), where
+    the replay itself raises [Invalid_argument].  Inline {!apply} and
+    the {!Sched_intf.S} calls still grow the pools by doubling. *)
 
 type op =
   | Op_add_iface of Types.iface_id
@@ -170,7 +185,8 @@ val run_ops :
     callback would race) and restored afterwards.
 
     After [run_ops] returns, [t] is in the same state as if the stream
-    had been {!apply}ed inline in order. *)
+    had been {!apply}ed inline in order; when an operation raises, the
+    exception propagates once every operation before it is applied. *)
 
 val run_ops_single :
   ?record:bool ->

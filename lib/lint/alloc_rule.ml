@@ -107,33 +107,23 @@ let prefix_safe_finals =
 let raising_externals =
   [ "raise"; "raise_notrace"; "failwith"; "invalid_arg"; "exit" ]
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-let strip_stdlib name =
-  if has_prefix ~prefix:"Stdlib." name then
-    String.sub name 7 (String.length name - 7)
-  else name
-
 let final_component name =
   match String.rindex_opt name '.' with
   | Some i -> String.sub name (i + 1) (String.length name - i - 1)
   | None -> name
 
+(* [name] is a display name ([head_name]), "Stdlib." already dropped. *)
 let external_allocates name =
-  let name = strip_stdlib name in
   List.exists (String.equal name) allocating_externals
   || List.exists
        (fun prefix ->
-         has_prefix ~prefix name
+         String.starts_with ~prefix name
          && not
               (List.exists (String.equal (final_component name))
                  prefix_safe_finals))
        allocating_prefixes
 
 let external_raises name =
-  let name = strip_stdlib name in
   List.exists (String.equal name) raising_externals
 
 (* ---- type helpers ---------------------------------------------------- *)
@@ -313,8 +303,7 @@ and walk_apply ctx e f args =
       (match name with
       | Some n when external_allocates n ->
           flag ctx ~loc
-            (Printf.sprintf "call to allocating primitive [%s]"
-               (strip_stdlib n))
+            (Printf.sprintf "call to allocating primitive [%s]" n)
       | _ -> ());
       (* partial application: the result is still a function, so the
          compiler builds a closure over the supplied arguments *)

@@ -108,6 +108,12 @@ let resolve t ~unit_name p =
                 canonical t (Ident.name head :: comps)
               else Local head))
 
+(* "Stdlib.Array.set" -> "Array.set" *)
+let strip_stdlib name =
+  if String.starts_with ~prefix:"Stdlib." name then
+    String.sub name 7 (String.length name - 7)
+  else name
+
 (* Display name used in messages and spec matching.  For nodes, the
    stored display; for externals, the dotted name sans "Stdlib.". *)
 let display_of_resolution t = function
@@ -115,10 +121,7 @@ let display_of_resolution t = function
       match Hashtbl.find_opt t.nodes key with
       | Some n -> n.n_display
       | None -> key)
-  | External name ->
-      if String.length name > 7 && String.equal (String.sub name 0 7) "Stdlib."
-      then String.sub name 7 (String.length name - 7)
-      else name
+  | External name -> strip_stdlib name
   | Local id -> Ident.name id
 
 (* ---- construction ---------------------------------------------------- *)
@@ -260,6 +263,24 @@ and register_module t u ~prefix (mb : Typedtree.module_binding) =
    needs the components form.  Re-register them properly here with the
    real dotted prefix so [M.f] references inside the same unit resolve. *)
 
+(* [let module M = P in …] names [P] for the rest of its body as
+   [module M = P] does at top level; module idents are unique within a
+   unit, so both go into [u_modules], and [resolve] follows either.
+   Outer bindings are visited first, so an alias of an alias resolves. *)
+let register_let_modules u (str : Typedtree.structure) =
+  let super = Tast_iterator.default_iterator in
+  let expr sub (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Texp_letmodule (Some id, _, _, me, _) ->
+        Option.iter
+          (Hashtbl.replace u.u_modules (Ident.unique_name id))
+          (module_expr_target u me)
+    | _ -> ());
+    super.expr sub e
+  in
+  let it = { super with expr } in
+  it.structure it str
+
 let register_unit t ~modname ~file (str : Typedtree.structure) =
   let file_allows =
     List.concat_map
@@ -281,6 +302,7 @@ let register_unit t ~modname ~file (str : Typedtree.structure) =
   in
   Hashtbl.replace t.units modname u;
   register_structure t u ~prefix:"" str;
+  register_let_modules u str;
   u
 
 (* Fix up own-unit nested-module idents: replace the "<dot>" placeholder

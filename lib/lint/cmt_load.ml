@@ -11,11 +11,6 @@ type result = {
   missing : string list;  (* scanned .ml/.mli files with no artifact *)
 }
 
-let under_dir file dir =
-  let prefix = dir ^ "/" in
-  String.length file > String.length prefix
-  && String.equal (String.sub file 0 (String.length prefix)) prefix
-
 let is_relative = Filename.is_relative
 
 (* Walk [dir] recursively collecting .cmt and .cmti paths. *)
@@ -97,7 +92,7 @@ let load ~root ~build_dir ~dirs () =
           match (infos.cmt_sourcefile, infos.cmt_annots) with
           | Some sf, _
             when (not (is_relative sf))
-                 || (not (List.exists (under_dir sf) dirs))
+                 || (not (List.exists (Config.under_dir sf) dirs))
                  || Hashtbl.mem seen_sources sf ->
               ()
           | Some sf, Cmt_format.Implementation str ->

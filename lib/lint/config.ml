@@ -124,8 +124,7 @@ let is_hot_path t file =
 
 let under_dir file dir =
   let prefix = dir ^ "/" in
-  String.length file > String.length prefix
-  && String.equal (String.sub file 0 (String.length prefix)) prefix
+  String.length file > String.length prefix && String.starts_with ~prefix file
 
 let is_float_sensitive t file =
   List.exists (under_dir file) t.float_sensitive_dirs

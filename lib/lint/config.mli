@@ -27,5 +27,8 @@ val is_hot_path : t -> string -> bool
 (** Whether a repo-relative source file ([lib/core/drr_engine.ml], or
     its [.mli]) is one of {!t.hot_path_modules}. *)
 
+val under_dir : string -> string -> bool
+(** [under_dir file dir]: the repo-relative [file] lies below [dir]. *)
+
 val is_float_sensitive : t -> string -> bool
 val domain_spawn_allowed : t -> string -> bool

@@ -22,21 +22,12 @@
 
 let rule = Rule.R8
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-let strip_stdlib name =
-  if has_prefix ~prefix:"Stdlib." name then
-    String.sub name 7 (String.length name - 7)
-  else name
-
 (* ---- write classification -------------------------------------------- *)
 
 (* [write_of_apply name args] returns [Some (target, what)] when a call
    to external [name] mutates [target]. *)
 let write_of_apply name (args : (_ * Typedtree.expression option) list) =
-  let name = strip_stdlib name in
+  let name = Callgraph.strip_stdlib name in
   let nth i =
     match List.filteri (fun j _ -> j = i) args with
     | [ (_, Some e) ] -> Some e
@@ -77,9 +68,8 @@ let rec target_root graph ~unit_name (e : Typedtree.expression) =
   | Texp_field (e', _, _) -> target_root graph ~unit_name e'
   | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
       let name =
-        strip_stdlib
-          (Callgraph.display_of_resolution graph
-             (Callgraph.resolve graph ~unit_name p))
+        Callgraph.display_of_resolution graph
+          (Callgraph.resolve graph ~unit_name p)
       in
       match name with
       | "Array.get" | "Array.unsafe_get" | "Bytes.get" | "Bytes.unsafe_get"
@@ -251,7 +241,8 @@ let summaries graph =
 
 type emit = loc:Location.t -> string -> unit
 
-let atomic_call name = has_prefix ~prefix:"Atomic." (strip_stdlib name)
+let atomic_call name =
+  String.starts_with ~prefix:"Atomic." (Callgraph.strip_stdlib name)
 
 (* Scan a task argument subtree: flag captured/global writes at lambda
    depth > 0 (code outside any closure literal runs serially at the call
@@ -275,7 +266,7 @@ let scan_task_arg ~graph ~summaries:sums ~unit_name ~emit ~allowed
             let display =
               match Callgraph.find_node graph key with
               | Some n -> n.Callgraph.n_display
-              | None -> strip_stdlib key
+              | None -> Callgraph.strip_stdlib key
             in
             flag ~loc
               (Printf.sprintf

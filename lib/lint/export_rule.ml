@@ -22,16 +22,6 @@ type interface = {
 let own ~unit_name key =
   String.starts_with ~prefix:(unit_name ^ ".") key
 
-let name_of = function
-  | Callgraph.Node k | Callgraph.External k -> Some k
-  | Callgraph.Local _ -> None
-
-let rec module_path (me : Typedtree.module_expr) =
-  match me.mod_desc with
-  | Tmod_constraint (me, _, _, _) -> module_path me
-  | Tmod_ident (p, _) -> Some p
-  | _ -> None
-
 (* Every resolved name another unit references. *)
 let references graph units =
   let refs = Hashtbl.create 1024 in
@@ -40,22 +30,13 @@ let references graph units =
       let mark key =
         if not (own ~unit_name key) then Hashtbl.replace refs key ()
       in
-      (* [let module R = Midrr_lint.Rule in R.all] *)
-      let local_modules = Hashtbl.create 4 in
-      let resolve p =
-        let head, comps = Callgraph.path_components p [] in
-        match Hashtbl.find_opt local_modules (Ident.unique_name head) with
-        | Some m -> Some (String.concat "." (m :: comps))
-        | None -> name_of (Callgraph.resolve graph ~unit_name p)
-      in
       let super = Tast_iterator.default_iterator in
       let expr sub (e : Typedtree.expression) =
         (match e.exp_desc with
-        | Texp_ident (p, _, _) -> Option.iter mark (resolve p)
-        | Texp_letmodule (Some id, _, _, me, _) ->
-            Option.iter
-              (Hashtbl.replace local_modules (Ident.unique_name id))
-              (Option.bind (module_path me) resolve)
+        | Texp_ident (p, _, _) -> (
+            match Callgraph.resolve graph ~unit_name p with
+            | Node key | External key -> mark key
+            | Local _ -> ())
         | _ -> ());
         super.expr sub e
       in

@@ -61,7 +61,12 @@ let test_r1_compare () =
   check_rules "Stdlib.List.mem" [ "R1" ]
     (lint ~file:hot_file "let f x xs = Stdlib.List.mem x xs");
   check_rules "through a module alias" [ "R1" ]
-    (lint ~file:hot_file "module H = Hashtbl\nlet h x = H.hash x")
+    (lint ~file:hot_file "module H = Hashtbl\nlet h x = H.hash x");
+  check_rules "through a local module alias" [ "R1" ]
+    (lint ~file:hot_file "let h x = let module H = Hashtbl in H.hash x");
+  check_rules "through a local alias of a local alias" [ "R1" ]
+    (lint ~file:hot_file
+       "let h x = let module A = Hashtbl in let module B = A in B.hash x")
 
 let test_r1_scope () =
   check_rules "a local binding that shadows compare is not the primitive" []
@@ -615,7 +620,10 @@ let test_r9_other_unit_clears () =
   check_rules "a reference from another unit clears it" []
     (r9_lint ~mli:"val used : int\nval dead : int"
        ~ml:"let used = 1\nlet dead = 2"
-       [ "let x = Fix.used"; "let () = print_int Fix.dead" ])
+       [ "let x = Fix.used"; "let () = print_int Fix.dead" ]);
+  check_rules "so does one through a local module alias" []
+    (r9_lint ~mli:"val used : int" ~ml:"let used = 1"
+       [ "let x = let module F = Fix in F.used" ])
 
 let test_r9_functor_include () =
   let ml =

@@ -452,6 +452,250 @@ let wapply_single e op =
       Drr_engine.set_allowed e flow allowed
   | Shard_engine.Op_enqueue _ | Shard_engine.Op_serve _ -> assert false
 
+(* The stream applied op by op through the engine's own calls, as a
+   platform drives it: what [run_ops_single ~record:true] must report
+   for it.  Raises where the engine raises. *)
+let replay_direct e ops =
+  let events = ref [] and seq = ref 0 in
+  let decisions = ref 0 and sent = ref 0 and sent_bytes = ref 0 in
+  let enqueued = ref 0 and dropped = ref 0 in
+  Drr_engine.set_sink e
+    (Some (fun ev -> events := (!seq, Event.decode ev) :: !events));
+  Array.iteri
+    (fun k op ->
+      seq := k;
+      match op with
+      | Shard_engine.Op_enqueue { flow; size; arrival } ->
+          if Drr_engine.enqueue e (Packet.create ~flow ~size ~arrival) then
+            incr enqueued
+          else incr dropped
+      | Shard_engine.Op_serve { iface; budget } ->
+          let rec serve k =
+            if k < budget then begin
+              incr decisions;
+              let p = Drr_engine.next_packet_noalloc e iface in
+              if not (Packet.is_none p) then begin
+                incr sent;
+                sent_bytes := !sent_bytes + p.size;
+                serve (k + 1)
+              end
+            end
+          in
+          serve 0
+      | op -> wapply_single e op)
+    ops;
+  Drr_engine.set_sink e None;
+  {
+    Shard_engine.rs_decisions = !decisions;
+    rs_sent = !sent;
+    rs_sent_bytes = !sent_bytes;
+    rs_enqueued = !enqueued;
+    rs_dropped = !dropped;
+    rs_events = Array.of_list (List.rev !events);
+  }
+
+let check_stats_equal ~what (a : Shard_engine.run_stats)
+    (b : Shard_engine.run_stats) =
+  Alcotest.(check int) (what ^ " decisions") b.rs_decisions a.rs_decisions;
+  Alcotest.(check int) (what ^ " sent") b.rs_sent a.rs_sent;
+  Alcotest.(check int) (what ^ " sent_bytes") b.rs_sent_bytes a.rs_sent_bytes;
+  Alcotest.(check int) (what ^ " enqueued") b.rs_enqueued a.rs_enqueued;
+  Alcotest.(check int) (what ^ " dropped") b.rs_dropped a.rs_dropped;
+  check_events_equal ~what a.rs_events b.rs_events
+
+(* Sizing the engines before a replay changes no failure: one malformed
+   op three quarters into a churn stream makes [run_ops_single] and
+   [run_ops] at 1 and 2 shards raise what applying the stream op by op
+   raises, with every earlier op applied, so the engines hold the state
+   of the stream's prefix.  More registrations follow the malformed op,
+   so a sizing pass that read past it would count them. *)
+let sizing_keeps_failures () =
+  let mode = Drr_engine.Service_flags in
+  let ops = gen_ops ~seed:29 ~groups:3 ~late_group:true ~n_ops:1500 ~storm:0 in
+  let at = 3 * Array.length ops / 4 in
+  let prefix = Array.sub ops 0 at in
+  let oracle = Drr_engine.create mode in
+  ignore (replay_direct oracle prefix);
+  let held = Drr_engine.flows oracle in
+  let dup = List.hd held in
+  let rec lowest_free f = if List.mem f held then lowest_free (f + 1) else f in
+  let stream bad =
+    Array.concat [ prefix; [| bad |]; Array.sub ops at (Array.length ops - at) ]
+  in
+  let case name bad ~single ~sharded =
+    let ops = stream bad in
+    (match single with
+    | None -> ()
+    | Some msg ->
+        let e = Drr_engine.create mode in
+        Alcotest.check_raises (name ^ ": run_ops_single") (Invalid_argument msg)
+          (fun () -> ignore (Shard_engine.run_ops_single e ops));
+        let inline = Shard_engine.create ~shards:1 ~strict:true mode in
+        Array.iter (Shard_engine.apply inline) prefix;
+        check_state_equal ~what:(name ^ ": run_ops_single") inline e);
+    List.iter
+      (fun shards ->
+        let what = Printf.sprintf "%s: run_ops at %d shards" name shards in
+        let t = Shard_engine.create ~shards ~strict:true mode in
+        Alcotest.check_raises what (Invalid_argument sharded) (fun () ->
+            ignore (Shard_engine.run_ops t ops));
+        check_state_equal ~what t oracle)
+      [ 1; 2 ]
+  in
+  case "negative flow id"
+    (Shard_engine.Op_add_flow { flow = -1; weight = 1.0; allowed = [ 0 ] })
+    ~single:(Some "Drr_engine.add_flow: negative flow id")
+    ~sharded:"Shard_engine.add_flow: negative flow id";
+  case "duplicate registration"
+    (Shard_engine.Op_add_flow
+       { flow = dup; weight = 1.0; allowed = Drr_engine.allowed_ifaces oracle dup })
+    ~single:(Some "Drr_engine.add_flow: duplicate")
+    ~sharded:"Shard_engine.add_flow: duplicate";
+  case "removal of an unknown flow"
+    (Shard_engine.Op_remove_flow (lowest_free 0))
+    ~single:(Some "Drr_engine: unknown flow")
+    ~sharded:"Shard_engine.remove_flow: unknown flow";
+  case "removal of a flow id past every registered one"
+    (Shard_engine.Op_remove_flow 1_000_000_000)
+    ~single:(Some "Drr_engine: unknown flow")
+    ~sharded:"Shard_engine.remove_flow: unknown flow";
+  case "interface id above 65535" (Shard_engine.Op_add_iface 65536)
+    ~single:None ~sharded:"Shard_engine.add_iface: interface id above 65535"
+
+(* Words [f] allocates straight into the major heap, on every domain:
+   major words less promoted ones.  A terminated domain's words reach
+   [Gc.quick_stat] only when a major cycle ends, so a full major
+   collection on each side keeps those of earlier tests' domains out of
+   the window and brings those of [f]'s in (without the first, the
+   single-domain replay once read 160k words above its own, in the full
+   suite only). *)
+let direct_major_words f =
+  let direct () =
+    let s = Gc.quick_stat () in
+    s.major_words -. s.promoted_words
+  in
+  Gc.full_major ();
+  let w0 = direct () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.full_major ();
+  direct () -. w0
+
+(* A replay that sized its engines grew each pool and id index once: the
+   words it allocated straight into the major heap (those, the mailboxes
+   and the packet pool's doublings) are at most 1.2 times the words the
+   engine holds after it.  Pools that double on demand read 1.79 on the
+   single replay: every copy on the way to the last one. *)
+let check_grew_once ~what ~direct ~reachable =
+  let ratio = direct /. Float.of_int reachable in
+  Printf.printf
+    "%s: %.0f words straight into the major heap, %d reachable after: %.2f \
+     (bound 1.2)\n"
+    what direct reachable ratio;
+  if ratio > 1.2 then
+    Alcotest.failf
+      "%s allocated %.2f times its engines' reachable words straight into \
+       the major heap, above 1.2: a pool grew more than once"
+      what ratio
+
+let fleet_ops ?seed share =
+  Midrr_trace.Fleet.(ops ?seed (scale default_params share))
+
+let replay_grows_once () =
+  let ops = fleet_ops 0.25 in
+  let e = Drr_engine.create Drr_engine.Service_flags in
+  let direct =
+    direct_major_words (fun () -> Shard_engine.run_ops_single e ops)
+  in
+  check_grew_once ~what:"run_ops_single" ~direct
+    ~reachable:(Obj.reachable_words (Obj.repr e));
+  let t = Shard_engine.create ~shards:2 ~strict:true Drr_engine.Service_flags in
+  let direct = direct_major_words (fun () -> Shard_engine.run_ops t ops) in
+  check_grew_once ~what:"run_ops at 2 shards" ~direct
+    ~reachable:(Obj.reachable_words (Obj.repr t))
+
+(* The sizing pass starts from the flows the engines already hold: a
+   second fleet, with its own flow ids, replayed onto engines that hold a
+   smaller first one (less some flows it removes, more some whose
+   preferences it narrows) reports the stats and events of the op-by-op
+   replay and still grows each pool once, to hold both fleets.  A pass
+   that counted only the second fleet's flows would reserve too little
+   and double on top of its reservation. *)
+let sizing_counts_held_flows () =
+  let mode = Drr_engine.Service_flags in
+  let first = fleet_ops ~seed:1 0.1 in
+  let held =
+    let e = Drr_engine.create mode in
+    ignore (replay_direct e first);
+    e
+  in
+  let offset =
+    1
+    + Array.fold_left
+        (fun top op ->
+          match op with
+          | Shard_engine.Op_add_flow { flow; _ } -> max top flow
+          | _ -> top)
+        0 first
+  in
+  let shift f = f + offset in
+  let touched =
+    List.filteri (fun i _ -> i mod 7 = 0) (Drr_engine.flows held)
+  in
+  let second =
+    Array.concat
+      [
+        Array.of_list
+          (List.mapi
+             (fun i f ->
+               if i mod 2 = 0 then Shard_engine.Op_remove_flow f
+               else
+                 Shard_engine.Op_set_allowed
+                   {
+                     flow = f;
+                     allowed = [ List.hd (Drr_engine.allowed_ifaces held f) ];
+                   })
+             touched);
+        Array.of_list
+          (List.filter_map
+             (fun op ->
+               match op with
+               | Shard_engine.Op_add_iface _ -> None
+               | Op_add_flow r -> Some (Shard_engine.Op_add_flow { r with flow = shift r.flow })
+               | Op_remove_flow f -> Some (Op_remove_flow (shift f))
+               | Op_set_weight r -> Some (Op_set_weight { r with flow = shift r.flow })
+               | Op_set_allowed r ->
+                   Some (Op_set_allowed { r with flow = shift r.flow })
+               | Op_enqueue r -> Some (Op_enqueue { r with flow = shift r.flow })
+               | op -> Some op)
+             (Array.to_list (fleet_ops ~seed:2 0.2)));
+      ]
+  in
+  let expected = replay_direct held second in
+  let e = Drr_engine.create mode in
+  ignore (Shard_engine.run_ops_single e first);
+  let direct =
+    direct_major_words (fun () -> Shard_engine.run_ops_single e second)
+  in
+  check_grew_once ~what:"run_ops_single onto held flows" ~direct
+    ~reachable:(Obj.reachable_words (Obj.repr e));
+  let e = Drr_engine.create mode in
+  ignore (Shard_engine.run_ops_single e first);
+  check_stats_equal ~what:"run_ops_single onto held flows"
+    (Shard_engine.run_ops_single ~record:true e second)
+    expected;
+  List.iter
+    (fun shards ->
+      let what = Printf.sprintf "run_ops at %d shards onto held flows" shards in
+      let t = Shard_engine.create ~shards ~strict:true mode in
+      ignore (Shard_engine.run_ops t first);
+      let direct = direct_major_words (fun () -> Shard_engine.run_ops t second) in
+      check_grew_once ~what ~direct ~reachable:(Obj.reachable_words (Obj.repr t));
+      let t = Shard_engine.create ~shards ~strict:true mode in
+      ignore (Shard_engine.run_ops t first);
+      check_stats_equal ~what (Shard_engine.run_ops ~record:true t second) expected;
+      check_state_equal ~what t held)
+    [ 1; 2 ]
+
 (* The inline (Sched_intf) path in lockstep: one shared op stream,
    applied op-by-op to a 4-shard engine and the single engine, with
    per-op event capture through the sinks. *)
@@ -905,6 +1149,8 @@ let () =
                 "decisions" single.rs_decisions st.rs_decisions;
               Alcotest.(check int) "sent bytes" single.rs_sent_bytes st.rs_sent_bytes;
               check_state_equal ~what:"fleet" t e);
+          Alcotest.test_case "sizing changes no failure" `Quick
+            sizing_keeps_failures;
         ] );
       ("metrics", [ Alcotest.test_case "per-shard collection merges" `Quick metrics_merge ]);
       ( "allocation",
@@ -927,5 +1173,9 @@ let () =
                ~n_ops:3000 ~storm:250);
           Alcotest.test_case "mailbox at the interface id limit" `Quick
             mailbox_iface_limit;
+          Alcotest.test_case "a replay grows each pool once" `Quick
+            replay_grows_once;
+          Alcotest.test_case "a replay onto held flows sizes for both" `Quick
+            sizing_counts_held_flows;
         ] );
     ]
